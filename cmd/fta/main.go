@@ -220,8 +220,6 @@ func cmdAssign(args []string) error {
 		degradeTO = fs.Duration("degrade-budget", 10*time.Second, "per-rung wall-clock budget for -degrade")
 		retryMax  = fs.Int("retry-max", 0, "retry failed per-center solves up to this many total attempts (0 = no retry)")
 		failSpecs = fs.String("fail", "", "arm chaos failpoints, e.g. 'vdps.generate:err:3' (dev only; see docs/RESILIENCE.md)")
-		sweepPar  = fs.Int("sweep-par", 0, "goroutines for the deterministic parallel best-response sweep inside each FGT/IEGT solve (0/1 = sequential; results are bit-identical either way)")
-		pool      = fs.Int("pool", 0, "run per-center solves on a shared worker pool of this size (0 = per-call fan-out; results are identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -231,15 +229,9 @@ func cmdAssign(args []string) error {
 		return err
 	}
 	opt := fairtask.Options{
-		Algorithm:     fairtask.Algorithm(*alg),
-		Seed:          *seed,
-		Trace:         *traceOut != "",
-		SweepParallel: *sweepPar,
-	}
-	if *pool > 0 {
-		sp := fairtask.NewSolvePool(*pool, nil)
-		defer sp.Close()
-		opt.Pool = sp
+		Algorithm: fairtask.Algorithm(*alg),
+		Seed:      *seed,
+		Trace:     *traceOut != "",
 	}
 	if *eps > 0 {
 		opt.VDPS.Epsilon = *eps
@@ -261,10 +253,8 @@ func cmdAssign(args []string) error {
 		}
 		// Count-based failpoint triggering across concurrent center solves
 		// follows the goroutine schedule; chaos runs promise bit-identical
-		// output across invocations, so they solve centers sequentially —
-		// which also rules out the shared pool.
+		// output across invocations, so they solve centers sequentially.
 		opt.Parallelism = 1
-		opt.Pool = nil
 	}
 	ctx := context.Background()
 	var tracer *fairtask.Tracer
@@ -716,18 +706,15 @@ func cmdRender(args []string) error {
 // newServerHandler builds the fully instrumented HTTP handler over the
 // library's full algorithm set: solver telemetry flows into the handler's
 // metrics registry and requests are logged to logger (nil disables logging).
-// sweepPar enables the deterministic parallel best-response sweep inside
-// each FGT/IEGT solve (0/1 = sequential). Split out so tests can mount it
-// on httptest servers.
-func newServerHandler(logger *slog.Logger, sweepPar int) *server.Handler {
+// Split out so tests can mount it on httptest servers.
+func newServerHandler(logger *slog.Logger) *server.Handler {
 	// The factory closure runs per request, after rec is set below; the nil
 	// guard only covers the construction window.
 	var rec *fairtask.MetricsRecorder
 	h := server.New(func(algorithm string, seed int64) (fairtask.Assigner, error) {
 		opt := fairtask.Options{
-			Algorithm:     fairtask.Algorithm(algorithm),
-			Seed:          seed,
-			SweepParallel: sweepPar,
+			Algorithm: fairtask.Algorithm(algorithm),
+			Seed:      seed,
 		}
 		if rec != nil {
 			opt.Recorder = rec
@@ -822,8 +809,6 @@ func cmdServe(args []string) error {
 		retryMax   = fs.Int("retry-max", 0, "retry failed solves/jobs up to this many total attempts (0 = no retry)")
 		failSpecs  = fs.String("fail", "", "arm chaos failpoints, e.g. 'vdps.generate:err:3' (dev only; see docs/RESILIENCE.md)")
 		traceRing  = fs.Int("trace-ring", 32, "recent solve traces retained at GET /debug/traces (0 disables span tracing)")
-		sweepPar   = fs.Int("sweep-par", 0, "goroutines for the deterministic parallel best-response sweep inside each FGT/IEGT solve (0/1 = sequential; results are bit-identical either way)")
-		poolSize   = fs.Int("pool", 0, "run per-center solve work of all requests on one shared worker pool of this size (0 = per-request fan-out; results are identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -838,12 +823,7 @@ func cmdServe(args []string) error {
 		}
 		logger.Warn("chaos failpoints armed", "specs", *failSpecs)
 	}
-	handler := newServerHandler(logger, *sweepPar)
-	if *poolSize > 0 {
-		pool := fairtask.NewSolvePool(*poolSize, fairtask.NewParallelMetrics(handler.Registry))
-		defer pool.Close()
-		handler.Pool = pool
-	}
+	handler := newServerHandler(logger)
 	if *traceRing <= 0 {
 		handler.Traces = nil
 	} else {

@@ -310,7 +310,7 @@ func jsonUnmarshal(data []byte, v any) error {
 }
 
 func TestServeHandler(t *testing.T) {
-	srv := httptest.NewServer(newServerHandler(nil, 0))
+	srv := httptest.NewServer(newServerHandler(nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")

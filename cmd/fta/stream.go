@@ -22,7 +22,7 @@ import (
 )
 
 // resolveLatency is the latency distribution of one resolve kind (noop,
-// warm, regen, cold, continuation) in the fta stream report.
+// warm, regen, cold) in the fta stream report.
 type resolveLatency struct {
 	Count  int     `json:"count"`
 	P50MS  float64 `json:"p50_ms"`
@@ -32,25 +32,22 @@ type resolveLatency struct {
 
 // streamReport is the machine-readable summary written by fta stream -json.
 type streamReport struct {
-	Algorithm           string                    `json:"algorithm"`
-	Seed                int64                     `json:"seed"`
-	Continue            bool                      `json:"continue"`
-	Deltas              int                       `json:"deltas"`
-	DeltasByKind        map[string]int            `json:"deltas_by_kind"`
-	Resolves            map[string]int            `json:"resolves"`
-	ResolveLatencies    map[string]resolveLatency `json:"resolve_latencies"`
-	WarmP50MS           float64                   `json:"warm_p50_ms"`
-	WarmP99MS           float64                   `json:"warm_p99_ms"`
-	WarmMeanMS          float64                   `json:"warm_mean_ms"`
-	ColdMeanMS          float64                   `json:"cold_mean_ms"`
-	ColdSamples         int                       `json:"cold_samples"`
-	SpeedupX            float64                   `json:"speedup_x"`
-	WorkersTouched      float64                   `json:"workers_touched_mean"`
-	Workers             int                       `json:"workers"`
-	IterationsSaved     int                       `json:"iterations_saved_total"`
-	IterationsSavedMean float64                   `json:"iterations_saved_mean"`
-	FinalDifference     float64                   `json:"final_payoff_difference"`
-	FinalAverage        float64                   `json:"final_average_payoff"`
+	Algorithm        string                    `json:"algorithm"`
+	Seed             int64                     `json:"seed"`
+	Deltas           int                       `json:"deltas"`
+	DeltasByKind     map[string]int            `json:"deltas_by_kind"`
+	Resolves         map[string]int            `json:"resolves"`
+	ResolveLatencies map[string]resolveLatency `json:"resolve_latencies"`
+	WarmP50MS        float64                   `json:"warm_p50_ms"`
+	WarmP99MS        float64                   `json:"warm_p99_ms"`
+	WarmMeanMS       float64                   `json:"warm_mean_ms"`
+	ColdMeanMS       float64                   `json:"cold_mean_ms"`
+	ColdSamples      int                       `json:"cold_samples"`
+	SpeedupX         float64                   `json:"speedup_x"`
+	WorkersTouched   float64                   `json:"workers_touched_mean"`
+	Workers          int                       `json:"workers"`
+	FinalDifference  float64                   `json:"final_payoff_difference"`
+	FinalAverage     float64                   `json:"final_average_payoff"`
 }
 
 func cmdStream(args []string) error {
@@ -68,7 +65,6 @@ func cmdStream(args []string) error {
 		workers  = fs.Int("workers", 10, "initial workers |W|")
 		points   = fs.Int("points", 24, "delivery points |DP|")
 		coldN    = fs.Int("cold-every", 0, "cold-solve baseline every N deltas (0 = auto, ~8 samples)")
-		cont     = fs.Bool("continue", false, "seed each resolve from the previous equilibrium (audited, not bit-pinned)")
 		jsonOut  = fs.String("json", "", "write the machine-readable report to this path")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -100,7 +96,6 @@ func cmdStream(args []string) error {
 	opt := stream.Options{
 		Algorithm: stream.Algorithm(*alg),
 		VDPS:      vopt,
-		Continue:  *cont,
 		Metrics:   obs.NewStreamMetrics(reg),
 	}
 	opt.Game.Seed, opt.Evo.Seed = *seed, *seed
@@ -114,7 +109,6 @@ func cmdStream(args []string) error {
 	rep := streamReport{
 		Algorithm:        *alg,
 		Seed:             *seed,
-		Continue:         *cont,
 		Deltas:           len(ds),
 		DeltasByKind:     map[string]int{},
 		Resolves:         map[string]int{},
@@ -135,7 +129,6 @@ func cmdStream(args []string) error {
 		byKind[res.Resolve] = append(byKind[res.Resolve], ns)
 		rep.DeltasByKind[string(d.Kind)]++
 		rep.Resolves[res.Resolve]++
-		rep.IterationsSaved += res.IterationsSaved
 		touched += res.WorkersTouched
 	}
 	snap := eng.Snapshot()
@@ -152,9 +145,6 @@ func cmdStream(args []string) error {
 			P99MS:  percentile(ns, 99) / 1e6,
 			MeanMS: mean(ns) / 1e6,
 		}
-	}
-	if n := rep.Resolves[stream.ResolveContinuation]; n > 0 {
-		rep.IterationsSavedMean = float64(rep.IterationsSaved) / float64(n)
 	}
 
 	// Cold baseline: re-solve sampled prefixes from scratch, the cost an
@@ -192,10 +182,6 @@ func cmdStream(args []string) error {
 		lat := rep.ResolveLatencies[k]
 		fmt.Fprintf(tw, "%s\t%d\t%.3fms\t%.3fms\t%.3fms\n",
 			k, lat.Count, lat.P50MS, lat.P99MS, lat.MeanMS)
-	}
-	if n := rep.Resolves[stream.ResolveContinuation]; n > 0 {
-		fmt.Fprintf(tw, "iterations saved\t%d total\t%.2f/continuation\n",
-			rep.IterationsSaved, rep.IterationsSavedMean)
 	}
 	fmt.Fprintf(tw, "warm apply\tp50 %.3fms\tp99 %.3fms\tmean %.3fms\tworkers touched %.1f/%d\n",
 		rep.WarmP50MS, rep.WarmP99MS, rep.WarmMeanMS, rep.WorkersTouched, rep.Workers)

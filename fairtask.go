@@ -162,14 +162,6 @@ type (
 	// for Options.Degrade: per-rung wall-clock budgets and the sampled
 	// rungs' candidate generation.
 	DegradeOptions = platform.Degrade
-	// SolvePool is a shared long-lived worker pool for the batch throughput
-	// mode: per-center solves of many concurrent assignments run on one
-	// fixed set of goroutines (Options.Pool). Build with NewSolvePool.
-	SolvePool = platform.Pool
-	// ParallelMetrics bundles the fta_parallel_* instruments of the batch
-	// throughput layer; build with NewParallelMetrics and pass to
-	// NewSolvePool.
-	ParallelMetrics = obs.ParallelMetrics
 	// RetryPolicy configures Options.Retry: capped exponential backoff with
 	// deterministic seeded jitter around each per-center solve attempt.
 	RetryPolicy = fault.RetryPolicy
@@ -195,7 +187,7 @@ type (
 	// Build with NewStreamEngine; see docs/STREAMING.md.
 	StreamEngine = stream.Engine
 	// StreamOptions configure a StreamEngine: the dynamics replayed per
-	// batch, continuation seeding, the cold-fallback ladder and telemetry.
+	// batch, the cold-fallback ladder and telemetry.
 	StreamOptions = stream.Options
 	// StreamDelta is one stream event (task arrival/expiry, worker
 	// churn, reprice) with a strictly increasing sequence number.
@@ -203,8 +195,8 @@ type (
 	// StreamDeltaKind discriminates StreamDelta mutations.
 	StreamDeltaKind = stream.Kind
 	// StreamResult reports what one applied batch did to the engine:
-	// resolve path, repair blast radius, committed metrics and — for
-	// continuation resolves — the audit certificate and rounds saved.
+	// resolve path, repair blast radius, committed metrics and — for cold
+	// fallbacks — the audit certificate.
 	StreamResult = stream.Result
 	// StreamSnapshot is a self-consistent copy of an engine's committed
 	// state.
@@ -266,9 +258,6 @@ const (
 	StreamResolveRegen = stream.ResolveRegen
 	// StreamResolveCold served the batch by an audited cold solve.
 	StreamResolveCold = stream.ResolveCold
-	// StreamResolveContinuation seeded the dynamics from the previous
-	// equilibrium, certified by a mandatory audit pass.
-	StreamResolveContinuation = stream.ResolveContinuation
 )
 
 // ErrStreamStaleSeq rejects a delta whose sequence number is not strictly
@@ -301,19 +290,6 @@ func ReplayStreamDeltas(in *Instance, ds ...StreamDelta) error {
 // registry for a StreamEngine's telemetry.
 func NewStreamMetrics(reg *MetricsRegistry) *StreamMetrics {
 	return obs.NewStreamMetrics(reg)
-}
-
-// NewSolvePool starts a shared solve pool with the given worker count
-// (size <= 0 means runtime.GOMAXPROCS(0)); metrics may be nil. Pass the
-// pool via Options.Pool on every solve and Close it at shutdown.
-func NewSolvePool(size int, metrics *ParallelMetrics) *SolvePool {
-	return platform.NewPool(size, metrics)
-}
-
-// NewParallelMetrics registers the fta_parallel_* instrument families on
-// the registry for a SolvePool's telemetry.
-func NewParallelMetrics(reg *MetricsRegistry) *ParallelMetrics {
-	return obs.NewParallelMetrics(reg)
 }
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -442,23 +418,9 @@ type Options struct {
 	// default); exhausting it degrades to the best bottleneck vector found
 	// and reports Converged = false.
 	LexifairNodeBudget int
-	// Parallelism bounds concurrent per-center solves in SolveProblem.
-	// Ignored when Pool is set.
+	// Parallelism bounds concurrent per-center solves in SolveProblem
+	// (0 = GOMAXPROCS).
 	Parallelism int
-	// SweepParallel sets the goroutine count for the deterministic
-	// speculative best-response sweep inside a single FGT/IEGT solve:
-	// quiescing rounds evaluate workers concurrently against the frozen
-	// pre-round state and commit sequentially in the fixed visiting order,
-	// keeping results bit-identical to the sequential sweep for the same
-	// seed at any GOMAXPROCS. 0 or 1 disables. Distinct from Parallelism,
-	// which fans whole centers out across goroutines.
-	SweepParallel int
-	// Pool runs per-center solves on a shared long-lived worker pool — the
-	// batch throughput mode for serving many independent assignments
-	// concurrently without per-solve goroutine churn. Build one with
-	// NewSolvePool at startup and Close it at shutdown. Nil keeps the
-	// per-call fan-out bounded by Parallelism.
-	Pool *SolvePool
 	// Recorder receives telemetry from candidate generation, game
 	// iterations, and solves. Nil (the default) disables telemetry with no
 	// measurable overhead.
@@ -518,7 +480,6 @@ func (a fgtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Resul
 		MaxIterations:  a.opt.MaxIterations,
 		Seed:           a.opt.Seed,
 		EpsilonUtility: a.opt.EpsilonUtility,
-		Parallel:       a.opt.SweepParallel,
 		UsePriorities:  a.opt.UsePriorities,
 		Trace:          a.opt.Trace,
 		RandomOrder:    a.opt.RandomOrder,
@@ -537,7 +498,6 @@ func (a iegtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Resu
 	return evo.IEGT(ctx, g, evo.Options{
 		MaxIterations: a.opt.MaxIterations,
 		Seed:          a.opt.Seed,
-		Parallel:      a.opt.SweepParallel,
 		Trace:         a.opt.Trace,
 		MutationRate:  a.opt.MutationRate,
 		Recorder:      a.opt.Recorder,
@@ -575,7 +535,6 @@ func platformOptions(opt Options) platform.Options {
 	popt := platform.Options{
 		VDPS:        opt.VDPS,
 		Parallelism: opt.Parallelism,
-		Pool:        opt.Pool,
 		Recorder:    opt.Recorder,
 		Retry:       opt.Retry,
 		Degrade:     opt.Degrade,

@@ -414,8 +414,8 @@ func TestSolveProblemContext(t *testing.T) {
 
 // TestStreamFacade exercises the public streaming surface end to end:
 // engine construction, a generated delta stream applied through the warm
-// paths, continuation mode with its audit certificate, and the replay
-// helper reconstructing the instance the engine stands on.
+// paths, and the replay helper reconstructing the instance the engine
+// stands on.
 func TestStreamFacade(t *testing.T) {
 	in, err := fairtask.GenerateGM(fairtask.GMConfig{
 		Seed: 9, Tasks: 40, Workers: 6, DeliveryPoints: 14,
@@ -463,29 +463,5 @@ func TestStreamFacade(t *testing.T) {
 	if snap.Instance.TaskCount() != replayed.TaskCount() {
 		t.Fatalf("replay diverged: engine holds %d tasks, replay %d",
 			snap.Instance.TaskCount(), replayed.TaskCount())
-	}
-
-	// Continuation mode: every non-noop resolve must carry a passing audit.
-	copt := fairtask.StreamOptions{Continue: true}
-	copt.VDPS.Epsilon = 1.5
-	copt.Game.Seed = 9
-	ceng, err := fairtask.NewStreamEngine(context.Background(), in, copt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ds {
-		res, err := ceng.Apply(context.Background(), d)
-		if err != nil {
-			t.Fatalf("continuation seq %d: %v", d.Seq, err)
-		}
-		if res.Resolve != fairtask.StreamResolveContinuation {
-			continue
-		}
-		if res.Audit == nil || len(res.Audit.Violations) > 0 {
-			t.Fatalf("continuation seq %d missing passing audit: %+v", d.Seq, res.Audit)
-		}
-		if res.IterationsSaved < 0 {
-			t.Fatalf("continuation seq %d negative IterationsSaved", d.Seq)
-		}
 	}
 }

@@ -38,16 +38,6 @@ type Options struct {
 	// value (use the NoTolerance constant) requires exactly equal payoffs,
 	// which the zero value cannot express.
 	Tolerance float64
-	// Parallel sets the goroutine count for the deterministic speculative
-	// selection sweep: quiescing rounds gather the below-average workers'
-	// better-strategy candidate lists concurrently against the frozen
-	// pre-round state, while the random draws and commits stay sequential
-	// in the fixed visiting order. Results are bit-identical to the
-	// sequential sweep and independent of GOMAXPROCS. 0 or 1 disables.
-	// Runs with MutationRate > 0 always use the sequential sweep (the
-	// mutation draw consumes randomness on every evaluation, which the
-	// candidate-gathering phase cannot reproduce).
-	Parallel int
 	// Trace enables per-iteration statistics collection (Figure 12).
 	Trace bool
 	// MutationRate is the probability that a below-average worker explores
@@ -92,7 +82,7 @@ func IEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.Result, er
 	opt = opt.withDefaults()
 	bsp := obs.SpanFromContext(ctx).Child("state.build")
 	s := game.NewState(g)
-	return iegtRun(ctx, s, opt, bsp, false)
+	return iegtRun(ctx, s, opt, bsp)
 }
 
 // IEGTFromState runs Algorithm 3 on a prebuilt, unplayed state (fresh from
@@ -103,36 +93,19 @@ func IEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.Result, er
 func IEGTFromState(ctx context.Context, s *game.State, opt Options) (*game.Result, error) {
 	opt = opt.withDefaults()
 	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	return iegtRun(ctx, s, opt, bsp, false)
+	return iegtRun(ctx, s, opt, bsp)
 }
 
-// IEGTFromSeededState runs the selection rounds of Algorithm 3 on a state
-// whose joint strategy has already been played — the streaming engine's
-// continuation mode replays the previous committed equilibrium onto repaired
-// strategy spaces and resumes the evolution from there. The seeded random
-// initialization is skipped, so the result is NOT bit-pinned against
-// IEGT/IEGTFromState on the same generator; callers certify results
-// independently (the streaming engine audits every continuation resolve).
-func IEGTFromSeededState(ctx context.Context, s *game.State, opt Options) (*game.Result, error) {
-	opt = opt.withDefaults()
-	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	return iegtRun(ctx, s, opt, bsp, true)
-}
-
-// iegtRun is the shared core of IEGT, IEGTFromState and IEGTFromSeededState.
-// bsp is the caller's open state-build span, ended once initialization
-// completes; seeded states skip the random initialization and keep their
-// played joint strategy as the evolution's starting population.
-func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span, seeded bool) (*game.Result, error) {
+// iegtRun is the shared core of IEGT and IEGTFromState. bsp is the caller's
+// open state-build span, ended once initialization completes.
+func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span) (*game.Result, error) {
 	sp := obs.SpanFromContext(ctx)
 	if len(s.Current) == 0 {
 		bsp.End()
 		return nil, game.ErrNoWorkers
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	if !seeded {
-		s.RandomInit(rng)
-	}
+	s.RandomInit(rng)
 
 	var tracker *game.SummaryTracker
 	if opt.Trace || opt.Recorder != nil {
@@ -157,24 +130,6 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span, see
 	// rng on every evaluation, and skipping would shift the random stream.
 	version := 0
 	cleanAt := make([]int, len(s.Current))
-	// Speculative parallel sweep setup (see game.ParallelSweep). The random
-	// draws stay sequential in the commit loop, so only MutationRate == 0
-	// runs can speculate: the mutation operator consumes randomness on every
-	// evaluation, which candidate gathering cannot reproduce.
-	par := opt.Parallel
-	if opt.MutationRate > 0 {
-		par = 1
-	}
-	var order []int
-	var cands [][]int
-	if par > 1 {
-		order = make([]int, len(s.Current))
-		for i := range order {
-			order[i] = i
-		}
-		cands = make([][]int, len(s.Current))
-	}
-	prevChanges := len(s.Current) // assume a busy first round: no speculation
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -186,25 +141,7 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span, see
 			return nil, fmt.Errorf("evo: iegt round %d: %w", iter, err)
 		}
 		ubar := populationAverage(s)
-		// Phase A: gather the below-average workers' better-strategy
-		// candidate lists concurrently against the frozen pre-round state.
-		// A worker's own payoff cannot change before its turn (each worker
-		// switches at most once per round) and ubar is frozen at the round
-		// start, so the selection filter is commit-invariant; only the
-		// candidate lists go stale after the round's first commit.
-		spec := par > 1 && game.ShouldSpeculate(prevChanges, len(s.Current))
-		if spec {
-			roundV := version
-			rsp.SetAttrInt("spec", game.ParallelSweep(par, order,
-				func(w int) bool {
-					return s.Payoffs[w] < ubar && cleanAt[w] != roundV+1
-				},
-				func(w int) {
-					cands[w] = betterCandidates(s, w, cands[w][:0])
-				}))
-		}
-		roundStart := version
-		changes, reeval := 0, 0
+		changes := 0
 		for w := range s.Current {
 			// sigma_km > 0 for every present strategy, so the sign of
 			// sigma_dot is the sign of (U - Ubar): below-average workers
@@ -220,20 +157,7 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span, see
 				si, ok = randomAvailableStrategy(s, w, rng, &cand)
 			}
 			if !ok {
-				if spec && version == roundStart {
-					// No commit yet this round: the frozen candidate list
-					// equals what a live scan would gather, and the draw
-					// consumes rng exactly when the sequential sweep would
-					// (only on a non-empty list).
-					if cs := cands[w]; len(cs) > 0 {
-						si, ok = cs[rng.Intn(len(cs))], true
-					}
-				} else {
-					si, ok = randomBetterStrategy(s, w, rng, &cand)
-					if spec {
-						reeval++
-					}
-				}
+				si, ok = randomBetterStrategy(s, w, rng, &cand)
 			}
 			if ok {
 				s.Switch(w, si)
@@ -246,10 +170,6 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span, see
 				cleanAt[w] = version + 1
 			}
 		}
-		if spec {
-			rsp.SetAttrInt("reeval", reeval)
-		}
-		prevChanges = changes
 		res.Iterations = iter
 		if tracker != nil {
 			diff, avg := tracker.DiffAvg()
@@ -355,32 +275,24 @@ func populationAverage(s *game.State) float64 {
 // calls; candidate order and rng consumption match the pre-scratch form, so
 // the selected strategy is bit-identical for the same rng state.
 func randomBetterStrategy(s *game.State, w int, rng *rand.Rand, buf *[]int) (int, bool) {
-	better := betterCandidates(s, w, (*buf)[:0])
-	*buf = better
-	if len(better) == 0 {
-		return game.Null, false
-	}
-	return better[rng.Intn(len(better))], true
-}
-
-// betterCandidates appends to dst the indices of worker w's available
-// strategies with payoff strictly above the current one, in strategy order
-// (Algorithm 3, lines 23-25). A pure read of the state, safe for the
-// concurrent gathering phase of the speculative sweep.
-func betterCandidates(s *game.State, w int, dst []int) []int {
 	cur := 0.0
 	if s.Current[w] != game.Null {
 		cur = s.Payoffs[w]
 	}
+	better := (*buf)[:0]
 	for si := range s.Strategies[w] {
 		if si == s.Current[w] {
 			continue
 		}
 		if s.Strategies[w][si].Payoff > cur && s.Available(w, si) {
-			dst = append(dst, si)
+			better = append(better, si)
 		}
 	}
-	return dst
+	*buf = better
+	if len(better) == 0 {
+		return game.Null, false
+	}
+	return better[rng.Intn(len(better))], true
 }
 
 // randomAvailableStrategy picks uniformly among all of worker w's available

@@ -263,3 +263,24 @@ func TestVerifyEquilibrium(t *testing.T) {
 		t.Errorf("IEGT output rejected by VerifyEquilibrium: %v", err)
 	}
 }
+
+// TestWithDefaultsToleranceSentinel is the regression test for the Tolerance
+// zero-collapse bug, mirroring the game package's EpsilonUtility sentinel:
+// the zero value keeps the numerical default, NoTolerance (and any negative
+// value) selects an exact-zero tolerance, and positive values pass through.
+func TestWithDefaultsToleranceSentinel(t *testing.T) {
+	cases := []struct {
+		in, want float64
+	}{
+		{0, 1e-9},
+		{NoTolerance, 0},
+		{-0.5, 0},
+		{0.5, 0.5},
+	}
+	for _, c := range cases {
+		got := Options{Tolerance: c.in}.withDefaults().Tolerance
+		if got != c.want {
+			t.Errorf("Tolerance %v: withDefaults -> %v, want %v", c.in, got, c.want)
+		}
+	}
+}

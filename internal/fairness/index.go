@@ -47,10 +47,7 @@ import (
 // Payoff, Potential, All, Workers — are pure reads and safe to call from
 // any number of goroutines concurrently, as long as no Update runs at the
 // same time. Update mutates the multiset and must be externally serialized
-// against both other updates and all queries. The game and evo solvers'
-// parallel speculative sweeps rely on exactly this contract: concurrent
-// read-only queries against a frozen index, updates only in the sequential
-// commit phase.
+// against both other updates and all queries.
 type Index struct {
 	prm Params
 	// priorities holds the raw worker priorities for the priority-aware

@@ -6,7 +6,6 @@ import (
 
 	"fairtask/internal/model"
 	"fairtask/internal/obs"
-	"fairtask/internal/vdps"
 )
 
 // captureRecorder collects RecordIteration calls so the optimized and
@@ -160,30 +159,27 @@ func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 
 // TestNewStateParallelMatchesSequential pins the sharded strategy-space
 // construction to the sequential one: same candidates, same order, same
-// payoffs. Run with -race this also exercises the shard boundaries.
+// payoffs. The shard count is passed explicitly, so the comparison does not
+// depend on GOMAXPROCS; 13 workers split unevenly over both 3 and 4 shards.
+// Run with -race this also exercises the shard boundaries.
 func TestNewStateParallelMatchesSequential(t *testing.T) {
-	in := gridInstance(16, 12, 2, 100)
-	seq, err := vdps.Generate(in, vdps.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := vdps.Generate(in, vdps.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := NewState(seq), NewState(par)
-	if len(a.Strategies) != len(b.Strategies) {
-		t.Fatalf("worker counts differ: %d vs %d", len(a.Strategies), len(b.Strategies))
-	}
-	for w := range a.Strategies {
-		if len(a.Strategies[w]) != len(b.Strategies[w]) {
-			t.Fatalf("worker %d: %d strategies sequential, %d parallel",
-				w, len(a.Strategies[w]), len(b.Strategies[w]))
+	g := mustGen(t, gridInstance(16, 13, 2, 100))
+	seq := newState(g, 1)
+	for _, par := range []int{3, 4} {
+		sharded := newState(g, par)
+		if len(seq.Strategies) != len(sharded.Strategies) {
+			t.Fatalf("par=%d: worker counts differ: %d vs %d", par, len(seq.Strategies), len(sharded.Strategies))
 		}
-		for si := range a.Strategies[w] {
-			// StrategyRef is comparable; equal refs imply equal sequences.
-			if x, y := a.Strategies[w][si], b.Strategies[w][si]; x != y {
-				t.Fatalf("worker %d strategy %d differs: %+v vs %+v", w, si, x, y)
+		for w := range seq.Strategies {
+			if len(seq.Strategies[w]) != len(sharded.Strategies[w]) {
+				t.Fatalf("par=%d worker %d: %d strategies sequential, %d sharded",
+					par, w, len(seq.Strategies[w]), len(sharded.Strategies[w]))
+			}
+			for si := range seq.Strategies[w] {
+				// StrategyRef is comparable; equal refs imply equal sequences.
+				if x, y := seq.Strategies[w][si], sharded.Strategies[w][si]; x != y {
+					t.Fatalf("par=%d worker %d strategy %d differs: %+v vs %+v", par, w, si, x, y)
+				}
 			}
 		}
 	}

@@ -29,14 +29,6 @@ type Options struct {
 	// the NoEpsilon constant) selects the strict best response with no
 	// threshold at all, which the zero value cannot express.
 	EpsilonUtility float64
-	// Parallel sets the goroutine count for the deterministic speculative
-	// best-response sweep: quiescing rounds evaluate workers concurrently
-	// against the frozen pre-round state and commit sequentially in the
-	// fixed visiting order, re-evaluating every worker after the round's
-	// first commit (a switch changes the owner table and payoff multiset,
-	// both best-response inputs). Results are bit-identical to the
-	// sequential sweep and independent of GOMAXPROCS. 0 or 1 disables.
-	Parallel int
 	// UsePriorities switches the utility to the priority-aware IAU
 	// extension, reading worker priorities from the instance.
 	UsePriorities bool
@@ -120,7 +112,7 @@ func FGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result, error) {
 	sp := obs.SpanFromContext(ctx)
 	bsp := sp.Child("state.build")
 	s := NewState(g)
-	return fgtRun(ctx, s, opt, bsp, false)
+	return fgtRun(ctx, s, opt, bsp)
 }
 
 // FGTFromState runs Algorithm 2 on a prebuilt, unplayed state (fresh from
@@ -132,38 +124,21 @@ func FGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result, error) {
 func FGTFromState(ctx context.Context, s *State, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	return fgtRun(ctx, s, opt, bsp, false)
+	return fgtRun(ctx, s, opt, bsp)
 }
 
-// FGTFromSeededState runs the best-response rounds of Algorithm 2 on a state
-// whose joint strategy has already been played — the streaming engine's
-// continuation mode replays the previous committed equilibrium onto repaired
-// strategy spaces and resumes from there. The seeded random initialization
-// is skipped, so the result is NOT bit-pinned against FGT/FGTFromState on
-// the same generator: different starts can reach different (equally valid)
-// pure Nash equilibria. Callers certify results independently; the streaming
-// engine runs a mandatory internal/audit pass per continuation resolve.
-func FGTFromSeededState(ctx context.Context, s *State, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	return fgtRun(ctx, s, opt, bsp, true)
-}
-
-// fgtRun is the shared core of FGT, FGTFromState and FGTFromSeededState:
-// random singleton initialization (skipped for seeded states, which arrive
-// with a played joint strategy), then sequential best-response rounds to a
-// pure Nash equilibrium. bsp is the caller's open state-build span, ended
-// once the index and tracker are up.
-func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bool) (*Result, error) {
+// fgtRun is the shared core of FGT and FGTFromState: random singleton
+// initialization, then sequential best-response rounds to a pure Nash
+// equilibrium. bsp is the caller's open state-build span, ended once the
+// index and tracker are up.
+func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result, error) {
 	sp := obs.SpanFromContext(ctx)
 	if len(s.Current) == 0 {
 		bsp.End()
 		return nil, ErrNoWorkers
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	if !seeded {
-		s.RandomInit(rng)
-	}
+	s.RandomInit(rng)
 
 	priorities := workerPriorities(s.Instance(), opt.UsePriorities)
 	idx := newUtilityIndex(s, opt.Fairness, priorities)
@@ -192,8 +167,6 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bo
 	// response at the new version.
 	version := 0
 	cleanAt := make([]int, len(s.Current))
-	sw := newSweeper(len(s.Current), opt.Parallel)
-	prevChanges := len(s.Current) // assume a busy first round: no speculation
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -207,42 +180,12 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bo
 		if opt.RandomOrder {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
-		// Speculative parallel phase: when the previous round was quiet
-		// enough for speculation to likely survive the commit loop, evaluate
-		// every non-clean worker's best response concurrently against the
-		// frozen pre-round state. The choice to speculate is pure
-		// optimization — both paths commit identical switches — so the
-		// heuristic cannot affect results, only wasted work.
-		spec := sw.speculate(prevChanges)
-		if spec {
-			roundV := version
-			sw.run(order, func(w int) bool { return cleanAt[w] != roundV+1 }, func(w int) {
-				sw.best[w], sw.ok[w] = bestResponse(s, idx, w, opt)
-			})
-		}
-		roundStart := version
-		changes, reeval := 0, 0
+		changes := 0
 		for _, w := range order {
 			if cleanAt[w] == version+1 {
 				continue
 			}
-			var best int
-			var ok bool
-			if spec && version == roundStart {
-				// No commit yet this round: the live state is bit-identical
-				// to the snapshot phase A evaluated against.
-				best, ok = sw.best[w], sw.ok[w]
-			} else {
-				// An earlier commit changed the owner table and the payoff
-				// multiset — both inputs of w's best response — so the
-				// speculative proposal is stale; re-evaluate live, exactly
-				// as the sequential sweep would.
-				best, ok = bestResponse(s, idx, w, opt)
-				if spec {
-					reeval++
-				}
-			}
-			if ok && best != s.Current[w] {
+			if best, ok := bestResponse(s, idx, w, opt); ok && best != s.Current[w] {
 				s.Switch(w, best)
 				idx.Update(w, s.Payoffs[w])
 				if tracker != nil {
@@ -253,11 +196,6 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span, seeded bo
 			}
 			cleanAt[w] = version + 1
 		}
-		if spec {
-			rsp.SetAttrInt("spec", sw.evaluated)
-			rsp.SetAttrInt("reeval", reeval)
-		}
-		prevChanges = changes
 		res.Iterations = iter
 		if tracker != nil {
 			diff, avg := tracker.DiffAvg()

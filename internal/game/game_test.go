@@ -361,3 +361,96 @@ func TestLoadAssignmentErrors(t *testing.T) {
 		t.Log("fabricated route coincided with a real strategy (acceptable)")
 	}
 }
+
+// TestWithDefaultsEpsilonSentinel is the regression test for the
+// EpsilonUtility zero-collapse bug: the zero value keeps the numerical
+// default, NoEpsilon (and any negative value) selects the strict best
+// response with a threshold of exactly 0, and positive values pass through.
+func TestWithDefaultsEpsilonSentinel(t *testing.T) {
+	cases := []struct {
+		in, want float64
+	}{
+		{0, 1e-12},
+		{NoEpsilon, 0},
+		{-0.5, 0},
+		{0.05, 0.05},
+	}
+	for _, c := range cases {
+		got := Options{EpsilonUtility: c.in}.withDefaults().EpsilonUtility
+		if got != c.want {
+			t.Errorf("EpsilonUtility %v: withDefaults -> %v, want %v", c.in, got, c.want)
+		}
+	}
+	// The reference solver shares withDefaults, so the sentinel changes both
+	// sides of the differential tests identically; a quick solve pins that
+	// the strict threshold is accepted end to end.
+	g := mustGen(t, gridInstance(8, 4, 2, 100))
+	got, err := FGT(context.Background(), g, Options{Seed: 1, EpsilonUtility: NoEpsilon, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReferenceFGT(context.Background(), g, Options{Seed: 1, EpsilonUtility: NoEpsilon, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "noepsilon", got, want)
+}
+
+// TestVerifyNEStrictTolerance pins the NEOptions.Tol sentinel: negative
+// demands a strict equilibrium, zero keeps the numerical default. A strict
+// certificate must still accept a strict-best-response equilibrium.
+func TestVerifyNEStrictTolerance(t *testing.T) {
+	g := mustGen(t, gridInstance(10, 5, 2, 100))
+	res, err := FGT(context.Background(), g, Options{Seed: 2, EpsilonUtility: NoEpsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("FGT did not converge")
+	}
+	if err := VerifyNEOpts(g, res.Assignment, NEOptions{Tol: -1}); err != nil {
+		t.Fatalf("strict certificate rejected a strict equilibrium: %v", err)
+	}
+}
+
+// TestUtilityIndexZeroSkip is the property test for newUtilityIndex's
+// construction shortcut: skipping Update for zero payoffs must be
+// indistinguishable — bitwise, on every query — from explicitly updating
+// every worker, in plain mode and in priority-normalized mode including the
+// degenerate priorities (zero, negative, NaN) that normalization folds to 1.
+func TestUtilityIndexZeroSkip(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name       string
+		payoffs    []float64
+		priorities []float64
+	}{
+		{"plain", []float64{0, 3.5, 0, 1.25, 7, 0}, nil},
+		{"allzero", []float64{0, 0, 0, 0}, nil},
+		{"priority", []float64{0, 3.5, 0, 1.25, 7, 0}, []float64{2, 0.5, 1, 3, 0.25, 4}},
+		{"degenerate-priority", []float64{0, 2, 0, 5}, []float64{0, -1, 2, 0.5}},
+		{"nan-priority", []float64{0, 2, 4, 5}, []float64{nan, 2, nan, 0.5}},
+	}
+	prm := fairness.DefaultParams()
+	for _, c := range cases {
+		n := len(c.payoffs)
+		s := &State{Current: make([]int, n), Payoffs: c.payoffs}
+		skip := newUtilityIndex(s, prm, c.priorities)
+		full := fairness.NewIndex(prm, n, c.priorities)
+		for w, p := range c.payoffs {
+			full.Update(w, p)
+		}
+		for w := 0; w < n; w++ {
+			for _, q := range []float64{0, 0.5, 1.25, 3.5, 7, 100} {
+				a, b := skip.Utility(w, q), full.Utility(w, q)
+				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
+					t.Fatalf("%s: Utility(%d, %v) = %v with zero-skip, %v with full updates",
+						c.name, w, q, a, b)
+				}
+			}
+			if a, b := skip.CurrentUtility(w), full.CurrentUtility(w); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Fatalf("%s: CurrentUtility(%d) = %v with zero-skip, %v with full updates", c.name, w, a, b)
+			}
+		}
+	}
+}

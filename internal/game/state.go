@@ -7,6 +7,7 @@ package game
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"fairtask/internal/model"
@@ -41,12 +42,18 @@ type State struct {
 // generator's per-worker VDPS lists.
 //
 // The per-worker strategy-space construction is an embarrassingly parallel
-// O(W * C) scan over the generator's candidates: with enough workers it is
-// sharded over Generator.Parallelism() goroutines using the same 2x-headroom
-// heuristic as the generator's own level expansion. Every shard writes only
-// its own Strategies slots, and each worker's list is independent of the
-// others, so the result is identical to the sequential construction.
+// O(W * C) scan over the generator's candidates: with at least two workers
+// per shard it is sharded over runtime.GOMAXPROCS(0) goroutines. Every shard
+// writes only its own Strategies slots, and each worker's list is
+// independent of the others, so the result is identical to the sequential
+// construction.
 func NewState(g *vdps.Generator) *State {
+	return newState(g, runtime.GOMAXPROCS(0))
+}
+
+// newState is NewState sharded over par goroutines; par <= 1, or fewer
+// than 2*par workers, builds sequentially.
+func newState(g *vdps.Generator, par int) *State {
 	in := g.Instance()
 	n := len(in.Workers)
 	s := &State{
@@ -56,7 +63,6 @@ func NewState(g *vdps.Generator) *State {
 		Payoffs:    make([]float64, n),
 		owner:      make([]int, len(in.Points)),
 	}
-	par := g.Parallelism()
 	if par > 1 && n >= 2*par {
 		var wg sync.WaitGroup
 		chunk := (n + par - 1) / par

@@ -75,7 +75,8 @@ type AssignEvent struct {
 	Algorithm string
 	// Centers, Workers and Points are the problem's total sizes.
 	Centers, Workers, Points int
-	// Parallelism is the number of concurrent per-center solves used.
+	// Parallelism is the most per-center solves that could run at once:
+	// the fan-out bound, capped by the number of centers with workers.
 	Parallelism int
 	// Elapsed is the wall time of the whole assignment.
 	Elapsed time.Duration

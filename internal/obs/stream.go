@@ -23,24 +23,12 @@ type StreamMetrics struct {
 	// WorkersTouched observes how many workers each applied batch forced
 	// the engine to rebuild strategy spaces for — the repair blast radius.
 	WorkersTouched *Histogram
-	// ResolveNoop..ResolveContinuation count applied batches by how the
-	// engine re-established equilibrium (fta_stream_resolves_total): noop
+	// ResolveNoop..ResolveCold count applied batches by how the engine
+	// re-established equilibrium (fta_stream_resolves_total): noop
 	// (nothing the game reads changed), warm (repaired strategy spaces),
-	// regen (candidate DP re-run, full or incremental), cold
-	// (failpoint/error fallback through the platform ladder) or
-	// continuation (dynamics seeded from the previous equilibrium,
-	// audit-certified).
+	// regen (candidate DP re-run, full or incremental) or cold
+	// (failpoint/error fallback through the platform ladder).
 	ResolveNoop, ResolveWarm, ResolveRegen, ResolveCold *Counter
-	ResolveContinuation                                 *Counter
-	// ContinuationFallbacks counts continuation resolves that failed their
-	// audit certificate (or hit the iteration cap) and were served by the
-	// default bit-pinned replay instead
-	// (fta_stream_continuation_fallbacks_total).
-	ContinuationFallbacks *Counter
-	// IterationsSaved observes, per continuation resolve, how many dynamics
-	// rounds seeding from the previous equilibrium saved against the most
-	// recent random-init resolve (fta_stream_iterations_saved).
-	IterationsSaved *Histogram
 	// Seq tracks the engine's last applied sequence number
 	// (fta_stream_seq).
 	Seq *Gauge
@@ -75,16 +63,10 @@ func NewStreamMetrics(reg *Registry) *StreamMetrics {
 		WorkersTouched: reg.Histogram("fta_stream_workers_touched",
 			"Workers whose strategy spaces were rebuilt per applied batch.",
 			CountBuckets),
-		ResolveNoop:         resolves("noop"),
-		ResolveWarm:         resolves("warm"),
-		ResolveRegen:        resolves("regen"),
-		ResolveCold:         resolves("cold"),
-		ResolveContinuation: resolves("continuation"),
-		ContinuationFallbacks: reg.Counter("fta_stream_continuation_fallbacks_total",
-			"Continuation resolves that failed certification and fell back to the bit-pinned replay."),
-		IterationsSaved: reg.Histogram("fta_stream_iterations_saved",
-			"Dynamics rounds saved per continuation resolve vs the last random-init resolve.",
-			CountBuckets),
+		ResolveNoop:  resolves("noop"),
+		ResolveWarm:  resolves("warm"),
+		ResolveRegen: resolves("regen"),
+		ResolveCold:  resolves("cold"),
 		Seq: reg.Gauge("fta_stream_seq",
 			"Last applied stream sequence number."),
 	}
@@ -115,8 +97,8 @@ func (m *StreamMetrics) DeltaCounter(kind string) *Counter {
 }
 
 // ResolveCounter returns the resolve-path counter for the kind string
-// ("noop", "warm", "regen", "cold", "continuation"), or nil for an unknown
-// kind. Nil receivers return nil.
+// ("noop", "warm", "regen", "cold"), or nil for an unknown kind. Nil
+// receivers return nil.
 func (m *StreamMetrics) ResolveCounter(kind string) *Counter {
 	if m == nil {
 		return nil
@@ -130,8 +112,6 @@ func (m *StreamMetrics) ResolveCounter(kind string) *Counter {
 		return m.ResolveRegen
 	case "cold":
 		return m.ResolveCold
-	case "continuation":
-		return m.ResolveContinuation
 	}
 	return nil
 }

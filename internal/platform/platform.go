@@ -29,14 +29,8 @@ type Options struct {
 	// VDPS configures candidate generation per center.
 	VDPS vdps.Options
 	// Parallelism bounds concurrent per-center solves. Zero means
-	// runtime.GOMAXPROCS(0). Ignored when Pool is set.
+	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// Pool, when set, runs per-center solves on the shared long-lived
-	// worker pool instead of per-call goroutines — the batch throughput
-	// mode for serving many independent assignments concurrently. The
-	// pool's size replaces Parallelism; result aggregation is unchanged
-	// and stays in center order, so results are identical either way.
-	Pool *Pool
 	// Recorder receives one obs.SolveEvent per center and one
 	// obs.AssignEvent for the whole assignment; it is also threaded into
 	// VDPS generation when VDPS.Recorder is unset. Nil disables telemetry.
@@ -122,9 +116,7 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 		return nil, ErrNoInstances
 	}
 	par := opt.Parallelism
-	if opt.Pool != nil {
-		par = opt.Pool.Size()
-	} else if par <= 0 {
+	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	ctx, asp := obs.StartSpan(ctx, "assign")
@@ -136,12 +128,11 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 	if opt.Audit != nil {
 		res.Audit = make([]*audit.Report, len(p.Instances))
 	}
-	var sem chan struct{}
-	if opt.Pool == nil {
-		sem = make(chan struct{}, par)
-	} else {
-		opt.Pool.batchStarted()
-	}
+	sem := make(chan struct{}, par)
+	// solving counts the centers handed to a solver. Telemetry reports
+	// min(par, solving), the concurrency the solve could use: a one-center
+	// solve runs one center at a time whatever par allows.
+	solving := 0
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -165,8 +156,12 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 			continue
 		}
 		i := i
-		solveCenter := func() {
+		solving++
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
 			defer wg.Done()
+			defer func() { <-sem }()
 			csp := asp.Child("center.solve")
 			csp.SetAttrInt("center", p.Instances[i].CenterID)
 			defer csp.End()
@@ -183,19 +178,6 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 			if res.Audit != nil {
 				res.Audit[i] = rep
 			}
-		}
-		wg.Add(1)
-		if opt.Pool != nil {
-			// Submit blocks while the shared queue is full, throttling
-			// concurrent batches against each other instead of spawning
-			// one goroutine per center.
-			opt.Pool.Submit(solveCenter)
-			continue
-		}
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			solveCenter()
 		}()
 	}
 	wg.Wait()
@@ -220,7 +202,7 @@ func AssignContext(ctx context.Context, p *model.Problem, solver assign.Assigner
 			Centers:     len(p.Instances),
 			Workers:     len(res.Payoffs),
 			Points:      points,
-			Parallelism: par,
+			Parallelism: min(par, solving),
 			Elapsed:     res.Elapsed,
 		})
 	}

@@ -3,6 +3,7 @@ package platform
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"fairtask/internal/dataset"
 	"fairtask/internal/game"
 	"fairtask/internal/model"
+	"fairtask/internal/obs"
 	"fairtask/internal/payoff"
 	"fairtask/internal/vdps"
 )
@@ -67,6 +69,36 @@ func TestAssignParallelMatchesSerial(t *testing.T) {
 	if math.Abs(serial.Difference-parallel.Difference) > 1e-12 ||
 		math.Abs(serial.Average-parallel.Average) > 1e-12 {
 		t.Error("parallel solve changed the result")
+	}
+}
+
+// TestAssignParallelismGauge pins fta_assign_parallelism to the concurrency
+// a solve could use: the fan-out bound capped by the centers with workers,
+// so a one-center solve reports 1 whatever the bound.
+func TestAssignParallelismGauge(t *testing.T) {
+	cases := []struct {
+		centers, workerless, par int
+		want                     float64
+	}{
+		{centers: 1, par: 4, want: 1},
+		{centers: 3, par: 4, want: 3},
+		{centers: 3, workerless: 1, par: 4, want: 2},
+		{centers: 6, par: 2, want: 2},
+	}
+	for _, c := range cases {
+		p := smallProblem(t, c.centers)
+		for i := 0; i < c.workerless; i++ {
+			p.Instances[i].Workers = nil
+		}
+		reg := obs.NewRegistry()
+		opt := Options{Parallelism: c.par, Recorder: obs.NewMetricsRecorder(reg)}
+		if _, err := Assign(p, assign.GTA{}, opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Gauge("fta_assign_parallelism", "").Value(); got != c.want {
+			t.Errorf("%d centers (%d workerless), par %d: fta_assign_parallelism = %v, want %v",
+				c.centers, c.workerless, c.par, got, c.want)
+		}
 	}
 }
 
@@ -326,5 +358,25 @@ func TestAssignContextCancelled(t *testing.T) {
 	}
 	if len(res.PerCenter) != 4 {
 		t.Errorf("per-center = %d", len(res.PerCenter))
+	}
+}
+
+// BenchmarkPlatformBatch is the batch benchmark behind BENCH_platform.json:
+// 16 small independent centers fanned out per call over par goroutines.
+func BenchmarkPlatformBatch(b *testing.B) {
+	p, err := dataset.GenerateSYN(dataset.SYNConfig{
+		Seed: 42, Centers: 16, Tasks: 480, Workers: 64, DeliveryPoints: 160,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Assign(p, assign.GTA{}, Options{Parallelism: par}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -76,11 +76,6 @@ type Handler struct {
 	// solves; the serving rung is reported in SolveResponse.Degraded and
 	// counted in fta_degrade_total{rung}. Nil means exact-only.
 	Degrade *platform.Degrade
-	// Pool, when set, runs every solve's per-center work on this shared
-	// long-lived worker pool (the batch throughput mode) instead of
-	// per-request goroutine fan-outs, so concurrent requests share one
-	// fixed set of solver goroutines. The owner closes it at shutdown.
-	Pool *platform.Pool
 	// Traces is the ring of recent solve traces served at GET /debug/traces.
 	// Synchronous /solve requests trace into it directly; wire the same ring
 	// into jobs.Config.Traces to capture async jobs too. Nil disables
@@ -120,7 +115,6 @@ func New(factory Factory) *Handler {
 	obs.NewRuntimeMetrics(h.Registry)
 	obs.NewStreamMetrics(h.Registry)
 	obs.NewOnlineMetrics(h.Registry)
-	obs.NewParallelMetrics(h.Registry)
 	return h
 }
 
@@ -316,7 +310,6 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 		opt: platform.Options{
 			VDPS:        vdps.Options{Epsilon: eps},
 			Parallelism: par,
-			Pool:        h.Pool,
 			Recorder:    h.Recorder,
 			Audit:       aopt,
 			Retry:       h.retryPolicy(),

@@ -32,18 +32,17 @@ type StreamStateResponse struct {
 
 // StreamApplyResponse is the JSON body of POST /stream/events.
 type StreamApplyResponse struct {
-	Seq             uint64  `json:"seq"`
-	Applied         int     `json:"applied"`
-	Resolve         string  `json:"resolve"`
-	WorkersTouched  int     `json:"workers_touched"`
-	Difference      float64 `json:"payoff_difference"`
-	Average         float64 `json:"average_payoff"`
-	Iterations      int     `json:"iterations"`
-	Converged       bool    `json:"converged"`
-	Degraded        string  `json:"degraded,omitempty"`
-	AuditOK         *bool   `json:"audit_ok,omitempty"`
-	IterationsSaved int     `json:"iterations_saved,omitempty"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
+	Seq            uint64  `json:"seq"`
+	Applied        int     `json:"applied"`
+	Resolve        string  `json:"resolve"`
+	WorkersTouched int     `json:"workers_touched"`
+	Difference     float64 `json:"payoff_difference"`
+	Average        float64 `json:"average_payoff"`
+	Iterations     int     `json:"iterations"`
+	Converged      bool    `json:"converged"`
+	Degraded       string  `json:"degraded,omitempty"`
+	AuditOK        *bool   `json:"audit_ok,omitempty"`
+	ElapsedMS      float64 `json:"elapsed_ms"`
 }
 
 // streamInstance handles POST /stream/instance: a single-center problem CSV
@@ -79,15 +78,6 @@ func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
 		}
 		eps = v
 	}
-	cont := false
-	if s := q.Get("continue"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			errorJSON(w, http.StatusBadRequest, "bad continue: "+err.Error())
-			return
-		}
-		cont = v
-	}
 
 	prob, err := dataset.ReadCSV(r.Body)
 	if err != nil {
@@ -109,7 +99,6 @@ func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
 	opt := stream.Options{
 		Algorithm: stream.Algorithm(alg),
 		VDPS:      vdps.Options{Epsilon: eps},
-		Continue:  cont,
 		Degrade:   h.Degrade,
 		Retry:     h.retryPolicy(),
 		Metrics:   obs.NewStreamMetrics(h.Registry),
@@ -176,17 +165,16 @@ func (h *Handler) streamEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := StreamApplyResponse{
-		Seq:             res.Seq,
-		Applied:         res.Applied,
-		Resolve:         res.Resolve,
-		WorkersTouched:  res.WorkersTouched,
-		Difference:      res.Summary.Difference,
-		Average:         res.Summary.Average,
-		Iterations:      res.Iterations,
-		Converged:       res.Converged,
-		Degraded:        res.Degraded,
-		IterationsSaved: res.IterationsSaved,
-		ElapsedMS:       float64(res.Elapsed.Microseconds()) / 1000,
+		Seq:            res.Seq,
+		Applied:        res.Applied,
+		Resolve:        res.Resolve,
+		WorkersTouched: res.WorkersTouched,
+		Difference:     res.Summary.Difference,
+		Average:        res.Summary.Average,
+		Iterations:     res.Iterations,
+		Converged:      res.Converged,
+		Degraded:       res.Degraded,
+		ElapsedMS:      float64(res.Elapsed.Microseconds()) / 1000,
 	}
 	if res.Audit != nil {
 		ok := len(res.Audit.Violations) == 0

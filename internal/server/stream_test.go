@@ -113,56 +113,6 @@ func TestStreamEndpoints(t *testing.T) {
 	}
 }
 
-// TestStreamContinuation exercises ?continue=1 on the instance upload: a
-// reprice delta should resolve via an audited continuation and report the
-// dynamics rounds it saved; a malformed value is rejected up front.
-func TestStreamContinuation(t *testing.T) {
-	srv := httptest.NewServer(New(testFactory))
-	defer srv.Close()
-	csv, in := streamCSV(t, 35)
-
-	resp, err := http.Post(srv.URL+"/stream/instance?alg=FGT&seed=5&eps=1.5&continue=1",
-		"text/csv", bytes.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("stream init status = %d: %s", resp.StatusCode, raw)
-	}
-
-	ds := []stream.Delta{
-		{Seq: 1, Kind: stream.RewardChanged, TaskID: in.Points[0].Tasks[0].ID, Reward: 3},
-	}
-	eresp, raw := postEvents(t, srv.URL, ds)
-	if eresp.StatusCode != http.StatusOK {
-		t.Fatalf("events status = %d: %s", eresp.StatusCode, raw)
-	}
-	var ar StreamApplyResponse
-	if err := json.Unmarshal(raw, &ar); err != nil {
-		t.Fatal(err)
-	}
-	if ar.Resolve != stream.ResolveContinuation {
-		t.Fatalf("resolve = %q, want %q (response %+v)", ar.Resolve, stream.ResolveContinuation, ar)
-	}
-	if ar.AuditOK == nil || !*ar.AuditOK {
-		t.Fatalf("continuation resolve must carry a passing audit: %+v", ar)
-	}
-	if ar.IterationsSaved < 0 {
-		t.Fatalf("iterations_saved = %d", ar.IterationsSaved)
-	}
-
-	resp2, err := http.Post(srv.URL+"/stream/instance?continue=maybe", "text/csv", bytes.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad continue value status = %d", resp2.StatusCode)
-	}
-}
-
 // TestStreamEventErrors pins the error contract: 404 before an instance is
 // installed, 409 for stale sequence numbers, 422 for unknown entities, and
 // 400 for malformed JSON.

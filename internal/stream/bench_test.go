@@ -190,54 +190,6 @@ func BenchmarkStreamIncrementalRegen(b *testing.B) {
 	b.ReportMetric(fullNS/incNS, "speedup-x")
 }
 
-// BenchmarkStreamContinuation measures continuation-seeded dynamics against
-// the default bit-pinned replay on the reprice-heavy regime: twin engines
-// apply the identical stream, one with Continue on. Reports the per-delta
-// latency of both modes, the dynamics rounds saved per continuation resolve
-// and the fraction of resolves served by a certified continuation.
-func BenchmarkStreamContinuation(b *testing.B) {
-	var contNS, replayNS float64
-	var saved, conts, applied int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		replay, ds := benchSetup(b)
-		in := replay.Snapshot().Instance
-		opt := Options{VDPS: benchVDPS(), Continue: true}
-		opt.Game.Seed = 7
-		cont, err := New(context.Background(), in, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for _, d := range ds {
-			start := time.Now()
-			res, err := cont.Apply(context.Background(), d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			contNS += float64(time.Since(start).Nanoseconds())
-			if res.Resolve == ResolveContinuation {
-				conts++
-				saved += res.IterationsSaved
-			}
-			start = time.Now()
-			if _, err := replay.Apply(context.Background(), d); err != nil {
-				b.Fatal(err)
-			}
-			replayNS += float64(time.Since(start).Nanoseconds())
-			applied++
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(contNS/float64(applied), "cont-ns/delta")
-	b.ReportMetric(replayNS/float64(applied), "replay-ns/delta")
-	if conts > 0 {
-		b.ReportMetric(float64(saved)/float64(conts), "iters-saved/cont")
-	}
-	b.ReportMetric(float64(conts)/float64(applied), "cont-fraction")
-}
-
 // BenchmarkStreamWarmVsCold pins the tentpole claim: applying a delta to the
 // warm engine versus cold-solving the mutated instance from scratch, on the
 // same delta sequence. Reports speedup-x = mean cold / mean warm.

@@ -42,10 +42,6 @@ const (
 	// ResolveCold: a failpoint or error broke the warm path and the batch
 	// was served by an audited cold solve through the platform ladder.
 	ResolveCold = "cold"
-	// ResolveContinuation: Options.Continue was on and the dynamics were
-	// seeded from the previous committed equilibrium instead of the random
-	// init, certified by a mandatory audit pass instead of bit-pinning.
-	ResolveContinuation = "continuation"
 )
 
 // Options configure a streaming Engine.
@@ -64,18 +60,6 @@ type Options struct {
 	// Evo configures the IEGT dynamics when Algorithm is IEGT, with the
 	// same replay semantics against evo.ReferenceIEGT.
 	Evo evo.Options
-	// Continue seeds each resolve's dynamics from the previous committed
-	// equilibrium instead of the seeded random init, typically converging in
-	// far fewer rounds on small deltas. Continuation results are NOT
-	// bit-pinned against the cold references (a different start can reach a
-	// different, equally valid equilibrium), so every continuation resolve
-	// is certified by a mandatory internal/audit pass — structure,
-	// deadlines, recomputed payoffs/P_dif and the NE/ESS certificate. A
-	// resolve whose audit fails (or that hits the iteration cap) falls back
-	// to the default bit-pinned replay. Default off: the engine then stays
-	// bit-exact against game.ReferenceFGT / evo.ReferenceIEGT. See
-	// docs/STREAMING.md for the contract and when to enable it.
-	Continue bool
 	// Degrade optionally arms the exact→sampled→greedy platform ladder for
 	// cold fallbacks. Nil keeps fallbacks exact-only: a fallback that
 	// cannot solve exactly fails the Apply (without consuming its
@@ -97,7 +81,7 @@ type Result struct {
 	// Applied is the number of deltas in the batch.
 	Applied int
 	// Resolve is the path that re-established equilibrium: ResolveNoop,
-	// ResolveWarm, ResolveRegen, ResolveCold or ResolveContinuation.
+	// ResolveWarm, ResolveRegen or ResolveCold.
 	Resolve string
 	// WorkersTouched counts workers whose strategy spaces were rebuilt,
 	// repaired in place or dropped — the repair blast radius. Every path
@@ -109,17 +93,12 @@ type Result struct {
 	// Iterations and Converged report the committed dynamics run.
 	Iterations int
 	Converged  bool
-	// IterationsSaved is, for a continuation resolve, how many dynamics
-	// rounds seeding from the previous equilibrium saved against the most
-	// recent random-init resolve on this engine (never negative); zero on
-	// every other path.
-	IterationsSaved int
 	// Degraded names the ladder rung that served a cold fallback
 	// ("sampled", "greedy"); empty for full-fidelity results.
 	Degraded string
-	// Audit holds the independent invariant report of a cold fallback or a
-	// continuation resolve; nil on the bit-pinned paths (those results are
-	// pinned by the differential tests instead).
+	// Audit holds the independent invariant report of a cold fallback; nil
+	// on the bit-pinned paths (those results are pinned by the differential
+	// tests instead).
 	Audit *audit.Report
 	// Elapsed is the wall-clock time of the whole Apply.
 	Elapsed time.Duration
@@ -170,11 +149,8 @@ type Engine struct {
 	// a roster delta that moves it forces a regeneration.
 	maxSize int
 	res     *game.Result
-	// baseIters is the round count of the most recent random-init resolve,
-	// the baseline continuation resolves report IterationsSaved against.
-	baseIters int
-	lastSeq   uint64
-	applied   uint64
+	lastSeq uint64
+	applied uint64
 	// dirty marks the warm structures as diverged from inst (a failure
 	// after in-place generator repair): the next batch regenerates them
 	// before doing anything else.
@@ -208,7 +184,6 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 	e.gen = gen
 	e.strategies = harvestStrategies(e.inst, state)
 	e.res = res
-	e.baseIters = res.Iterations
 	e.maxSize = vdps.EffectiveMaxSize(e.inst, opt.VDPS)
 	if m := opt.Metrics; m != nil {
 		m.Seq.Set(float64(e.lastSeq))
@@ -278,7 +253,6 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 	var (
 		gen        *vdps.Generator
 		strategies map[int][]vdps.StrategyRef
-		ordered    [][]vdps.StrategyRef
 		state      *game.State
 		mutated    bool
 	)
@@ -297,7 +271,6 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		}
 		state = game.NewState(gen)
 		strategies = harvestStrategies(staged, state)
-		ordered = state.Strategies
 
 	case len(expiryPoints) > 0:
 		// Incremental regen: a point's earliest expiry moved, invalidating
@@ -349,7 +322,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			}
 		}
 		strategies = make(map[int][]vdps.StrategyRef, len(staged.Workers))
-		ordered = make([][]vdps.StrategyRef, len(staged.Workers))
+		ordered := make([][]vdps.StrategyRef, len(staged.Workers))
 		var sc vdps.StrategyScratch
 		for w := range staged.Workers {
 			id := staged.Workers[w].ID
@@ -400,7 +373,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		}
 		res.Resolve = ResolveWarm
 		strategies = make(map[int][]vdps.StrategyRef, len(staged.Workers))
-		ordered = make([][]vdps.StrategyRef, len(staged.Workers))
+		ordered := make([][]vdps.StrategyRef, len(staged.Workers))
 		var sc vdps.StrategyScratch
 		for w := range staged.Workers {
 			id := staged.Workers[w].ID
@@ -426,13 +399,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		vsp.End()
 		return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 	}
-	var solved *game.Result
-	var err error
-	if e.opt.Continue && len(staged.Workers) > 0 {
-		solved, err = e.continueDynamics(ctx, state, staged, gen, ordered, &res)
-	} else {
-		solved, err = e.runDynamics(ctx, state, staged)
-	}
+	solved, err := e.runDynamics(ctx, state, staged)
 	vsp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -444,9 +411,6 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 	}
 	e.commit(staged, gen, strategies, solved, last, len(ds))
-	if res.Resolve != ResolveContinuation {
-		e.baseIters = solved.Iterations
-	}
 	res = e.result(res, start)
 	e.observe(res, ds, time.Since(vstart))
 	return res, nil
@@ -505,7 +469,6 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	res.Resolve = ResolveCold
 	res.WorkersTouched = len(staged.Workers) + departedWorkers(e.strategies, staged)
 	res.Audit = report
-	e.baseIters = solved.Iterations
 	if gen, strategies, err := e.buildCaches(ctx, staged); err == nil {
 		e.commit(staged, gen, strategies, solved, res.Seq, len(ds))
 	} else {
@@ -531,92 +494,6 @@ func (e *Engine) runDynamics(ctx context.Context, s *game.State, in *model.Insta
 		return evo.IEGTFromState(ctx, s, e.opt.Evo)
 	}
 	return game.FGTFromState(ctx, s, e.opt.Game)
-}
-
-// continueDynamics runs the dynamics seeded from the previous committed
-// equilibrium and certifies the converged result with a mandatory audit
-// pass (structure, deadlines, recomputed payoffs, NE/ESS certificate). A
-// run that hits the iteration cap or fails its audit falls back to the
-// default bit-pinned replay on a fresh state — exactly what a Continue-off
-// engine would have run — so continuation can change latency and the
-// reached equilibrium, never correctness.
-func (e *Engine) continueDynamics(ctx context.Context, state *game.State, staged *model.Instance, gen *vdps.Generator, ordered [][]vdps.StrategyRef, res *Result) (*game.Result, error) {
-	e.seedState(state, staged)
-	var solved *game.Result
-	var err error
-	if e.opt.Algorithm == IEGT {
-		solved, err = evo.IEGTFromSeededState(ctx, state, e.opt.Evo)
-	} else {
-		solved, err = game.FGTFromSeededState(ctx, state, e.opt.Game)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if solved.Converged {
-		rep := audit.Run(staged, solved.Assignment, &solved.Summary, audit.Options{
-			Generator:      gen,
-			VDPS:           e.opt.VDPS,
-			Fairness:       e.opt.Game.Fairness,
-			EpsilonUtility: e.opt.Game.EpsilonUtility,
-			UsePriorities:  e.opt.Game.UsePriorities,
-			Algorithm:      string(e.opt.Algorithm),
-			Converged:      solved.Converged,
-		})
-		if rep.OK() {
-			res.Resolve = ResolveContinuation
-			res.Audit = rep
-			if saved := e.baseIters - solved.Iterations; saved > 0 {
-				res.IterationsSaved = saved
-			}
-			return solved, nil
-		}
-	}
-	if m := e.opt.Metrics; m != nil {
-		m.ContinuationFallbacks.Inc()
-	}
-	return e.runDynamics(ctx, game.NewStateWithStrategies(gen, ordered), staged)
-}
-
-// seedState replays the previous committed equilibrium onto a fresh state:
-// every staged worker whose previous route still exists in its (repaired)
-// strategy space — matched by exact visiting sequence — starts there; new
-// workers and workers whose route's candidate is gone start at Null.
-// Previous routes are pairwise disjoint and worker IDs unique, so every
-// matched strategy is available.
-func (e *Engine) seedState(s *game.State, staged *model.Instance) {
-	prev := make(map[int]model.Route, len(e.inst.Workers))
-	for w := range e.inst.Workers {
-		if r := e.res.Assignment.Routes[w]; len(r) > 0 {
-			prev[e.inst.Workers[w].ID] = r
-		}
-	}
-	for w := range staged.Workers {
-		route, ok := prev[staged.Workers[w].ID]
-		if !ok {
-			continue
-		}
-		for si := range s.Strategies[w] {
-			if routesEqual(s.StrategySeq(w, si), route) {
-				if s.Available(w, si) {
-					s.Switch(w, si)
-				}
-				break
-			}
-		}
-	}
-}
-
-// routesEqual reports element-wise route equality.
-func routesEqual(a, b model.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // departedWorkers counts cached workers absent from the staged roster —
@@ -687,9 +564,6 @@ func (e *Engine) observe(r Result, ds []Delta, resolve time.Duration) {
 	m.ApplySeconds.Observe(r.Elapsed.Seconds())
 	if r.Resolve != ResolveNoop {
 		m.ResolveSeconds.Observe(resolve.Seconds())
-	}
-	if r.Resolve == ResolveContinuation {
-		m.IterationsSaved.Observe(float64(r.IterationsSaved))
 	}
 	m.WorkersTouched.Observe(float64(r.WorkersTouched))
 	m.Seq.Set(float64(e.lastSeq))

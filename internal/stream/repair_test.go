@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"fairtask/internal/fault"
@@ -204,168 +203,4 @@ func TestWorkersTouchedRepairCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 15))
-}
-
-// TestContinuationDifferential pins the continuation value contract on a
-// regime where the equilibrium is unique in payoff terms: reprice-only
-// streams over compact instances (20 tasks, 4 workers, 8 points). There a
-// continuation-seeded run must land on the same P_dif and average payoff as
-// a cold reference solve, within the audit tolerance, across five seeds per
-// algorithm — while every continuation resolve carries its passing audit
-// certificate. On larger mixed streams the game has multiple equilibria with
-// genuinely different P_dif, so value parity is not part of the contract
-// there; TestContinuationAudited covers that regime.
-func TestContinuationDifferential(t *testing.T) {
-	const tol = 1e-6 // audit.Options.Tolerance default
-	seedsFor := map[Algorithm][]int64{
-		FGT:  {4, 6, 13, 17, 18},
-		IEGT: {4, 6, 11, 13, 18},
-	}
-	for _, alg := range []Algorithm{FGT, IEGT} {
-		alg := alg
-		t.Run(string(alg), func(t *testing.T) {
-			t.Parallel()
-			continuations := 0
-			for _, seed := range seedsFor[alg] {
-				in := gmInstance(t, seed, 20, 4, 8)
-				reg := obs.NewRegistry()
-				opt := Options{
-					Algorithm: alg, VDPS: testVDPS, Continue: true,
-					Metrics: obs.NewStreamMetrics(reg),
-				}
-				opt.Game.Seed, opt.Evo.Seed = seed, seed
-				eng, err := New(context.Background(), in, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ds, err := GenerateStream(in, StreamConfig{
-					Seed: seed * 909, RepriceRate: 15, Duration: 1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, d := range ds {
-					res, err := eng.Apply(context.Background(), d)
-					if err != nil {
-						t.Fatalf("seed %d delta %d (%s): %v", seed, i, d.Kind, err)
-					}
-					if res.Resolve == ResolveContinuation {
-						continuations++
-						if res.Audit == nil || len(res.Audit.Violations) != 0 {
-							t.Fatalf("seed %d delta %d: continuation certificate %+v", seed, i, res.Audit)
-						}
-					}
-					if (i+1)%9 != 0 && i != len(ds)-1 {
-						continue
-					}
-					replayed := in.Clone()
-					if err := Replay(replayed, ds[:i+1]...); err != nil {
-						t.Fatal(err)
-					}
-					snap, ref := eng.Snapshot(), coldReference(t, replayed, alg, seed)
-					if math.Abs(snap.Summary.Difference-ref.Summary.Difference) > tol {
-						t.Fatalf("seed %d delta %d: P_dif %v vs cold %v beyond audit tolerance",
-							seed, i, snap.Summary.Difference, ref.Summary.Difference)
-					}
-					if math.Abs(snap.Summary.Average-ref.Summary.Average) > tol {
-						t.Fatalf("seed %d delta %d: avg payoff %v vs cold %v beyond audit tolerance",
-							seed, i, snap.Summary.Average, ref.Summary.Average)
-					}
-				}
-			}
-			if continuations == 0 {
-				t.Fatal("sweep produced no continuation resolves")
-			}
-		})
-	}
-}
-
-// TestContinuationAudited is the broad continuation sweep on the generic
-// mixed stream: with Continue on, every resolve either keeps the bit-pinned
-// contract (noop, warm, regen after a failed certification) or carries a
-// passing audit certificate with a non-negative iterations-saved figure, and
-// the continuation metrics count what happened.
-func TestContinuationAudited(t *testing.T) {
-	for _, alg := range []Algorithm{FGT, IEGT} {
-		alg := alg
-		t.Run(string(alg), func(t *testing.T) {
-			t.Parallel()
-			continuations := 0
-			for seed := int64(1); seed <= 5; seed++ {
-				in := gmInstance(t, seed, 60, 10, 24)
-				reg := obs.NewRegistry()
-				opt := Options{
-					Algorithm: alg, VDPS: testVDPS, Continue: true,
-					Metrics: obs.NewStreamMetrics(reg),
-				}
-				opt.Game.Seed, opt.Evo.Seed = seed, seed
-				eng, err := New(context.Background(), in, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				perEngine := 0
-				ds := testStream(t, in, seed*909)
-				for i, d := range ds {
-					res, err := eng.Apply(context.Background(), d)
-					if err != nil {
-						t.Fatalf("seed %d delta %d (%s): %v", seed, i, d.Kind, err)
-					}
-					switch res.Resolve {
-					case ResolveContinuation:
-						perEngine++
-						if res.Audit == nil {
-							t.Fatalf("seed %d delta %d: continuation without audit certificate", seed, i)
-						}
-						if len(res.Audit.Violations) != 0 {
-							t.Fatalf("seed %d delta %d: continuation audit violations: %+v",
-								seed, i, res.Audit.Violations)
-						}
-						if res.IterationsSaved < 0 {
-							t.Fatalf("seed %d delta %d: negative IterationsSaved", seed, i)
-						}
-					case ResolveCold:
-						t.Fatalf("seed %d delta %d: unexpected cold fallback", seed, i)
-					}
-				}
-				if got := int(opt.Metrics.ResolveContinuation.Value()); got != perEngine {
-					t.Fatalf("seed %d: continuation metric %d, saw %d resolves", seed, got, perEngine)
-				}
-				continuations += perEngine
-			}
-			if continuations == 0 {
-				t.Fatal("sweep produced no continuation resolves")
-			}
-		})
-	}
-}
-
-// TestContinuationOffUnchanged pins that the default configuration never
-// takes the continuation path: Continue off is the bit-exact contract, and
-// the dedicated differential sweeps must keep passing untouched.
-func TestContinuationOffUnchanged(t *testing.T) {
-	in := gmInstance(t, 16, 40, 8, 16)
-	opt := Options{VDPS: testVDPS}
-	opt.Game.Seed = 16
-	eng, err := New(context.Background(), in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := testStream(t, in, 16)
-	for i, d := range ds {
-		res, err := eng.Apply(context.Background(), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Resolve == ResolveContinuation {
-			t.Fatalf("delta %d: continuation resolve with Continue off", i)
-		}
-		if res.IterationsSaved != 0 {
-			t.Fatalf("delta %d: IterationsSaved = %d with Continue off", i, res.IterationsSaved)
-		}
-	}
-	replayed := in.Clone()
-	if err := Replay(replayed, ds...); err != nil {
-		t.Fatal(err)
-	}
-	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 16))
 }

@@ -326,7 +326,7 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		if err := ctx.Err(); err != nil {
 			return ExpiryRepair{}, err
 		}
-		next, _ := expandChunk(ctx, g, level, all, neighbors, expiry, eps)
+		next, _ := expandLevel(ctx, g, level, all, neighbors, expiry, eps)
 		if err := ctx.Err(); err != nil {
 			return ExpiryRepair{}, err
 		}

@@ -27,10 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"fairtask/internal/bitset"
@@ -57,9 +55,6 @@ type Options struct {
 	// ε-neighbors during DP extensions, falling back to a full scan per
 	// state. Only useful for the indexing ablation benchmark.
 	DisableIndex bool
-	// Parallel shards each DP level over this many goroutines. Values
-	// below 2 keep the sequential path. Results are identical either way.
-	Parallel int
 	// Recorder receives one obs.VDPSEvent per successful generation run.
 	// Nil disables telemetry.
 	Recorder obs.Recorder
@@ -254,29 +249,15 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 	}
 
 	// Levels 2..maxSize: extend every frontier state with every unvisited
-	// point within ε of the current last point. With Options.Parallel > 1,
-	// the level is sharded over goroutines computing chunk-local maps that
-	// are merged in fixed chunk order, keeping results deterministic.
+	// point within ε of the current last point.
 	all := allPoints(n)
-	workers := opt.Parallel
-	if workers < 1 {
-		workers = 1
-	}
 	for size := 2; size <= maxSize && len(level) > 0; size++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var next map[stateKey]*dpState
-		if workers == 1 || len(level) < 2*workers {
-			var pruned int
-			next, pruned = expandChunk(ctx, g, level, all, neighbors, expiry, eps)
-			g.stats.ExtensionsPruned += pruned
-			for range next {
-				g.stats.SubsetsExplored++
-			}
-		} else {
-			next = g.expandParallel(ctx, level, all, neighbors, expiry, eps, workers)
-		}
+		next, pruned := expandLevel(ctx, g, level, all, neighbors, expiry, eps)
+		g.stats.ExtensionsPruned += pruned
+		g.stats.SubsetsExplored += len(next)
 		if err := ctx.Err(); err != nil {
 			// A cancellation observed mid-level leaves next incomplete;
 			// abandon the partial expansion rather than emit wrong results.
@@ -695,32 +676,18 @@ func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	return out
 }
 
-// Parallelism returns the effective worker count for the generator's
-// parallel phases: Options.Parallel when set, otherwise GOMAXPROCS.
-// Candidate generation itself only shards when Options.Parallel asks for it
-// (its sequential path is the reference implementation); derived batch
-// scans — game.NewState's per-worker strategy-space construction — use this
-// value to self-parallelize with the same 2x-headroom heuristic
-// expandParallel applies.
-func (g *Generator) Parallelism() int {
-	if g.opt.Parallel >= 1 {
-		return g.opt.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// expandChunk computes the next-level states generated by the given slice
-// of current-level states. It returns the chunk-local (set, last) map and
-// the number of ε-pruned extensions. Stats are left to the caller so the
-// function is safe to run concurrently. Cancellation is polled every 64
-// states; on cancel the partial map is returned and the caller discards it.
-func expandChunk(ctx context.Context, g *Generator, chunk []*dpState, all []int,
+// expandLevel computes the next-level states generated by the given
+// current-level states. It returns the (set, last) map and the number of
+// ε-pruned extensions; stats are left to the caller. Cancellation is polled
+// every 64 states; on cancel the partial map is returned and the caller
+// discards it.
+func expandLevel(ctx context.Context, g *Generator, level []*dpState, all []int,
 	neighbors [][]int, expiry []float64, eps float64) (map[stateKey]*dpState, int) {
 	in := g.inst
 	n := len(in.Points)
 	next := map[stateKey]*dpState{}
 	var pruned int
-	for di, ds := range chunk {
+	for di, ds := range level {
 		if di&0x3f == 0 && ctx.Err() != nil {
 			return next, pruned
 		}
@@ -764,71 +731,4 @@ func expandChunk(ctx context.Context, g *Generator, chunk []*dpState, all []int,
 		}
 	}
 	return next, pruned
-}
-
-// expandParallel shards the level across the given number of goroutines and
-// merges the chunk-local maps in fixed chunk order. Ties between states with
-// identical (time, slack) keep the lower chunk's sequence, so the merged
-// result equals the sequential computation.
-func (g *Generator) expandParallel(ctx context.Context, level []*dpState, all []int,
-	neighbors [][]int, expiry []float64, eps float64, workers int) map[stateKey]*dpState {
-	chunkSize := (len(level) + workers - 1) / workers
-	type part struct {
-		next   map[stateKey]*dpState
-		pruned int
-	}
-	parts := make([]part, 0, workers)
-	for start := 0; start < len(level); start += chunkSize {
-		end := start + chunkSize
-		if end > len(level) {
-			end = len(level)
-		}
-		parts = append(parts, part{})
-		_ = level[start:end]
-	}
-	var wg sync.WaitGroup
-	idx := 0
-	for start := 0; start < len(level); start += chunkSize {
-		end := start + chunkSize
-		if end > len(level) {
-			end = len(level)
-		}
-		wg.Add(1)
-		go func(i int, chunk []*dpState) {
-			defer wg.Done()
-			parts[i].next, parts[i].pruned = expandChunk(ctx, g, chunk, all, neighbors, expiry, eps)
-		}(idx, level[start:end])
-		idx++
-	}
-	wg.Wait()
-
-	merged := map[stateKey]*dpState{}
-	for _, p := range parts {
-		g.stats.ExtensionsPruned += p.pruned
-		// Deterministic cross-chunk merge: iterate the chunk's states via a
-		// sorted key list so frontier tie-breaking is stable.
-		keys := make([]stateKey, 0, len(p.next))
-		for k := range p.next {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].set != keys[j].set {
-				return keys[i].set < keys[j].set
-			}
-			return keys[i].last < keys[j].last
-		})
-		for _, k := range keys {
-			src := p.next[k]
-			tgt := merged[k]
-			if tgt == nil {
-				merged[k] = src
-				g.stats.SubsetsExplored++
-				continue
-			}
-			for _, st := range src.frontier {
-				tgt.insert(st)
-			}
-		}
-	}
-	return merged
 }

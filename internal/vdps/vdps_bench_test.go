@@ -48,16 +48,6 @@ func BenchmarkGenerateUnpruned(b *testing.B) {
 	}
 }
 
-func BenchmarkGenerateParallel(b *testing.B) {
-	in := benchInstance(100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(in, Options{Epsilon: 2, Parallel: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGenerateSampled(b *testing.B) {
 	in := benchInstance(100)
 	in.Workers[0].MaxDP = 0

@@ -576,57 +576,3 @@ func TestPrunedSubsetOfUnpruned(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelMatchesSequential verifies sharded level expansion produces
-// exactly the sequential result (candidates, frontiers, stats).
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(808))
-	for trial := 0; trial < 6; trial++ {
-		in := &model.Instance{
-			Center: geo.Pt(0, 0),
-			Travel: travel.MustModel(geo.Euclidean{}, 1),
-		}
-		n := 10 + rng.Intn(6)
-		for i := 0; i < n; i++ {
-			in.Points = append(in.Points, model.DeliveryPoint{
-				ID:  i,
-				Loc: geo.Pt(rng.Float64()*8-4, rng.Float64()*8-4),
-				Tasks: []model.Task{{
-					ID: i, Point: i, Expiry: 3 + rng.Float64()*6, Reward: 1,
-				}},
-			})
-		}
-		in.Workers = []model.Worker{{ID: 0, Loc: geo.Pt(0, 0), MaxDP: 3}}
-		eps := 1.5 + rng.Float64()*3
-
-		seq, err := Generate(in, Options{Epsilon: eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Generate(in, Options{Epsilon: eps, Parallel: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, cp := seq.Candidates(), par.Candidates()
-		if len(cs) != len(cp) {
-			t.Fatalf("trial %d: %d sequential vs %d parallel candidates", trial, len(cs), len(cp))
-		}
-		for i := range cs {
-			if setKeyOf(cs[i].Points) != setKeyOf(cp[i].Points) {
-				t.Fatalf("trial %d: candidate %d set mismatch", trial, i)
-			}
-			if len(cs[i].Frontier) != len(cp[i].Frontier) {
-				t.Fatalf("trial %d: candidate %d frontier size mismatch", trial, i)
-			}
-			for f := range cs[i].Frontier {
-				a, b := cs[i].Frontier[f], cp[i].Frontier[f]
-				if a.Time != b.Time || a.Slack != b.Slack {
-					t.Fatalf("trial %d: frontier mismatch %+v vs %+v", trial, a, b)
-				}
-			}
-		}
-		if seq.Stats() != par.Stats() {
-			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, seq.Stats(), par.Stats())
-		}
-	}
-}
