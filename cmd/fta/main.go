@@ -708,20 +708,10 @@ func cmdRender(args []string) error {
 // metrics registry and requests are logged to logger (nil disables logging).
 // Split out so tests can mount it on httptest servers.
 func newServerHandler(logger *slog.Logger) *server.Handler {
-	// The factory closure runs per request, after rec is set below; the nil
-	// guard only covers the construction window.
-	var rec *fairtask.MetricsRecorder
 	h := server.New(func(algorithm string, seed int64) (fairtask.Assigner, error) {
-		opt := fairtask.Options{
-			Algorithm: fairtask.Algorithm(algorithm),
-			Seed:      seed,
-		}
-		if rec != nil {
-			opt.Recorder = rec
-		}
-		return fairtask.NewAssigner(opt)
+		return fairtask.NewAssigner(fairtask.Options{Algorithm: fairtask.Algorithm(algorithm), Seed: seed})
 	})
-	rec = fairtask.NewMetricsRecorder(h.Registry)
+	rec := fairtask.NewMetricsRecorder(h.Registry)
 	// Seed every algorithm's labeled metric families so dashboards and rate()
 	// queries see them at zero from the first scrape instead of appearing
 	// only after the first solve.

@@ -3,13 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"fairtask"
+	"fairtask/internal/vdps"
 )
 
 // capture runs fn with os.Stdout redirected to a pipe and returns what it
@@ -371,6 +376,92 @@ func TestServeHandler(t *testing.T) {
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, exposition)
+		}
+	}
+}
+
+// TestServeTelemetryValues pins the values of the served solver telemetry,
+// not just its presence: after one FGT and one IEGT /solve, each
+// algorithm's strategy-switch counter equals the summed per-round changes
+// of the same solves traced in-process, and the VDPS counters equal the
+// generators' own statistics.
+func TestServeTelemetryValues(t *testing.T) {
+	srv := httptest.NewServer(newServerHandler(nil))
+	defer srv.Close()
+
+	csvPath := filepath.Join(t.TempDir(), "p.csv")
+	if err := run([]string{"gen", "-dataset", "syn", "-seed", "2", "-centers", "2",
+		"-tasks", "60", "-workers", "12", "-points", "20", "-out", csvPath}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := fairtask.ReadCSV(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const seed, eps = 2, 2.0
+	var want []string
+	var stats vdps.Stats
+	for _, alg := range []fairtask.Algorithm{fairtask.AlgFGT, fairtask.AlgIEGT} {
+		url := fmt.Sprintf("%s/solve?alg=%s&seed=%d&eps=%g", srv.URL, alg, seed, eps)
+		resp, err := http.Post(url, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s solve status = %d", alg, resp.StatusCode)
+		}
+		changes := 0
+		for i := range prob.Instances {
+			in := &prob.Instances[i]
+			if len(in.Workers) == 0 {
+				continue
+			}
+			res, err := fairtask.Solve(in, fairtask.Options{
+				Algorithm: alg, Seed: seed, VDPS: fairtask.VDPSOptions{Epsilon: eps}, Trace: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range res.Trace {
+				changes += st.Changes
+			}
+			g, err := vdps.Generate(in, vdps.Options{Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := g.Stats()
+			stats.SubsetsExplored += st.SubsetsExplored
+			stats.ExtensionsPruned += st.ExtensionsPruned
+			stats.Candidates += st.Candidates
+		}
+		if changes == 0 {
+			t.Fatalf("%s made no strategy switches: the counter check would be vacuous", alg)
+		}
+		want = append(want, `fta_solve_strategy_changes_total{algorithm="`+string(alg)+`"} `+strconv.Itoa(changes))
+	}
+	want = append(want,
+		"fta_vdps_subsets_total "+strconv.Itoa(stats.SubsetsExplored),
+		"fta_vdps_pruned_total "+strconv.Itoa(stats.ExtensionsPruned),
+		"fta_vdps_candidates_total "+strconv.Itoa(stats.Candidates))
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range want {
+		if !strings.Contains(string(metrics), line+"\n") {
+			t.Errorf("metrics missing %q", line)
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"fairtask/internal/assign"
 	"fairtask/internal/audit"
@@ -127,10 +126,10 @@ type (
 	Euclidean = geo.Euclidean
 	// Manhattan is the L1 metric alternative.
 	Manhattan = geo.Manhattan
-	// Recorder receives telemetry events from the solve path (candidate
-	// generation, per-iteration convergence, per-center solves, whole
-	// assignments). Implementations must be concurrency-safe; nil disables
-	// telemetry at no cost.
+	// Recorder receives telemetry events from the platform's solve path:
+	// one per successful candidate generation, per solved center and per
+	// multi-center assignment. Implementations must be concurrency-safe;
+	// nil disables telemetry at no cost.
 	Recorder = obs.Recorder
 	// MetricsRegistry is a concurrency-safe registry of counters, gauges
 	// and histograms with Prometheus text-format exposition.
@@ -421,9 +420,10 @@ type Options struct {
 	// Parallelism bounds concurrent per-center solves in SolveProblem
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Recorder receives telemetry from candidate generation, game
-	// iterations, and solves. Nil (the default) disables telemetry with no
-	// measurable overhead.
+	// Recorder receives telemetry from each solve: candidate generation,
+	// the per-center solve (with its strategy switches summed over all
+	// rounds) and, for SolveProblem, the whole assignment. Nil (the
+	// default) disables telemetry with no measurable overhead.
 	Recorder Recorder
 	// Audit re-verifies every produced assignment with the independent
 	// auditor (route structure, deadline feasibility, payoff summary, VDPS
@@ -483,7 +483,6 @@ func (a fgtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Resul
 		UsePriorities:  a.opt.UsePriorities,
 		Trace:          a.opt.Trace,
 		RandomOrder:    a.opt.RandomOrder,
-		Recorder:       a.opt.Recorder,
 	})
 }
 
@@ -500,7 +499,6 @@ func (a iegtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Resu
 		Seed:          a.opt.Seed,
 		Trace:         a.opt.Trace,
 		MutationRate:  a.opt.MutationRate,
-		Recorder:      a.opt.Recorder,
 	})
 }
 
@@ -515,11 +513,19 @@ func Solve(in *Instance, opt Options) (*Result, error) {
 // context (client disconnect, job deadline) stops the solve early with
 // ctx.Err() instead of running to MaxIterations.
 func SolveContext(ctx context.Context, in *Instance, opt Options) (*Result, error) {
+	return solveCenter(ctx, in, opt, platform.SolveInstance)
+}
+
+// solveCenter runs one single-center platform solve with the assigner and
+// platform options derived from opt, failing the solve when Options.Audit
+// found a violation.
+func solveCenter(ctx context.Context, in *Instance, opt Options,
+	solve func(context.Context, *Instance, Assigner, platform.Options) (*Result, *AuditReport, error)) (*Result, error) {
 	solver, err := NewAssigner(opt)
 	if err != nil {
 		return nil, err
 	}
-	res, rep, err := platform.SolveInstance(ctx, in, solver, platformOptions(opt))
+	res, rep, err := solve(ctx, in, solver, platformOptions(opt))
 	if err != nil {
 		return nil, err
 	}
@@ -546,23 +552,6 @@ func platformOptions(opt Options) platform.Options {
 	return popt
 }
 
-// auditResult runs the independent auditor over a solve result when
-// Options.Audit is set, reusing the solve's candidate generator. A violation
-// fails the solve with the wrapped *AuditError.
-func auditResult(in *Instance, g *vdps.Generator, algorithm string, res *Result, opt Options) error {
-	if !opt.Audit {
-		return nil
-	}
-	aopt := auditOptions(opt)
-	aopt.Generator = g
-	aopt.Algorithm = algorithm
-	aopt.Converged = res.Converged
-	if rep := audit.Run(in, res.Assignment, &res.Summary, aopt); !rep.OK() {
-		return fmt.Errorf("fairtask: %s solve failed verification: %w", algorithm, rep.Err())
-	}
-	return nil
-}
-
 // auditOptions derives the audit configuration matching a solve's options.
 func auditOptions(opt Options) AuditOptions {
 	return AuditOptions{
@@ -582,28 +571,12 @@ func Audit(in *Instance, a *Assignment, sum *Summary, opt AuditOptions) *AuditRe
 	return audit.Run(in, a, sum, opt)
 }
 
-// assignRecorded runs the solver and emits a SolveEvent on success.
-func assignRecorded(ctx context.Context, in *Instance, g *vdps.Generator, solver Assigner, rec Recorder) (*Result, error) {
-	start := time.Now()
-	res, err := solver.Assign(ctx, g)
-	if err == nil && rec != nil {
-		rec.RecordSolve(obs.SolveEvent{
-			Algorithm:  solver.Name(),
-			CenterID:   in.CenterID,
-			Workers:    len(in.Workers),
-			Points:     len(in.Points),
-			Iterations: res.Iterations,
-			Converged:  res.Converged,
-			Elapsed:    time.Since(start),
-		})
-	}
-	return res, err
-}
-
 // SolveSampled is Solve with sampled candidate generation instead of the
 // exact subset dynamic program: randomized greedy route growth makes large
 // or unlimited-maxDP instances tractable at the cost of completeness (see
-// the vdps package documentation). opt.VDPS is ignored.
+// the vdps package documentation). opt.VDPS and opt.Degrade are ignored:
+// no degradation ladder runs, so Result.Degraded stays empty; opt.Retry,
+// opt.Audit and opt.Recorder apply as in Solve.
 func SolveSampled(in *Instance, sample SampleVDPSOptions, opt Options) (*Result, error) {
 	return SolveSampledContext(context.Background(), in, sample, opt)
 }
@@ -611,25 +584,9 @@ func SolveSampled(in *Instance, sample SampleVDPSOptions, opt Options) (*Result,
 // SolveSampledContext is SolveSampled with cancellation, mirroring
 // SolveContext.
 func SolveSampledContext(ctx context.Context, in *Instance, sample SampleVDPSOptions, opt Options) (*Result, error) {
-	solver, err := NewAssigner(opt)
-	if err != nil {
-		return nil, err
-	}
-	if sample.Recorder == nil {
-		sample.Recorder = opt.Recorder
-	}
-	g, err := vdps.GenerateSampledContext(ctx, in, sample)
-	if err != nil {
-		return nil, err
-	}
-	res, err := assignRecorded(ctx, in, g, solver, opt.Recorder)
-	if err != nil {
-		return nil, err
-	}
-	if err := auditResult(in, g, solver.Name(), res, opt); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return solveCenter(ctx, in, opt, func(ctx context.Context, in *Instance, solver Assigner, popt platform.Options) (*Result, *AuditReport, error) {
+		return platform.SolveSampled(ctx, in, solver, sample, popt)
+	})
 }
 
 // SolveProblem runs the selected algorithm over every center of a

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fairtask"
+	"fairtask/internal/obs"
 )
 
 func gmInstance(t *testing.T) *fairtask.Instance {
@@ -334,6 +335,35 @@ func TestSolveSampledUnlimitedMaxDP(t *testing.T) {
 	}
 	if !long {
 		t.Log("note: no route longer than 3 points (acceptable but unusual)")
+	}
+}
+
+// TestSolveSampledTelemetry pins a sampled solve's per-solve payoff
+// histograms to its result: the observed P_dif and mean payoff are the
+// solved center's, not zero.
+func TestSolveSampledTelemetry(t *testing.T) {
+	in := gmInstance(t)
+	reg := fairtask.NewMetricsRegistry()
+	res, err := fairtask.SolveSampled(in, fairtask.SampleVDPSOptions{Seed: 2},
+		fairtask.Options{Algorithm: fairtask.AlgFGT, Seed: 3, Recorder: fairtask.NewMetricsRecorder(reg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Difference == 0 {
+		t.Fatal("P_dif is 0: a missing observation would go unnoticed")
+	}
+	alg := obs.L("algorithm", "FGT")
+	for _, c := range []struct {
+		family string
+		want   float64
+	}{
+		{"fta_solve_payoff_difference", res.Summary.Difference},
+		{"fta_solve_average_payoff", res.Summary.Average},
+	} {
+		h := reg.Histogram(c.family, "", nil, alg)
+		if h.Count() != 1 || h.Sum() != c.want {
+			t.Errorf("%s: count %d sum %v, want 1 observation of %v", c.family, h.Count(), h.Sum(), c.want)
+		}
 	}
 }
 

@@ -46,10 +46,6 @@ type Options struct {
 	// paper's Algorithm 3) disables exploration. With mutation enabled, a
 	// round with mutations never counts as converged.
 	MutationRate float64
-	// Recorder receives one IterationStat per round via RecordIteration.
-	// Nil disables telemetry; per-round statistics are then only computed
-	// when Trace is set.
-	Recorder obs.Recorder
 }
 
 // NoTolerance selects exact payoff equality in Options.Tolerance: the
@@ -108,7 +104,7 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span) (*g
 	s.RandomInit(rng)
 
 	var tracker *game.SummaryTracker
-	if opt.Trace || opt.Recorder != nil {
+	if opt.Trace {
 		tracker = game.NewSummaryTracker(s)
 	}
 	bsp.End()
@@ -171,9 +167,10 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span) (*g
 			}
 		}
 		res.Iterations = iter
+		res.Switches += changes
 		if tracker != nil {
 			diff, avg := tracker.DiffAvg()
-			st := game.IterationStat{
+			res.Trace = append(res.Trace, game.IterationStat{
 				Iteration: iter,
 				Changes:   changes,
 				// IEGT's raw-payoff dynamics have no potential of their own;
@@ -182,13 +179,7 @@ func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span) (*g
 				Potential:  fairness.Potential(fairness.DefaultParams(), s.Payoffs),
 				PayoffDiff: diff,
 				AvgPayoff:  avg,
-			}
-			if opt.Trace {
-				res.Trace = append(res.Trace, st)
-			}
-			if opt.Recorder != nil {
-				opt.Recorder.RecordIteration("IEGT", st)
-			}
+			})
 		}
 		rsp.End()
 		// The sigma_dot = 0 criterion applies to the evolving population:

@@ -52,21 +52,16 @@ func ReferenceIEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.R
 			}
 		}
 		res.Iterations = iter
-		if opt.Trace || opt.Recorder != nil {
+		res.Switches += changes
+		if opt.Trace {
 			sum := s.Summary()
-			st := game.IterationStat{
+			res.Trace = append(res.Trace, game.IterationStat{
 				Iteration:  iter,
 				Changes:    changes,
 				Potential:  fairness.Potential(fairness.DefaultParams(), s.Payoffs),
 				PayoffDiff: sum.Difference,
 				AvgPayoff:  sum.Average,
-			}
-			if opt.Trace {
-				res.Trace = append(res.Trace, st)
-			}
-			if opt.Recorder != nil {
-				opt.Recorder.RecordIteration("IEGT", st)
-			}
+			})
 		}
 		if changes == 0 || payoffsEqual(populationPayoffs(s), opt.Tolerance) {
 			res.Converged = true

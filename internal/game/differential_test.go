@@ -5,33 +5,16 @@ import (
 	"testing"
 
 	"fairtask/internal/model"
-	"fairtask/internal/obs"
 )
-
-// captureRecorder collects RecordIteration calls so the optimized and
-// reference solvers' telemetry streams can be compared exactly.
-type captureRecorder struct {
-	algos []string
-	stats []IterationStat
-}
-
-func (r *captureRecorder) RecordIteration(algo string, st IterationStat) {
-	r.algos = append(r.algos, algo)
-	r.stats = append(r.stats, st)
-}
-
-func (r *captureRecorder) RecordVDPS(obs.VDPSEvent)     {}
-func (r *captureRecorder) RecordSolve(obs.SolveEvent)   {}
-func (r *captureRecorder) RecordAssign(obs.AssignEvent) {}
 
 // sameResult requires bit-identical results: the index-backed solver must
 // reproduce the reference's assignment, iteration count, convergence flag,
-// summary, and trace exactly — not approximately.
+// switch count, summary, and trace exactly — not approximately.
 func sameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if got.Iterations != want.Iterations || got.Converged != want.Converged {
-		t.Fatalf("%s: (iterations, converged) = (%d, %v), reference (%d, %v)",
-			label, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	if got.Iterations != want.Iterations || got.Converged != want.Converged || got.Switches != want.Switches {
+		t.Fatalf("%s: (iterations, converged, switches) = (%d, %v, %d), reference (%d, %v, %d)",
+			label, got.Iterations, got.Converged, got.Switches, want.Iterations, want.Converged, want.Switches)
 	}
 	if len(got.Assignment.Routes) != len(want.Assignment.Routes) {
 		t.Fatalf("%s: %d routes, reference %d", label,
@@ -103,31 +86,6 @@ func TestFGTMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, iname+"/"+vname, got, want)
-			}
-		}
-	}
-}
-
-// TestFGTRecorderMatchesReference compares the per-round telemetry stream,
-// which exercises the SummaryTracker on every iteration even without Trace.
-func TestFGTRecorderMatchesReference(t *testing.T) {
-	g := mustGen(t, gridInstance(12, 6, 2, 100))
-	for seed := int64(0); seed < 3; seed++ {
-		var recGot, recWant captureRecorder
-		if _, err := FGT(context.Background(), g, Options{Seed: seed, Recorder: &recGot}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReferenceFGT(context.Background(), g, Options{Seed: seed, Recorder: &recWant}); err != nil {
-			t.Fatal(err)
-		}
-		if len(recGot.stats) != len(recWant.stats) {
-			t.Fatalf("seed %d: %d recorded rounds, reference %d",
-				seed, len(recGot.stats), len(recWant.stats))
-		}
-		for i := range recWant.stats {
-			if recGot.algos[i] != recWant.algos[i] || recGot.stats[i] != recWant.stats[i] {
-				t.Fatalf("seed %d round %d: recorded (%s, %+v), reference (%s, %+v)",
-					seed, i, recGot.algos[i], recGot.stats[i], recWant.algos[i], recWant.stats[i])
 			}
 		}
 	}

@@ -38,10 +38,6 @@ type Options struct {
 	// instead of the default fixed round-robin. The paper plays the game
 	// "in sequence"; random order is an ablation of that choice.
 	RandomOrder bool
-	// Recorder receives one IterationStat per round via RecordIteration.
-	// Nil disables telemetry; per-round statistics are then only computed
-	// when Trace is set.
-	Recorder obs.Recorder
 }
 
 // NoEpsilon selects the strict best response in Options.EpsilonUtility: a
@@ -65,11 +61,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// IterationStat records one best-response round for convergence studies.
-// It aliases obs.IterationStat, the canonical per-iteration convergence
-// record, so traces flow into telemetry recorders and the CLI's JSONL
-// export without conversion.
-type IterationStat = obs.IterationStat
+// IterationStat records one round of a game-theoretic solver run (FGT
+// best-response or IEGT replicator dynamics). It is the canonical
+// per-iteration convergence record: Result.Trace and the CLI's --trace-out
+// JSONL export both use this type.
+type IterationStat struct {
+	// Iteration is the 1-based round number.
+	Iteration int `json:"iteration"`
+	// Changes is how many workers switched strategy this round.
+	Changes int `json:"changes"`
+	// Potential is Phi = sum of IAUs after the round — at the solver's
+	// fairness weights for FGT, and at the default weights for IEGT (whose
+	// raw-payoff dynamics have no potential of their own; Phi is recorded so
+	// traces stay comparable across algorithms).
+	Potential float64 `json:"potential"`
+	// PayoffDiff is P_dif after the round.
+	PayoffDiff float64 `json:"payoff_diff"`
+	// AvgPayoff is the mean payoff after the round.
+	AvgPayoff float64 `json:"avg_payoff"`
+}
 
 // Result is the outcome of a game-theoretic run (FGT or IEGT).
 type Result struct {
@@ -83,6 +93,10 @@ type Result struct {
 	// FGT, evolutionary equilibrium for IEGT) was reached before the
 	// iteration cap.
 	Converged bool
+	// Switches is the number of worker strategy switches summed over all
+	// rounds: the sum of Trace[i].Changes, counted whether or not Trace is
+	// set.
+	Switches int
 	// Trace holds per-round statistics when Options.Trace was set.
 	Trace []IterationStat
 	// Potential is the fairness potential Phi of the final payoffs (FGT: at
@@ -143,7 +157,7 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result,
 	priorities := workerPriorities(s.Instance(), opt.UsePriorities)
 	idx := newUtilityIndex(s, opt.Fairness, priorities)
 	var tracker *SummaryTracker
-	if opt.Trace || opt.Recorder != nil {
+	if opt.Trace {
 		tracker = NewSummaryTracker(s)
 	}
 	bsp.End()
@@ -197,9 +211,10 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result,
 			cleanAt[w] = version + 1
 		}
 		res.Iterations = iter
+		res.Switches += changes
 		if tracker != nil {
 			diff, avg := tracker.DiffAvg()
-			st := IterationStat{
+			res.Trace = append(res.Trace, IterationStat{
 				Iteration: iter,
 				Changes:   changes,
 				// The reference O(W^2) potential keeps traces bit-comparable
@@ -207,13 +222,7 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result,
 				Potential:  fairness.Potential(opt.Fairness, s.Payoffs),
 				PayoffDiff: diff,
 				AvgPayoff:  avg,
-			}
-			if opt.Trace {
-				res.Trace = append(res.Trace, st)
-			}
-			if opt.Recorder != nil {
-				opt.Recorder.RecordIteration("FGT", st)
-			}
+			})
 		}
 		rsp.End()
 		if changes == 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"fairtask/internal/obs"
 	"fairtask/internal/vdps"
 )
 
@@ -23,20 +22,6 @@ func BenchmarkFGT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FGT(context.Background(), g, Options{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFGTWithRecorder measures solver overhead with telemetry enabled.
-// Compare against BenchmarkFGT (nil recorder): the disabled path must cost
-// only the per-iteration nil check.
-func BenchmarkFGTWithRecorder(b *testing.B) {
-	g := benchSetup(b, 20, 10)
-	rec := obs.NewMetricsRecorder(obs.NewRegistry())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FGT(context.Background(), g, Options{Seed: 1, Recorder: rec}); err != nil {
 			b.Fatal(err)
 		}
 	}

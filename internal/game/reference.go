@@ -51,21 +51,16 @@ func ReferenceFGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result,
 			}
 		}
 		res.Iterations = iter
-		if opt.Trace || opt.Recorder != nil {
+		res.Switches += changes
+		if opt.Trace {
 			sum := s.Summary()
-			st := IterationStat{
+			res.Trace = append(res.Trace, IterationStat{
 				Iteration:  iter,
 				Changes:    changes,
 				Potential:  fairness.Potential(opt.Fairness, s.Payoffs),
 				PayoffDiff: sum.Difference,
 				AvgPayoff:  sum.Average,
-			}
-			if opt.Trace {
-				res.Trace = append(res.Trace, st)
-			}
-			if opt.Recorder != nil {
-				opt.Recorder.RecordIteration("FGT", st)
-			}
+			})
 		}
 		if changes == 0 {
 			res.Converged = true

@@ -1,7 +1,8 @@
 // Package obs is the zero-dependency telemetry layer of the fairtask
 // engine: a concurrency-safe metrics registry with Prometheus text-format
-// exposition, a Recorder hook interface the solve path emits into, and
-// net/http instrumentation for the assignment service.
+// exposition, hierarchical spans, a Recorder hook interface the platform's
+// per-center solves emit into, and net/http instrumentation for the
+// assignment service.
 //
 // The package is deliberately stdlib-only (the module has no external
 // dependencies) and imports nothing else from this repository, so every
@@ -9,7 +10,8 @@
 // without import cycles. All instruments are safe for concurrent use; the
 // hot paths (Counter.Inc, Gauge.Set, Histogram.Observe) are lock-free
 // atomics. A nil Recorder disables telemetry with no measurable overhead:
-// emitting packages guard every event behind a nil check.
+// the platform, the only package that emits Recorder events, guards every
+// event behind a nil check.
 package obs
 
 import (

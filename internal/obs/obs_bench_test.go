@@ -31,15 +31,6 @@ func BenchmarkRegistryLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkRecordIteration(b *testing.B) {
-	rec := NewMetricsRecorder(NewRegistry())
-	st := IterationStat{Iteration: 3, Changes: 2, Potential: 10, PayoffDiff: 1.5, AvgPayoff: 6}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec.RecordIteration("FGT", st)
-	}
-}
-
 func BenchmarkWritePrometheus(b *testing.B) {
 	r := NewRegistry()
 	rec := NewMetricsRecorder(r)

@@ -5,26 +5,6 @@ import (
 	"time"
 )
 
-// IterationStat records one round of a game-theoretic solver run (FGT
-// best-response or IEGT replicator dynamics). It is the canonical
-// per-iteration convergence record: game.Result.Trace, the Recorder hook,
-// and the CLI's --trace-out JSONL export all use this type.
-type IterationStat struct {
-	// Iteration is the 1-based round number.
-	Iteration int `json:"iteration"`
-	// Changes is how many workers switched strategy this round.
-	Changes int `json:"changes"`
-	// Potential is Phi = sum of IAUs after the round — at the solver's
-	// fairness weights for FGT, and at the default weights for IEGT (whose
-	// raw-payoff dynamics have no potential of their own; Phi is recorded so
-	// traces stay comparable across algorithms).
-	Potential float64 `json:"potential"`
-	// PayoffDiff is P_dif after the round.
-	PayoffDiff float64 `json:"payoff_diff"`
-	// AvgPayoff is the mean payoff after the round.
-	AvgPayoff float64 `json:"avg_payoff"`
-}
-
 // VDPSEvent summarizes one candidate-generation run (vdps.Generate or
 // vdps.GenerateSampled).
 type VDPSEvent struct {
@@ -36,8 +16,6 @@ type VDPSEvent struct {
 	Pruned int
 	// Candidates is the number of C-VDPSs produced.
 	Candidates int
-	// Sampled is true for the randomized sampler, false for the exact DP.
-	Sampled bool
 	// Elapsed is the generation wall time.
 	Elapsed time.Duration
 }
@@ -55,7 +33,11 @@ type SolveEvent struct {
 	Iterations int
 	// Converged reports whether an equilibrium was reached before the cap.
 	Converged bool
-	// Elapsed is the solve wall time, excluding VDPS generation.
+	// Switches is the number of worker strategy switches summed over all
+	// rounds (zero for the non-iterative baselines).
+	Switches int
+	// Elapsed is the solver's wall time in the attempt that succeeded,
+	// excluding VDPS generation, failed attempts and retry backoff.
 	Elapsed time.Duration
 	// Degraded names the degradation-ladder rung that served the solve
 	// ("sampled", "greedy"); empty for a full-fidelity exact solve.
@@ -82,17 +64,16 @@ type AssignEvent struct {
 	Elapsed time.Duration
 }
 
-// Recorder receives telemetry events from the solve path. Implementations
-// must be safe for concurrent use: the platform solves centers in parallel
-// and the HTTP service handles overlapping requests. A nil Recorder means
-// telemetry is disabled; emitting code guards every call behind a nil check
+// Recorder receives telemetry events from the platform's solve path: the
+// per-center solve attempts and the multi-center assignment emit them; the
+// solver kernels (vdps, game, evo) only record spans. Implementations must
+// be safe for concurrent use: the platform solves centers in parallel and
+// the HTTP service handles overlapping requests. A nil Recorder means
+// telemetry is disabled; the platform guards every call behind a nil check
 // so the disabled path costs one pointer comparison.
 type Recorder interface {
-	// RecordVDPS is called once per candidate-generation run.
+	// RecordVDPS is called once per successful candidate-generation run.
 	RecordVDPS(VDPSEvent)
-	// RecordIteration is called after every FGT/IEGT round with the
-	// algorithm name and the round's convergence statistics.
-	RecordIteration(algorithm string, stat IterationStat)
 	// RecordSolve is called once per completed single-center solve.
 	RecordSolve(SolveEvent)
 	// RecordAssign is called once per completed multi-center assignment.
@@ -159,17 +140,6 @@ func (m *MetricsRecorder) RecordVDPS(e VDPSEvent) {
 	m.vdpsSeconds.Observe(e.Elapsed.Seconds())
 }
 
-// RecordIteration implements Recorder: it accumulates strategy switches per
-// algorithm. Per-round payoff gauges were removed here — with centers
-// solving in parallel, interleaved rounds of different centers made a
-// last-write-wins gauge meaningless; the final per-solve values are now
-// observed as histograms by RecordSolve instead.
-func (m *MetricsRecorder) RecordIteration(algorithm string, st IterationStat) {
-	m.reg.Counter("fta_solve_strategy_changes_total",
-		"Worker strategy switches across all solver rounds.",
-		L("algorithm", algorithm)).Add(int64(st.Changes))
-}
-
 // Help strings of the per-solve payoff histograms, shared between
 // RecordSolve and SeedAlgorithms so pre-registered and on-demand families
 // are identical.
@@ -191,10 +161,13 @@ func (m *MetricsRecorder) RecordSolve(e SolveEvent) {
 	m.reg.Histogram("fta_solve_average_payoff",
 		helpAveragePayoff, PayoffBuckets, alg).Observe(e.Average)
 	if e.Iterations > 0 {
-		// Phi only exists for the game-theoretic solvers; observing the
-		// baselines' zero value would just distort the distribution.
+		// Phi and strategy switches only exist for the game-theoretic
+		// solvers; observing the baselines' zero Phi would just distort the
+		// distribution.
 		m.reg.Histogram("fta_solve_potential",
 			helpPotential, PayoffBuckets, alg).Observe(e.Potential)
+		m.reg.Counter("fta_solve_strategy_changes_total",
+			helpStrategyChanges, alg).Add(int64(e.Switches))
 	}
 	m.reg.Counter("fta_solve_total", helpSolveTotal,
 		alg, L("converged", strconv.FormatBool(e.Converged))).Inc()

@@ -10,7 +10,7 @@ func TestMetricsRecorderVDPS(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewMetricsRecorder(reg)
 	rec.RecordVDPS(VDPSEvent{Points: 6, Workers: 3, Subsets: 40, Pruned: 12, Candidates: 25, Elapsed: 3 * time.Millisecond})
-	rec.RecordVDPS(VDPSEvent{Subsets: 10, Pruned: 2, Candidates: 5, Sampled: true, Elapsed: time.Millisecond})
+	rec.RecordVDPS(VDPSEvent{Subsets: 10, Pruned: 2, Candidates: 5, Elapsed: time.Millisecond})
 
 	if got := reg.Counter("fta_vdps_subsets_total", "").Value(); got != 50 {
 		t.Errorf("subsets = %d, want 50", got)
@@ -26,11 +26,11 @@ func TestMetricsRecorderVDPS(t *testing.T) {
 	}
 }
 
-func TestMetricsRecorderIteration(t *testing.T) {
+func TestMetricsRecorderStrategyChanges(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewMetricsRecorder(reg)
-	rec.RecordIteration("FGT", IterationStat{Iteration: 1, Changes: 4, Potential: 9, PayoffDiff: 2.5, AvgPayoff: 7})
-	rec.RecordIteration("FGT", IterationStat{Iteration: 2, Changes: 1, Potential: 11, PayoffDiff: 1.25, AvgPayoff: 7.5})
+	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Iterations: 3, Switches: 4})
+	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Iterations: 2, Switches: 1})
 
 	alg := L("algorithm", "FGT")
 	if got := reg.Counter("fta_solve_strategy_changes_total", "", alg).Value(); got != 5 {

@@ -86,7 +86,11 @@ var fpSolve = fault.Point("platform.solve")
 
 // rung is one step of the degradation ladder.
 type rung struct {
-	// name is the rung's Degraded label; empty for the exact rung.
+	// label names the rung in its span and errors: "exact", "sampled" or
+	// "greedy".
+	label string
+	// name is the rung's Degraded label; empty for the exact rung and for
+	// a sampled solve the caller asked for.
 	name string
 	// budget bounds the rung's wall clock including retries; zero means
 	// no budget beyond the caller's context.
@@ -105,29 +109,19 @@ type rung struct {
 // not fatal — policy is the caller's; violations on degraded rungs reject
 // the rung and engage the next one.
 func SolveInstance(ctx context.Context, in *model.Instance, solver assign.Assigner, opt Options) (*game.Result, *audit.Report, error) {
-	vopt := opt.VDPS
-	if vopt.Recorder == nil {
-		vopt.Recorder = opt.Recorder
-	}
 	exactGen := func(ctx context.Context, in *model.Instance) (*vdps.Generator, error) {
-		return vdps.GenerateContext(ctx, in, vopt)
+		return vdps.GenerateContext(ctx, in, opt.VDPS)
 	}
 	if opt.Degrade == nil {
-		return solveRung(ctx, in, rung{solver: solver, generate: exactGen}, opt)
+		return solveRung(ctx, in, rung{label: "exact", solver: solver, generate: exactGen}, opt)
 	}
 
-	d := opt.Degrade.withDefaults(vopt)
-	sopt := d.Sample
-	if sopt.Recorder == nil {
-		sopt.Recorder = opt.Recorder
-	}
-	sampledGen := func(ctx context.Context, in *model.Instance) (*vdps.Generator, error) {
-		return vdps.GenerateSampledContext(ctx, in, sopt)
-	}
+	d := opt.Degrade.withDefaults(opt.VDPS)
+	sampledGen := sampledGenerator(d.Sample)
 	ladder := []rung{
-		{name: "", budget: d.ExactBudget, solver: solver, generate: exactGen},
-		{name: RungSampled, budget: d.SampledBudget, solver: solver, generate: sampledGen},
-		{name: RungGreedy, solver: assign.GTA{}, generate: sampledGen},
+		{label: "exact", budget: d.ExactBudget, solver: solver, generate: exactGen},
+		{label: RungSampled, name: RungSampled, budget: d.SampledBudget, solver: solver, generate: sampledGen},
+		{label: RungGreedy, name: RungGreedy, solver: assign.GTA{}, generate: sampledGen},
 	}
 
 	var errs []error
@@ -139,11 +133,7 @@ func SolveInstance(ctx context.Context, in *model.Instance, solver assign.Assign
 		if err == nil {
 			return res, rep, nil
 		}
-		label := rg.name
-		if label == "" {
-			label = "exact"
-		}
-		errs = append(errs, fmt.Errorf("%s rung: %w", label, err))
+		errs = append(errs, fmt.Errorf("%s rung: %w", rg.label, err))
 		// A dead parent context means the caller is out of time, not the
 		// rung: stop the ladder instead of burning CPU on fallbacks nobody
 		// will read.
@@ -154,16 +144,30 @@ func SolveInstance(ctx context.Context, in *model.Instance, solver assign.Assign
 	return nil, nil, fmt.Errorf("platform: degradation ladder exhausted: %w", errors.Join(errs...))
 }
 
+// SolveSampled generates one center's candidates with vdps.GenerateSampled
+// and runs the solver on them, under Options.Retry, Options.Audit and
+// Options.Recorder as SolveInstance does. It runs no degradation ladder:
+// the caller chose sampled generation, so the result's Degraded stays
+// empty. Options.VDPS and Options.Degrade are ignored.
+func SolveSampled(ctx context.Context, in *model.Instance, solver assign.Assigner, sample vdps.SampleOptions, opt Options) (*game.Result, *audit.Report, error) {
+	return solveRung(ctx, in, rung{label: RungSampled, solver: solver, generate: sampledGenerator(sample)}, opt)
+}
+
+// sampledGenerator returns a rung generator running vdps.GenerateSampled.
+func sampledGenerator(sample vdps.SampleOptions) func(context.Context, *model.Instance) (*vdps.Generator, error) {
+	return func(ctx context.Context, in *model.Instance) (*vdps.Generator, error) {
+		return vdps.GenerateSampledContext(ctx, in, sample)
+	}
+}
+
 // solveRung runs one ladder rung: an optional per-rung budget around
 // generation + solve (+ retries under Options.Retry), the per-solve
 // failpoint, telemetry, and the rung's audit. Degraded rungs are audited
-// unconditionally and an audit violation fails the rung.
+// unconditionally and an audit violation fails the rung. It is the only
+// code that emits Options.Recorder's per-center events: one VDPSEvent per
+// successful generation and one SolveEvent per served solve.
 func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*game.Result, *audit.Report, error) {
-	rungLabel := rg.name
-	if rungLabel == "" {
-		rungLabel = "exact"
-	}
-	rsp := obs.SpanFromContext(ctx).Child("rung." + rungLabel)
+	rsp := obs.SpanFromContext(ctx).Child("rung." + rg.label)
 	defer rsp.End()
 	rctx := obs.ContextWithSpan(ctx, rsp)
 	if rg.budget > 0 {
@@ -176,8 +180,10 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 		res      *game.Result
 		g        *vdps.Generator
 		attempts int
+		// elapsed is the solver's wall time in the latest attempt: on
+		// success, the attempt that served the result.
+		elapsed time.Duration
 	)
-	start := time.Now()
 	attempt := func(actx context.Context) error {
 		attempts++
 		asp := rsp.Child("attempt")
@@ -187,12 +193,26 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 		if err := fpSolve.Hit(actx); err != nil {
 			return fmt.Errorf("platform: solve: %w", err)
 		}
+		start := time.Now()
 		var err error
 		g, err = rg.generate(actx, in)
 		if err != nil {
 			return err
 		}
+		if opt.Recorder != nil {
+			st := g.Stats()
+			opt.Recorder.RecordVDPS(obs.VDPSEvent{
+				Points:     len(in.Points),
+				Workers:    len(in.Workers),
+				Subsets:    st.SubsetsExplored,
+				Pruned:     st.ExtensionsPruned,
+				Candidates: st.Candidates,
+				Elapsed:    time.Since(start),
+			})
+		}
+		start = time.Now()
 		res, err = rg.solver.Assign(actx, g)
+		elapsed = time.Since(start)
 		return err
 	}
 	var err error
@@ -214,7 +234,8 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 			Points:     len(in.Points),
 			Iterations: res.Iterations,
 			Converged:  res.Converged,
-			Elapsed:    time.Since(start),
+			Switches:   res.Switches,
+			Elapsed:    elapsed,
 			Degraded:   rg.name,
 			Difference: payoff.Difference(res.Summary.Payoffs),
 			Average:    payoff.Average(res.Summary.Payoffs),

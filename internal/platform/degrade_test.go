@@ -10,6 +10,7 @@ import (
 	"fairtask/internal/assign"
 	"fairtask/internal/dataset"
 	"fairtask/internal/fault"
+	"fairtask/internal/obs"
 	"fairtask/internal/vdps"
 )
 
@@ -24,6 +25,26 @@ func armPoint(t *testing.T, name string, b fault.Behavior) *fault.Failpoint {
 	fp.Arm(b)
 	t.Cleanup(fault.DisarmAll)
 	return fp
+}
+
+// TestSolveSecondsExcludeGeneration delays candidate generation by 200ms:
+// fta_vdps_generation_seconds must carry the delay and fta_solve_seconds,
+// which times the solver alone, must not.
+func TestSolveSecondsExcludeGeneration(t *testing.T) {
+	if err := fault.ArmSpecs("vdps.generate:sleep:1:200ms"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.DisarmAll)
+	in := &smallProblem(t, 1).Instances[0]
+	reg := obs.NewRegistry()
+	if _, _, err := SolveInstance(context.Background(), in, assign.GTA{}, Options{Recorder: obs.NewMetricsRecorder(reg)}); err != nil {
+		t.Fatal(err)
+	}
+	gen := reg.Histogram("fta_vdps_generation_seconds", "", nil).Sum()
+	solve := reg.Histogram("fta_solve_seconds", "", nil).Sum()
+	if gen < 0.2 || solve >= 0.2 {
+		t.Errorf("generation %.3fs, solve %.3fs: want generation >= 0.2s and solve < 0.2s", gen, solve)
+	}
 }
 
 func TestDegradeFallsToSampled(t *testing.T) {

@@ -31,9 +31,9 @@ type Options struct {
 	// Parallelism bounds concurrent per-center solves. Zero means
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// Recorder receives one obs.SolveEvent per center and one
-	// obs.AssignEvent for the whole assignment; it is also threaded into
-	// VDPS generation when VDPS.Recorder is unset. Nil disables telemetry.
+	// Recorder receives one obs.VDPSEvent per successful candidate
+	// generation, one obs.SolveEvent per solved center and one
+	// obs.AssignEvent for the whole assignment. Nil disables telemetry.
 	Recorder obs.Recorder
 	// Audit enables independent re-verification of every per-center result;
 	// the reports land in Result.Audit. The options' Generator, Algorithm

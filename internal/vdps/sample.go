@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/model"
@@ -28,9 +27,6 @@ type SampleOptions struct {
 	Branch int
 	// Seed drives the randomized growth.
 	Seed int64
-	// Recorder receives one obs.VDPSEvent per successful generation run.
-	// Nil disables telemetry.
-	Recorder obs.Recorder
 }
 
 // GenerateSampled builds a candidate pool by randomized greedy route growth
@@ -53,7 +49,6 @@ func GenerateSampled(in *model.Instance, opt SampleOptions) (*Generator, error) 
 // GenerateSampledContext is GenerateSampled with cancellation: ctx is
 // checked once per starting point, returning ctx.Err() when it is done.
 func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleOptions) (*Generator, error) {
-	begin := time.Now()
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -171,15 +166,5 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 	}
 
 	g.finalizeCandidates(byCand)
-	if opt.Recorder != nil {
-		opt.Recorder.RecordVDPS(obs.VDPSEvent{
-			Points:     n,
-			Workers:    len(in.Workers),
-			Subsets:    g.stats.SubsetsExplored,
-			Candidates: g.stats.Candidates,
-			Sampled:    true,
-			Elapsed:    time.Since(begin),
-		})
-	}
 	return g, nil
 }

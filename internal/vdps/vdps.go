@@ -29,7 +29,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/geo"
@@ -55,9 +54,6 @@ type Options struct {
 	// ε-neighbors during DP extensions, falling back to a full scan per
 	// state. Only useful for the indexing ablation benchmark.
 	DisableIndex bool
-	// Recorder receives one obs.VDPSEvent per successful generation run.
-	// Nil disables telemetry.
-	Recorder obs.Recorder
 }
 
 // ErrTooManySets is returned when Options.MaxSets is exceeded.
@@ -188,7 +184,6 @@ func Generate(in *model.Instance, opt Options) (*Generator, error) {
 // solve time of large instances, so this is where a canceled request saves
 // the most work.
 func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Generator, error) {
-	start := time.Now()
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("vdps: %w", err)
 	}
@@ -274,16 +269,6 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 	}
 
 	g.finalizeCandidates(byCand)
-	if opt.Recorder != nil {
-		opt.Recorder.RecordVDPS(obs.VDPSEvent{
-			Points:     n,
-			Workers:    len(in.Workers),
-			Subsets:    g.stats.SubsetsExplored,
-			Pruned:     g.stats.ExtensionsPruned,
-			Candidates: g.stats.Candidates,
-			Elapsed:    time.Since(start),
-		})
-	}
 	return g, nil
 }
 
