@@ -97,3 +97,55 @@ func TestReadAssignmentCSVPublic(t *testing.T) {
 			rep.Recomputed.Assigned, res.PerCenter[0].Summary.Assigned)
 	}
 }
+
+// latticeInstance is a tie-heavy instance: the 24 integer points of [-2,2]²
+// around a center at the origin, under the Manhattan metric at speed 1, so
+// many sequences of one set share their exact (time, slack).
+func latticeInstance(t *testing.T) *fairtask.Instance {
+	t.Helper()
+	tm, err := fairtask.NewTravelModel(fairtask.Manhattan{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &fairtask.Instance{Center: fairtask.Pt(0, 0), Travel: tm}
+	for x := -2; x <= 2; x++ {
+		for y := -2; y <= 2; y++ {
+			if x == 0 && y == 0 {
+				continue
+			}
+			id := len(in.Points)
+			in.Points = append(in.Points, fairtask.DeliveryPoint{
+				ID:  id,
+				Loc: fairtask.Pt(float64(x), float64(y)),
+				Tasks: []fairtask.Task{{
+					ID: id, Point: id, Expiry: 100, Reward: float64(1 + id%3),
+				}},
+			})
+		}
+	}
+	for w := 0; w < 8; w++ {
+		in.Workers = append(in.Workers, fairtask.Worker{
+			ID: w, Loc: fairtask.Pt(float64(w%3-1), float64(w/3-1)), MaxDP: 3,
+		})
+	}
+	return in
+}
+
+// TestAuditAcceptsTiedSequences pins the standalone audit on an instance
+// with exact sequence ties: the auditor regenerates the candidates and
+// requires every route verbatim, so generation must pick the same tied
+// sequence on every call.
+func TestAuditAcceptsTiedSequences(t *testing.T) {
+	in := latticeInstance(t)
+	for _, alg := range []fairtask.Algorithm{fairtask.AlgFGT, fairtask.AlgIEGT, fairtask.AlgGTA} {
+		for seed := int64(1); seed <= 30; seed++ {
+			res, err := fairtask.Solve(in, fairtask.Options{Algorithm: alg, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", alg, seed, err)
+			}
+			if rep := fairtask.Audit(in, res.Assignment, &res.Summary, fairtask.AuditOptions{}); !rep.OK() {
+				t.Errorf("%s seed %d: audit rejected the solve: %v", alg, seed, rep.Violations)
+			}
+		}
+	}
+}

@@ -5,19 +5,24 @@
 //
 // It reads `go test -json -bench` streams (the BENCH_*.json artifacts CI
 // already uploads) or plain `go test -bench` text, extracts every
-// "Benchmark... ns/op" line, and keeps the minimum ns/op per benchmark
-// name (the least-noisy statistic for a tripwire). The GOMAXPROCS suffix
-// ("-4") is stripped so baselines survive runner core-count changes.
+// "Benchmark... ns/op" line with its allocs/op when the bench reports
+// allocations (-benchmem or b.ReportAllocs), and keeps the minimum of each
+// per benchmark name (the least-noisy statistic for a tripwire). The
+// GOMAXPROCS suffix ("-4") is stripped so baselines survive runner
+// core-count changes.
 //
 // Usage:
 //
 //	benchguard -baseline .github/bench_baseline.json BENCH_game.json BENCH_platform.json
 //	benchguard -baseline .github/bench_baseline.json -update BENCH_game.json ...
 //
-// A benchmark present in the baseline but absent from the inputs is only a
-// warning (CI shards benches across artifacts); a regression beyond
-// -tolerance (default 0.15 = +15% ns/op) is fatal. New benchmarks are
-// reported so the baseline can be refreshed with -update.
+// The baseline maps each benchmark name to its figures by unit, e.g.
+// {"BenchmarkSolveFGTW200": {"allocs/op": 1200, "ns/op": 1.2e8}}. Every
+// figure in the baseline is gated: a rise beyond -tolerance (default 0.15 =
+// +15%) in ns/op or allocs/op is fatal. A benchmark or figure present in the
+// baseline but absent from the inputs is only a warning (CI shards benches
+// across artifacts); new benchmarks are reported so the baseline can be
+// refreshed with -update.
 package main
 
 import (
@@ -44,12 +49,27 @@ type event struct {
 // result line as bare "       2\t  123 ns/op" output.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)?\s*\d+\s+([0-9.]+) ns/op`)
 
+// allocsField matches the allocs/op figure at the end of a result line.
+var allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+
+// gatedUnits are the figures benchguard extracts and gates, in report order.
+var gatedUnits = []string{"ns/op", "allocs/op"}
+
+// figures holds one benchmark's minimum value per unit.
+type figures map[string]float64
+
+func (f figures) keepMin(unit string, v float64) {
+	if prev, ok := f[unit]; !ok || v < prev {
+		f[unit] = v
+	}
+}
+
 // procsSuffix is the GOMAXPROCS suffix go test appends to benchmark names.
 var procsSuffix = regexp.MustCompile(`-\d+$`)
 
-// parse extracts benchmark name -> minimum ns/op from a test2json stream or
-// plain benchmark text.
-func parse(r io.Reader, into map[string]float64) error {
+// parse extracts benchmark name -> minimum figures from a test2json stream
+// or plain benchmark text.
+func parse(r io.Reader, into map[string]figures) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -84,8 +104,18 @@ func parse(r io.Reader, into map[string]float64) error {
 		if err != nil {
 			return fmt.Errorf("bad ns/op in %q: %w", text, err)
 		}
-		if prev, ok := into[name]; !ok || ns < prev {
-			into[name] = ns
+		f := into[name]
+		if f == nil {
+			f = figures{}
+			into[name] = f
+		}
+		f.keepMin("ns/op", ns)
+		if a := allocsField.FindStringSubmatch(text); a != nil {
+			allocs, err := strconv.ParseFloat(a[1], 64)
+			if err != nil {
+				return fmt.Errorf("bad allocs/op in %q: %w", text, err)
+			}
+			f.keepMin("allocs/op", allocs)
 		}
 	}
 	return sc.Err()
@@ -94,26 +124,32 @@ func parse(r io.Reader, into map[string]float64) error {
 // check compares current results against the baseline and returns the
 // regression report lines, the informational lines, and whether the run
 // passed.
-func check(baseline, current map[string]float64, tolerance float64) (bad, info []string) {
+func check(baseline, current map[string]figures, tolerance float64) (bad, info []string) {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		base := baseline[name]
 		cur, ok := current[name]
 		if !ok {
 			info = append(info, fmt.Sprintf("warn: %s in baseline but not in inputs", name))
 			continue
 		}
-		if base <= 0 {
-			continue
-		}
-		ratio := cur/base - 1
-		if ratio > tolerance {
-			bad = append(bad, fmt.Sprintf("%s regressed %.1f%%: %.0f ns/op (baseline %.0f, tolerance %.0f%%)",
-				name, ratio*100, cur, base, tolerance*100))
+		for _, unit := range gatedUnits {
+			base, ok := baseline[name][unit]
+			if !ok || base <= 0 {
+				continue
+			}
+			v, ok := cur[unit]
+			if !ok {
+				info = append(info, fmt.Sprintf("warn: %s %s in baseline but not in inputs", name, unit))
+				continue
+			}
+			if ratio := v/base - 1; ratio > tolerance {
+				bad = append(bad, fmt.Sprintf("%s regressed %.1f%%: %.0f %s (baseline %.0f, tolerance %.0f%%)",
+					name, ratio*100, v, unit, base, tolerance*100))
+			}
 		}
 	}
 	extra := make([]string, 0)
@@ -133,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", ".github/bench_baseline.json", "committed baseline file")
-	tolerance := fs.Float64("tolerance", 0.15, "fatal relative ns/op regression (0.15 = +15%)")
+	tolerance := fs.Float64("tolerance", 0.15, "fatal relative ns/op or allocs/op regression (0.15 = +15%)")
 	update := fs.Bool("update", false, "rewrite the baseline from the inputs instead of checking")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -142,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchguard: no bench result files given")
 		return 2
 	}
-	current := map[string]float64{}
+	current := map[string]figures{}
 	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
@@ -178,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchguard: %v (run with -update to create)\n", err)
 		return 2
 	}
-	baseline := map[string]float64{}
+	baseline := map[string]figures{}
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		fmt.Fprintf(stderr, "benchguard: %s: %v\n", *baselinePath, err)
 		return 2

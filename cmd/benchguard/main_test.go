@@ -18,7 +18,7 @@ BenchmarkPlainText-8   	     100	    5000 ns/op
 `
 
 func TestParse(t *testing.T) {
-	got := map[string]float64{}
+	got := map[string]figures{}
 	if err := parse(strings.NewReader(sampleStream), got); err != nil {
 		t.Fatal(err)
 	}
@@ -33,22 +33,44 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %v, want %v", got, want)
 	}
 	for name, ns := range want {
-		if got[name] != ns {
-			t.Errorf("%s = %v, want %v", name, got[name], ns)
+		if got[name]["ns/op"] != ns {
+			t.Errorf("%s = %v, want %v ns/op", name, got[name], ns)
 		}
+	}
+	// allocs/op is read where the line reports it, and only there.
+	if a, ok := got["BenchmarkSolveFGT/W200"]["allocs/op"]; !ok || a != 12 {
+		t.Errorf("BenchmarkSolveFGT/W200 allocs/op = %v, %v; want 12", a, ok)
+	}
+	if _, ok := got["BenchmarkPlainText"]["allocs/op"]; ok {
+		t.Errorf("BenchmarkPlainText has allocs/op without reporting them: %v", got["BenchmarkPlainText"])
 	}
 }
 
 func TestCheck(t *testing.T) {
-	baseline := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100, "BenchmarkGone": 50}
-	current := map[string]float64{"BenchmarkA": 110, "BenchmarkB": 120, "BenchmarkNew": 7}
+	ns := func(v float64) figures { return figures{"ns/op": v} }
+	baseline := map[string]figures{
+		"BenchmarkA": ns(100), "BenchmarkB": ns(100), "BenchmarkGone": ns(50),
+		"BenchmarkAllocs":     {"ns/op": 100, "allocs/op": 1000},
+		"BenchmarkAllocsFlat": {"ns/op": 100, "allocs/op": 1000},
+		"BenchmarkNoMem":      {"ns/op": 100, "allocs/op": 1000},
+	}
+	current := map[string]figures{
+		"BenchmarkA": ns(110), "BenchmarkB": ns(120), "BenchmarkNew": ns(7),
+		"BenchmarkAllocs":     {"ns/op": 90, "allocs/op": 1300},
+		"BenchmarkAllocsFlat": {"ns/op": 90, "allocs/op": 1100},
+		"BenchmarkNoMem":      ns(100),
+	}
 	bad, info := check(baseline, current, 0.15)
-	if len(bad) != 1 || !strings.Contains(bad[0], "BenchmarkB") {
-		t.Fatalf("regressions = %v, want exactly BenchmarkB", bad)
+	if len(bad) != 2 || !strings.Contains(bad[0], "BenchmarkAllocs regressed") ||
+		!strings.Contains(bad[0], "allocs/op") || !strings.Contains(bad[1], "BenchmarkB") {
+		t.Fatalf("regressions = %v, want BenchmarkAllocs (allocs/op) and BenchmarkB", bad)
 	}
 	joined := strings.Join(info, "\n")
 	if !strings.Contains(joined, "BenchmarkGone") || !strings.Contains(joined, "BenchmarkNew") {
 		t.Errorf("info lines missing baseline-only/new benchmarks:\n%s", joined)
+	}
+	if !strings.Contains(joined, "BenchmarkNoMem allocs/op in baseline but not in inputs") {
+		t.Errorf("info lines missing the unreported allocs/op of BenchmarkNoMem:\n%s", joined)
 	}
 }
 
@@ -67,11 +89,11 @@ func TestRunUpdateThenCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baseline map[string]float64
+	var baseline map[string]figures
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		t.Fatal(err)
 	}
-	if baseline["BenchmarkSolveFGT/W200"] != 29000000 {
+	if f := baseline["BenchmarkSolveFGT/W200"]; f["ns/op"] != 29000000 || f["allocs/op"] != 12 {
 		t.Fatalf("baseline = %v", baseline)
 	}
 	// Same inputs against the fresh baseline pass.
@@ -93,5 +115,18 @@ func TestRunUpdateThenCheck(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "BenchmarkSolveFGT/W200 regressed") {
 		t.Errorf("stderr missing regression line: %s", errb.String())
+	}
+	// An allocation regression alone, at unchanged ns/op, also fails.
+	leaky := strings.ReplaceAll(sampleStream, "12 allocs/op", "40 allocs/op")
+	if err := os.WriteFile(in, []byte(leaky), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-baseline", base, in}, &out, &errb); code != 1 {
+		t.Fatalf("allocation-regressed run exited %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "40 allocs/op (baseline 12") {
+		t.Errorf("stderr missing allocs/op regression line: %s", errb.String())
 	}
 }

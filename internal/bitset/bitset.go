@@ -149,25 +149,3 @@ func (s Set) String() string {
 	sb.WriteByte('}')
 	return sb.String()
 }
-
-// Key returns a compact string usable as a map key. Two sets with the same
-// elements always produce the same key regardless of capacity.
-func (s Set) Key() string {
-	end := len(s)
-	for end > 0 && s[end-1] == 0 {
-		end--
-	}
-	var sb strings.Builder
-	for i := 0; i < end; i++ {
-		w := s[i]
-		sb.WriteByte(byte(w))
-		sb.WriteByte(byte(w >> 8))
-		sb.WriteByte(byte(w >> 16))
-		sb.WriteByte(byte(w >> 24))
-		sb.WriteByte(byte(w >> 32))
-		sb.WriteByte(byte(w >> 40))
-		sb.WriteByte(byte(w >> 48))
-		sb.WriteByte(byte(w >> 56))
-	}
-	return sb.String()
-}

@@ -17,17 +17,6 @@ func BenchmarkIntersects(b *testing.B) {
 	}
 }
 
-func BenchmarkKey(b *testing.B) {
-	s := New(256)
-	for i := 0; i < 256; i += 3 {
-		s = s.With(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Key()
-	}
-}
-
 func BenchmarkValues(b *testing.B) {
 	s := New(256)
 	for i := 0; i < 256; i += 3 {

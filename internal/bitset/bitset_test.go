@@ -96,21 +96,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestKeyCanonical(t *testing.T) {
-	a := Of(1, 130)
-	b := New(1000).With(1).With(130)
-	if a.Key() != b.Key() {
-		t.Error("same elements, different keys")
-	}
-	if Of(1).Key() == Of(2).Key() {
-		t.Error("different sets share a key")
-	}
-	var empty Set
-	if empty.Key() != New(64).Key() {
-		t.Error("empty sets should share the empty key")
-	}
-}
-
 // Property: Values returns exactly the inserted distinct values, sorted.
 func TestValuesRoundTrip(t *testing.T) {
 	f := func(raw []uint16) bool {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fairtask/internal/dataset"
 	"fairtask/internal/vdps"
 )
 
@@ -15,6 +16,27 @@ func benchSetup(b *testing.B, nPoints, nWorkers int) *vdps.Generator {
 		b.Fatal(err)
 	}
 	return g
+}
+
+// BenchmarkNewStateW200 is the strategy-space build layer of the W200 solve
+// (GM 1000 tasks / 200 workers / 150 points, ε 0.6): the state.build span of
+// BenchmarkSolveFGTW200 and of servebench's solve-w200 workload.
+func BenchmarkNewStateW200(b *testing.B) {
+	in, err := dataset.GenerateGM(dataset.GMConfig{
+		Seed: 1, Tasks: 1000, Workers: 200, DeliveryPoints: 150,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := vdps.Generate(in, vdps.Options{Epsilon: 0.6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewState(g)
+	}
 }
 
 func BenchmarkFGT(b *testing.B) {

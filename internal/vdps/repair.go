@@ -51,9 +51,9 @@ func EffectiveMaxSize(in *model.Instance, opt Options) int {
 // candidates whose reward actually changed (bitwise), in ascending order.
 //
 // Each affected reward is recomputed from scratch by summing the point
-// rewards in ascending point order — exactly the accumulation order
-// addCandidate uses during a cold Generate — so a repaired generator is
-// bit-identical to a freshly generated one on every field the solvers read.
+// rewards in ascending point order — exactly the accumulation order a cold
+// Generate uses — so a repaired generator is bit-identical to a freshly
+// generated one on every field the solvers read.
 // Strategy references handed out before the repair hold stale payoffs;
 // rebuild affected workers with WorkerStrategies.
 func (g *Generator) RepairRewards(points []int) []int {
@@ -258,109 +258,33 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		return ExpiryRepair{Remap: remap}, nil
 	}
 	in := g.inst
-	n := len(in.Points)
-	changed := make([]bool, n)
-	changedMask := bitset.New(n)
+	d := newDP(in, g.opt, g.stats.MaxSetSize)
+	d.changed = bitset.New(len(in.Points))
 	for _, p := range points {
-		changed[p] = true
-		changedMask = changedMask.With(p)
+		d.changed = d.changed.With(p)
 	}
-	maxSize := g.stats.MaxSetSize
-	eps := g.opt.Epsilon
-	if eps <= 0 {
-		eps = math.Inf(1)
-	}
-
-	expiry := make([]float64, n)
-	for i := range in.Points {
-		expiry[i] = in.Points[i].EarliestExpiry()
-	}
-	var neighbors [][]int
-	if !math.IsInf(eps, 1) && !g.opt.DisableIndex && n > 0 {
-		locs := make([]geo.Point, n)
-		for i := range in.Points {
-			locs[i] = in.Points[i].Loc
-		}
-		neighbors = grid.New(locs, eps).Neighborhoods(eps)
-	}
-
-	hops := hopDistances(in, changed, neighbors, eps)
-	// keep retains a DP state that contains a changed point or can still
-	// absorb one within the remaining size budget. Every ancestor of a kept
-	// state is kept (the hop bound relaxes by exactly one per removed
-	// extension step), so kept states carry their full, exact frontiers.
-	keep := func(ds *dpState, size int) bool {
-		if ds.set.Intersects(changedMask) {
-			return true
-		}
-		return hops[ds.last] <= maxSize-size
-	}
+	d.hops = hopDistances(in, d.changed, d.succ, d.eps)
 
 	retained := 0
 	for ci := range g.candidates {
-		if !g.candidates[ci].Mask.Intersects(changedMask) {
+		if !g.candidates[ci].Mask.Intersects(d.changed) {
 			retained++
 		}
 	}
-
-	// Restricted DP, mirroring GenerateContext's level loop.
-	level := make([]*dpState, 0, n)
-	byCand := map[string]*Candidate{}
-	for j := 0; j < n; j++ {
-		t := in.Travel.Time(in.Center, in.Points[j].Loc)
-		if t > expiry[j] {
-			continue
-		}
-		st := State{Seq: model.Route{j}, Time: t, Slack: expiry[j] - t}
-		ds := &dpState{set: bitset.Of(j), last: j, frontier: []State{st}}
-		if !keep(ds, 1) {
-			continue
-		}
-		level = append(level, ds)
-		if changed[j] {
-			g.addCandidate(byCand, ds)
-		}
-	}
-	all := allPoints(n)
-	for size := 2; size <= maxSize && len(level) > 0; size++ {
-		if err := ctx.Err(); err != nil {
-			return ExpiryRepair{}, err
-		}
-		next, _ := expandLevel(ctx, g, level, all, neighbors, expiry, eps)
-		if err := ctx.Err(); err != nil {
-			return ExpiryRepair{}, err
-		}
-		level = level[:0]
-		for _, ds := range next {
-			if !keep(ds, size) {
-				continue
-			}
-			level = append(level, ds)
-			if ds.set.Intersects(changedMask) {
-				g.addCandidate(byCand, ds)
-				if g.opt.MaxSets > 0 && retained+len(byCand) > g.opt.MaxSets {
-					return ExpiryRepair{}, ErrTooManySets
-				}
-			}
-		}
+	fresh, err := d.run(ctx, g.opt.MaxSets, retained)
+	if err != nil {
+		return ExpiryRepair{}, err
 	}
 
-	// Finalize the regenerated candidates and splice them into the retained
-	// table in candLess order — the same total order finalizeCandidates
-	// establishes, so the repaired table is bit-identical to a full re-run.
-	fresh := make([]Candidate, 0, len(byCand))
-	for _, c := range byCand {
-		sortFrontier(c.Frontier)
-		fresh = append(fresh, *c)
-	}
-	sort.Slice(fresh, func(i, j int) bool { return candLess(&fresh[i], &fresh[j]) })
-
+	// Splice the regenerated candidates into the retained table in candLess
+	// order — the order the DP emits them in — so the repaired table is
+	// bit-identical to a full re-run.
 	rep := ExpiryRepair{Remap: make([]int, len(g.candidates))}
 	merged := make([]Candidate, 0, retained+len(fresh))
 	fi := 0
 	for ci := range g.candidates {
 		c := &g.candidates[ci]
-		if c.Mask.Intersects(changedMask) {
+		if c.Mask.Intersects(d.changed) {
 			rep.Remap[ci] = -1
 			rep.Dropped = append(rep.Dropped, ci)
 			continue
@@ -378,14 +302,11 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		merged = append(merged, fresh[fi])
 	}
 
+	// Re-slab the spliced table: retained candidates would otherwise pin the
+	// slabs of every earlier run, and a long stream would keep them all.
+	reslab(merged)
 	g.candidates = merged
-	g.stats.Candidates = len(merged)
-	g.maxSlack = make([]float64, len(merged))
-	g.setSize = make([]int32, len(merged))
-	for ci := range merged {
-		g.maxSlack[ci] = merged[ci].MaxSlack()
-		g.setSize[ci] = int32(len(merged[ci].Points))
-	}
+	g.finish()
 	return rep, nil
 }
 
@@ -395,13 +316,13 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 // can only under-estimate distances for metrics whose travel distance
 // exceeds the Euclidean one — an under-estimate weakens the pruning but
 // never loses a reachable candidate. With ε disabled every pair is adjacent.
-func hopDistances(in *model.Instance, changed []bool, neighbors [][]int, eps float64) []int {
+func hopDistances(in *model.Instance, changed bitset.Set, neighbors [][]int, eps float64) []int {
 	n := len(in.Points)
 	const far = 1 << 30
 	hops := make([]int, n)
 	queue := make([]int, 0, n)
 	for p := 0; p < n; p++ {
-		if changed[p] {
+		if changed.Has(p) {
 			hops[p] = 0
 			queue = append(queue, p)
 		} else {

@@ -91,18 +91,23 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 // disabled.
 func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 	cases := []struct {
-		name string
-		opt  Options
+		name    string
+		opt     Options
+		lattice bool // the tie-heavy latticeInstance instead of GM
 	}{
-		{"eps", Options{Epsilon: 1.5}},
-		{"eps-noindex", Options{Epsilon: 1.5, DisableIndex: true}},
-		{"dense", Options{Epsilon: 0, MaxSize: 3}},
+		{"eps", Options{Epsilon: 1.5}, false},
+		{"eps-noindex", Options{Epsilon: 1.5, DisableIndex: true}, false},
+		{"dense", Options{Epsilon: 0, MaxSize: 3}, false},
+		{"lattice-ties", Options{Epsilon: 2}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				in := repairGM(t, seed, 60, 8, 24)
+				if tc.lattice {
+					in = latticeInstance()
+				}
 				g, err := Generate(in, tc.opt)
 				if err != nil {
 					t.Fatal(err)

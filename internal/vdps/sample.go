@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fairtask/internal/bitset"
@@ -83,27 +84,17 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 
 	g := &Generator{inst: in, opt: Options{Epsilon: opt.Epsilon, MaxSize: maxSize}}
 	g.stats.MaxSetSize = maxSize
-	byCand := map[string]*Candidate{}
-
-	record := func(seq model.Route, time, slack float64) {
-		set := bitset.New(n)
-		for _, p := range seq {
-			set = set.With(p)
+	// Candidates are keyed on their set's words; fronts[id] is the frontier
+	// of the set with table id.
+	var tab wordTable
+	tab.reset((n + 63) / 64)
+	var fronts [][]State
+	record := func(set bitset.Set, seq model.Route, time, slack float64) {
+		id, fresh := tab.find(set)
+		if fresh {
+			fronts = append(fronts, nil)
 		}
-		key := set.Key()
-		c := byCand[key]
-		if c == nil {
-			pts := set.Values()
-			var reward float64
-			for _, p := range pts {
-				reward += in.Points[p].TotalReward()
-			}
-			c = &Candidate{Points: pts, Mask: set, Reward: reward}
-			byCand[key] = c
-		}
-		c.Frontier = mergeFrontier(c.Frontier, State{
-			Seq: seq.Clone(), Time: time, Slack: slack,
-		})
+		fronts[id] = mergeFrontier(fronts[id], State{Seq: seq.Clone(), Time: time, Slack: slack})
 	}
 
 	type step struct {
@@ -123,7 +114,7 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 			visited := bitset.New(n).With(start)
 			time := t0
 			slack := expiry[start] - t0
-			record(seq, time, slack)
+			record(visited, seq, time, slack)
 			for len(seq) < maxSize {
 				last := seq[len(seq)-1]
 				lastLoc := in.Points[last].Loc
@@ -159,12 +150,43 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 				}
 				seq = append(seq, next)
 				visited = visited.With(next)
-				record(seq, time, slack)
+				record(visited, seq, time, slack)
 			}
 			g.stats.SubsetsExplored += len(seq)
 		}
 	}
 
-	g.finalizeCandidates(byCand)
+	g.candidates = tableCandidates(in, &tab, fronts)
+	g.finish()
 	return g, nil
+}
+
+// tableCandidates builds the candidate table from a word-keyed set table and
+// its frontiers, in the (size, lexicographic points) order. Masks are backed
+// by the table's key array.
+func tableCandidates(in *model.Instance, tab *wordTable, fronts [][]State) []Candidate {
+	ids := make([]int32, tab.len())
+	size := make([]int, tab.len())
+	for i := range ids {
+		ids[i] = int32(i)
+		size[i] = bitset.Set(tab.key(int32(i))).Count()
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if size[a] != size[b] {
+			return size[a] - size[b]
+		}
+		return lexCmp(tab.key(a), tab.key(b))
+	})
+	cands := make([]Candidate, len(ids))
+	for i, id := range ids {
+		mask := bitset.Set(tab.key(id))
+		pts := mask.Values()
+		var reward float64
+		for _, p := range pts {
+			reward += in.Points[p].TotalReward()
+		}
+		sortFrontier(fronts[id])
+		cands[i] = Candidate{Points: pts, Mask: mask, Frontier: fronts[id], Reward: reward}
+	}
+	return cands
 }

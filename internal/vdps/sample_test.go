@@ -82,10 +82,10 @@ func TestGenerateSampledSubsetOfExact(t *testing.T) {
 	exactBySet := map[string]*Candidate{}
 	for i := range exact.Candidates() {
 		c := &exact.Candidates()[i]
-		exactBySet[c.Mask.Key()] = c
+		exactBySet[setKeyOf(c.Points)] = c
 	}
 	for _, c := range sampled.Candidates() {
-		e, ok := exactBySet[c.Mask.Key()]
+		e, ok := exactBySet[setKeyOf(c.Points)]
 		if !ok {
 			t.Fatalf("sampled set %v not found by exact generation", c.Points)
 		}

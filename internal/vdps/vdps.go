@@ -20,19 +20,27 @@
 // The distance-constrained pruning strategy (threshold ε) discards DP
 // extensions whose leg between consecutive delivery points exceeds ε,
 // exactly as in §IV.
+//
+// The DP runs on flat per-level arrays: each level's (set, last) nodes sit in
+// an open-addressed table keyed on the set's bitset words, each frontier
+// entry links to its parent entry one level down, and a sequence is built
+// only for the entries that survive into a candidate's frontier. Generation
+// order is fixed — nodes in creation order, successors in ascending point
+// order, frontier entries in list order — which gives the tie rule: when two
+// sequences of one set have exactly the same (Time, Slack), the first one
+// generated survives. The choice is the same on every call, and the grid
+// index, which only filters the ascending scan, cannot change it.
 package vdps
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fairtask/internal/bitset"
-	"fairtask/internal/geo"
-	"fairtask/internal/grid"
 	"fairtask/internal/model"
 	"fairtask/internal/obs"
 )
@@ -72,6 +80,11 @@ type State struct {
 
 // Candidate is one C-VDPS: a set of delivery points with its Pareto frontier
 // of feasible sequences and cached aggregate reward.
+//
+// Points, Mask, Frontier and each frontier state's Seq are owned by the
+// generator: they are capacity-limited windows into slabs shared by many
+// candidates, so appending to one copies it, and they must not be modified
+// in place. Reward is the candidate's own (RepairRewards rewrites it).
 type Candidate struct {
 	// Points holds the set's delivery point indices in ascending order.
 	Points []int
@@ -80,7 +93,9 @@ type Candidate struct {
 	// Frontier holds the non-dominated (Time, Slack) states, sorted by
 	// ascending Time. Dominance prunes every state that is no slower and no
 	// slacker than another, so a slower state survives only with strictly
-	// more slack: Slack is strictly ascending along the frontier too.
+	// more slack: Slack is strictly ascending along the frontier too. Of
+	// two sequences with exactly equal (Time, Slack), the first generated
+	// is kept (see the package doc).
 	Frontier []State
 	// Reward is the total reward of all tasks on the set's points.
 	Reward float64
@@ -165,14 +180,6 @@ type Stats struct {
 	MaxSetSize int
 }
 
-// dpState is a node in the subset DP: a (set, last) pair with its Pareto
-// frontier of (time, slack, sequence) entries.
-type dpState struct {
-	set      bitset.Set
-	last     int
-	frontier []State
-}
-
 // Generate runs the C-VDPS dynamic program for the instance.
 func Generate(in *model.Instance, opt Options) (*Generator, error) {
 	return GenerateContext(context.Background(), in, opt)
@@ -192,100 +199,26 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 	if err := fpGenerate.Hit(ctx); err != nil {
 		return nil, fmt.Errorf("vdps: generate: %w", err)
 	}
-	maxSize := opt.MaxSize
-	if maxSize <= 0 {
-		maxSize = derivedMaxSize(in)
+	maxSize := EffectiveMaxSize(in, opt)
+	d := newDP(in, opt, maxSize)
+	cands, err := d.run(ctx, opt.MaxSets, 0)
+	if errors.Is(err, ErrTooManySets) {
+		return nil, fmt.Errorf("%w: more than %d", ErrTooManySets, opt.MaxSets)
 	}
-	if maxSize > len(in.Points) {
-		maxSize = len(in.Points)
+	if err != nil {
+		return nil, err
 	}
-	eps := opt.Epsilon
-	if eps <= 0 {
-		eps = math.Inf(1)
-	}
-
-	g := &Generator{inst: in, opt: opt}
+	g := &Generator{inst: in, opt: opt, candidates: cands, stats: d.stats}
 	g.stats.MaxSetSize = maxSize
-
-	// Expiry and pairwise data reused across the DP.
-	n := len(in.Points)
-	expiry := make([]float64, n)
-	for i := range in.Points {
-		expiry[i] = in.Points[i].EarliestExpiry()
-	}
-
-	// With finite ε, precompute each point's ε-neighborhood with a spatial
-	// grid so DP extensions only enumerate reachable successors. The
-	// Euclidean-ball index is a superset filter for non-Euclidean metrics
-	// whose distance is >= Euclidean (e.g. Manhattan), so the per-leg check
-	// below remains the source of truth.
-	var neighbors [][]int
-	if !math.IsInf(eps, 1) && !opt.DisableIndex && n > 0 {
-		locs := make([]geo.Point, n)
-		for i := range in.Points {
-			locs[i] = in.Points[i].Loc
-		}
-		neighbors = grid.New(locs, eps).Neighborhoods(eps)
-	}
-
-	// Level 1: singleton sequences from the center.
-	level := make([]*dpState, 0, n)
-	byCand := map[string]*Candidate{}
-	for j := 0; j < n; j++ {
-		t := in.Travel.Time(in.Center, in.Points[j].Loc)
-		if t > expiry[j] {
-			continue
-		}
-		st := State{Seq: model.Route{j}, Time: t, Slack: expiry[j] - t}
-		ds := &dpState{set: bitset.Of(j), last: j, frontier: []State{st}}
-		level = append(level, ds)
-		g.stats.SubsetsExplored++
-		g.addCandidate(byCand, ds)
-	}
-
-	// Levels 2..maxSize: extend every frontier state with every unvisited
-	// point within ε of the current last point.
-	all := allPoints(n)
-	for size := 2; size <= maxSize && len(level) > 0; size++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		next, pruned := expandLevel(ctx, g, level, all, neighbors, expiry, eps)
-		g.stats.ExtensionsPruned += pruned
-		g.stats.SubsetsExplored += len(next)
-		if err := ctx.Err(); err != nil {
-			// A cancellation observed mid-level leaves next incomplete;
-			// abandon the partial expansion rather than emit wrong results.
-			return nil, err
-		}
-		level = level[:0]
-		for _, ds := range next {
-			level = append(level, ds)
-			g.addCandidate(byCand, ds)
-			if opt.MaxSets > 0 && len(byCand) > opt.MaxSets {
-				return nil, fmt.Errorf("%w: more than %d", ErrTooManySets, opt.MaxSets)
-			}
-		}
-	}
-
-	g.finalizeCandidates(byCand)
+	g.finish()
 	return g, nil
 }
 
-// finalizeCandidates collects the generated candidate map into the flat,
-// deterministically ordered candidate slice (by size, then lexicographic
-// point set) and derives the per-candidate feasibility arrays the batch
-// strategy scans use. Every Generator constructor — the exact DP and the
-// sampler — must end with this so WorkerStrategies sees a complete view.
-func (g *Generator) finalizeCandidates(byCand map[string]*Candidate) {
-	g.candidates = make([]Candidate, 0, len(byCand))
-	for _, c := range byCand {
-		sortFrontier(c.Frontier)
-		g.candidates = append(g.candidates, *c)
-	}
-	sort.Slice(g.candidates, func(i, j int) bool {
-		return candLess(&g.candidates[i], &g.candidates[j])
-	})
+// finish derives the candidate count and the per-candidate feasibility
+// arrays the batch strategy scans use from the candidate table. Every
+// Generator constructor and every table splice must end with it so
+// WorkerStrategies sees a complete view.
+func (g *Generator) finish() {
 	g.stats.Candidates = len(g.candidates)
 	g.maxSlack = make([]float64, len(g.candidates))
 	g.setSize = make([]int32, len(g.candidates))
@@ -310,16 +243,6 @@ func candLess(a, b *Candidate) bool {
 	return false
 }
 
-// allPoints returns [0, n) as successor candidates; memoized per call site
-// would not help since the slice is shared and read-only.
-func allPoints(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // derivedMaxSize returns the largest set size any worker may accept.
 func derivedMaxSize(in *model.Instance) int {
 	max := 0
@@ -339,53 +262,6 @@ func derivedMaxSize(in *model.Instance) int {
 	return max
 }
 
-// stateKey identifies a DP node. A comparable struct keys the level maps
-// without the former set.Key()+"#"+strconv.Itoa(last) concatenation, which
-// allocated a fresh string per DP transition.
-type stateKey struct {
-	set  string
-	last int
-}
-
-func newStateKey(set bitset.Set, last int) stateKey {
-	return stateKey{set: set.Key(), last: last}
-}
-
-// insert adds st to the state's Pareto frontier, dropping dominated entries.
-// A state dominates another when it is no slower and no tighter.
-func (ds *dpState) insert(st State) {
-	for _, ex := range ds.frontier {
-		if ex.Time <= st.Time && ex.Slack >= st.Slack {
-			return // dominated by an existing state
-		}
-	}
-	kept := ds.frontier[:0]
-	for _, ex := range ds.frontier {
-		if !(st.Time <= ex.Time && st.Slack >= ex.Slack) {
-			kept = append(kept, ex)
-		}
-	}
-	ds.frontier = append(kept, st)
-}
-
-// addCandidate merges the dpState's frontier into the candidate for its set.
-func (g *Generator) addCandidate(byCand map[string]*Candidate, ds *dpState) {
-	key := ds.set.Key()
-	c := byCand[key]
-	if c == nil {
-		pts := ds.set.Values()
-		var reward float64
-		for _, p := range pts {
-			reward += g.inst.Points[p].TotalReward()
-		}
-		c = &Candidate{Points: pts, Mask: ds.set.Clone(), Reward: reward}
-		byCand[key] = c
-	}
-	for _, st := range ds.frontier {
-		c.Frontier = mergeFrontier(c.Frontier, st)
-	}
-}
-
 // mergeFrontier inserts st into a candidate-level frontier with dominance.
 func mergeFrontier(frontier []State, st State) []State {
 	for _, ex := range frontier {
@@ -403,7 +279,7 @@ func mergeFrontier(frontier []State, st State) []State {
 }
 
 func sortFrontier(f []State) {
-	sort.Slice(f, func(i, j int) bool { return f[i].Time < f[j].Time })
+	slices.SortFunc(f, func(a, b State) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // Candidates returns all generated C-VDPSs. The slice is shared; callers
@@ -659,61 +535,4 @@ func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	out := make([]StrategyRef, len(sorted))
 	copy(out, sorted)
 	return out
-}
-
-// expandLevel computes the next-level states generated by the given
-// current-level states. It returns the (set, last) map and the number of
-// ε-pruned extensions; stats are left to the caller. Cancellation is polled
-// every 64 states; on cancel the partial map is returned and the caller
-// discards it.
-func expandLevel(ctx context.Context, g *Generator, level []*dpState, all []int,
-	neighbors [][]int, expiry []float64, eps float64) (map[stateKey]*dpState, int) {
-	in := g.inst
-	n := len(in.Points)
-	next := map[stateKey]*dpState{}
-	var pruned int
-	for di, ds := range level {
-		if di&0x3f == 0 && ctx.Err() != nil {
-			return next, pruned
-		}
-		lastLoc := in.Points[ds.last].Loc
-		succ := all
-		if neighbors != nil {
-			succ = neighbors[ds.last]
-			// Extensions never enumerated thanks to the index still count
-			// as pruned, keeping the stat comparable to the full scan.
-			pruned += n - len(succ)
-		}
-		for _, q := range succ {
-			if ds.set.Has(q) {
-				continue
-			}
-			leg := in.Travel.Distance(lastLoc, in.Points[q].Loc)
-			if leg > eps {
-				pruned++
-				continue
-			}
-			legTime := in.Travel.Time(lastLoc, in.Points[q].Loc)
-			for _, st := range ds.frontier {
-				nt := st.Time + legTime
-				if nt > expiry[q] {
-					continue
-				}
-				slack := st.Slack
-				if s := expiry[q] - nt; s < slack {
-					slack = s
-				}
-				newSet := ds.set.Clone().With(q)
-				key := newStateKey(newSet, q)
-				tgt := next[key]
-				if tgt == nil {
-					tgt = &dpState{set: newSet, last: q}
-					next[key] = tgt
-				}
-				seq := append(st.Seq.Clone(), q)
-				tgt.insert(State{Seq: seq, Time: nt, Slack: slack})
-			}
-		}
-	}
-	return next, pruned
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fairtask/internal/dataset"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
 	"fairtask/internal/travel"
@@ -33,6 +34,25 @@ func BenchmarkGeneratePruned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(in, Options{Epsilon: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerateW200 is the candidate-generation layer of the W200 solve
+// (GM 1000 tasks / 200 workers / 150 points, ε 0.6): the vdps.generate span
+// of BenchmarkSolveFGTW200 and of servebench's solve-w200 workload.
+func BenchmarkGenerateW200(b *testing.B) {
+	in, err := dataset.GenerateGM(dataset.GMConfig{
+		Seed: 1, Tasks: 1000, Workers: 200, DeliveryPoints: 150,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(in, Options{Epsilon: 0.6}); err != nil {
 			b.Fatal(err)
 		}
 	}

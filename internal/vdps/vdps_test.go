@@ -3,6 +3,7 @@ package vdps
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fairtask/internal/geo"
@@ -470,6 +471,64 @@ func TestIndexMatchesScan(t *testing.T) {
 	}
 }
 
+// latticeInstance is a tie-heavy instance: the 24 integer points of [-2,2]²
+// around a center at the origin, under the Manhattan metric at speed 1, so
+// many sequences of one set share their exact (time, slack).
+func latticeInstance() *model.Instance {
+	in := &model.Instance{
+		Center: geo.Pt(0, 0),
+		Travel: travel.MustModel(geo.Manhattan{}, 1),
+	}
+	for x := -2; x <= 2; x++ {
+		for y := -2; y <= 2; y++ {
+			if x == 0 && y == 0 {
+				continue
+			}
+			id := len(in.Points)
+			in.Points = append(in.Points, model.DeliveryPoint{
+				ID:  id,
+				Loc: geo.Pt(float64(x), float64(y)),
+				Tasks: []model.Task{{
+					ID: id, Point: id, Expiry: 100, Reward: float64(1 + id%3),
+				}},
+			})
+		}
+	}
+	for w := 0; w < 8; w++ {
+		in.Workers = append(in.Workers, model.Worker{
+			ID: w, Loc: geo.Pt(float64(w%3-1), float64(w/3-1)), MaxDP: 3,
+		})
+	}
+	return in
+}
+
+// TestGenerateDeterministicOnTies pins the tie rule: on exact (Time, Slack)
+// ties the first-generated sequence survives, so repeated generations are
+// identical, sequences included, and the grid index — a pure filter of the
+// full scan's order — cannot change which tied sequence wins.
+func TestGenerateDeterministicOnTies(t *testing.T) {
+	in := latticeInstance()
+	gen := func(opt Options) []Candidate {
+		t.Helper()
+		g, err := Generate(in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Candidates()
+	}
+	for _, opt := range []Options{{}, {Epsilon: 2}, {Epsilon: 2, DisableIndex: true}} {
+		want := gen(opt)
+		for i := 0; i < 5; i++ {
+			if got := gen(opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: generation %d differs from the first", opt, i+1)
+			}
+		}
+	}
+	if !reflect.DeepEqual(gen(Options{Epsilon: 2}), gen(Options{Epsilon: 2, DisableIndex: true})) {
+		t.Fatal("disabling the index changed the generated candidates")
+	}
+}
+
 // TestForWorkerHeterogeneousSpeed checks workers with speed overrides: every
 // returned strategy is exactly feasible at the worker's speed, payoffs use
 // the scaled travel time, and a faster worker never has fewer strategies
@@ -560,10 +619,10 @@ func TestPrunedSubsetOfUnpruned(t *testing.T) {
 		}
 		full := map[string]float64{}
 		for _, c := range unpruned.Candidates() {
-			full[c.Mask.Key()] = c.MinTime()
+			full[setKeyOf(c.Points)] = c.MinTime()
 		}
 		for _, c := range pruned.Candidates() {
-			ft, ok := full[c.Mask.Key()]
+			ft, ok := full[setKeyOf(c.Points)]
 			if !ok {
 				t.Fatalf("trial %d: pruned-only candidate %v", trial, c.Points)
 			}
