@@ -224,6 +224,13 @@ const (
 // errors.Is(err, ErrFaultInjected). See docs/RESILIENCE.md.
 var ErrFaultInjected = fault.ErrInjected
 
+// ErrNonMonotoneIAU rejects IAU weights under which a worker's utility can
+// fall as its own payoff rises: FGT, the stream engine and the Nash
+// certificate accept alpha >= -m and beta <= m, where m is the least
+// effective worker priority with UsePriorities set and 1 otherwise. The
+// default alpha = beta = 0.5 is accepted; classify with errors.Is.
+var ErrNonMonotoneIAU = game.ErrNonMonotoneIAU
+
 // NoEpsilon selects the strict best response in Options.EpsilonUtility: a
 // worker switches on any utility gain, however small. The zero value keeps
 // the numerical default threshold, so "exactly zero" needs this sentinel.
@@ -391,7 +398,8 @@ type Options struct {
 	// VDPS configures candidate generation (Epsilon pruning, set size caps).
 	VDPS VDPSOptions
 	// Fairness holds the IAU weights for FGT; the zero value means
-	// alpha = beta = 0.5.
+	// alpha = beta = 0.5. Weights outside the monotone domain fail with
+	// ErrNonMonotoneIAU.
 	Fairness FairnessParams
 	// MaxIterations caps game rounds for FGT/IEGT (0 = method default).
 	MaxIterations int
@@ -624,14 +632,23 @@ func Simulate(p *Problem, cfg SimConfig) (*SimReport, error) {
 // VerifyNashEquilibrium checks that an assignment is a pure Nash
 // equilibrium of the FTA game on the instance (Algorithm 2's termination
 // certificate): it regenerates the VDPS candidates with opt.VDPS and
-// confirms no worker has an available strategy with higher IAU. A nil
-// return means the assignment is an equilibrium.
+// confirms no worker has an available strategy with higher IAU — the
+// priority-aware IAU when opt.UsePriorities is set. A nil return means the
+// assignment is an equilibrium; weights outside the monotone IAU domain
+// fail with ErrNonMonotoneIAU.
 func VerifyNashEquilibrium(in *Instance, a *Assignment, opt Options) error {
 	g, err := vdps.Generate(in, opt.VDPS)
 	if err != nil {
 		return err
 	}
-	return game.VerifyNE(g, a, opt.Fairness, opt.EpsilonUtility)
+	ne := game.NEOptions{Fairness: opt.Fairness, Tol: opt.EpsilonUtility}
+	if opt.UsePriorities {
+		ne.Priorities = make([]float64, len(in.Workers))
+		for i := range in.Workers {
+			ne.Priorities[i] = in.Workers[i].EffectivePriority()
+		}
+	}
+	return game.VerifyNEOpts(g, a, ne)
 }
 
 // VerifyEvolutionaryEquilibrium checks Algorithm 3's improved evolutionary

@@ -9,7 +9,11 @@ import (
 	"testing"
 
 	"fairtask"
+	"fairtask/internal/game"
+	"fairtask/internal/model"
 	"fairtask/internal/obs"
+	"fairtask/internal/stream"
+	"fairtask/internal/vdps"
 )
 
 func gmInstance(t *testing.T) *fairtask.Instance {
@@ -493,5 +497,100 @@ func TestStreamFacade(t *testing.T) {
 	if snap.Instance.TaskCount() != replayed.TaskCount() {
 		t.Fatalf("replay diverged: engine holds %d tasks, replay %d",
 			snap.Instance.TaskCount(), replayed.TaskCount())
+	}
+}
+
+// TestFGTRejectsNonMonotoneIAU pins the boundary of the payoff rule FGT's
+// best response rests on. Outside alpha >= -m, beta <= m (m the least
+// effective priority, 1 without priorities) some worker's IAU falls as its
+// payoff rises, so every entry point that plays or certifies the game —
+// game.FGT, the stream engine through FGTFromState, game.VerifyNEOpts and
+// fairtask.Solve — rejects the weights with ErrNonMonotoneIAU. The
+// prioritized instance whose least priority equals beta is still accepted.
+func TestFGTRejectsNonMonotoneIAU(t *testing.T) {
+	withPriorities := func(prs ...float64) *fairtask.Instance {
+		in := gmInstance(t)
+		for w := range in.Workers {
+			in.Workers[w].Priority = prs[w%len(prs)]
+		}
+		return in
+	}
+	cases := []struct {
+		name          string
+		in            *fairtask.Instance
+		fair          fairtask.FairnessParams
+		usePriorities bool
+	}{
+		{"priority 0.35", withPriorities(1, 0.35, 2), fairtask.FairnessParams{}, true},
+		{"beta 1.5", gmInstance(t), fairtask.FairnessParams{Alpha: 0.5, Beta: 1.5}, false},
+		{"NaN alpha", gmInstance(t), fairtask.FairnessParams{Alpha: math.NaN(), Beta: 0.5}, false},
+	}
+	for _, c := range cases {
+		g, err := vdps.Generate(c.in, vdps.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gopt := game.Options{Fairness: c.fair, UsePriorities: c.usePriorities, Seed: 1}
+		_, err = game.FGT(context.Background(), g, gopt)
+		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
+			t.Errorf("%s: game.FGT err = %v, want ErrNonMonotoneIAU", c.name, err)
+		}
+		_, err = stream.New(context.Background(), c.in, stream.Options{Game: gopt})
+		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
+			t.Errorf("%s: stream.New err = %v, want ErrNonMonotoneIAU", c.name, err)
+		}
+		ne := game.NEOptions{Fairness: c.fair}
+		if c.usePriorities {
+			ne.Priorities = make([]float64, len(c.in.Workers))
+			for i := range c.in.Workers {
+				ne.Priorities[i] = c.in.Workers[i].EffectivePriority()
+			}
+		}
+		err = game.VerifyNEOpts(g, model.NewAssignment(len(c.in.Workers)), ne)
+		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
+			t.Errorf("%s: game.VerifyNEOpts err = %v, want ErrNonMonotoneIAU", c.name, err)
+		}
+		_, err = fairtask.Solve(c.in, fairtask.Options{
+			Algorithm: fairtask.AlgFGT, Fairness: c.fair, UsePriorities: c.usePriorities, Seed: 1,
+		})
+		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
+			t.Errorf("%s: fairtask.Solve err = %v, want ErrNonMonotoneIAU", c.name, err)
+		}
+	}
+
+	// Least priority 0.5 = beta: the IAU of the richest such worker is flat
+	// in its payoff, which the rule still accepts.
+	in := withPriorities(0.5, 1.5, 2.5, 3.5)
+	opt := fairtask.Options{Algorithm: fairtask.AlgFGT, UsePriorities: true, Seed: 1, Audit: true}
+	res, err := fairtask.Solve(in, opt)
+	if err != nil {
+		t.Fatalf("prioritized instance: %v", err)
+	}
+	if err := fairtask.VerifyNashEquilibrium(in, res.Assignment, opt); err != nil {
+		t.Fatalf("prioritized instance: certificate: %v", err)
+	}
+	if _, err := stream.New(context.Background(), in,
+		stream.Options{Game: game.Options{UsePriorities: true, Seed: 1}}); err != nil {
+		t.Fatalf("prioritized instance: stream.New: %v", err)
+	}
+}
+
+// TestVerifyNashEquilibriumUsesPriorities pins that the facade certificate
+// honours opt.UsePriorities the way audit.Run does: certifying the
+// priority-aware IAU on an instance with a worker priority of 0.35 hits the
+// monotone-domain check instead of silently certifying the plain IAU.
+func TestVerifyNashEquilibriumUsesPriorities(t *testing.T) {
+	in := gmInstance(t)
+	in.Workers[1].Priority = 0.35
+	res, err := fairtask.Solve(in, fairtask.Options{Algorithm: fairtask.AlgFGT, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fairtask.VerifyNashEquilibrium(in, res.Assignment, fairtask.Options{}); err != nil {
+		t.Fatalf("plain certificate: %v", err)
+	}
+	err = fairtask.VerifyNashEquilibrium(in, res.Assignment, fairtask.Options{UsePriorities: true})
+	if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
+		t.Fatalf("priority-aware certificate err = %v, want ErrNonMonotoneIAU", err)
 	}
 }

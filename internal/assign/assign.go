@@ -333,14 +333,10 @@ func greedySubset(s *game.State, workers []int) float64 {
 			if assigned[w] {
 				continue
 			}
-			for si := range s.Strategies[w] {
-				if !s.Available(w, si) {
-					continue
-				}
+			if si := s.TopAvailable(w); si != game.Null {
 				if p := s.Strategies[w][si].Payoff; p > bestPayoff {
 					bestW, bestSi, bestPayoff = w, si, p
 				}
-				break
 			}
 		}
 		if bestW == -1 {

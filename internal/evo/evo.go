@@ -366,19 +366,14 @@ func VerifyEquilibrium(g *vdps.Generator, a *model.Assignment) error {
 	}
 	ubar := populationAverage(s)
 	for w := range s.Current {
-		if s.Payoffs[w] >= ubar || len(s.Strategies[w]) == 0 {
+		cur := s.Payoffs[w]
+		if cur >= ubar {
 			continue
 		}
-		cur := s.Payoffs[w]
-		for si := range s.Strategies[w] {
-			if si == s.Current[w] {
-				continue
-			}
-			if s.Strategies[w][si].Payoff > cur && s.Available(w, si) {
-				return fmt.Errorf(
-					"evo: worker %d (payoff %g, below average %g) can still improve via %v",
-					w, cur, ubar, s.StrategySeq(w, si))
-			}
+		if top := s.TopAvailable(w); top != s.Current[w] && s.Strategies[w][top].Payoff > cur {
+			return fmt.Errorf(
+				"evo: worker %d (payoff %g, below average %g) can still improve via %v",
+				w, cur, ubar, s.StrategySeq(w, top))
 		}
 	}
 	return nil

@@ -9,12 +9,28 @@
 //	IAU_i = P_i - (alpha/(|W|-1))*MP_i - (beta/(|W|-1))*LP_i
 //	MP_i  = sum over j with P_j > P_i of (P_j - P_i)
 //	LP_i  = sum over j with P_i > P_j of (P_i - P_j)
+//
+// IAU_i is continuous and piecewise linear in P_i with slope
+// 1 + (alpha*above - beta*below)/((|W|-1)*priority_i), where above and
+// below count the workers richer and poorer than i (priority_i = 1 for the
+// plain IAU). So it never falls as P_i rises when alpha >= -m and
+// beta <= m, m being the least effective priority. The game solvers rely
+// on that: FGT's best response takes the highest-payoff available strategy
+// and compares its IAU with the incumbent's once, evaluating IAU (or
+// PriorityIAUBuf) directly.
 package fairness
 
 import "math"
 
 // Params hold the inequity-aversion weights. The paper's experiments set
 // both to 0.5 so envy (MP) and guilt (LP) weigh equally.
+//
+// The game solvers accept alpha >= -m and beta <= m, where m is the least
+// effective worker priority (1 without priorities): exactly the weights
+// under which no worker's IAU falls as its own payoff rises (see the
+// package doc). Outside that domain — NaN included — a worker could prefer
+// a lower payoff, the top available strategy would no longer be its best
+// response, and game.FGT and game.VerifyNE return game.ErrNonMonotoneIAU.
 type Params struct {
 	// Alpha weights MP, the disadvantageous-inequity penalty.
 	Alpha float64
@@ -92,9 +108,8 @@ func Potential(p Params, payoffs []float64) float64 {
 // NormalizedPayoff returns the priority-normalized payoff the priority-aware
 // IAU compares workers by: payoff / priority, with non-positive (or NaN)
 // priorities treated as 1. The NaN guard keeps the zero-payoff identity
-// NormalizedPayoff(0, pr) == 0 that the game package's index construction
-// relies on — NaN <= 0 is false, so without it a NaN priority would turn a
-// zero payoff into a NaN normalized value.
+// NormalizedPayoff(0, pr) == 0 — NaN <= 0 is false, so without it a NaN
+// priority would turn a zero payoff into a NaN normalized value.
 func NormalizedPayoff(payoff, priority float64) float64 {
 	if priority <= 0 || math.IsNaN(priority) {
 		priority = 1

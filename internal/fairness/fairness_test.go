@@ -167,3 +167,134 @@ func TestPriorityIAU(t *testing.T) {
 		t.Errorf("single-worker PriorityIAU = %g", got)
 	}
 }
+
+// valuePool holds the payoffs BenchmarkIAUReference draws from, ties and
+// zeros included.
+var valuePool = []float64{0, 0, 0.5, 0.5, 1, 1.25, 1.25, 2, 2.75, 3, 3, 4.5}
+
+func randomPayoffs(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = valuePool[rng.Intn(len(valuePool))]
+	}
+	return out
+}
+
+// TestPriorityIAUFallsBelowBeta is the counterexample behind the game
+// package's ErrNonMonotoneIAU: a worker whose priority (0.25) is below beta
+// (0.5) and who is the richest in normalized terms has IAU slope
+// 1 - beta/priority = -1, so its utility falls as its payoff rises and the
+// top available strategy is no longer its best response.
+func TestPriorityIAUFallsBelowBeta(t *testing.T) {
+	prm := DefaultParams()
+	priorities := []float64{0.25, 1, 1, 1}
+	lo := PriorityIAU(prm, []float64{1, 1, 1, 1}, priorities, 0)
+	hi := PriorityIAU(prm, []float64{2, 1, 1, 1}, priorities, 0)
+	if math.Abs(lo-(-0.5)) > 1e-12 || math.Abs(hi-(-1.5)) > 1e-12 {
+		t.Fatalf("PriorityIAU at payoff 1, 2 = %g, %g; want -0.5, -1.5", lo, hi)
+	}
+}
+
+// FuzzIAUMonotone pins the property FGT's best response rests on: inside
+// the accepted domain — alpha >= -m and beta <= m, where m is the least
+// effective priority, or 1 for the plain IAU — a worker's IAU never falls
+// as its own payoff rises. Each worker of an arbitrary four-worker payoff
+// vector is probed at lo < hi; the slack is a few ulps of the magnitudes
+// the IAU sums.
+func FuzzIAUMonotone(f *testing.F) {
+	f.Add(0.0, 1.0, 1.0, 2.5, 0.5, 3.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
+	f.Add(3.25, 0.0, 3.25, 0.125, -1.0, 3.25, 0.5, 0.5, 0.5, 1.5, 2.5, 3.5)
+	f.Add(-1.5, 2.0, 0.0, 2.0, 2.0, 2.5, -1.0, 1.0, 1.0, 2.0, 0.0, -3.0)
+	f.Fuzz(func(t *testing.T, a, b, c, d, lo, hi, alpha, beta, pr0, pr1, pr2, pr3 float64) {
+		payoffs := []float64{a, b, c, d}
+		priorities := []float64{pr0, pr1, pr2, pr3}
+		for _, v := range []float64{a, b, c, d, lo, hi, alpha, beta, pr0, pr1, pr2, pr3} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
+				t.Skip()
+			}
+		}
+		if math.Abs(alpha) > 1e3 || math.Abs(beta) > 1e3 || lo == hi {
+			t.Skip()
+		}
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		m := math.Inf(1)
+		for i, pr := range priorities {
+			if pr <= 0 {
+				pr = 1 // as NormalizedPayoff
+			}
+			if pr < 1e-3 || pr > 1e3 {
+				t.Skip()
+			}
+			priorities[i] = pr
+			m = math.Min(m, pr)
+		}
+		prm := Params{Alpha: alpha, Beta: beta}
+		plain := alpha >= -1 && beta <= 1
+		prio := alpha >= -m && beta <= m
+		if !plain && !prio {
+			t.Skip()
+		}
+		// The IAU sums terms of size |weight| * |normalized payoff|; its
+		// rounding error is a few ulps of their total.
+		var sum float64
+		for _, p := range append([]float64{lo, hi}, payoffs...) {
+			sum += math.Abs(p)
+		}
+		slack := 64 * 0x1p-52 * (1 + math.Abs(alpha) + math.Abs(beta)) * sum / math.Min(m, 1)
+		for w := range payoffs {
+			at := func(p float64, priority bool) float64 {
+				scratch := append([]float64(nil), payoffs...)
+				scratch[w] = p
+				if priority {
+					return PriorityIAU(prm, scratch, priorities, w)
+				}
+				return IAU(prm, scratch, w)
+			}
+			if plain && at(hi, false) < at(lo, false)-slack {
+				t.Fatalf("worker %d: IAU(%g) = %g < IAU(%g) = %g at %+v",
+					w, hi, at(hi, false), lo, at(lo, false), prm)
+			}
+			if prio && at(hi, true) < at(lo, true)-slack {
+				t.Fatalf("worker %d: PriorityIAU(%g) = %g < PriorityIAU(%g) = %g at %+v, priorities %v",
+					w, hi, at(hi, true), lo, at(lo, true), prm, priorities)
+			}
+		}
+	})
+}
+
+func TestPriorityIAUBufAllocationFreeAndIdentical(t *testing.T) {
+	prm := DefaultParams()
+	payoffs := []float64{0, 1, 1, 2.75, 0.5, 3}
+	priorities := []float64{1, 2, 0.5, 1, 4, 1}
+	buf := make([]float64, len(payoffs))
+	for i := range payoffs {
+		got := PriorityIAUBuf(prm, payoffs, priorities, i, buf)
+		want := PriorityIAU(prm, payoffs, priorities, i)
+		if got != want {
+			t.Fatalf("worker %d: PriorityIAUBuf = %g, PriorityIAU = %g (must be bit-identical)",
+				i, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		PriorityIAUBuf(prm, payoffs, priorities, 3, buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("PriorityIAUBuf allocated %v objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkIAUReference is one O(W) IAU evaluation at W = 200, the unit of
+// work FGT's best response and the Nash certificate spend per worker.
+func BenchmarkIAUReference(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	n := 200
+	payoffs := randomPayoffs(rng, n)
+	prm := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		IAU(prm, payoffs, i%n)
+	}
+}

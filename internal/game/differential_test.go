@@ -2,12 +2,16 @@ package game
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"fairtask/internal/dataset"
+	"fairtask/internal/fairness"
 	"fairtask/internal/model"
+	"fairtask/internal/vdps"
 )
 
-// sameResult requires bit-identical results: the index-backed solver must
+// sameResult requires bit-identical results: the optimized solver must
 // reproduce the reference's assignment, iteration count, convergence flag,
 // switch count, summary, and trace exactly — not approximately.
 func sameResult(t *testing.T, label string, got, want *Result) {
@@ -53,10 +57,10 @@ func prioritized(in *model.Instance) *model.Instance {
 	return in
 }
 
-// TestFGTMatchesReference pins the index-backed FGT bit-exactly against the
-// retained pre-index implementation across instance shapes, seeds, and the
-// option variants that alter the hot loop (priorities, random order,
-// tracing, epsilon).
+// TestFGTMatchesReference pins FGT's top-available best response
+// bit-exactly against the reference full scan across instance shapes,
+// seeds, and the option variants that alter the hot loop (priorities,
+// random order, tracing, epsilon, the strict NoEpsilon threshold).
 func TestFGTMatchesReference(t *testing.T) {
 	instances := map[string]*model.Instance{
 		"small":    gridInstance(8, 4, 2, 100),
@@ -70,6 +74,7 @@ func TestFGTMatchesReference(t *testing.T) {
 		"random":     {RandomOrder: true},
 		"trace":      {Trace: true},
 		"epsilon":    {EpsilonUtility: 0.05, Trace: true},
+		"noepsilon":  {EpsilonUtility: NoEpsilon, Trace: true},
 	}
 	for iname, in := range instances {
 		g := mustGen(t, in)
@@ -91,8 +96,9 @@ func TestFGTMatchesReference(t *testing.T) {
 	}
 }
 
-// TestVerifyNEAcceptsFGTResult keeps the index-backed certificate consistent
-// with the index-backed solver, in both plain and priority modes.
+// TestVerifyNEAcceptsFGTResult keeps the top-available certificate
+// consistent with the top-available solver, in both plain and priority
+// modes.
 func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 	for _, use := range []bool{false, true} {
 		in := prioritized(gridInstance(10, 5, 2, 100))
@@ -137,6 +143,64 @@ func TestNewStateParallelMatchesSequential(t *testing.T) {
 				// StrategyRef is comparable; equal refs imply equal sequences.
 				if x, y := seq.Strategies[w][si], sharded.Strategies[w][si]; x != y {
 					t.Fatalf("par=%d worker %d strategy %d differs: %+v vs %+v", par, w, si, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestFGTSelfishWeightsMatchDefault pins what steers FGT at the paper's
+// weights: at alpha = beta = 0.5 the best response is "take the
+// highest-payoff available strategy", so a selfish FGT (alpha = 0, beta
+// 1e-300 — not 0, because the zero value means the defaults) plays the same
+// game: same routes, iterations and switches over a GM sweep, at the
+// default epsilon and at NoEpsilon. The inequity terms reach a decision
+// only through epsilon, and on this sweep they change none.
+func TestFGTSelfishWeightsMatchDefault(t *testing.T) {
+	shapes := []dataset.GMConfig{
+		{Tasks: 200, Workers: 40, DeliveryPoints: 30},
+		{Tasks: 400, Workers: 80, DeliveryPoints: 50},
+		{Tasks: 600, Workers: 120, DeliveryPoints: 70},
+		{Tasks: 800, Workers: 160, DeliveryPoints: 90},
+		{Tasks: 1000, Workers: 200, DeliveryPoints: 100},
+	}
+	selfish := fairness.Params{Alpha: 0, Beta: 1e-300}
+	for _, shape := range shapes {
+		for inSeed := int64(1); inSeed <= 4; inSeed++ {
+			cfg := shape
+			cfg.Seed = inSeed
+			in, err := dataset.GenerateGM(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := vdps.Generate(in, vdps.Options{Epsilon: 0.6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, eps := range []float64{0, NoEpsilon} {
+					label := fmt.Sprintf("GM %d/%d/%d seed %d/%d eps %v",
+						cfg.Tasks, cfg.Workers, cfg.DeliveryPoints, inSeed, seed, eps)
+					opt := Options{Seed: seed, EpsilonUtility: eps}
+					def, err := FGT(context.Background(), g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Fairness = selfish
+					self, err := FGT(context.Background(), g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if def.Iterations != self.Iterations || def.Switches != self.Switches {
+						t.Fatalf("%s: (iterations, switches) = (%d, %d) at the defaults, (%d, %d) selfish",
+							label, def.Iterations, def.Switches, self.Iterations, self.Switches)
+					}
+					for w := range def.Assignment.Routes {
+						if !routeEqual(def.Assignment.Routes[w], self.Assignment.Routes[w]) {
+							t.Fatalf("%s: worker %d route %v at the defaults, %v selfish",
+								label, w, def.Assignment.Routes[w], self.Assignment.Routes[w])
+						}
+					}
 				}
 			}
 		}

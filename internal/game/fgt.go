@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fairtask/internal/fairness"
@@ -16,7 +17,8 @@ import (
 // Options configure the FGT best-response run.
 type Options struct {
 	// Fairness holds the IAU weights; the zero value is replaced by the
-	// paper's default alpha = beta = 0.5.
+	// paper's default alpha = beta = 0.5. Weights outside the monotone
+	// domain (see ErrNonMonotoneIAU) fail the run.
 	Fairness fairness.Params
 	// MaxIterations caps best-response rounds (a round visits every
 	// worker once). Zero means the default of 200.
@@ -112,10 +114,20 @@ type Result struct {
 // ErrNoWorkers is returned when the instance has no workers.
 var ErrNoWorkers = errors.New("game: instance has no workers")
 
+// ErrNonMonotoneIAU rejects IAU weights under which some worker's utility
+// can fall as its own payoff rises. FGT's best response and the Nash
+// certificate take the top available strategy as the worker's best
+// deviation, which holds only while every IAU is non-decreasing in the
+// worker's own payoff: alpha >= -m and beta <= m, where m is the least
+// effective priority (priorities <= 0 or NaN count as 1), or 1 for the
+// plain IAU. The paper's alpha = beta = 0.5 is inside that domain.
+var ErrNonMonotoneIAU = errors.New("game: IAU weights let utility fall as payoff rises")
+
 // FGT runs the Fairness-aware Game-Theoretic approach (Algorithm 2):
 // a random singleton initialization followed by sequential asynchronous
 // best-response updates of the workers' strategies under the IAU utility,
-// until a pure Nash equilibrium (no worker switches) is reached.
+// until a pure Nash equilibrium (no worker switches) is reached. Weights
+// outside the monotone IAU domain fail with ErrNonMonotoneIAU.
 //
 // ctx is observed at every best-response round boundary: when it is done
 // the run stops and ctx.Err() is returned, so canceled requests and expired
@@ -144,18 +156,20 @@ func FGTFromState(ctx context.Context, s *State, opt Options) (*Result, error) {
 // fgtRun is the shared core of FGT and FGTFromState: random singleton
 // initialization, then sequential best-response rounds to a pure Nash
 // equilibrium. bsp is the caller's open state-build span, ended once the
-// index and tracker are up.
+// utility scratch and tracker are up.
 func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result, error) {
 	sp := obs.SpanFromContext(ctx)
 	if len(s.Current) == 0 {
 		bsp.End()
 		return nil, ErrNoWorkers
 	}
+	u, err := newIAUScratch(opt.Fairness, workerPriorities(s.Instance(), opt.UsePriorities), len(s.Current))
+	if err != nil {
+		bsp.End()
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	s.RandomInit(rng)
-
-	priorities := workerPriorities(s.Instance(), opt.UsePriorities)
-	idx := newUtilityIndex(s, opt.Fairness, priorities)
 	var tracker *SummaryTracker
 	if opt.Trace {
 		tracker = NewSummaryTracker(s)
@@ -170,10 +184,10 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result,
 	// Dirty-set gating for the best-response sweep. version counts switches;
 	// cleanAt[w] = version+1 records that w was evaluated at that version and
 	// declined to switch (zero = never evaluated). A worker's best response
-	// reads only its own strategy space, the owner table and the payoff
-	// multiset — all of which change exclusively through switches — so while
-	// version is unchanged a re-evaluation provably returns "no switch" again
-	// and is skipped. Skipped evaluations alter no state (and consume no
+	// reads only its own strategy space, the owner table and the payoffs —
+	// all of which change exclusively through switches — so while version
+	// is unchanged a re-evaluation provably returns "no switch" again and
+	// is skipped. Skipped evaluations alter no state (and consume no
 	// randomness), so the round trajectory — and therefore the equilibrium,
 	// iteration count and traces — stays bit-identical to the ungated
 	// reference sweep; only the final quiescent sweeps get cheaper. After a
@@ -199,9 +213,8 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result,
 			if cleanAt[w] == version+1 {
 				continue
 			}
-			if best, ok := bestResponse(s, idx, w, opt); ok && best != s.Current[w] {
+			if best := bestResponse(s, u, w, opt.EpsilonUtility); best != s.Current[w] {
 				s.Switch(w, best)
-				idx.Update(w, s.Payoffs[w])
 				if tracker != nil {
 					tracker.Update(w)
 				}
@@ -236,53 +249,76 @@ func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result,
 	return res, nil
 }
 
-// newUtilityIndex builds the incremental IAU index over the state's current
-// payoffs.
-func newUtilityIndex(s *State, prm fairness.Params, priorities []float64) *fairness.Index {
-	idx := fairness.NewIndex(prm, len(s.Current), priorities)
-	for w, p := range s.Payoffs {
-		if p != 0 {
-			idx.Update(w, p)
-		}
+// iauScratch evaluates IAUs exactly as referenceBestResponse does —
+// fairness.IAU, or fairness.PriorityIAUBuf, over a scratch copy of the
+// payoffs — with the buffers reused, so an evaluation is O(W) and does not
+// allocate.
+type iauScratch struct {
+	prm        fairness.Params
+	priorities []float64 // nil selects the plain IAU
+	payoffs    []float64 // copy of the state's payoffs, set by load
+	norm       []float64 // PriorityIAUBuf's normalized-payoff buffer
+}
+
+// newIAUScratch returns the evaluator for n workers, or an error wrapping
+// ErrNonMonotoneIAU when prm and priorities leave the monotone domain.
+func newIAUScratch(prm fairness.Params, priorities []float64, n int) (*iauScratch, error) {
+	m := 1.0
+	if priorities != nil {
+		m = math.Inf(1)
 	}
-	return idx
+	for _, pr := range priorities {
+		if !(pr > 0) {
+			pr = 1 // as fairness.NormalizedPayoff
+		}
+		m = math.Min(m, pr)
+	}
+	if !(prm.Alpha >= -m && prm.Beta <= m) {
+		return nil, fmt.Errorf("%w: alpha %g, beta %g, least effective priority %g",
+			ErrNonMonotoneIAU, prm.Alpha, prm.Beta, m)
+	}
+	u := &iauScratch{prm: prm, priorities: priorities, payoffs: make([]float64, n)}
+	if priorities != nil {
+		u.norm = make([]float64, n)
+	}
+	return u, nil
+}
+
+// load copies the current payoffs every later evaluation holds fixed.
+func (u *iauScratch) load(payoffs []float64) { copy(u.payoffs, payoffs) }
+
+// at returns worker w's IAU if its payoff became p, the other workers at
+// their loaded payoffs.
+func (u *iauScratch) at(w int, p float64) float64 {
+	u.payoffs[w] = p
+	if u.priorities != nil {
+		return fairness.PriorityIAUBuf(u.prm, u.payoffs, u.priorities, w, u.norm)
+	}
+	return fairness.IAU(u.prm, u.payoffs, w)
 }
 
 // bestResponse returns worker w's utility-maximizing available strategy
 // (Equation 10) under the current joint strategy of the others, preferring
 // the incumbent on ties so a Nash equilibrium is a true fixed point.
-// The second return value is false when the worker has no strategies at all.
 //
-// Each candidate utility is one O(log V) index query instead of the
-// reference's O(W) payoff rescan, and the always-available null strategy is
-// evaluated exactly once (the reference recomputed utility(0) a second time
-// when the incumbent was already Null). The loop performs no allocations.
-func bestResponse(s *State, idx *fairness.Index, w int, opt Options) (int, bool) {
-	if len(s.Strategies[w]) == 0 {
-		return Null, false
+// Inside the monotone domain (see ErrNonMonotoneIAU) a higher payoff never
+// lowers the IAU, so the top available strategy is the best one, and going
+// idle (payoff 0) never beats a strategy (payoff >= 0). The best response
+// is therefore one comparison: switch to the top available strategy iff its
+// IAU exceeds the incumbent's by more than eps. Both IAUs are computed as
+// referenceBestResponse computes them; the rule makes the same choice as
+// its full scan.
+func bestResponse(s *State, u *iauScratch, w int, eps float64) int {
+	cur := s.Current[w]
+	top := s.TopAvailable(w)
+	if top == cur {
+		return cur
 	}
-
-	best := s.Current[w]
-	nullU := idx.Utility(w, 0)
-	var bestU float64
-	if best == Null {
-		bestU = nullU
-	} else {
-		bestU = idx.Utility(w, s.Payoffs[w])
-		// The null strategy is always available.
-		if nullU > bestU+opt.EpsilonUtility {
-			best, bestU = Null, nullU
-		}
+	u.load(s.Payoffs)
+	if u.at(w, s.Strategies[w][top].Payoff) > u.at(w, s.Payoffs[w])+eps {
+		return top
 	}
-	for si := range s.Strategies[w] {
-		if si == s.Current[w] || !s.Available(w, si) {
-			continue
-		}
-		if u := idx.Utility(w, s.Strategies[w][si].Payoff); u > bestU+opt.EpsilonUtility {
-			best, bestU = si, u
-		}
-	}
-	return best, true
+	return cur
 }
 
 // workerPriorities extracts the effective priorities when the priority-aware

@@ -53,32 +53,39 @@ func BenchmarkBestResponseRound(b *testing.B) {
 	g := benchSetup(b, 20, 10)
 	s := NewState(g)
 	opt := Options{}.withDefaults()
-	idx := newUtilityIndex(s, opt.Fairness, nil)
+	u, err := newIAUScratch(opt.Fairness, nil, len(s.Current))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for w := range s.Current {
-			bestResponse(s, idx, w, opt)
+			bestResponse(s, u, w, opt.EpsilonUtility)
 		}
 	}
 }
 
-// BenchmarkBestResponse measures a single index-backed best-response
-// evaluation; it must report 0 allocs/op (ISSUE 4 acceptance).
+// BenchmarkBestResponse measures a single best-response evaluation: the
+// top-available scan plus two O(W) IAU evaluations. It must report
+// 0 allocs/op.
 func BenchmarkBestResponse(b *testing.B) {
 	g := benchSetup(b, 20, 10)
 	s := NewState(g)
 	opt := Options{}.withDefaults()
-	idx := newUtilityIndex(s, opt.Fairness, nil)
+	u, err := newIAUScratch(opt.Fairness, nil, len(s.Current))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bestResponse(s, idx, 0, opt)
+		bestResponse(s, u, 0, opt.EpsilonUtility)
 	}
 }
 
-// BenchmarkReferenceBestResponse is the pre-index O(W)-scan form, kept for
-// before/after comparison with BenchmarkBestResponse.
+// BenchmarkReferenceBestResponse is the reference full scan — one O(W) IAU
+// evaluation per strategy — kept for comparison with BenchmarkBestResponse.
 func BenchmarkReferenceBestResponse(b *testing.B) {
 	g := benchSetup(b, 20, 10)
 	s := NewState(g)

@@ -412,45 +412,3 @@ func TestVerifyNEStrictTolerance(t *testing.T) {
 		t.Fatalf("strict certificate rejected a strict equilibrium: %v", err)
 	}
 }
-
-// TestUtilityIndexZeroSkip is the property test for newUtilityIndex's
-// construction shortcut: skipping Update for zero payoffs must be
-// indistinguishable — bitwise, on every query — from explicitly updating
-// every worker, in plain mode and in priority-normalized mode including the
-// degenerate priorities (zero, negative, NaN) that normalization folds to 1.
-func TestUtilityIndexZeroSkip(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		name       string
-		payoffs    []float64
-		priorities []float64
-	}{
-		{"plain", []float64{0, 3.5, 0, 1.25, 7, 0}, nil},
-		{"allzero", []float64{0, 0, 0, 0}, nil},
-		{"priority", []float64{0, 3.5, 0, 1.25, 7, 0}, []float64{2, 0.5, 1, 3, 0.25, 4}},
-		{"degenerate-priority", []float64{0, 2, 0, 5}, []float64{0, -1, 2, 0.5}},
-		{"nan-priority", []float64{0, 2, 4, 5}, []float64{nan, 2, nan, 0.5}},
-	}
-	prm := fairness.DefaultParams()
-	for _, c := range cases {
-		n := len(c.payoffs)
-		s := &State{Current: make([]int, n), Payoffs: c.payoffs}
-		skip := newUtilityIndex(s, prm, c.priorities)
-		full := fairness.NewIndex(prm, n, c.priorities)
-		for w, p := range c.payoffs {
-			full.Update(w, p)
-		}
-		for w := 0; w < n; w++ {
-			for _, q := range []float64{0, 0.5, 1.25, 3.5, 7, 100} {
-				a, b := skip.Utility(w, q), full.Utility(w, q)
-				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-					t.Fatalf("%s: Utility(%d, %v) = %v with zero-skip, %v with full updates",
-						c.name, w, q, a, b)
-				}
-			}
-			if a, b := skip.CurrentUtility(w), full.CurrentUtility(w); a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-				t.Fatalf("%s: CurrentUtility(%d) = %v with zero-skip, %v with full updates", c.name, w, a, b)
-			}
-		}
-	}
-}

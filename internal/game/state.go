@@ -163,6 +163,19 @@ func (s *State) Available(w, si int) bool {
 	return true
 }
 
+// TopAvailable returns the first strategy in w's payoff-sorted list that w
+// could hold now — the highest-payoff available strategy, ties going to the
+// earlier entry — or Null when none is. The incumbent counts as available,
+// so the scan stops there at the latest.
+func (s *State) TopAvailable(w int) int {
+	for si := range s.Strategies[w] {
+		if si == s.Current[w] || s.Available(w, si) {
+			return si
+		}
+	}
+	return Null
+}
+
 // Switch sets worker w's strategy to si (possibly Null), releasing w's
 // previous delivery points and claiming the new ones. It panics if the new
 // strategy is not available; callers must check Available first.

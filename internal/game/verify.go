@@ -82,6 +82,7 @@ func VerifyNE(g *vdps.Generator, a *model.Assignment, prm fairness.Params, tol f
 
 // VerifyNEOpts is VerifyNE with the full option set, including the
 // priority-aware utility used when the solve ran with UsePriorities.
+// Weights outside the monotone IAU domain fail with ErrNonMonotoneIAU.
 func VerifyNEOpts(g *vdps.Generator, a *model.Assignment, opt NEOptions) error {
 	prm := opt.Fairness
 	if prm == (fairness.Params{}) {
@@ -93,28 +94,29 @@ func VerifyNEOpts(g *vdps.Generator, a *model.Assignment, opt NEOptions) error {
 	} else if tol == 0 {
 		tol = 1e-9
 	}
+	u, err := newIAUScratch(prm, opt.Priorities, len(g.Instance().Workers))
+	if err != nil {
+		return err
+	}
 	s := NewState(g)
 	if err := s.LoadAssignment(a); err != nil {
 		return err
 	}
-	// One O(log V) index query per candidate deviation instead of an O(W)
-	// payoff rescan; the certificate's tolerance absorbs the last-ulp
-	// difference between the aggregate and scan forms of MP/LP.
-	idx := newUtilityIndex(s, prm, opt.Priorities)
+	// Inside the monotone domain the top available strategy is each
+	// worker's best deviation, so one O(W) evaluation per worker (plus the
+	// going-idle check) certifies the equilibrium.
 	for w := range s.Current {
-		cur := idx.Utility(w, s.Payoffs[w])
+		u.load(s.Payoffs)
+		cur := u.at(w, s.Payoffs[w])
 		if s.Current[w] != Null {
-			if u := idx.Utility(w, 0); u > cur+tol {
-				return fmt.Errorf("game: worker %d improves IAU %g -> %g by going idle", w, cur, u)
+			if v := u.at(w, 0); v > cur+tol {
+				return fmt.Errorf("game: worker %d improves IAU %g -> %g by going idle", w, cur, v)
 			}
 		}
-		for si := range s.Strategies[w] {
-			if si == s.Current[w] || !s.Available(w, si) {
-				continue
-			}
-			if u := idx.Utility(w, s.Strategies[w][si].Payoff); u > cur+tol {
+		if top := s.TopAvailable(w); top != s.Current[w] {
+			if v := u.at(w, s.Strategies[w][top].Payoff); v > cur+tol {
 				return fmt.Errorf("game: worker %d improves IAU %g -> %g via strategy %v (not a Nash equilibrium)",
-					w, cur, u, s.StrategySeq(w, si))
+					w, cur, v, s.StrategySeq(w, top))
 			}
 		}
 	}
