@@ -19,7 +19,9 @@
 // The baseline maps each benchmark name to its figures by unit, e.g.
 // {"BenchmarkSolveFGTW200": {"allocs/op": 1200, "ns/op": 1.2e8}}. Every
 // figure in the baseline is gated: a rise beyond -tolerance (default 0.15 =
-// +15%) in ns/op or allocs/op is fatal. A benchmark or figure present in the
+// +15%) in ns/op or allocs/op is fatal. So is a baselined benchmark with
+// fewer than three result lines in the inputs (run it with -count 3), and
+// -update refuses such inputs. A benchmark or figure present in the
 // baseline but absent from the inputs is only a warning (CI shards benches
 // across artifacts); new benchmarks are reported so the baseline can be
 // refreshed with -update.
@@ -49,11 +51,21 @@ type event struct {
 // result line as bare "       2\t  123 ns/op" output.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)?\s*\d+\s+([0-9.]+) ns/op`)
 
+// benchName matches a benchmark name printed without its figures. With
+// -count, test2json emits later runs' result lines as output events with no
+// Test field, split into this name fragment and a bare figures line.
+var benchName = regexp.MustCompile(`^Benchmark\S+$`)
+
 // allocsField matches the allocs/op figure at the end of a result line.
 var allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
 
 // gatedUnits are the figures benchguard extracts and gates, in report order.
 var gatedUnits = []string{"ns/op", "allocs/op"}
+
+// minSamples is the fewest result lines a benchmark needs before benchguard
+// gates on it or writes it to a baseline: the minimum of one or two samples
+// moves with host noise.
+const minSamples = 3
 
 // figures holds one benchmark's minimum value per unit.
 type figures map[string]float64
@@ -68,10 +80,12 @@ func (f figures) keepMin(unit string, v float64) {
 var procsSuffix = regexp.MustCompile(`-\d+$`)
 
 // parse extracts benchmark name -> minimum figures from a test2json stream
-// or plain benchmark text.
-func parse(r io.Reader, into map[string]figures) error {
+// or plain benchmark text, and counts each benchmark's result lines in
+// samples.
+func parse(r io.Reader, into map[string]figures, samples map[string]int) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	pending := "" // the last name fragment, for a following bare figures line
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -91,11 +105,17 @@ func parse(r io.Reader, into map[string]figures) error {
 		}
 		m := benchLine.FindStringSubmatch(text)
 		if m == nil {
+			if benchName.MatchString(text) {
+				pending = text
+			}
 			continue
 		}
 		if m[1] != "" {
 			name = m[1]
+		} else if name == "" {
+			name = pending
 		}
+		pending = ""
 		if !strings.HasPrefix(name, "Benchmark") {
 			continue
 		}
@@ -109,6 +129,7 @@ func parse(r io.Reader, into map[string]figures) error {
 			f = figures{}
 			into[name] = f
 		}
+		samples[name]++
 		f.keepMin("ns/op", ns)
 		if a := allocsField.FindStringSubmatch(text); a != nil {
 			allocs, err := strconv.ParseFloat(a[1], 64)
@@ -122,9 +143,9 @@ func parse(r io.Reader, into map[string]figures) error {
 }
 
 // check compares current results against the baseline and returns the
-// regression report lines, the informational lines, and whether the run
-// passed.
-func check(baseline, current map[string]figures, tolerance float64) (bad, info []string) {
+// failure lines — regressions and baselined benchmarks with too few
+// samples — and the informational lines.
+func check(baseline, current map[string]figures, samples map[string]int, tolerance float64) (bad, info []string) {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
@@ -135,6 +156,9 @@ func check(baseline, current map[string]figures, tolerance float64) (bad, info [
 		if !ok {
 			info = append(info, fmt.Sprintf("warn: %s in baseline but not in inputs", name))
 			continue
+		}
+		if n := samples[name]; n < minSamples {
+			bad = append(bad, tooFew(name, n))
 		}
 		for _, unit := range gatedUnits {
 			base, ok := baseline[name][unit]
@@ -165,6 +189,11 @@ func check(baseline, current map[string]figures, tolerance float64) (bad, info [
 	return bad, info
 }
 
+// tooFew is the failure line for a benchmark with only n samples.
+func tooFew(name string, n int) string {
+	return fmt.Sprintf("%s has %d samples, need at least %d (run it with -count %d)", name, n, minSamples, minSamples)
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -179,13 +208,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	current := map[string]figures{}
+	samples := map[string]int{}
 	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchguard: %v\n", err)
 			return 2
 		}
-		err = parse(f, current)
+		err = parse(f, current, samples)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(stderr, "benchguard: %s: %v\n", path, err)
@@ -197,6 +227,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *update {
+		var few []string
+		for name := range current {
+			if n := samples[name]; n < minSamples {
+				few = append(few, tooFew(name, n))
+			}
+		}
+		if len(few) > 0 {
+			sort.Strings(few)
+			for _, line := range few {
+				fmt.Fprintf(stderr, "benchguard: %s\n", line)
+			}
+			fmt.Fprintf(stderr, "benchguard: not writing %s\n", *baselinePath)
+			return 2
+		}
 		buf, err := json.MarshalIndent(current, "", "  ")
 		if err != nil {
 			fmt.Fprintf(stderr, "benchguard: %v\n", err)
@@ -219,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchguard: %s: %v\n", *baselinePath, err)
 		return 2
 	}
-	bad, info := check(baseline, current, *tolerance)
+	bad, info := check(baseline, current, samples, *tolerance)
 	for _, line := range info {
 		fmt.Fprintln(stdout, line)
 	}

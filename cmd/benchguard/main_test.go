@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,8 +19,8 @@ BenchmarkPlainText-8   	     100	    5000 ns/op
 `
 
 func TestParse(t *testing.T) {
-	got := map[string]figures{}
-	if err := parse(strings.NewReader(sampleStream), got); err != nil {
+	got, samples := map[string]figures{}, map[string]int{}
+	if err := parse(strings.NewReader(sampleStream), got, samples); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate results keep the minimum, the -4/-8 suffixes are stripped,
@@ -44,6 +45,35 @@ func TestParse(t *testing.T) {
 	if _, ok := got["BenchmarkPlainText"]["allocs/op"]; ok {
 		t.Errorf("BenchmarkPlainText has allocs/op without reporting them: %v", got["BenchmarkPlainText"])
 	}
+	// Every result line counts as one sample.
+	if want := map[string]int{"BenchmarkSolveFGT/W200": 2, "BenchmarkBatch/pool=2": 1, "BenchmarkPlainText": 1}; !maps.Equal(samples, want) {
+		t.Errorf("samples = %v, want %v", samples, want)
+	}
+}
+
+// countStream is the test2json shape of a -count 3 run: the first result
+// line carries the Test field, the later ones arrive as a name fragment and
+// a bare figures line with no Test field, or as one unnamed full line.
+const countStream = `{"Action":"output","Package":"fairtask","Test":"BenchmarkSolveFGT","Output":"BenchmarkSolveFGT-2           \t"}
+{"Action":"output","Package":"fairtask","Test":"BenchmarkSolveFGT","Output":"       2\t   1203582 ns/op\t 1162840 B/op\t     889 allocs/op\n"}
+{"Action":"output","Package":"fairtask","Output":"BenchmarkSolveFGT-2           \t"}
+{"Action":"output","Package":"fairtask","Output":"       2\t   1268326 ns/op\t 1162624 B/op\t     888 allocs/op\n"}
+{"Action":"output","Package":"fairtask","Output":"BenchmarkSolveFGT-2           \t       2\t   1143924 ns/op\t 1162576 B/op\t     887 allocs/op\n"}
+`
+
+// TestParseCountsUnnamedSamples pins that every sample of a -count run is
+// read, including the result lines test2json emits without a Test field.
+func TestParseCountsUnnamedSamples(t *testing.T) {
+	got, samples := map[string]figures{}, map[string]int{}
+	if err := parse(strings.NewReader(countStream), got, samples); err != nil {
+		t.Fatal(err)
+	}
+	if n := samples["BenchmarkSolveFGT"]; n != 3 || len(samples) != 1 {
+		t.Fatalf("samples = %v, want BenchmarkSolveFGT: 3", samples)
+	}
+	if f := got["BenchmarkSolveFGT"]; f["ns/op"] != 1143924 || f["allocs/op"] != 887 {
+		t.Fatalf("figures = %v, want the minima 1143924 ns/op and 887 allocs/op", f)
+	}
 }
 
 func TestCheck(t *testing.T) {
@@ -60,10 +90,21 @@ func TestCheck(t *testing.T) {
 		"BenchmarkAllocsFlat": {"ns/op": 90, "allocs/op": 1100},
 		"BenchmarkNoMem":      ns(100),
 	}
-	bad, info := check(baseline, current, 0.15)
+	samples := map[string]int{}
+	for name := range current {
+		samples[name] = minSamples
+	}
+	bad, info := check(baseline, current, samples, 0.15)
 	if len(bad) != 2 || !strings.Contains(bad[0], "BenchmarkAllocs regressed") ||
 		!strings.Contains(bad[0], "allocs/op") || !strings.Contains(bad[1], "BenchmarkB") {
 		t.Fatalf("regressions = %v, want BenchmarkAllocs (allocs/op) and BenchmarkB", bad)
+	}
+	// A baselined benchmark with fewer than three samples fails even when
+	// its figures are within tolerance; an unbaselined one is not gated.
+	samples["BenchmarkA"], samples["BenchmarkNew"] = 2, 1
+	bad, _ = check(baseline, current, samples, 0.15)
+	if len(bad) != 3 || bad[0] != "BenchmarkA has 2 samples, need at least 3 (run it with -count 3)" {
+		t.Fatalf("failures with BenchmarkA at 2 samples = %v", bad)
 	}
 	joined := strings.Join(info, "\n")
 	if !strings.Contains(joined, "BenchmarkGone") || !strings.Contains(joined, "BenchmarkNew") {
@@ -77,11 +118,30 @@ func TestCheck(t *testing.T) {
 func TestRunUpdateThenCheck(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.json")
+	base := filepath.Join(dir, "baseline.json")
+	var out, errb bytes.Buffer
+	// The sample stream has one result line for two of its benchmarks:
+	// -update refuses it and writes nothing.
 	if err := os.WriteFile(in, []byte(sampleStream), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := filepath.Join(dir, "baseline.json")
-	var out, errb bytes.Buffer
+	if code := run([]string{"-baseline", base, "-update", in}, &out, &errb); code != 2 {
+		t.Fatalf("update of single samples exited %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "BenchmarkPlainText has 1 samples") {
+		t.Errorf("stderr does not name the undersampled benchmark: %s", errb.String())
+	}
+	if _, err := os.Stat(base); !os.IsNotExist(err) {
+		t.Fatalf("refused update wrote the baseline (stat: %v)", err)
+	}
+	// Three copies of the stream give every benchmark at least three
+	// samples and the same minima.
+	sampled := strings.Repeat(sampleStream, minSamples)
+	if err := os.WriteFile(in, []byte(sampled), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errb.Reset()
 	if code := run([]string{"-baseline", base, "-update", in}, &out, &errb); code != 0 {
 		t.Fatalf("update exited %d: %s", code, errb.String())
 	}
@@ -102,8 +162,21 @@ func TestRunUpdateThenCheck(t *testing.T) {
 	if code := run([]string{"-baseline", base, in}, &out, &errb); code != 0 {
 		t.Fatalf("check exited %d: %s", code, errb.String())
 	}
+	// Checking single samples against that baseline fails, naming the
+	// benchmark and its count.
+	if err := os.WriteFile(in, []byte(sampleStream), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-baseline", base, in}, &out, &errb); code != 1 {
+		t.Fatalf("single-sample check exited %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "BenchmarkPlainText has 1 samples") {
+		t.Errorf("stderr missing the sample-count failure: %s", errb.String())
+	}
 	// A 20x slowdown fails at the default 15% tolerance.
-	slow := strings.ReplaceAll(sampleStream, "29000000 ns/op", "580000000 ns/op")
+	slow := strings.ReplaceAll(sampled, "29000000 ns/op", "580000000 ns/op")
 	slow = strings.ReplaceAll(slow, "31415926 ns/op", "620000000 ns/op")
 	if err := os.WriteFile(in, []byte(slow), 0o644); err != nil {
 		t.Fatal(err)
@@ -117,7 +190,7 @@ func TestRunUpdateThenCheck(t *testing.T) {
 		t.Errorf("stderr missing regression line: %s", errb.String())
 	}
 	// An allocation regression alone, at unchanged ns/op, also fails.
-	leaky := strings.ReplaceAll(sampleStream, "12 allocs/op", "40 allocs/op")
+	leaky := strings.ReplaceAll(sampled, "12 allocs/op", "40 allocs/op")
 	if err := os.WriteFile(in, []byte(leaky), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,8 @@ func (GTA) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) 
 }
 
 // greedy fills the state with the greedy assignment over all workers: each
-// round, the still-unassigned worker whose best available VDPS has the
-// highest payoff takes it (strategies are sorted by descending payoff, so
-// each worker's greedy choice is its first available one). It returns the
+// round, the still-unassigned worker whose best available VDPS
+// (State.TopAvailable) has the highest payoff takes it. It returns the
 // achieved total payoff.
 func greedy(s *game.State) float64 {
 	all := make([]int, len(s.Current))
@@ -91,6 +90,9 @@ func (m MPTA) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, erro
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}
+	// The top-K cut, the suffix bound and the search's branching order all
+	// read each worker's list in payoff order.
+	s.SortByPayoff()
 	topK := m.TopK
 	if topK <= 0 {
 		topK = 64
@@ -253,7 +255,7 @@ func (b *bnb) run() {
 		w := b.workers[i]
 		top := 0.0
 		if len(b.s.Strategies[w]) > 0 {
-			top = b.s.Strategies[w][0].Payoff // sorted descending
+			top = b.s.Strategies[w][0].Payoff // sorted by SortByPayoff
 		}
 		b.suffixMax[i] = b.suffixMax[i+1] + top
 	}
@@ -323,52 +325,52 @@ func (b *bnb) dfs(i int, value float64) bool {
 // greedySubset runs the greedy assignment over only the given workers and
 // returns the total payoff they achieve. Other workers' current strategies
 // (if any) still block conflicting points via the shared ownership table.
+//
+// Each worker's TopAvailable is kept across rounds and recomputed only when
+// the last assignment made it unavailable: greedy only ever claims points,
+// so a top that is still available is still the best available strategy.
 func greedySubset(s *game.State, workers []int) float64 {
-	assigned := make(map[int]bool, len(workers))
+	tops := make([]int, len(workers))
+	for i, w := range workers {
+		tops[i] = s.TopAvailable(w)
+	}
 	var total float64
 	for {
-		bestW, bestSi := -1, game.Null
-		bestPayoff := 0.0
-		for _, w := range workers {
-			if assigned[w] {
-				continue
-			}
-			if si := s.TopAvailable(w); si != game.Null {
+		best, bestPayoff := -1, 0.0
+		for i, w := range workers {
+			if si := tops[i]; si != game.Null {
 				if p := s.Strategies[w][si].Payoff; p > bestPayoff {
-					bestW, bestSi, bestPayoff = w, si, p
+					best, bestPayoff = i, p
 				}
 			}
 		}
-		if bestW == -1 {
+		if best == -1 {
 			break
 		}
-		s.Switch(bestW, bestSi)
-		assigned[bestW] = true
+		s.Switch(workers[best], tops[best])
+		tops[best] = game.Null // assigned
 		total += bestPayoff
+		for i, w := range workers {
+			if si := tops[i]; si != game.Null && !s.Available(w, si) {
+				tops[i] = s.TopAvailable(w)
+			}
+		}
 	}
 	return total
 }
 
 // localSearch improves the current joint strategy by single-worker switches
-// that raise the total payoff, until a local optimum. It is a no-op when the
-// branch-and-bound already proved optimality but cheap enough to always run.
+// that raise the total payoff, until a local optimum: each worker moves to
+// its top available strategy when that beats its current payoff. It is a
+// no-op when the branch-and-bound already proved optimality but cheap
+// enough to always run.
 func localSearch(s *game.State) {
 	for improved := true; improved; {
 		improved = false
 		for w := range s.Current {
-			cur := 0.0
-			if s.Current[w] != game.Null {
-				cur = s.Payoffs[w]
-			}
-			for si := range s.Strategies[w] {
-				if si == s.Current[w] || !s.Available(w, si) {
-					continue
-				}
-				if s.Strategies[w][si].Payoff > cur+1e-12 {
-					s.Switch(w, si)
-					improved = true
-					break
-				}
+			if top := s.TopAvailable(w); top != game.Null && s.Strategies[w][top].Payoff > s.Payoffs[w]+1e-12 {
+				s.Switch(w, top)
+				improved = true
 			}
 		}
 	}

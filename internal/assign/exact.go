@@ -54,6 +54,9 @@ func (e Exact) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, err
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}
+	// Of equally scoring joint strategies the first enumerated wins, so the
+	// enumeration follows payoff order.
+	s.SortByPayoff()
 	lambda := e.Lambda
 	if lambda < 0 {
 		lambda = 0 // NoLambda: pure average payoff

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fairtask/internal/bitset"
@@ -91,6 +92,7 @@ func newLexMatrix(g *vdps.Generator) (*lexMatrix, error) {
 	var sc vdps.StrategyScratch
 	for w := range in.Workers {
 		refs := g.WorkerStrategies(w, &sc)
+		slices.SortFunc(refs, vdps.ComparePayoff)
 		for i, r := range refs {
 			if r.Cand < 0 || int(r.Cand) >= len(cands) {
 				return nil, fmt.Errorf("%w: worker %d strategy %d references candidate %d of %d",

@@ -16,10 +16,10 @@ import (
 // a point of comparison against the difference-minimizing game approaches.
 //
 // The heuristic repeatedly lets the currently worst-off worker that can
-// still improve take its best available strategy. Each switch strictly
-// raises that worker's payoff and leaves the others untouched, so the total
-// payoff strictly increases and the loop terminates at a state where the
-// minimum cannot be raised by any single-worker move.
+// still improve take its best available strategy (State.TopAvailable). Each
+// switch strictly raises that worker's payoff and leaves the others
+// untouched, so the total payoff strictly increases and the loop terminates
+// at a state where the minimum cannot be raised by any single-worker move.
 type MMTA struct{}
 
 // Name implements Assigner.
@@ -63,16 +63,12 @@ func (MMTA) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error)
 	}, nil
 }
 
-// bestAvailableAbove returns the worker's highest-payoff available strategy
-// with payoff strictly above the threshold, or game.Null.
+// bestAvailableAbove returns the worker's top available strategy when its
+// payoff is strictly above the threshold, or game.Null. Callers pass the
+// worker's own payoff, so a strategy above it is never the incumbent.
 func bestAvailableAbove(s *game.State, w int, threshold float64) int {
-	for si := range s.Strategies[w] { // sorted by descending payoff
-		if s.Strategies[w][si].Payoff <= threshold {
-			return game.Null
-		}
-		if si != s.Current[w] && s.Available(w, si) {
-			return si
-		}
+	if top := s.TopAvailable(w); top != game.Null && s.Strategies[w][top].Payoff > threshold {
+		return top
 	}
 	return game.Null
 }

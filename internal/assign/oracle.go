@@ -75,6 +75,7 @@ func OracleBestScore(ctx context.Context, g *vdps.Generator, lambda, maxJoint fl
 // for empty instances, and ErrSearchTooLarge or the context error on abort.
 func oracleEnumerate(ctx context.Context, g *vdps.Generator, maxJoint float64, visit func(*game.State, []float64)) (*game.State, error) {
 	s := game.NewState(g)
+	s.SortByPayoff() // ties go to the first leaf, so enumerate in payoff order
 	limit := maxJoint
 	if limit <= 0 {
 		limit = 5e6

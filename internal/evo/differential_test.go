@@ -2,9 +2,13 @@ package evo
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"fairtask/internal/dataset"
 	"fairtask/internal/game"
+	"fairtask/internal/vdps"
 )
 
 // sameResult requires bit-identical results from the allocation-free IEGT
@@ -39,9 +43,10 @@ func sameResult(t *testing.T, label string, got, want *game.Result) {
 // TestIEGTMatchesReference pins the optimized IEGT bit-exactly against the
 // retained pre-index implementation: the allocation-free population scans
 // and scratch-buffer strategy selection must not change a single rng draw,
-// switch, iteration count, or traced statistic.
+// switch, iteration count, or traced statistic. The lattice's exact payoff
+// ties pin the candidate tie-break of the NthBest draws.
 func TestIEGTMatchesReference(t *testing.T) {
-	instances := map[string]int64{"a": 1, "b": 5, "tight": 9}
+	instances := map[string]int64{"a": 1, "b": 5, "tight": 9, "lattice": 0}
 	variants := map[string]Options{
 		"default":   {},
 		"trace":     {Trace: true},
@@ -50,8 +55,11 @@ func TestIEGTMatchesReference(t *testing.T) {
 	}
 	for iname, iseed := range instances {
 		in := gridInstance(10, 5, 2, 100, iseed)
-		if iname == "tight" {
+		switch iname {
+		case "tight":
 			in = gridInstance(8, 6, 2, 6, iseed)
+		case "lattice":
+			in = latticeInstance()
 		}
 		g := mustGen(t, in)
 		for vname, opt := range variants {
@@ -68,6 +76,58 @@ func TestIEGTMatchesReference(t *testing.T) {
 				}
 				sameResult(t, iname+"/"+vname, got, want)
 			}
+		}
+	}
+}
+
+// TestSolversIgnoreListOrder pins that payoff order is a rule, not a data
+// layout: FGT and IEGT run on a state whose strategy lists were shuffled
+// must reproduce the runs on the generator exactly, routes, iterations and
+// traces included. The lattice's exact payoff ties make the candidate
+// tie-break decide too.
+func TestSolversIgnoreListOrder(t *testing.T) {
+	gm, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 400, Workers: 60, DeliveryPoints: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gmGen, err := vdps.Generate(gm, vdps.Options{Epsilon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := map[string]*vdps.Generator{"gm": gmGen, "lattice": mustGen(t, latticeInstance())}
+	shuffled := func(g *vdps.Generator, seed int64) *game.State {
+		s := game.NewState(g)
+		rng := rand.New(rand.NewSource(seed))
+		for _, list := range s.Strategies {
+			rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+		}
+		return s
+	}
+	ctx := context.Background()
+	for name, g := range gens {
+		for seed := int64(1); seed <= 5; seed++ {
+			label := fmt.Sprintf("%s seed %d", name, seed)
+			fopt := game.Options{Seed: seed, Trace: true}
+			want, err := game.FGT(ctx, g, fopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := game.FGTFromState(ctx, shuffled(g, seed), fopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, label+" FGT", got, want)
+
+			iopt := Options{Seed: seed, Trace: true}
+			want, err = IEGT(ctx, g, iopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = IEGTFromState(ctx, shuffled(g, seed), iopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, label+" IEGT", got, want)
 		}
 	}
 }

@@ -262,9 +262,9 @@ func populationAverage(s *game.State) float64 {
 
 // randomBetterStrategy picks uniformly at random among worker w's available
 // strategies with payoff strictly above the current one (Algorithm 3,
-// lines 23-25). The candidate list is gathered into *buf, reused across
-// calls; candidate order and rng consumption match the pre-scratch form, so
-// the selected strategy is bit-identical for the same rng state.
+// lines 23-25). The candidates are gathered into *buf, reused across calls,
+// and the draw ranks them with NthBest, so the same rng state selects the
+// same strategy as the reference's draw over a payoff-sorted list.
 func randomBetterStrategy(s *game.State, w int, rng *rand.Rand, buf *[]int) (int, bool) {
 	cur := 0.0
 	if s.Current[w] != game.Null {
@@ -283,7 +283,7 @@ func randomBetterStrategy(s *game.State, w int, rng *rand.Rand, buf *[]int) (int
 	if len(better) == 0 {
 		return game.Null, false
 	}
-	return better[rng.Intn(len(better))], true
+	return s.NthBest(w, better, rng.Intn(len(better))), true
 }
 
 // randomAvailableStrategy picks uniformly among all of worker w's available
@@ -300,7 +300,7 @@ func randomAvailableStrategy(s *game.State, w int, rng *rand.Rand, buf *[]int) (
 	if len(avail) == 0 {
 		return game.Null, false
 	}
-	return avail[rng.Intn(len(avail))], true
+	return s.NthBest(w, avail, rng.Intn(len(avail))), true
 }
 
 // payoffsEqual reports whether all payoffs lie within tol of each other.

@@ -16,12 +16,14 @@ import (
 )
 
 // ReferenceIEGT is the direct transcription of Algorithm 3 the optimized
-// IEGT is pinned against: per-round population statistics materialize the
-// payoff slice, strategy selection allocates fresh candidate lists, and
-// traced rounds re-run payoff.Summarize over the whole instance.
+// IEGT is pinned against: strategy selection draws from fresh candidate
+// lists gathered in payoff-sorted order, per-round population statistics
+// materialize the payoff slice, and traced rounds re-run payoff.Summarize
+// over the whole instance.
 func ReferenceIEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.Result, error) {
 	opt = opt.withDefaults()
 	s := game.NewState(g)
+	s.SortByPayoff()
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}

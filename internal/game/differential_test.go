@@ -60,13 +60,15 @@ func prioritized(in *model.Instance) *model.Instance {
 // TestFGTMatchesReference pins FGT's top-available best response
 // bit-exactly against the reference full scan across instance shapes,
 // seeds, and the option variants that alter the hot loop (priorities,
-// random order, tracing, epsilon, the strict NoEpsilon threshold).
+// random order, tracing, epsilon, the strict NoEpsilon threshold). The
+// lattice's exact payoff ties pin the candidate tie-break of the argmax.
 func TestFGTMatchesReference(t *testing.T) {
 	instances := map[string]*model.Instance{
 		"small":    gridInstance(8, 4, 2, 100),
 		"mid":      gridInstance(14, 6, 3, 50),
 		"tight":    gridInstance(10, 8, 2, 6),
 		"priority": prioritized(gridInstance(12, 5, 2, 100)),
+		"lattice":  latticeInstance(),
 	}
 	variants := map[string]Options{
 		"default":    {},

@@ -41,6 +41,38 @@ func gridInstance(nPoints, nWorkers, maxDP int, expiry float64) *model.Instance 
 	return in
 }
 
+// latticeInstance is a tie-heavy instance (a copy of the vdps test helper):
+// the 24 integer points of [-2,2]² around a center at the origin, under the
+// Manhattan metric at speed 1, with rewards 1-3, so many strategies of one
+// worker have exactly equal payoffs.
+func latticeInstance() *model.Instance {
+	in := &model.Instance{
+		Center: geo.Pt(0, 0),
+		Travel: travel.MustModel(geo.Manhattan{}, 1),
+	}
+	for x := -2; x <= 2; x++ {
+		for y := -2; y <= 2; y++ {
+			if x == 0 && y == 0 {
+				continue
+			}
+			id := len(in.Points)
+			in.Points = append(in.Points, model.DeliveryPoint{
+				ID:  id,
+				Loc: geo.Pt(float64(x), float64(y)),
+				Tasks: []model.Task{{
+					ID: id, Point: id, Expiry: 100, Reward: float64(1 + id%3),
+				}},
+			})
+		}
+	}
+	for w := 0; w < 8; w++ {
+		in.Workers = append(in.Workers, model.Worker{
+			ID: w, Loc: geo.Pt(float64(w%3-1), float64(w/3-1)), MaxDP: 3,
+		})
+	}
+	return in
+}
+
 func mustGen(t *testing.T, in *model.Instance) *vdps.Generator {
 	t.Helper()
 	g, err := vdps.Generate(in, vdps.Options{})

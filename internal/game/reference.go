@@ -15,13 +15,14 @@ import (
 )
 
 // ReferenceFGT is the direct transcription of Algorithm 2 the optimized FGT
-// is pinned against: best responses evaluate the reference fairness.IAU /
-// fairness.PriorityIAU over a scratch copy of all payoffs (O(W) per
-// candidate strategy), and traced rounds re-run payoff.Summarize over the
-// whole instance.
+// is pinned against: best responses scan a payoff-sorted strategy list and
+// evaluate the reference fairness.IAU / fairness.PriorityIAU over a scratch
+// copy of all payoffs (O(W) per candidate strategy), and traced rounds
+// re-run payoff.Summarize over the whole instance.
 func ReferenceFGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	s := NewState(g)
+	s.SortByPayoff()
 	if len(s.Current) == 0 {
 		return nil, ErrNoWorkers
 	}

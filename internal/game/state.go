@@ -8,6 +8,7 @@ package game
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"fairtask/internal/model"
@@ -24,8 +25,10 @@ const Null = -1
 type State struct {
 	gen *vdps.Generator
 	// Strategies[w] lists worker w's valid VDPSs in compact reference form,
-	// sorted by descending payoff (the same order as vdps.Generator.ForWorker).
-	// The 16-byte pointer-free references keep the strategy space — the
+	// in ascending candidate order as vdps.Generator.WorkerStrategies
+	// gathers them (SortByPayoff reorders a fresh state). No reader relies
+	// on the order: each applies vdps.ComparePayoff where it needs one. The
+	// 16-byte pointer-free references keep the strategy space — the
 	// dominant allocation of a solve — cheap to build and invisible to the
 	// garbage collector; resolve sequences on demand with StrategySeq.
 	Strategies [][]vdps.StrategyRef
@@ -122,8 +125,8 @@ func NewStateWithStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef) 
 }
 
 // fillStrategies builds the strategy lists of workers [lo, hi), reusing one
-// key scratch so each worker's list is allocated exactly once at its final
-// size and only 16-byte sort keys move through the sort.
+// gather scratch so each worker's list is allocated exactly once at its
+// final size.
 func fillStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef, lo, hi int) {
 	var sc vdps.StrategyScratch
 	for w := lo; w < hi; w++ {
@@ -163,17 +166,44 @@ func (s *State) Available(w, si int) bool {
 	return true
 }
 
-// TopAvailable returns the first strategy in w's payoff-sorted list that w
-// could hold now — the highest-payoff available strategy, ties going to the
-// earlier entry — or Null when none is. The incumbent counts as available,
-// so the scan stops there at the latest.
+// TopAvailable returns the best strategy under vdps.ComparePayoff — highest
+// payoff, lowest candidate index on ties — among those w could hold now, or
+// Null when none is. The incumbent counts as available. Availability is
+// checked only for an entry that beats the best found so far.
 func (s *State) TopAvailable(w int) int {
-	for si := range s.Strategies[w] {
+	list := s.Strategies[w]
+	top := Null
+	for si := range list {
+		if top != Null && vdps.ComparePayoff(list[si], list[top]) >= 0 {
+			continue
+		}
 		if si == s.Current[w] || s.Available(w, si) {
-			return si
+			top = si
 		}
 	}
-	return Null
+	return top
+}
+
+// NthBest sorts idx, a set of indices into worker w's strategy list, by
+// vdps.ComparePayoff and returns idx[k]: the k-th best of those strategies,
+// whatever order the list holds them in. The random draws of RandomInit and
+// IEGT pick through it, so the strategy a draw selects depends only on the
+// rule, not on the layout.
+func (s *State) NthBest(w int, idx []int, k int) int {
+	list := s.Strategies[w]
+	slices.SortFunc(idx, func(a, b int) int { return vdps.ComparePayoff(list[a], list[b]) })
+	return idx[k]
+}
+
+// SortByPayoff reorders every worker's strategy list by vdps.ComparePayoff,
+// for readers that enumerate strategies in preference order: the reference
+// solvers and the exhaustive baselines. Call it only on a fresh state from
+// NewState — it moves the entries Current indexes, and it would reorder the
+// lists NewStateWithStrategies shares with its caller.
+func (s *State) SortByPayoff() {
+	for _, list := range s.Strategies {
+		slices.SortFunc(list, vdps.ComparePayoff)
+	}
 }
 
 // Switch sets worker w's strategy to si (possibly Null), releasing w's
@@ -220,7 +250,7 @@ func (s *State) RandomInit(rng *rand.Rand) {
 			s.Switch(w, Null)
 			continue
 		}
-		s.Switch(w, singles[rng.Intn(len(singles))])
+		s.Switch(w, s.NthBest(w, singles, rng.Intn(len(singles))))
 	}
 }
 

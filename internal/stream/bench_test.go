@@ -66,11 +66,11 @@ func BenchmarkStreamApply(b *testing.B) {
 }
 
 // BenchmarkStreamStrategyRepair isolates the warm path's strategy-space
-// maintenance on the reprice-heavy regime: re-keying a worker's cached
-// strategy list in place (vdps.RepairStrategyPayoffs) versus re-enumerating
-// it from the candidate table (vdps.WorkerStrategies), which is what the
-// warm path did before in-place repair existed. Reports speedup-x =
-// mean enumeration / mean repair.
+// maintenance on the reprice-heavy regime: recomputing every payoff of a
+// worker's cached strategy list in place (vdps.RepairStrategyPayoffs)
+// versus re-enumerating it from the candidate table
+// (vdps.WorkerStrategies), which is what the warm path did before in-place
+// repair existed. Reports speedup-x = mean enumeration / mean repair.
 func BenchmarkStreamStrategyRepair(b *testing.B) {
 	eng, _ := benchSetup(b)
 	gen := eng.gen
@@ -95,7 +95,7 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 		}
 		for w := range in.Workers {
 			start := time.Now()
-			gen.RepairStrategyPayoffs(w, cached[w], changed, &sc)
+			gen.RepairStrategyPayoffs(w, cached[w])
 			repairNS += float64(time.Since(start).Nanoseconds())
 			start = time.Now()
 			want := gen.WorkerStrategies(w, &sc)

@@ -315,9 +315,8 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			}
 		}
 		var repaired map[int]bool
-		var repriced []int
 		if len(rewardPoints) > 0 {
-			if repriced = gen.RepairRewards(rewardPoints); len(repriced) > 0 {
+			if repriced := gen.RepairRewards(rewardPoints); len(repriced) > 0 {
 				repaired = workersReferencing(e.strategies, repriced)
 			}
 		}
@@ -332,7 +331,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 				s = gen.WorkerStrategies(w, &sc)
 				res.WorkersTouched++
 			case repaired[id]:
-				gen.RepairStrategyPayoffs(w, s, repriced, &sc)
+				gen.RepairStrategyPayoffs(w, s)
 				res.WorkersTouched++
 			}
 			strategies[id], ordered[w] = s, s
@@ -345,17 +344,15 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		// candidate rewards in the cold accumulation order, and repair only
 		// the strategy spaces the batch invalidated — new workers get a
 		// fresh enumeration, workers referencing a re-priced candidate get
-		// their cached lists re-keyed and re-sorted in place. Feasibility
+		// their cached payoffs recomputed in place. Feasibility
 		// is untouched by reward changes (it depends on expiries, which are
 		// unchanged on this path), so every reused and repaired list is
 		// bit-identical to a cold rebuild.
 		gen = e.gen
 		gen.Rebind(staged)
 		var affected map[int]bool
-		var repriced []int
 		if len(rewardPoints) > 0 {
-			repriced = gen.RepairRewards(rewardPoints)
-			if len(repriced) > 0 {
+			if repriced := gen.RepairRewards(rewardPoints); len(repriced) > 0 {
 				mutated = true
 				affected = workersReferencing(e.strategies, repriced)
 			}
@@ -383,7 +380,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 				s = gen.WorkerStrategies(w, &sc)
 				res.WorkersTouched++
 			case affected[id]:
-				gen.RepairStrategyPayoffs(w, s, repriced, &sc)
+				gen.RepairStrategyPayoffs(w, s)
 				res.WorkersTouched++
 			}
 			strategies[id], ordered[w] = s, s

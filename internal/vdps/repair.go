@@ -3,8 +3,6 @@ package vdps
 import (
 	"context"
 	"math"
-	"slices"
-	"sort"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/geo"
@@ -55,7 +53,7 @@ func EffectiveMaxSize(in *model.Instance, opt Options) int {
 // Generate uses — so a repaired generator is bit-identical to a freshly
 // generated one on every field the solvers read.
 // Strategy references handed out before the repair hold stale payoffs;
-// rebuild affected workers with WorkerStrategies.
+// recompute them with RepairStrategyPayoffs.
 func (g *Generator) RepairRewards(points []int) []int {
 	if len(points) == 0 {
 		return nil
@@ -89,102 +87,24 @@ func (g *Generator) RepairRewards(points []int) []int {
 	return changed
 }
 
-// RepairStrategyPayoffs recomputes the payoff keys of worker w's cached
-// strategy list in place after candidate rewards changed, instead of
+// RepairStrategyPayoffs recomputes the payoff of every entry of worker w's
+// cached strategy list in place after candidate rewards changed, instead of
 // re-enumerating the candidate table through WorkerStrategies. Reward changes
 // cannot alter which candidates are feasible for a worker or which frontier
 // entry is fastest (both depend only on expiries and geometry), so the list's
-// (candidate, entry) membership is still exact — only the payoff keys and
-// their order are stale.
-//
-// changed lists, ascending, the candidate indices whose Reward RepairRewards
-// just moved; only refs pointing at those candidates are re-keyed. Everything
-// else in the cached list keeps its exact payoff bits and its relative order
-// — WorkerStrategies' total order is payoff descending with ascending
-// candidate on ties, and candidate indices are unique within a list, so that
-// order is strict and the unchanged entries are already a sorted subsequence
-// of the final list. The repair therefore splits the list, re-keys and sorts
-// only the (typically few) changed entries, and merges: O(n + k log k)
-// instead of the full re-enumeration's candidate-table scan and n-entry sort.
-// The result is bit-identical, values and permutation, to a fresh
+// (candidate, entry) membership and its ascending candidate order are still
+// exact — only the payoffs are stale. Each payoff is recomputed with
+// WorkerStrategies' expression (its factor-1 branch omits the product,
+// which is exact at factor 1), so the result is bit-identical to a fresh
 // WorkerStrategies call. refs is mutated in place; callers own the
 // transactional consequences (the streaming engine's dirty-flag protocol).
-func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, changed []int, sc *StrategyScratch) {
-	n := len(refs)
-	if n == 0 || len(changed) == 0 {
-		return
-	}
-	// Partition: unchanged entries slide to the front of refs preserving
-	// their (already final) order; changed entries gather into scratch.
-	keys := sc.keys[:0]
-	u := 0
-	for i := range refs {
-		ci := int(refs[i].Cand)
-		if j := sort.SearchInts(changed, ci); j < len(changed) && changed[j] == ci {
-			keys = append(keys, refs[i])
-		} else {
-			refs[u] = refs[i]
-			u++
-		}
-	}
-	sc.keys = keys
-	k := len(keys)
-	if k == 0 {
-		return
-	}
+func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef) {
 	approach := g.inst.ApproachTime(w)
 	factor := g.inst.SpeedFactor(w)
-	if factor == 1 {
-		for i := range keys {
-			c := &g.candidates[keys[i].Cand]
-			keys[i].Payoff = c.Reward / (approach + c.Frontier[keys[i].Entry].Time)
-		}
-	} else {
-		for i := range keys {
-			c := &g.candidates[keys[i].Cand]
-			keys[i].Payoff = c.Reward / (approach + factor*c.Frontier[keys[i].Entry].Time)
-		}
+	for i := range refs {
+		c := &g.candidates[refs[i].Cand]
+		refs[i].Payoff = c.Reward / (approach + factor*c.Frontier[refs[i].Entry].Time)
 	}
-	if cap(sc.tmp) < k {
-		sc.tmp = make([]StrategyRef, k, cap(sc.keys))
-	}
-	out := sortKeysByPayoffDesc(keys, sc.tmp[:k])
-	// The stable radix sort orders equal payoffs by input order; restore the
-	// ascending-candidate tie-break within each equal-payoff run. Payoffs are
-	// non-negative, so value ties are exactly bit-pattern ties and runs are
-	// adjacent after the radix pass (and almost always length 1).
-	for i := 0; i < k; {
-		j := i + 1
-		for j < k && math.Float64bits(out[j].Payoff) == math.Float64bits(out[i].Payoff) {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(out[i:j], func(a, b StrategyRef) int { return int(a.Cand) - int(b.Cand) })
-		}
-		i = j
-	}
-	// Backward merge of the two sorted runs into refs[:n].
-	i, j, p := u-1, k-1, n-1
-	for j >= 0 {
-		if i >= 0 && refLess(&out[j], &refs[i]) {
-			refs[p] = refs[i]
-			i--
-		} else {
-			refs[p] = out[j]
-			j--
-		}
-		p--
-	}
-}
-
-// refLess orders strategy references the way WorkerStrategies emits them:
-// payoff descending, candidate ascending on ties.
-func refLess(a, b *StrategyRef) bool {
-	da, db := descBits(a.Payoff), descBits(b.Payoff)
-	if da != db {
-		return da < db
-	}
-	return a.Cand < b.Cand
 }
 
 // FeasibleFor reports whether candidate ci is a strategy WorkerStrategies

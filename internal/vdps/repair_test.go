@@ -261,9 +261,9 @@ func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
 			t.Fatalf("seed %d: reward repair changed no candidates", seed)
 		}
 
-		var rsc, wsc StrategyScratch
+		var wsc StrategyScratch
 		for w := range mutated.Workers {
-			g.RepairStrategyPayoffs(w, cached[w], changed, &rsc)
+			g.RepairStrategyPayoffs(w, cached[w])
 			want := g.WorkerStrategies(w, &wsc)
 			if !reflect.DeepEqual(cached[w], want) {
 				t.Fatalf("seed %d worker %d: repaired list diverged:\ngot  %+v\nwant %+v",

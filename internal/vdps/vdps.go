@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"fairtask/internal/bitset"
@@ -311,7 +310,9 @@ type WorkerVDPS struct {
 // ForWorker returns the strategies valid for worker index w: every candidate
 // whose size respects the worker's maxDP and whose frontier contains a
 // sequence the worker can complete within all deadlines. Strategies are
-// ordered by descending payoff.
+// ordered by descending payoff, ascending candidate on ties — the order
+// ComparePayoff defines, written out here independently so tests can use
+// this full form as its oracle.
 //
 // For workers using the instance's default speed the check is exact and
 // O(frontier) via the slack trick. For workers with a speed override the
@@ -321,17 +322,7 @@ type WorkerVDPS struct {
 // feasible only for its speed (every returned strategy is still exactly
 // feasible — the approximation can only under-report options).
 func (g *Generator) ForWorker(w int) []WorkerVDPS {
-	return g.AppendForWorker(nil, w)
-}
-
-// AppendForWorker appends worker w's strategies (see ForWorker) to dst and
-// returns the extended slice, sorting only the appended segment. It lets
-// batch callers — game.NewState builds the strategy space of every worker —
-// reuse one scratch buffer across workers instead of growing a fresh slice
-// through repeated doublings per call.
-func (g *Generator) AppendForWorker(dst []WorkerVDPS, w int) []WorkerVDPS {
-	base := len(dst)
-	out := dst
+	var out []WorkerVDPS
 	approach := g.inst.ApproachTime(w)
 	maxDP := g.inst.Workers[w].MaxDP
 	factor := g.inst.SpeedFactor(w)
@@ -368,12 +359,7 @@ func (g *Generator) AppendForWorker(dst []WorkerVDPS, w int) []WorkerVDPS {
 			Payoff:    c.Reward / total,
 		})
 	}
-	// The comparator is a total order (the candidate index is unique), so
-	// the sorted result is the same permutation whatever the algorithm; the
-	// type-specialized slices.SortFunc avoids sort.Slice's reflect-based
-	// swaps, which dominated NewState's profile on large instances.
-	seg := out[base:]
-	slices.SortFunc(seg, func(a, b WorkerVDPS) int {
+	slices.SortFunc(out, func(a, b WorkerVDPS) int {
 		if a.Payoff != b.Payoff {
 			if a.Payoff > b.Payoff {
 				return -1
@@ -414,77 +400,42 @@ func (g *Generator) RefPoints(r StrategyRef) []int {
 	return g.candidates[r.Cand].Points
 }
 
-// StrategyScratch carries the reusable key buffers for batch
+// ComparePayoff is the one preference rule between a worker's strategies:
+// higher payoff first, ascending candidate index on equal payoffs. Within
+// one worker's list candidate indices are unique, so it is a strict total
+// order; its minimum over the strategies a worker can hold is the worker's
+// top strategy. Strategy lists are not stored in this order (see
+// WorkerStrategies): readers that need it compare or sort with it.
+func ComparePayoff(a, b StrategyRef) int {
+	switch {
+	case a.Payoff > b.Payoff:
+		return -1
+	case a.Payoff < b.Payoff:
+		return 1
+	}
+	return int(a.Cand) - int(b.Cand)
+}
+
+// StrategyScratch carries the reusable gather buffer for batch
 // WorkerStrategies calls. The zero value is ready to use; it must not be
 // shared between goroutines.
 type StrategyScratch struct {
-	keys, tmp []StrategyRef
-}
-
-// descBits maps a payoff to a uint64 whose unsigned ascending order is the
-// payoff's descending order (the usual sign-flip trick for total-ordering
-// float bits, complemented). Equal payoffs map to equal bits, so a stable
-// sort on descBits preserves the candidate-ascending tie-break.
-func descBits(p float64) uint64 {
-	u := math.Float64bits(p)
-	if u&(1<<63) != 0 {
-		u = ^u
-	} else {
-		u |= 1 << 63
-	}
-	return ^u
-}
-
-// sortKeysByPayoffDesc orders keys by (payoff descending, insertion order
-// ascending) with a stable byte-wise LSD radix sort: ~n work per pass with
-// no comparator calls, several times faster than a comparison sort on the
-// key count game states see. tmp must have the same length as keys; the
-// returned slice is whichever buffer holds the sorted result. Passes whose
-// digit is constant across all keys (common in the exponent bytes) are
-// skipped.
-func sortKeysByPayoffDesc(keys, tmp []StrategyRef) []StrategyRef {
-	n := len(keys)
-	var hist [256]int
-	src, dst := keys, tmp
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range hist {
-			hist[i] = 0
-		}
-		for i := range src {
-			hist[byte(descBits(src[i].Payoff)>>shift)]++
-		}
-		if hist[byte(descBits(src[0].Payoff)>>shift)] == n {
-			continue
-		}
-		sum := 0
-		for i := range hist {
-			c := hist[i]
-			hist[i] = sum
-			sum += c
-		}
-		for i := range src {
-			d := byte(descBits(src[i].Payoff) >> shift)
-			dst[hist[d]] = src[i]
-			hist[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
+	keys []StrategyRef
 }
 
 // WorkerStrategies returns worker w's strategies in compact reference form —
-// the same candidates in the same order as ForWorker — allocated exactly at
-// their final size.
+// the same candidates as ForWorker, in ascending candidate order rather than
+// payoff order (sort with ComparePayoff where an order is needed) —
+// allocated exactly at their final size.
 //
-// It works in three phases: gather a (payoff, candidate, frontier-entry)
-// reference per feasible candidate — rejecting infeasible candidates on the
-// flat maxSlack/setSize arrays without touching the candidate structs — then
-// radix-sort the 16-byte references, then copy them once into an exact-size,
-// pointer-free result the garbage collector never scans. Compared with
-// building WorkerVDPS structs this moves ~4.5x fewer bytes through the sort,
-// the allocator's zeroing and the GC, which is what makes game.NewState's
-// strategy-space construction cheap at population scale (see
-// docs/PERFORMANCE.md).
+// It gathers a (payoff, candidate, frontier-entry) reference per feasible
+// candidate — rejecting infeasible candidates on the flat maxSlack/setSize
+// arrays without touching the candidate structs — into the reused scratch,
+// then copies them once into an exact-size, pointer-free result the garbage
+// collector never scans. Compared with building WorkerVDPS structs this
+// moves ~4.5x fewer bytes through the allocator's zeroing and the GC, which
+// is what makes game.NewState's strategy-space construction cheap at
+// population scale (see docs/PERFORMANCE.md).
 func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	keys := sc.keys[:0]
 	approach := g.inst.ApproachTime(w)
@@ -526,13 +477,7 @@ func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	if len(keys) == 0 {
 		return nil
 	}
-	if cap(sc.tmp) < len(keys) {
-		sc.tmp = make([]StrategyRef, len(keys), cap(sc.keys))
-	}
-	// Keys were gathered in ascending candidate order, so the stable sort
-	// yields the same (payoff desc, candidate asc) permutation as ForWorker.
-	sorted := sortKeysByPayoffDesc(keys, sc.tmp[:len(keys)])
-	out := make([]StrategyRef, len(sorted))
-	copy(out, sorted)
+	out := make([]StrategyRef, len(keys))
+	copy(out, keys)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fairtask/internal/geo"
@@ -579,6 +580,60 @@ func TestForWorkerHeterogeneousSpeed(t *testing.T) {
 						fs.Payoff, ns.Payoff)
 				}
 			}
+		}
+	}
+}
+
+// TestWorkerStrategiesMatchForWorker pins the compact strategy list against
+// the full form: WorkerStrategies gathers in strictly ascending candidate
+// order, and sorting it with ComparePayoff gives ForWorker's list entry by
+// entry — candidate, payoff bits and sequence. ForWorker sorts with its own
+// comparator, so this is the oracle for ComparePayoff. The GM instance mixes
+// worker speeds; the lattice holds exact payoff ties, where only the
+// candidate tie-break decides the order.
+func TestWorkerStrategiesMatchForWorker(t *testing.T) {
+	cases := []struct {
+		name string
+		in   *model.Instance
+		opt  Options
+	}{
+		{"gm", repairGM(t, 3, 60, 8, 24), Options{Epsilon: 1.5}},
+		{"lattice", latticeInstance(), Options{}},
+	}
+	for _, tc := range cases {
+		g, err := Generate(tc.in, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc StrategyScratch
+		ties := 0
+		for w := range tc.in.Workers {
+			refs := g.WorkerStrategies(w, &sc)
+			for i := 1; i < len(refs); i++ {
+				if refs[i-1].Cand >= refs[i].Cand {
+					t.Fatalf("%s worker %d: candidates not strictly ascending at %d: %d then %d",
+						tc.name, w, i, refs[i-1].Cand, refs[i].Cand)
+				}
+			}
+			slices.SortFunc(refs, ComparePayoff)
+			full := g.ForWorker(w)
+			if len(refs) != len(full) {
+				t.Fatalf("%s worker %d: %d compact strategies, %d full", tc.name, w, len(refs), len(full))
+			}
+			for i, r := range refs {
+				f := full[i]
+				if int(r.Cand) != f.Candidate || math.Float64bits(r.Payoff) != math.Float64bits(f.Payoff) ||
+					!reflect.DeepEqual(g.RefSeq(r), f.Seq) {
+					t.Fatalf("%s worker %d entry %d: compact (cand %d, payoff %v, seq %v), full (cand %d, payoff %v, seq %v)",
+						tc.name, w, i, r.Cand, r.Payoff, g.RefSeq(r), f.Candidate, f.Payoff, f.Seq)
+				}
+				if i > 0 && r.Payoff == refs[i-1].Payoff {
+					ties++
+				}
+			}
+		}
+		if tc.name == "lattice" && ties == 0 {
+			t.Fatal("lattice: no tied payoffs; the tie-break goes untested")
 		}
 	}
 }
