@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"fairtask/internal/audit"
@@ -84,9 +85,11 @@ type Result struct {
 	// ResolveWarm, ResolveRegen or ResolveCold.
 	Resolve string
 	// WorkersTouched counts workers whose strategy spaces were rebuilt,
-	// repaired in place or dropped — the repair blast radius. Every path
-	// counts rebuilt plus departed workers identically (full roster plus
-	// departures on a full regen or cold fallback).
+	// repaired in place or dropped — the repair blast radius — per worker
+	// ID: a worker that goes offline and comes back in the same batch
+	// counts once, and only if its list had to change. The incremental
+	// paths count rebuilt plus repaired plus departed workers; a full regen
+	// or cold fallback counts the whole staged roster plus departures.
 	WorkersTouched int
 	// Summary holds the committed equilibrium's payoff metrics.
 	Summary payoff.Summary
@@ -128,10 +131,13 @@ type Snapshot struct {
 }
 
 // Engine holds a live equilibrium over a mutating FTA instance. It keeps
-// the solver's warm structures — the VDPS candidate generator and the
-// per-worker strategy spaces — and, per applied batch, repairs only what
+// the solver's warm structures — the VDPS candidate generator and one
+// strategy list per worker — and, per applied batch, repairs only what
 // the deltas invalidated before replaying the seeded dynamics, instead of
-// cold-solving O(W) strategy spaces per event.
+// cold-solving O(W) strategy spaces per event. A strategy list belongs to
+// the worker, not to its ID: it is reused across a batch only while the
+// worker keeps its ID and everything its list is derived from (location,
+// MaxDP, speed), so a courier that rejoins elsewhere gets a fresh list.
 //
 // Apply is transactional: deltas are staged on a clone and committed only
 // after a successful resolve, so a failed Apply leaves the previous
@@ -140,11 +146,11 @@ type Snapshot struct {
 type Engine struct {
 	opt  Options
 	inst *model.Instance
-	// gen and strategies are the warm structures, bit-identical to what a
-	// cold build over inst would produce; strategies is keyed by worker ID
-	// because roster deltas shift instance indices.
-	gen        *vdps.Generator
-	strategies map[int][]vdps.StrategyRef
+	// gen and lists are the warm structures, bit-identical to what a cold
+	// build over inst would produce: lists[w] is the strategy space of
+	// inst.Workers[w], exactly the committed game.State.Strategies.
+	gen   *vdps.Generator
+	lists [][]vdps.StrategyRef
 	// maxSize is the effective candidate size cap gen was generated with;
 	// a roster delta that moves it forces a regeneration.
 	maxSize int
@@ -152,8 +158,8 @@ type Engine struct {
 	lastSeq uint64
 	applied uint64
 	// dirty marks the warm structures as diverged from inst (a failure
-	// after in-place generator repair): the next batch regenerates them
-	// before doing anything else.
+	// after in-place repair of the generator or the lists): the next batch
+	// regenerates them before doing anything else.
 	dirty bool
 }
 
@@ -182,7 +188,7 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 		return nil, err
 	}
 	e.gen = gen
-	e.strategies = harvestStrategies(e.inst, state)
+	e.lists = state.Strategies
 	e.res = res
 	e.maxSize = vdps.EffectiveMaxSize(e.inst, opt.VDPS)
 	if m := opt.Metrics; m != nil {
@@ -249,20 +255,17 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 	}
 
 	res := Result{Seq: last, Applied: len(ds)}
-	departed := departedWorkers(e.strategies, staged)
 	var (
-		gen        *vdps.Generator
-		strategies map[int][]vdps.StrategyRef
-		state      *game.State
-		mutated    bool
+		gen     *vdps.Generator
+		state   *game.State
+		mutated bool
 	)
-	switch {
-	case full:
+	if full {
 		// Roster-shape change moved the candidate size cap (or a previous
 		// failure left the warm structures dirty): only a full candidate-DP
 		// re-run covers every set size a worker could now ask for.
 		res.Resolve = ResolveRegen
-		res.WorkersTouched = len(staged.Workers) + departed
+		res.WorkersTouched = len(staged.Workers) + e.departures(staged)
 		var err error
 		gen, err = vdps.GenerateContext(ctx, staged, e.opt.VDPS)
 		if err != nil {
@@ -270,92 +273,34 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 		}
 		state = game.NewState(gen)
-		strategies = harvestStrategies(staged, state)
-
-	case len(expiryPoints) > 0:
-		// Incremental regen: a point's earliest expiry moved, invalidating
-		// exactly the candidates containing that point. RepairExpiries
-		// re-runs the DP restricted to those sets and splices the result
-		// into the retained table bit-identically to a full re-run; only
-		// workers referencing a dropped candidate, gaining a regenerated
-		// one, or hit by a reward change get their strategy spaces rebuilt
-		// or repaired — everyone else just has candidate indices remapped.
-		res.Resolve = ResolveRegen
+	} else {
+		// Incremental repair: rebind the generator to the staged instance.
+		// If a point's earliest expiry moved, re-run the candidate DP
+		// restricted to the sets containing it (RepairExpiries splices the
+		// result into the retained table bit-identically to a full re-run);
+		// then patch candidate rewards in the cold accumulation order, and
+		// let refresh carry each worker's list over or rebuild it.
+		res.Resolve = ResolveWarm
 		gen = e.gen
 		gen.Rebind(staged)
-		if err := fpRepair.Hit(ctx); err != nil {
-			rsp.End()
-			return e.recover(ctx, sp, staged, ds, res, start, fmt.Errorf("stream: repair: %w", err), mutated)
+		var remap, fresh []int
+		if len(expiryPoints) > 0 {
+			res.Resolve = ResolveRegen
+			if err := fpRepair.Hit(ctx); err != nil {
+				rsp.End()
+				return e.recover(ctx, sp, staged, ds, res, start, fmt.Errorf("stream: repair: %w", err), mutated)
+			}
+			rep, err := gen.RepairExpiries(ctx, expiryPoints)
+			if err != nil {
+				rsp.End()
+				return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
+			}
+			mutated = true
+			remap, fresh = rep.Remap, rep.Fresh
 		}
-		rep, err := gen.RepairExpiries(ctx, expiryPoints)
-		if err != nil {
-			rsp.End()
-			return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
-		}
-		mutated = true
-		rebuild := workersReferencing(e.strategies, rep.Dropped)
-		for id, list := range e.strategies {
-			if rebuild[id] {
-				continue // stale indices; the list is replaced below anyway
-			}
-			for i := range list {
-				list[i].Cand = int32(rep.Remap[list[i].Cand])
-			}
-		}
-		for w := range staged.Workers {
-			id := staged.Workers[w].ID
-			if _, cached := e.strategies[id]; !cached || rebuild[id] {
-				continue
-			}
-			for _, ci := range rep.Fresh {
-				if gen.FeasibleFor(w, ci) {
-					rebuild[id] = true
-					break
-				}
-			}
-		}
-		var repaired map[int]bool
-		if len(rewardPoints) > 0 {
-			if repriced := gen.RepairRewards(rewardPoints); len(repriced) > 0 {
-				repaired = workersReferencing(e.strategies, repriced)
-			}
-		}
-		strategies = make(map[int][]vdps.StrategyRef, len(staged.Workers))
-		ordered := make([][]vdps.StrategyRef, len(staged.Workers))
-		var sc vdps.StrategyScratch
-		for w := range staged.Workers {
-			id := staged.Workers[w].ID
-			s, cached := e.strategies[id]
-			switch {
-			case !cached || rebuild[id]:
-				s = gen.WorkerStrategies(w, &sc)
-				res.WorkersTouched++
-			case repaired[id]:
-				gen.RepairStrategyPayoffs(w, s)
-				res.WorkersTouched++
-			}
-			strategies[id], ordered[w] = s, s
-		}
-		res.WorkersTouched += departed
-		state = game.NewStateWithStrategies(gen, ordered)
-
-	default:
-		// Warm repair: rebind the generator to the staged instance, patch
-		// candidate rewards in the cold accumulation order, and repair only
-		// the strategy spaces the batch invalidated — new workers get a
-		// fresh enumeration, workers referencing a re-priced candidate get
-		// their cached payoffs recomputed in place. Feasibility
-		// is untouched by reward changes (it depends on expiries, which are
-		// unchanged on this path), so every reused and repaired list is
-		// bit-identical to a cold rebuild.
-		gen = e.gen
-		gen.Rebind(staged)
-		var affected map[int]bool
-		if len(rewardPoints) > 0 {
-			if repriced := gen.RepairRewards(rewardPoints); len(repriced) > 0 {
-				mutated = true
-				affected = workersReferencing(e.strategies, repriced)
-			}
+		repriced := gen.RepairRewards(rewardPoints)
+		if len(repriced) > 0 {
+			mutated = true
 		}
 		if !mutated && !plan.workersChanged {
 			// Nothing the game reads changed (e.g. a zero-reward arrival
@@ -363,30 +308,14 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			// keep the standing equilibrium.
 			rsp.End()
 			res.Resolve = ResolveNoop
-			e.commit(staged, gen, e.strategies, e.res, last, len(ds))
+			e.commit(staged, gen, e.lists, e.res, last, len(ds))
 			res = e.result(res, start)
 			e.observe(res, ds, 0)
 			return res, nil
 		}
-		res.Resolve = ResolveWarm
-		strategies = make(map[int][]vdps.StrategyRef, len(staged.Workers))
-		ordered := make([][]vdps.StrategyRef, len(staged.Workers))
-		var sc vdps.StrategyScratch
-		for w := range staged.Workers {
-			id := staged.Workers[w].ID
-			s, cached := e.strategies[id]
-			switch {
-			case !cached:
-				s = gen.WorkerStrategies(w, &sc)
-				res.WorkersTouched++
-			case affected[id]:
-				gen.RepairStrategyPayoffs(w, s)
-				res.WorkersTouched++
-			}
-			strategies[id], ordered[w] = s, s
-		}
-		res.WorkersTouched += departed
-		state = game.NewStateWithStrategies(gen, ordered)
+		var lists [][]vdps.StrategyRef
+		lists, res.WorkersTouched = e.refresh(gen, staged, remap, fresh, repriced)
+		state = game.NewStateWithStrategies(gen, lists)
 	}
 	rsp.End()
 
@@ -407,7 +336,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		}
 		return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 	}
-	e.commit(staged, gen, strategies, solved, last, len(ds))
+	e.commit(staged, gen, state.Strategies, solved, last, len(ds))
 	res = e.result(res, start)
 	e.observe(res, ds, time.Since(vstart))
 	return res, nil
@@ -418,7 +347,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 // Apply (or New) committed.
 func (e *Engine) Snapshot() Snapshot {
 	sum := e.res.Summary
-	sum.Payoffs = append([]float64(nil), sum.Payoffs...)
+	sum.Payoffs = slices.Clone(sum.Payoffs)
 	return Snapshot{
 		Seq:        e.lastSeq,
 		Applied:    e.applied,
@@ -464,10 +393,10 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 		return Result{}, fmt.Errorf("stream: cold fallback (after %v): %w", cause, err)
 	}
 	res.Resolve = ResolveCold
-	res.WorkersTouched = len(staged.Workers) + departedWorkers(e.strategies, staged)
+	res.WorkersTouched = len(staged.Workers) + e.departures(staged)
 	res.Audit = report
-	if gen, strategies, err := e.buildCaches(ctx, staged); err == nil {
-		e.commit(staged, gen, strategies, solved, res.Seq, len(ds))
+	if gen, err := vdps.GenerateContext(ctx, staged, e.opt.VDPS); err == nil {
+		e.commit(staged, gen, game.NewState(gen).Strategies, solved, res.Seq, len(ds))
 	} else {
 		e.inst = staged
 		e.res = solved
@@ -493,38 +422,120 @@ func (e *Engine) runDynamics(ctx context.Context, s *game.State, in *model.Insta
 	return game.FGTFromState(ctx, s, e.opt.Game)
 }
 
-// departedWorkers counts cached workers absent from the staged roster —
-// strategy spaces the batch drops, counted into WorkersTouched on every
-// resolve path.
-func departedWorkers(cache map[int][]vdps.StrategyRef, staged *model.Instance) int {
-	present := make(map[int]bool, len(staged.Workers))
+// refresh returns the staged roster's strategy lists for the incremental
+// path, together with the number of workers whose lists were rebuilt,
+// repaired in place or dropped. gen is already repaired: remap and fresh
+// describe its expiry repair (both nil when no expiry moved), and repriced
+// lists the post-repair candidates whose reward changed.
+//
+// A staged worker inherits the committed list of the worker with its ID
+// only while that list is still exactly what gen.WorkerStrategies would
+// return: the worker's location, MaxDP and speed (all the list reads about
+// it) are unchanged, no candidate on it was dropped, and no regenerated
+// candidate is feasible for it. Its candidate indices are then remapped in
+// place and, if one of them was re-priced, its payoffs recomputed in place.
+// Every other worker's list is rebuilt.
+func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, remap, fresh, repriced []int) ([][]vdps.StrategyRef, int) {
+	committed := make(map[int]int, len(e.inst.Workers))
+	for w := range e.inst.Workers {
+		committed[e.inst.Workers[w].ID] = w
+	}
+	var hit []bool
+	if len(repriced) > 0 {
+		hit = make([]bool, len(gen.Candidates()))
+		for _, ci := range repriced {
+			hit[ci] = true
+		}
+	}
+	lists := make([][]vdps.StrategyRef, len(staged.Workers))
+	touched, present := 0, 0
+	var sc vdps.StrategyScratch
 	for w := range staged.Workers {
-		present[staged.Workers[w].ID] = true
+		sw := &staged.Workers[w]
+		cw, reuse := committed[sw.ID]
+		var list []vdps.StrategyRef
+		if reuse {
+			present++
+			old := &e.inst.Workers[cw]
+			reuse = old.Loc == sw.Loc && old.MaxDP == sw.MaxDP && old.Speed == sw.Speed
+			list = e.lists[cw]
+		}
+		if reuse && remap != nil {
+			reuse = remapList(list, remap) && !anyFeasible(gen, w, fresh)
+		}
+		switch {
+		case !reuse:
+			list = gen.WorkerStrategies(w, &sc)
+			touched++
+		case referencesAny(list, hit):
+			gen.RepairStrategyPayoffs(w, list)
+			touched++
+		}
+		lists[w] = list
+	}
+	return lists, touched + len(e.inst.Workers) - present
+}
+
+// remapList rewrites list's candidate indices through an expiry repair's
+// remap in place, stopping at the first dropped candidate: it reports
+// whether every candidate survived. A list with a dropped candidate is left
+// partly rewritten, to be replaced.
+func remapList(list []vdps.StrategyRef, remap []int) bool {
+	for i := range list {
+		ci := remap[list[i].Cand]
+		if ci < 0 {
+			return false
+		}
+		list[i].Cand = int32(ci)
+	}
+	return true
+}
+
+// anyFeasible reports whether any of the candidates is a strategy of
+// worker w.
+func anyFeasible(gen *vdps.Generator, w int, cands []int) bool {
+	for _, ci := range cands {
+		if gen.FeasibleFor(w, ci) {
+			return true
+		}
+	}
+	return false
+}
+
+// referencesAny reports whether list holds a candidate marked in hit.
+func referencesAny(list []vdps.StrategyRef, hit []bool) bool {
+	if hit == nil {
+		return false
+	}
+	for i := range list {
+		if hit[list[i].Cand] {
+			return true
+		}
+	}
+	return false
+}
+
+// departures counts committed workers whose IDs are absent from the staged
+// roster.
+func (e *Engine) departures(staged *model.Instance) int {
+	ids := make(map[int]bool, len(staged.Workers))
+	for w := range staged.Workers {
+		ids[staged.Workers[w].ID] = true
 	}
 	n := 0
-	for id := range cache {
-		if !present[id] {
+	for w := range e.inst.Workers {
+		if !ids[e.inst.Workers[w].ID] {
 			n++
 		}
 	}
 	return n
 }
 
-// buildCaches regenerates the warm structures for an instance without
-// running dynamics.
-func (e *Engine) buildCaches(ctx context.Context, in *model.Instance) (*vdps.Generator, map[int][]vdps.StrategyRef, error) {
-	gen, err := vdps.GenerateContext(ctx, in, e.opt.VDPS)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gen, harvestStrategies(in, game.NewState(gen)), nil
-}
-
 // commit installs the staged instance and its consistent warm structures.
-func (e *Engine) commit(staged *model.Instance, gen *vdps.Generator, strategies map[int][]vdps.StrategyRef, res *game.Result, seq uint64, n int) {
+func (e *Engine) commit(staged *model.Instance, gen *vdps.Generator, lists [][]vdps.StrategyRef, res *game.Result, seq uint64, n int) {
 	e.inst = staged
 	e.gen = gen
-	e.strategies = strategies
+	e.lists = lists
 	e.res = res
 	e.maxSize = vdps.EffectiveMaxSize(staged, e.opt.VDPS)
 	e.lastSeq = seq
@@ -535,7 +546,7 @@ func (e *Engine) commit(staged *model.Instance, gen *vdps.Generator, strategies 
 // result fills the committed-state fields of a Result.
 func (e *Engine) result(r Result, start time.Time) Result {
 	sum := e.res.Summary
-	sum.Payoffs = append([]float64(nil), sum.Payoffs...)
+	sum.Payoffs = slices.Clone(sum.Payoffs)
 	r.Summary = sum
 	r.Iterations = e.res.Iterations
 	r.Converged = e.res.Converged
@@ -585,37 +596,6 @@ func (a dynamicsAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.
 		return evo.IEGT(ctx, g, a.e.opt.Evo)
 	}
 	return game.FGT(ctx, g, a.e.opt.Game)
-}
-
-// harvestStrategies keys a state's strategy spaces by worker ID for the
-// engine's roster-stable cache.
-func harvestStrategies(in *model.Instance, s *game.State) map[int][]vdps.StrategyRef {
-	m := make(map[int][]vdps.StrategyRef, len(in.Workers))
-	for w := range in.Workers {
-		m[in.Workers[w].ID] = s.Strategies[w]
-	}
-	return m
-}
-
-// workersReferencing returns the IDs of cached workers whose strategy lists
-// reference any changed candidate. Reward repair cannot change a list's
-// candidate membership (feasibility ignores rewards), so membership in the
-// cached list is exactly the rebuild condition.
-func workersReferencing(cache map[int][]vdps.StrategyRef, changed []int) map[int]bool {
-	set := make(map[int32]bool, len(changed))
-	for _, ci := range changed {
-		set[int32(ci)] = true
-	}
-	out := make(map[int]bool)
-	for id, list := range cache {
-		for i := range list {
-			if set[list[i].Cand] {
-				out[id] = true
-				break
-			}
-		}
-	}
-	return out
 }
 
 // emptyResult is the equilibrium of a workerless instance.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fairtask/internal/fault"
+	"fairtask/internal/geo"
 	"fairtask/internal/obs"
 )
 
@@ -154,7 +155,10 @@ func TestRepairFailpointColdFallback(t *testing.T) {
 // TestWorkersTouchedRepairCounts is the regression test for the repair blast
 // radius: every resolve path counts rebuilt plus departed workers, so a
 // shrinking roster is visible in WorkersTouched whether the departure lands
-// on the warm path or forces a full regeneration.
+// on the warm path or forces a full regeneration. A worker that leaves and
+// rejoins in one batch counts per ID: not at all when nothing its strategy
+// list reads changed, once when it rejoined somewhere else — and then its
+// list must be rebuilt, or the replay below diverges from the cold solve.
 func TestWorkersTouchedRepairCounts(t *testing.T) {
 	in := gmInstance(t, 15, 60, 10, 24)
 	// Give one worker a strictly larger set-size appetite: taking it offline
@@ -195,11 +199,54 @@ func TestWorkersTouchedRepairCounts(t *testing.T) {
 			res.WorkersTouched, want, len(in.Workers)-2)
 	}
 
+	// Rejoin with identical fields: the worker keeps its ID and everything
+	// its strategy list reads, so the list carries over untouched.
+	same := in.Workers[2]
+	rejoin := []Delta{
+		{Seq: 3, Kind: WorkerOffline, WorkerID: same.ID},
+		{Seq: 4, Kind: WorkerOnline, WorkerID: same.ID, Loc: same.Loc, MaxDP: same.MaxDP,
+			Priority: same.Priority, Contribution: same.Contribution, Speed: same.Speed},
+	}
+	res, err = eng.ApplyAll(context.Background(), rejoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveWarm {
+		t.Fatalf("resolve = %q, want %q", res.Resolve, ResolveWarm)
+	}
+	if res.WorkersTouched != 0 {
+		t.Fatalf("identical rejoin WorkersTouched = %d, want 0", res.WorkersTouched)
+	}
+
+	// Rejoin under the same ID next to the center: the approach time moved,
+	// so the worker needs a fresh list, and it counts once. MaxDP is kept so
+	// the candidate size cap does not move.
+	moved := in.Workers[3]
+	moved.Loc = geo.Point{X: in.Center.X + 0.01, Y: in.Center.Y}
+	if moved.Loc == in.Workers[3].Loc {
+		t.Fatal("moved worker did not move")
+	}
+	relocate := []Delta{
+		{Seq: 5, Kind: WorkerOffline, WorkerID: moved.ID},
+		{Seq: 6, Kind: WorkerOnline, WorkerID: moved.ID, Loc: moved.Loc, MaxDP: moved.MaxDP,
+			Priority: moved.Priority, Contribution: moved.Contribution, Speed: moved.Speed},
+	}
+	res, err = eng.ApplyAll(context.Background(), relocate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveWarm {
+		t.Fatalf("resolve = %q, want %q", res.Resolve, ResolveWarm)
+	}
+	if res.WorkersTouched != 1 {
+		t.Fatalf("moved rejoin WorkersTouched = %d, want 1", res.WorkersTouched)
+	}
+
 	replayed := in.Clone()
-	if err := Replay(replayed,
-		Delta{Seq: 1, Kind: WorkerOffline, WorkerID: in.Workers[1].ID},
-		Delta{Seq: 2, Kind: WorkerOffline, WorkerID: in.Workers[0].ID},
-	); err != nil {
+	if err := Replay(replayed, append(append([]Delta{
+		{Seq: 1, Kind: WorkerOffline, WorkerID: in.Workers[1].ID},
+		{Seq: 2, Kind: WorkerOffline, WorkerID: in.Workers[0].ID},
+	}, rejoin...), relocate...)...); err != nil {
 		t.Fatal(err)
 	}
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 15))

@@ -134,13 +134,11 @@ func (g *Generator) FeasibleFor(w, ci int) bool {
 // consistent: how retained candidate indices moved, which candidates are
 // gone, and which are regenerated.
 type ExpiryRepair struct {
-	// Remap maps every pre-repair candidate index to its post-repair index,
-	// or -1 for candidates that were dropped (they contained a changed
-	// point). Retained candidates keep their identity: points, frontier and
-	// reward are untouched, only the index moves.
+	// Remap maps every pre-repair candidate index to its post-repair index.
+	// A -1 entry marks a dropped candidate (it contained a changed point).
+	// Retained candidates keep their identity: points, frontier and reward
+	// are untouched, only the index moves.
 	Remap []int
-	// Dropped lists the pre-repair indices of dropped candidates, ascending.
-	Dropped []int
 	// Fresh lists the post-repair indices of regenerated candidates —
 	// every candidate containing at least one changed point that is feasible
 	// under the new expiries — ascending.
@@ -167,8 +165,8 @@ type ExpiryRepair struct {
 // The generator must already be rebound to the mutated instance. On error
 // (cancellation, ErrTooManySets) the candidate table is left untouched.
 // Cached strategy lists hold pre-repair candidate indices; remap unaffected
-// lists with Remap and rebuild workers referencing Dropped candidates or
-// gaining Fresh ones.
+// lists with Remap, and rebuild the lists of workers holding a dropped
+// candidate (a -1 in Remap) or gaining a Fresh one.
 func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRepair, error) {
 	if len(points) == 0 {
 		remap := make([]int, len(g.candidates))
@@ -206,7 +204,6 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		c := &g.candidates[ci]
 		if c.Mask.Intersects(d.changed) {
 			rep.Remap[ci] = -1
-			rep.Dropped = append(rep.Dropped, ci)
 			continue
 		}
 		for fi < len(fresh) && candLess(&fresh[fi], c) {

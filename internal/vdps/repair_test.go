@@ -131,21 +131,33 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 				}
 				assertGeneratorsEqual(t, g, want)
 
-				// Remap/Dropped/Fresh must describe the surgery exactly.
+				// Remap/Fresh must describe the surgery exactly: -1 in Remap
+				// marks exactly the candidates containing a changed point.
 				if len(rep.Remap) != len(before) {
 					t.Fatalf("remap length %d, want %d", len(rep.Remap), len(before))
 				}
-				dropped := map[int]bool{}
-				for _, ci := range rep.Dropped {
-					dropped[ci] = true
+				changed := map[int]bool{}
+				for _, p := range pts {
+					changed[p] = true
 				}
+				dropped := 0
 				for ci := range before {
+					hasChanged := false
+					for _, p := range before[ci].Points {
+						if changed[p] {
+							hasChanged = true
+						}
+					}
 					ni := rep.Remap[ci]
 					if ni < 0 {
-						if !dropped[ci] {
-							t.Fatalf("candidate %d remapped to -1 but not in Dropped", ci)
+						if !hasChanged {
+							t.Fatalf("candidate %d remapped to -1 but contains no changed point", ci)
 						}
+						dropped++
 						continue
+					}
+					if hasChanged {
+						t.Fatalf("candidate %d contains a changed point but was retained", ci)
 					}
 					if !reflect.DeepEqual(before[ci].Points, g.Candidates()[ni].Points) {
 						t.Fatalf("retained candidate %d moved to %d with different points", ci, ni)
@@ -166,7 +178,7 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 						t.Fatalf("fresh candidate %d contains no changed point", ni)
 					}
 				}
-				if got := len(before) - len(rep.Dropped) + len(rep.Fresh); got != len(g.Candidates()) {
+				if got := len(before) - dropped + len(rep.Fresh); got != len(g.Candidates()) {
 					t.Fatalf("retained+fresh = %d, table has %d", got, len(g.Candidates()))
 				}
 			}
@@ -187,10 +199,10 @@ func TestRepairExpiriesNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Dropped) != 0 || len(rep.Fresh) != 0 || len(rep.Remap) != n {
+	if len(rep.Fresh) != 0 || len(rep.Remap) != n {
 		t.Fatalf("identity repair reported surgery: %+v", rep)
 	}
-	for i, ni := range rep.Remap {
+	for i, ni := range rep.Remap { // identity: no -1, so nothing dropped
 		if ni != i {
 			t.Fatalf("remap[%d] = %d, want identity", i, ni)
 		}
