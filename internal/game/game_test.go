@@ -2,10 +2,12 @@ package game
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fairtask/internal/dataset"
 	"fairtask/internal/fairness"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
@@ -164,6 +166,109 @@ func TestRandomInitSingletonsAndDisjoint(t *testing.T) {
 	if err := s.Assignment().Validate(in); err != nil {
 		t.Errorf("initial assignment invalid: %v", err)
 	}
+}
+
+// naiveTop is the rule TopAvailable implements, written as a plain scan:
+// the minimum under vdps.ComparePayoff over the incumbent and every entry
+// Available accepts, or Null.
+func naiveTop(s *State, w int) int {
+	list := s.Strategies[w]
+	top := Null
+	for si := range list {
+		if si != s.Current[w] && !s.Available(w, si) {
+			continue
+		}
+		if top == Null || vdps.ComparePayoff(list[si], list[top]) < 0 {
+			top = si
+		}
+	}
+	return top
+}
+
+// TestTopAvailableMatchesComparePayoff pins TopAvailable's inline skip test
+// to the rule it writes out: on shuffled lists of a contended GM instance
+// and of the tie-heavy lattice, after RandomInit and after every switch of
+// one FGT round, every worker's TopAvailable equals naiveTop. A hand-built
+// list of equal payoffs in descending candidate order pins the tie-break.
+func TestTopAvailableMatchesComparePayoff(t *testing.T) {
+	gm, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 400, Workers: 60, DeliveryPoints: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gmGen, err := vdps.Generate(gm, vdps.Options{Epsilon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, s *State) {
+		t.Helper()
+		for w := range s.Current {
+			if got, want := s.TopAvailable(w), naiveTop(s, w); got != want {
+				t.Fatalf("%s worker %d: TopAvailable %d, ComparePayoff scan %d", label, w, got, want)
+			}
+		}
+	}
+	gens := []struct {
+		name string
+		g    *vdps.Generator
+	}{{"gm", gmGen}, {"lattice", mustGen(t, latticeInstance())}}
+	total := 0 // switches checked; the GM starts at an equilibrium, the lattice does not
+	for _, gc := range gens {
+		for seed := int64(1); seed <= 5; seed++ {
+			s := NewState(gc.g)
+			rng := rand.New(rand.NewSource(seed))
+			for _, list := range s.Strategies {
+				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+			}
+			label := fmt.Sprintf("%s seed %d", gc.name, seed)
+			check(label+" fresh", s)
+			s.RandomInit(rng)
+			check(label+" init", s)
+			opt := Options{}.withDefaults()
+			u, err := newIAUScratch(opt.Fairness, nil, len(s.Current))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switches := 0
+			for w := range s.Current {
+				if best := bestResponse(s, u, w, opt.EpsilonUtility); best != s.Current[w] {
+					s.Switch(w, best)
+					switches++
+					check(fmt.Sprintf("%s switch %d", label, switches), s)
+				}
+			}
+			total += switches
+		}
+	}
+	if total == 0 {
+		t.Fatal("no FGT round made a switch")
+	}
+
+	// Equal payoffs in descending candidate order: the last entry, the
+	// lowest candidate, is the top until another worker takes its point.
+	g := gens[1].g
+	var singles []int32
+	for ci, c := range g.Candidates() {
+		if len(c.Points) == 1 && len(singles) < 4 {
+			singles = append(singles, int32(ci))
+		}
+	}
+	list := make([]vdps.StrategyRef, len(singles))
+	for i, ci := range singles {
+		list[len(list)-1-i] = vdps.StrategyRef{Payoff: 1, Cand: ci}
+	}
+	strategies := make([][]vdps.StrategyRef, len(g.Instance().Workers))
+	strategies[0] = list
+	strategies[1] = []vdps.StrategyRef{{Payoff: 1, Cand: singles[0]}}
+	s := NewStateWithStrategies(g, strategies)
+	if got := s.TopAvailable(0); got != len(list)-1 {
+		t.Fatalf("tied list: TopAvailable %d, want %d (lowest candidate)", got, len(list)-1)
+	}
+	check("tied list", s)
+	s.Switch(1, 0)
+	if got := s.TopAvailable(0); got != len(list)-2 {
+		t.Fatalf("tied list, lowest taken: TopAvailable %d, want %d", got, len(list)-2)
+	}
+	check("tied list, lowest taken", s)
 }
 
 func TestFGTProducesValidAssignment(t *testing.T) {

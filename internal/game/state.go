@@ -170,15 +170,27 @@ func (s *State) Available(w, si int) bool {
 // payoff, lowest candidate index on ties — among those w could hold now, or
 // Null when none is. The incumbent counts as available. Availability is
 // checked only for an entry that beats the best found so far.
+//
+// The running top's payoff and candidate stay in locals, and the skip test
+// is ComparePayoff written out: an entry is skipped iff
+// ComparePayoff(entry, top) >= 0, which for the distinct candidates of one
+// list is !(p > tp) && (p < tp || c > tc). A NaN payoff therefore behaves
+// as it does under ComparePayoff. TestTopAvailableMatchesComparePayoff pins
+// the two against each other.
 func (s *State) TopAvailable(w int) int {
 	list := s.Strategies[w]
+	cur := s.Current[w]
 	top := Null
+	var tp float64
+	var tc int32
 	for si := range list {
-		if top != Null && vdps.ComparePayoff(list[si], list[top]) >= 0 {
-			continue
+		if top != Null {
+			if p, c := list[si].Payoff, list[si].Cand; !(p > tp) && (p < tp || c > tc) {
+				continue
+			}
 		}
-		if si == s.Current[w] || s.Available(w, si) {
-			top = si
+		if si == cur || s.Available(w, si) {
+			top, tp, tc = si, list[si].Payoff, list[si].Cand
 		}
 	}
 	return top
@@ -234,15 +246,17 @@ func (s *State) Switch(w, si int) {
 // and Algorithm 3 (lines 6-16): workers are visited in random order and each
 // receives a random *singleton* VDPS (a set with one delivery point) among
 // those still available; workers without any available singleton get Null.
+//
+// A sequence visits exactly its candidate's point set, so a singleton route
+// is a size-1 set: the test reads vdps.Generator.SetSize, a flat array,
+// without loading the candidate. The draw ranks the gathered singletons
+// with NthBest, so it does not depend on the order the list holds them in.
 func (s *State) RandomInit(rng *rand.Rand) {
 	order := rng.Perm(len(s.Current))
 	for _, w := range order {
 		var singles []int
-		for si := range s.Strategies[w] {
-			// A sequence visits exactly its candidate's point set, so a
-			// singleton route is a size-1 set — checked on the point set to
-			// avoid chasing the frontier entry per strategy.
-			if len(s.points(w, si)) == 1 && s.Available(w, si) {
+		for si, r := range s.Strategies[w] {
+			if s.gen.SetSize(r.Cand) == 1 && s.Available(w, si) {
 				singles = append(singles, si)
 			}
 		}

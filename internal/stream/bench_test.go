@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fairtask/internal/game"
+	"fairtask/internal/obs"
 	"fairtask/internal/vdps"
 )
 
@@ -36,14 +37,16 @@ func benchSetup(b *testing.B) (*Engine, []Delta) {
 func benchVDPS() vdps.Options { return vdps.Options{Epsilon: 1.5} }
 
 // BenchmarkStreamApply measures per-delta warm applies and reports the
-// latency distribution and repair locality:
+// latency distribution, repair locality and where a delta's time goes:
 //
 //	p50-ns/delta, p99-ns/delta    delta-apply latency percentiles
 //	workers-touched/delta         strategy rebuild footprint per delta
+//	repair-ns/delta ...           median per-phase self time (see benchPhases)
 //
 // Each iteration applies the whole stream to a fresh engine, built with the
 // timer stopped: re-applying it to one engine would set prices that are
-// already set, and those deltas take the noop path.
+// already set, and those deltas take the noop path. The timed loop runs
+// untraced; the phase times come from one more, traced pass after it.
 func BenchmarkStreamApply(b *testing.B) {
 	var lat []float64
 	var touched, applied int
@@ -68,14 +71,57 @@ func BenchmarkStreamApply(b *testing.B) {
 	b.ReportMetric(lat[len(lat)*50/100], "p50-ns/delta")
 	b.ReportMetric(lat[min(len(lat)-1, len(lat)*99/100)], "p99-ns/delta")
 	b.ReportMetric(float64(touched)/float64(applied), "workers-touched/delta")
+	benchPhases(b)
+}
+
+// benchPhases applies the benchmark stream once more, to a fresh engine,
+// with one tracer root span per delta, reduces each delta's trace with
+// obs.Breakdown and reports the median over deltas of each phase's self
+// time (zero where a delta skipped the phase):
+//
+//	repair-ns/delta     stream.repair: candidate and strategy-list repair
+//	resolve-ns/delta    stream.resolve: the dynamics replay, whose interval
+//	                    holds the state.build and round spans below
+//	init-ns/delta       state.build: the random singleton init
+//	rounds-ns/delta     the round spans, summed: best-response rounds
+//
+// The caller's timer must be stopped.
+func benchPhases(b *testing.B) {
+	phases := []struct{ span, unit string }{
+		{"stream.repair", "repair-ns/delta"},
+		{"stream.resolve", "resolve-ns/delta"},
+		{"state.build", "init-ns/delta"},
+		{"round", "rounds-ns/delta"},
+	}
+	eng, ds := benchSetup(b)
+	self := make([][]float64, len(phases))
+	for _, d := range ds {
+		tr := obs.NewTracer()
+		root := tr.Root("delta")
+		if _, err := eng.Apply(obs.ContextWithSpan(context.Background(), root), d); err != nil {
+			b.Fatal(err)
+		}
+		root.End()
+		byName := map[string]time.Duration{}
+		for _, ph := range obs.Breakdown(tr.Collect("delta")) {
+			byName[ph.Name] = ph.Self
+		}
+		for i, ph := range phases {
+			self[i] = append(self[i], float64(byName[ph.span].Nanoseconds()))
+		}
+	}
+	for i, ph := range phases {
+		sort.Float64s(self[i])
+		b.ReportMetric(self[i][len(self[i])/2], ph.unit)
+	}
 }
 
 // BenchmarkStreamStrategyRepair isolates the warm path's strategy-space
-// maintenance on the reprice-heavy regime: recomputing every payoff of a
-// worker's cached strategy list in place (vdps.RepairStrategyPayoffs)
-// versus re-enumerating it from the candidate table
-// (vdps.WorkerStrategies), which is what the warm path did before in-place
-// repair existed. Reports speedup-x = mean enumeration / mean repair.
+// maintenance on the reprice-heavy regime: a repair that recomputes
+// re-priced entries in place (vdps.RepairStrategyPayoffs) versus
+// re-enumerating the list from the candidate table (vdps.WorkerStrategies),
+// which is what the warm path did before in-place repair existed. Reports
+// speedup-x = mean enumeration / mean repair.
 func BenchmarkStreamStrategyRepair(b *testing.B) {
 	eng, _ := benchSetup(b)
 	gen := eng.gen
@@ -85,6 +131,9 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 	for w := range in.Workers {
 		cached[w] = append([]vdps.StrategyRef(nil), gen.WorkerStrategies(w, &sc)...)
 	}
+	// One re-priced mask serves every round: marked from RepairRewards'
+	// return, cleared after the round.
+	repriced := make([]bool, len(gen.Candidates()))
 	var repairNS, enumNS float64
 	var n int
 	b.ResetTimer()
@@ -98,9 +147,12 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 		if len(changed) == 0 {
 			continue
 		}
+		for _, ci := range changed {
+			repriced[ci] = true
+		}
 		for w := range in.Workers {
 			start := time.Now()
-			gen.RepairStrategyPayoffs(w, cached[w])
+			gen.RepairStrategyPayoffs(w, cached[w], repriced)
 			repairNS += float64(time.Since(start).Nanoseconds())
 			start = time.Now()
 			want := gen.WorkerStrategies(w, &sc)
@@ -109,6 +161,9 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 				b.Fatal("repair and enumeration disagree")
 			}
 			n++
+		}
+		for _, ci := range changed {
+			repriced[ci] = false
 		}
 	}
 	b.StopTimer()

@@ -433,8 +433,9 @@ func (e *Engine) runDynamics(ctx context.Context, s *game.State, in *model.Insta
 // return: the worker's location, MaxDP and speed (all the list reads about
 // it) are unchanged, no candidate on it was dropped, and no regenerated
 // candidate is feasible for it. Its candidate indices are then remapped in
-// place and, if one of them was re-priced, its payoffs recomputed in place.
-// Every other worker's list is rebuilt.
+// place, and the payoffs of its re-priced entries recomputed in place; the
+// worker counts as touched iff it holds one. Every other worker's list is
+// rebuilt.
 func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, remap, fresh, repriced []int) ([][]vdps.StrategyRef, int) {
 	committed := make(map[int]int, len(e.inst.Workers))
 	for w := range e.inst.Workers {
@@ -467,8 +468,7 @@ func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, remap, fre
 		case !reuse:
 			list = gen.WorkerStrategies(w, &sc)
 			touched++
-		case referencesAny(list, hit):
-			gen.RepairStrategyPayoffs(w, list)
+		case hit != nil && gen.RepairStrategyPayoffs(w, list, hit):
 			touched++
 		}
 		lists[w] = list
@@ -496,19 +496,6 @@ func remapList(list []vdps.StrategyRef, remap []int) bool {
 func anyFeasible(gen *vdps.Generator, w int, cands []int) bool {
 	for _, ci := range cands {
 		if gen.FeasibleFor(w, ci) {
-			return true
-		}
-	}
-	return false
-}
-
-// referencesAny reports whether list holds a candidate marked in hit.
-func referencesAny(list []vdps.StrategyRef, hit []bool) bool {
-	if hit == nil {
-		return false
-	}
-	for i := range list {
-		if hit[list[i].Cand] {
 			return true
 		}
 	}

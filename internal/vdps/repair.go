@@ -48,31 +48,25 @@ func EffectiveMaxSize(in *model.Instance, opt Options) int {
 // or reward changes confined to those points. It returns the indices of
 // candidates whose reward actually changed (bitwise), in ascending order.
 //
-// Each affected reward is recomputed from scratch by summing the point
-// rewards in ascending point order — exactly the accumulation order a cold
-// Generate uses — so a repaired generator is bit-identical to a freshly
+// The touched points form one bit set, and a candidate is affected iff its
+// Mask intersects it, a word-wise AND. Each affected reward is recomputed from scratch by summing the
+// point rewards in ascending point order — exactly the accumulation order a
+// cold Generate uses — so a repaired generator is bit-identical to a freshly
 // generated one on every field the solvers read.
-// Strategy references handed out before the repair hold stale payoffs;
-// recompute them with RepairStrategyPayoffs.
+// Strategy references handed out before the repair hold stale payoffs for
+// the returned candidates; recompute them with RepairStrategyPayoffs.
 func (g *Generator) RepairRewards(points []int) []int {
 	if len(points) == 0 {
 		return nil
 	}
-	touched := make(map[int]bool, len(points))
+	touched := bitset.New(len(g.inst.Points))
 	for _, p := range points {
-		touched[p] = true
+		touched = touched.With(p)
 	}
 	var changed []int
 	for ci := range g.candidates {
 		c := &g.candidates[ci]
-		hit := false
-		for _, p := range c.Points {
-			if touched[p] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if !c.Mask.Intersects(touched) {
 			continue
 		}
 		var reward float64
@@ -87,24 +81,34 @@ func (g *Generator) RepairRewards(points []int) []int {
 	return changed
 }
 
-// RepairStrategyPayoffs recomputes the payoff of every entry of worker w's
-// cached strategy list in place after candidate rewards changed, instead of
-// re-enumerating the candidate table through WorkerStrategies. Reward changes
-// cannot alter which candidates are feasible for a worker or which frontier
-// entry is fastest (both depend only on expiries and geometry), so the list's
-// (candidate, entry) membership and its ascending candidate order are still
-// exact — only the payoffs are stale. Each payoff is recomputed with
-// WorkerStrategies' expression (its factor-1 branch omits the product,
-// which is exact at factor 1), so the result is bit-identical to a fresh
-// WorkerStrategies call. refs is mutated in place; callers own the
-// transactional consequences (the streaming engine's dirty-flag protocol).
-func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef) {
+// RepairStrategyPayoffs recomputes, in place, the payoff of every entry of
+// worker w's cached strategy list whose candidate is marked in repriced (a
+// mask over the candidate table, typically built from RepairRewards'
+// return), and reports whether any entry was marked. Every other entry is
+// left alone: its payoff is already exact as long as its candidate's reward
+// and frontier did not change and neither did the worker's location, MaxDP
+// and speed, which is the caller's contract. Reward changes cannot alter
+// which candidates are feasible for a worker or which frontier entry is
+// fastest (both depend only on expiries and geometry), so the list's
+// (candidate, entry) membership and its ascending candidate order stay
+// exact too. Each recomputed payoff uses WorkerStrategies' expression (its
+// factor-1 branch omits the product, which is exact at factor 1), so the
+// repaired list is bit-identical to a fresh WorkerStrategies call. Callers
+// own the transactional consequences of the in-place write (the streaming
+// engine's dirty-flag protocol).
+func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, repriced []bool) bool {
 	approach := g.inst.ApproachTime(w)
 	factor := g.inst.SpeedFactor(w)
+	marked := false
 	for i := range refs {
+		if !repriced[refs[i].Cand] {
+			continue
+		}
+		marked = true
 		c := &g.candidates[refs[i].Cand]
 		refs[i].Payoff = c.Reward / (approach + factor*c.Frontier[refs[i].Entry].Time)
 	}
+	return marked
 }
 
 // FeasibleFor reports whether candidate ci is a strategy WorkerStrategies

@@ -2,9 +2,11 @@ package vdps
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -234,11 +236,172 @@ func TestRepairExpiriesErrorLeavesTable(t *testing.T) {
 	}
 }
 
+// rewardMutations are reward-only instance edits that leave every point's
+// earliest expiry where it was, so RepairRewards alone must bring a
+// generator up to date. Each mutates in in place and returns the points it
+// touched.
+var rewardMutations = []struct {
+	name  string
+	apply func(in *model.Instance, rng *rand.Rand) []int
+}{
+	{"scale", func(in *model.Instance, rng *rand.Rand) []int {
+		var pts []int
+		for p := range in.Points {
+			if len(in.Points[p].Tasks) == 0 || rng.Intn(3) != 0 {
+				continue
+			}
+			for i := range in.Points[p].Tasks {
+				in.Points[p].Tasks[i].Reward *= 0.25 + 2*rng.Float64()
+			}
+			pts = append(pts, p)
+		}
+		return pts
+	}},
+	{"late-arrival", func(in *model.Instance, rng *rand.Rand) []int {
+		id := 0
+		for p := range in.Points {
+			for _, tk := range in.Points[p].Tasks {
+				id = max(id, tk.ID+1)
+			}
+		}
+		p := rng.Intn(len(in.Points))
+		for len(in.Points[p].Tasks) == 0 {
+			p = (p + 1) % len(in.Points)
+		}
+		in.Points[p].Tasks = append(in.Points[p].Tasks, model.Task{
+			ID: id, Point: p, Expiry: in.Points[p].EarliestExpiry() + 0.5, Reward: 0.5 + rng.Float64(),
+		})
+		return []int{p}
+	}},
+	{"removal", func(in *model.Instance, rng *rand.Rand) []int {
+		start := rng.Intn(len(in.Points))
+		for k := range in.Points {
+			p := (start + k) % len(in.Points)
+			tasks := in.Points[p].Tasks
+			e := in.Points[p].EarliestExpiry()
+			atEarliest := 0
+			for _, tk := range tasks {
+				if tk.Expiry == e {
+					atEarliest++
+				}
+			}
+			for i, tk := range tasks {
+				if tk.Expiry != e || atEarliest > 1 {
+					in.Points[p].Tasks = append(tasks[:i:i], tasks[i+1:]...)
+					return []int{p}
+				}
+			}
+		}
+		return nil // no task can leave without moving an earliest expiry
+	}},
+	{"same-price", func(in *model.Instance, rng *rand.Rand) []int {
+		// Every task keeps its reward: the point is reported, nothing changed.
+		return []int{rng.Intn(len(in.Points))}
+	}},
+}
+
+// TestRepairRewardsMatchesGenerate is the unit-level pin of the reward
+// repair: after each reward-only mutation, and after all of them at once,
+// RepairRewards must return exactly the candidates whose Reward bits
+// changed, strictly ascending, and leave every candidate's Reward bit-equal
+// to a fresh Generate of the mutated instance. The 80-point instance makes
+// candidates' trimmed one-word masks meet a two-word touched set.
+func TestRepairRewardsMatchesGenerate(t *testing.T) {
+	type instance struct {
+		name string
+		in   *model.Instance
+	}
+	var instances []instance
+	for seed := int64(1); seed <= 4; seed++ {
+		instances = append(instances, instance{fmt.Sprintf("gm-%d", seed), repairGM(t, seed, 60, 8, 24)})
+	}
+	instances = append(instances, instance{"gm-80pt", repairGM(t, 5, 200, 8, 80)})
+	opt := Options{Epsilon: 1.5}
+	wideMet := false
+	for ii, inst := range instances {
+		for mi := 0; mi <= len(rewardMutations); mi++ {
+			name := "all"
+			if mi < len(rewardMutations) {
+				name = rewardMutations[mi].name
+			}
+			t.Run(inst.name+"/"+name, func(t *testing.T) {
+				g, err := Generate(inst.in, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := make([]float64, len(g.Candidates()))
+				for ci, c := range g.Candidates() {
+					before[ci] = c.Reward
+				}
+				mutated := inst.in.Clone()
+				rng := rand.New(rand.NewSource(int64(100*ii + mi)))
+				var pts []int
+				for k, m := range rewardMutations {
+					if k == mi || mi == len(rewardMutations) {
+						pts = append(pts, m.apply(mutated, rng)...)
+					}
+				}
+				if len(pts) == 0 {
+					t.Fatal("mutation touched no point")
+				}
+				for p := range mutated.Points {
+					if mutated.Points[p].EarliestExpiry() != inst.in.Points[p].EarliestExpiry() {
+						t.Fatalf("mutation moved point %d's earliest expiry", p)
+					}
+				}
+
+				g.Rebind(mutated)
+				got := g.RepairRewards(pts)
+				want, err := Generate(mutated, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var changed []int
+				for ci, c := range g.Candidates() {
+					if math.Float64bits(c.Reward) != math.Float64bits(before[ci]) {
+						changed = append(changed, ci)
+					}
+					if math.Float64bits(c.Reward) != math.Float64bits(want.Candidates()[ci].Reward) {
+						t.Fatalf("candidate %d reward %v, want %v", ci, c.Reward, want.Candidates()[ci].Reward)
+					}
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i] <= got[i-1] {
+						t.Fatalf("returned indices not strictly ascending at %d: %v", i, got[i-1:i+1])
+					}
+				}
+				if !slices.Equal(got, changed) {
+					t.Fatalf("returned %d candidates %v, want the %d whose reward bits changed %v",
+						len(got), got, len(changed), changed)
+				}
+				assertGeneratorsEqual(t, g, want)
+
+				// A touched point at 64 or above makes the touched set two
+				// words long; a re-summed candidate with a one-word mask met it.
+				if slices.Max(pts) >= 64 {
+					for _, ci := range got {
+						if len(g.Candidates()[ci].Mask) == 1 {
+							wideMet = true
+						}
+					}
+				}
+			})
+		}
+	}
+	if !wideMet {
+		t.Fatal("no one-word mask met a two-word touched set")
+	}
+}
+
 // TestRepairStrategyPayoffsMatchesWorkerStrategies pins the in-place strategy
-// repair: after a reward-only change and RepairRewards, re-keying a worker's
-// cached list in place must be bit-identical — values and permutation — to a
-// fresh WorkerStrategies enumeration.
+// repair: after a reward-only change and RepairRewards, repairing a worker's
+// cached list under the mask of re-priced candidates must be bit-identical —
+// values and permutation — to a fresh WorkerStrategies enumeration. The
+// repair reports true iff the list holds a marked candidate, and every
+// unmarked entry keeps its pre-repair payoff bits. Each seed re-prices a
+// subset of points, then a single point, which leaves some lists unmarked.
 func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
+	unmarked := 0 // non-empty lists the repair reported untouched
 	for seed := int64(1); seed <= 4; seed++ {
 		in := repairGM(t, seed, 60, 8, 24)
 		g, err := Generate(in, Options{Epsilon: 1.5})
@@ -251,37 +414,65 @@ func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
 			cached[w] = append([]StrategyRef(nil), g.WorkerStrategies(w, &sc)...)
 		}
 
-		// Re-price every task at a deterministic subset of points.
 		mutated := in.Clone()
 		rng := rand.New(rand.NewSource(seed * 13))
-		var pts []int
-		for p := range mutated.Points {
-			if len(mutated.Points[p].Tasks) == 0 || rng.Intn(3) != 0 {
-				continue
+		for round := 0; round < 2; round++ {
+			// Re-price every task at a deterministic subset of points: about
+			// a third of them, then the first point that has tasks.
+			var pts []int
+			for p := range mutated.Points {
+				if len(mutated.Points[p].Tasks) == 0 || (round == 0 && rng.Intn(3) != 0) {
+					continue
+				}
+				for i := range mutated.Points[p].Tasks {
+					mutated.Points[p].Tasks[i].Reward *= 0.25 + 2*rng.Float64()
+				}
+				pts = append(pts, p)
+				if round == 1 {
+					break
+				}
 			}
-			for i := range mutated.Points[p].Tasks {
-				mutated.Points[p].Tasks[i].Reward *= 0.25 + 2*rng.Float64()
+			if len(pts) == 0 {
+				t.Fatalf("seed %d round %d: no points re-priced", seed, round)
 			}
-			pts = append(pts, p)
-		}
-		if len(pts) == 0 {
-			t.Fatalf("seed %d: no points re-priced", seed)
-		}
-		g.Rebind(mutated)
-		changed := g.RepairRewards(pts)
-		if len(changed) == 0 {
-			t.Fatalf("seed %d: reward repair changed no candidates", seed)
-		}
+			g.Rebind(mutated)
+			changed := g.RepairRewards(pts)
+			if len(changed) == 0 {
+				t.Fatalf("seed %d round %d: reward repair changed no candidates", seed, round)
+			}
+			repriced := make([]bool, len(g.Candidates()))
+			for _, ci := range changed {
+				repriced[ci] = true
+			}
 
-		var wsc StrategyScratch
-		for w := range mutated.Workers {
-			g.RepairStrategyPayoffs(w, cached[w])
-			want := g.WorkerStrategies(w, &wsc)
-			if !reflect.DeepEqual(cached[w], want) {
-				t.Fatalf("seed %d worker %d: repaired list diverged:\ngot  %+v\nwant %+v",
-					seed, w, cached[w], want)
+			var wsc StrategyScratch
+			for w := range mutated.Workers {
+				pre := slices.Clone(cached[w])
+				marked := slices.ContainsFunc(pre, func(r StrategyRef) bool { return repriced[r.Cand] })
+				hit := g.RepairStrategyPayoffs(w, cached[w], repriced)
+				if hit != marked {
+					t.Fatalf("seed %d round %d worker %d: repair reported %v, list holds a re-priced candidate: %v",
+						seed, round, w, hit, marked)
+				}
+				if !hit && len(pre) > 0 {
+					unmarked++
+				}
+				for i, r := range pre {
+					if !repriced[r.Cand] && math.Float64bits(cached[w][i].Payoff) != math.Float64bits(r.Payoff) {
+						t.Fatalf("seed %d round %d worker %d: unmarked entry %d (candidate %d) payoff %v, was %v",
+							seed, round, w, i, r.Cand, cached[w][i].Payoff, r.Payoff)
+					}
+				}
+				want := g.WorkerStrategies(w, &wsc)
+				if !reflect.DeepEqual(cached[w], want) {
+					t.Fatalf("seed %d round %d worker %d: repaired list diverged:\ngot  %+v\nwant %+v",
+						seed, round, w, cached[w], want)
+				}
 			}
 		}
+	}
+	if unmarked == 0 {
+		t.Fatal("every non-empty list held a re-priced candidate; the unmarked case went untested")
 	}
 }
 

@@ -159,9 +159,10 @@ type Generator struct {
 	candidates []Candidate
 	stats      Stats
 	// maxSlack[ci] and setSize[ci] mirror candidates[ci].MaxSlack() and
-	// len(candidates[ci].Points): flat arrays let the per-worker feasibility
-	// scan in WorkerStrategies reject candidates without touching the
-	// candidate structs (and their pointer-chased frontiers) at all.
+	// len(candidates[ci].Points): flat arrays let the per-worker scans —
+	// WorkerStrategies' feasibility test, game's singleton test through
+	// SetSize — reject candidates without touching the candidate structs
+	// (and their pointer-chased frontiers) at all.
 	maxSlack []float64
 	setSize  []int32
 }
@@ -399,6 +400,11 @@ func (g *Generator) RefSeq(r StrategyRef) model.Route {
 func (g *Generator) RefPoints(r StrategyRef) []int {
 	return g.candidates[r.Cand].Points
 }
+
+// SetSize returns the number of delivery points in candidate ci, read from
+// a flat array, so a scan over many strategies can test set sizes without
+// loading the candidate structs.
+func (g *Generator) SetSize(ci int32) int32 { return g.setSize[ci] }
 
 // ComparePayoff is the one preference rule between a worker's strategies:
 // higher payoff first, ascending candidate index on equal payoffs. Within
