@@ -15,7 +15,6 @@ import (
 	"fairtask/internal/evo"
 	"fairtask/internal/game"
 	"fairtask/internal/model"
-	"fairtask/internal/obs"
 	"fairtask/internal/online"
 	"fairtask/internal/stream"
 	"fairtask/internal/vdps"
@@ -92,11 +91,9 @@ func cmdStream(args []string) error {
 		return fmt.Errorf("empty stream: raise -rate, -churn or -reprice")
 	}
 
-	reg := obs.NewRegistry()
 	opt := stream.Options{
 		Algorithm: stream.Algorithm(*alg),
 		VDPS:      vopt,
-		Metrics:   obs.NewStreamMetrics(reg),
 	}
 	opt.Game.Seed, opt.Evo.Seed = *seed, *seed
 	eng, err := stream.New(context.Background(), in, opt)
@@ -191,7 +188,7 @@ func cmdStream(args []string) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if err := onlineComparison(in, ds, snap, reg); err != nil {
+	if err := onlineComparison(in, ds, snap); err != nil {
 		return err
 	}
 
@@ -210,9 +207,10 @@ func cmdStream(args []string) error {
 	return nil
 }
 
-// coldSolve runs the reference pipeline from scratch — regenerate the
-// strategy spaces, then the full dynamics — discarding the result; only the
-// wall clock matters to the caller.
+// coldSolve runs what an engine-less deployment runs on every delta —
+// regenerate the strategy spaces, then FGT or IEGT with the options the
+// engine replays — discarding the result; only the wall clock matters to the
+// caller.
 func coldSolve(in *model.Instance, alg string, seed int64, vopt vdps.Options) error {
 	if len(in.Workers) == 0 {
 		return nil
@@ -222,9 +220,9 @@ func coldSolve(in *model.Instance, alg string, seed int64, vopt vdps.Options) er
 		return err
 	}
 	if alg == "IEGT" {
-		_, err = evo.ReferenceIEGT(context.Background(), g, evo.Options{Seed: seed})
+		_, err = evo.IEGT(context.Background(), g, evo.Options{Seed: seed})
 	} else {
-		_, err = game.ReferenceFGT(context.Background(), g, game.Options{Seed: seed})
+		_, err = game.FGT(context.Background(), g, game.Options{Seed: seed})
 	}
 	return err
 }
@@ -234,8 +232,7 @@ func coldSolve(in *model.Instance, alg string, seed int64, vopt vdps.Options) er
 // them beside the warm engine's equilibrium, reproducing the paper's batch
 // fairness result in the streaming setting. The matchers run on the initial
 // roster; worker churn only affects the engine row.
-func onlineComparison(in *model.Instance, ds []stream.Delta, snap stream.Snapshot, reg *obs.Registry) error {
-	om := obs.NewOnlineMetrics(reg)
+func onlineComparison(in *model.Instance, ds []stream.Delta, snap stream.Snapshot) error {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tassigned\trejected\tspread (P_dif)\tavg payoff")
 	for _, policy := range []online.Policy{online.Greedy, online.FairFirst} {
@@ -243,7 +240,6 @@ func onlineComparison(in *model.Instance, ds []stream.Delta, snap stream.Snapsho
 		if err != nil {
 			return err
 		}
-		m.Instrument(om.ForPolicy(policy.String()))
 		for _, d := range ds {
 			if d.Kind != stream.TaskArrived {
 				continue

@@ -634,32 +634,44 @@ func Simulate(p *Problem, cfg SimConfig) (*SimReport, error) {
 // certificate): it regenerates the VDPS candidates with opt.VDPS and
 // confirms no worker has an available strategy with higher IAU — the
 // priority-aware IAU when opt.UsePriorities is set. A nil return means the
-// assignment is an equilibrium; weights outside the monotone IAU domain
-// fail with ErrNonMonotoneIAU.
+// assignment is an equilibrium; a route outside its worker's strategy space
+// fails to load, and weights outside the monotone IAU domain fail with
+// ErrNonMonotoneIAU.
 func VerifyNashEquilibrium(in *Instance, a *Assignment, opt Options) error {
-	g, err := vdps.Generate(in, opt.VDPS)
+	s, err := loadState(in, a, opt)
 	if err != nil {
 		return err
 	}
-	ne := game.NEOptions{Fairness: opt.Fairness, Tol: opt.EpsilonUtility}
-	if opt.UsePriorities {
-		ne.Priorities = make([]float64, len(in.Workers))
-		for i := range in.Workers {
-			ne.Priorities[i] = in.Workers[i].EffectivePriority()
-		}
-	}
-	return game.VerifyNEOpts(g, a, ne)
+	return game.VerifyNE(s, game.NEOptions{
+		Fairness:      opt.Fairness,
+		Tol:           opt.EpsilonUtility,
+		UsePriorities: opt.UsePriorities,
+	})
 }
 
 // VerifyEvolutionaryEquilibrium checks Algorithm 3's improved evolutionary
 // stable state for an assignment: no below-average worker can still switch
 // to an available higher-payoff strategy.
 func VerifyEvolutionaryEquilibrium(in *Instance, a *Assignment, opt Options) error {
-	g, err := vdps.Generate(in, opt.VDPS)
+	s, err := loadState(in, a, opt)
 	if err != nil {
 		return err
 	}
-	return evo.VerifyEquilibrium(g, a)
+	return evo.VerifyEquilibrium(s)
+}
+
+// loadState regenerates the candidates with opt.VDPS and loads the
+// assignment into a fresh game state for a certificate to check.
+func loadState(in *Instance, a *Assignment, opt Options) (*game.State, error) {
+	g, err := vdps.Generate(in, opt.VDPS)
+	if err != nil {
+		return nil, err
+	}
+	s := game.NewState(g)
+	if err := s.LoadAssignment(a); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Summarize computes the payoff metrics of an assignment for an instance.

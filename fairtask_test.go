@@ -10,7 +10,6 @@ import (
 
 	"fairtask"
 	"fairtask/internal/game"
-	"fairtask/internal/model"
 	"fairtask/internal/obs"
 	"fairtask/internal/stream"
 	"fairtask/internal/vdps"
@@ -504,7 +503,7 @@ func TestStreamFacade(t *testing.T) {
 // best response rests on. Outside alpha >= -m, beta <= m (m the least
 // effective priority, 1 without priorities) some worker's IAU falls as its
 // payoff rises, so every entry point that plays or certifies the game —
-// game.FGT, the stream engine through FGTFromState, game.VerifyNEOpts and
+// game.FGT, the stream engine through FGTFromState, game.VerifyNE and
 // fairtask.Solve — rejects the weights with ErrNonMonotoneIAU. The
 // prioritized instance whose least priority equals beta is still accepted.
 func TestFGTRejectsNonMonotoneIAU(t *testing.T) {
@@ -539,16 +538,9 @@ func TestFGTRejectsNonMonotoneIAU(t *testing.T) {
 		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
 			t.Errorf("%s: stream.New err = %v, want ErrNonMonotoneIAU", c.name, err)
 		}
-		ne := game.NEOptions{Fairness: c.fair}
-		if c.usePriorities {
-			ne.Priorities = make([]float64, len(c.in.Workers))
-			for i := range c.in.Workers {
-				ne.Priorities[i] = c.in.Workers[i].EffectivePriority()
-			}
-		}
-		err = game.VerifyNEOpts(g, model.NewAssignment(len(c.in.Workers)), ne)
+		err = game.VerifyNE(game.NewState(g), game.NEOptions{Fairness: c.fair, UsePriorities: c.usePriorities})
 		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
-			t.Errorf("%s: game.VerifyNEOpts err = %v, want ErrNonMonotoneIAU", c.name, err)
+			t.Errorf("%s: game.VerifyNE err = %v, want ErrNonMonotoneIAU", c.name, err)
 		}
 		_, err = fairtask.Solve(c.in, fairtask.Options{
 			Algorithm: fairtask.AlgFGT, Fairness: c.fair, UsePriorities: c.usePriorities, Seed: 1,
@@ -592,5 +584,21 @@ func TestVerifyNashEquilibriumUsesPriorities(t *testing.T) {
 	err = fairtask.VerifyNashEquilibrium(in, res.Assignment, fairtask.Options{UsePriorities: true})
 	if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
 		t.Fatalf("priority-aware certificate err = %v, want ErrNonMonotoneIAU", err)
+	}
+}
+
+// TestVerifyNashEquilibriumLoadsFirst pins the certificate's order: the
+// assignment is loaded before the weights are checked, so a route outside
+// its worker's strategy space is reported as such even when the weights are
+// also outside the monotone IAU domain.
+func TestVerifyNashEquilibriumLoadsFirst(t *testing.T) {
+	in := gmInstance(t)
+	a := &fairtask.Assignment{Routes: make([]fairtask.Route, len(in.Workers))}
+	a.Routes[0] = fairtask.Route{0, 0}
+	opt := fairtask.Options{Fairness: fairtask.FairnessParams{Alpha: 0.5, Beta: 1.5}}
+	err := fairtask.VerifyNashEquilibrium(in, a, opt)
+	if err == nil || errors.Is(err, fairtask.ErrNonMonotoneIAU) ||
+		!strings.Contains(err.Error(), "not in worker 0's strategy space") {
+		t.Fatalf("err = %v, want the load error for worker 0's route", err)
 	}
 }

@@ -701,47 +701,28 @@ func (lx Lexifair) Assign(ctx context.Context, g *vdps.Generator) (*game.Result,
 
 // VerifyLexifair is the independent leximin certificate used by the audit
 // layer: it re-solves every frozen level from the instance alone and checks
-// that the assignment's payoff vector is level-wise unimprovable — at each
-// level, with every poorer worker held at its achieved payoff, the minimum
-// over the remaining workers cannot be raised, and every worker frozen at
-// the level is saturated (lifting it strictly above the level while
-// flooring everyone else at their achieved payoff is infeasible, so the
-// assignment is not pointwise dominated). nodeBudget caps the verifier's
-// own search (0 = the solver default); a nil error certifies the
-// assignment.
-func VerifyLexifair(ctx context.Context, g *vdps.Generator, a *model.Assignment, nodeBudget int) error {
-	in := g.Instance()
-	if len(a.Routes) != len(in.Workers) {
-		return fmt.Errorf("assign: lexifair certificate: %d routes for %d workers",
-			len(a.Routes), len(in.Workers))
-	}
-	m, err := newLexMatrix(g)
+// that the payoff vector of the assignment loaded into s (see
+// game.State.LoadAssignment) is level-wise unimprovable — at each level,
+// with every poorer worker held at its achieved payoff, the minimum over
+// the remaining workers cannot be raised, and every worker frozen at the
+// level is saturated (lifting it strictly above the level while flooring
+// everyone else at their achieved payoff is infeasible, so the assignment
+// is not pointwise dominated). The achieved payoffs are s.Payoffs; the
+// re-solve builds its own payoff matrix from s.Generator() and does not
+// modify s. nodeBudget caps the verifier's own search (0 = the solver
+// default); a nil error certifies the assignment.
+func VerifyLexifair(ctx context.Context, s *game.State, nodeBudget int) error {
+	m, err := newLexMatrix(s.Generator())
 	if err != nil {
 		return err
 	}
-	achieved := make([]float64, len(in.Workers))
-	for w, route := range a.Routes {
-		if len(route) == 0 {
-			continue
-		}
-		found := false
-		for _, r := range m.refs[w] {
-			if routesMatch(g.RefSeq(r), route) {
-				achieved[w] = r.Payoff
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("assign: lexifair certificate: route %v not in worker %d's strategy space", route, w)
-		}
-	}
+	achieved := s.Payoffs
 	if nodeBudget <= 0 {
 		nodeBudget = lexDefaultBudget
 	}
 	l := &lexSolver{m: m, ctx: ctx, budget: nodeBudget}
-	reqs := make([]lexReq, len(in.Workers))
-	unfrozen := make([]int, len(in.Workers))
+	reqs := make([]lexReq, len(achieved))
+	unfrozen := make([]int, len(achieved))
 	for w := range unfrozen {
 		unfrozen[w] = w
 	}
@@ -804,17 +785,4 @@ func VerifyLexifair(ctx context.Context, g *vdps.Generator, a *model.Assignment,
 		return fmt.Errorf("assign: lexifair certificate: verification budget exhausted")
 	}
 	return nil
-}
-
-// routesMatch reports whether two visiting sequences are identical.
-func routesMatch(a, b model.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

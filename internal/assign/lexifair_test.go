@@ -17,13 +17,19 @@ import (
 // StrategyRef payoffs and bitwise comparison against the oracle is sound.
 func lexVector(t *testing.T, g *vdps.Generator, a *model.Assignment) []float64 {
 	t.Helper()
+	out := append([]float64(nil), loaded(t, g, a).Payoffs...)
+	sort.Float64s(out)
+	return out
+}
+
+// loaded returns a fresh game state over g holding the assignment a.
+func loaded(t *testing.T, g *vdps.Generator, a *model.Assignment) *game.State {
+	t.Helper()
 	s := game.NewState(g)
 	if err := s.LoadAssignment(a); err != nil {
 		t.Fatalf("assignment outside strategy space: %v", err)
 	}
-	out := append([]float64(nil), s.Payoffs...)
-	sort.Float64s(out)
-	return out
+	return s
 }
 
 // sameVector demands bitwise equality (no tolerance).
@@ -323,7 +329,7 @@ func TestVerifyLexifairCertifiesSolver(t *testing.T) {
 		if !res.Converged {
 			continue
 		}
-		if err := VerifyLexifair(ctx, g, res.Assignment, 0); err != nil {
+		if err := VerifyLexifair(ctx, loaded(t, g, res.Assignment), 0); err != nil {
 			t.Fatalf("seed %d: certificate rejected an optimal assignment: %v", seed, err)
 		}
 	}
@@ -341,15 +347,16 @@ func TestVerifyLexifairRejectsSuboptimal(t *testing.T) {
 	if oracle.Sorted[len(oracle.Sorted)-1] <= 0 {
 		t.Skip("instance has an all-zero optimum")
 	}
-	empty := game.NewState(g).Assignment() // all-null: minimum raisable
-	if err := VerifyLexifair(ctx, g, empty, 0); err == nil {
+	empty := game.NewState(g) // all-null: minimum raisable
+	if err := VerifyLexifair(ctx, empty, 0); err == nil {
 		t.Fatal("certificate accepted the empty assignment on an instance with positive optimum")
 	}
-	// A route outside the strategy space must be rejected, not mis-scored.
-	bad := game.NewState(g).Assignment()
+	// A route outside the strategy space must be rejected, not mis-scored:
+	// the certificate reads a loaded state, so loading rejects it.
+	bad := model.NewAssignment(len(in.Workers))
 	bad.Routes[0] = []int{0, 0, 0, 0, 0, 0}
-	if err := VerifyLexifair(ctx, g, bad, 0); err == nil {
-		t.Fatal("certificate accepted an out-of-space route")
+	if err := game.NewState(g).LoadAssignment(bad); err == nil {
+		t.Fatal("loading accepted an out-of-space route")
 	}
 }
 
@@ -371,15 +378,14 @@ func TestVerifyLexifairRejectsDominatedAtZeroBottleneck(t *testing.T) {
 	if oracle.Sorted[len(oracle.Sorted)-1] <= 0 {
 		t.Skip("instance has an all-zero optimum")
 	}
-	empty := game.NewState(g).Assignment()
-	if err := VerifyLexifair(ctx, g, empty, 0); err == nil {
+	if err := VerifyLexifair(ctx, game.NewState(g), 0); err == nil {
 		t.Fatal("certificate accepted the empty assignment at a zero bottleneck")
 	}
 	res, err := (Lexifair{}).Assign(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyLexifair(ctx, g, res.Assignment, 0); err != nil {
+	if err := VerifyLexifair(ctx, loaded(t, g, res.Assignment), 0); err != nil {
 		t.Fatalf("certificate rejected the solver's own output: %v", err)
 	}
 }

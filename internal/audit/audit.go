@@ -203,7 +203,9 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 		r.Skipped = append(r.Skipped, CheckSummary)
 	}
 
-	// VDPS: frontier contract plus route membership in the strategy spaces.
+	// VDPS: frontier contract plus route membership in the strategy spaces,
+	// which are built once and then hold the loaded assignment for the
+	// certificates.
 	r.Checks = append(r.Checks, CheckVDPS)
 	g := opt.Generator
 	if g == nil {
@@ -218,14 +220,15 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 			return r
 		}
 	}
-	membershipOK := r.checkVDPS(in, g, a, routeOK)
+	r.checkFrontiers(g)
+	s := game.NewState(g)
+	membershipOK := r.checkMembership(s, a, routeOK)
 
 	// Equilibrium: only meaningful for a converged game-theoretic solve on
-	// an assignment whose routes all live in the strategy spaces (otherwise
-	// LoadAssignment fails and the membership violation is already reported).
-	if (opt.Algorithm == "FGT" || opt.Algorithm == "IEGT") && opt.Converged && membershipOK {
+	// an assignment whose routes all live in the strategy spaces.
+	equilibrium := (opt.Algorithm == "FGT" || opt.Algorithm == "IEGT") && opt.Converged && membershipOK
+	if equilibrium {
 		r.Checks = append(r.Checks, CheckEquilibrium)
-		r.checkEquilibrium(in, g, a, opt)
 	} else {
 		r.Skipped = append(r.Skipped, CheckEquilibrium)
 	}
@@ -233,12 +236,25 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 	// Leximin: applicable to LEXIFAIR solves only, and — like the
 	// equilibrium certificates — only meaningful for a converged run whose
 	// routes all live in the strategy spaces.
-	if opt.Algorithm == "LEXIFAIR" {
-		if opt.Converged && membershipOK {
-			r.Checks = append(r.Checks, CheckLexifair)
-			r.checkLexifair(g, a)
-		} else {
-			r.Skipped = append(r.Skipped, CheckLexifair)
+	lexifair := opt.Algorithm == "LEXIFAIR" && opt.Converged && membershipOK
+	if lexifair {
+		r.Checks = append(r.Checks, CheckLexifair)
+	} else if opt.Algorithm == "LEXIFAIR" {
+		r.Skipped = append(r.Skipped, CheckLexifair)
+	}
+
+	// Every certificate checks the same state, loaded once. With every route
+	// a member, loading fails only on overlapping routes; the load error is
+	// then the certificate's violation.
+	if equilibrium || lexifair {
+		c := CheckEquilibrium
+		if lexifair {
+			c = CheckLexifair
+		}
+		if err := s.LoadAssignment(a); err != nil {
+			r.violate(c, -1, err.Error())
+		} else if err := certify(s, opt); err != nil {
+			r.violate(c, -1, err.Error())
 		}
 	}
 	return r
@@ -351,28 +367,18 @@ func closeTo(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(b))
 }
 
-// checkVDPS verifies the generator's frontier contract and that every valid
-// non-empty route appears verbatim in its worker's strategy space. It returns
-// whether every audited route is a member (gating the equilibrium check,
-// which loads the assignment into a game state).
-func (r *Report) checkVDPS(in *model.Instance, g *vdps.Generator, a *model.Assignment, routeOK []bool) bool {
-	r.checkFrontiers(g)
+// checkMembership verifies that every valid non-empty route appears
+// verbatim in its worker's strategy space (game.State.Lookup). It returns
+// whether every audited route is a member, which gates the certificates:
+// they load the assignment into s.
+func (r *Report) checkMembership(s *game.State, a *model.Assignment, routeOK []bool) bool {
 	ok := true
 	for w, route := range a.Routes {
-		if !routeOK[w] || len(route) == 0 {
-			if !routeOK[w] {
-				ok = false
-			}
+		if !routeOK[w] {
+			ok = false
 			continue
 		}
-		found := false
-		for _, st := range g.ForWorker(w) {
-			if routesEqual(st.Seq, route) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if len(route) > 0 && s.Lookup(w, route) == game.Null {
 			r.violate(CheckVDPS, w, fmt.Sprintf(
 				"route %v is not a valid delivery point sequence for this worker", route))
 			ok = false
@@ -427,44 +433,22 @@ func isPermutation(seq model.Route, set []int) bool {
 	return true
 }
 
-func routesEqual(a, b model.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// checkEquilibrium runs the algorithm's equilibrium certificate.
-func (r *Report) checkEquilibrium(in *model.Instance, g *vdps.Generator, a *model.Assignment, opt Options) {
-	switch opt.Algorithm {
-	case "FGT":
-		ne := game.NEOptions{Fairness: opt.Fairness, Tol: opt.EpsilonUtility}
-		if opt.UsePriorities {
-			ne.Priorities = make([]float64, len(in.Workers))
-			for i := range in.Workers {
-				ne.Priorities[i] = in.Workers[i].EffectivePriority()
-			}
-		}
-		if err := game.VerifyNEOpts(g, a, ne); err != nil {
-			r.violate(CheckEquilibrium, -1, err.Error())
-		}
-	case "IEGT":
-		if err := evo.VerifyEquilibrium(g, a); err != nil {
-			r.violate(CheckEquilibrium, -1, err.Error())
-		}
-	}
-}
-
-// checkLexifair runs the leximin certificate: assign.VerifyLexifair
+// certify runs the algorithm's certificate on the loaded state: the pure
+// Nash equilibrium under the IAU for FGT, the improved evolutionary stable
+// state for IEGT, and for LEXIFAIR the leximin certificate, which
 // independently re-solves each frozen payoff level and rejects any
 // assignment whose minimum could be raised without hurting a poorer worker.
-func (r *Report) checkLexifair(g *vdps.Generator, a *model.Assignment) {
-	if err := assign.VerifyLexifair(context.Background(), g, a, 0); err != nil {
-		r.violate(CheckLexifair, -1, err.Error())
+func certify(s *game.State, opt Options) error {
+	switch opt.Algorithm {
+	case "FGT":
+		return game.VerifyNE(s, game.NEOptions{
+			Fairness:      opt.Fairness,
+			Tol:           opt.EpsilonUtility,
+			UsePriorities: opt.UsePriorities,
+		})
+	case "IEGT":
+		return evo.VerifyEquilibrium(s)
+	default:
+		return assign.VerifyLexifair(context.Background(), s, 0)
 	}
 }

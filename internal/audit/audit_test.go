@@ -6,6 +6,7 @@ import (
 
 	"fairtask/internal/assign"
 	"fairtask/internal/evo"
+	"fairtask/internal/fairness"
 	"fairtask/internal/game"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
@@ -153,6 +154,46 @@ func TestOverlappingRoutes(t *testing.T) {
 	rep := Run(in, a, nil, Options{})
 	if !hasViolation(rep, CheckStructure, 1) {
 		t.Fatalf("missing overlap violation: %v", rep.Violations)
+	}
+}
+
+// TestCertificateReportsLoadConflict pins what a certificate reports when
+// the assignment does not load: every route is a member, but two overlap.
+// The LEXIFAIR certificate, and the FGT certificate even at weights outside
+// the monotone IAU domain, report the load's conflict error as their
+// violation rather than running on overlapping routes.
+func TestCertificateReportsLoadConflict(t *testing.T) {
+	in := lineInstance(3, 2, 100, 2)
+	g := mustGenerate(t, in)
+	a := model.NewAssignment(2)
+	a.Routes[0] = model.Route{0}
+	a.Routes[1] = model.Route{0}
+	want := game.NewState(g).LoadAssignment(a)
+	if want == nil {
+		t.Fatal("overlapping routes loaded")
+	}
+	cases := []struct {
+		opt   Options
+		check Check
+	}{
+		{Options{Algorithm: "LEXIFAIR"}, CheckLexifair},
+		{Options{Algorithm: "FGT", Fairness: fairness.Params{Alpha: 0.5, Beta: 1.5}}, CheckEquilibrium},
+	}
+	for _, c := range cases {
+		c.opt.Generator, c.opt.Converged = g, true
+		rep := Run(in, a, nil, c.opt)
+		if !hasViolation(rep, CheckStructure, 1) {
+			t.Errorf("%s: missing overlap violation: %v", c.opt.Algorithm, rep.Violations)
+		}
+		var got []Violation
+		for _, v := range rep.Violations {
+			if v.Check == c.check {
+				got = append(got, v)
+			}
+		}
+		if len(got) != 1 || got[0].Worker != -1 || got[0].Detail != want.Error() {
+			t.Errorf("%s: %s violations %v, want the load error %q", c.opt.Algorithm, c.check, got, want)
+		}
 	}
 }
 

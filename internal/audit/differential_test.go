@@ -109,7 +109,11 @@ func TestSolversPassAudit(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := game.VerifyNE(g, res.Assignment, fairtask.DefaultFairness(), 1e-9); err != nil {
+					s := game.NewState(g)
+					if err := s.LoadAssignment(res.Assignment); err != nil {
+						t.Fatal(err)
+					}
+					if err := game.VerifyNE(s, game.NEOptions{Fairness: fairtask.DefaultFairness(), Tol: 1e-9}); err != nil {
 						t.Errorf("converged FGT is not a Nash equilibrium: %v", err)
 					}
 				}

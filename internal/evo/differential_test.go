@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -20,7 +21,7 @@ func sameResult(t *testing.T, label string, got, want *game.Result) {
 			label, got.Iterations, got.Converged, got.Switches, want.Iterations, want.Converged, want.Switches)
 	}
 	for w := range want.Assignment.Routes {
-		if !routesEqual(got.Assignment.Routes[w], want.Assignment.Routes[w]) {
+		if !slices.Equal(got.Assignment.Routes[w], want.Assignment.Routes[w]) {
 			t.Fatalf("%s: worker %d route %v, reference %v",
 				label, w, got.Assignment.Routes[w], want.Assignment.Routes[w])
 		}

@@ -22,7 +22,6 @@ import (
 
 	"fairtask/internal/fairness"
 	"fairtask/internal/game"
-	"fairtask/internal/model"
 	"fairtask/internal/obs"
 	"fairtask/internal/vdps"
 )
@@ -351,16 +350,13 @@ func PopulationShares(s *game.State) []float64 {
 }
 
 // VerifyEquilibrium checks the improved evolutionary stable state of
-// Algorithm 3 for an existing assignment: either all population payoffs are
+// Algorithm 3 for a loaded assignment: either all population payoffs are
 // numerically equal (the sigma_dot = 0 stopping criterion), or no worker
 // with payoff below the population average has an available strategy with
-// strictly higher payoff. It returns nil for a stable assignment and a
-// descriptive error otherwise.
-func VerifyEquilibrium(g *vdps.Generator, a *model.Assignment) error {
-	s := game.NewState(g)
-	if err := s.LoadAssignment(a); err != nil {
-		return err
-	}
+// strictly higher payoff. s holds the assignment, loaded with
+// game.State.LoadAssignment, and is not modified. It returns nil for a
+// stable assignment and a descriptive error otherwise.
+func VerifyEquilibrium(s *game.State) error {
 	if populationEqual(s, 1e-9) {
 		return nil
 	}

@@ -80,6 +80,16 @@ func mustGen(t *testing.T, in *model.Instance) *vdps.Generator {
 	return g
 }
 
+// loaded returns a fresh game state over g holding the assignment a.
+func loaded(t *testing.T, g *vdps.Generator, a *model.Assignment) *game.State {
+	t.Helper()
+	s := game.NewState(g)
+	if err := s.LoadAssignment(a); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestIEGTProducesValidAssignment(t *testing.T) {
 	in := gridInstance(8, 4, 3, 100, 1)
 	res, err := IEGT(context.Background(), mustGen(t, in), Options{Seed: 9})
@@ -110,19 +120,7 @@ func TestIEGTEquilibriumCondition(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
-	// Rebuild the final state.
-	s := game.NewState(g)
-	for w, r := range res.Assignment.Routes {
-		if len(r) == 0 {
-			continue
-		}
-		for si := range s.Strategies[w] {
-			if routesEqual(s.StrategySeq(w, si), r) {
-				s.Switch(w, si)
-				break
-			}
-		}
-	}
+	s := loaded(t, g, res.Assignment)
 	ubar := populationAverage(s)
 	for w := range s.Current {
 		if s.Payoffs[w] >= ubar || len(s.Strategies[w]) == 0 {
@@ -134,18 +132,6 @@ func TestIEGTEquilibriumCondition(t *testing.T) {
 				w, s.Payoffs[w], ubar)
 		}
 	}
-}
-
-func routesEqual(a, b model.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestIEGTDeterministicPerSeed(t *testing.T) {
@@ -291,7 +277,7 @@ func TestVerifyEquilibrium(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
-	if err := VerifyEquilibrium(g, res.Assignment); err != nil {
+	if err := VerifyEquilibrium(loaded(t, g, res.Assignment)); err != nil {
 		t.Errorf("IEGT output rejected by VerifyEquilibrium: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"fairtask/internal/game"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
 	"fairtask/internal/travel"
@@ -55,7 +54,7 @@ func TestIEGTConvergesWithIneligibleWorker(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("seed %d: IEGT did not converge", seed)
 		}
-		if err := VerifyEquilibrium(g, res.Assignment); err != nil {
+		if err := VerifyEquilibrium(loaded(t, g, res.Assignment)); err != nil {
 			t.Errorf("seed %d: converged state rejected: %v", seed, err)
 		}
 		if n := len(res.Trace); n > 0 && res.Trace[n-1].Changes > 0 {
@@ -97,11 +96,7 @@ func TestPopulationPayoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := game.NewState(g)
-	if err := s.LoadAssignment(res.Assignment); err != nil {
-		t.Fatal(err)
-	}
-	pop := populationPayoffs(s)
+	pop := populationPayoffs(loaded(t, g, res.Assignment))
 	if len(pop) != 2 {
 		t.Fatalf("population size = %d, want 2 (worker 2 is ineligible)", len(pop))
 	}

@@ -3,6 +3,7 @@ package game
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -25,7 +26,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 			len(got.Assignment.Routes), len(want.Assignment.Routes))
 	}
 	for w := range want.Assignment.Routes {
-		if !routeEqual(got.Assignment.Routes[w], want.Assignment.Routes[w]) {
+		if !slices.Equal(got.Assignment.Routes[w], want.Assignment.Routes[w]) {
 			t.Fatalf("%s: worker %d route %v, reference %v",
 				label, w, got.Assignment.Routes[w], want.Assignment.Routes[w])
 		}
@@ -113,11 +114,7 @@ func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("usePriorities=%v: FGT did not converge", use)
 		}
-		ne := NEOptions{Tol: 1e-9}
-		if use {
-			ne.Priorities = workerPriorities(in, true)
-		}
-		if err := VerifyNEOpts(g, res.Assignment, ne); err != nil {
+		if err := VerifyNE(loaded(t, g, res.Assignment), NEOptions{Tol: 1e-9, UsePriorities: use}); err != nil {
 			t.Fatalf("usePriorities=%v: %v", use, err)
 		}
 	}
@@ -198,7 +195,7 @@ func TestFGTSelfishWeightsMatchDefault(t *testing.T) {
 							label, def.Iterations, def.Switches, self.Iterations, self.Switches)
 					}
 					for w := range def.Assignment.Routes {
-						if !routeEqual(def.Assignment.Routes[w], self.Assignment.Routes[w]) {
+						if !slices.Equal(def.Assignment.Routes[w], self.Assignment.Routes[w]) {
 							t.Fatalf("%s: worker %d route %v at the defaults, %v selfish",
 								label, w, def.Assignment.Routes[w], self.Assignment.Routes[w])
 						}

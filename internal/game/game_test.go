@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -82,6 +83,16 @@ func mustGen(t *testing.T, in *model.Instance) *vdps.Generator {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// loaded returns a fresh state over g holding the assignment a.
+func loaded(t *testing.T, g *vdps.Generator, a *model.Assignment) *State {
+	t.Helper()
+	s := NewState(g)
+	if err := s.LoadAssignment(a); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestStateSwitchAndAvailability(t *testing.T) {
@@ -302,24 +313,7 @@ func TestFGTNashEquilibrium(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
-	// Rebuild the final state.
-	s := NewState(g)
-	for w, r := range res.Assignment.Routes {
-		if len(r) == 0 {
-			continue
-		}
-		found := false
-		for si := range s.Strategies[w] {
-			if routesEqual(s.StrategySeq(w, si), r) {
-				s.Switch(w, si)
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("final route %v not in worker %d's strategy space", r, w)
-		}
-	}
+	s := loaded(t, g, res.Assignment)
 	prm := fairness.DefaultParams()
 	for w := range s.Current {
 		cur := fairness.IAU(prm, s.Payoffs, w)
@@ -343,18 +337,6 @@ func TestFGTNashEquilibrium(t *testing.T) {
 	}
 }
 
-func routesEqual(a, b model.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestFGTDeterministicPerSeed(t *testing.T) {
 	in := gridInstance(7, 3, 2, 100)
 	g := mustGen(t, in)
@@ -370,7 +352,7 @@ func TestFGTDeterministicPerSeed(t *testing.T) {
 		t.Error("same seed produced different results")
 	}
 	for w := range a.Assignment.Routes {
-		if !routesEqual(a.Assignment.Routes[w], b.Assignment.Routes[w]) {
+		if !slices.Equal(a.Assignment.Routes[w], b.Assignment.Routes[w]) {
 			t.Fatalf("route mismatch for worker %d", w)
 		}
 	}
@@ -470,7 +452,7 @@ func TestVerifyNE(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
-	if err := VerifyNE(g, res.Assignment, fairness.Params{}, 0); err != nil {
+	if err := VerifyNE(loaded(t, g, res.Assignment), NEOptions{}); err != nil {
 		t.Errorf("FGT output rejected by VerifyNE: %v", err)
 	}
 	// A GTA assignment is generally NOT a Nash equilibrium of the IAU game;
@@ -478,7 +460,7 @@ func TestVerifyNE(t *testing.T) {
 	// one, the check is vacuous but not wrong, so only log.)
 	s := NewState(g)
 	s.RandomInit(rand.New(rand.NewSource(1)))
-	if err := VerifyNE(g, s.Assignment(), fairness.Params{}, 0); err == nil {
+	if err := VerifyNE(s, NEOptions{}); err == nil {
 		t.Log("random initial assignment happened to be a NE")
 	}
 }
@@ -545,7 +527,101 @@ func TestVerifyNEStrictTolerance(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("FGT did not converge")
 	}
-	if err := VerifyNEOpts(g, res.Assignment, NEOptions{Tol: -1}); err != nil {
+	if err := VerifyNE(loaded(t, g, res.Assignment), NEOptions{Tol: -1}); err != nil {
 		t.Fatalf("strict certificate rejected a strict equilibrium: %v", err)
+	}
+}
+
+// TestLookupMatchesForWorker pins the one membership rule to its oracle,
+// vdps.Generator.ForWorker, the independent full form of a worker's
+// strategy space. Lookup finds every ForWorker sequence at an entry with
+// the same candidate and payoff bits, and returns Null for three kinds of
+// non-member: a multi-point member reversed (when the reversal is not
+// itself a member), another frontier sequence of a candidate the worker
+// gets, and another worker's sequence outside this worker's space. The GM
+// instances slow every third worker to 0.7x (the scaled-speed branch) and
+// cap some workers at two points; the lattice holds exact payoff ties.
+func TestLookupMatchesForWorker(t *testing.T) {
+	gm := func(seed int64) *model.Instance {
+		in, err := dataset.GenerateGM(dataset.GMConfig{Seed: seed, Tasks: 120, Workers: 12, DeliveryPoints: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range in.Workers {
+			if w%3 == 0 {
+				in.Workers[w].Speed = 0.7 * in.Travel.Speed()
+			}
+			if w%4 == 1 {
+				in.Workers[w].MaxDP = 2
+			}
+		}
+		return in
+	}
+	cases := []struct {
+		name string
+		in   *model.Instance
+		opt  vdps.Options
+	}{
+		{"gm1", gm(1), vdps.Options{Epsilon: 1.5}},
+		{"gm2", gm(2), vdps.Options{}},
+		{"lattice", latticeInstance(), vdps.Options{}},
+	}
+	for _, tc := range cases {
+		g, err := vdps.Generate(tc.in, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewState(g)
+		full := make([][]vdps.WorkerVDPS, len(tc.in.Workers))
+		member := make([]map[string]bool, len(tc.in.Workers))
+		for w := range full {
+			full[w] = g.ForWorker(w)
+			member[w] = make(map[string]bool, len(full[w]))
+			for _, f := range full[w] {
+				member[w][fmt.Sprint(f.Seq)] = true
+			}
+		}
+		absent := func(kind string, w int, r model.Route) int {
+			if member[w][fmt.Sprint(r)] {
+				return 0
+			}
+			if si := s.Lookup(w, r); si != Null {
+				t.Fatalf("%s worker %d: %s %v found at strategy %d", tc.name, w, kind, r, si)
+			}
+			return 1
+		}
+		var reversed, otherEntry, otherWorker int
+		for w := range full {
+			for _, f := range full[w] {
+				si := s.Lookup(w, f.Seq)
+				if si == Null {
+					t.Fatalf("%s worker %d: member %v not found", tc.name, w, f.Seq)
+				}
+				if r := s.Strategies[w][si]; int(r.Cand) != f.Candidate ||
+					math.Float64bits(r.Payoff) != math.Float64bits(f.Payoff) {
+					t.Fatalf("%s worker %d: %v found as (cand %d, payoff %v), ForWorker (cand %d, payoff %v)",
+						tc.name, w, f.Seq, r.Cand, r.Payoff, f.Candidate, f.Payoff)
+				}
+				if len(f.Seq) > 1 {
+					rev := slices.Clone(f.Seq)
+					slices.Reverse(rev)
+					reversed += absent("reversed member", w, rev)
+				}
+				for _, st := range g.Candidates()[f.Candidate].Frontier {
+					if !slices.Equal(st.Seq, f.Seq) {
+						otherEntry += absent("other frontier sequence", w, st.Seq)
+					}
+				}
+			}
+			for _, f := range full[(w+1)%len(full)] {
+				otherWorker += absent("other worker's sequence", w, f.Seq)
+			}
+		}
+		// The lattice's frontiers hold one entry each, and its workers share
+		// one strategy space, so only the reversals apply there.
+		if reversed == 0 || (tc.name != "lattice" && (otherEntry == 0 || otherWorker == 0)) {
+			t.Fatalf("%s: a non-member kind went untested: %d reversed, %d other frontier entries, %d other workers'",
+				tc.name, reversed, otherEntry, otherWorker)
+		}
 	}
 }

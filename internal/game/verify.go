@@ -2,17 +2,30 @@ package game
 
 import (
 	"fmt"
+	"slices"
 
 	"fairtask/internal/fairness"
 	"fairtask/internal/model"
-	"fairtask/internal/vdps"
 )
 
+// Lookup returns the index of worker w's strategy whose visiting sequence
+// is r, or Null when r is not in w's strategy space. It is the one
+// membership rule: LoadAssignment resolves routes through it, and the audit
+// checks membership with it.
+func (s *State) Lookup(w int, r model.Route) int {
+	for si := range s.Strategies[w] {
+		if slices.Equal(s.StrategySeq(w, si), r) {
+			return si
+		}
+	}
+	return Null
+}
+
 // LoadAssignment sets the state's joint strategy to match an existing
-// assignment, resolving each non-empty route to the worker's strategy with
-// the same visiting sequence. It fails if a route is not in the worker's
-// strategy space (e.g. the assignment came from a different instance or
-// candidate generation options).
+// assignment, resolving each non-empty route with Lookup. It fails if a
+// route is not in the worker's strategy space (e.g. the assignment came
+// from a different instance or candidate generation options) or overlaps a
+// route loaded before it.
 func (s *State) LoadAssignment(a *model.Assignment) error {
 	if len(a.Routes) != len(s.Current) {
 		return fmt.Errorf("game: assignment has %d routes for %d workers",
@@ -22,34 +35,16 @@ func (s *State) LoadAssignment(a *model.Assignment) error {
 		if len(r) == 0 {
 			continue
 		}
-		found := false
-		for si := range s.Strategies[w] {
-			if routeEqual(s.StrategySeq(w, si), r) {
-				if !s.Available(w, si) {
-					return fmt.Errorf("game: route %v for worker %d conflicts with another worker", r, w)
-				}
-				s.Switch(w, si)
-				found = true
-				break
-			}
-		}
-		if !found {
+		si := s.Lookup(w, r)
+		if si == Null {
 			return fmt.Errorf("game: route %v not in worker %d's strategy space", r, w)
 		}
+		if !s.Available(w, si) {
+			return fmt.Errorf("game: route %v for worker %d conflicts with another worker", r, w)
+		}
+		s.Switch(w, si)
 	}
 	return nil
-}
-
-func routeEqual(a, b model.Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // NEOptions configure the Nash-equilibrium certificate.
@@ -63,27 +58,22 @@ type NEOptions struct {
 	// negative value demands a strict equilibrium where any improving
 	// deviation refutes, which the zero value cannot express.
 	Tol float64
-	// Priorities switches the certificate to the priority-aware IAU
-	// extension; it must match the priorities the solve used (one entry per
-	// worker). Nil checks the plain IAU.
-	Priorities []float64
+	// UsePriorities switches the certificate to the priority-aware IAU
+	// extension, reading worker priorities from the instance as FGT does.
+	// It must match the solve.
+	UsePriorities bool
 }
 
-// VerifyNE checks that the assignment is a pure Nash equilibrium of the FTA
-// game under the IAU utility: no worker has an available strategy (or Null)
-// with utility more than tol above its current one. It returns nil when the
-// assignment is an equilibrium and a descriptive error otherwise.
+// VerifyNE checks that the joint strategy loaded into s (see
+// LoadAssignment) is a pure Nash equilibrium of the FTA game under the IAU
+// utility: no worker has an available strategy (or Null) with utility more
+// than Tol above its current one. It returns nil when the state is an
+// equilibrium and a descriptive error otherwise; weights outside the
+// monotone IAU domain fail with ErrNonMonotoneIAU. It does not modify s.
 //
 // This is the certificate form of Algorithm 2's termination condition;
 // callers can use it to audit assignments produced elsewhere.
-func VerifyNE(g *vdps.Generator, a *model.Assignment, prm fairness.Params, tol float64) error {
-	return VerifyNEOpts(g, a, NEOptions{Fairness: prm, Tol: tol})
-}
-
-// VerifyNEOpts is VerifyNE with the full option set, including the
-// priority-aware utility used when the solve ran with UsePriorities.
-// Weights outside the monotone IAU domain fail with ErrNonMonotoneIAU.
-func VerifyNEOpts(g *vdps.Generator, a *model.Assignment, opt NEOptions) error {
+func VerifyNE(s *State, opt NEOptions) error {
 	prm := opt.Fairness
 	if prm == (fairness.Params{}) {
 		prm = fairness.DefaultParams()
@@ -94,12 +84,8 @@ func VerifyNEOpts(g *vdps.Generator, a *model.Assignment, opt NEOptions) error {
 	} else if tol == 0 {
 		tol = 1e-9
 	}
-	u, err := newIAUScratch(prm, opt.Priorities, len(g.Instance().Workers))
+	u, err := newIAUScratch(prm, workerPriorities(s.Instance(), opt.UsePriorities), len(s.Current))
 	if err != nil {
-		return err
-	}
-	s := NewState(g)
-	if err := s.LoadAssignment(a); err != nil {
 		return err
 	}
 	// Inside the monotone domain the top available strategy is each

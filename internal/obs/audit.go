@@ -5,8 +5,6 @@ package obs
 // violated invariant. Both are registered at construction so the first
 // /metrics scrape already lists them with zero values.
 type AuditMetrics struct {
-	reg *Registry
-
 	// Runs counts executed assignment audits (one per audited center).
 	Runs *Counter
 	// Failures counts audits that found at least one violation.
@@ -18,13 +16,9 @@ type AuditMetrics struct {
 // instruments are shared via the registry's first-registration semantics.
 func NewAuditMetrics(reg *Registry) *AuditMetrics {
 	return &AuditMetrics{
-		reg: reg,
 		Runs: reg.Counter("fta_audit_runs_total",
 			"Assignment audits executed."),
 		Failures: reg.Counter("fta_audit_failures_total",
 			"Assignment audits that found at least one violated invariant."),
 	}
 }
-
-// Registry returns the registry the metrics write into.
-func (a *AuditMetrics) Registry() *Registry { return a.reg }

@@ -5,8 +5,6 @@ package obs
 // construction so the first /metrics scrape already lists every family with
 // zero values; a nil *JobsMetrics disables job telemetry entirely.
 type JobsMetrics struct {
-	reg *Registry
-
 	// QueueDepth is the number of jobs currently waiting in the queue.
 	QueueDepth *Gauge
 	// Running is the number of jobs currently executing on workers.
@@ -32,7 +30,6 @@ type JobsMetrics struct {
 // instruments are shared via the registry's first-registration semantics.
 func NewJobsMetrics(reg *Registry) *JobsMetrics {
 	return &JobsMetrics{
-		reg: reg,
 		QueueDepth: reg.Gauge("fta_jobs_queue_depth",
 			"Solve jobs currently waiting in the bounded queue."),
 		Running: reg.Gauge("fta_jobs_running",
@@ -55,6 +52,3 @@ func NewJobsMetrics(reg *Registry) *JobsMetrics {
 			"Terminal jobs dropped from the result store by TTL or capacity."),
 	}
 }
-
-// Registry returns the registry the metrics write into.
-func (j *JobsMetrics) Registry() *Registry { return j.reg }

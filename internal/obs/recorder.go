@@ -129,9 +129,6 @@ func NewMetricsRecorder(reg *Registry) *MetricsRecorder {
 	}
 }
 
-// Registry returns the registry the recorder writes into.
-func (m *MetricsRecorder) Registry() *Registry { return m.reg }
-
 // RecordVDPS implements Recorder.
 func (m *MetricsRecorder) RecordVDPS(e VDPSEvent) {
 	m.vdpsSubsets.Add(int64(e.Subsets))

@@ -99,9 +99,6 @@ func TestSeedAlgorithms(t *testing.T) {
 func TestMetricsRecorderSolveAndAssign(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewMetricsRecorder(reg)
-	if rec.Registry() != reg {
-		t.Fatal("Registry() should return the construction registry")
-	}
 	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Workers: 3, Points: 6, Iterations: 7, Converged: true, Elapsed: time.Millisecond})
 	rec.RecordSolve(SolveEvent{Algorithm: "IEGT", Iterations: 120, Converged: false, Elapsed: time.Millisecond})
 	rec.RecordAssign(AssignEvent{Algorithm: "FGT", Centers: 4, Workers: 12, Points: 24, Parallelism: 2, Elapsed: 5 * time.Millisecond})

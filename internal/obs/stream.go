@@ -6,8 +6,6 @@ package obs
 // A nil *StreamMetrics disables the telemetry entirely. See
 // docs/STREAMING.md and docs/OBSERVABILITY.md.
 type StreamMetrics struct {
-	reg *Registry
-
 	// DeltaTaskArrived..DeltaRewardChanged count applied deltas by kind
 	// (fta_stream_deltas_total). Rejected deltas are not counted here.
 	DeltaTaskArrived, DeltaTaskExpired    *Counter
@@ -48,7 +46,6 @@ func NewStreamMetrics(reg *Registry) *StreamMetrics {
 			"Applied stream batches by resolve path.", L("kind", kind))
 	}
 	return &StreamMetrics{
-		reg:                reg,
 		DeltaTaskArrived:   deltas("task_arrived"),
 		DeltaTaskExpired:   deltas("task_expired"),
 		DeltaWorkerOnline:  deltas("worker_online"),
@@ -71,9 +68,6 @@ func NewStreamMetrics(reg *Registry) *StreamMetrics {
 			"Last applied stream sequence number."),
 	}
 }
-
-// Registry returns the registry the metrics write into.
-func (m *StreamMetrics) Registry() *Registry { return m.reg }
 
 // DeltaCounter returns the applied-delta counter for the kind string, or
 // nil for an unknown kind. Nil receivers return nil.
@@ -114,53 +108,4 @@ func (m *StreamMetrics) ResolveCounter(kind string) *Counter {
 		return m.ResolveCold
 	}
 	return nil
-}
-
-// OnlineMetrics bundles the instruments of the online matcher baseline
-// (internal/online): per-policy offer outcomes. A nil *OnlineMetrics
-// disables the telemetry entirely.
-type OnlineMetrics struct {
-	reg *Registry
-
-	// AssignedGreedy and AssignedFairFirst count accepted offers by policy
-	// (fta_online_assigned_total); RejectedGreedy and RejectedFairFirst
-	// count offers no worker could serve (fta_online_rejected_total).
-	AssignedGreedy, AssignedFairFirst *Counter
-	RejectedGreedy, RejectedFairFirst *Counter
-}
-
-// NewOnlineMetrics registers the fta_online_* families for both matcher
-// policies on the registry and returns the bundle. Safe to call more than
-// once on the same registry.
-func NewOnlineMetrics(reg *Registry) *OnlineMetrics {
-	return &OnlineMetrics{
-		reg: reg,
-		AssignedGreedy: reg.Counter("fta_online_assigned_total",
-			"Online matcher offers accepted, by policy.", L("policy", "greedy")),
-		AssignedFairFirst: reg.Counter("fta_online_assigned_total",
-			"Online matcher offers accepted, by policy.", L("policy", "fair-first")),
-		RejectedGreedy: reg.Counter("fta_online_rejected_total",
-			"Online matcher offers no worker could serve, by policy.", L("policy", "greedy")),
-		RejectedFairFirst: reg.Counter("fta_online_rejected_total",
-			"Online matcher offers no worker could serve, by policy.", L("policy", "fair-first")),
-	}
-}
-
-// Registry returns the registry the metrics write into.
-func (m *OnlineMetrics) Registry() *Registry { return m.reg }
-
-// ForPolicy returns the (assigned, rejected) counter pair for the policy
-// string ("greedy" or "fair-first"), or nils for an unknown policy. Nil
-// receivers return nils.
-func (m *OnlineMetrics) ForPolicy(policy string) (assigned, rejected *Counter) {
-	if m == nil {
-		return nil, nil
-	}
-	switch policy {
-	case "greedy":
-		return m.AssignedGreedy, m.RejectedGreedy
-	case "fair-first":
-		return m.AssignedFairFirst, m.RejectedFairFirst
-	}
-	return nil, nil
 }

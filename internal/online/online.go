@@ -19,7 +19,6 @@ import (
 
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
-	"fairtask/internal/obs"
 	"fairtask/internal/payoff"
 )
 
@@ -67,10 +66,6 @@ type Matcher struct {
 	travel   []float64
 	assigned int
 	rejected int
-	// cAssigned and cRejected mirror the run counters into telemetry
-	// (fta_online_assigned_total / fta_online_rejected_total); nil when
-	// the matcher is uninstrumented.
-	cAssigned, cRejected *obs.Counter
 }
 
 // ErrNoWorkers is returned by NewMatcher for an instance without workers.
@@ -95,13 +90,6 @@ func NewMatcher(in *model.Instance, policy Policy) (*Matcher, error) {
 		m.loc[i] = in.Workers[i].Loc
 	}
 	return m, nil
-}
-
-// Instrument mirrors every Offer outcome into the counters — typically the
-// policy's pair from obs.OnlineMetrics.ForPolicy. Nil counters disable the
-// corresponding side.
-func (m *Matcher) Instrument(assigned, rejected *obs.Counter) {
-	m.cAssigned, m.cRejected = assigned, rejected
 }
 
 // Offer presents a task arriving at the given time. The matcher assigns it
@@ -142,9 +130,6 @@ func (m *Matcher) Offer(now float64, task Task) (worker int, ok bool) {
 	}
 	if best.w == -1 {
 		m.rejected++
-		if m.cRejected != nil {
-			m.cRejected.Inc()
-		}
 		return -1, false
 	}
 	worker = best.w
@@ -153,9 +138,6 @@ func (m *Matcher) Offer(now float64, task Task) (worker int, ok bool) {
 	m.earnings[worker] += task.Reward
 	m.travel[worker] += best.dist
 	m.assigned++
-	if m.cAssigned != nil {
-		m.cAssigned.Inc()
-	}
 	return worker, true
 }
 

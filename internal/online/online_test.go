@@ -6,7 +6,6 @@ import (
 
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
-	"fairtask/internal/obs"
 	"fairtask/internal/travel"
 )
 
@@ -159,28 +158,5 @@ func TestReportCopiesState(t *testing.T) {
 	rep.Earnings[0] = -1
 	if m.Report().Earnings[0] != 2 {
 		t.Error("Report shares internal slices")
-	}
-}
-
-func TestInstrumentMirrorsOutcomes(t *testing.T) {
-	reg := obs.NewRegistry()
-	om := obs.NewOnlineMetrics(reg)
-	m, err := NewMatcher(matcherInstance(1), Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Instrument(om.ForPolicy(Greedy.String()))
-	if _, ok := m.Offer(0, Task{Loc: geo.Pt(1, 0), Expiry: 10, Reward: 1}); !ok {
-		t.Fatal("feasible offer rejected")
-	}
-	if _, ok := m.Offer(0, Task{Loc: geo.Pt(1, 0), Expiry: 0.01, Reward: 1}); ok {
-		t.Fatal("infeasible offer accepted")
-	}
-	if om.AssignedGreedy.Value() != 1 || om.RejectedGreedy.Value() != 1 {
-		t.Fatalf("counters = %d/%d, want 1/1",
-			om.AssignedGreedy.Value(), om.RejectedGreedy.Value())
-	}
-	if om.AssignedFairFirst.Value() != 0 {
-		t.Fatal("wrong policy counter incremented")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fairtask/internal/game"
 	"fairtask/internal/model"
 	"fairtask/internal/obs"
-	"fairtask/internal/payoff"
 	"fairtask/internal/vdps"
 )
 
@@ -237,8 +236,8 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 			Switches:   res.Switches,
 			Elapsed:    elapsed,
 			Degraded:   rg.name,
-			Difference: payoff.Difference(res.Summary.Payoffs),
-			Average:    payoff.Average(res.Summary.Payoffs),
+			Difference: res.Summary.Difference,
+			Average:    res.Summary.Average,
 			Potential:  res.Potential,
 		})
 	}

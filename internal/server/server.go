@@ -114,7 +114,6 @@ func New(factory Factory) *Handler {
 	obs.NewFaultMetrics(h.Registry)
 	obs.NewRuntimeMetrics(h.Registry)
 	obs.NewStreamMetrics(h.Registry)
-	obs.NewOnlineMetrics(h.Registry)
 	return h
 }
 

@@ -295,8 +295,8 @@ func TestStreamConcurrentPosts(t *testing.T) {
 }
 
 // TestStreamMetricsPreRegistered checks the serve-startup contract: the
-// stream and online metric families appear on the very first scrape, before
-// any streaming traffic.
+// stream metric families appear on the very first scrape, before any
+// streaming traffic.
 func TestStreamMetricsPreRegistered(t *testing.T) {
 	srv := httptest.NewServer(New(testFactory))
 	defer srv.Close()
@@ -309,7 +309,7 @@ func TestStreamMetricsPreRegistered(t *testing.T) {
 	for _, family := range []string{
 		"fta_stream_deltas_total", "fta_stream_rejected_total", "fta_stream_apply_seconds",
 		"fta_stream_resolve_seconds", "fta_stream_workers_touched", "fta_stream_resolves_total",
-		"fta_stream_seq", "fta_online_assigned_total", "fta_online_rejected_total",
+		"fta_stream_seq",
 	} {
 		if !bytes.Contains(raw, []byte(family)) {
 			t.Errorf("first scrape missing %s", family)

@@ -252,7 +252,9 @@ func BenchmarkStreamIncrementalRegen(b *testing.B) {
 
 // BenchmarkStreamWarmVsCold pins the tentpole claim: applying a delta to the
 // warm engine versus cold-solving the mutated instance from scratch, on the
-// same delta sequence. Reports speedup-x = mean cold / mean warm.
+// same delta sequence. The cold solve is what an engine-less deployment
+// runs: vdps.Generate, then game.FGT with the options the engine replays.
+// Reports speedup-x = mean cold / mean warm.
 func BenchmarkStreamWarmVsCold(b *testing.B) {
 	var warmNS, coldNS float64
 	var warmN, coldN int
@@ -281,7 +283,7 @@ func BenchmarkStreamWarmVsCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := game.ReferenceFGT(context.Background(), g, game.Options{Seed: 7}); err != nil {
+			if _, err := game.FGT(context.Background(), g, game.Options{Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 			coldNS += float64(time.Since(start).Nanoseconds())

@@ -313,7 +313,9 @@ type WorkerVDPS struct {
 // sequence the worker can complete within all deadlines. Strategies are
 // ordered by descending payoff, ascending candidate on ties — the order
 // ComparePayoff defines, written out here independently so tests can use
-// this full form as its oracle.
+// this full form as its oracle. No production path calls it: solvers and
+// the audit read the compact lists of WorkerStrategies, and
+// TestWorkerStrategiesMatchForWorker pins the two forms to each other.
 //
 // For workers using the instance's default speed the check is exact and
 // O(frontier) via the slack trick. For workers with a speed override the
