@@ -5,9 +5,9 @@
 //
 // It reads `go test -json -bench` streams (the BENCH_*.json artifacts CI
 // already uploads) or plain `go test -bench` text, extracts every
-// "Benchmark... ns/op" line with its allocs/op when the bench reports
-// allocations (-benchmem or b.ReportAllocs), and keeps the minimum of each
-// per benchmark name (the least-noisy statistic for a tripwire). The
+// "Benchmark... ns/op" line with its B/op and allocs/op when the bench
+// reports memory (-benchmem or b.ReportAllocs), and keeps the minimum of
+// each per benchmark name (the least-noisy statistic for a tripwire). The
 // GOMAXPROCS suffix ("-4") is stripped so baselines survive runner
 // core-count changes.
 //
@@ -17,9 +17,10 @@
 //	benchguard -baseline .github/bench_baseline.json -update BENCH_game.json ...
 //
 // The baseline maps each benchmark name to its figures by unit, e.g.
-// {"BenchmarkSolveFGTW200": {"allocs/op": 1200, "ns/op": 1.2e8}}. Every
-// figure in the baseline is gated: a rise beyond -tolerance (default 0.15 =
-// +15%) in ns/op or allocs/op is fatal. So is a baselined benchmark with
+// {"BenchmarkSolveFGTW200": {"B/op": 5.2e7, "allocs/op": 1200, "ns/op": 1.2e8}}.
+// Every figure in the baseline is gated: a rise beyond -tolerance (default
+// 0.15 = +15%) in ns/op, B/op or allocs/op is fatal. A figure left out of a
+// row (one that depends on the runner's core count, say) is not gated. So is a baselined benchmark with
 // fewer than three result lines in the inputs (run it with -count 3), and
 // -update refuses such inputs. A benchmark or figure present in the
 // baseline but absent from the inputs is only a warning (CI shards benches
@@ -56,11 +57,14 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)?\s*\d+\s+([0-9.]+) ns/op`)
 // Test field, split into this name fragment and a bare figures line.
 var benchName = regexp.MustCompile(`^Benchmark\S+$`)
 
-// allocsField matches the allocs/op figure at the end of a result line.
-var allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+// memFields match the -benchmem figures of a result line, by unit.
+var memFields = map[string]*regexp.Regexp{
+	"B/op":      regexp.MustCompile(`\s([0-9]+) B/op`),
+	"allocs/op": regexp.MustCompile(`\s([0-9]+) allocs/op`),
+}
 
 // gatedUnits are the figures benchguard extracts and gates, in report order.
-var gatedUnits = []string{"ns/op", "allocs/op"}
+var gatedUnits = []string{"ns/op", "B/op", "allocs/op"}
 
 // minSamples is the fewest result lines a benchmark needs before benchguard
 // gates on it or writes it to a baseline: the minimum of one or two samples
@@ -131,12 +135,16 @@ func parse(r io.Reader, into map[string]figures, samples map[string]int) error {
 		}
 		samples[name]++
 		f.keepMin("ns/op", ns)
-		if a := allocsField.FindStringSubmatch(text); a != nil {
-			allocs, err := strconv.ParseFloat(a[1], 64)
-			if err != nil {
-				return fmt.Errorf("bad allocs/op in %q: %w", text, err)
+		for _, unit := range gatedUnits[1:] {
+			m := memFields[unit].FindStringSubmatch(text)
+			if m == nil {
+				continue
 			}
-			f.keepMin("allocs/op", allocs)
+			v, err := strconv.ParseFloat(m[1], 64)
+			if err != nil {
+				return fmt.Errorf("bad %s in %q: %w", unit, text, err)
+			}
+			f.keepMin(unit, v)
 		}
 	}
 	return sc.Err()
@@ -198,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baselinePath := fs.String("baseline", ".github/bench_baseline.json", "committed baseline file")
-	tolerance := fs.Float64("tolerance", 0.15, "fatal relative ns/op or allocs/op regression (0.15 = +15%)")
+	tolerance := fs.Float64("tolerance", 0.15, "fatal relative ns/op, B/op or allocs/op regression (0.15 = +15%)")
 	update := fs.Bool("update", false, "rewrite the baseline from the inputs instead of checking")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -38,12 +38,15 @@ func TestParse(t *testing.T) {
 			t.Errorf("%s = %v, want %v ns/op", name, got[name], ns)
 		}
 	}
-	// allocs/op is read where the line reports it, and only there.
-	if a, ok := got["BenchmarkSolveFGT/W200"]["allocs/op"]; !ok || a != 12 {
-		t.Errorf("BenchmarkSolveFGT/W200 allocs/op = %v, %v; want 12", a, ok)
+	// B/op and allocs/op are read where the line reports them, and only
+	// there.
+	if f := got["BenchmarkSolveFGT/W200"]; f["B/op"] != 1024 || f["allocs/op"] != 12 {
+		t.Errorf("BenchmarkSolveFGT/W200 = %v; want 1024 B/op and 12 allocs/op", f)
 	}
-	if _, ok := got["BenchmarkPlainText"]["allocs/op"]; ok {
-		t.Errorf("BenchmarkPlainText has allocs/op without reporting them: %v", got["BenchmarkPlainText"])
+	for _, unit := range []string{"B/op", "allocs/op"} {
+		if _, ok := got["BenchmarkPlainText"][unit]; ok {
+			t.Errorf("BenchmarkPlainText has %s without reporting it: %v", unit, got["BenchmarkPlainText"])
+		}
 	}
 	// Every result line counts as one sample.
 	if want := map[string]int{"BenchmarkSolveFGT/W200": 2, "BenchmarkBatch/pool=2": 1, "BenchmarkPlainText": 1}; !maps.Equal(samples, want) {
@@ -71,8 +74,8 @@ func TestParseCountsUnnamedSamples(t *testing.T) {
 	if n := samples["BenchmarkSolveFGT"]; n != 3 || len(samples) != 1 {
 		t.Fatalf("samples = %v, want BenchmarkSolveFGT: 3", samples)
 	}
-	if f := got["BenchmarkSolveFGT"]; f["ns/op"] != 1143924 || f["allocs/op"] != 887 {
-		t.Fatalf("figures = %v, want the minima 1143924 ns/op and 887 allocs/op", f)
+	if f := got["BenchmarkSolveFGT"]; f["ns/op"] != 1143924 || f["B/op"] != 1162576 || f["allocs/op"] != 887 {
+		t.Fatalf("figures = %v, want the minima 1143924 ns/op, 1162576 B/op and 887 allocs/op", f)
 	}
 }
 
@@ -82,28 +85,36 @@ func TestCheck(t *testing.T) {
 		"BenchmarkA": ns(100), "BenchmarkB": ns(100), "BenchmarkGone": ns(50),
 		"BenchmarkAllocs":     {"ns/op": 100, "allocs/op": 1000},
 		"BenchmarkAllocsFlat": {"ns/op": 100, "allocs/op": 1000},
+		"BenchmarkBytes":      {"ns/op": 100, "B/op": 1e6, "allocs/op": 1000},
+		"BenchmarkBytesFlat":  {"ns/op": 100, "B/op": 1e6},
 		"BenchmarkNoMem":      {"ns/op": 100, "allocs/op": 1000},
 	}
 	current := map[string]figures{
 		"BenchmarkA": ns(110), "BenchmarkB": ns(120), "BenchmarkNew": ns(7),
 		"BenchmarkAllocs":     {"ns/op": 90, "allocs/op": 1300},
 		"BenchmarkAllocsFlat": {"ns/op": 90, "allocs/op": 1100},
+		"BenchmarkBytes":      {"ns/op": 100, "B/op": 1.2e6, "allocs/op": 1000},
+		"BenchmarkBytesFlat":  {"ns/op": 100, "B/op": 1.1e6, "allocs/op": 5000},
 		"BenchmarkNoMem":      ns(100),
 	}
 	samples := map[string]int{}
 	for name := range current {
 		samples[name] = minSamples
 	}
+	// A B/op rise beyond the tolerance fails on its own, at unchanged ns/op
+	// and allocs/op; one within it passes, and so does a rise in a figure
+	// the row does not baseline.
 	bad, info := check(baseline, current, samples, 0.15)
-	if len(bad) != 2 || !strings.Contains(bad[0], "BenchmarkAllocs regressed") ||
-		!strings.Contains(bad[0], "allocs/op") || !strings.Contains(bad[1], "BenchmarkB") {
-		t.Fatalf("regressions = %v, want BenchmarkAllocs (allocs/op) and BenchmarkB", bad)
+	if len(bad) != 3 || !strings.Contains(bad[0], "BenchmarkAllocs regressed") ||
+		!strings.Contains(bad[0], "allocs/op") || !strings.Contains(bad[1], "BenchmarkB regressed") ||
+		!strings.Contains(bad[2], "BenchmarkBytes regressed 20.0%: 1200000 B/op") {
+		t.Fatalf("regressions = %v, want BenchmarkAllocs (allocs/op), BenchmarkB and BenchmarkBytes (B/op)", bad)
 	}
 	// A baselined benchmark with fewer than three samples fails even when
 	// its figures are within tolerance; an unbaselined one is not gated.
 	samples["BenchmarkA"], samples["BenchmarkNew"] = 2, 1
 	bad, _ = check(baseline, current, samples, 0.15)
-	if len(bad) != 3 || bad[0] != "BenchmarkA has 2 samples, need at least 3 (run it with -count 3)" {
+	if len(bad) != 4 || bad[0] != "BenchmarkA has 2 samples, need at least 3 (run it with -count 3)" {
 		t.Fatalf("failures with BenchmarkA at 2 samples = %v", bad)
 	}
 	joined := strings.Join(info, "\n")

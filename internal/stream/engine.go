@@ -85,11 +85,11 @@ type Result struct {
 	// ResolveWarm, ResolveRegen or ResolveCold.
 	Resolve string
 	// WorkersTouched counts workers whose strategy spaces were rebuilt,
-	// repaired in place or dropped — the repair blast radius — per worker
-	// ID: a worker that goes offline and comes back in the same batch
+	// spliced, repaired in place or dropped — the repair blast radius — per
+	// worker ID: a worker that goes offline and comes back in the same batch
 	// counts once, and only if its list had to change. The incremental
-	// paths count rebuilt plus repaired plus departed workers; a full regen
-	// or cold fallback counts the whole staged roster plus departures.
+	// paths count rebuilt, spliced, repaired and departed workers; a full
+	// regen or cold fallback counts the whole staged roster plus departures.
 	WorkersTouched int
 	// Summary holds the committed equilibrium's payoff metrics.
 	Summary payoff.Summary
@@ -279,24 +279,23 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		// restricted to the sets containing it (RepairExpiries splices the
 		// result into the retained table bit-identically to a full re-run);
 		// then patch candidate rewards in the cold accumulation order, and
-		// let refresh carry each worker's list over or rebuild it.
+		// let refresh carry each worker's list over, splice it or rebuild it.
 		res.Resolve = ResolveWarm
 		gen = e.gen
 		gen.Rebind(staged)
-		var remap, fresh []int
+		var rep vdps.ExpiryRepair
 		if len(expiryPoints) > 0 {
 			res.Resolve = ResolveRegen
 			if err := fpRepair.Hit(ctx); err != nil {
 				rsp.End()
 				return e.recover(ctx, sp, staged, ds, res, start, fmt.Errorf("stream: repair: %w", err), mutated)
 			}
-			rep, err := gen.RepairExpiries(ctx, expiryPoints)
-			if err != nil {
+			var err error
+			if rep, err = gen.RepairExpiries(ctx, expiryPoints); err != nil {
 				rsp.End()
 				return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 			}
 			mutated = true
-			remap, fresh = rep.Remap, rep.Fresh
 		}
 		repriced := gen.RepairRewards(rewardPoints)
 		if len(repriced) > 0 {
@@ -314,7 +313,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			return res, nil
 		}
 		var lists [][]vdps.StrategyRef
-		lists, res.WorkersTouched = e.refresh(gen, staged, remap, fresh, repriced)
+		lists, res.WorkersTouched = e.refresh(gen, staged, rep, repriced)
 		state = game.NewStateWithStrategies(gen, lists)
 	}
 	rsp.End()
@@ -424,19 +423,20 @@ func (e *Engine) runDynamics(ctx context.Context, s *game.State, in *model.Insta
 
 // refresh returns the staged roster's strategy lists for the incremental
 // path, together with the number of workers whose lists were rebuilt,
-// repaired in place or dropped. gen is already repaired: remap and fresh
-// describe its expiry repair (both nil when no expiry moved), and repriced
+// spliced, repaired in place or dropped. gen is already repaired: rep is
+// its expiry repair (the zero value when no expiry moved), and repriced
 // lists the post-repair candidates whose reward changed.
 //
 // A staged worker inherits the committed list of the worker with its ID
-// only while that list is still exactly what gen.WorkerStrategies would
-// return: the worker's location, MaxDP and speed (all the list reads about
-// it) are unchanged, no candidate on it was dropped, and no regenerated
-// candidate is feasible for it. Its candidate indices are then remapped in
-// place, and the payoffs of its re-priced entries recomputed in place; the
-// worker counts as touched iff it holds one. Every other worker's list is
-// rebuilt.
-func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, remap, fresh, repriced []int) ([][]vdps.StrategyRef, int) {
+// only while the worker's location, MaxDP and speed (all the list reads
+// about it) are unchanged. The list is then carried through the expiry
+// repair by gen.SpliceStrategies — renumbered in place while its
+// membership holds, spliced into a new list when a candidate on it was
+// dropped or a regenerated one is feasible for the worker — and the
+// payoffs of its re-priced entries are recomputed in place. The worker
+// counts as touched iff its list was spliced or held a re-priced entry.
+// Every other worker's list is rebuilt.
+func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, rep vdps.ExpiryRepair, repriced []int) ([][]vdps.StrategyRef, int) {
 	committed := make(map[int]int, len(e.inst.Workers))
 	for w := range e.inst.Workers {
 		committed[e.inst.Workers[w].ID] = w
@@ -454,52 +454,24 @@ func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, remap, fre
 	for w := range staged.Workers {
 		sw := &staged.Workers[w]
 		cw, reuse := committed[sw.ID]
-		var list []vdps.StrategyRef
 		if reuse {
 			present++
 			old := &e.inst.Workers[cw]
 			reuse = old.Loc == sw.Loc && old.MaxDP == sw.MaxDP && old.Speed == sw.Speed
-			list = e.lists[cw]
 		}
-		if reuse && remap != nil {
-			reuse = remapList(list, remap) && !anyFeasible(gen, w, fresh)
-		}
-		switch {
-		case !reuse:
-			list = gen.WorkerStrategies(w, &sc)
+		if !reuse {
+			lists[w] = gen.WorkerStrategies(w, &sc)
 			touched++
-		case hit != nil && gen.RepairStrategyPayoffs(w, list, hit):
+			continue
+		}
+		list, spliced := gen.SpliceStrategies(w, e.lists[cw], rep, &sc)
+		repaired := hit != nil && gen.RepairStrategyPayoffs(w, list, hit)
+		if spliced || repaired {
 			touched++
 		}
 		lists[w] = list
 	}
 	return lists, touched + len(e.inst.Workers) - present
-}
-
-// remapList rewrites list's candidate indices through an expiry repair's
-// remap in place, stopping at the first dropped candidate: it reports
-// whether every candidate survived. A list with a dropped candidate is left
-// partly rewritten, to be replaced.
-func remapList(list []vdps.StrategyRef, remap []int) bool {
-	for i := range list {
-		ci := remap[list[i].Cand]
-		if ci < 0 {
-			return false
-		}
-		list[i].Cand = int32(ci)
-	}
-	return true
-}
-
-// anyFeasible reports whether any of the candidates is a strategy of
-// worker w.
-func anyFeasible(gen *vdps.Generator, w int, cands []int) bool {
-	for _, ci := range cands {
-		if gen.FeasibleFor(w, ci) {
-			return true
-		}
-	}
-	return false
 }
 
 // departures counts committed workers whose IDs are absent from the staged

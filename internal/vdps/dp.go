@@ -2,13 +2,10 @@ package vdps
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"slices"
 
 	"fairtask/internal/bitset"
-	"fairtask/internal/geo"
-	"fairtask/internal/grid"
 	"fairtask/internal/model"
 )
 
@@ -219,33 +216,22 @@ type dp struct {
 	out   []Candidate
 }
 
-// newDP prepares a run over the instance: per-point expiries and rewards
-// and, with finite ε and the index on, the ascending ε-neighbourhoods.
-func newDP(in *model.Instance, opt Options, maxSize int) *dp {
+// newDP prepares a DP run over the generator's instance with per-point
+// expiries and rewards, enumerating successors through the generator's
+// ε-neighbourhoods unless the index is disabled. Sorted neighbourhoods make
+// the index a pure filter of the full scan's ascending order.
+func (g *Generator) newDP(maxSize int) *dp {
+	in := g.inst
 	n := len(in.Points)
-	d := &dp{in: in, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: opt.Epsilon}
-	if d.eps <= 0 {
-		d.eps = math.Inf(1)
+	d := &dp{in: in, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt)}
+	if !g.opt.DisableIndex {
+		d.succ = g.neighborhoods()
 	}
 	d.expiry = make([]float64, n)
 	d.reward = make([]float64, n)
 	for i := range in.Points {
 		d.expiry[i] = in.Points[i].EarliestExpiry()
 		d.reward[i] = in.Points[i].TotalReward()
-	}
-	// The Euclidean-ball index is a superset filter for metrics whose
-	// distance is >= Euclidean (e.g. Manhattan), so the per-leg check stays
-	// the source of truth. Sorting each neighbourhood makes the index a pure
-	// filter of the full scan's ascending order.
-	if !math.IsInf(d.eps, 1) && !opt.DisableIndex && n > 0 {
-		locs := make([]geo.Point, n)
-		for i := range in.Points {
-			locs[i] = in.Points[i].Loc
-		}
-		d.succ = grid.New(locs, d.eps).Neighborhoods(d.eps)
-		for _, nb := range d.succ {
-			slices.Sort(nb)
-		}
 	}
 	return d
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"fairtask/internal/bitset"
-	"fairtask/internal/geo"
-	"fairtask/internal/grid"
 	"fairtask/internal/model"
 )
 
@@ -111,52 +109,138 @@ func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, repriced []
 	return marked
 }
 
-// FeasibleFor reports whether candidate ci is a strategy WorkerStrategies
-// would include for worker w: the set size respects the worker's maxDP and
-// some frontier sequence is executable within all deadlines at the worker's
-// speed. The streaming engine uses it to decide whether a regenerated
-// candidate widens a worker's strategy space.
-func (g *Generator) FeasibleFor(w, ci int) bool {
-	if maxDP := g.inst.Workers[w].MaxDP; maxDP > 0 && int(g.setSize[ci]) > maxDP {
-		return false
-	}
-	c := &g.candidates[ci]
-	approach := g.inst.ApproachTime(w)
-	if factor := g.inst.SpeedFactor(w); factor != 1 {
-		fi, ok := c.bestForScaledIndex(g.inst, w)
-		return ok && approach+factor*c.Frontier[fi].Time > 0
-	}
-	if g.maxSlack[ci] < approach {
-		return false
-	}
-	fi, _ := c.bestForIndex(approach)
-	return approach+c.Frontier[fi].Time > 0
+// workerRule holds what WorkerStrategies reads about one worker.
+type workerRule struct {
+	w                int
+	approach, factor float64
+	maxDP            int32
 }
 
-// ExpiryRepair reports the candidate-table surgery RepairExpiries performed,
-// in terms the strategy-space caches above the generator need to stay
-// consistent: how retained candidate indices moved, which candidates are
-// gone, and which are regenerated.
+// ruleFor reads worker w's rule inputs from the generator's instance.
+func (g *Generator) ruleFor(w int) workerRule {
+	return workerRule{
+		w:        w,
+		approach: g.inst.ApproachTime(w),
+		factor:   g.inst.SpeedFactor(w),
+		maxDP:    int32(g.inst.Workers[w].MaxDP),
+	}
+}
+
+// strategy is WorkerStrategies' rule for one candidate: the StrategyRef it
+// includes for worker r.w and candidate ci, or false when it includes none.
+// The set must respect the worker's MaxDP; a default-speed worker needs
+// maxSlack to cover its approach time and takes the fastest state that
+// does, any other worker the fastest sequence it can execute at its own
+// speed; and the total travel time must be positive. The payoff expression
+// is WorkerStrategies' (at factor 1 the product is exact).
+// TestFeasibleForMatchesEnumeration pins the two against each other.
+func (g *Generator) strategy(r workerRule, ci int) (StrategyRef, bool) {
+	if r.maxDP > 0 && g.setSize[ci] > r.maxDP {
+		return StrategyRef{}, false
+	}
+	c := &g.candidates[ci]
+	var fi int
+	if r.factor == 1 {
+		if g.maxSlack[ci] < r.approach {
+			return StrategyRef{}, false
+		}
+		fi, _ = c.bestForIndex(r.approach)
+	} else {
+		var ok bool
+		if fi, ok = c.bestForScaledIndex(g.inst, r.w); !ok {
+			return StrategyRef{}, false
+		}
+	}
+	total := r.approach + r.factor*c.Frontier[fi].Time
+	if total <= 0 {
+		return StrategyRef{}, false
+	}
+	return StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)}, true
+}
+
+// ExpiryRepair records the candidate-table surgery of one RepairExpiries
+// call, which SpliceStrategies needs to carry a strategy list built before
+// it over to the repaired table. The zero value is the identity: no
+// candidate moved.
 type ExpiryRepair struct {
-	// Remap maps every pre-repair candidate index to its post-repair index.
-	// A -1 entry marks a dropped candidate (it contained a changed point).
-	// Retained candidates keep their identity: points, frontier and reward
-	// are untouched, only the index moves.
-	Remap []int
-	// Fresh lists the post-repair indices of regenerated candidates —
-	// every candidate containing at least one changed point that is feasible
-	// under the new expiries — ascending.
-	Fresh []int
+	// remap maps every pre-repair candidate index to its post-repair index,
+	// -1 for a dropped candidate (it contained a changed point). Retained
+	// candidates keep their identity and their order: points, frontier and
+	// reward are untouched, only the index moves, monotonically.
+	remap []int
+	// fresh lists the post-repair indices of the regenerated candidates —
+	// every candidate containing at least one changed point that is
+	// feasible under the new expiries — ascending.
+	fresh []int
+}
+
+// SpliceStrategies carries worker w's strategy list, as WorkerStrategies
+// built it before the expiry repair rep, over to the repaired table: it
+// drops the entries of dropped candidates, renumbers the rest and merges in
+// the regenerated candidates the worker can take, priced by WorkerStrategies'
+// rule. The list holds ascending candidate indices, the renumbering keeps
+// their order and rep's regenerated candidates are ascending, so the splice
+// is a merge of two ascending runs. The result equals a fresh
+// WorkerStrategies call as long as the worker's location, MaxDP and speed
+// did not change; a retained entry keeps its payoff, so after a reward
+// change it still needs RepairStrategyPayoffs.
+//
+// It reports whether the list's membership changed. An unchanged list is
+// renumbered in place and returned; otherwise the input is left alone and a
+// new exact-size list is returned. Callers own the transactional
+// consequences of the in-place write, as with RepairStrategyPayoffs.
+func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair, sc *StrategyScratch) ([]StrategyRef, bool) {
+	if rep.remap == nil {
+		return list, false
+	}
+	r := g.ruleFor(w)
+	add := sc.keys[:0]
+	for _, ci := range rep.fresh {
+		if ref, ok := g.strategy(r, ci); ok {
+			add = append(add, ref)
+		}
+	}
+	sc.keys = add
+	kept := 0
+	for i := range list {
+		if rep.remap[list[i].Cand] >= 0 {
+			kept++
+		}
+	}
+	if kept == len(list) && len(add) == 0 {
+		for i := range list {
+			list[i].Cand = int32(rep.remap[list[i].Cand])
+		}
+		return list, false
+	}
+	if kept+len(add) == 0 {
+		return nil, true
+	}
+	out := make([]StrategyRef, 0, kept+len(add))
+	for _, ref := range list {
+		ci := rep.remap[ref.Cand]
+		if ci < 0 {
+			continue
+		}
+		for len(add) > 0 && int(add[0].Cand) < ci {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		ref.Cand = int32(ci)
+		out = append(out, ref)
+	}
+	return append(out, add...), true
 }
 
 // RepairExpiries re-runs the candidate DP restricted to the sets containing
 // at least one of the given delivery points, after those points' earliest
 // task expiries changed, and splices the regenerated candidates into the
 // table in the deterministic (size, lexicographic points) order. Candidates
-// without a changed point are retained as-is: a set's feasible sequences and
-// Pareto frontier depend only on the expiries and geometry of its own
-// points, so a full GenerateContext on the mutated instance would rebuild
-// them bit-identically.
+// without a changed point are retained as-is, with their maxSlack and
+// setSize entries: a set's feasible sequences and Pareto frontier depend
+// only on the expiries and geometry of its own points, so a full
+// GenerateContext on the mutated instance would rebuild them
+// bit-identically.
 //
 // The restricted DP explores exactly the states that can still reach a
 // changed point: a state is kept when its set already contains one, or when
@@ -166,30 +250,34 @@ type ExpiryRepair struct {
 // set can reach every point this degrades to the full DP; on ε-sparse
 // instances it touches a small neighborhood of the changed points.
 //
+// Retained candidates keep pointing into the slabs they were built in, so
+// a repair copies no candidate data until the bytes of the candidates
+// dropped since the last re-slab exceed the live table's: the spliced table
+// is then copied into fresh slabs. Slab memory stays within twice the live
+// table, and the copy is amortized over many repairs.
+//
 // The generator must already be rebound to the mutated instance. On error
 // (cancellation, ErrTooManySets) the candidate table is left untouched.
-// Cached strategy lists hold pre-repair candidate indices; remap unaffected
-// lists with Remap, and rebuild the lists of workers holding a dropped
-// candidate (a -1 in Remap) or gaining a Fresh one.
+// Strategy lists built before the repair hold pre-repair candidate indices;
+// carry each over with SpliceStrategies.
 func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRepair, error) {
 	if len(points) == 0 {
-		remap := make([]int, len(g.candidates))
-		for i := range remap {
-			remap[i] = i
-		}
-		return ExpiryRepair{Remap: remap}, nil
+		return ExpiryRepair{}, nil
 	}
 	in := g.inst
-	d := newDP(in, g.opt, g.stats.MaxSetSize)
+	d := g.newDP(g.stats.MaxSetSize)
 	d.changed = bitset.New(len(in.Points))
 	for _, p := range points {
 		d.changed = d.changed.With(p)
 	}
-	d.hops = hopDistances(in, d.changed, d.succ, d.eps)
+	d.hops = hopDistances(in, d.changed, g.neighborhoods(), d.eps)
 
+	rep := ExpiryRepair{remap: make([]int, len(g.candidates))}
 	retained := 0
 	for ci := range g.candidates {
-		if !g.candidates[ci].Mask.Intersects(d.changed) {
+		if g.candidates[ci].Mask.Intersects(d.changed) {
+			rep.remap[ci] = -1
+		} else {
 			retained++
 		}
 	}
@@ -200,43 +288,58 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 
 	// Splice the regenerated candidates into the retained table in candLess
 	// order — the order the DP emits them in — so the repaired table is
-	// bit-identical to a full re-run.
-	rep := ExpiryRepair{Remap: make([]int, len(g.candidates))}
-	merged := make([]Candidate, 0, retained+len(fresh))
+	// bit-identical to a full re-run. Retained candidates bring their flat
+	// entries along; only regenerated ones derive theirs.
+	n := retained + len(fresh)
+	merged := make([]Candidate, 0, n)
+	maxSlack := make([]float64, 0, n)
+	setSize := make([]int32, 0, n)
+	live, stale := g.liveBytes, g.staleBytes
+	take := func(c *Candidate) {
+		rep.fresh = append(rep.fresh, len(merged))
+		merged = append(merged, *c)
+		maxSlack = append(maxSlack, c.MaxSlack())
+		setSize = append(setSize, int32(len(c.Points)))
+		live += c.slabBytes()
+	}
 	fi := 0
 	for ci := range g.candidates {
 		c := &g.candidates[ci]
-		if c.Mask.Intersects(d.changed) {
-			rep.Remap[ci] = -1
+		if rep.remap[ci] < 0 {
+			b := c.slabBytes()
+			live -= b
+			stale += b
 			continue
 		}
 		for fi < len(fresh) && candLess(&fresh[fi], c) {
-			rep.Fresh = append(rep.Fresh, len(merged))
-			merged = append(merged, fresh[fi])
+			take(&fresh[fi])
 			fi++
 		}
-		rep.Remap[ci] = len(merged)
+		rep.remap[ci] = len(merged)
 		merged = append(merged, *c)
+		maxSlack = append(maxSlack, g.maxSlack[ci])
+		setSize = append(setSize, g.setSize[ci])
 	}
 	for ; fi < len(fresh); fi++ {
-		rep.Fresh = append(rep.Fresh, len(merged))
-		merged = append(merged, fresh[fi])
+		take(&fresh[fi])
 	}
 
-	// Re-slab the spliced table: retained candidates would otherwise pin the
-	// slabs of every earlier run, and a long stream would keep them all.
-	reslab(merged)
-	g.candidates = merged
-	g.finish()
+	if stale > live {
+		reslab(merged)
+		stale = 0
+	}
+	g.candidates, g.maxSlack, g.setSize = merged, maxSlack, setSize
+	g.liveBytes, g.staleBytes = live, stale
+	g.stats.Candidates = len(merged)
 	return rep, nil
 }
 
 // hopDistances returns each point's BFS hop distance to the nearest changed
 // point over the ε-adjacency graph (0 for changed points). The adjacency
-// used is the Euclidean-ball superset the DP's grid index provides, which
-// can only under-estimate distances for metrics whose travel distance
-// exceeds the Euclidean one — an under-estimate weakens the pruning but
-// never loses a reachable candidate. With ε disabled every pair is adjacent.
+// used is the generator's Euclidean-ball neighbourhoods, a superset that can
+// only under-estimate distances for metrics whose travel distance exceeds
+// the Euclidean one — an under-estimate weakens the pruning but never loses
+// a reachable candidate. With ε disabled every pair is adjacent.
 func hopDistances(in *model.Instance, changed bitset.Set, neighbors [][]int, eps float64) []int {
 	n := len(in.Points)
 	const far = 1 << 30
@@ -258,18 +361,9 @@ func hopDistances(in *model.Instance, changed bitset.Set, neighbors [][]int, eps
 		}
 		return hops
 	}
-	adj := neighbors
-	if adj == nil {
-		// Index disabled: build the ε-ball adjacency with a direct scan.
-		locs := make([]geo.Point, n)
-		for i := range in.Points {
-			locs[i] = in.Points[i].Loc
-		}
-		adj = grid.New(locs, eps).Neighborhoods(eps)
-	}
 	for qi := 0; qi < len(queue); qi++ {
 		p := queue[qi]
-		for _, q := range adj[p] {
+		for _, q := range neighbors[p] {
 			if hops[q] > hops[p]+1 {
 				hops[q] = hops[p] + 1
 				queue = append(queue, q)

@@ -135,8 +135,8 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 
 				// Remap/Fresh must describe the surgery exactly: -1 in Remap
 				// marks exactly the candidates containing a changed point.
-				if len(rep.Remap) != len(before) {
-					t.Fatalf("remap length %d, want %d", len(rep.Remap), len(before))
+				if len(rep.remap) != len(before) {
+					t.Fatalf("remap length %d, want %d", len(rep.remap), len(before))
 				}
 				changed := map[int]bool{}
 				for _, p := range pts {
@@ -150,7 +150,7 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 							hasChanged = true
 						}
 					}
-					ni := rep.Remap[ci]
+					ni := rep.remap[ci]
 					if ni < 0 {
 						if !hasChanged {
 							t.Fatalf("candidate %d remapped to -1 but contains no changed point", ci)
@@ -166,7 +166,7 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 					}
 				}
 				fresh := map[int]bool{}
-				for _, ni := range rep.Fresh {
+				for _, ni := range rep.fresh {
 					fresh[ni] = true
 					hit := false
 					for _, p := range g.Candidates()[ni].Points {
@@ -180,7 +180,7 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 						t.Fatalf("fresh candidate %d contains no changed point", ni)
 					}
 				}
-				if got := len(before) - dropped + len(rep.Fresh); got != len(g.Candidates()) {
+				if got := len(before) - dropped + len(rep.fresh); got != len(g.Candidates()) {
 					t.Fatalf("retained+fresh = %d, table has %d", got, len(g.Candidates()))
 				}
 			}
@@ -189,24 +189,32 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 }
 
 // TestRepairExpiriesNoChange pins the identity fast path: an empty changed
-// set returns the identity remap and touches nothing.
+// set returns the zero repair and touches nothing, and splicing a list
+// through it leaves the list as it was.
 func TestRepairExpiriesNoChange(t *testing.T) {
 	in := repairGM(t, 9, 40, 6, 18)
 	g, err := Generate(in, Options{Epsilon: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(g.Candidates())
+	before := append([]Candidate(nil), g.Candidates()...)
 	rep, err := g.RepairExpiries(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Fresh) != 0 || len(rep.Remap) != n {
+	if !reflect.DeepEqual(rep, ExpiryRepair{}) {
 		t.Fatalf("identity repair reported surgery: %+v", rep)
 	}
-	for i, ni := range rep.Remap { // identity: no -1, so nothing dropped
-		if ni != i {
-			t.Fatalf("remap[%d] = %d, want identity", i, ni)
+	if !reflect.DeepEqual(before, g.Candidates()) {
+		t.Fatal("identity repair mutated the candidate table")
+	}
+	var sc StrategyScratch
+	for w := range in.Workers {
+		list := g.WorkerStrategies(w, &sc)
+		want := slices.Clone(list)
+		got, spliced := g.SpliceStrategies(w, list, rep, &sc)
+		if spliced || !reflect.DeepEqual(got, want) {
+			t.Fatalf("worker %d: identity splice reported %v, list %+v, want %+v", w, spliced, got, want)
 		}
 	}
 }
@@ -476,9 +484,11 @@ func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
 	}
 }
 
-// TestFeasibleForMatchesEnumeration pins FeasibleFor against the ground
-// truth: a candidate is feasible for a worker exactly when WorkerStrategies
-// includes it.
+// TestFeasibleForMatchesEnumeration pins the per-candidate rule against the
+// ground truth: for every worker and candidate, strategy returns exactly the
+// StrategyRef WorkerStrategies includes for that candidate — payoff bits and
+// frontier entry — and false when it includes none. repairGM's mixed speeds
+// cover both the slack test and the scaled-speed re-check.
 func TestFeasibleForMatchesEnumeration(t *testing.T) {
 	in := repairGM(t, 5, 60, 8, 24)
 	g, err := Generate(in, Options{Epsilon: 1.5})
@@ -487,16 +497,164 @@ func TestFeasibleForMatchesEnumeration(t *testing.T) {
 	}
 	var sc StrategyScratch
 	for w := range in.Workers {
-		included := map[int32]bool{}
+		included := map[int32]StrategyRef{}
 		for _, s := range g.WorkerStrategies(w, &sc) {
-			included[s.Cand] = true
+			included[s.Cand] = s
 		}
+		r := g.ruleFor(w)
 		for ci := range g.Candidates() {
-			if got, want := g.FeasibleFor(w, ci), included[int32(ci)]; got != want {
-				t.Fatalf("worker %d candidate %d: FeasibleFor %v, enumeration %v",
-					w, ci, got, want)
+			got, ok := g.strategy(r, ci)
+			want, inc := included[int32(ci)]
+			if ok != inc || got.Cand != want.Cand || got.Entry != want.Entry ||
+				math.Float64bits(got.Payoff) != math.Float64bits(want.Payoff) {
+				t.Fatalf("worker %d candidate %d: rule %+v (%v), enumeration %+v (%v)",
+					w, ci, got, ok, want, inc)
 			}
 		}
+	}
+}
+
+// TestRepairExpiriesChainedMatchesGenerate chains expiry repairs on one
+// generator, so retained candidates come from earlier repairs and the table
+// crosses the re-slab threshold. After every step the generator must equal a
+// fresh Generate of the mutated instance bit for bit; every worker's list,
+// spliced through each step and, on steps that also re-price, repaired with
+// RepairStrategyPayoffs, must equal WorkerStrategies; the slab accounting
+// must match a recount of the table, keep the table's slabs within twice the
+// live bytes and re-slab exactly when the bytes dropped since the last
+// re-slab exceed the live ones. The chain must contain steps of both kinds,
+// and splices of every kind: a list kept whole, one that only gains
+// regenerated candidates (every fourth step loosens one point's deadlines,
+// which workers that could not reach it in time now may) and one that loses
+// candidates.
+func TestRepairExpiriesChainedMatchesGenerate(t *testing.T) {
+	cases := []struct {
+		name string
+		in   *model.Instance
+		opt  Options
+		seed int64
+	}{
+		{"gm", repairGM(t, 3, 60, 8, 24), Options{Epsilon: 1.5}, 41},
+		{"lattice-ties", latticeInstance(), Options{Epsilon: 2}, 43},
+	}
+	const steps = 24
+	var whole, gained, lost int // splices by kind, over both cases
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := tc.in
+			g, err := Generate(in, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc, wsc StrategyScratch
+			lists := make([][]StrategyRef, len(in.Workers))
+			for w := range lists {
+				lists[w] = g.WorkerStrategies(w, &sc)
+			}
+			rng := rand.New(rand.NewSource(tc.seed))
+			stale := 0 // bytes dropped since the last re-slab, counted here
+			reslabbed, kept := 0, 0
+			for step := 0; step < steps; step++ {
+				before := g.Candidates()
+				mutated := in.Clone()
+				var pts []int
+				if step%4 == 3 {
+					p := rng.Intn(len(mutated.Points))
+					for len(mutated.Points[p].Tasks) == 0 {
+						p = (p + 1) % len(mutated.Points)
+					}
+					for i := range mutated.Points[p].Tasks {
+						mutated.Points[p].Tasks[i].Expiry *= 2
+					}
+					pts = []int{p}
+				} else {
+					pts = mutateExpiries(mutated, rng)
+				}
+				var rewardPts []int
+				if step%3 == 2 {
+					rewardPts = rewardMutations[0].apply(mutated, rng)
+				}
+				g.Rebind(mutated)
+				rep, err := g.RepairExpiries(context.Background(), pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repriced := make([]bool, len(g.Candidates()))
+				for _, ci := range g.RepairRewards(rewardPts) {
+					repriced[ci] = true
+				}
+				want, err := Generate(mutated, tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertGeneratorsEqual(t, g, want)
+				for w := range lists {
+					dropped := slices.ContainsFunc(lists[w], func(r StrategyRef) bool { return rep.remap[r.Cand] < 0 })
+					n := len(lists[w])
+					var spliced bool
+					lists[w], spliced = g.SpliceStrategies(w, lists[w], rep, &sc)
+					switch {
+					case dropped:
+						lost++
+					case len(lists[w]) > n:
+						gained++
+					default:
+						whole++
+					}
+					if spliced != (dropped || len(lists[w]) != n) {
+						t.Fatalf("step %d worker %d: splice reported %v, membership changed: %v", step, w, spliced, !spliced)
+					}
+					g.RepairStrategyPayoffs(w, lists[w], repriced)
+					if ws := want.WorkerStrategies(w, &wsc); !reflect.DeepEqual(lists[w], ws) {
+						t.Fatalf("step %d worker %d: spliced list diverged:\ngot  %+v\nwant %+v", step, w, lists[w], ws)
+					}
+				}
+
+				live := 0
+				for i := range g.Candidates() {
+					live += g.Candidates()[i].slabBytes()
+				}
+				dropped := false
+				for ci, ni := range rep.remap {
+					if ni < 0 {
+						stale += before[ci].slabBytes()
+						dropped = true
+					}
+				}
+				resl := stale > live
+				switch {
+				case resl:
+					stale = 0
+					reslabbed++
+				case dropped:
+					kept++
+				}
+				if g.liveBytes != live || g.staleBytes != stale {
+					t.Fatalf("step %d: slab accounting live %d stale %d, recount %d and %d",
+						step, g.liveBytes, g.staleBytes, live, stale)
+				}
+				if g.liveBytes+g.staleBytes > 2*g.liveBytes {
+					t.Fatalf("step %d: slabs pin up to %d bytes for a %d-byte table",
+						step, g.liveBytes+g.staleBytes, g.liveBytes)
+				}
+				// A retained candidate stays in its slab unless the table was
+				// re-slabbed.
+				for ci, ni := range rep.remap {
+					if ni >= 0 && (&before[ci].Points[0] == &g.Candidates()[ni].Points[0]) == resl {
+						t.Fatalf("step %d: re-slab %v, but retained candidate %d moved slabs: %v",
+							step, resl, ci, !resl)
+					}
+				}
+				in = mutated
+			}
+			if reslabbed == 0 || kept == 0 {
+				t.Fatalf("%d steps re-slabbed and %d dropped candidates without re-slabbing; want both", reslabbed, kept)
+			}
+			t.Logf("%d steps re-slabbed, %d did not", reslabbed, kept)
+		})
+	}
+	if whole == 0 || gained == 0 || lost == 0 {
+		t.Fatalf("splices: %d lists kept whole, %d only gained, %d lost candidates; want each kind", whole, gained, lost)
 	}
 }
 

@@ -37,9 +37,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"unsafe"
 
 	"fairtask/internal/bitset"
+	"fairtask/internal/geo"
+	"fairtask/internal/grid"
 	"fairtask/internal/model"
 	"fairtask/internal/obs"
 )
@@ -83,7 +87,10 @@ type State struct {
 // Points, Mask, Frontier and each frontier state's Seq are owned by the
 // generator: they are capacity-limited windows into slabs shared by many
 // candidates, so appending to one copies it, and they must not be modified
-// in place. Reward is the candidate's own (RepairRewards rewrites it).
+// in place. A slab outlives the candidates RepairExpiries drops from it
+// until the table is re-slabbed, which happens once the dropped bytes
+// exceed the live ones. Reward is the candidate's own (RepairRewards
+// rewrites it).
 type Candidate struct {
 	// Points holds the set's delivery point indices in ascending order.
 	Points []int
@@ -98,6 +105,21 @@ type Candidate struct {
 	Frontier []State
 	// Reward is the total reward of all tasks on the set's points.
 	Reward float64
+}
+
+// The slab sizes of a point index, a mask word and a frontier state.
+const (
+	intBytes   = int(unsafe.Sizeof(int(0)))
+	wordBytes  = 8
+	stateBytes = int(unsafe.Sizeof(State{}))
+)
+
+// slabBytes returns the slab bytes the candidate references: its points,
+// mask words, frontier states and their sequences, each of which visits
+// every point of the set once.
+func (c *Candidate) slabBytes() int {
+	n := len(c.Points)
+	return n*intBytes + len(c.Mask)*wordBytes + len(c.Frontier)*(stateBytes+n*intBytes)
 }
 
 // MinTime returns the minimal center-origin travel time over the frontier.
@@ -165,6 +187,13 @@ type Generator struct {
 	// (and their pointer-chased frontiers) at all.
 	maxSlack []float64
 	setSize  []int32
+	// liveBytes is the slab bytes the candidate table references, and
+	// staleBytes those of the candidates RepairExpiries dropped since the
+	// table was last re-slabbed: an upper bound on what the table's slabs
+	// pin beyond the live table.
+	liveBytes, staleBytes int
+	// nbrs caches each point's ascending ε-neighbourhood; see neighborhoods.
+	nbrs [][]int
 }
 
 // Stats reports the work performed during generation, used by the pruning
@@ -200,7 +229,8 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 		return nil, fmt.Errorf("vdps: generate: %w", err)
 	}
 	maxSize := EffectiveMaxSize(in, opt)
-	d := newDP(in, opt, maxSize)
+	g := &Generator{inst: in, opt: opt}
+	d := g.newDP(maxSize)
 	cands, err := d.run(ctx, opt.MaxSets, 0)
 	if errors.Is(err, ErrTooManySets) {
 		return nil, fmt.Errorf("%w: more than %d", ErrTooManySets, opt.MaxSets)
@@ -208,24 +238,56 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{inst: in, opt: opt, candidates: cands, stats: d.stats}
+	g.candidates, g.stats = cands, d.stats
 	g.stats.MaxSetSize = maxSize
 	g.finish()
 	return g, nil
 }
 
-// finish derives the candidate count and the per-candidate feasibility
-// arrays the batch strategy scans use from the candidate table. Every
-// Generator constructor and every table splice must end with it so
-// WorkerStrategies sees a complete view.
+// finish derives the candidate count, the per-candidate feasibility arrays
+// the batch strategy scans use and the live slab bytes from the candidate
+// table. Every Generator constructor must end with it so WorkerStrategies
+// sees a complete view; RepairExpiries carries the same fields through its
+// splice instead.
 func (g *Generator) finish() {
 	g.stats.Candidates = len(g.candidates)
 	g.maxSlack = make([]float64, len(g.candidates))
 	g.setSize = make([]int32, len(g.candidates))
 	for ci := range g.candidates {
-		g.maxSlack[ci] = g.candidates[ci].MaxSlack()
-		g.setSize[ci] = int32(len(g.candidates[ci].Points))
+		c := &g.candidates[ci]
+		g.maxSlack[ci] = c.MaxSlack()
+		g.setSize[ci] = int32(len(c.Points))
+		g.liveBytes += c.slabBytes()
 	}
+}
+
+// epsilon returns the options' pruning threshold, +Inf when disabled.
+func epsilon(opt Options) float64 {
+	if opt.Epsilon <= 0 {
+		return math.Inf(1)
+	}
+	return opt.Epsilon
+}
+
+// neighborhoods returns each point's ε-neighbourhood in ascending order, or
+// nil when ε is disabled and every point neighbours every other. They are
+// built on first use and kept: Rebind's contract fixes the delivery points
+// and the travel model for the generator's lifetime. The Euclidean-ball
+// index is a superset filter for metrics whose distance is >= Euclidean
+// (e.g. Manhattan), so its users keep checking each leg.
+func (g *Generator) neighborhoods() [][]int {
+	in := g.inst
+	if eps := epsilon(g.opt); g.nbrs == nil && !math.IsInf(eps, 1) && len(in.Points) > 0 {
+		locs := make([]geo.Point, len(in.Points))
+		for i := range in.Points {
+			locs[i] = in.Points[i].Loc
+		}
+		g.nbrs = grid.New(locs, eps).Neighborhoods(eps)
+		for _, nb := range g.nbrs {
+			slices.Sort(nb)
+		}
+	}
+	return g.nbrs
 }
 
 // candLess is the deterministic candidate-table order every constructor
@@ -443,12 +505,13 @@ type StrategyScratch struct {
 // collector never scans. Compared with building WorkerVDPS structs this
 // moves ~4.5x fewer bytes through the allocator's zeroing and the GC, which
 // is what makes game.NewState's strategy-space construction cheap at
-// population scale (see docs/PERFORMANCE.md).
+// population scale (see docs/PERFORMANCE.md). The loops keep the
+// per-candidate rule inline for speed; strategy, which SpliceStrategies
+// uses, is the same rule for one candidate.
 func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	keys := sc.keys[:0]
-	approach := g.inst.ApproachTime(w)
-	maxDP := int32(g.inst.Workers[w].MaxDP)
-	factor := g.inst.SpeedFactor(w)
+	r := g.ruleFor(w)
+	approach, maxDP, factor := r.approach, r.maxDP, r.factor
 	if factor == 1 {
 		for ci, ms := range g.maxSlack {
 			if ms < approach || (maxDP > 0 && g.setSize[ci] > maxDP) {
