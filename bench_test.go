@@ -7,13 +7,16 @@
 package fairtask_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"testing"
+	"time"
 
 	"fairtask"
 	"fairtask/internal/experiment"
+	"fairtask/internal/obs"
 )
 
 // benchConfig is the reduced-scale configuration for figure benches.
@@ -131,7 +134,13 @@ func BenchmarkSolveFGT(b *testing.B)  { benchSolve(b, fairtask.AlgFGT, 0.6) }
 func BenchmarkSolveIEGT(b *testing.B) { benchSolve(b, fairtask.AlgIEGT, 0.6) }
 
 // benchSolveGM solves the GM instance of seed 1 with the given tasks /
-// workers / points at ε 0.6 and solver seed 1.
+// workers / points at ε 0.6 and solver seed 1. The timed loop runs
+// untraced; one more, traced solve after it, with the timer stopped,
+// reports each layer's self time (see obs.Breakdown):
+//
+//	generate-ns/op   vdps.generate: the candidate DP
+//	build-ns/op      state.build: strategy spaces and the initial profile
+//	rounds-ns/op     the round spans, summed: best-response rounds
 func benchSolveGM(b *testing.B, alg fairtask.Algorithm, tasks, workers, points int) {
 	b.Helper()
 	in := benchGM(b, tasks, workers, points)
@@ -143,6 +152,20 @@ func benchSolveGM(b *testing.B, alg fairtask.Algorithm, tasks, workers, points i
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	tr := fairtask.NewTracer()
+	root := tr.Root("solve")
+	if _, err := fairtask.SolveContext(fairtask.ContextWithSpan(context.Background(), root), in, opt); err != nil {
+		b.Fatal(err)
+	}
+	root.End()
+	self := map[string]time.Duration{}
+	for _, ph := range obs.Breakdown(tr.Collect("solve")) {
+		self[ph.Name] = ph.Self
+	}
+	b.ReportMetric(float64(self["vdps.generate"].Nanoseconds()), "generate-ns/op")
+	b.ReportMetric(float64(self["state.build"].Nanoseconds()), "build-ns/op")
+	b.ReportMetric(float64(self["round"].Nanoseconds()), "rounds-ns/op")
 }
 
 // The W200 solves (GM 1000 tasks / 200 workers / 150 points, the instance

@@ -19,8 +19,10 @@
 // The baseline maps each benchmark name to its figures by unit, e.g.
 // {"BenchmarkSolveFGTW200": {"B/op": 5.2e7, "allocs/op": 1200, "ns/op": 1.2e8}}.
 // Every figure in the baseline is gated: a rise beyond -tolerance (default
-// 0.15 = +15%) in ns/op, B/op or allocs/op is fatal. A figure left out of a
-// row (one that depends on the runner's core count, say) is not gated. So is a baselined benchmark with
+// 0.15 = +15%) in ns/op, B/op or allocs/op is fatal, and a B/op or
+// allocs/op baseline of 0 must stay 0 (an allocation-free path). An ns/op
+// of 0, and a figure left out of a row (one that depends on the runner's
+// core count, say), is not gated. So is a baselined benchmark with
 // fewer than three result lines in the inputs (run it with -count 3), and
 // -update refuses such inputs. A benchmark or figure present in the
 // baseline but absent from the inputs is only a warning (CI shards benches
@@ -170,7 +172,7 @@ func check(baseline, current map[string]figures, samples map[string]int, toleran
 		}
 		for _, unit := range gatedUnits {
 			base, ok := baseline[name][unit]
-			if !ok || base <= 0 {
+			if !ok || (base <= 0 && unit == "ns/op") {
 				continue
 			}
 			v, ok := cur[unit]
@@ -178,9 +180,14 @@ func check(baseline, current map[string]figures, samples map[string]int, toleran
 				info = append(info, fmt.Sprintf("warn: %s %s in baseline but not in inputs", name, unit))
 				continue
 			}
-			if ratio := v/base - 1; ratio > tolerance {
+			switch {
+			case base <= 0:
+				if v > 0 {
+					bad = append(bad, fmt.Sprintf("%s regressed: %.0f %s (baseline 0, which must stay 0)", name, v, unit))
+				}
+			case v/base-1 > tolerance:
 				bad = append(bad, fmt.Sprintf("%s regressed %.1f%%: %.0f %s (baseline %.0f, tolerance %.0f%%)",
-					name, ratio*100, v, unit, base, tolerance*100))
+					name, (v/base-1)*100, v, unit, base, tolerance*100))
 			}
 		}
 	}

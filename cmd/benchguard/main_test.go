@@ -126,6 +126,36 @@ func TestCheck(t *testing.T) {
 	}
 }
 
+// TestCheckZeroBaseline: a B/op or allocs/op baseline of 0 means the path
+// must stay allocation-free, so any rise fails; an ns/op of 0 gates
+// nothing.
+func TestCheckZeroBaseline(t *testing.T) {
+	baseline := map[string]figures{
+		"BenchmarkAllocFree":  {"allocs/op": 0},
+		"BenchmarkByteFree":   {"B/op": 0, "allocs/op": 0},
+		"BenchmarkStillFree":  {"B/op": 0, "allocs/op": 0},
+		"BenchmarkZeroNsOnly": {"ns/op": 0},
+	}
+	current := map[string]figures{
+		"BenchmarkAllocFree":  {"ns/op": 4, "B/op": 0, "allocs/op": 1},
+		"BenchmarkByteFree":   {"ns/op": 4, "B/op": 8, "allocs/op": 0},
+		"BenchmarkStillFree":  {"ns/op": 4, "B/op": 0, "allocs/op": 0},
+		"BenchmarkZeroNsOnly": {"ns/op": 900},
+	}
+	samples := map[string]int{}
+	for name := range current {
+		samples[name] = minSamples
+	}
+	bad, _ := check(baseline, current, samples, 0.15)
+	want := []string{
+		"BenchmarkAllocFree regressed: 1 allocs/op (baseline 0, which must stay 0)",
+		"BenchmarkByteFree regressed: 8 B/op (baseline 0, which must stay 0)",
+	}
+	if strings.Join(bad, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("regressions = %q, want %q", bad, want)
+	}
+}
+
 func TestRunUpdateThenCheck(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.json")

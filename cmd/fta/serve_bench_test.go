@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -18,7 +19,9 @@ import (
 // /solve?alg=IEGT&eps=2&audit=1&seed=1. Every response is checked for 200
 // and a clean audit. ring=32 keeps the handler's default 32-trace ring of
 // recent solves; ring=0 sets Handler.Traces to nil, so the pair measures
-// what request tracing costs.
+// what request tracing costs. gc/op is the number of GC cycles the timed
+// loop ran, per request: the request heap sits at the GC's minimum goal,
+// so what the ring retains shows up as extra cycles.
 func BenchmarkServeSolveAudit(b *testing.B) {
 	p, err := dataset.GenerateSYN(dataset.SYNConfig{
 		Seed: 1, Centers: 32, Tasks: 3200, Workers: 320, DeliveryPoints: 640,
@@ -38,6 +41,8 @@ func BenchmarkServeSolveAudit(b *testing.B) {
 				h.Traces = obs.NewTraceRing(ring)
 			}
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				req := httptest.NewRequest(http.MethodPost, "/solve?alg=IEGT&eps=2&audit=1&seed=1",
@@ -48,6 +53,9 @@ func BenchmarkServeSolveAudit(b *testing.B) {
 					b.Fatalf("status %d: %.300s", rr.Code, rr.Body.Bytes())
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 		})
 	}
 }

@@ -91,10 +91,11 @@ type Config struct {
 	Timeout time.Duration
 	// Metrics receives the subsystem's telemetry. Nil disables it.
 	Metrics *obs.JobsMetrics
-	// Traces receives one span trace per executed job (a "job" root with
-	// "job.queued" and "job.run" phases; solve-path spans nest under
-	// "job.run"). Nil disables job tracing entirely — jobs then run without
-	// an active span and every solve-path span site stays a nil check.
+	// Traces receives one span trace per executed job (a "job" root whose
+	// "job" attribute is the job ID, with "job.queued" and "job.run"
+	// phases; solve-path spans nest under "job.run"). Nil disables job
+	// tracing entirely — jobs then run without an active span and every
+	// solve-path span site stays a nil check.
 	Traces *obs.TraceRing
 	// Retry re-executes failed job tasks under this policy — capped
 	// exponential backoff with deterministic seeded jitter. The whole retry
@@ -439,7 +440,7 @@ func (m *Manager) runJob(j *job) {
 	if m.cfg.Traces != nil {
 		tracer = obs.NewTracerAt(j.submitted)
 		rootSp = tracer.Root("job")
-		rootSp.SetAttr("id", j.id)
+		rootSp.SetAttr("job", j.id)
 		tracer.RecordRange(rootSp, "job.queued", j.submitted, j.started)
 		runSp = rootSp.Child("job.run")
 		ctx = obs.ContextWithSpan(ctx, runSp)

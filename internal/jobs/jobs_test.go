@@ -434,8 +434,8 @@ func TestJobTracing(t *testing.T) {
 	if !ok {
 		t.Fatalf("missing job root span in %v", tr.Spans)
 	}
-	if got := root.Attr("id"); got != s.ID {
-		t.Errorf("job span id attr = %q, want %q", got, s.ID)
+	if got := root.Attr("job"); got != s.ID {
+		t.Errorf("job span job attr = %q, want %q", got, s.ID)
 	}
 	for _, name := range []string{"job.queued", "job.run"} {
 		rec, ok := byName[name]

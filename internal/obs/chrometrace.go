@@ -40,6 +40,8 @@ type chromeFile struct {
 // WriteChromeTrace writes traces as Chrome trace_event JSON to w. The file
 // loads directly in chrome://tracing and Perfetto; each trace appears as
 // its own named process with concurrent spans on separate thread lanes.
+// A span's identity rides in its event args as "id" and "parent", so an
+// attribute with either key is an error and nothing is written.
 func WriteChromeTrace(w io.Writer, traces ...Trace) error {
 	file := chromeFile{DisplayUnit: "ms", TraceEvents: []chromeEvent{}}
 	for pi, tr := range traces {
@@ -53,6 +55,10 @@ func WriteChromeTrace(w io.Writer, traces ...Trace) error {
 			dur := float64(s.Duration.Nanoseconds()) / 1e3
 			args := map[string]any{"id": s.ID, "parent": s.Parent}
 			for _, a := range s.Attrs {
+				if a.Key == "id" || a.Key == "parent" {
+					return fmt.Errorf("write chrome trace: span %q (id %d) has attribute %q, a key reserved for span identity",
+						s.Name, s.ID, a.Key)
+				}
 				args[a.Key] = a.Value
 			}
 			file.TraceEvents = append(file.TraceEvents, chromeEvent{

@@ -147,6 +147,78 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChromeTraceJobRoundTrip writes a trace shaped like a job's through
+// the Chrome format: the root's job-ID attribute must come back beside the
+// root's own ID, so the children still point at it and Breakdown still
+// subtracts them from the root.
+func TestChromeTraceJobRoundTrip(t *testing.T) {
+	submitted := time.Unix(1700000000, 0)
+	tr := NewTracerAt(submitted)
+	root := tr.Root("job")
+	root.SetAttr("job", "d1f0ab12e34c5678")
+	tr.RecordRange(root, "job.queued", submitted, submitted.Add(3*time.Millisecond))
+	root.Child("job.run").End()
+	root.End()
+	orig := tr.Collect("job d1f0ab12e34c5678")
+
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(got[0].Spans) != 3 {
+		t.Fatalf("read back %+v, want one trace of 3 spans", got)
+	}
+	var rootID uint64
+	for _, s := range got[0].Spans {
+		if s.Name == "job" {
+			rootID = s.ID
+			if s.Parent != 0 || s.Attr("job") != "d1f0ab12e34c5678" {
+				t.Errorf("job root = %+v, want a root with its job attribute", s)
+			}
+		}
+	}
+	if rootID == 0 {
+		t.Fatalf("job root lost its ID: %+v", got[0].Spans)
+	}
+	for _, s := range got[0].Spans {
+		if s.Name != "job" && s.Parent != rootID {
+			t.Errorf("%s parent = %d, want the job root %d", s.Name, s.Parent, rootID)
+		}
+	}
+	rootSelf := func(tr Trace) time.Duration {
+		for _, ph := range Breakdown(tr) {
+			if ph.Name == "job" {
+				return ph.Self
+			}
+		}
+		return -1
+	}
+	if want, got := rootSelf(orig), rootSelf(got[0]); got < 0 || got > want+time.Microsecond {
+		t.Errorf("job root self time %v after the round trip, want %v", got, want)
+	}
+}
+
+// TestWriteChromeTraceReservedKeys: an attribute may not take the keys
+// that carry span identity in the export.
+func TestWriteChromeTraceReservedKeys(t *testing.T) {
+	for _, key := range []string{"id", "parent"} {
+		tr := buildTestTrace()
+		tr.Spans[2].Attrs = []Attr{{Key: key, Value: "7"}}
+		var buf bytes.Buffer
+		err := WriteChromeTrace(&buf, tr)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("attribute %q: err = %v, want a reserved-key error", key, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("attribute %q: wrote %d bytes, want none", key, buf.Len())
+		}
+	}
+}
+
 func TestChromeTraceMultipleTraces(t *testing.T) {
 	t1, t2 := buildTestTrace(), buildTestTrace()
 	t2.Name = "POST /solve"

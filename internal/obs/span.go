@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -221,7 +220,9 @@ func (s *Span) Child(name string) *Span {
 	return &Span{t: s.t, id: s.t.ids.Add(1), parent: s.id, name: name, start: s.t.since()}
 }
 
-// SetAttr annotates the span; no-op on nil.
+// SetAttr annotates the span; no-op on nil. The keys "id" and "parent"
+// are reserved: the Chrome trace export carries the span's identity under
+// them, and WriteChromeTrace rejects a span annotated with either.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
@@ -229,7 +230,8 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// SetAttrInt annotates the span with an integer value; no-op on nil.
+// SetAttrInt annotates the span with an integer value; no-op on nil. The
+// keys SetAttr reserves are reserved here too.
 func (s *Span) SetAttrInt(key string, v int) {
 	if s == nil {
 		return
@@ -282,57 +284,4 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	sp := parent.Child(name)
 	return context.WithValue(ctx, spanKey{}, sp), sp
-}
-
-// TraceRing is a bounded, concurrency-safe ring of recent traces, served by
-// the HTTP service at GET /debug/traces. When full, adding evicts the
-// oldest trace.
-type TraceRing struct {
-	mu    sync.Mutex
-	buf   []Trace
-	next  int
-	count uint64
-}
-
-// NewTraceRing returns a ring holding up to capacity traces; capacity <= 0
-// selects the default of 32.
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		capacity = 32
-	}
-	return &TraceRing{buf: make([]Trace, 0, capacity)}
-}
-
-// Add appends a trace, evicting the oldest when the ring is full.
-func (r *TraceRing) Add(t Trace) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.count++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, t)
-		return
-	}
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-// Snapshot returns the retained traces, newest first.
-func (r *TraceRing) Snapshot() []Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Trace, 0, len(r.buf))
-	for i := 0; i < len(r.buf); i++ {
-		// Walk backwards from the most recently written slot.
-		idx := (r.next - 1 - i + 2*len(r.buf)) % len(r.buf)
-		out = append(out, r.buf[idx])
-	}
-	return out
-}
-
-// Total returns how many traces have ever been added, including evicted
-// ones.
-func (r *TraceRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
 }

@@ -58,17 +58,24 @@ func (h *Handler) debugTraces(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	traces := h.Traces.Snapshot()
+	n := -1
 	if s := r.URL.Query().Get("n"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 && n < len(traces) {
-			traces = traces[:n]
+		if v, err := strconv.Atoi(s); err == nil && v >= 0 {
+			n = v
 		}
 	}
 	withSpans := false
 	if s := r.URL.Query().Get("spans"); s != "" {
 		withSpans, _ = strconv.ParseBool(s)
 	}
-	resp := TracesResponse{Total: h.Traces.Total(), Traces: []TraceSummary{}}
+	traces := h.Traces.Recent(n)
+	writeTraces(w, h.Traces.Total(), traces, withSpans)
+}
+
+// writeTraces renders traces, newest first, as the GET /debug/traces
+// body.
+func writeTraces(w http.ResponseWriter, total uint64, traces []obs.Trace, withSpans bool) {
+	resp := TracesResponse{Total: total, Traces: []TraceSummary{}}
 	for _, tr := range traces {
 		ts := TraceSummary{
 			Name:       tr.Name,
