@@ -463,9 +463,22 @@ func NewAssigner(opt Options) (Assigner, error) {
 	case AlgMPTA:
 		return assign.MPTA{TopK: opt.MPTATopK, NodeBudget: opt.MPTANodeBudget}, nil
 	case AlgFGT, "":
-		return fgtAssigner{opt: opt}, nil
+		return game.Options{
+			Fairness:       opt.Fairness,
+			MaxIterations:  opt.MaxIterations,
+			Seed:           opt.Seed,
+			EpsilonUtility: opt.EpsilonUtility,
+			UsePriorities:  opt.UsePriorities,
+			Trace:          opt.Trace,
+			RandomOrder:    opt.RandomOrder,
+		}, nil
 	case AlgIEGT:
-		return iegtAssigner{opt: opt}, nil
+		return evo.Options{
+			MaxIterations: opt.MaxIterations,
+			Seed:          opt.Seed,
+			Trace:         opt.Trace,
+			MutationRate:  opt.MutationRate,
+		}, nil
 	case AlgMMTA:
 		return assign.MMTA{}, nil
 	case AlgLexifair:
@@ -473,41 +486,6 @@ func NewAssigner(opt Options) (Assigner, error) {
 	default:
 		return nil, fmt.Errorf("fairtask: unknown algorithm %q", opt.Algorithm)
 	}
-}
-
-// fgtAssigner adapts game.FGT to the Assigner interface.
-type fgtAssigner struct{ opt Options }
-
-// Name implements Assigner.
-func (fgtAssigner) Name() string { return string(AlgFGT) }
-
-// Assign implements Assigner.
-func (a fgtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return game.FGT(ctx, g, game.Options{
-		Fairness:       a.opt.Fairness,
-		MaxIterations:  a.opt.MaxIterations,
-		Seed:           a.opt.Seed,
-		EpsilonUtility: a.opt.EpsilonUtility,
-		UsePriorities:  a.opt.UsePriorities,
-		Trace:          a.opt.Trace,
-		RandomOrder:    a.opt.RandomOrder,
-	})
-}
-
-// iegtAssigner adapts evo.IEGT to the Assigner interface.
-type iegtAssigner struct{ opt Options }
-
-// Name implements Assigner.
-func (iegtAssigner) Name() string { return string(AlgIEGT) }
-
-// Assign implements Assigner.
-func (a iegtAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return evo.IEGT(ctx, g, evo.Options{
-		MaxIterations: a.opt.MaxIterations,
-		Seed:          a.opt.Seed,
-		Trace:         a.opt.Trace,
-		MutationRate:  a.opt.MutationRate,
-	})
 }
 
 // Solve runs the selected algorithm on a single-center instance: it

@@ -26,6 +26,10 @@ import (
 //	task:   center = center ID, id = task ID, x = point ID, a = expiry, b = reward
 //	worker: center = center ID, id = worker ID, x/y = location, a = maxDP,
 //	        b = speed override (empty or 0 = instance default)
+//
+// Point, task and worker IDs are scoped to their center: two centers may
+// each have a point 1, and a task's point ID names a point of its own
+// center. A record must follow its center's record, and a task its point's.
 var (
 	// ErrBadCSV reports a malformed record stream.
 	ErrBadCSV = errors.New("dataset: malformed CSV")
@@ -84,13 +88,10 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 
 	speed := 5.0
 	var metric geo.Metric = geo.Euclidean{}
-	type pointRef struct {
-		inst  int
-		local int
-	}
+	type pointKey struct{ inst, id int }
 	prob := &model.Problem{}
 	instByID := map[int]int{}       // center ID -> instance index
-	pointByID := map[int]pointRef{} // global point ID -> location
+	pointByID := map[pointKey]int{} // (instance index, point ID) -> index in its Points
 
 	parseF := func(s, what string) (float64, error) {
 		v, err := strconv.ParseFloat(s, 64)
@@ -169,7 +170,7 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 				return nil, err
 			}
 			in := &prob.Instances[ii]
-			pointByID[id] = pointRef{inst: ii, local: len(in.Points)}
+			pointByID[pointKey{ii, id}] = len(in.Points)
 			in.Points = append(in.Points, model.DeliveryPoint{ID: id, Loc: geo.Pt(x, y)})
 		case "task":
 			ii, err := instOf(rec[1], instByID, parseI)
@@ -192,12 +193,12 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 			if err != nil {
 				return nil, err
 			}
-			ref, ok := pointByID[pid]
-			if !ok || ref.inst != ii {
+			local, ok := pointByID[pointKey{ii, pid}]
+			if !ok {
 				return nil, fmt.Errorf("%w: task %d references unknown point %d", ErrBadCSV, id, pid)
 			}
-			dp := &prob.Instances[ii].Points[ref.local]
-			dp.Tasks = append(dp.Tasks, model.Task{ID: id, Point: ref.local, Expiry: expiry, Reward: reward})
+			dp := &prob.Instances[ii].Points[local]
+			dp.Tasks = append(dp.Tasks, model.Task{ID: id, Point: local, Expiry: expiry, Reward: reward})
 		case "worker":
 			ii, err := instOf(rec[1], instByID, parseI)
 			if err != nil {

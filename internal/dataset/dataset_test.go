@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -219,6 +220,53 @@ func TestCSVRoundTrip(t *testing.T) {
 				t.Fatalf("worker mismatch at %d/%d", i, j)
 			}
 		}
+	}
+}
+
+// kindGroupedCSV is a two-center problem whose centers both have a point 1,
+// with its records grouped by kind instead of in WriteCSV's order.
+const kindGroupedCSV = `meta,5,,,,euclidean,
+center,0,,0,0,,
+center,1,,10,10,,
+point,0,1,1,0,,
+point,1,1,11,10,,
+task,0,100,1,,5,2
+task,1,200,1,,5,3
+worker,0,1,0,1,2,0
+worker,1,1,10,11,2,0
+`
+
+// TestCSVPointIDsScopedToCenter checks that a task's point ID names a point
+// of its own center: the kind-grouped records decode to the same problem as
+// the same records in WriteCSV's order.
+func TestCSVPointIDsScopedToCenter(t *testing.T) {
+	const writeOrder = `meta,5,,,,euclidean,
+center,0,,0,0,,
+point,0,1,1,0,,
+task,0,100,1,,5,2
+worker,0,1,0,1,2,0
+center,1,,10,10,,
+point,1,1,11,10,,
+task,1,200,1,,5,3
+worker,1,1,10,11,2,0
+`
+	grouped, err := ReadCSV(strings.NewReader(kindGroupedCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadCSV(strings.NewReader(writeOrder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(grouped, want) {
+		t.Errorf("kind-grouped CSV decoded to\n%+v\nwant\n%+v", grouped, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, grouped); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != writeOrder {
+		t.Errorf("WriteCSV of the kind-grouped problem:\n%s\nwant\n%s", buf.String(), writeOrder)
 	}
 }
 

@@ -24,6 +24,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(buf.String())
 	f.Add("meta,5,,,,euclidean,\n")
 	f.Add("center,0,,0,0,,\npoint,0,0,1,2,,\ntask,0,0,0,,1,1\n")
+	f.Add(kindGroupedCSV)
 	f.Add("garbage")
 	f.Add("")
 

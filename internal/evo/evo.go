@@ -80,6 +80,14 @@ func IEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.Result, er
 	return iegtRun(ctx, s, opt, bsp)
 }
 
+// Name returns "IEGT": with Assign, it makes Options an assign.Assigner.
+func (Options) Name() string { return "IEGT" }
+
+// Assign runs IEGT on g with these options.
+func (o Options) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
+	return IEGT(ctx, g, o)
+}
+
 // IEGTFromState runs Algorithm 3 on a prebuilt, unplayed state (fresh from
 // game.NewState or game.NewStateWithStrategies). The result is bit-identical
 // to IEGT on the generator the state was built from; the streaming engine

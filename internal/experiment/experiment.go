@@ -12,7 +12,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -122,32 +121,9 @@ func algorithmSet(cfg Config, seed int64) []assign.Assigner {
 	return []assign.Assigner{
 		assign.MPTA{NodeBudget: cfg.MPTANodeBudget},
 		assign.GTA{},
-		fgtRunner{seed: seed},
-		iegtRunner{seed: seed},
+		game.Options{Seed: seed},
+		evo.Options{Seed: seed},
 	}
-}
-
-// fgtRunner adapts game.FGT for the harness (the public adapter lives in the
-// root package, which internal code cannot import).
-type fgtRunner struct{ seed int64 }
-
-// Name implements assign.Assigner.
-func (fgtRunner) Name() string { return "FGT" }
-
-// Assign implements assign.Assigner.
-func (r fgtRunner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return game.FGT(ctx, g, game.Options{Seed: r.seed})
-}
-
-// iegtRunner adapts evo.IEGT likewise.
-type iegtRunner struct{ seed int64 }
-
-// Name implements assign.Assigner.
-func (iegtRunner) Name() string { return "IEGT" }
-
-// Assign implements assign.Assigner.
-func (r iegtRunner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return evo.IEGT(ctx, g, evo.Options{Seed: r.seed})
 }
 
 // measureProblem solves a multi-center problem with one algorithm and

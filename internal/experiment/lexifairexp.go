@@ -5,6 +5,8 @@ import (
 
 	"fairtask/internal/assign"
 	"fairtask/internal/dataset"
+	"fairtask/internal/evo"
+	"fairtask/internal/game"
 	"fairtask/internal/vdps"
 )
 
@@ -36,8 +38,8 @@ func lexifairCompare(cfg Config) (*Series, error) {
 			return nil, err
 		}
 		algs := []assign.Assigner{
-			fgtRunner{seed: cfg.Seed},
-			iegtRunner{seed: cfg.Seed},
+			game.Options{Seed: cfg.Seed},
+			evo.Options{Seed: cfg.Seed},
 			assign.MMTA{},
 			assign.Lexifair{},
 		}

@@ -7,6 +7,8 @@ import (
 
 	"fairtask/internal/assign"
 	"fairtask/internal/dataset"
+	"fairtask/internal/evo"
+	"fairtask/internal/game"
 	"fairtask/internal/vdps"
 )
 
@@ -43,8 +45,8 @@ func optGap(cfg Config) (*Series, error) {
 			assign.Exact{},
 			assign.MPTA{NodeBudget: cfg.MPTANodeBudget},
 			assign.GTA{},
-			fgtRunner{seed: cfg.Seed},
-			iegtRunner{seed: cfg.Seed},
+			game.Options{Seed: cfg.Seed},
+			evo.Options{Seed: cfg.Seed},
 		}
 		for _, alg := range algs {
 			start := time.Now()

@@ -141,6 +141,14 @@ func FGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result, error) {
 	return fgtRun(ctx, s, opt, bsp)
 }
 
+// Name returns "FGT": with Assign, it makes Options an assign.Assigner.
+func (Options) Name() string { return "FGT" }
+
+// Assign runs FGT on g with these options.
+func (o Options) Assign(ctx context.Context, g *vdps.Generator) (*Result, error) {
+	return FGT(ctx, g, o)
+}
+
 // FGTFromState runs Algorithm 2 on a prebuilt, unplayed state (fresh from
 // NewState or NewStateWithStrategies: no strategies chosen, no points owned).
 // The result is bit-identical to FGT on the generator the state was built

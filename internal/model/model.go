@@ -129,7 +129,7 @@ var (
 	ErrBadLocation    = errors.New("model: non-finite location")
 	ErrBadTaskPoint   = errors.New("model: task references wrong delivery point")
 	ErrBadTaskExpiry  = errors.New("model: task expiry must be positive")
-	ErrBadTaskReward  = errors.New("model: task reward must be non-negative")
+	ErrBadTaskReward  = errors.New("model: task reward must be finite and non-negative")
 	ErrNegativeMaxDP  = errors.New("model: worker maxDP must be non-negative")
 	ErrDuplicateID    = errors.New("model: duplicate ID")
 	ErrPointOutOfSeq  = errors.New("model: route references delivery point out of range")
@@ -147,6 +147,7 @@ func (in *Instance) Validate() error {
 	}
 	pointIDs := make(map[int]bool, len(in.Points))
 	taskIDs := make(map[int]bool)
+	var rewards float64
 	for i := range in.Points {
 		dp := &in.Points[i]
 		if !dp.Loc.IsFinite() {
@@ -164,8 +165,13 @@ func (in *Instance) Validate() error {
 			if t.Expiry <= 0 || math.IsNaN(t.Expiry) {
 				return fmt.Errorf("%w: task %d expiry %g", ErrBadTaskExpiry, t.ID, t.Expiry)
 			}
-			if t.Reward < 0 || math.IsNaN(t.Reward) {
+			if t.Reward < 0 || math.IsNaN(t.Reward) || math.IsInf(t.Reward, 1) {
 				return fmt.Errorf("%w: task %d reward %g", ErrBadTaskReward, t.ID, t.Reward)
+			}
+			// Every reward so far is finite and non-negative, so the running
+			// sum overflows at the task that pushes it past MaxFloat64.
+			if rewards += t.Reward; math.IsInf(rewards, 1) {
+				return fmt.Errorf("%w: rewards up to task %d sum past %g", ErrBadTaskReward, t.ID, math.MaxFloat64)
 			}
 			if taskIDs[t.ID] {
 				return fmt.Errorf("%w: task %d", ErrDuplicateID, t.ID)

@@ -46,6 +46,10 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 		{"wrong task point", func(in *Instance) { in.Points[1].Tasks[0].Point = 0 }, ErrBadTaskPoint},
 		{"zero expiry", func(in *Instance) { in.Points[0].Tasks[0].Expiry = 0 }, ErrBadTaskExpiry},
 		{"negative reward", func(in *Instance) { in.Points[0].Tasks[0].Reward = -1 }, ErrBadTaskReward},
+		{"infinite reward", func(in *Instance) { in.Points[0].Tasks[0].Reward = math.Inf(1) }, ErrBadTaskReward},
+		{"rewards sum past MaxFloat64", func(in *Instance) {
+			in.Points[0].Tasks[0].Reward, in.Points[0].Tasks[1].Reward = 1e308, 1e308
+		}, ErrBadTaskReward},
 		{"negative maxDP", func(in *Instance) { in.Workers[0].MaxDP = -1 }, ErrNegativeMaxDP},
 		{"dup point ID", func(in *Instance) { in.Points[1].ID = in.Points[0].ID }, ErrDuplicateID},
 		{"dup task ID", func(in *Instance) { in.Points[1].Tasks[0].ID = in.Points[0].Tasks[0].ID }, ErrDuplicateID},

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -56,13 +55,6 @@ func jobResponse(s jobs.Snapshot) JobResponse {
 	return resp
 }
 
-// writeJob writes a JobResponse with the given status.
-func writeJob(w http.ResponseWriter, status int, s jobs.Snapshot) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(jobResponse(s))
-}
-
 // jobSubmit handles POST /jobs: validate exactly like the synchronous
 // /solve, then enqueue the solve and answer 202 with the job's identity.
 // Admission failures map to 429 (queue/store full) or 503 (draining), so
@@ -92,7 +84,7 @@ func (h *Handler) jobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
-	writeJob(w, http.StatusAccepted, snap)
+	reply(w, http.StatusAccepted, jobResponse(snap))
 }
 
 // jobGet handles GET /jobs/{id}.
@@ -106,7 +98,7 @@ func (h *Handler) jobGet(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJob(w, http.StatusOK, snap)
+	reply(w, http.StatusOK, jobResponse(snap))
 }
 
 // jobCancel handles DELETE /jobs/{id}: request cancellation and return the
@@ -121,7 +113,7 @@ func (h *Handler) jobCancel(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJob(w, http.StatusOK, snap)
+	reply(w, http.StatusOK, jobResponse(snap))
 }
 
 // ReadyResponse is the JSON body of GET /readyz.
@@ -147,7 +139,5 @@ func (h *Handler) ready(w http.ResponseWriter, _ *http.Request) {
 	if !resp.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
+	reply(w, status, resp)
 }

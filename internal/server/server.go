@@ -6,13 +6,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -217,11 +220,25 @@ type SolveResponse struct {
 	Degraded string `json:"degraded,omitempty"`
 }
 
-// errorJSON writes a JSON error body with the given status.
-func errorJSON(w http.ResponseWriter, status int, msg string) {
+// reply writes v as a JSON reply with the given status. It encodes into a
+// buffer before it commits the status, so a value encoding/json rejects (a
+// NaN or infinite payoff) becomes a 422 naming the cause, not a 200 with an
+// empty body.
+func reply(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		reply(w, http.StatusUnprocessableEntity, map[string]string{"error": "reply does not encode: " + err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body.Bytes())
+}
+
+// errorJSON writes a JSON error body with the given status.
+func errorJSON(w http.ResponseWriter, status int, msg string) {
+	reply(w, status, map[string]string{"error": msg})
 }
 
 // solveRequest is a fully parsed and validated solve request: the problem,
@@ -237,34 +254,10 @@ type solveRequest struct {
 // POST /solve and POST /jobs. On failure it writes the error response and
 // returns nil.
 func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solveRequest {
-	maxBody := h.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 32 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-
 	q := r.URL.Query()
-	alg := q.Get("alg")
-	if alg == "" {
-		alg = "FGT"
-	}
-	seed := int64(1)
-	if s := q.Get("seed"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			errorJSON(w, http.StatusBadRequest, "bad seed: "+err.Error())
-			return nil
-		}
-		seed = v
-	}
-	eps := math.Inf(1)
-	if s := q.Get("eps"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
-			errorJSON(w, http.StatusBadRequest, "bad eps")
-			return nil
-		}
-		eps = v
+	p, ok := parseSolveParams(w, q)
+	if !ok {
+		return nil
 	}
 	par := 0
 	if s := q.Get("parallel"); s != "" {
@@ -283,22 +276,15 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 			return nil
 		}
 		if v {
-			aopt = &audit.Options{VDPS: vdps.Options{Epsilon: eps}}
+			aopt = &audit.Options{VDPS: vdps.Options{Epsilon: p.eps}}
 		}
 	}
 
-	prob, err := dataset.ReadCSV(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			errorJSON(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return nil
-		}
-		errorJSON(w, http.StatusBadRequest, "bad problem CSV: "+err.Error())
+	prob, ok := readBody(h, w, r, "bad problem CSV: ", dataset.ReadCSV)
+	if !ok {
 		return nil
 	}
-	solver, err := h.factory(alg, seed)
+	solver, err := h.factory(p.alg, p.seed)
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, err.Error())
 		return nil
@@ -307,7 +293,7 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 		prob:   prob,
 		solver: solver,
 		opt: platform.Options{
-			VDPS:        vdps.Options{Epsilon: eps},
+			VDPS:        vdps.Options{Epsilon: p.eps},
 			Parallelism: par,
 			Recorder:    h.Recorder,
 			Audit:       aopt,
@@ -315,6 +301,69 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 			Degrade:     h.Degrade,
 		},
 	}
+}
+
+// solveParams are the query parameters shared by /solve, /jobs and
+// /stream/instance.
+type solveParams struct {
+	alg  string
+	seed int64
+	eps  float64
+}
+
+// parseSolveParams reads alg (default FGT), seed (default 1) and eps
+// (default +Inf, no pruning; otherwise > 0, which rejects NaN). On failure
+// it answers 400 and returns false.
+func parseSolveParams(w http.ResponseWriter, q url.Values) (solveParams, bool) {
+	p := solveParams{alg: q.Get("alg"), seed: 1, eps: math.Inf(1)}
+	if p.alg == "" {
+		p.alg = "FGT"
+	}
+	if s := q.Get("seed"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			errorJSON(w, http.StatusBadRequest, "bad seed: "+err.Error())
+			return p, false
+		}
+		p.seed = v
+	}
+	if s := q.Get("eps"); s != "" {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil || !(v > 0) {
+			errorJSON(w, http.StatusBadRequest, "bad eps")
+			return p, false
+		}
+		p.eps = v
+	}
+	return p, true
+}
+
+// readBody decodes r's body with decode under h.MaxBodyBytes (zero means
+// 32 MiB). decode must read the body to its end. A body over the limit
+// answers 413; any other decode failure answers 400 with what prefixed to
+// the error. On failure it returns false.
+func readBody[T any](h *Handler, w http.ResponseWriter, r *http.Request, what string, decode func(io.Reader) (T, error)) (T, bool) {
+	limit := h.MaxBodyBytes
+	if limit <= 0 {
+		limit = 32 << 20
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	v, err := decode(body)
+	if err == nil {
+		return v, true
+	}
+	// A decoder can stop at a syntax error before the limit. Read on, so that
+	// a body over the limit answers 413 whatever its first bytes.
+	if _, rest := io.Copy(io.Discard, body); rest != nil {
+		err = rest
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		errorJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		errorJSON(w, http.StatusBadRequest, what+err.Error())
+	}
+	return v, false
 }
 
 // retryPolicy clones the handler's retry policy with the solve-scope retry
@@ -476,11 +525,5 @@ func (h *Handler) solve(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusUnprocessableEntity, "solve failed: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil && h.Logger != nil {
-		// The response is already partially on the wire (status 200), so all
-		// we can do is record that the client got a truncated body.
-		h.Logger.LogAttrs(r.Context(), slog.LevelWarn, "write solve response",
-			slog.String("error", err.Error()))
-	}
+	reply(w, http.StatusOK, resp)
 }

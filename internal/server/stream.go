@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"net/http"
-	"strconv"
 
 	"fairtask/internal/dataset"
 	"fairtask/internal/obs"
@@ -49,45 +48,12 @@ type StreamApplyResponse struct {
 // creates (or replaces) the streaming engine, cold-solving it once; every
 // later delta is applied incrementally via POST /stream/events.
 func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
-	maxBody := h.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 32 << 20
+	p, ok := parseSolveParams(w, r.URL.Query())
+	if !ok {
+		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-
-	q := r.URL.Query()
-	alg := q.Get("alg")
-	if alg == "" {
-		alg = "FGT"
-	}
-	seed := int64(1)
-	if s := q.Get("seed"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			errorJSON(w, http.StatusBadRequest, "bad seed: "+err.Error())
-			return
-		}
-		seed = v
-	}
-	eps := math.Inf(1)
-	if s := q.Get("eps"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
-			errorJSON(w, http.StatusBadRequest, "bad eps")
-			return
-		}
-		eps = v
-	}
-
-	prob, err := dataset.ReadCSV(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			errorJSON(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		errorJSON(w, http.StatusBadRequest, "bad problem CSV: "+err.Error())
+	prob, ok := readBody(h, w, r, "bad problem CSV: ", dataset.ReadCSV)
+	if !ok {
 		return
 	}
 	if len(prob.Instances) != 1 {
@@ -97,15 +63,19 @@ func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opt := stream.Options{
-		Algorithm: stream.Algorithm(alg),
-		VDPS:      vdps.Options{Epsilon: eps},
+		Algorithm: stream.Algorithm(p.alg),
+		VDPS:      vdps.Options{Epsilon: p.eps},
 		Degrade:   h.Degrade,
 		Retry:     h.retryPolicy(),
 		Metrics:   obs.NewStreamMetrics(h.Registry),
 		Recorder:  h.Recorder,
 	}
-	opt.Game.Seed, opt.Evo.Seed = seed, seed
+	opt.Game.Seed, opt.Evo.Seed = p.seed, p.seed
 	eng, err := stream.New(r.Context(), &prob.Instances[0], opt)
+	if errors.Is(err, stream.ErrUnknownAlgorithm) {
+		errorJSON(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if err != nil {
 		errorJSON(w, http.StatusUnprocessableEntity, "stream init failed: "+err.Error())
 		return
@@ -115,32 +85,15 @@ func (h *Handler) streamInstance(w http.ResponseWriter, r *http.Request) {
 	h.stream = eng
 	snap := eng.Snapshot()
 	h.streamMu.Unlock()
-	writeJSON(w, h, stateResponse(snap))
+	reply(w, http.StatusOK, stateResponse(snap))
 }
 
 // streamEvents handles POST /stream/events: a JSON array of deltas applied
 // as one atomic batch. Stale or duplicate sequence numbers answer 409 with
 // the whole batch rejected and no state changed.
 func (h *Handler) streamEvents(w http.ResponseWriter, r *http.Request) {
-	maxBody := h.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 32 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-
-	var ds []stream.Delta
-	dec := json.NewDecoder(r.Body)
-	// A typoed field name would otherwise decode as the zero value and
-	// silently target task/worker 0 — reject unknown keys outright.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ds); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			errorJSON(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		errorJSON(w, http.StatusBadRequest, "bad event JSON: "+err.Error())
+	ds, ok := readBody(h, w, r, "bad event JSON: ", decodeDeltas)
+	if !ok {
 		return
 	}
 
@@ -180,7 +133,7 @@ func (h *Handler) streamEvents(w http.ResponseWriter, r *http.Request) {
 		ok := len(res.Audit.Violations) == 0
 		resp.AuditOK = &ok
 	}
-	writeJSON(w, h, resp)
+	reply(w, http.StatusOK, resp)
 }
 
 // streamState handles GET /stream/state.
@@ -194,7 +147,7 @@ func (h *Handler) streamState(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := eng.Snapshot()
 	h.streamMu.Unlock()
-	writeJSON(w, h, stateResponse(snap))
+	reply(w, http.StatusOK, stateResponse(snap))
 }
 
 // stateResponse maps an engine snapshot to the wire shape.
@@ -214,11 +167,17 @@ func stateResponse(snap stream.Snapshot) StreamStateResponse {
 	}
 }
 
-// writeJSON encodes the response body, logging (not failing) encode errors
-// since the 200 header is already on the wire.
-func writeJSON(w http.ResponseWriter, h *Handler, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil && h.Logger != nil {
-		h.Logger.Warn("write stream response", "error", err.Error())
+// decodeDeltas decodes a JSON array of deltas, then reads the body to its
+// end, so that bytes after the array count toward the body limit. A typoed
+// field name would otherwise decode as the zero value and silently target
+// task/worker 0, so unknown keys are rejected outright.
+func decodeDeltas(body io.Reader) ([]stream.Delta, error) {
+	var ds []stream.Delta
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ds); err != nil {
+		return nil, err
 	}
+	_, err := io.Copy(io.Discard, body)
+	return ds, err
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -99,8 +98,7 @@ func writeTraces(w http.ResponseWriter, total uint64, traces []obs.Trace, withSp
 		}
 		resp.Traces = append(resp.Traces, ts)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	reply(w, http.StatusOK, resp)
 }
 
 // durMS converts a duration to fractional milliseconds for JSON output.

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
+	"fairtask/internal/assign"
 	"fairtask/internal/audit"
 	"fairtask/internal/evo"
 	"fairtask/internal/fault"
@@ -27,6 +29,9 @@ const (
 	// IEGT replays evolutionary dynamics (Algorithm 3) per batch.
 	IEGT Algorithm = "IEGT"
 )
+
+// ErrUnknownAlgorithm rejects an Options.Algorithm other than FGT or IEGT.
+var ErrUnknownAlgorithm = errors.New("stream: unknown algorithm")
 
 // Resolve paths, recorded in Result.Resolve and counted by
 // fta_stream_resolves_total.
@@ -172,7 +177,7 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 		opt.Algorithm = FGT
 	case FGT, IEGT:
 	default:
-		return nil, fmt.Errorf("stream: unknown algorithm %q", opt.Algorithm)
+		return nil, fmt.Errorf("%w %q", ErrUnknownAlgorithm, opt.Algorithm)
 	}
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
@@ -372,7 +377,11 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	csp := sp.Child("stream.cold")
 	csp.SetAttr("cause", cause.Error())
 	defer csp.End()
-	solved, report, err := platform.SolveInstance(ctx, staged, dynamicsAssigner{e}, platform.Options{
+	dyn := dynamicsAssigner{e.opt.Game}
+	if e.opt.Algorithm == IEGT {
+		dyn = dynamicsAssigner{e.opt.Evo}
+	}
+	solved, report, err := platform.SolveInstance(ctx, staged, dyn, platform.Options{
 		VDPS:     e.opt.VDPS,
 		Recorder: e.opt.Recorder,
 		Audit: &audit.Options{
@@ -536,25 +545,20 @@ func (e *Engine) observe(r Result, ds []Delta, resolve time.Duration) {
 	m.Seq.Set(float64(e.lastSeq))
 }
 
-// dynamicsAssigner adapts the engine's configured dynamics to the platform
-// ladder's Assigner interface for cold fallbacks. Running the dynamics via
+// dynamicsAssigner is the engine's configured dynamics (its game.Options or
+// evo.Options) as the platform ladder's Assigner for cold fallbacks, with the
+// empty equilibrium for a roster without workers. Running the dynamics via
 // the package-level entry points on a ladder-generated generator is
 // bit-identical to the warm replay on repaired structures, so an exact-rung
 // fallback changes availability, not results.
-type dynamicsAssigner struct{ e *Engine }
-
-// Name identifies the dynamics in solve telemetry.
-func (a dynamicsAssigner) Name() string { return string(a.e.opt.Algorithm) }
+type dynamicsAssigner struct{ assign.Assigner }
 
 // Assign solves the generator's instance with the engine's dynamics.
 func (a dynamicsAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
 	if len(g.Instance().Workers) == 0 {
 		return emptyResult(g.Instance()), nil
 	}
-	if a.e.opt.Algorithm == IEGT {
-		return evo.IEGT(ctx, g, a.e.opt.Evo)
-	}
-	return game.FGT(ctx, g, a.e.opt.Game)
+	return a.Assigner.Assign(ctx, g)
 }
 
 // emptyResult is the equilibrium of a workerless instance.
