@@ -83,160 +83,85 @@ func WriteCSV(w io.Writer, p *model.Problem) error {
 
 // ReadCSV reads a problem previously written by WriteCSV.
 func ReadCSV(r io.Reader) (*model.Problem, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = csvColumns
-
-	speed := 5.0
+	rr := newRecordReader(r, csvColumns, ErrBadCSV)
+	speed, metaLine := 5.0, 0
 	var metric geo.Metric = geo.Euclidean{}
 	type pointKey struct{ inst, id int }
 	prob := &model.Problem{}
 	instByID := map[int]int{}       // center ID -> instance index
 	pointByID := map[pointKey]int{} // (instance index, point ID) -> index in its Points
-
-	parseF := func(s, what string) (float64, error) {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("%w: bad %s %q", ErrBadCSV, what, s)
+	// inst resolves the record's center ID to its instance index.
+	inst := func() (int, bool) {
+		cid := rr.int(1, "center ID")
+		ii, ok := instByID[cid]
+		if !ok {
+			rr.fail(1, "record references unknown center %d", cid)
 		}
-		return v, nil
-	}
-	parseI := func(s, what string) (int, error) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("%w: bad %s %q", ErrBadCSV, what, s)
-		}
-		return v, nil
+		return ii, ok && rr.err == nil
 	}
 
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Wrap the reader error too, so callers can errors.As through to
-			// transport-level causes such as *http.MaxBytesError.
-			return nil, fmt.Errorf("%w: %w", ErrBadCSV, err)
-		}
+	for rr.next() {
+		rec := rr.rec
 		switch rec[0] {
 		case "meta":
-			if speed, err = parseF(rec[1], "speed"); err != nil {
-				return nil, err
-			}
+			speed, metaLine = rr.float(1, "speed"), rr.line
 			switch rec[5] {
 			case "euclidean", "":
 				metric = geo.Euclidean{}
 			case "manhattan":
 				metric = geo.Manhattan{}
 			default:
-				return nil, fmt.Errorf("%w: unknown metric %q", ErrBadCSV, rec[5])
+				rr.fail(5, "unknown metric %q", rec[5])
 			}
 		case "center":
-			cid, err := parseI(rec[1], "center ID")
-			if err != nil {
-				return nil, err
-			}
-			x, err := parseF(rec[3], "x")
-			if err != nil {
-				return nil, err
-			}
-			y, err := parseF(rec[4], "y")
-			if err != nil {
-				return nil, err
-			}
+			cid, loc := rr.int(1, "center ID"), geo.Pt(rr.float(3, "x"), rr.float(4, "y"))
 			if _, dup := instByID[cid]; dup {
-				return nil, fmt.Errorf("%w: duplicate center %d", ErrBadCSV, cid)
+				rr.fail(1, "duplicate center %d", cid)
 			}
 			instByID[cid] = len(prob.Instances)
-			prob.Instances = append(prob.Instances, model.Instance{
-				CenterID: cid,
-				Center:   geo.Pt(x, y),
-			})
+			prob.Instances = append(prob.Instances, model.Instance{CenterID: cid, Center: loc})
 		case "point":
-			ii, err := instOf(rec[1], instByID, parseI)
-			if err != nil {
-				return nil, err
+			if ii, ok := inst(); ok {
+				in := &prob.Instances[ii]
+				id := rr.int(2, "point ID")
+				pointByID[pointKey{ii, id}] = len(in.Points)
+				in.Points = append(in.Points, model.DeliveryPoint{ID: id, Loc: geo.Pt(rr.float(3, "x"), rr.float(4, "y"))})
 			}
-			id, err := parseI(rec[2], "point ID")
-			if err != nil {
-				return nil, err
-			}
-			x, err := parseF(rec[3], "x")
-			if err != nil {
-				return nil, err
-			}
-			y, err := parseF(rec[4], "y")
-			if err != nil {
-				return nil, err
-			}
-			in := &prob.Instances[ii]
-			pointByID[pointKey{ii, id}] = len(in.Points)
-			in.Points = append(in.Points, model.DeliveryPoint{ID: id, Loc: geo.Pt(x, y)})
 		case "task":
-			ii, err := instOf(rec[1], instByID, parseI)
-			if err != nil {
-				return nil, err
-			}
-			id, err := parseI(rec[2], "task ID")
-			if err != nil {
-				return nil, err
-			}
-			pid, err := parseI(rec[3], "task point ID")
-			if err != nil {
-				return nil, err
-			}
-			expiry, err := parseF(rec[5], "expiry")
-			if err != nil {
-				return nil, err
-			}
-			reward, err := parseF(rec[6], "reward")
-			if err != nil {
-				return nil, err
-			}
-			local, ok := pointByID[pointKey{ii, pid}]
-			if !ok {
-				return nil, fmt.Errorf("%w: task %d references unknown point %d", ErrBadCSV, id, pid)
-			}
-			dp := &prob.Instances[ii].Points[local]
-			dp.Tasks = append(dp.Tasks, model.Task{ID: id, Point: local, Expiry: expiry, Reward: reward})
-		case "worker":
-			ii, err := instOf(rec[1], instByID, parseI)
-			if err != nil {
-				return nil, err
-			}
-			id, err := parseI(rec[2], "worker ID")
-			if err != nil {
-				return nil, err
-			}
-			x, err := parseF(rec[3], "x")
-			if err != nil {
-				return nil, err
-			}
-			y, err := parseF(rec[4], "y")
-			if err != nil {
-				return nil, err
-			}
-			maxDP, err := parseI(rec[5], "maxDP")
-			if err != nil {
-				return nil, err
-			}
-			speed := 0.0
-			if rec[6] != "" {
-				if speed, err = parseF(rec[6], "worker speed"); err != nil {
-					return nil, err
+			if ii, ok := inst(); ok {
+				id, pid := rr.int(2, "task ID"), rr.int(3, "task point ID")
+				expiry, reward := rr.float(5, "expiry"), rr.float(6, "reward")
+				local, ok := pointByID[pointKey{ii, pid}]
+				if !ok {
+					rr.fail(3, "task %d references unknown point %d", id, pid)
+					break
 				}
+				dp := &prob.Instances[ii].Points[local]
+				dp.Tasks = append(dp.Tasks, model.Task{ID: id, Point: local, Expiry: expiry, Reward: reward})
 			}
-			prob.Instances[ii].Workers = append(prob.Instances[ii].Workers, model.Worker{
-				ID: id, Loc: geo.Pt(x, y), MaxDP: maxDP, Speed: speed,
-			})
+		case "worker":
+			if ii, ok := inst(); ok {
+				w := model.Worker{
+					ID:    rr.int(2, "worker ID"),
+					Loc:   geo.Pt(rr.float(3, "x"), rr.float(4, "y")),
+					MaxDP: rr.int(5, "maxDP"),
+				}
+				if rec[6] != "" {
+					w.Speed = rr.float(6, "worker speed")
+				}
+				in := &prob.Instances[ii]
+				in.Workers = append(in.Workers, w)
+			}
 		default:
-			return nil, fmt.Errorf("%w: unknown record kind %q", ErrBadCSV, rec[0])
+			rr.fail(0, "unknown record kind %q", rec[0])
 		}
 	}
-
+	if rr.err != nil {
+		return nil, rr.err
+	}
 	tm, err := travel.NewModel(metric, speed)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCSV, err)
+		return nil, fmt.Errorf("%w: line %d, field 2: %v", ErrBadCSV, metaLine, err)
 	}
 	for i := range prob.Instances {
 		prob.Instances[i].Travel = tm
@@ -247,14 +172,78 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 	return prob, nil
 }
 
-func instOf(field string, byID map[int]int, parseI func(string, string) (int, error)) (int, error) {
-	cid, err := parseI(field, "center ID")
+// recordReader is the one record loop of the package's CSV decoders. It
+// reads records of a fixed field count into one reused slice, and its
+// field parsers keep the first failure, wrapped in the decoder's sentinel
+// and naming its line and field. A decoder parses a whole record and checks
+// err once; after a failure next returns false.
+type recordReader struct {
+	cr       *csv.Reader
+	sentinel error
+	// rec is the current record and line the line it starts on.
+	rec  []string
+	line int
+	err  error
+}
+
+// newRecordReader reads records of the given field count from r and wraps
+// every failure in sentinel.
+func newRecordReader(r io.Reader, fields int, sentinel error) *recordReader {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = fields
+	cr.ReuseRecord = true
+	return &recordReader{cr: cr, sentinel: sentinel}
+}
+
+// next reads the next record. It returns false at the end of the input and
+// once err is set.
+func (rr *recordReader) next() bool {
+	if rr.err != nil {
+		return false
+	}
+	rec, err := rr.cr.Read()
+	if err == io.EOF {
+		return false
+	}
 	if err != nil {
-		return 0, err
+		// A parse error names its line; a read error is named here. Both
+		// stay wrapped, so callers can errors.As through to transport-level
+		// causes such as *http.MaxBytesError.
+		var pe *csv.ParseError
+		if !errors.As(err, &pe) {
+			err = fmt.Errorf("line %d: %w", rr.line+1, err)
+		}
+		rr.err = fmt.Errorf("%w: %w", rr.sentinel, err)
+		return false
 	}
-	ii, ok := byID[cid]
-	if !ok {
-		return 0, fmt.Errorf("%w: record references unknown center %d", ErrBadCSV, cid)
+	rr.rec = rec
+	rr.line, _ = rr.cr.FieldPos(0)
+	return true
+}
+
+// fail keeps the first failure of the current record, naming the line and
+// the 1-based number of field i.
+func (rr *recordReader) fail(i int, format string, args ...any) {
+	if rr.err == nil {
+		line, _ := rr.cr.FieldPos(i)
+		rr.err = fmt.Errorf("%w: line %d, field %d: %s", rr.sentinel, line, i+1, fmt.Sprintf(format, args...))
 	}
-	return ii, nil
+}
+
+// int parses field i, named what, as an integer.
+func (rr *recordReader) int(i int, what string) int {
+	v, err := strconv.Atoi(rr.rec[i])
+	if err != nil {
+		rr.fail(i, "bad %s %q", what, rr.rec[i])
+	}
+	return v
+}
+
+// float parses field i, named what, as a float64.
+func (rr *recordReader) float(i int, what string) float64 {
+	v, err := strconv.ParseFloat(rr.rec[i], 64)
+	if err != nil {
+		rr.fail(i, "bad %s %q", what, rr.rec[i])
+	}
+	return v
 }

@@ -1,11 +1,9 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 
 	"fairtask/internal/cluster"
 	"fairtask/internal/geo"
@@ -131,64 +129,30 @@ func LoadGMission(tasks, workers io.Reader, opt GMissionOptions) (*model.Instanc
 }
 
 func readGMissionTasks(r io.Reader) ([]gmTask, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
+	rr := newRecordReader(r, 5, fmt.Errorf("%w: tasks", ErrBadGMission))
 	var out []gmTask
-	for line := 1; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: tasks line %d: %v", ErrBadGMission, line, err)
-		}
-		id, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("%w: tasks line %d: bad id", ErrBadGMission, line)
-		}
-		vals := make([]float64, 4)
-		for i := 0; i < 4; i++ {
-			v, err := strconv.ParseFloat(rec[i+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: tasks line %d: bad field %d", ErrBadGMission, line, i+1)
-			}
-			vals[i] = v
-		}
+	for rr.next() {
 		out = append(out, gmTask{
-			id:     id,
-			loc:    geo.Pt(vals[0], vals[1]),
-			expiry: vals[2],
-			reward: vals[3],
+			id:     rr.int(0, "id"),
+			loc:    geo.Pt(rr.float(1, "x"), rr.float(2, "y")),
+			expiry: rr.float(3, "expiry"),
+			reward: rr.float(4, "reward"),
 		})
 	}
-	return out, nil
+	return out, rr.err
 }
 
 func readGMissionWorkers(r io.Reader) ([]model.Worker, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
+	rr := newRecordReader(r, 4, fmt.Errorf("%w: workers", ErrBadGMission))
 	var out []model.Worker
-	for line := 1; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: workers line %d: %v", ErrBadGMission, line, err)
-		}
-		id, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("%w: workers line %d: bad id", ErrBadGMission, line)
-		}
-		x, err1 := strconv.ParseFloat(rec[1], 64)
-		y, err2 := strconv.ParseFloat(rec[2], 64)
-		maxDP, err3 := strconv.Atoi(rec[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("%w: workers line %d", ErrBadGMission, line)
-		}
-		out = append(out, model.Worker{ID: id, Loc: geo.Pt(x, y), MaxDP: maxDP})
+	for rr.next() {
+		out = append(out, model.Worker{
+			ID:    rr.int(0, "id"),
+			Loc:   geo.Pt(rr.float(1, "x"), rr.float(2, "y")),
+			MaxDP: rr.int(3, "maxdp"),
+		})
 	}
-	return out, nil
+	return out, rr.err
 }
 
 // newSeededRand returns a deterministic rand source for the loader.

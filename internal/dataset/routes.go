@@ -79,16 +79,16 @@ func WriteAssignmentCSV(w io.Writer, p *model.Problem, assignments []*model.Assi
 // arrival, reward and payoff columns are ignored: they are derived data, and
 // re-deriving them is exactly what the auditor is for.
 func ReadAssignmentCSV(r io.Reader, p *model.Problem) ([]*model.Assignment, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 7
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("%w: read header: %v", ErrAssignmentCSV, err)
+	rr := newRecordReader(r, 7, ErrAssignmentCSV)
+	if !rr.next() {
+		if rr.err != nil {
+			return nil, rr.err
+		}
+		return nil, fmt.Errorf("%w: line 1: missing header", ErrAssignmentCSV)
 	}
-	want := []string{"center", "worker", "stop", "point", "arrival", "reward", "payoff"}
-	for i, col := range want {
-		if header[i] != col {
-			return nil, fmt.Errorf("%w: column %d is %q, want %q", ErrAssignmentCSV, i, header[i], col)
+	for i, col := range []string{"center", "worker", "stop", "point", "arrival", "reward", "payoff"} {
+		if rr.rec[i] != col {
+			rr.fail(i, "column is %q, want %q", rr.rec[i], col)
 		}
 	}
 
@@ -108,57 +108,44 @@ func ReadAssignmentCSV(r io.Reader, p *model.Problem) ([]*model.Assignment, erro
 		}
 	}
 
-	// stops[instance][worker] maps stop position -> point index; routes are
-	// materialized after reading so row order does not matter.
+	// stops[instance][worker] maps stop position -> point index and the
+	// line naming it; routes are materialized after reading so row order
+	// does not matter.
 	type routeKey struct{ inst, worker int }
-	stops := make(map[routeKey]map[int]int)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrAssignmentCSV, line, err)
-		}
-		centerID, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: bad center %q", ErrAssignmentCSV, line, rec[0])
+	type stopAt struct{ point, line int }
+	stops := make(map[routeKey]map[int]stopAt)
+	for rr.next() {
+		centerID, workerID := rr.int(0, "center"), rr.int(1, "worker")
+		stop, pointID := rr.int(2, "stop"), rr.int(3, "point")
+		if stop < 0 {
+			rr.fail(2, "bad stop %q", rr.rec[2])
 		}
 		inst, ok := centers[centerID]
 		if !ok {
-			return nil, fmt.Errorf("%w: line %d: unknown center %d", ErrAssignmentCSV, line, centerID)
-		}
-		workerID, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: bad worker %q", ErrAssignmentCSV, line, rec[1])
+			rr.fail(0, "unknown center %d", centerID)
+			continue
 		}
 		wi, ok := workers[inst][workerID]
 		if !ok {
-			return nil, fmt.Errorf("%w: line %d: unknown worker %d in center %d",
-				ErrAssignmentCSV, line, workerID, centerID)
-		}
-		stop, err := strconv.Atoi(rec[2])
-		if err != nil || stop < 0 {
-			return nil, fmt.Errorf("%w: line %d: bad stop %q", ErrAssignmentCSV, line, rec[2])
-		}
-		pointID, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: bad point %q", ErrAssignmentCSV, line, rec[3])
+			rr.fail(1, "unknown worker %d in center %d", workerID, centerID)
+			continue
 		}
 		pi, ok := points[inst][pointID]
 		if !ok {
-			return nil, fmt.Errorf("%w: line %d: unknown point %d in center %d",
-				ErrAssignmentCSV, line, pointID, centerID)
+			rr.fail(3, "unknown point %d in center %d", pointID, centerID)
+			continue
 		}
 		k := routeKey{inst, wi}
 		if stops[k] == nil {
-			stops[k] = make(map[int]int)
+			stops[k] = make(map[int]stopAt)
 		}
 		if _, dup := stops[k][stop]; dup {
-			return nil, fmt.Errorf("%w: line %d: duplicate stop %d for worker %d in center %d",
-				ErrAssignmentCSV, line, stop, workerID, centerID)
+			rr.fail(2, "duplicate stop %d for worker %d in center %d", stop, workerID, centerID)
 		}
-		stops[k][stop] = pi
+		stops[k][stop] = stopAt{pi, rr.line}
+	}
+	if rr.err != nil {
+		return nil, rr.err
 	}
 
 	out := make([]*model.Assignment, len(p.Instances))
@@ -167,13 +154,13 @@ func ReadAssignmentCSV(r io.Reader, p *model.Problem) ([]*model.Assignment, erro
 	}
 	for k, byStop := range stops {
 		route := make([]int, len(byStop))
-		for stop, pi := range byStop {
+		for stop, at := range byStop {
 			if stop >= len(route) {
 				in := &p.Instances[k.inst]
-				return nil, fmt.Errorf("%w: center %d worker %d: stop %d with only %d stops (missing earlier stop)",
-					ErrAssignmentCSV, in.CenterID, in.Workers[k.worker].ID, stop, len(byStop))
+				return nil, fmt.Errorf("%w: line %d: center %d worker %d: stop %d with only %d stops (missing earlier stop)",
+					ErrAssignmentCSV, at.line, in.CenterID, in.Workers[k.worker].ID, stop, len(byStop))
 			}
-			route[stop] = pi
+			route[stop] = at.point
 		}
 		out[k.inst].Routes[k.worker] = route
 	}

@@ -85,7 +85,7 @@ func ablationDecomposition(cfg Config) (*Series, error) {
 				NodeBudget:           cfg.MPTANodeBudget,
 				DisableDecomposition: variant.disable,
 			}
-			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: DefaultEpsilonSYN}, cfg.Parallelism)
+			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: DefaultEpsilonSYN})
 			if err != nil {
 				return nil, fmt.Errorf("ablation-decomposition at %d: %w", w, err)
 			}

@@ -40,9 +40,6 @@ type Config struct {
 	// sweep default of 200000 (the full default of 2e6 is used only when
 	// explicitly requested).
 	MPTANodeBudget int
-	// Parallelism bounds concurrent per-center solves. Zero means
-	// GOMAXPROCS.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -128,9 +125,9 @@ func algorithmSet(cfg Config, seed int64) []assign.Assigner {
 
 // measureProblem solves a multi-center problem with one algorithm and
 // returns the aggregated measurement.
-func measureProblem(p *model.Problem, alg assign.Assigner, vopt vdps.Options, par int) (Point, error) {
+func measureProblem(p *model.Problem, alg assign.Assigner, vopt vdps.Options) (Point, error) {
 	start := time.Now()
-	res, err := platform.Assign(p, alg, platform.Options{VDPS: vopt, Parallelism: par})
+	res, err := platform.Assign(p, alg, platform.Options{VDPS: vopt})
 	if err != nil {
 		return Point{}, fmt.Errorf("%s: %w", alg.Name(), err)
 	}

@@ -32,7 +32,7 @@ func sweep(cfg Config, s *Series, xs []float64, epsilon float64,
 			return fmt.Errorf("%s at %g: %w", s.Figure, x, err)
 		}
 		for _, alg := range algorithmSet(cfg, cfg.Seed) {
-			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: epsilon}, cfg.Parallelism)
+			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: epsilon})
 			if err != nil {
 				return fmt.Errorf("%s at %g: %w", s.Figure, x, err)
 			}
@@ -55,7 +55,7 @@ func epsilonSweep(cfg Config, s *Series, eps []float64,
 	}
 	for _, e := range eps {
 		for _, alg := range algorithmSet(cfg, cfg.Seed) {
-			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: e}, cfg.Parallelism)
+			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: e})
 			if err != nil {
 				return fmt.Errorf("%s at eps=%g: %w", s.Figure, e, err)
 			}
@@ -64,7 +64,7 @@ func epsilonSweep(cfg Config, s *Series, eps []float64,
 		}
 	}
 	for _, alg := range algorithmSet(cfg, cfg.Seed) {
-		pt, err := measureProblem(p, alg, vdps.Options{Epsilon: math.Inf(1)}, cfg.Parallelism)
+		pt, err := measureProblem(p, alg, vdps.Options{Epsilon: math.Inf(1)})
 		if err != nil {
 			return fmt.Errorf("%s unpruned: %w", s.Figure, err)
 		}

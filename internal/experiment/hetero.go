@@ -34,7 +34,7 @@ func heteroFleet(cfg Config) (*Series, error) {
 			return nil, err
 		}
 		for _, alg := range algorithmSet(cfg, cfg.Seed) {
-			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: DefaultEpsilonSYN}, cfg.Parallelism)
+			pt, err := measureProblem(p, alg, vdps.Options{Epsilon: DefaultEpsilonSYN})
 			if err != nil {
 				return nil, fmt.Errorf("hetero at f=%g: %w", f, err)
 			}

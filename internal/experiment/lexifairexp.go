@@ -45,7 +45,7 @@ func lexifairCompare(cfg Config) (*Series, error) {
 		}
 		vopt := vdps.Options{Epsilon: DefaultEpsilonGM, MaxSize: 2}
 		for _, alg := range algs {
-			pt, err := measureProblem(asProblem(in), alg, vopt, cfg.Parallelism)
+			pt, err := measureProblem(asProblem(in), alg, vopt)
 			if err != nil {
 				return nil, fmt.Errorf("lexifair seed %d: %w", seed, err)
 			}

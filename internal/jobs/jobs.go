@@ -516,8 +516,8 @@ func (m *Manager) execute(ctx context.Context, j *job) (any, error) {
 		j.attempts++
 		m.mu.Unlock()
 		// The recover covers the failpoint as well as the task, so a
-		// panic-kind jobs.run arming is a retryable failure, not a dead
-		// worker goroutine.
+		// panicking solve or a panic-kind jobs.run arming is a retryable
+		// failure, not a dead worker goroutine.
 		defer func() {
 			if r := recover(); r != nil {
 				err = &PanicError{Value: r}
@@ -526,7 +526,7 @@ func (m *Manager) execute(ctx context.Context, j *job) (any, error) {
 		if err := fpRun.Hit(actx); err != nil {
 			return fmt.Errorf("jobs: run: %w", err)
 		}
-		result, err = runTask(actx, j.task)
+		result, err = j.task(actx)
 		return err
 	}
 	p := m.cfg.Retry
@@ -558,17 +558,6 @@ func (m *Manager) execute(ctx context.Context, j *job) (any, error) {
 		return nil, err
 	}
 	return result, nil
-}
-
-// runTask invokes the task, converting a panic into an error so one bad
-// solve cannot take down the worker pool.
-func runTask(ctx context.Context, task Task) (result any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r}
-		}
-	}()
-	return task(ctx)
 }
 
 // PanicError wraps a panic recovered from a job's task.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fairtask/internal/geo"
 	"fairtask/internal/travel"
@@ -26,11 +27,25 @@ type Task struct {
 	// task is delivered to.
 	Point int
 	// Expiry is the absolute deadline (hours from the assignment instant) by
-	// which a worker must arrive at the delivery point.
+	// which a worker must arrive at the delivery point. It must be finite and
+	// positive.
 	Expiry float64
 	// Reward is the payment for completing the task. The paper's experiments
-	// use unit rewards.
+	// use unit rewards. It must be finite and non-negative.
 	Reward float64
+}
+
+// Validate checks the task's own fields: a finite, positive expiry and a
+// finite, non-negative reward. The delivery point it names is the
+// instance's to check.
+func (t *Task) Validate() error {
+	if !(t.Expiry > 0) || math.IsInf(t.Expiry, 1) {
+		return fmt.Errorf("%w: task %d expiry %g", ErrBadTaskExpiry, t.ID, t.Expiry)
+	}
+	if !(t.Reward >= 0) || math.IsInf(t.Reward, 1) {
+		return fmt.Errorf("%w: task %d reward %g", ErrBadTaskReward, t.ID, t.Reward)
+	}
+	return nil
 }
 
 // DeliveryPoint is a location with a set of tasks delivered to it
@@ -76,10 +91,12 @@ type Worker struct {
 	// to visit (w.maxDP). Zero means unlimited.
 	MaxDP int
 	// Priority optionally weights the worker in the priority-aware fairness
-	// extension (see fairness.PriorityIAU). Zero is treated as 1.
+	// extension (see fairness.PriorityIAU). Zero is treated as 1. Negative
+	// values are rejected by Validate.
 	Priority float64
 	// Contribution optionally scales the worker's effective reward in the
-	// contribution-weighted payoff extension. Zero is treated as 1.
+	// contribution-weighted payoff extension. Zero is treated as 1. Negative
+	// values are rejected by Validate.
 	Contribution float64
 	// Speed optionally overrides the instance travel model's speed for this
 	// worker (heterogeneous fleets: bikes vs. vans). Zero means the
@@ -98,12 +115,32 @@ func (w *Worker) EffectivePriority() float64 {
 }
 
 // EffectiveContribution returns the worker's contribution factor,
-// defaulting to 1.
+// defaulting to 1 for non-positive (or NaN) values, like EffectivePriority.
 func (w *Worker) EffectiveContribution() float64 {
-	if w.Contribution <= 0 {
+	if w.Contribution <= 0 || math.IsNaN(w.Contribution) {
 		return 1
 	}
 	return w.Contribution
+}
+
+// Validate checks the worker's own fields: a finite location, and a
+// non-negative maxDP, speed, priority and contribution. A NaN speed is
+// rejected; a NaN priority or contribution counts as 1.
+func (w *Worker) Validate() error {
+	if !w.Loc.IsFinite() {
+		return fmt.Errorf("%w: worker %d", ErrBadLocation, w.ID)
+	}
+	if w.MaxDP < 0 {
+		return fmt.Errorf("%w: worker %d maxDP %d", ErrNegativeMaxDP, w.ID, w.MaxDP)
+	}
+	if w.Speed < 0 || math.IsNaN(w.Speed) {
+		return fmt.Errorf("%w: worker %d speed %g", ErrBadWorkerSpeed, w.ID, w.Speed)
+	}
+	if w.Priority < 0 || w.Contribution < 0 {
+		return fmt.Errorf("%w: worker %d priority %g contribution %g",
+			ErrBadWorkerWeight, w.ID, w.Priority, w.Contribution)
+	}
+	return nil
 }
 
 // Instance is a single-distribution-center FTA problem instance: the center,
@@ -125,19 +162,23 @@ type Instance struct {
 
 // Validation errors.
 var (
-	ErrNoTravelModel  = errors.New("model: instance has no valid travel model")
-	ErrBadLocation    = errors.New("model: non-finite location")
-	ErrBadTaskPoint   = errors.New("model: task references wrong delivery point")
-	ErrBadTaskExpiry  = errors.New("model: task expiry must be positive")
-	ErrBadTaskReward  = errors.New("model: task reward must be finite and non-negative")
-	ErrNegativeMaxDP  = errors.New("model: worker maxDP must be non-negative")
-	ErrDuplicateID    = errors.New("model: duplicate ID")
-	ErrPointOutOfSeq  = errors.New("model: route references delivery point out of range")
-	ErrDuplicatePoint = errors.New("model: route visits a delivery point twice")
-	ErrBadWorkerSpeed = errors.New("model: worker speed must be non-negative")
+	ErrNoTravelModel   = errors.New("model: instance has no valid travel model")
+	ErrBadLocation     = errors.New("model: non-finite location")
+	ErrBadTaskPoint    = errors.New("model: task references wrong delivery point")
+	ErrBadTaskExpiry   = errors.New("model: task expiry must be finite and positive")
+	ErrBadTaskReward   = errors.New("model: task reward must be finite and non-negative")
+	ErrNegativeMaxDP   = errors.New("model: worker maxDP must be non-negative")
+	ErrDuplicateID     = errors.New("model: duplicate ID")
+	ErrPointOutOfSeq   = errors.New("model: route references delivery point out of range")
+	ErrDuplicatePoint  = errors.New("model: route visits a delivery point twice")
+	ErrBadWorkerSpeed  = errors.New("model: worker speed must be non-negative")
+	ErrBadWorkerWeight = errors.New("model: worker priority and contribution must be non-negative")
 )
 
-// Validate checks structural invariants of the instance.
+// Validate checks structural invariants of the instance: a valid travel
+// model, finite center and point locations, every task under the point its
+// Point index names, Task.Validate, ValidateTotalReward, Worker.Validate,
+// and unique point, task and worker IDs.
 func (in *Instance) Validate() error {
 	if !in.Travel.Valid() {
 		return ErrNoTravelModel
@@ -145,58 +186,81 @@ func (in *Instance) Validate() error {
 	if !in.Center.IsFinite() {
 		return fmt.Errorf("%w: center %v", ErrBadLocation, in.Center)
 	}
-	pointIDs := make(map[int]bool, len(in.Points))
-	taskIDs := make(map[int]bool)
-	var rewards float64
 	for i := range in.Points {
 		dp := &in.Points[i]
 		if !dp.Loc.IsFinite() {
 			return fmt.Errorf("%w: delivery point %d", ErrBadLocation, dp.ID)
 		}
-		if pointIDs[dp.ID] {
-			return fmt.Errorf("%w: delivery point %d", ErrDuplicateID, dp.ID)
-		}
-		pointIDs[dp.ID] = true
-		for _, t := range dp.Tasks {
+		for j := range dp.Tasks {
+			t := &dp.Tasks[j]
 			if t.Point != i {
 				return fmt.Errorf("%w: task %d at point index %d has Point=%d",
 					ErrBadTaskPoint, t.ID, i, t.Point)
 			}
-			if t.Expiry <= 0 || math.IsNaN(t.Expiry) {
-				return fmt.Errorf("%w: task %d expiry %g", ErrBadTaskExpiry, t.ID, t.Expiry)
+			if err := t.Validate(); err != nil {
+				return err
 			}
-			if t.Reward < 0 || math.IsNaN(t.Reward) || math.IsInf(t.Reward, 1) {
-				return fmt.Errorf("%w: task %d reward %g", ErrBadTaskReward, t.ID, t.Reward)
-			}
-			// Every reward so far is finite and non-negative, so the running
-			// sum overflows at the task that pushes it past MaxFloat64.
-			if rewards += t.Reward; math.IsInf(rewards, 1) {
-				return fmt.Errorf("%w: rewards up to task %d sum past %g", ErrBadTaskReward, t.ID, math.MaxFloat64)
-			}
-			if taskIDs[t.ID] {
-				return fmt.Errorf("%w: task %d", ErrDuplicateID, t.ID)
-			}
-			taskIDs[t.ID] = true
 		}
 	}
-	workerIDs := make(map[int]bool, len(in.Workers))
+	if err := in.ValidateTotalReward(); err != nil {
+		return err
+	}
 	for i := range in.Workers {
-		w := &in.Workers[i]
-		if !w.Loc.IsFinite() {
-			return fmt.Errorf("%w: worker %d", ErrBadLocation, w.ID)
+		if err := in.Workers[i].Validate(); err != nil {
+			return err
 		}
-		if w.MaxDP < 0 {
-			return fmt.Errorf("%w: worker %d maxDP %d", ErrNegativeMaxDP, w.ID, w.MaxDP)
+	}
+
+	// IDs are unique per kind: sort one scratch slice of each kind's IDs
+	// and compare neighbours.
+	ids := make([]int, 0, max(len(in.Points), in.TaskCount(), len(in.Workers)))
+	for i := range in.Points {
+		ids = append(ids, in.Points[i].ID)
+	}
+	if id, ok := repeatedID(ids); ok {
+		return fmt.Errorf("%w: delivery point %d", ErrDuplicateID, id)
+	}
+	ids = ids[:0]
+	for i := range in.Points {
+		for _, t := range in.Points[i].Tasks {
+			ids = append(ids, t.ID)
 		}
-		if w.Speed < 0 || math.IsNaN(w.Speed) {
-			return fmt.Errorf("%w: worker %d speed %g", ErrBadWorkerSpeed, w.ID, w.Speed)
-		}
-		if workerIDs[w.ID] {
-			return fmt.Errorf("%w: worker %d", ErrDuplicateID, w.ID)
-		}
-		workerIDs[w.ID] = true
+	}
+	if id, ok := repeatedID(ids); ok {
+		return fmt.Errorf("%w: task %d", ErrDuplicateID, id)
+	}
+	ids = ids[:0]
+	for i := range in.Workers {
+		ids = append(ids, in.Workers[i].ID)
+	}
+	if id, ok := repeatedID(ids); ok {
+		return fmt.Errorf("%w: worker %d", ErrDuplicateID, id)
 	}
 	return nil
+}
+
+// ValidateTotalReward checks the reward rule that spans tasks: the rewards,
+// added up by TotalReward, stay finite. Every reward must already pass
+// Task.Validate. Instance.Validate and the stream's delta grammar both
+// apply it, so they add rewards in the same order and agree at the
+// overflow edge.
+func (in *Instance) ValidateTotalReward() error {
+	if math.IsInf(in.TotalReward(), 1) {
+		return fmt.Errorf("%w: rewards sum past %g", ErrBadTaskReward, math.MaxFloat64)
+	}
+	return nil
+}
+
+// repeatedID sorts ids in place and reports a value that occurs more than
+// once.
+func repeatedID(ids []int) (int, bool) {
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return 0, false
 }
 
 // Clone returns a deep copy of the instance: points (with their task

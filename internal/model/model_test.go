@@ -57,6 +57,10 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 		{"dup worker ID", func(in *Instance) {
 			in.Workers = append(in.Workers, Worker{ID: 0, Loc: geo.Pt(1, 1)})
 		}, ErrDuplicateID},
+		{"infinite expiry", func(in *Instance) { in.Points[2].Tasks[1].Expiry = math.Inf(1) }, ErrBadTaskExpiry},
+		{"NaN speed", func(in *Instance) { in.Workers[0].Speed = math.NaN() }, ErrBadWorkerSpeed},
+		{"negative priority", func(in *Instance) { in.Workers[0].Priority = -1 }, ErrBadWorkerWeight},
+		{"negative contribution", func(in *Instance) { in.Workers[0].Contribution = -0.5 }, ErrBadWorkerWeight},
 	}
 	for _, c := range cases {
 		in := testInstance()
@@ -64,6 +68,22 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 		if err := in.Validate(); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
+	}
+}
+
+// TestValidateAllocs pins that Validate finds duplicate IDs without maps:
+// one scratch slice per call, however many entities the instance has.
+func TestValidateAllocs(t *testing.T) {
+	in := testInstance()
+	for i := 0; i < 50; i++ {
+		in.Workers = append(in.Workers, Worker{ID: 100 + i, Loc: geo.Pt(float64(i), 1)})
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := in.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Validate allocates %v times per call, want at most 1", n)
 	}
 }
 
@@ -96,6 +116,11 @@ func TestWorkerDefaults(t *testing.T) {
 	w = Worker{Priority: 2.5, Contribution: 0.5}
 	if w.EffectivePriority() != 2.5 || w.EffectiveContribution() != 0.5 {
 		t.Error("explicit priority/contribution not honored")
+	}
+	w = Worker{Priority: math.NaN(), Contribution: math.NaN()}
+	if w.EffectivePriority() != 1 || w.EffectiveContribution() != 1 {
+		t.Errorf("NaN priority/contribution = %v/%v, want 1/1",
+			w.EffectivePriority(), w.EffectiveContribution())
 	}
 }
 

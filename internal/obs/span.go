@@ -2,15 +2,15 @@ package obs
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file implements the span-tracing layer: hierarchical timed spans
-// carried through context.Context, recorded into sharded lock-free buffers
+// carried through context.Context, recorded into one buffer per tracer
 // with monotonic timestamps and parent/child IDs. One Tracer covers one
 // traced operation (an assignment, an HTTP request, an async job); its
 // finished spans are collected into a Trace and exported as Chrome
@@ -21,9 +21,9 @@ import (
 // so an instrumentation site on a path without a tracer costs exactly one
 // nil check (StartSpan additionally costs one context.Value lookup, which
 // is why hot loops hold the parent *Span and call Child directly). The
-// enabled path allocates one node per span and publishes it with a single
-// compare-and-swap onto a shard-local Treiber stack — no locks, no
-// contention between goroutines on different shards.
+// enabled path appends each finished span to the tracer's one slice under
+// a mutex: a traced request ends a few hundred spans from at most
+// GOMAXPROCS goroutines, too few to contend.
 
 // Attr is one string key/value annotation on a span (a center ID, an
 // attempt number, a degradation rung).
@@ -90,30 +90,15 @@ func (t Trace) Duration() time.Duration {
 	return max
 }
 
-// spanNode is one entry of a shard's Treiber stack.
-type spanNode struct {
-	rec  SpanRecord
-	next *spanNode
-}
-
-// spanShard is one lock-free finished-span buffer. The trailing padding
-// keeps concurrently written shard heads on separate cache lines.
-type spanShard struct {
-	head atomic.Pointer[spanNode]
-	_    [56]byte
-}
-
 // Tracer collects the spans of one traced operation. Span creation and End
 // are safe for concurrent use from any number of goroutines: finished spans
-// are pushed onto one of GOMAXPROCS-aligned shard stacks with a single CAS,
-// so goroutines ending spans concurrently almost never touch the same
-// cache line. A Tracer is cheap (one small allocation per span) but not
-// free — create one only when the caller asked for a trace.
+// are appended to one slice under a mutex. A Tracer is cheap but not free —
+// create one only when the caller asked for a trace.
 type Tracer struct {
-	start  time.Time
-	ids    atomic.Uint64
-	shards []spanShard
-	mask   uint64
+	start time.Time
+	ids   atomic.Uint64
+	mu    sync.Mutex
+	spans []SpanRecord
 }
 
 // NewTracer returns a tracer whose span offsets are measured from now.
@@ -123,11 +108,7 @@ func NewTracer() *Tracer { return NewTracerAt(time.Now()) }
 // used to anchor a trace at an event that predates tracer construction
 // (e.g. a job's submit time, so the queued phase is on the timeline).
 func NewTracerAt(start time.Time) *Tracer {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 64 {
-		n <<= 1
-	}
-	return &Tracer{start: start, shards: make([]spanShard, n), mask: uint64(n - 1)}
+	return &Tracer{start: start}
 }
 
 // since returns the current monotonic offset from the trace start.
@@ -159,29 +140,21 @@ func (t *Tracer) RecordRange(parent *Span, name string, start, end time.Time) {
 	t.push(SpanRecord{ID: t.ids.Add(1), Parent: pid, Name: name, Start: s, Duration: d})
 }
 
-// push publishes one finished span onto the shard selected by its ID.
+// push records one finished span.
 func (t *Tracer) push(rec SpanRecord) {
-	sh := &t.shards[rec.ID&t.mask]
-	n := &spanNode{rec: rec}
-	for {
-		old := sh.head.Load()
-		n.next = old
-		if sh.head.CompareAndSwap(old, n) {
-			return
-		}
-	}
+	t.mu.Lock()
+	t.spans = append(t.spans, rec)
+	t.mu.Unlock()
 }
 
 // Collect drains every finished span recorded so far and returns them as a
 // Trace sorted by start offset. Spans still open (not yet ended) are not
 // included; call Collect after the operation's root span has ended.
 func (t *Tracer) Collect(name string) Trace {
-	var spans []SpanRecord
-	for i := range t.shards {
-		for n := t.shards[i].head.Swap(nil); n != nil; n = n.next {
-			spans = append(spans, n.rec)
-		}
-	}
+	t.mu.Lock()
+	spans := t.spans
+	t.spans = nil
+	t.mu.Unlock()
 	sortSpans(spans)
 	return Trace{Name: name, Start: t.start, Spans: spans}
 }

@@ -22,8 +22,6 @@ type SimConfig struct {
 	Solver assign.Assigner
 	// VDPS configures candidate generation per round.
 	VDPS vdps.Options
-	// Parallelism bounds concurrent per-center solves per round.
-	Parallelism int
 	// TaskSource, when non-nil, is invoked at the start of each epoch and
 	// may append new delivery-point tasks to the problem. Task expiries are
 	// absolute simulation hours.
@@ -162,7 +160,7 @@ func Simulate(p *model.Problem, cfg SimConfig) (*SimReport, error) {
 			snap.Instances = append(snap.Instances, si)
 		}
 
-		res, err := Assign(snap, cfg.Solver, Options{VDPS: cfg.VDPS, Parallelism: cfg.Parallelism})
+		res, err := Assign(snap, cfg.Solver, Options{VDPS: cfg.VDPS})
 		if err != nil {
 			return nil, fmt.Errorf("epoch %d: %w", epoch, err)
 		}

@@ -16,7 +16,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"fairtask/internal/geo"
@@ -98,8 +97,9 @@ var (
 	ErrDuplicateTask = errors.New("stream: duplicate task id")
 	// ErrDuplicateWorker rejects WorkerOnline reusing an existing worker ID.
 	ErrDuplicateWorker = errors.New("stream: duplicate worker id")
-	// ErrBadDelta rejects a delta with invalid field values (non-positive
-	// expiry, negative or non-finite reward, and the like).
+	// ErrBadDelta rejects a delta whose task or worker fails the model's
+	// rules (Task.Validate, Worker.Validate, Instance.ValidateTotalReward);
+	// the error wraps the model sentinel too.
 	ErrBadDelta = errors.New("stream: invalid delta")
 )
 
@@ -176,7 +176,10 @@ func (pl *repairPlan) diff(in *model.Instance) (rewardPoints, expiryPoints []int
 }
 
 // applyDelta mutates in according to d, folding the touched state into the
-// plan. Rejections leave the instance unchanged.
+// plan. It checks what only the delta grammar can: the point index and
+// unknown or duplicate IDs. The task or worker a delta adds or re-prices
+// must pass the model's rules, so a committed instance plus accepted deltas
+// stays valid. Rejections leave the instance unchanged.
 func applyDelta(in *model.Instance, d Delta, plan *repairPlan) error {
 	switch d.Kind {
 	case TaskArrived:
@@ -186,16 +189,14 @@ func applyDelta(in *model.Instance, d Delta, plan *repairPlan) error {
 		if p, _, ok := findTask(in, d.TaskID); ok {
 			return fmt.Errorf("%w: task %d already at point %d", ErrDuplicateTask, d.TaskID, p)
 		}
-		if !(d.Expiry > 0) || math.IsInf(d.Expiry, 0) {
-			return fmt.Errorf("%w: task %d expiry %v", ErrBadDelta, d.TaskID, d.Expiry)
-		}
-		if d.Reward < 0 || math.IsInf(d.Reward, 0) || math.IsNaN(d.Reward) {
-			return fmt.Errorf("%w: task %d reward %v", ErrBadDelta, d.TaskID, d.Reward)
-		}
 		plan.touch(in, d.Point)
-		in.Points[d.Point].Tasks = append(in.Points[d.Point].Tasks, model.Task{
-			ID: d.TaskID, Point: d.Point, Expiry: d.Expiry, Reward: d.Reward,
-		})
+		dp := &in.Points[d.Point]
+		tasks := dp.Tasks
+		dp.Tasks = append(tasks, model.Task{ID: d.TaskID, Point: d.Point, Expiry: d.Expiry, Reward: d.Reward})
+		if err := checkPriced(in, &dp.Tasks[len(tasks)]); err != nil {
+			dp.Tasks = tasks
+			return err
+		}
 		return nil
 
 	case TaskExpired:
@@ -213,28 +214,29 @@ func applyDelta(in *model.Instance, d Delta, plan *repairPlan) error {
 		if !ok {
 			return fmt.Errorf("%w: task %d", ErrUnknownTask, d.TaskID)
 		}
-		if d.Reward < 0 || math.IsInf(d.Reward, 0) || math.IsNaN(d.Reward) {
-			return fmt.Errorf("%w: task %d reward %v", ErrBadDelta, d.TaskID, d.Reward)
-		}
 		plan.touch(in, p)
-		in.Points[p].Tasks[ti].Reward = d.Reward
+		t := &in.Points[p].Tasks[ti]
+		old := t.Reward
+		t.Reward = d.Reward
+		if err := checkPriced(in, t); err != nil {
+			t.Reward = old
+			return err
+		}
 		return nil
 
 	case WorkerOnline:
 		if w := findWorker(in, d.WorkerID); w >= 0 {
 			return fmt.Errorf("%w: worker %d", ErrDuplicateWorker, d.WorkerID)
 		}
-		if d.MaxDP < 0 || d.Speed < 0 || d.Priority < 0 || d.Contribution < 0 {
-			return fmt.Errorf("%w: worker %d has negative attributes", ErrBadDelta, d.WorkerID)
-		}
-		if math.IsNaN(d.Loc.X) || math.IsInf(d.Loc.X, 0) || math.IsNaN(d.Loc.Y) || math.IsInf(d.Loc.Y, 0) {
-			return fmt.Errorf("%w: worker %d location %v", ErrBadDelta, d.WorkerID, d.Loc)
-		}
-		plan.workersChanged = true
-		in.Workers = append(in.Workers, model.Worker{
+		w := model.Worker{
 			ID: d.WorkerID, Loc: d.Loc, MaxDP: d.MaxDP,
 			Priority: d.Priority, Contribution: d.Contribution, Speed: d.Speed,
-		})
+		}
+		if err := w.Validate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadDelta, err)
+		}
+		plan.workersChanged = true
+		in.Workers = append(in.Workers, w)
 		return nil
 
 	case WorkerOffline:
@@ -247,6 +249,20 @@ func applyDelta(in *model.Instance, d Delta, plan *repairPlan) error {
 		return nil
 	}
 	return fmt.Errorf("%w: %q", ErrUnknownKind, d.Kind)
+}
+
+// checkPriced applies the model's task rule to t, a task of in, and its
+// reward rule to in. A rejection matches both ErrBadDelta and the model
+// sentinel.
+func checkPriced(in *model.Instance, t *model.Task) error {
+	err := t.Validate()
+	if err == nil {
+		err = in.ValidateTotalReward()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadDelta, err)
+	}
+	return nil
 }
 
 // findTask locates a task by ID, returning its point index, its position in

@@ -168,9 +168,9 @@ type Engine struct {
 	dirty bool
 }
 
-// New validates the instance, cold-solves it and returns an engine warmed
-// with the solve's structures. An instance without workers is valid and
-// yields an empty equilibrium.
+// New cold-solves the instance and returns an engine warmed with the
+// solve's structures. The candidate generation validates the instance. An
+// instance without workers is valid and yields an empty equilibrium.
 func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) {
 	switch opt.Algorithm {
 	case "":
@@ -178,9 +178,6 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 	case FGT, IEGT:
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownAlgorithm, opt.Algorithm)
-	}
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
 	}
 	e := &Engine{opt: opt, inst: in.Clone()}
 	gen, err := vdps.GenerateContext(ctx, e.inst, opt.VDPS)
@@ -247,9 +244,6 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		if err := applyDelta(staged, ds[i], &plan); err != nil {
 			return reject(err)
 		}
-	}
-	if err := staged.Validate(); err != nil {
-		return reject(fmt.Errorf("stream: staged instance: %w", err))
 	}
 
 	rsp := sp.Child("stream.repair")
