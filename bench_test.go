@@ -134,17 +134,19 @@ func BenchmarkSolveFGT(b *testing.B)  { benchSolve(b, fairtask.AlgFGT, 0.6) }
 func BenchmarkSolveIEGT(b *testing.B) { benchSolve(b, fairtask.AlgIEGT, 0.6) }
 
 // benchSolveGM solves the GM instance of seed 1 with the given tasks /
-// workers / points at ε 0.6 and solver seed 1. The timed loop runs
+// workers / points at ε 0.6 and solver seed 1, with opt's algorithm and
+// audit setting. The timed loop runs
 // untraced; one more, traced solve after it, with the timer stopped,
 // reports each layer's self time (see obs.Breakdown):
 //
 //	generate-ns/op   vdps.generate: the candidate DP
 //	build-ns/op      state.build: strategy spaces and the initial profile
 //	rounds-ns/op     the round spans, summed: best-response rounds
-func benchSolveGM(b *testing.B, alg fairtask.Algorithm, tasks, workers, points int) {
+func benchSolveGM(b *testing.B, opt fairtask.Options, tasks, workers, points int) {
 	b.Helper()
 	in := benchGM(b, tasks, workers, points)
-	opt := fairtask.Options{Algorithm: alg, Seed: 1, VDPS: fairtask.VDPSOptions{Epsilon: 0.6}}
+	opt.Seed = 1
+	opt.VDPS = fairtask.VDPSOptions{Epsilon: 0.6}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,10 +174,20 @@ func benchSolveGM(b *testing.B, alg fairtask.Algorithm, tasks, workers, points i
 // of servebench's solve-w200) are dominated by VDPS generation and state
 // build: FGT converges in one round with no switch. BenchmarkSolveFGTW100 (GM 1000 / 100 / 150) is the gated solve
 // whose game moves: 3 rounds, 42 switches, 29 multi-point routes at the
-// end. See docs/PERFORMANCE.md.
-func BenchmarkSolveFGTW200(b *testing.B)  { benchSolveGM(b, fairtask.AlgFGT, 1000, 200, 150) }
-func BenchmarkSolveIEGTW200(b *testing.B) { benchSolveGM(b, fairtask.AlgIEGT, 1000, 200, 150) }
-func BenchmarkSolveFGTW100(b *testing.B)  { benchSolveGM(b, fairtask.AlgFGT, 1000, 100, 150) }
+// end. BenchmarkSolveFGTW200Audit is the W200 FGT solve with the audit on.
+// See docs/PERFORMANCE.md.
+func BenchmarkSolveFGTW200(b *testing.B) {
+	benchSolveGM(b, fairtask.Options{Algorithm: fairtask.AlgFGT}, 1000, 200, 150)
+}
+func BenchmarkSolveFGTW200Audit(b *testing.B) {
+	benchSolveGM(b, fairtask.Options{Algorithm: fairtask.AlgFGT, Audit: true}, 1000, 200, 150)
+}
+func BenchmarkSolveIEGTW200(b *testing.B) {
+	benchSolveGM(b, fairtask.Options{Algorithm: fairtask.AlgIEGT}, 1000, 200, 150)
+}
+func BenchmarkSolveFGTW100(b *testing.B) {
+	benchSolveGM(b, fairtask.Options{Algorithm: fairtask.AlgFGT}, 1000, 100, 150)
+}
 
 // Ablation: VDPS generation with and without distance-constrained pruning
 // (the paper's claim is pruning preserves results while cutting CPU time).

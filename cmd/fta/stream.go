@@ -220,9 +220,9 @@ func coldSolve(in *model.Instance, alg string, seed int64, vopt vdps.Options) er
 		return err
 	}
 	if alg == "IEGT" {
-		_, err = evo.IEGT(context.Background(), g, evo.Options{Seed: seed})
+		_, err = evo.IEGT(context.Background(), game.NewState(g), evo.Options{Seed: seed})
 	} else {
-		_, err = game.FGT(context.Background(), g, game.Options{Seed: seed})
+		_, err = game.FGT(context.Background(), game.NewState(g), game.Options{Seed: seed})
 	}
 	return err
 }

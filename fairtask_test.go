@@ -503,7 +503,7 @@ func TestStreamFacade(t *testing.T) {
 // best response rests on. Outside alpha >= -m, beta <= m (m the least
 // effective priority, 1 without priorities) some worker's IAU falls as its
 // payoff rises, so every entry point that plays or certifies the game —
-// game.FGT, the stream engine through FGTFromState, game.VerifyNE and
+// game.FGT, the stream engine, game.VerifyNE and
 // fairtask.Solve — rejects the weights with ErrNonMonotoneIAU. The
 // prioritized instance whose least priority equals beta is still accepted.
 func TestFGTRejectsNonMonotoneIAU(t *testing.T) {
@@ -530,7 +530,7 @@ func TestFGTRejectsNonMonotoneIAU(t *testing.T) {
 			t.Fatal(err)
 		}
 		gopt := game.Options{Fairness: c.fair, UsePriorities: c.usePriorities, Seed: 1}
-		_, err = game.FGT(context.Background(), g, gopt)
+		_, err = game.FGT(context.Background(), game.NewState(g), gopt)
 		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
 			t.Errorf("%s: game.FGT err = %v, want ErrNonMonotoneIAU", c.name, err)
 		}

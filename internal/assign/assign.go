@@ -1,7 +1,7 @@
-// Package assign provides the non-game-theoretic baselines the paper
-// evaluates against — GTA (Greedy Task Assignment) and MPTA (Maximal Payoff
-// based Task Assignment) — behind a common Assigner interface that the
-// game-theoretic methods also satisfy via adapters in the root package.
+// Package assign defines the Assigner interface every solver implements —
+// the paper's game-theoretic methods (game.Options for FGT, evo.Options for
+// IEGT) and the baselines here: GTA (Greedy Task Assignment), MPTA (Maximal
+// Payoff based Task Assignment), MMTA, LEXIFAIR and the exact reference.
 package assign
 
 import (
@@ -9,18 +9,21 @@ import (
 	"sort"
 
 	"fairtask/internal/game"
-	"fairtask/internal/vdps"
 )
 
-// Assigner computes a task assignment from a VDPS generator.
+// Assigner computes a task assignment by playing a game state.
 type Assigner interface {
 	// Name identifies the algorithm in experiment output ("GTA", "FGT", ...).
 	Name() string
-	// Assign solves the instance backing g. Implementations observe ctx at
-	// iteration boundaries and return ctx.Err() when it is done, so a
-	// canceled request or an expired job deadline stops the search instead
-	// of running to completion.
-	Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error)
+	// Assign solves the instance of s. s is fresh and unplayed, from
+	// game.NewState or game.NewStateWithStrategies, and belongs to the
+	// solver for this one call: it may reorder a worker's strategy list
+	// (game.State.SortByPayoff), but it never changes a list's members or
+	// their payoffs. Implementations observe ctx at iteration boundaries
+	// and return ctx.Err() when it is done, so a canceled request or an
+	// expired job deadline stops the search instead of running to
+	// completion.
+	Assign(ctx context.Context, s *game.State) (*game.Result, error)
 }
 
 // GTA is the Greedy Task Assignment baseline: repeatedly give the
@@ -33,8 +36,7 @@ type GTA struct{}
 func (GTA) Name() string { return "GTA" }
 
 // Assign implements Assigner.
-func (GTA) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	s := game.NewState(g)
+func (GTA) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}
@@ -85,8 +87,7 @@ type MPTA struct {
 func (MPTA) Name() string { return "MPTA" }
 
 // Assign implements Assigner.
-func (m MPTA) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	s := game.NewState(g)
+func (m MPTA) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}

@@ -57,14 +57,14 @@ func TestNames(t *testing.T) {
 func TestGTAValidAndDeterministic(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 1)
 	g := mustGen(t, in)
-	a, err := (GTA{}).Assign(context.Background(), g)
+	a, err := (GTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Assignment.Validate(in); err != nil {
 		t.Fatalf("GTA assignment invalid: %v", err)
 	}
-	b, err := (GTA{}).Assign(context.Background(), g)
+	b, err := (GTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestGTAValidAndDeterministic(t *testing.T) {
 func TestGTAFirstPickIsGlobalBest(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 2)
 	g := mustGen(t, in)
-	res, err := (GTA{}).Assign(context.Background(), g)
+	res, err := (GTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestGTANoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (GTA{}).Assign(context.Background(), g); err != game.ErrNoWorkers {
+	if _, err := (GTA{}).Assign(context.Background(), game.NewState(g)); err != game.ErrNoWorkers {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
-	if _, err := (MPTA{}).Assign(context.Background(), g); err != game.ErrNoWorkers {
+	if _, err := (MPTA{}).Assign(context.Background(), game.NewState(g)); err != game.ErrNoWorkers {
 		t.Errorf("MPTA err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -121,7 +121,7 @@ func TestGTANoWorkers(t *testing.T) {
 func TestMPTAValid(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 4)
 	g := mustGen(t, in)
-	res, err := (MPTA{}).Assign(context.Background(), g)
+	res, err := (MPTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMPTAOptimalOnTinyInstances(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		in := gridInstance(5, 3, 2, 100, seed+100)
 		g := mustGen(t, in)
-		res, err := (MPTA{}).Assign(context.Background(), g)
+		res, err := (MPTA{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +181,11 @@ func TestMPTADominatesGTA(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		in := gridInstance(9, 4, 2, 100, seed+200)
 		g := mustGen(t, in)
-		gta, err := (GTA{}).Assign(context.Background(), g)
+		gta, err := (GTA{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpta, err := (MPTA{}).Assign(context.Background(), g)
+		mpta, err := (MPTA{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestMPTADominatesGTA(t *testing.T) {
 func TestMPTABudgetFallback(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 300)
 	g := mustGen(t, in)
-	res, err := (MPTA{NodeBudget: 10}).Assign(context.Background(), g)
+	res, err := (MPTA{NodeBudget: 10}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestMPTABudgetFallback(t *testing.T) {
 func TestMPTATopKRestriction(t *testing.T) {
 	in := gridInstance(8, 3, 2, 100, 400)
 	g := mustGen(t, in)
-	full, err := (MPTA{}).Assign(context.Background(), g)
+	full, err := (MPTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := (MPTA{TopK: 1}).Assign(context.Background(), g)
+	narrow, err := (MPTA{TopK: 1}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestComponentsSeparatedClusters(t *testing.T) {
 		t.Fatalf("components cover %d workers, want %d", total, len(in.Workers))
 	}
 
-	res, err := (MPTA{}).Assign(context.Background(), g)
+	res, err := (MPTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestComponentsSeparatedClusters(t *testing.T) {
 func TestMPTADisableDecompositionSameOptimum(t *testing.T) {
 	in := gridInstance(6, 3, 2, 100, 500)
 	g := mustGen(t, in)
-	dec, err := (MPTA{}).Assign(context.Background(), g)
+	dec, err := (MPTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := (MPTA{DisableDecomposition: true}).Assign(context.Background(), g)
+	mono, err := (MPTA{DisableDecomposition: true}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}

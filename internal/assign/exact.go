@@ -6,7 +6,6 @@ import (
 
 	"fairtask/internal/game"
 	"fairtask/internal/payoff"
-	"fairtask/internal/vdps"
 )
 
 // Exact is a reference solver for the FTA objective. The paper states FTA
@@ -49,8 +48,7 @@ func Score(payoffs []float64, lambda float64) float64 {
 func (Exact) Name() string { return "EXACT" }
 
 // Assign implements Assigner.
-func (e Exact) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	s := game.NewState(g)
+func (e Exact) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}

@@ -35,7 +35,7 @@ func TestExactNoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Exact{}).Assign(context.Background(), g); err != game.ErrNoWorkers {
+	if _, err := (Exact{}).Assign(context.Background(), game.NewState(g)); err != game.ErrNoWorkers {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -43,7 +43,7 @@ func TestExactNoWorkers(t *testing.T) {
 func TestExactSearchTooLarge(t *testing.T) {
 	in := gridInstance(10, 5, 3, 100, 701)
 	g := mustGen(t, in)
-	if _, err := (Exact{MaxJointStrategies: 10}).Assign(context.Background(), g); !errors.Is(err, ErrSearchTooLarge) {
+	if _, err := (Exact{MaxJointStrategies: 10}).Assign(context.Background(), game.NewState(g)); !errors.Is(err, ErrSearchTooLarge) {
 		t.Errorf("err = %v, want ErrSearchTooLarge", err)
 	}
 }
@@ -54,7 +54,7 @@ func TestExactIsOptimal(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		in := gridInstance(5, 3, 2, 100, 710+seed)
 		g := mustGen(t, in)
-		res, err := (Exact{}).Assign(context.Background(), g)
+		res, err := (Exact{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,12 +105,12 @@ func TestHeuristicsNeverBeatExact(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		in := gridInstance(6, 3, 2, 100, 720+seed)
 		g := mustGen(t, in)
-		exact, err := (Exact{}).Assign(context.Background(), g)
+		exact, err := (Exact{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		exactScore := Score(exact.Summary.Payoffs, 1)
-		iegt, err := evo.IEGT(context.Background(), g, evo.Options{Seed: seed})
+		iegt, err := evo.IEGT(context.Background(), game.NewState(g), evo.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestHeuristicsNeverBeatExact(t *testing.T) {
 			t.Errorf("seed %d: IEGT score %g beats exact %g — exact solver is wrong",
 				seed, sc, exactScore)
 		}
-		gta, err := (GTA{}).Assign(context.Background(), g)
+		gta, err := (GTA{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +133,11 @@ func TestHeuristicsNeverBeatExact(t *testing.T) {
 func TestExactLambdaTradeoff(t *testing.T) {
 	in := gridInstance(6, 3, 2, 100, 730)
 	g := mustGen(t, in)
-	payoffOnly, err := (Exact{Lambda: 1e-9}).Assign(context.Background(), g)
+	payoffOnly, err := (Exact{Lambda: 1e-9}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	balanced, err := (Exact{Lambda: 1}).Assign(context.Background(), g)
+	balanced, err := (Exact{Lambda: 1}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}

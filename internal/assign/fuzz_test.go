@@ -43,13 +43,13 @@ func FuzzLexifairMatrix(f *testing.F) {
 		if err != nil {
 			return // generator rejection is fine; panics are not
 		}
-		if _, err := newLexMatrix(g); err != nil {
+		if _, err := newLexMatrix(g, game.NewState(g).Strategies); err != nil {
 			if !errors.Is(err, ErrLexMatrix) {
 				t.Fatalf("builder rejection %v is not typed as ErrLexMatrix", err)
 			}
 			return
 		}
-		res, err := (Lexifair{NodeBudget: 20000}).Assign(context.Background(), g)
+		res, err := (Lexifair{NodeBudget: 20000}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			if !errors.Is(err, game.ErrNoWorkers) && !errors.Is(err, ErrLexMatrix) {
 				t.Fatalf("unexpected solver error: %v", err)
@@ -73,14 +73,14 @@ func TestLexMatrixRejectsNonFinitePayoff(t *testing.T) {
 		t.Skip("no candidates generated")
 	}
 	cands[0].Reward = math.NaN()
-	_, err := newLexMatrix(g)
+	_, err := newLexMatrix(g, game.NewState(g).Strategies)
 	if err == nil {
 		t.Fatal("builder accepted a NaN candidate reward")
 	}
 	if !errors.Is(err, ErrLexMatrix) {
 		t.Fatalf("rejection %v is not typed as ErrLexMatrix", err)
 	}
-	if _, err := (Lexifair{}).Assign(context.Background(), g); !errors.Is(err, ErrLexMatrix) {
+	if _, err := (Lexifair{}).Assign(context.Background(), game.NewState(g)); !errors.Is(err, ErrLexMatrix) {
 		t.Fatalf("solver error %v is not typed as ErrLexMatrix", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestLexMatrixRejectsNonFinitePayoff(t *testing.T) {
 func TestLexifairConcurrentSolvesRace(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 10)
 	g := mustGen(t, in)
-	want, err := (Lexifair{}).Assign(context.Background(), g)
+	want, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLexifairConcurrentSolvesRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := (Lexifair{}).Assign(context.Background(), g)
+			res, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
 			if err != nil {
 				errs[i] = err
 				return
@@ -141,7 +141,7 @@ func BenchmarkLexifair(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Lexifair{}).Assign(ctx, g); err != nil {
+		if _, err := (Lexifair{}).Assign(ctx, game.NewState(g)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,7 +63,6 @@ const lexNull = int32(game.Null)
 // column masks give O(words) point-disjointness tests and column rewards
 // feed the Hungarian tie-break.
 type lexMatrix struct {
-	g    *vdps.Generator
 	refs [][]vdps.StrategyRef
 	// colMask[c] and colReward[c] cache candidate c's point mask and total
 	// reward (shared with the generator, read-only).
@@ -72,26 +71,24 @@ type lexMatrix struct {
 	points    int
 }
 
-// newLexMatrix builds and validates the payoff matrix for every worker of
-// the generator's instance. All errors wrap ErrLexMatrix; the builder never
-// panics on a corrupt generator, which is what the fuzz harness pins.
-func newLexMatrix(g *vdps.Generator) (*lexMatrix, error) {
-	in := g.Instance()
+// newLexMatrix builds and validates the payoff matrix over lists, one
+// strategy list per worker of g's instance, sorting each list by
+// vdps.ComparePayoff in place. All errors wrap ErrLexMatrix; the builder
+// never panics on a corrupt list or generator, which is what the fuzz
+// harness pins.
+func newLexMatrix(g *vdps.Generator, lists [][]vdps.StrategyRef) (*lexMatrix, error) {
 	cands := g.Candidates()
 	m := &lexMatrix{
-		g:         g,
-		refs:      make([][]vdps.StrategyRef, len(in.Workers)),
+		refs:      lists,
 		colMask:   make([]bitset.Set, len(cands)),
 		colReward: make([]float64, len(cands)),
-		points:    len(in.Points),
+		points:    len(g.Instance().Points),
 	}
 	for ci := range cands {
 		m.colMask[ci] = cands[ci].Mask
 		m.colReward[ci] = cands[ci].Reward
 	}
-	var sc vdps.StrategyScratch
-	for w := range in.Workers {
-		refs := g.WorkerStrategies(w, &sc)
+	for w, refs := range lists {
 		slices.SortFunc(refs, vdps.ComparePayoff)
 		for i, r := range refs {
 			if r.Cand < 0 || int(r.Cand) >= len(cands) {
@@ -111,7 +108,6 @@ func newLexMatrix(g *vdps.Generator) (*lexMatrix, error) {
 					ErrLexMatrix, w, i)
 			}
 		}
-		m.refs[w] = refs
 	}
 	return m, nil
 }
@@ -640,7 +636,8 @@ func (l *lexSolver) realize(reqs []lexReq, witness []int32) []int32 {
 func (Lexifair) Name() string { return "LEXIFAIR" }
 
 // Assign implements Assigner.
-func (lx Lexifair) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
+func (lx Lexifair) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
+	g := s.Generator()
 	in := g.Instance()
 	if len(in.Workers) == 0 {
 		return nil, game.ErrNoWorkers
@@ -650,7 +647,7 @@ func (lx Lexifair) Assign(ctx context.Context, g *vdps.Generator) (*game.Result,
 	}
 	sp := obs.SpanFromContext(ctx)
 	msp := sp.Child("lexifair.matrix")
-	m, err := newLexMatrix(g)
+	m, err := newLexMatrix(g, s.Strategies)
 	msp.End()
 	if err != nil {
 		return nil, err
@@ -708,11 +705,17 @@ func (lx Lexifair) Assign(ctx context.Context, g *vdps.Generator) (*game.Result,
 // level is saturated (lifting it strictly above the level while flooring
 // everyone else at their achieved payoff is infeasible, so the assignment
 // is not pointwise dominated). The achieved payoffs are s.Payoffs; the
-// re-solve builds its own payoff matrix from s.Generator() and does not
-// modify s. nodeBudget caps the verifier's own search (0 = the solver
-// default); a nil error certifies the assignment.
+// re-solve builds its own payoff matrix over copies of s's strategy lists
+// and does not modify s. nodeBudget caps the verifier's own search (0 =
+// the solver default); a nil error certifies the assignment.
 func VerifyLexifair(ctx context.Context, s *game.State, nodeBudget int) error {
-	m, err := newLexMatrix(s.Generator())
+	// The matrix sorts its lists, and s.Current indexes s.Strategies: sort
+	// copies.
+	lists := make([][]vdps.StrategyRef, len(s.Strategies))
+	for w, list := range s.Strategies {
+		lists[w] = slices.Clone(list)
+	}
+	m, err := newLexMatrix(s.Generator(), lists)
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func TestLexifairMatchesOracleExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := (Lexifair{}).Assign(ctx, g)
+			res, err := (Lexifair{}).Assign(ctx, game.NewState(g))
 			if err != nil {
 				t.Fatalf("config %d seed %d: %v", ci, seed, err)
 			}
@@ -150,7 +150,7 @@ func TestExactMatchesOracleScore(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		in := gridInstance(4, 3, 1, 100, 700+seed)
 		g := mustGen(t, in)
-		res, err := (Exact{}).Assign(ctx, g)
+		res, err := (Exact{}).Assign(ctx, game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestMMTABoundedByOracleMaxMin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (MMTA{}).Assign(ctx, g)
+		res, err := (MMTA{}).Assign(ctx, game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestExactNoLambdaIsPureWelfare(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		in := gridInstance(5, 3, 2, 100, 900+seed)
 		g := mustGen(t, in)
-		res, err := (Exact{Lambda: NoLambda}).Assign(context.Background(), g)
+		res, err := (Exact{Lambda: NoLambda}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestLexifairThresholdMonotonicity(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		in := gridInstance(6, 4, 2, 100, 1000+seed)
 		g := mustGen(t, in)
-		m, err := newLexMatrix(g)
+		m, err := newLexMatrix(g, game.NewState(g).Strategies)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestLexifairThresholdMonotonicity(t *testing.T) {
 func TestLexifairValidDeterministicOnMediumInstance(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 42)
 	g := mustGen(t, in)
-	a, err := (Lexifair{}).Assign(context.Background(), g)
+	a, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestLexifairValidDeterministicOnMediumInstance(t *testing.T) {
 	if a.Summary.Assigned == 0 {
 		t.Error("lexifair assigned nothing")
 	}
-	b, err := (Lexifair{}).Assign(context.Background(), g)
+	b, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestLexifairNoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Lexifair{}).Assign(context.Background(), g); err != game.ErrNoWorkers {
+	if _, err := (Lexifair{}).Assign(context.Background(), game.NewState(g)); err != game.ErrNoWorkers {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -294,7 +294,7 @@ func TestLexifairNoWorkers(t *testing.T) {
 func TestLexifairBudgetFallback(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 44)
 	g := mustGen(t, in)
-	res, err := (Lexifair{NodeBudget: 3}).Assign(context.Background(), g)
+	res, err := (Lexifair{NodeBudget: 3}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestLexifairCancellation(t *testing.T) {
 	g := mustGen(t, in)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (Lexifair{}).Assign(ctx, g); !errors.Is(err, context.Canceled) {
+	if _, err := (Lexifair{}).Assign(ctx, game.NewState(g)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -322,7 +322,7 @@ func TestVerifyLexifairCertifiesSolver(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		in := gridInstance(5, 3, 2, 100, 1100+seed)
 		g := mustGen(t, in)
-		res, err := (Lexifair{}).Assign(ctx, g)
+		res, err := (Lexifair{}).Assign(ctx, game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func TestVerifyLexifairRejectsDominatedAtZeroBottleneck(t *testing.T) {
 	if err := VerifyLexifair(ctx, game.NewState(g), 0); err == nil {
 		t.Fatal("certificate accepted the empty assignment at a zero bottleneck")
 	}
-	res, err := (Lexifair{}).Assign(ctx, g)
+	res, err := (Lexifair{}).Assign(ctx, game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,14 +397,14 @@ func TestLexifairMinDominatesMMTA(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		in := gridInstance(8, 4, 2, 100, 1200+seed)
 		g := mustGen(t, in)
-		lex, err := (Lexifair{}).Assign(ctx, g)
+		lex, err := (Lexifair{}).Assign(ctx, game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !lex.Converged {
 			continue
 		}
-		mm, err := (MMTA{}).Assign(ctx, g)
+		mm, err := (MMTA{}).Assign(ctx, game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}

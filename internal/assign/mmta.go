@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"fairtask/internal/game"
-	"fairtask/internal/vdps"
 )
 
 // MMTA is a Max-Min fair Task Assignment extension: it heuristically
@@ -26,8 +25,7 @@ type MMTA struct{}
 func (MMTA) Name() string { return "MMTA" }
 
 // Assign implements Assigner.
-func (MMTA) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	s := game.NewState(g)
+func (MMTA) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 	if len(s.Current) == 0 {
 		return nil, game.ErrNoWorkers
 	}

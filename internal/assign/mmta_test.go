@@ -18,14 +18,14 @@ func TestMMTAName(t *testing.T) {
 func TestMMTAValidAndDeterministic(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 900)
 	g := mustGen(t, in)
-	a, err := (MMTA{}).Assign(context.Background(), g)
+	a, err := (MMTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Assignment.Validate(in); err != nil {
 		t.Fatalf("MMTA assignment invalid: %v", err)
 	}
-	b, err := (MMTA{}).Assign(context.Background(), g)
+	b, err := (MMTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMMTANoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (MMTA{}).Assign(context.Background(), g); err != game.ErrNoWorkers {
+	if _, err := (MMTA{}).Assign(context.Background(), game.NewState(g)); err != game.ErrNoWorkers {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -51,7 +51,7 @@ func TestMMTANoWorkers(t *testing.T) {
 func TestMMTALocalMaxMinOptimum(t *testing.T) {
 	in := gridInstance(12, 6, 2, 100, 902)
 	g := mustGen(t, in)
-	res, err := (MMTA{}).Assign(context.Background(), g)
+	res, err := (MMTA{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestMMTAMinAtLeastGTAMin(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		in := gridInstance(10, 5, 2, 100, 910+seed)
 		g := mustGen(t, in)
-		gta, err := (GTA{}).Assign(context.Background(), g)
+		gta, err := (GTA{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mmta, err := (MMTA{}).Assign(context.Background(), g)
+		mmta, err := (MMTA{}).Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}

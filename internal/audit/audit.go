@@ -17,7 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"fairtask/internal/assign"
@@ -399,7 +399,7 @@ func (r *Report) checkFrontiers(g *vdps.Generator) {
 			continue
 		}
 		for i, st := range c.Frontier {
-			if !isPermutation(st.Seq, c.Points) {
+			if !visitsOnce(st.Seq, c.Points) {
 				r.violate(CheckVDPS, -1, fmt.Sprintf(
 					"candidate %d state %d: sequence %v does not visit point set %v",
 					ci, i, st.Seq, c.Points))
@@ -417,16 +417,16 @@ func (r *Report) checkFrontiers(g *vdps.Generator) {
 	}
 }
 
-// isPermutation reports whether seq visits exactly the points of the sorted
-// set, each once.
-func isPermutation(seq model.Route, set []int) bool {
+// visitsOnce reports whether seq visits exactly the points of the set, each
+// once, without allocating: set is a candidate's Points, strictly ascending,
+// so a sequence of the same length that finds every point in it by binary
+// search and repeats none is a permutation of it.
+func visitsOnce(seq model.Route, set []int) bool {
 	if len(seq) != len(set) {
 		return false
 	}
-	sorted := append([]int(nil), seq...)
-	sort.Ints(sorted)
-	for i := range sorted {
-		if sorted[i] != set[i] {
+	for i, p := range seq {
+		if _, found := slices.BinarySearch(set, p); !found || slices.Contains(seq[:i], p) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"fairtask/internal/assign"
@@ -70,7 +71,7 @@ func hasSkipped(r *Report, c Check) bool {
 func TestRunCleanFGT(t *testing.T) {
 	in := lineInstance(4, 2, 100, 2)
 	g := mustGenerate(t, in)
-	res, err := game.FGT(context.Background(), g, game.Options{Seed: 1})
+	res, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestRunCleanFGT(t *testing.T) {
 func TestRunCleanIEGT(t *testing.T) {
 	in := lineInstance(4, 2, 100, 2)
 	g := mustGenerate(t, in)
-	res, err := evo.IEGT(context.Background(), g, evo.Options{Seed: 1})
+	res, err := evo.IEGT(context.Background(), game.NewState(g), evo.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestRunCleanIEGT(t *testing.T) {
 func TestRunRegenerates(t *testing.T) {
 	in := lineInstance(3, 2, 100, 2)
 	g := mustGenerate(t, in)
-	res, err := game.FGT(context.Background(), g, game.Options{Seed: 3})
+	res, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,29 +312,46 @@ func TestVDPSNonMembership(t *testing.T) {
 	}
 }
 
+// TestFrontierCorruption breaks one frontier of a candidate with two points
+// at a time: its monotonicity, or a state's sequence, which must visit the
+// candidate's point set exactly once each. Candidates() returns the
+// generator's own slice, so each mutation is visible to the auditor.
 func TestFrontierCorruption(t *testing.T) {
 	inst := lineInstance(3, 2, 100, 2)
-	g := mustGenerate(t, inst)
-	cands := g.Candidates()
-	var corrupted bool
-	for ci := range cands {
-		if len(cands[ci].Frontier) == 0 {
-			continue
-		}
-		// Destroy monotonicity: duplicate the first state. Candidates()
-		// returns the generator's own slice, so the mutation is visible to
-		// the auditor.
-		cands[ci].Frontier = append(cands[ci].Frontier, cands[ci].Frontier[0])
-		corrupted = true
-		break
+	cases := map[string]func(c *vdps.Candidate){
+		// Destroy monotonicity: duplicate the first state.
+		"monotonicity": func(c *vdps.Candidate) { c.Frontier = append(c.Frontier, c.Frontier[0]) },
+		"repeated point": func(c *vdps.Candidate) {
+			c.Frontier[0].Seq = model.Route{c.Points[0], c.Points[0]}
+		},
+		"point outside the set": func(c *vdps.Candidate) {
+			outside := 0
+			for slices.Contains(c.Points, outside) {
+				outside++
+			}
+			c.Frontier[0].Seq = model.Route{c.Points[0], outside}
+		},
+		"wrong length": func(c *vdps.Candidate) { c.Frontier[0].Seq = model.Route{c.Points[0]} },
 	}
-	if !corrupted {
-		t.Fatal("no frontier to corrupt")
-	}
-	a := model.NewAssignment(2)
-	rep := Run(inst, a, nil, Options{Generator: g})
-	if !hasViolation(rep, CheckVDPS, -1) {
-		t.Fatalf("missing frontier violation: %v", rep.Violations)
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			g := mustGenerate(t, inst)
+			cands := g.Candidates()
+			ci := slices.IndexFunc(cands, func(c vdps.Candidate) bool {
+				return len(c.Points) == 2 && len(c.Frontier) > 0
+			})
+			if ci < 0 {
+				t.Fatal("no two-point candidate to corrupt")
+			}
+			if rep := Run(inst, model.NewAssignment(2), nil, Options{Generator: g}); !rep.OK() {
+				t.Fatalf("clean frontiers violate: %v", rep.Violations)
+			}
+			corrupt(&cands[ci])
+			rep := Run(inst, model.NewAssignment(2), nil, Options{Generator: g})
+			if !hasViolation(rep, CheckVDPS, -1) {
+				t.Fatalf("missing frontier violation: %v", rep.Violations)
+			}
+		})
 	}
 }
 
@@ -352,7 +370,7 @@ func TestRegenerationFailure(t *testing.T) {
 func TestFGTEquilibriumBreak(t *testing.T) {
 	in := lineInstance(4, 2, 100, 2)
 	g := mustGenerate(t, in)
-	res, err := game.FGT(context.Background(), g, game.Options{Seed: 1})
+	res, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: 1})
 	if err != nil || !res.Converged {
 		t.Fatalf("FGT: err %v, converged %v", err, res.Converged)
 	}
@@ -436,7 +454,7 @@ func TestCloseTo(t *testing.T) {
 func TestRunCleanLexifair(t *testing.T) {
 	in := lineInstance(4, 2, 100, 2)
 	g := mustGenerate(t, in)
-	res, err := (assign.Lexifair{}).Assign(context.Background(), g)
+	res, err := (assign.Lexifair{}).Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		t.Fatal(err)
 	}

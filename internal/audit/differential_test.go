@@ -60,7 +60,7 @@ func exactScore(t *testing.T, in *model.Instance) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := assign.Exact{Lambda: 1}.Assign(context.Background(), g)
+	res, err := assign.Exact{Lambda: 1}.Assign(context.Background(), game.NewState(g))
 	if err != nil {
 		if err == assign.ErrSearchTooLarge {
 			return math.NaN()

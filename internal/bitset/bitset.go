@@ -40,15 +40,6 @@ func (s Set) With(i int) Set {
 	return s
 }
 
-// Without returns a set with bit i removed.
-func (s Set) Without(i int) Set {
-	w := i / 64
-	if w < len(s) {
-		s[w] &^= 1 << uint(i%64)
-	}
-	return s
-}
-
 // Has reports whether bit i is present.
 func (s Set) Has(i int) bool {
 	w := i / 64
@@ -69,34 +60,6 @@ func (s Set) Intersects(t Set) bool {
 	return false
 }
 
-// Union returns a new set containing all bits of s and t.
-func (s Set) Union(t Set) Set {
-	a, b := s, t
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	out := make(Set, len(a))
-	copy(out, a)
-	for i := range b {
-		out[i] |= b[i]
-	}
-	return out
-}
-
-// Minus returns a new set with the bits of t removed from s.
-func (s Set) Minus(t Set) Set {
-	out := make(Set, len(s))
-	copy(out, s)
-	n := len(t)
-	if len(out) < n {
-		n = len(out)
-	}
-	for i := 0; i < n; i++ {
-		out[i] &^= t[i]
-	}
-	return out
-}
-
 // Count returns the number of set bits.
 func (s Set) Count() int {
 	var n int
@@ -104,16 +67,6 @@ func (s Set) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Empty reports whether no bits are set.
-func (s Set) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns an independent copy.

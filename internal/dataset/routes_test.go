@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fairtask/internal/assign"
+	"fairtask/internal/game"
 	"fairtask/internal/model"
 	"fairtask/internal/vdps"
 )
@@ -21,7 +22,7 @@ func solveAssignments(t *testing.T, p *model.Problem) []*model.Assignment {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := assign.GTA{}.Assign(context.Background(), g)
+		res, err := assign.GTA{}.Assign(context.Background(), game.NewState(g))
 		if err != nil {
 			t.Fatal(err)
 		}

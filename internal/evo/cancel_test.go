@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"fairtask/internal/game"
 )
 
 // cancelAfterErrCalls reports cancellation after limit Err() polls; IEGT
@@ -31,7 +33,7 @@ func TestIEGTCanceledStopsBeforeMaxIterations(t *testing.T) {
 
 	// MutationRate 1 keeps the population exploring, so the loop cannot
 	// converge on its own — only cancellation can end it early.
-	res, err := IEGT(ctx, g, Options{MaxIterations: 100000, Seed: 7, MutationRate: 1})
+	res, err := IEGT(ctx, game.NewState(g), Options{MaxIterations: 100000, Seed: 7, MutationRate: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("IEGT under canceled ctx: err = %v, want context.Canceled", err)
 	}
@@ -49,7 +51,7 @@ func TestIEGTImmediateCancel(t *testing.T) {
 	g := mustGen(t, in)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := IEGT(ctx, g, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := IEGT(ctx, game.NewState(g), Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("IEGT with pre-canceled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"fairtask/internal/assign"
 	"fairtask/internal/dataset"
 	"fairtask/internal/game"
 	"fairtask/internal/vdps"
@@ -67,7 +68,7 @@ func TestIEGTMatchesReference(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				opt := opt
 				opt.Seed = seed
-				got, err := IEGT(context.Background(), g, opt)
+				got, err := IEGT(context.Background(), game.NewState(g), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,10 +83,14 @@ func TestIEGTMatchesReference(t *testing.T) {
 }
 
 // TestSolversIgnoreListOrder pins that payoff order is a rule, not a data
-// layout: FGT and IEGT run on a state whose strategy lists were shuffled
-// must reproduce the runs on the generator exactly, routes, iterations and
-// traces included. The lattice's exact payoff ties make the candidate
-// tie-break decide too.
+// layout: every Assigner played on a state whose strategy lists were
+// shuffled must reproduce its run on a fresh state exactly, routes,
+// iterations and traces included. The lattice's exact payoff ties make the
+// candidate tie-break decide too. LEXIFAIR and EXACT search joint
+// strategies, so they play the small instances only: the grid and the
+// lattice's inner ring, whose ties make their first-found optimum depend
+// on the payoff order. MPTA's top-4 cut reads the payoff order too; its
+// node budget keeps the lattice search short, so it ends on the budget.
 func TestSolversIgnoreListOrder(t *testing.T) {
 	gm, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 400, Workers: 60, DeliveryPoints: 50})
 	if err != nil {
@@ -95,7 +100,9 @@ func TestSolversIgnoreListOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens := map[string]*vdps.Generator{"gm": gmGen, "lattice": mustGen(t, latticeInstance())}
+	lattice := mustGen(t, latticeInstance())
+	ring := mustGen(t, latticeOf(1, 3, 2))
+	grid := mustGen(t, gridInstance(6, 4, 2, 100, 3))
 	shuffled := func(g *vdps.Generator, seed int64) *game.State {
 		s := game.NewState(g)
 		rng := rand.New(rand.NewSource(seed))
@@ -104,31 +111,36 @@ func TestSolversIgnoreListOrder(t *testing.T) {
 		}
 		return s
 	}
-	ctx := context.Background()
-	for name, g := range gens {
+	check := func(label string, g *vdps.Generator, solver assign.Assigner, seed int64) {
+		t.Helper()
+		ctx := context.Background()
+		want, err := solver.Assign(ctx, game.NewState(g))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got, err := solver.Assign(ctx, shuffled(g, seed))
+		if err != nil {
+			t.Fatalf("%s: shuffled: %v", label, err)
+		}
+		sameResult(t, label, got, want)
+	}
+	for name, g := range map[string]*vdps.Generator{"gm": gmGen, "lattice": lattice} {
 		for seed := int64(1); seed <= 5; seed++ {
 			label := fmt.Sprintf("%s seed %d", name, seed)
-			fopt := game.Options{Seed: seed, Trace: true}
-			want, err := game.FGT(ctx, g, fopt)
-			if err != nil {
-				t.Fatal(err)
+			check(label+" FGT", g, game.Options{Seed: seed, Trace: true}, seed)
+			check(label+" IEGT", g, Options{Seed: seed, Trace: true}, seed)
+		}
+	}
+	baselines := []assign.Assigner{assign.GTA{}, assign.MPTA{TopK: 4, NodeBudget: 50_000}, assign.MMTA{}}
+	for name, g := range map[string]*vdps.Generator{"lattice": lattice, "ring": ring, "grid": grid} {
+		solvers := baselines
+		if g != lattice {
+			solvers = append(solvers, assign.Lexifair{}, assign.Exact{})
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, solver := range solvers {
+				check(fmt.Sprintf("%s seed %d %s", name, seed, solver.Name()), g, solver, seed)
 			}
-			got, err := game.FGTFromState(ctx, shuffled(g, seed), fopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, label+" FGT", got, want)
-
-			iopt := Options{Seed: seed, Trace: true}
-			want, err = IEGT(ctx, g, iopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = IEGTFromState(ctx, shuffled(g, seed), iopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, label+" IEGT", got, want)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"fairtask/internal/fairness"
 	"fairtask/internal/game"
 	"fairtask/internal/obs"
-	"fairtask/internal/vdps"
 )
 
 // Options configure an IEGT run.
@@ -66,43 +65,31 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// IEGT runs the Improved Evolutionary Game-Theoretic approach (Algorithm 3)
-// on the population of the generator's instance and returns the resulting
-// assignment. The utility of a worker in the evolutionary game is its raw
-// payoff (paper §VI-B), not the IAU.
-//
-// ctx is observed at every evolution round boundary: when it is done the
-// run stops and ctx.Err() is returned.
-func IEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.Result, error) {
-	opt = opt.withDefaults()
-	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	s := game.NewState(g)
-	return iegtRun(ctx, s, opt, bsp)
-}
-
 // Name returns "IEGT": with Assign, it makes Options an assign.Assigner.
 func (Options) Name() string { return "IEGT" }
 
-// Assign runs IEGT on g with these options.
-func (o Options) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	return IEGT(ctx, g, o)
+// Assign runs IEGT on s with these options.
+func (o Options) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
+	return IEGT(ctx, s, o)
 }
 
-// IEGTFromState runs Algorithm 3 on a prebuilt, unplayed state (fresh from
-// game.NewState or game.NewStateWithStrategies). The result is bit-identical
-// to IEGT on the generator the state was built from; the streaming engine
-// uses it to re-run the evolutionary dynamics over incrementally repaired
-// strategy spaces.
-func IEGTFromState(ctx context.Context, s *game.State, opt Options) (*game.Result, error) {
+// IEGT runs the Improved Evolutionary Game-Theoretic approach (Algorithm 3)
+// on the worker population of s and returns the resulting assignment. The
+// utility of a worker in the evolutionary game is its raw payoff (paper
+// §VI-B), not the IAU.
+//
+// s must be fresh and unplayed (from game.NewState or
+// game.NewStateWithStrategies); the run uses it up. IEGT never reorders a
+// strategy list, so lists shared through game.NewStateWithStrategies keep
+// their order. Its state.build span covers the initial profile; the caller
+// that built s accounts for the strategy spaces.
+//
+// ctx is observed at every evolution round boundary: when it is done the
+// run stops and ctx.Err() is returned.
+func IEGT(ctx context.Context, s *game.State, opt Options) (*game.Result, error) {
 	opt = opt.withDefaults()
-	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	return iegtRun(ctx, s, opt, bsp)
-}
-
-// iegtRun is the shared core of IEGT and IEGTFromState. bsp is the caller's
-// open state-build span, ended once initialization completes.
-func iegtRun(ctx context.Context, s *game.State, opt Options, bsp *obs.Span) (*game.Result, error) {
 	sp := obs.SpanFromContext(ctx)
+	bsp := sp.Child("state.build")
 	if len(s.Current) == 0 {
 		bsp.End()
 		return nil, game.ErrNoWorkers

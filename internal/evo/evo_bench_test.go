@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fairtask/internal/game"
 	"fairtask/internal/vdps"
 )
 
@@ -15,7 +16,7 @@ func BenchmarkIEGT(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IEGT(context.Background(), g, Options{Seed: 1}); err != nil {
+		if _, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,13 +43,17 @@ func gridInstance(nPoints, nWorkers, maxDP int, expiry float64, seed int64) *mod
 // the 24 integer points of [-2,2]² around a center at the origin, under the
 // Manhattan metric at speed 1, with rewards 1-3, so many strategies of one
 // worker have exactly equal payoffs.
-func latticeInstance() *model.Instance {
+func latticeInstance() *model.Instance { return latticeOf(2, 8, 3) }
+
+// latticeOf is the lattice of integer points in [-r,r]² without the
+// center, with the given number of workers and their MaxDP.
+func latticeOf(r, workers, maxDP int) *model.Instance {
 	in := &model.Instance{
 		Center: geo.Pt(0, 0),
 		Travel: travel.MustModel(geo.Manhattan{}, 1),
 	}
-	for x := -2; x <= 2; x++ {
-		for y := -2; y <= 2; y++ {
+	for x := -r; x <= r; x++ {
+		for y := -r; y <= r; y++ {
 			if x == 0 && y == 0 {
 				continue
 			}
@@ -63,9 +67,9 @@ func latticeInstance() *model.Instance {
 			})
 		}
 	}
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		in.Workers = append(in.Workers, model.Worker{
-			ID: w, Loc: geo.Pt(float64(w%3-1), float64(w/3-1)), MaxDP: 3,
+			ID: w, Loc: geo.Pt(float64(w%3-1), float64(w/3-1)), MaxDP: maxDP,
 		})
 	}
 	return in
@@ -92,7 +96,7 @@ func loaded(t *testing.T, g *vdps.Generator, a *model.Assignment) *game.State {
 
 func TestIEGTProducesValidAssignment(t *testing.T) {
 	in := gridInstance(8, 4, 3, 100, 1)
-	res, err := IEGT(context.Background(), mustGen(t, in), Options{Seed: 9})
+	res, err := IEGT(context.Background(), game.NewState(mustGen(t, in)), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestIEGTProducesValidAssignment(t *testing.T) {
 func TestIEGTEquilibriumCondition(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 3)
 	g := mustGen(t, in)
-	res, err := IEGT(context.Background(), g, Options{Seed: 11})
+	res, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +141,8 @@ func TestIEGTEquilibriumCondition(t *testing.T) {
 func TestIEGTDeterministicPerSeed(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 5)
 	g := mustGen(t, in)
-	a, _ := IEGT(context.Background(), g, Options{Seed: 21})
-	b, _ := IEGT(context.Background(), g, Options{Seed: 21})
+	a, _ := IEGT(context.Background(), game.NewState(g), Options{Seed: 21})
+	b, _ := IEGT(context.Background(), game.NewState(g), Options{Seed: 21})
 	if a.Summary.Difference != b.Summary.Difference || a.Iterations != b.Iterations {
 		t.Error("same seed produced different results")
 	}
@@ -151,14 +155,14 @@ func TestIEGTNoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IEGT(context.Background(), g, Options{}); err != game.ErrNoWorkers {
+	if _, err := IEGT(context.Background(), game.NewState(g), Options{}); err != game.ErrNoWorkers {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
 }
 
 func TestIEGTTrace(t *testing.T) {
 	in := gridInstance(10, 4, 2, 100, 9)
-	res, err := IEGT(context.Background(), mustGen(t, in), Options{Seed: 2, Trace: true})
+	res, err := IEGT(context.Background(), game.NewState(mustGen(t, in)), Options{Seed: 2, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +226,7 @@ func TestPopulationShares(t *testing.T) {
 func TestIEGTImprovesFairness(t *testing.T) {
 	in := gridInstance(12, 6, 2, 100, 17)
 	g := mustGen(t, in)
-	res, err := IEGT(context.Background(), g, Options{Seed: 4, Trace: true})
+	res, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 4, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func TestIEGTImprovesFairness(t *testing.T) {
 func TestIEGTMutationStillValid(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 21)
 	g := mustGen(t, in)
-	res, err := IEGT(context.Background(), g, Options{Seed: 6, MutationRate: 0.3, MaxIterations: 50})
+	res, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 6, MutationRate: 0.3, MaxIterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +258,11 @@ func TestIEGTMutationStillValid(t *testing.T) {
 func TestIEGTZeroMutationMatchesBaseline(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 23)
 	g := mustGen(t, in)
-	a, err := IEGT(context.Background(), g, Options{Seed: 9})
+	a, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := IEGT(context.Background(), g, Options{Seed: 9, MutationRate: 0})
+	b, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 9, MutationRate: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestIEGTZeroMutationMatchesBaseline(t *testing.T) {
 func TestVerifyEquilibrium(t *testing.T) {
 	in := gridInstance(10, 5, 2, 100, 31)
 	g := mustGen(t, in)
-	res, err := IEGT(context.Background(), g, Options{Seed: 8})
+	res, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fairtask/internal/game"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
 	"fairtask/internal/travel"
@@ -47,7 +48,7 @@ func TestIEGTConvergesWithIneligibleWorker(t *testing.T) {
 
 	var equalPayoffExit bool
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := IEGT(context.Background(), g, Options{Seed: seed, Trace: true})
+		res, err := IEGT(context.Background(), game.NewState(g), Options{Seed: seed, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestIEGTConvergesWithIneligibleWorker(t *testing.T) {
 // IAU weights so FGT and IEGT traces are comparable.
 func TestIEGTTraceRecordsPotential(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100, 17)
-	res, err := IEGT(context.Background(), mustGen(t, in), Options{Seed: 3, Trace: true})
+	res, err := IEGT(context.Background(), game.NewState(mustGen(t, in)), Options{Seed: 3, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestIEGTTraceRecordsPotential(t *testing.T) {
 func TestPopulationPayoffs(t *testing.T) {
 	in := ineligibleWorkerInstance()
 	g := mustGen(t, in)
-	res, err := IEGT(context.Background(), g, Options{Seed: 1})
+	res, err := IEGT(context.Background(), game.NewState(g), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func ablationEarlyTerm(cfg Config) (*Series, error) {
 	}
 	for _, th := range []float64{0, 0.001, 0.01, 0.1} {
 		start := time.Now()
-		res, err := game.FGT(context.Background(), g, game.Options{Seed: cfg.Seed, EpsilonUtility: th})
+		res, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: cfg.Seed, EpsilonUtility: th})
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func ablationOrder(cfg Config) (*Series, error) {
 			random bool
 		}{{"roundrobin", false}, {"random", true}} {
 			start := time.Now()
-			res, err := game.FGT(context.Background(), g, game.Options{Seed: seed, RandomOrder: variant.random})
+			res, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: seed, RandomOrder: variant.random})
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +187,7 @@ func ablationMutation(cfg Config) (*Series, error) {
 	}
 	for _, mu := range []float64{0, 0.05, 0.1, 0.2} {
 		start := time.Now()
-		res, err := evo.IEGT(context.Background(), g, evo.Options{
+		res, err := evo.IEGT(context.Background(), game.NewState(g), evo.Options{
 			Seed: cfg.Seed, MutationRate: mu, MaxIterations: 100,
 		})
 		if err != nil {

@@ -29,7 +29,7 @@ func fig12Convergence(cfg Config) (*Series, error) {
 		return nil, err
 	}
 
-	fgt, err := game.FGT(context.Background(), g, game.Options{Seed: cfg.Seed, Trace: true})
+	fgt, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: cfg.Seed, Trace: true})
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func fig12Convergence(cfg Config) (*Series, error) {
 		})
 	}
 
-	iegt, err := evo.IEGT(context.Background(), g, evo.Options{Seed: cfg.Seed, Trace: true})
+	iegt, err := evo.IEGT(context.Background(), game.NewState(g), evo.Options{Seed: cfg.Seed, Trace: true})
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func optGap(cfg Config) (*Series, error) {
 		}
 		for _, alg := range algs {
 			start := time.Now()
-			res, err := alg.Assign(context.Background(), g)
+			res, err := alg.Assign(context.Background(), game.NewState(g))
 			if err != nil {
 				return nil, fmt.Errorf("optgap seed %d %s: %w", seed, alg.Name(), err)
 			}

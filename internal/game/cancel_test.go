@@ -34,7 +34,7 @@ func TestFGTCanceledStopsBeforeMaxIterations(t *testing.T) {
 	const limit = 1
 	ctx := &cancelAfterErrCalls{Context: context.Background(), limit: limit}
 
-	res, err := FGT(ctx, g, Options{MaxIterations: 100000, Seed: 7})
+	res, err := FGT(ctx, NewState(g), Options{MaxIterations: 100000, Seed: 7})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("FGT under canceled ctx: err = %v, want context.Canceled", err)
 	}
@@ -52,7 +52,7 @@ func TestFGTImmediateCancel(t *testing.T) {
 	g := mustGen(t, in)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FGT(ctx, g, Options{Seed: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := FGT(ctx, NewState(g), Options{Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FGT with pre-canceled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -85,7 +85,7 @@ func TestFGTMatchesReference(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				opt := opt
 				opt.Seed = seed
-				got, err := FGT(context.Background(), g, opt)
+				got, err := FGT(context.Background(), NewState(g), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +107,7 @@ func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 		in := prioritized(gridInstance(10, 5, 2, 100))
 		g := mustGen(t, in)
 		opt := Options{Seed: 3, UsePriorities: use}
-		res, err := FGT(context.Background(), g, opt)
+		res, err := FGT(context.Background(), NewState(g), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +181,12 @@ func TestFGTSelfishWeightsMatchDefault(t *testing.T) {
 					label := fmt.Sprintf("GM %d/%d/%d seed %d/%d eps %v",
 						cfg.Tasks, cfg.Workers, cfg.DeliveryPoints, inSeed, seed, eps)
 					opt := Options{Seed: seed, EpsilonUtility: eps}
-					def, err := FGT(context.Background(), g, opt)
+					def, err := FGT(context.Background(), NewState(g), opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opt.Fairness = selfish
-					self, err := FGT(context.Background(), g, opt)
+					self, err := FGT(context.Background(), NewState(g), opt)
 					if err != nil {
 						t.Fatal(err)
 					}

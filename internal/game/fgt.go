@@ -11,7 +11,6 @@ import (
 	"fairtask/internal/model"
 	"fairtask/internal/obs"
 	"fairtask/internal/payoff"
-	"fairtask/internal/vdps"
 )
 
 // Options configure the FGT best-response run.
@@ -123,50 +122,34 @@ var ErrNoWorkers = errors.New("game: instance has no workers")
 // plain IAU. The paper's alpha = beta = 0.5 is inside that domain.
 var ErrNonMonotoneIAU = errors.New("game: IAU weights let utility fall as payoff rises")
 
-// FGT runs the Fairness-aware Game-Theoretic approach (Algorithm 2):
+// Name returns "FGT": with Assign, it makes Options an assign.Assigner.
+func (Options) Name() string { return "FGT" }
+
+// Assign runs FGT on s with these options.
+func (o Options) Assign(ctx context.Context, s *State) (*Result, error) {
+	return FGT(ctx, s, o)
+}
+
+// FGT runs the Fairness-aware Game-Theoretic approach (Algorithm 2) on s:
 // a random singleton initialization followed by sequential asynchronous
 // best-response updates of the workers' strategies under the IAU utility,
 // until a pure Nash equilibrium (no worker switches) is reached. Weights
 // outside the monotone IAU domain fail with ErrNonMonotoneIAU.
 //
+// s must be fresh and unplayed (from NewState or NewStateWithStrategies);
+// the run uses it up. FGT never reorders a strategy list, so lists shared
+// through NewStateWithStrategies keep their order. Its state.build span
+// covers the initial profile; the caller that built s accounts for the
+// strategy spaces.
+//
 // ctx is observed at every best-response round boundary: when it is done
 // the run stops and ctx.Err() is returned, so canceled requests and expired
 // job deadlines do not burn CPU to MaxIterations. The per-round check is a
 // single atomic load and stays within benchmark noise.
-func FGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result, error) {
+func FGT(ctx context.Context, s *State, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	sp := obs.SpanFromContext(ctx)
 	bsp := sp.Child("state.build")
-	s := NewState(g)
-	return fgtRun(ctx, s, opt, bsp)
-}
-
-// Name returns "FGT": with Assign, it makes Options an assign.Assigner.
-func (Options) Name() string { return "FGT" }
-
-// Assign runs FGT on g with these options.
-func (o Options) Assign(ctx context.Context, g *vdps.Generator) (*Result, error) {
-	return FGT(ctx, g, o)
-}
-
-// FGTFromState runs Algorithm 2 on a prebuilt, unplayed state (fresh from
-// NewState or NewStateWithStrategies: no strategies chosen, no points owned).
-// The result is bit-identical to FGT on the generator the state was built
-// from — the streaming engine relies on this to warm-start re-solves from
-// incrementally repaired strategy spaces while staying pinned to the cold
-// reference solve.
-func FGTFromState(ctx context.Context, s *State, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	bsp := obs.SpanFromContext(ctx).Child("state.build")
-	return fgtRun(ctx, s, opt, bsp)
-}
-
-// fgtRun is the shared core of FGT and FGTFromState: random singleton
-// initialization, then sequential best-response rounds to a pure Nash
-// equilibrium. bsp is the caller's open state-build span, ended once the
-// utility scratch and tracker are up.
-func fgtRun(ctx context.Context, s *State, opt Options, bsp *obs.Span) (*Result, error) {
-	sp := obs.SpanFromContext(ctx)
 	if len(s.Current) == 0 {
 		bsp.End()
 		return nil, ErrNoWorkers

@@ -43,7 +43,7 @@ func BenchmarkFGT(b *testing.B) {
 	g := benchSetup(b, 20, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FGT(context.Background(), g, Options{Seed: 1}); err != nil {
+		if _, err := FGT(context.Background(), NewState(g), Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -284,7 +284,7 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 
 func TestFGTProducesValidAssignment(t *testing.T) {
 	in := gridInstance(8, 4, 3, 100)
-	res, err := FGT(context.Background(), mustGen(t, in), Options{Seed: 7})
+	res, err := FGT(context.Background(), NewState(mustGen(t, in)), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestFGTNashEquilibrium(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100)
 	g := mustGen(t, in)
 	opt := Options{Seed: 3}
-	res, err := FGT(context.Background(), g, opt)
+	res, err := FGT(context.Background(), NewState(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +340,11 @@ func TestFGTNashEquilibrium(t *testing.T) {
 func TestFGTDeterministicPerSeed(t *testing.T) {
 	in := gridInstance(7, 3, 2, 100)
 	g := mustGen(t, in)
-	a, err := FGT(context.Background(), g, Options{Seed: 42})
+	a, err := FGT(context.Background(), NewState(g), Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FGT(context.Background(), g, Options{Seed: 42})
+	b, err := FGT(context.Background(), NewState(g), Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestFGTDeterministicPerSeed(t *testing.T) {
 
 func TestFGTTrace(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100)
-	res, err := FGT(context.Background(), mustGen(t, in), Options{Seed: 1, Trace: true})
+	res, err := FGT(context.Background(), NewState(mustGen(t, in)), Options{Seed: 1, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestFGTNoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FGT(context.Background(), g, Options{}); err != ErrNoWorkers {
+	if _, err := FGT(context.Background(), NewState(g), Options{}); err != ErrNoWorkers {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -395,7 +395,7 @@ func TestFGTTightDeadlinesNullWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FGT(context.Background(), g, Options{Seed: 5})
+	res, err := FGT(context.Background(), NewState(g), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestFGTTightDeadlinesNullWorkers(t *testing.T) {
 func TestFGTWithPriorities(t *testing.T) {
 	in := gridInstance(8, 3, 2, 100)
 	in.Workers[0].Priority = 3
-	res, err := FGT(context.Background(), mustGen(t, in), Options{Seed: 2, UsePriorities: true})
+	res, err := FGT(context.Background(), NewState(mustGen(t, in)), Options{Seed: 2, UsePriorities: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,18 +419,10 @@ func TestFGTWithPriorities(t *testing.T) {
 	}
 }
 
-func TestEligibleWorkers(t *testing.T) {
-	in := gridInstance(4, 2, 2, 100)
-	s := NewState(mustGen(t, in))
-	if got := s.EligibleWorkers(); got != 2 {
-		t.Errorf("EligibleWorkers = %d, want 2", got)
-	}
-}
-
 func TestFGTRandomOrderStillConvergesToNE(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100)
 	g := mustGen(t, in)
-	res, err := FGT(context.Background(), g, Options{Seed: 13, RandomOrder: true})
+	res, err := FGT(context.Background(), NewState(g), Options{Seed: 13, RandomOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +437,7 @@ func TestFGTRandomOrderStillConvergesToNE(t *testing.T) {
 func TestVerifyNE(t *testing.T) {
 	in := gridInstance(8, 4, 2, 100)
 	g := mustGen(t, in)
-	res, err := FGT(context.Background(), g, Options{Seed: 17})
+	res, err := FGT(context.Background(), NewState(g), Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +496,7 @@ func TestWithDefaultsEpsilonSentinel(t *testing.T) {
 	// sides of the differential tests identically; a quick solve pins that
 	// the strict threshold is accepted end to end.
 	g := mustGen(t, gridInstance(8, 4, 2, 100))
-	got, err := FGT(context.Background(), g, Options{Seed: 1, EpsilonUtility: NoEpsilon, Trace: true})
+	got, err := FGT(context.Background(), NewState(g), Options{Seed: 1, EpsilonUtility: NoEpsilon, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +512,7 @@ func TestWithDefaultsEpsilonSentinel(t *testing.T) {
 // certificate must still accept a strict-best-response equilibrium.
 func TestVerifyNEStrictTolerance(t *testing.T) {
 	g := mustGen(t, gridInstance(10, 5, 2, 100))
-	res, err := FGT(context.Background(), g, Options{Seed: 2, EpsilonUtility: NoEpsilon})
+	res, err := FGT(context.Background(), NewState(g), Options{Seed: 2, EpsilonUtility: NoEpsilon})
 	if err != nil {
 		t.Fatal(err)
 	}

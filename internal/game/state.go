@@ -100,8 +100,9 @@ func newState(g *vdps.Generator, par int) *State {
 // streaming engine caches those lists across deltas and rebuilds only the
 // workers whose feasible VDPS sets changed, so state construction becomes a
 // slice-header copy instead of an O(W*C) scan. The strategy slices are
-// shared, not copied; the game dynamics never mutate them. It panics on a
-// worker-count mismatch, which is always a caller bug.
+// shared, not copied: a solver that sorts them (SortByPayoff) sorts the
+// caller's lists, and FGT and IEGT never do. It panics on a worker-count
+// mismatch, which is always a caller bug.
 func NewStateWithStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef) *State {
 	in := g.Instance()
 	if len(strategies) != len(in.Workers) {
@@ -209,9 +210,9 @@ func (s *State) NthBest(w int, idx []int, k int) int {
 
 // SortByPayoff reorders every worker's strategy list by vdps.ComparePayoff,
 // for readers that enumerate strategies in preference order: the reference
-// solvers and the exhaustive baselines. Call it only on a fresh state from
-// NewState — it moves the entries Current indexes, and it would reorder the
-// lists NewStateWithStrategies shares with its caller.
+// solvers and the exhaustive baselines. Call it only on a fresh state,
+// before any strategy is chosen: it moves the entries Current indexes. On a
+// state from NewStateWithStrategies it reorders the caller's lists too.
 func (s *State) SortByPayoff() {
 	for _, list := range s.Strategies {
 		slices.SortFunc(list, vdps.ComparePayoff)
@@ -282,16 +283,4 @@ func (s *State) Assignment() *model.Assignment {
 // Summary returns the payoff metrics of the current joint strategy.
 func (s *State) Summary() payoff.Summary {
 	return payoff.Summarize(s.Instance(), s.Assignment())
-}
-
-// EligibleWorkers returns the number of workers with a non-empty strategy
-// space.
-func (s *State) EligibleWorkers() int {
-	var n int
-	for _, st := range s.Strategies {
-		if len(st) > 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -36,11 +36,6 @@ func (p Point) Scale(f float64) Point {
 	return Point{p.X * f, p.Y * f}
 }
 
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 {
-	return math.Hypot(p.X, p.Y)
-}
-
 // IsFinite reports whether both coordinates are finite numbers.
 func (p Point) IsFinite() bool {
 	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) &&
@@ -85,14 +80,6 @@ func (Manhattan) Name() string { return "manhattan" }
 // the upper-right corner; a Rect with Min == Max is a degenerate point box.
 type Rect struct {
 	Min, Max Point
-}
-
-// NewRect returns the rectangle spanned by the two corners in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Point{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
-	}
 }
 
 // Contains reports whether p lies inside the rectangle (inclusive).

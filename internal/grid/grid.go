@@ -54,9 +54,6 @@ func (ix *Index) keyOf(p geo.Point) cellKey {
 	}
 }
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.pts) }
-
 // Within appends to dst the indices of all points with Euclidean distance
 // <= r from q (including q itself if indexed) and returns the extended
 // slice. Pass a reused dst to avoid allocation in hot loops.

@@ -39,9 +39,6 @@ func TestWithinEdgeCases(t *testing.T) {
 	if got := ix.Within(geo.Pt(1, 1), -1, nil); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
 	}
-	if ix.Len() != 1 {
-		t.Errorf("Len = %d", ix.Len())
-	}
 }
 
 func TestWithinReusesDst(t *testing.T) {

@@ -6,16 +6,10 @@ import (
 	"time"
 )
 
-// RuntimeMetrics exposes process-level health metrics: build identity,
-// uptime, goroutine count and heap size. Values are sampled at scrape time
-// via GaugeFunc, so the registry always reports the current state without a
-// background collector goroutine.
-type RuntimeMetrics struct {
-	start time.Time
-}
-
-// NewRuntimeMetrics registers the process metrics on the registry and
-// returns the collector (kept only for its start timestamp):
+// RegisterRuntimeMetrics registers process-level health metrics on the
+// registry: build identity, uptime, goroutine count and heap size. Values
+// are sampled at scrape time via GaugeFunc, so the registry always reports
+// the current state without a background collector goroutine:
 //
 //	fta_build_info{version,go_version} 1
 //	fta_uptime_seconds
@@ -24,8 +18,8 @@ type RuntimeMetrics struct {
 //
 // The version label is the module's VCS-derived version from the build info
 // ("(devel)" or a pseudo-version for untagged builds).
-func NewRuntimeMetrics(reg *Registry) *RuntimeMetrics {
-	rm := &RuntimeMetrics{start: time.Now()}
+func RegisterRuntimeMetrics(reg *Registry) {
+	start := time.Now()
 	version := "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
@@ -35,7 +29,7 @@ func NewRuntimeMetrics(reg *Registry) *RuntimeMetrics {
 		L("version", version), L("go_version", runtime.Version())).Set(1)
 	reg.GaugeFunc("fta_uptime_seconds",
 		"Seconds since the process registered its metrics.",
-		func() float64 { return time.Since(rm.start).Seconds() })
+		func() float64 { return time.Since(start).Seconds() })
 	reg.GaugeFunc("fta_goroutines",
 		"Current number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
@@ -46,8 +40,4 @@ func NewRuntimeMetrics(reg *Registry) *RuntimeMetrics {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		})
-	return rm
 }
-
-// Uptime returns the time since the metrics were registered.
-func (rm *RuntimeMetrics) Uptime() time.Duration { return time.Since(rm.start) }

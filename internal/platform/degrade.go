@@ -179,8 +179,8 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 		res      *game.Result
 		g        *vdps.Generator
 		attempts int
-		// elapsed is the solver's wall time in the latest attempt: on
-		// success, the attempt that served the result.
+		// elapsed is the wall time of the latest attempt's state build and
+		// solve: on success, the attempt that served the result.
 		elapsed time.Duration
 	)
 	attempt := func(actx context.Context) error {
@@ -210,7 +210,10 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 			})
 		}
 		start = time.Now()
-		res, err = rg.solver.Assign(actx, g)
+		bsp := asp.Child("state.build")
+		s := game.NewState(g)
+		bsp.End()
+		res, err = rg.solver.Assign(actx, s)
 		elapsed = time.Since(start)
 		return err
 	}

@@ -332,8 +332,8 @@ type checkLocSolver struct {
 
 func (c checkLocSolver) Name() string { return c.inner.Name() }
 
-func (c checkLocSolver) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	in := g.Instance()
+func (c checkLocSolver) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
+	in := s.Instance()
 	for _, w := range in.Workers {
 		for _, o := range c.original {
 			if w.ID == o.ID && w.Loc != o.Loc {
@@ -341,7 +341,7 @@ func (c checkLocSolver) Assign(ctx context.Context, g *vdps.Generator) (*game.Re
 			}
 		}
 	}
-	return c.inner.Assign(ctx, g)
+	return c.inner.Assign(ctx, s)
 }
 
 func TestAssignContextCancelled(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"fairtask/internal/game"
 	"fairtask/internal/jobs"
 	"fairtask/internal/obs"
-	"fairtask/internal/vdps"
 )
 
 // newJobServer builds a handler with the async job API enabled and returns
@@ -109,7 +108,7 @@ type slowSolver struct{ started chan string }
 
 func (slowSolver) Name() string { return "SLOW" }
 
-func (s slowSolver) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
+func (s slowSolver) Assign(ctx context.Context, _ *game.State) (*game.Result, error) {
 	select {
 	case s.started <- "": // signal once; later centers skip via ctx
 	default:

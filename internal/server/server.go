@@ -115,7 +115,7 @@ func New(factory Factory) *Handler {
 	seedHTTPMetrics(h.Registry)
 	obs.NewAuditMetrics(h.Registry)
 	obs.NewFaultMetrics(h.Registry)
-	obs.NewRuntimeMetrics(h.Registry)
+	obs.RegisterRuntimeMetrics(h.Registry)
 	obs.NewStreamMetrics(h.Registry)
 	return h
 }

@@ -2,10 +2,7 @@
 // experiment harness.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Sum returns the total of xs.
 func Sum(xs []float64) float64 {
@@ -59,19 +56,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the middle value (mean of the two middle values for even
-// lengths), or 0 for an empty slice. The input is not modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }

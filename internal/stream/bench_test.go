@@ -285,7 +285,7 @@ func BenchmarkStreamWarmVsCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := game.FGT(context.Background(), g, game.Options{Seed: 7}); err != nil {
+			if _, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: 7}); err != nil {
 				b.Fatal(err)
 			}
 			coldNS += float64(time.Since(start).Nanoseconds())

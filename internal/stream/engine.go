@@ -151,6 +151,10 @@ type Snapshot struct {
 type Engine struct {
 	opt  Options
 	inst *model.Instance
+	// solver plays every resolve — warm, regen and cold — with the
+	// configured dynamics. FGT and IEGT never reorder a strategy list, so
+	// lists keeps the ascending candidate order SpliceStrategies needs.
+	solver assign.Assigner
 	// gen and lists are the warm structures, bit-identical to what a cold
 	// build over inst would produce: lists[w] is the strategy space of
 	// inst.Workers[w], exactly the committed game.State.Strategies.
@@ -179,13 +183,16 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownAlgorithm, opt.Algorithm)
 	}
-	e := &Engine{opt: opt, inst: in.Clone()}
+	e := &Engine{opt: opt, inst: in.Clone(), solver: dynamicsAssigner{opt.Game}}
+	if opt.Algorithm == IEGT {
+		e.solver = dynamicsAssigner{opt.Evo}
+	}
 	gen, err := vdps.GenerateContext(ctx, e.inst, opt.VDPS)
 	if err != nil {
 		return nil, err
 	}
 	state := game.NewState(gen)
-	res, err := e.runDynamics(ctx, state, e.inst)
+	res, err := e.solver.Assign(ctx, state)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +330,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		vsp.End()
 		return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 	}
-	solved, err := e.runDynamics(ctx, state, staged)
+	solved, err := e.solver.Assign(ctx, state)
 	vsp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -371,11 +378,7 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	csp := sp.Child("stream.cold")
 	csp.SetAttr("cause", cause.Error())
 	defer csp.End()
-	dyn := dynamicsAssigner{e.opt.Game}
-	if e.opt.Algorithm == IEGT {
-		dyn = dynamicsAssigner{e.opt.Evo}
-	}
-	solved, report, err := platform.SolveInstance(ctx, staged, dyn, platform.Options{
+	solved, report, err := platform.SolveInstance(ctx, staged, e.solver, platform.Options{
 		VDPS:     e.opt.VDPS,
 		Recorder: e.opt.Recorder,
 		Audit: &audit.Options{
@@ -409,19 +412,6 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	res = e.result(res, start)
 	e.observe(res, ds, time.Since(vstart))
 	return res, nil
-}
-
-// runDynamics replays the configured dynamics on a fresh state. A roster
-// without workers yields the empty equilibrium instead of ErrNoWorkers,
-// so an engine can drain to zero workers and refill.
-func (e *Engine) runDynamics(ctx context.Context, s *game.State, in *model.Instance) (*game.Result, error) {
-	if len(in.Workers) == 0 {
-		return emptyResult(in), nil
-	}
-	if e.opt.Algorithm == IEGT {
-		return evo.IEGTFromState(ctx, s, e.opt.Evo)
-	}
-	return game.FGTFromState(ctx, s, e.opt.Game)
 }
 
 // refresh returns the staged roster's strategy lists for the incremental
@@ -540,19 +530,19 @@ func (e *Engine) observe(r Result, ds []Delta, resolve time.Duration) {
 }
 
 // dynamicsAssigner is the engine's configured dynamics (its game.Options or
-// evo.Options) as the platform ladder's Assigner for cold fallbacks, with the
-// empty equilibrium for a roster without workers. Running the dynamics via
-// the package-level entry points on a ladder-generated generator is
-// bit-identical to the warm replay on repaired structures, so an exact-rung
-// fallback changes availability, not results.
+// evo.Options) with the empty equilibrium for a roster without workers, so
+// an engine can drain to zero workers and refill. The engine plays it on
+// every path: on its warm structures, and as the platform ladder's solver
+// for cold fallbacks. The dynamics depend only on the lists' contents, so an
+// exact-rung fallback changes availability, not results.
 type dynamicsAssigner struct{ assign.Assigner }
 
-// Assign solves the generator's instance with the engine's dynamics.
-func (a dynamicsAssigner) Assign(ctx context.Context, g *vdps.Generator) (*game.Result, error) {
-	if len(g.Instance().Workers) == 0 {
-		return emptyResult(g.Instance()), nil
+// Assign plays s with the engine's dynamics.
+func (a dynamicsAssigner) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
+	if len(s.Current) == 0 {
+		return emptyResult(s.Instance()), nil
 	}
-	return a.Assigner.Assign(ctx, g)
+	return a.Assigner.Assign(ctx, s)
 }
 
 // emptyResult is the equilibrium of a workerless instance.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"fairtask/internal/audit"
@@ -91,23 +90,11 @@ func FuzzStreamDeltas(f *testing.F) {
 }
 
 // typedRejection reports whether err is one of the delta grammar's
-// sentinels, or a model validation error from the staged-instance check.
+// sentinels.
 func typedRejection(err error) bool {
 	for _, s := range []error{
 		ErrStaleSeq, ErrUnknownKind, ErrUnknownTask, ErrUnknownWorker,
 		ErrUnknownPoint, ErrDuplicateTask, ErrDuplicateWorker, ErrBadDelta,
-	} {
-		if errors.Is(err, s) {
-			return true
-		}
-	}
-	if !strings.HasPrefix(err.Error(), "stream: staged instance: ") {
-		return false
-	}
-	for _, s := range []error{
-		model.ErrNoTravelModel, model.ErrBadLocation, model.ErrBadTaskPoint,
-		model.ErrBadTaskExpiry, model.ErrBadTaskReward, model.ErrNegativeMaxDP,
-		model.ErrDuplicateID, model.ErrBadWorkerSpeed,
 	} {
 		if errors.Is(err, s) {
 			return true
