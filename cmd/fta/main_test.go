@@ -466,6 +466,63 @@ func TestServeTelemetryValues(t *testing.T) {
 	}
 }
 
+// TestServeBaselinesObserveNoPotential pins that only FGT and IEGT feed
+// the potential histogram and the strategy-switch counter: after one /solve
+// each on a 2-center SYN problem, every other servable algorithm has one
+// payoff observation per center but no potential observation and no switch.
+// GTA, MPTA, MMTA and LEXIFAIR all report a positive iteration count, so a
+// gate on iterations would let their zero potential in.
+func TestServeBaselinesObserveNoPotential(t *testing.T) {
+	srv := httptest.NewServer(newServerHandler(nil))
+	defer srv.Close()
+
+	csvPath := filepath.Join(t.TempDir(), "p.csv")
+	if err := run([]string{"gen", "-dataset", "syn", "-seed", "2", "-centers", "2",
+		"-tasks", "60", "-workers", "12", "-points", "20", "-out", csvPath}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baselines []fairtask.Algorithm
+	for _, alg := range fairtask.ExtendedAlgorithms() {
+		if alg == fairtask.AlgFGT || alg == fairtask.AlgIEGT {
+			continue
+		}
+		baselines = append(baselines, alg)
+		resp, err := http.Post(srv.URL+"/solve?alg="+string(alg)+"&seed=2&eps=2", "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s solve status = %d", alg, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range baselines {
+		for _, line := range []string{
+			`fta_solve_payoff_difference_count{algorithm="` + string(alg) + `"} 2`,
+			`fta_solve_potential_count{algorithm="` + string(alg) + `"} 0`,
+			`fta_solve_strategy_changes_total{algorithm="` + string(alg) + `"} 0`,
+		} {
+			if !strings.Contains(string(metrics), line+"\n") {
+				t.Errorf("metrics missing %q", line)
+			}
+		}
+	}
+}
+
 func TestAssignTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "p.csv")

@@ -3,11 +3,13 @@ package game
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"fairtask/internal/dataset"
 	"fairtask/internal/fairness"
+	"fairtask/internal/geo"
 	"fairtask/internal/model"
 	"fairtask/internal/vdps"
 )
@@ -120,32 +122,126 @@ func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 	}
 }
 
-// TestNewStateParallelMatchesSequential pins the sharded strategy-space
-// construction to the sequential one: same candidates, same order, same
-// payoffs. The shard count is passed explicitly, so the comparison does not
-// depend on GOMAXPROCS; 13 workers split unevenly over both 3 and 4 shards.
-// Run with -race this also exercises the shard boundaries.
+// TestNewStateParallelMatchesSequential pins the batch strategy-space build
+// to the one-worker rule: at 1 to 4 goroutines, every list newState builds
+// equals vdps.Generator.WorkerStrategies entry by entry — candidate,
+// frontier entry and payoff bits, in ascending candidate order, nil when
+// empty — and is allocated at exactly its length. The instances cover what
+// the chained build leans on: workers with a speed override among
+// default-speed ones, MaxDP cycling 0-3 (0 is unlimited), the tie-heavy
+// lattice, equal approach times, and the center edge, where workers stand
+// at the center and a point lies there too, so the approach-0 worker's list
+// lacks a strategy its successors' lists hold. Run with -race this also
+// exercises the shard boundaries.
 func TestNewStateParallelMatchesSequential(t *testing.T) {
-	g := mustGen(t, gridInstance(16, 13, 2, 100))
-	seq := newState(g, 1)
-	for _, par := range []int{3, 4} {
-		sharded := newState(g, par)
-		if len(seq.Strategies) != len(sharded.Strategies) {
-			t.Fatalf("par=%d: worker counts differ: %d vs %d", par, len(seq.Strategies), len(sharded.Strategies))
+	cases := []struct {
+		name string
+		in   *model.Instance
+		opt  vdps.Options
+	}{
+		{"grid", gridInstance(16, 13, 2, 100), vdps.Options{}},
+		{"tight", gridInstance(14, 12, 3, 6), vdps.Options{}},
+		{"gm-mixed-speed", withWorkers(gmInstance(t, 2, 200, 40, 40), func(w int, wk *model.Worker) {
+			wk.Speed = []float64{4, 5, 6}[w%3]
+		}), vdps.Options{Epsilon: 0.8}},
+		{"gm-maxdp-cycle", withWorkers(gmInstance(t, 3, 120, 24, 24), func(w int, wk *model.Worker) {
+			wk.MaxDP = w % 4
+		}), vdps.Options{Epsilon: 1, MaxSize: 4}},
+		{"lattice", latticeInstance(), vdps.Options{}},
+		{"equal-approach", equalApproachInstance(), vdps.Options{}},
+		{"center", centerInstance(), vdps.Options{}},
+	}
+	for _, tc := range cases {
+		g, err := vdps.Generate(tc.in, tc.opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for w := range seq.Strategies {
-			if len(seq.Strategies[w]) != len(sharded.Strategies[w]) {
-				t.Fatalf("par=%d worker %d: %d strategies sequential, %d sharded",
-					par, w, len(seq.Strategies[w]), len(sharded.Strategies[w]))
+		var sc vdps.StrategyScratch
+		want := make([][]vdps.StrategyRef, len(tc.in.Workers))
+		for w := range want {
+			want[w] = g.WorkerStrategies(w, &sc)
+		}
+		for par := 1; par <= 4; par++ {
+			got := newState(g, par).Strategies
+			if len(got) != len(want) {
+				t.Fatalf("%s par=%d: %d lists for %d workers", tc.name, par, len(got), len(want))
 			}
-			for si := range seq.Strategies[w] {
-				// StrategyRef is comparable; equal refs imply equal sequences.
-				if x, y := seq.Strategies[w][si], sharded.Strategies[w][si]; x != y {
-					t.Fatalf("par=%d worker %d strategy %d differs: %+v vs %+v", par, w, si, x, y)
+			for w := range want {
+				label := fmt.Sprintf("%s par=%d worker %d", tc.name, par, w)
+				sameList(t, label, got[w], want[w])
+				if cap(got[w]) != len(got[w]) {
+					t.Fatalf("%s: capacity %d for %d strategies", label, cap(got[w]), len(got[w]))
 				}
 			}
 		}
 	}
+}
+
+// sameList requires two strategy lists to match entry by entry, payoff
+// bits included, and to be both nil or both non-nil.
+func sameList(t *testing.T, label string, got, want []vdps.StrategyRef) {
+	t.Helper()
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		t.Fatalf("%s: %d strategies (nil %v), WorkerStrategies %d (nil %v)",
+			label, len(got), got == nil, len(want), want == nil)
+	}
+	for i := range want {
+		x, y := got[i], want[i]
+		if x.Cand != y.Cand || x.Entry != y.Entry || math.Float64bits(x.Payoff) != math.Float64bits(y.Payoff) {
+			t.Fatalf("%s strategy %d: %+v, WorkerStrategies %+v", label, i, x, y)
+		}
+	}
+}
+
+// gmInstance generates a GM instance of the given shape.
+func gmInstance(t *testing.T, seed int64, tasks, workers, points int) *model.Instance {
+	t.Helper()
+	in, err := dataset.GenerateGM(dataset.GMConfig{
+		Seed: seed, Tasks: tasks, Workers: workers, DeliveryPoints: points,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// withWorkers applies set to every worker of in and returns in.
+func withWorkers(in *model.Instance, set func(w int, wk *model.Worker)) *model.Instance {
+	for w := range in.Workers {
+		set(w, &in.Workers[w])
+	}
+	return in
+}
+
+// equalApproachInstance puts its workers in groups of four at one distance
+// from the center — (±r, 0) and (0, ±r) under the Euclidean metric — so the
+// approach times within a group are exactly equal, and the build order
+// breaks their ties by index.
+func equalApproachInstance() *model.Instance {
+	in := gridInstance(14, 0, 3, 8)
+	for _, r := range []float64{0.5, 1, 1.5, 2.5} {
+		for _, loc := range []geo.Point{geo.Pt(r, 0), geo.Pt(0, r), geo.Pt(-r, 0), geo.Pt(0, -r)} {
+			in.Workers = append(in.Workers, model.Worker{ID: len(in.Workers), Loc: loc, MaxDP: 3})
+		}
+	}
+	return in
+}
+
+// centerInstance is the lattice with a point at the center as well, and two
+// more workers standing there. An approach-0 worker cannot take the center
+// point's singleton, whose total travel time is 0, but every worker with a
+// positive approach time can.
+func centerInstance() *model.Instance {
+	in := latticeInstance()
+	id := len(in.Points)
+	in.Points = append(in.Points, model.DeliveryPoint{
+		ID: id, Loc: geo.Pt(0, 0),
+		Tasks: []model.Task{{ID: id, Point: id, Expiry: 100, Reward: 2}},
+	})
+	for i := 0; i < 2; i++ {
+		in.Workers = append(in.Workers, model.Worker{ID: len(in.Workers), Loc: geo.Pt(0, 0), MaxDP: 3})
+	}
+	return in
 }
 
 // TestFGTSelfishWeightsMatchDefault pins what steers FGT at the paper's

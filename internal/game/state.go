@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 
 	"fairtask/internal/model"
 	"fairtask/internal/payoff"
@@ -42,55 +41,17 @@ type State struct {
 }
 
 // NewState builds a game state with empty strategy choices from the
-// generator's per-worker VDPS lists.
-//
-// The per-worker strategy-space construction is an embarrassingly parallel
-// O(W * C) scan over the generator's candidates: with at least two workers
-// per shard it is sharded over runtime.GOMAXPROCS(0) goroutines. Every shard
-// writes only its own Strategies slots, and each worker's list is
-// independent of the others, so the result is identical to the sequential
-// construction.
+// generator's per-worker VDPS lists, built in one batch by
+// vdps.Generator.StrategySpaces over runtime.GOMAXPROCS(0) goroutines. Each
+// list is what Generator.WorkerStrategies returns for its worker, whatever
+// the goroutine count.
 func NewState(g *vdps.Generator) *State {
 	return newState(g, runtime.GOMAXPROCS(0))
 }
 
-// newState is NewState sharded over par goroutines; par <= 1, or fewer
-// than 2*par workers, builds sequentially.
+// newState is NewState with the strategy spaces built over par goroutines.
 func newState(g *vdps.Generator, par int) *State {
-	in := g.Instance()
-	n := len(in.Workers)
-	s := &State{
-		gen:        g,
-		Strategies: make([][]vdps.StrategyRef, n),
-		Current:    make([]int, n),
-		Payoffs:    make([]float64, n),
-		owner:      make([]int, len(in.Points)),
-	}
-	if par > 1 && n >= 2*par {
-		var wg sync.WaitGroup
-		chunk := (n + par - 1) / par
-		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fillStrategies(g, s.Strategies, lo, hi)
-			}(start, end)
-		}
-		wg.Wait()
-	} else {
-		fillStrategies(g, s.Strategies, 0, n)
-	}
-	for w := 0; w < n; w++ {
-		s.Current[w] = Null
-	}
-	for p := range s.owner {
-		s.owner[p] = -1
-	}
-	return s
+	return NewStateWithStrategies(g, g.StrategySpaces(par))
 }
 
 // NewStateWithStrategies builds a game state over prebuilt per-worker
@@ -99,7 +60,7 @@ func newState(g *vdps.Generator, par int) *State {
 // Generator.WorkerStrategies would return for that worker against g — the
 // streaming engine caches those lists across deltas and rebuilds only the
 // workers whose feasible VDPS sets changed, so state construction becomes a
-// slice-header copy instead of an O(W*C) scan. The strategy slices are
+// slice-header copy instead of a strategy-space build. The strategy slices are
 // shared, not copied: a solver that sorts them (SortByPayoff) sorts the
 // caller's lists, and FGT and IEGT never do. It panics on a worker-count
 // mismatch, which is always a caller bug.
@@ -123,16 +84,6 @@ func NewStateWithStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef) 
 		s.owner[p] = -1
 	}
 	return s
-}
-
-// fillStrategies builds the strategy lists of workers [lo, hi), reusing one
-// gather scratch so each worker's list is allocated exactly once at its
-// final size.
-func fillStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef, lo, hi int) {
-	var sc vdps.StrategyScratch
-	for w := lo; w < hi; w++ {
-		strategies[w] = g.WorkerStrategies(w, &sc)
-	}
 }
 
 // Instance returns the underlying problem instance.

@@ -22,19 +22,21 @@ type VDPSEvent struct {
 
 // SolveEvent summarizes one completed single-center solve.
 type SolveEvent struct {
-	// Algorithm is the assigner's name (FGT, IEGT, GTA, MPTA, MMTA).
+	// Algorithm is the assigner's name (FGT, IEGT, GTA, MPTA, MMTA,
+	// LEXIFAIR, EXACT).
 	Algorithm string
 	// CenterID identifies the distribution center.
 	CenterID int
 	// Workers and Points are the instance's sizes.
 	Workers, Points int
-	// Iterations is the number of game rounds executed (zero for the
-	// non-iterative baselines).
+	// Iterations is the solver's round count: game rounds for FGT and
+	// IEGT, one for GTA, MPTA and EXACT, rounds or levels for MMTA and
+	// LEXIFAIR.
 	Iterations int
 	// Converged reports whether an equilibrium was reached before the cap.
 	Converged bool
 	// Switches is the number of worker strategy switches summed over all
-	// rounds (zero for the non-iterative baselines).
+	// rounds. It is observed for FGT and IEGT only.
 	Switches int
 	// Elapsed is the solver's wall time in the attempt that succeeded,
 	// excluding VDPS generation, failed attempts and retry backoff.
@@ -46,8 +48,8 @@ type SolveEvent struct {
 	// solved center.
 	Difference, Average float64
 	// Potential is the fairness potential Phi of the final payoffs. Only
-	// meaningful for the iterative solvers (Iterations > 0); the
-	// non-iterative baselines leave it zero and it is not observed for them.
+	// FGT and IEGT compute it; the baselines leave it zero and it is not
+	// observed for them.
 	Potential float64
 }
 
@@ -157,10 +159,11 @@ func (m *MetricsRecorder) RecordSolve(e SolveEvent) {
 		helpPayoffDifference, PayoffBuckets, alg).Observe(e.Difference)
 	m.reg.Histogram("fta_solve_average_payoff",
 		helpAveragePayoff, PayoffBuckets, alg).Observe(e.Average)
-	if e.Iterations > 0 {
-		// Phi and strategy switches only exist for the game-theoretic
-		// solvers; observing the baselines' zero Phi would just distort the
-		// distribution.
+	if e.Algorithm == "FGT" || e.Algorithm == "IEGT" {
+		// Phi and strategy switches exist only for the two game dynamics.
+		// The baselines count iterations too (GTA, MPTA and EXACT one,
+		// MMTA and LEXIFAIR their rounds or levels), but observing their
+		// zero Phi would just distort the distribution.
 		m.reg.Histogram("fta_solve_potential",
 			helpPotential, PayoffBuckets, alg).Observe(e.Potential)
 		m.reg.Counter("fta_solve_strategy_changes_total",

@@ -47,7 +47,7 @@ func TestMetricsRecorderSolvePayoffHistograms(t *testing.T) {
 	rec := NewMetricsRecorder(reg)
 	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Iterations: 5, Difference: 1.25, Average: 7.5, Potential: 11})
 	rec.RecordSolve(SolveEvent{Algorithm: "FGT", Iterations: 3, Difference: 2.5, Average: 7, Potential: 9})
-	rec.RecordSolve(SolveEvent{Algorithm: "GTA", Iterations: 0, Difference: 4, Average: 6})
+	rec.RecordSolve(SolveEvent{Algorithm: "GTA", Iterations: 1, Difference: 4, Average: 6})
 
 	alg := L("algorithm", "FGT")
 	diff := reg.Histogram("fta_solve_payoff_difference", "", PayoffBuckets, alg)
@@ -62,8 +62,8 @@ func TestMetricsRecorderSolvePayoffHistograms(t *testing.T) {
 	if pot.Count() != 2 || pot.Sum() != 20 {
 		t.Errorf("potential: count %d sum %v, want 2/20", pot.Count(), pot.Sum())
 	}
-	// Non-iterative baselines have no potential; their zero must not be
-	// observed.
+	// The baselines have no potential; their zero must not be observed,
+	// though GTA reports one iteration.
 	gta := reg.Histogram("fta_solve_potential", "", PayoffBuckets, L("algorithm", "GTA"))
 	if gta.Count() != 0 {
 		t.Errorf("GTA potential observations = %d, want 0", gta.Count())

@@ -182,9 +182,10 @@ type Generator struct {
 	stats      Stats
 	// maxSlack[ci] and setSize[ci] mirror candidates[ci].MaxSlack() and
 	// len(candidates[ci].Points): flat arrays let the per-worker scans —
-	// WorkerStrategies' feasibility test, game's singleton test through
-	// SetSize — reject candidates without touching the candidate structs
-	// (and their pointer-chased frontiers) at all.
+	// WorkerStrategies' feasibility test, StrategySpaces' chain filter and
+	// list-size bounds, game's singleton test through SetSize — reject
+	// candidates without touching the candidate structs (and their
+	// pointer-chased frontiers) at all.
 	maxSlack []float64
 	setSize  []int32
 	// liveBytes is the slab bytes the candidate table references, and
@@ -499,18 +500,28 @@ type StrategyScratch struct {
 // allocated exactly at their final size.
 //
 // It gathers a (payoff, candidate, frontier-entry) reference per feasible
-// candidate — rejecting infeasible candidates on the flat maxSlack/setSize
-// arrays without touching the candidate structs — into the reused scratch,
-// then copies them once into an exact-size, pointer-free result the garbage
-// collector never scans. Compared with building WorkerVDPS structs this
-// moves ~4.5x fewer bytes through the allocator's zeroing and the GC, which
-// is what makes game.NewState's strategy-space construction cheap at
-// population scale (see docs/PERFORMANCE.md). The loops keep the
-// per-candidate rule inline for speed; strategy, which SpliceStrategies
-// uses, is the same rule for one candidate.
+// candidate into the reused scratch, then copies them once into an
+// exact-size, pointer-free result the garbage collector never scans.
+// Compared with building WorkerVDPS structs this moves ~4.5x fewer bytes
+// through the allocator's zeroing and the GC (see docs/PERFORMANCE.md). It
+// is the one-worker rule: StrategySpaces builds a whole state's lists to
+// match it, and strategy, which SpliceStrategies uses, is the same rule for
+// one candidate.
 func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
-	keys := sc.keys[:0]
-	r := g.ruleFor(w)
+	sc.keys = g.gather(g.ruleFor(w), sc.keys[:0])
+	if len(sc.keys) == 0 {
+		return nil
+	}
+	out := make([]StrategyRef, len(sc.keys))
+	copy(out, sc.keys)
+	return out
+}
+
+// gather appends worker r.w's strategies to keys in ascending candidate
+// order. A default-speed worker's scan rejects infeasible candidates on the
+// flat maxSlack/setSize arrays without touching the candidate structs. The
+// loops keep the per-candidate rule inline for speed.
+func (g *Generator) gather(r workerRule, keys []StrategyRef) []StrategyRef {
 	approach, maxDP, factor := r.approach, r.maxDP, r.factor
 	if factor == 1 {
 		for ci, ms := range g.maxSlack {
@@ -525,30 +536,24 @@ func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 			}
 			keys = append(keys, StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)})
 		}
-	} else {
-		// Heterogeneous speed: the slack shortcut does not apply, so every
-		// size-eligible candidate's frontier is re-checked via the model.
-		for ci := range g.candidates {
-			if maxDP > 0 && g.setSize[ci] > maxDP {
-				continue
-			}
-			c := &g.candidates[ci]
-			fi, ok := c.bestForScaledIndex(g.inst, w)
-			if !ok {
-				continue
-			}
-			total := approach + factor*c.Frontier[fi].Time
-			if total <= 0 {
-				continue
-			}
-			keys = append(keys, StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)})
+		return keys
+	}
+	// Heterogeneous speed: the slack shortcut does not apply, so every
+	// size-eligible candidate's frontier is re-checked via the model.
+	for ci := range g.candidates {
+		if maxDP > 0 && g.setSize[ci] > maxDP {
+			continue
 		}
+		c := &g.candidates[ci]
+		fi, ok := c.bestForScaledIndex(g.inst, r.w)
+		if !ok {
+			continue
+		}
+		total := approach + factor*c.Frontier[fi].Time
+		if total <= 0 {
+			continue
+		}
+		keys = append(keys, StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)})
 	}
-	sc.keys = keys
-	if len(keys) == 0 {
-		return nil
-	}
-	out := make([]StrategyRef, len(keys))
-	copy(out, keys)
-	return out
+	return keys
 }
