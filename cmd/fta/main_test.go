@@ -467,11 +467,12 @@ func TestServeTelemetryValues(t *testing.T) {
 }
 
 // TestServeBaselinesObserveNoPotential pins that only FGT and IEGT feed
-// the potential histogram and the strategy-switch counter: after one /solve
-// each on a 2-center SYN problem, every other servable algorithm has one
-// payoff observation per center but no potential observation and no switch.
-// GTA, MPTA, MMTA and LEXIFAIR all report a positive iteration count, so a
-// gate on iterations would let their zero potential in.
+// the potential histogram, the strategy-switch counter and the game-round
+// histogram: after one /solve each on a 2-center SYN problem, every other
+// servable algorithm has one payoff observation per center but no potential
+// observation, no switch and no iteration observation. GTA, MPTA, MMTA and
+// LEXIFAIR all report a positive iteration count, so a gate on iterations
+// would let their zero potential in.
 func TestServeBaselinesObserveNoPotential(t *testing.T) {
 	srv := httptest.NewServer(newServerHandler(nil))
 	defer srv.Close()
@@ -520,6 +521,9 @@ func TestServeBaselinesObserveNoPotential(t *testing.T) {
 				t.Errorf("metrics missing %q", line)
 			}
 		}
+	}
+	if line := "fta_solve_iterations_count 0"; !strings.Contains(string(metrics), line+"\n") {
+		t.Errorf("metrics missing %q", line)
 	}
 }
 

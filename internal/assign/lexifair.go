@@ -72,10 +72,11 @@ type lexMatrix struct {
 }
 
 // newLexMatrix builds and validates the payoff matrix over lists, one
-// strategy list per worker of g's instance, sorting each list by
-// vdps.ComparePayoff in place. All errors wrap ErrLexMatrix; the builder
-// never panics on a corrupt list or generator, which is what the fuzz
-// harness pins.
+// strategy list per worker of g's instance, then sorts each list by
+// Generator.ComparePayoff in place. All errors wrap ErrLexMatrix; the
+// builder never panics on a corrupt list or generator, which is what the
+// fuzz harness pins: every reference is checked before the sort reads its
+// candidate, and every payoff is finite, so the sorted rows descend.
 func newLexMatrix(g *vdps.Generator, lists [][]vdps.StrategyRef) (*lexMatrix, error) {
 	cands := g.Candidates()
 	m := &lexMatrix{
@@ -89,7 +90,6 @@ func newLexMatrix(g *vdps.Generator, lists [][]vdps.StrategyRef) (*lexMatrix, er
 		m.colReward[ci] = cands[ci].Reward
 	}
 	for w, refs := range lists {
-		slices.SortFunc(refs, vdps.ComparePayoff)
 		for i, r := range refs {
 			if r.Cand < 0 || int(r.Cand) >= len(cands) {
 				return nil, fmt.Errorf("%w: worker %d strategy %d references candidate %d of %d",
@@ -103,11 +103,8 @@ func newLexMatrix(g *vdps.Generator, lists [][]vdps.StrategyRef) (*lexMatrix, er
 				return nil, fmt.Errorf("%w: worker %d strategy %d has non-finite payoff %v",
 					ErrLexMatrix, w, i, r.Payoff)
 			}
-			if i > 0 && refs[i-1].Payoff < r.Payoff {
-				return nil, fmt.Errorf("%w: worker %d strategies not sorted by descending payoff at %d",
-					ErrLexMatrix, w, i)
-			}
 		}
+		slices.SortFunc(refs, g.ComparePayoff)
 	}
 	return m, nil
 }

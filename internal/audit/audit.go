@@ -387,13 +387,17 @@ func (r *Report) checkMembership(s *game.State, a *model.Assignment, routeOK []b
 	return ok
 }
 
-// checkFrontiers asserts the candidates' Pareto-frontier contract: frontiers
-// are non-empty, strictly ascending in both Time and Slack (dominance prunes
-// any state that is no faster and no slacker than another), and every state's
-// sequence is a permutation of the candidate's point set.
+// checkFrontiers asserts the live candidates' Pareto-frontier contract:
+// frontiers are non-empty, strictly ascending in both Time and Slack
+// (dominance prunes any state that is no faster and no slacker than
+// another), and every state's sequence is a permutation of the candidate's
+// point set. The tombstones of a repaired generator are skipped.
 func (r *Report) checkFrontiers(g *vdps.Generator) {
 	for ci := range g.Candidates() {
 		c := &g.Candidates()[ci]
+		if !c.Live() {
+			continue
+		}
 		if len(c.Frontier) == 0 {
 			r.violate(CheckVDPS, -1, fmt.Sprintf("candidate %d has an empty frontier", ci))
 			continue

@@ -355,6 +355,34 @@ func TestFrontierCorruption(t *testing.T) {
 	}
 }
 
+// TestRepairedGeneratorAuditsClean hands the audit a generator whose table
+// holds tombstones: after RepairExpiries tightens one point's deadline, the
+// frontier check must skip the dropped candidates' empty entries, and an FGT
+// result played over the repaired generator must pass every check.
+func TestRepairedGeneratorAuditsClean(t *testing.T) {
+	in := lineInstance(6, 2, 100, 3)
+	g := mustGenerate(t, in)
+	mutated := in.Clone()
+	mutated.Points[5].Tasks[0].Expiry = 50
+	g.Rebind(mutated)
+	if _, err := g.RepairExpiries(context.Background(), []int{5}); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Candidates()) == g.Stats().Candidates {
+		t.Fatal("the repair left no tombstone in the table")
+	}
+	res, err := game.FGT(context.Background(), game.NewState(g), game.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Run(mutated, res.Assignment, &res.Summary, Options{
+		Generator: g, Algorithm: "FGT", Converged: res.Converged,
+	})
+	if !rep.OK() || !res.Converged {
+		t.Fatalf("FGT over a repaired generator (converged %v) failed audit: %v", res.Converged, rep.Violations)
+	}
+}
+
 func TestRegenerationFailure(t *testing.T) {
 	in := lineInstance(4, 1, 100, 0)
 	a := model.NewAssignment(1)

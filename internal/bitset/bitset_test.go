@@ -118,3 +118,23 @@ func TestIntersectsAgreesWithValues(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: Fold sets exactly bit v%64 for each member v, so two sets whose
+// folds share no bit never intersect.
+func TestFoldFiltersIntersects(t *testing.T) {
+	f := func(ra, rb []uint8) bool {
+		var a, b Set
+		var want uint64
+		for _, v := range ra {
+			a = a.With(int(v))
+			want |= 1 << (v % 64)
+		}
+		for _, v := range rb {
+			b = b.With(int(v))
+		}
+		return a.Fold() == want && (a.Fold()&b.Fold() != 0 || !a.Intersects(b))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

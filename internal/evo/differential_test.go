@@ -150,3 +150,98 @@ func TestSolversIgnoreListOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairedTableTiesMatchGenerate pins the tie rule on a repaired
+// candidate table. RepairExpiries appends the candidates it regenerates, so
+// after it tightens the deadlines of low-numbered lattice points, a
+// regenerated candidate sits at a higher table index than retained ones the
+// candidates' own order puts after it, among the lattice's thousands of
+// exact payoff ties. FGT and IEGT (both traced) and VerifyNE — on a random
+// initial state and on each solver's result — played over the repaired
+// generator must equal the same runs over a fresh Generate of the mutated
+// instance: routes, payoff bits, iterations, switches, traces and the
+// certificate's verdict. The chain must reorder ties on every step and must
+// run through a compaction as well as steps that leave tombstones.
+func TestRepairedTableTiesMatchGenerate(t *testing.T) {
+	ctx := context.Background()
+	in := latticeInstance()
+	g := mustGen(t, in)
+	compacted, tombstoned := 0, 0
+	for step := 0; step < 6; step++ {
+		mutated := in.Clone()
+		pts := []int{step, step + 6}
+		for _, p := range pts {
+			mutated.Points[p].Tasks[0].Expiry -= float64(1 + step)
+		}
+		g.Rebind(mutated)
+		if _, err := g.RepairExpiries(ctx, pts); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Candidates()) == g.Stats().Candidates {
+			compacted++
+		} else {
+			tombstoned++
+		}
+		fresh := mustGen(t, mutated)
+		if n := reorderedTies(game.NewState(g)); n == 0 {
+			t.Fatalf("step %d: no tied strategies whose table order differs from the candidate order", step)
+		}
+		verdict := func(s *game.State) string {
+			return fmt.Sprint(game.VerifyNE(s, game.NEOptions{}))
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			label := fmt.Sprintf("step %d seed %d", step, seed)
+			for _, solver := range []assign.Assigner{game.Options{Seed: seed, Trace: true}, Options{Seed: seed, Trace: true}} {
+				got, err := solver.Assign(ctx, game.NewState(g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := solver.Assign(ctx, game.NewState(fresh))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, label+" "+solver.Name(), got, want)
+				if v, w := verdict(loaded(t, g, got.Assignment)), verdict(loaded(t, fresh, want.Assignment)); v != w {
+					t.Fatalf("%s %s: certificate %q, fresh %q", label, solver.Name(), v, w)
+				}
+			}
+			s, f := game.NewState(g), game.NewState(fresh)
+			s.RandomInit(rand.New(rand.NewSource(seed)))
+			f.RandomInit(rand.New(rand.NewSource(seed)))
+			if v, w := verdict(s), verdict(f); v != w || v == "<nil>" {
+				t.Fatalf("%s: random-start certificate %q, fresh %q", label, v, w)
+			}
+		}
+		in = mutated
+	}
+	if compacted == 0 || tombstoned == 0 {
+		t.Fatalf("%d steps compacted, %d left tombstones; want both", compacted, tombstoned)
+	}
+}
+
+// reorderedTies counts the adjacent pairs of exactly tied strategies, in
+// each worker's list sorted by payoff and then table index, whose table
+// order disagrees with the candidates' own order (set size, then points).
+func reorderedTies(s *game.State) int {
+	g := s.Generator()
+	n := 0
+	for _, list := range s.Strategies {
+		list = slices.Clone(list)
+		slices.SortFunc(list, func(a, b vdps.StrategyRef) int {
+			if a.Payoff != b.Payoff {
+				if a.Payoff > b.Payoff {
+					return -1
+				}
+				return 1
+			}
+			return int(a.Cand) - int(b.Cand)
+		})
+		for i := 1; i < len(list); i++ {
+			pa, pb := g.RefPoints(list[i-1]), g.RefPoints(list[i])
+			if list[i-1].Payoff == list[i].Payoff && (len(pa) > len(pb) || len(pa) == len(pb) && slices.Compare(pa, pb) > 0) {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -55,7 +55,7 @@ func ablationIndex(cfg Config) (*Series, error) {
 				X:          float64(cfg.gmScaled(dp)),
 				Algorithm:  variant.name,
 				CPUSeconds: time.Since(start).Seconds(),
-				AvgPayoff:  float64(len(g.Candidates())), // candidate count, for equality checks
+				AvgPayoff:  float64(g.Stats().Candidates), // candidate count, for equality checks
 			})
 		}
 	}

@@ -180,7 +180,7 @@ func TestRandomInitSingletonsAndDisjoint(t *testing.T) {
 }
 
 // naiveTop is the rule TopAvailable implements, written as a plain scan:
-// the minimum under vdps.ComparePayoff over the incumbent and every entry
+// the minimum under Generator.ComparePayoff over the incumbent and every entry
 // Available accepts, or Null.
 func naiveTop(s *State, w int) int {
 	list := s.Strategies[w]
@@ -189,7 +189,7 @@ func naiveTop(s *State, w int) int {
 		if si != s.Current[w] && !s.Available(w, si) {
 			continue
 		}
-		if top == Null || vdps.ComparePayoff(list[si], list[top]) < 0 {
+		if top == Null || s.Generator().ComparePayoff(list[si], list[top]) < 0 {
 			top = si
 		}
 	}

@@ -26,7 +26,7 @@ type State struct {
 	// Strategies[w] lists worker w's valid VDPSs in compact reference form,
 	// in ascending candidate order as vdps.Generator.WorkerStrategies
 	// gathers them (SortByPayoff reorders a fresh state). No reader relies
-	// on the order: each applies vdps.ComparePayoff where it needs one. The
+	// on the order: each applies Generator.ComparePayoff where it needs one. The
 	// 16-byte pointer-free references keep the strategy space — the
 	// dominant allocation of a solve — cheap to build and invisible to the
 	// garbage collector; resolve sequences on demand with StrategySeq.
@@ -118,55 +118,67 @@ func (s *State) Available(w, si int) bool {
 	return true
 }
 
-// TopAvailable returns the best strategy under vdps.ComparePayoff — highest
-// payoff, lowest candidate index on ties — among those w could hold now, or
-// Null when none is. The incumbent counts as available. Availability is
-// checked only for an entry that beats the best found so far.
+// TopAvailable returns the best strategy under Generator.ComparePayoff —
+// highest payoff, the candidate first in the candidates' own order on ties
+// — among those w could hold now, or Null when none is. The incumbent
+// counts as available, so the running top starts at it, and availability is
+// checked only for an entry that beats the best found so far: at an
+// equilibrium that is exactly the entries better than the incumbent,
+// wherever the list holds it.
 //
-// The running top's payoff and candidate stay in locals, and the skip test
-// is ComparePayoff written out: an entry is skipped iff
-// ComparePayoff(entry, top) >= 0, which for the distinct candidates of one
-// list is !(p > tp) && (p < tp || c > tc). A NaN payoff therefore behaves
-// as it does under ComparePayoff. TestTopAvailableMatchesComparePayoff pins
-// the two against each other.
+// The running top's payoff stays in a local, and the skip test is
+// ComparePayoff written out: an entry is skipped iff
+// ComparePayoff(entry, top) >= 0, which is p < tp, or !(p > tp) and the
+// comparator's verdict. The comparator thus runs only on an exact payoff
+// tie (the incumbent's own entry included), and a NaN payoff behaves as it
+// does under ComparePayoff. The plain
+// p < tp test comes first and alone, so the common case compiles to one
+// compare and branch. TestTopAvailableMatchesComparePayoff pins the two
+// against each other.
 func (s *State) TopAvailable(w int) int {
 	list := s.Strategies[w]
-	cur := s.Current[w]
-	top := Null
+	top := s.Current[w]
 	var tp float64
-	var tc int32
+	if top != Null {
+		tp = list[top].Payoff
+	}
 	for si := range list {
 		if top != Null {
-			if p, c := list[si].Payoff, list[si].Cand; !(p > tp) && (p < tp || c > tc) {
+			p := list[si].Payoff
+			if p < tp {
+				continue
+			}
+			if !(p > tp) && s.gen.ComparePayoff(list[si], list[top]) >= 0 {
 				continue
 			}
 		}
-		if si == cur || s.Available(w, si) {
-			top, tp, tc = si, list[si].Payoff, list[si].Cand
+		if s.Available(w, si) {
+			top, tp = si, list[si].Payoff
 		}
 	}
 	return top
 }
 
 // NthBest sorts idx, a set of indices into worker w's strategy list, by
-// vdps.ComparePayoff and returns idx[k]: the k-th best of those strategies,
-// whatever order the list holds them in. The random draws of RandomInit and
-// IEGT pick through it, so the strategy a draw selects depends only on the
-// rule, not on the layout.
+// Generator.ComparePayoff and returns idx[k]: the k-th best of those
+// strategies, whatever order the list holds them in. The random draws of
+// RandomInit and IEGT pick through it, so the strategy a draw selects
+// depends only on the rule, not on the layout.
 func (s *State) NthBest(w int, idx []int, k int) int {
 	list := s.Strategies[w]
-	slices.SortFunc(idx, func(a, b int) int { return vdps.ComparePayoff(list[a], list[b]) })
+	slices.SortFunc(idx, func(a, b int) int { return s.gen.ComparePayoff(list[a], list[b]) })
 	return idx[k]
 }
 
-// SortByPayoff reorders every worker's strategy list by vdps.ComparePayoff,
-// for readers that enumerate strategies in preference order: the reference
-// solvers and the exhaustive baselines. Call it only on a fresh state,
-// before any strategy is chosen: it moves the entries Current indexes. On a
-// state from NewStateWithStrategies it reorders the caller's lists too.
+// SortByPayoff reorders every worker's strategy list by
+// Generator.ComparePayoff, for readers that enumerate strategies in
+// preference order: the reference solvers and the exhaustive baselines.
+// Call it only on a fresh state, before any strategy is chosen: it moves the
+// entries Current indexes. On a state from NewStateWithStrategies it
+// reorders the caller's lists too.
 func (s *State) SortByPayoff() {
 	for _, list := range s.Strategies {
-		slices.SortFunc(list, vdps.ComparePayoff)
+		slices.SortFunc(list, s.gen.ComparePayoff)
 	}
 }
 

@@ -153,17 +153,18 @@ const (
 // RecordSolve implements Recorder.
 func (m *MetricsRecorder) RecordSolve(e SolveEvent) {
 	alg := L("algorithm", e.Algorithm)
-	m.solveIterations.Observe(float64(e.Iterations))
 	m.solveSeconds.Observe(e.Elapsed.Seconds())
 	m.reg.Histogram("fta_solve_payoff_difference",
 		helpPayoffDifference, PayoffBuckets, alg).Observe(e.Difference)
 	m.reg.Histogram("fta_solve_average_payoff",
 		helpAveragePayoff, PayoffBuckets, alg).Observe(e.Average)
 	if e.Algorithm == "FGT" || e.Algorithm == "IEGT" {
-		// Phi and strategy switches exist only for the two game dynamics.
-		// The baselines count iterations too (GTA, MPTA and EXACT one,
-		// MMTA and LEXIFAIR their rounds or levels), but observing their
-		// zero Phi would just distort the distribution.
+		// Game rounds, Phi and strategy switches exist only for the two
+		// game dynamics. The baselines count iterations too (GTA, MPTA and
+		// EXACT one, MMTA and LEXIFAIR their rounds or levels), but those
+		// are not game rounds, and their zero Phi would just distort the
+		// distribution.
+		m.solveIterations.Observe(float64(e.Iterations))
 		m.reg.Histogram("fta_solve_potential",
 			helpPotential, PayoffBuckets, alg).Observe(e.Potential)
 		m.reg.Counter("fta_solve_strategy_changes_total",

@@ -62,11 +62,15 @@ func TestMetricsRecorderSolvePayoffHistograms(t *testing.T) {
 	if pot.Count() != 2 || pot.Sum() != 20 {
 		t.Errorf("potential: count %d sum %v, want 2/20", pot.Count(), pot.Sum())
 	}
-	// The baselines have no potential; their zero must not be observed,
-	// though GTA reports one iteration.
+	// The baselines have no potential and play no game rounds: GTA reports
+	// one iteration, but neither its zero potential nor that iteration may
+	// be observed.
 	gta := reg.Histogram("fta_solve_potential", "", PayoffBuckets, L("algorithm", "GTA"))
 	if gta.Count() != 0 {
 		t.Errorf("GTA potential observations = %d, want 0", gta.Count())
+	}
+	if it := reg.Histogram("fta_solve_iterations", "", CountBuckets); it.Count() != 2 || it.Sum() != 8 {
+		t.Errorf("iterations: count %d sum %v, want the two FGT solves' 2/8", it.Count(), it.Sum())
 	}
 }
 

@@ -282,10 +282,11 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 	} else {
 		// Incremental repair: rebind the generator to the staged instance.
 		// If a point's earliest expiry moved, re-run the candidate DP
-		// restricted to the sets containing it (RepairExpiries splices the
-		// result into the retained table bit-identically to a full re-run);
-		// then patch candidate rewards in the cold accumulation order, and
-		// let refresh carry each worker's list over, splice it or rebuild it.
+		// restricted to the sets containing it (RepairExpiries tombstones
+		// the sets it replaces and appends the result, so the live table is
+		// bit-identical to a full re-run's); then patch candidate rewards in
+		// the cold accumulation order, and let refresh carry each worker's
+		// list over, splice it or rebuild it.
 		res.Resolve = ResolveWarm
 		gen = e.gen
 		gen.Rebind(staged)
@@ -423,12 +424,12 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 // A staged worker inherits the committed list of the worker with its ID
 // only while the worker's location, MaxDP and speed (all the list reads
 // about it) are unchanged. The list is then carried through the expiry
-// repair by gen.SpliceStrategies — renumbered in place while its
-// membership holds, spliced into a new list when a candidate on it was
-// dropped or a regenerated one is feasible for the worker — and the
-// payoffs of its re-priced entries are recomputed in place. The worker
-// counts as touched iff its list was spliced or held a re-priced entry.
-// Every other worker's list is rebuilt.
+// repair by gen.SpliceStrategies — kept as it is while its membership
+// holds (renumbered in place if the repair compacted the table), spliced
+// into a new list when a candidate on it was dropped or a regenerated one
+// is feasible for the worker — and the payoffs of its re-priced entries
+// are recomputed in place. The worker counts as touched iff its list was
+// spliced or held a re-priced entry. Every other worker's list is rebuilt.
 func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, rep vdps.ExpiryRepair, repriced []int) ([][]vdps.StrategyRef, int) {
 	committed := make(map[int]int, len(e.inst.Workers))
 	for w := range e.inst.Workers {

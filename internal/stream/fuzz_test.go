@@ -37,6 +37,16 @@ func FuzzStreamDeltas(f *testing.F) {
 	f.Add([]byte{0, 11, 140, 120, 3})
 	// Six departures, one batch each, drain the roster to zero workers.
 	f.Add([]byte{0, 14, 0, 0, 0, 14, 0, 0, 0, 14, 0, 0, 0, 14, 0, 0, 0, 14, 0, 0, 0, 14, 0, 0, 0})
+	// Expiry-heavy batches: an arrival with a 1/2 h deadline at point 0
+	// tombstones candidates and appends regenerated ones; arrivals with
+	// 1/16 h deadlines at points 4-10 then drop more than they regenerate,
+	// so the table crosses the compaction rule twice; a batch of expiries
+	// appends after the compaction.
+	f.Add([]byte{0,
+		8, 0, 16, 32,
+		0, 4, 2, 32, 0, 5, 2, 32, 0, 6, 2, 32, 8, 7, 2, 32,
+		0, 8, 2, 32, 0, 9, 2, 32, 8, 10, 2, 32,
+		1, 0, 0, 0, 1, 5, 0, 0, 9, 9, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

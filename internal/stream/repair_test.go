@@ -6,36 +6,47 @@ import (
 
 	"fairtask/internal/fault"
 	"fairtask/internal/geo"
+	"fairtask/internal/model"
 	"fairtask/internal/obs"
+	"fairtask/internal/travel"
 )
 
 // TestIncrementalRepairDifferential is the incremental-regen acceptance
 // sweep: across seeds, scales and both dynamics, an expiry-moving stream must
 // route through the incremental candidate repair (worker churn is off, so no
 // full regeneration can occur) and stay bit-identical to cold reference
-// solves of the replayed instance at every checkpoint.
+// solves of the replayed instance at every checkpoint. The tie-heavy
+// lattice pins the engine path on exact payoff ties: its repaired tables
+// append regenerated candidates after retained ones that the candidates'
+// own order puts after them.
 func TestIncrementalRepairDifferential(t *testing.T) {
-	scales := []struct{ tasks, workers, points int }{
-		{40, 6, 16},
-		{80, 12, 28},
+	gmStream := StreamConfig{Rate: 30, Duration: 1, Lifetime: 0.4, RepriceRate: 8}
+	instances := []struct {
+		name string
+		in   func(t testing.TB, seed int64) *model.Instance
+		cfg  StreamConfig
+	}{
+		{"gm-16", func(t testing.TB, seed int64) *model.Instance { return gmInstance(t, seed, 40, 6, 16) }, gmStream},
+		{"gm-28", func(t testing.TB, seed int64) *model.Instance { return gmInstance(t, seed, 80, 12, 28) }, gmStream},
+		{"lattice", func(testing.TB, int64) *model.Instance { return latticeInstance() },
+			StreamConfig{Rate: 8, Duration: 3, Lifetime: 1.5, RepriceRate: 3}},
 	}
 	for _, alg := range []Algorithm{FGT, IEGT} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 3; seed++ {
-				for si, sc := range scales {
-					in := gmInstance(t, seed, sc.tasks, sc.workers, sc.points)
+				for si, inst := range instances {
+					in := inst.in(t, seed)
 					opt := Options{Algorithm: alg, VDPS: testVDPS}
 					opt.Game.Seed, opt.Evo.Seed = seed, seed
 					eng, err := New(context.Background(), in, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ds, err := GenerateStream(in, StreamConfig{
-						Seed: seed*77 + int64(si), Rate: 30, Duration: 1,
-						Lifetime: 0.4, RepriceRate: 8,
-					})
+					cfg := inst.cfg
+					cfg.Seed = seed*77 + int64(si)
+					ds, err := GenerateStream(in, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -43,13 +54,13 @@ func TestIncrementalRepairDifferential(t *testing.T) {
 					for i, d := range ds {
 						res, err := eng.Apply(context.Background(), d)
 						if err != nil {
-							t.Fatalf("seed %d scale %d delta %d (%s): %v", seed, si, i, d.Kind, err)
+							t.Fatalf("%s seed %d delta %d (%s): %v", inst.name, seed, i, d.Kind, err)
 						}
 						if res.Resolve == ResolveRegen {
 							regens++
 						}
 						if res.Resolve == ResolveCold {
-							t.Fatalf("seed %d scale %d delta %d: unexpected cold fallback", seed, si, i)
+							t.Fatalf("%s seed %d delta %d: unexpected cold fallback", inst.name, seed, i)
 						}
 						if (i+1)%7 != 0 && i != len(ds)-1 {
 							continue
@@ -61,12 +72,44 @@ func TestIncrementalRepairDifferential(t *testing.T) {
 						assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, alg, seed))
 					}
 					if regens == 0 {
-						t.Fatalf("seed %d scale %d: expiry-heavy stream produced no regen resolves", seed, si)
+						t.Fatalf("%s seed %d: expiry-heavy stream produced no regen resolves", inst.name, seed)
 					}
 				}
 			}
 		})
 	}
+}
+
+// latticeInstance is a tie-heavy instance (a copy of the vdps test helper):
+// the 24 integer points of [-2,2]² around a center at the origin, under the
+// Manhattan metric at speed 1, with rewards 1-3, so many strategies of one
+// worker have exactly equal payoffs.
+func latticeInstance() *model.Instance {
+	in := &model.Instance{
+		Center: geo.Pt(0, 0),
+		Travel: travel.MustModel(geo.Manhattan{}, 1),
+	}
+	for x := -2; x <= 2; x++ {
+		for y := -2; y <= 2; y++ {
+			if x == 0 && y == 0 {
+				continue
+			}
+			id := len(in.Points)
+			in.Points = append(in.Points, model.DeliveryPoint{
+				ID:  id,
+				Loc: geo.Pt(float64(x), float64(y)),
+				Tasks: []model.Task{{
+					ID: id, Point: id, Expiry: 100, Reward: float64(1 + id%3),
+				}},
+			})
+		}
+	}
+	for w := 0; w < 8; w++ {
+		in.Workers = append(in.Workers, model.Worker{
+			ID: w, Loc: geo.Pt(float64(w%3-1), float64(w/3-1)), MaxDP: 3,
+		})
+	}
+	return in
 }
 
 // expiryMovingDelta finds a task whose expiry pins its point's earliest

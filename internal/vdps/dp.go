@@ -470,6 +470,19 @@ func grow[S ~[]E, E any](s S, n int) S {
 	return slices.Grow(s, max(n, 2*cap(s)-len(s)))
 }
 
+// reserve returns s with room for n more elements. When it must reallocate,
+// the new capacity is exactly max(len(s)+n, c): grow's slices.Grow steps a
+// large slice's capacity up by 1.25× at a time and can land at 2.5× its
+// length.
+func reserve[S ~[]E, E any](s S, n, c int) S {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	out := make(S, len(s), max(len(s)+n, c))
+	copy(out, s)
+	return out
+}
+
 // appendClip appends src to slab and returns the appended copy, capped so
 // that appending to it never writes into the slab, with the grown slab.
 func appendClip[S ~[]E, E any](slab, src S) (S, S) {

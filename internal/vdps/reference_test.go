@@ -95,7 +95,7 @@ func referenceGenerate(ctx context.Context, in *model.Instance, opt Options) (*G
 		g.candidates = append(g.candidates, *c)
 	}
 	sort.Slice(g.candidates, func(i, j int) bool {
-		return candLess(&g.candidates[i], &g.candidates[j])
+		return candCompare(&g.candidates[i], &g.candidates[j]) < 0
 	})
 	g.finish()
 	return g, nil

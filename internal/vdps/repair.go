@@ -47,10 +47,14 @@ func EffectiveMaxSize(in *model.Instance, opt Options) int {
 // candidates whose reward actually changed (bitwise), in ascending order.
 //
 // The touched points form one bit set, and a candidate is affected iff its
-// Mask intersects it, a word-wise AND. Each affected reward is recomputed from scratch by summing the
-// point rewards in ascending point order — exactly the accumulation order a
-// cold Generate uses — so a repaired generator is bit-identical to a freshly
-// generated one on every field the solvers read.
+// Mask intersects it, a word-wise AND, tested only when the candidate's fold
+// meets the touched set's: the scan reads the flat fold array and loads few
+// candidate structs, and a tombstone's zero fold meets nothing. Each
+// affected reward is
+// recomputed from scratch by summing the point rewards in ascending point
+// order — exactly the accumulation order a cold Generate uses — so a
+// repaired generator is bit-identical to a freshly generated one on every
+// field the solvers read.
 // Strategy references handed out before the repair hold stale payoffs for
 // the returned candidates; recompute them with RepairStrategyPayoffs.
 func (g *Generator) RepairRewards(points []int) []int {
@@ -61,8 +65,12 @@ func (g *Generator) RepairRewards(points []int) []int {
 	for _, p := range points {
 		touched = touched.With(p)
 	}
+	tf := touched.Fold()
 	var changed []int
-	for ci := range g.candidates {
+	for ci, f := range g.fold {
+		if f&tf == 0 {
+			continue
+		}
 		c := &g.candidates[ci]
 		if !c.Mask.Intersects(touched) {
 			continue
@@ -141,7 +149,7 @@ func (g *Generator) strategy(r workerRule, ci int) (StrategyRef, bool) {
 	c := &g.candidates[ci]
 	var fi int
 	if r.factor == 1 {
-		if g.maxSlack[ci] < r.approach {
+		if !(g.maxSlack[ci] >= r.approach) {
 			return StrategyRef{}, false
 		}
 		fi, _ = c.bestForIndex(r.approach)
@@ -161,41 +169,58 @@ func (g *Generator) strategy(r workerRule, ci int) (StrategyRef, bool) {
 // ExpiryRepair records the candidate-table surgery of one RepairExpiries
 // call, which SpliceStrategies needs to carry a strategy list built before
 // it over to the repaired table. The zero value is the identity: no
-// candidate moved.
+// candidate was dropped, appended or moved.
 type ExpiryRepair struct {
-	// remap maps every pre-repair candidate index to its post-repair index,
-	// -1 for a dropped candidate (it contained a changed point). Retained
-	// candidates keep their identity and their order: points, frontier and
-	// reward are untouched, only the index moves, monotonically.
-	remap []int
-	// fresh lists the post-repair indices of the regenerated candidates —
-	// every candidate containing at least one changed point that is
-	// feasible under the new expiries — ascending.
-	fresh []int
+	// dropped counts the candidates the repair turned into tombstones:
+	// every live candidate containing a changed point.
+	dropped int
+	// fresh and end bound the indices of the regenerated candidates — every
+	// candidate containing at least one changed point that is feasible
+	// under the new expiries — which the repair appended to the table.
+	fresh, end int
+	// remap is nil unless the repair compacted the table. It then maps every
+	// pre-repair candidate index to its post-repair index, -1 for a
+	// tombstone; live candidates keep their order, so it is monotonic.
+	remap []int32
+}
+
+// index returns the post-repair index of pre-repair candidate ci, or -1 when
+// the repair dropped it. Outside a compaction a candidate keeps its index,
+// and one the repair dropped is now a tombstone.
+func (rep *ExpiryRepair) index(g *Generator, ci int32) int32 {
+	if rep.remap != nil {
+		return rep.remap[ci]
+	}
+	if g.setSize[ci] == 0 {
+		return -1
+	}
+	return ci
 }
 
 // SpliceStrategies carries worker w's strategy list, as WorkerStrategies
 // built it before the expiry repair rep, over to the repaired table: it
-// drops the entries of dropped candidates, renumbers the rest and merges in
-// the regenerated candidates the worker can take, priced by WorkerStrategies'
-// rule. The list holds ascending candidate indices, the renumbering keeps
-// their order and rep's regenerated candidates are ascending, so the splice
-// is a merge of two ascending runs. The result equals a fresh
-// WorkerStrategies call as long as the worker's location, MaxDP and speed
-// did not change; a retained entry keeps its payoff, so after a reward
-// change it still needs RepairStrategyPayoffs.
+// drops the entries of dropped candidates and appends the regenerated
+// candidates the worker can take, priced by WorkerStrategies' rule. The
+// list holds ascending candidate indices and the regenerated candidates
+// were appended after every retained one, so the result ascends too. A
+// compaction renumbers the retained entries through its monotonic remap,
+// which keeps their order. The result equals a fresh WorkerStrategies call
+// as long as the worker's location, MaxDP and speed did not change; a
+// retained entry keeps its payoff, so after a reward change it still needs
+// RepairStrategyPayoffs.
 //
-// It reports whether the list's membership changed. An unchanged list is
-// renumbered in place and returned; otherwise the input is left alone and a
+// It reports whether the list's membership changed. A list that neither
+// lost nor gained an entry is returned as it is, renumbered in place if
+// the repair compacted the table; otherwise the input is left alone and a
 // new exact-size list is returned. Callers own the transactional
 // consequences of the in-place write, as with RepairStrategyPayoffs.
 func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair, sc *StrategyScratch) ([]StrategyRef, bool) {
-	if rep.remap == nil {
+	if rep.dropped == 0 && rep.fresh == rep.end {
 		return list, false
 	}
 	r := g.ruleFor(w)
 	add := sc.keys[:0]
-	for _, ci := range rep.fresh {
+	for ci := rep.fresh; ci < rep.end; ci++ {
 		if ref, ok := g.strategy(r, ci); ok {
 			add = append(add, ref)
 		}
@@ -203,13 +228,15 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 	sc.keys = add
 	kept := 0
 	for i := range list {
-		if rep.remap[list[i].Cand] >= 0 {
+		if rep.index(g, list[i].Cand) >= 0 {
 			kept++
 		}
 	}
 	if kept == len(list) && len(add) == 0 {
-		for i := range list {
-			list[i].Cand = int32(rep.remap[list[i].Cand])
+		if rep.remap != nil {
+			for i := range list {
+				list[i].Cand = rep.remap[list[i].Cand]
+			}
 		}
 		return list, false
 	}
@@ -218,29 +245,25 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 	}
 	out := make([]StrategyRef, 0, kept+len(add))
 	for _, ref := range list {
-		ci := rep.remap[ref.Cand]
-		if ci < 0 {
-			continue
+		if ref.Cand = rep.index(g, ref.Cand); ref.Cand >= 0 {
+			out = append(out, ref)
 		}
-		for len(add) > 0 && int(add[0].Cand) < ci {
-			out = append(out, add[0])
-			add = add[1:]
-		}
-		ref.Cand = int32(ci)
-		out = append(out, ref)
 	}
 	return append(out, add...), true
 }
 
 // RepairExpiries re-runs the candidate DP restricted to the sets containing
 // at least one of the given delivery points, after those points' earliest
-// task expiries changed, and splices the regenerated candidates into the
-// table in the deterministic (size, lexicographic points) order. Candidates
-// without a changed point are retained as-is, with their maxSlack and
+// task expiries changed, and updates the table in place: every candidate
+// holding a changed point becomes a tombstone (see Candidate) and the
+// regenerated candidates are appended, in the order the DP emits them.
+// Every other candidate keeps its index, its struct and its maxSlack and
 // setSize entries: a set's feasible sequences and Pareto frontier depend
 // only on the expiries and geometry of its own points, so a full
-// GenerateContext on the mutated instance would rebuild them
-// bit-identically.
+// GenerateContext on the mutated instance would rebuild them bit-identically.
+// The live table therefore holds exactly the candidates of a full re-run,
+// bit for bit, though not at the same indices; ComparePayoff ranks them
+// the same.
 //
 // The restricted DP explores exactly the states that can still reach a
 // changed point: a state is kept when its set already contains one, or when
@@ -250,16 +273,23 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 // set can reach every point this degrades to the full DP; on ε-sparse
 // instances it touches a small neighborhood of the changed points.
 //
-// Retained candidates keep pointing into the slabs they were built in, so
-// a repair copies no candidate data until the bytes of the candidates
-// dropped since the last re-slab exceed the live table's: the spliced table
-// is then copied into fresh slabs. Slab memory stays within twice the live
-// table, and the copy is amortized over many repairs.
+// Retained candidates keep pointing into the slabs they were built in, so a
+// repair copies no candidate data, and its only work proportional to the
+// table is the scan for the dropped candidates, which tests the flat fold
+// array before it loads a struct. Once the bytes dropped since the last
+// compaction — tombstone entries and slab bytes — exceed the bytes the
+// live candidates hold, or the table is full and holds at least half as
+// many tombstones as live candidates, the repair compacts the table: it
+// moves the live candidates down over the tombstones, in order, and copies
+// them into fresh slabs. That is the only time a candidate's index moves.
+// Table and slab memory stay within twice the live bytes, and the copy is
+// amortized over many repairs.
 //
 // The generator must already be rebound to the mutated instance. On error
 // (cancellation, ErrTooManySets) the candidate table is left untouched.
-// Strategy lists built before the repair hold pre-repair candidate indices;
-// carry each over with SpliceStrategies.
+// Strategy lists built before the repair may hold dropped candidates, and
+// after a compaction pre-repair indices; carry each over with
+// SpliceStrategies.
 func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRepair, error) {
 	if len(points) == 0 {
 		return ExpiryRepair{}, nil
@@ -272,66 +302,79 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	}
 	d.hops = hopDistances(in, d.changed, g.neighborhoods(), d.eps)
 
-	rep := ExpiryRepair{remap: make([]int, len(g.candidates))}
-	retained := 0
-	for ci := range g.candidates {
-		if g.candidates[ci].Mask.Intersects(d.changed) {
-			rep.remap[ci] = -1
-		} else {
-			retained++
+	var dropped []int
+	cf := d.changed.Fold()
+	for ci, f := range g.fold {
+		if f&cf != 0 && g.candidates[ci].Mask.Intersects(d.changed) {
+			dropped = append(dropped, ci)
 		}
 	}
-	fresh, err := d.run(ctx, g.opt.MaxSets, retained)
+	fresh, err := d.run(ctx, g.opt.MaxSets, g.stats.Candidates-len(dropped))
 	if err != nil {
 		return ExpiryRepair{}, err
 	}
 
-	// Splice the regenerated candidates into the retained table in candLess
-	// order — the order the DP emits them in — so the repaired table is
-	// bit-identical to a full re-run. Retained candidates bring their flat
-	// entries along; only regenerated ones derive theirs.
-	n := retained + len(fresh)
-	merged := make([]Candidate, 0, n)
-	maxSlack := make([]float64, 0, n)
-	setSize := make([]int32, 0, n)
-	live, stale := g.liveBytes, g.staleBytes
-	take := func(c *Candidate) {
-		rep.fresh = append(rep.fresh, len(merged))
-		merged = append(merged, *c)
-		maxSlack = append(maxSlack, c.MaxSlack())
-		setSize = append(setSize, int32(len(c.Points)))
-		live += c.slabBytes()
+	for _, ci := range dropped {
+		b := g.candidates[ci].bytes()
+		g.liveBytes -= b
+		g.staleBytes += b
+		g.candidates[ci] = Candidate{}
+		g.maxSlack[ci] = math.Inf(-1)
+		g.setSize[ci] = 0
+		g.fold[ci] = 0
 	}
-	fi := 0
-	for ci := range g.candidates {
-		c := &g.candidates[ci]
-		if rep.remap[ci] < 0 {
-			b := c.slabBytes()
-			live -= b
-			stale += b
+	for i := range fresh {
+		g.liveBytes += fresh[i].bytes()
+	}
+	g.stats.Candidates += len(fresh) - len(dropped)
+	live := g.stats.Candidates
+	// A compaction cycle gathers about as many tombstones as there are live
+	// candidates, so a table that must grow gets room for twice the live
+	// count. A full table that already holds half that many tombstones
+	// compacts instead of growing: a table-sized allocation just before the
+	// compaction would set the memory peak.
+	tombstones := len(g.candidates) - (live - len(fresh))
+	full := len(g.candidates)+len(fresh) > cap(g.candidates)
+	rep := ExpiryRepair{dropped: len(dropped)}
+	if g.staleBytes > g.liveBytes || full && 2*tombstones >= live {
+		rep.remap = g.compact()
+	}
+	rep.fresh = len(g.candidates)
+	g.candidates = append(reserve(g.candidates, len(fresh), 2*live), fresh...)
+	g.maxSlack = reserve(g.maxSlack, len(fresh), 2*live)
+	g.setSize = reserve(g.setSize, len(fresh), 2*live)
+	g.fold = reserve(g.fold, len(fresh), 2*live)
+	for i := range fresh {
+		g.maxSlack = append(g.maxSlack, fresh[i].MaxSlack())
+		g.setSize = append(g.setSize, int32(len(fresh[i].Points)))
+		g.fold = append(g.fold, fresh[i].Mask.Fold())
+	}
+	rep.end = len(g.candidates)
+	return rep, nil
+}
+
+// compact removes the tombstones from the table in place: the live
+// candidates move down over them, keeping their order, with their flat
+// entries, and are copied into fresh slabs, so the table stops pinning the
+// slabs of the candidates dropped since the last compaction. It returns the
+// map from old to new indices, -1 for a tombstone.
+func (g *Generator) compact() []int32 {
+	remap := make([]int32, len(g.candidates))
+	k := 0
+	for ci, n := range g.setSize {
+		if n == 0 {
+			remap[ci] = -1
 			continue
 		}
-		for fi < len(fresh) && candLess(&fresh[fi], c) {
-			take(&fresh[fi])
-			fi++
-		}
-		rep.remap[ci] = len(merged)
-		merged = append(merged, *c)
-		maxSlack = append(maxSlack, g.maxSlack[ci])
-		setSize = append(setSize, g.setSize[ci])
+		remap[ci] = int32(k)
+		g.candidates[k], g.maxSlack[k], g.setSize[k], g.fold[k] = g.candidates[ci], g.maxSlack[ci], n, g.fold[ci]
+		k++
 	}
-	for ; fi < len(fresh); fi++ {
-		take(&fresh[fi])
-	}
-
-	if stale > live {
-		reslab(merged)
-		stale = 0
-	}
-	g.candidates, g.maxSlack, g.setSize = merged, maxSlack, setSize
-	g.liveBytes, g.staleBytes = live, stale
-	g.stats.Candidates = len(merged)
-	return rep, nil
+	clear(g.candidates[k:])
+	g.candidates, g.maxSlack, g.setSize, g.fold = g.candidates[:k], g.maxSlack[:k], g.setSize[:k], g.fold[:k]
+	reslab(g.candidates)
+	g.staleBytes = 0
+	return remap
 }
 
 // hopDistances returns each point's BFS hop distance to the nearest changed

@@ -51,46 +51,102 @@ func mutateExpiries(in *model.Instance, rng *rand.Rand) []int {
 	return changed
 }
 
-// assertGeneratorsEqual compares every field the solvers read: the candidate
-// table (points, masks, frontiers, rewards), the derived per-candidate caches
-// and every worker's enumerated strategy space, all bitwise.
+// assertGeneratorsEqual compares every field the solvers read with a fresh
+// generator's. Each live candidate is matched to want's candidate with the
+// same point set and compared bit for bit: points, mask, frontier
+// (sequences included), reward, and the flat maxSlack, setSize and fold
+// entries. Every tombstone must be inert — no points, mask or frontier, a
+// zero reward, maxSlack -Inf, setSize 0 and fold 0 — and the live count must equal
+// want's table and got's Stats. Every worker's enumerated strategy space
+// must then match want's (see assertListMatches).
 func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 	t.Helper()
-	gc, wc := got.Candidates(), want.Candidates()
-	if len(gc) != len(wc) {
-		t.Fatalf("candidate count %d, want %d", len(gc), len(wc))
+	byPoints := make(map[string]int, len(want.candidates))
+	for ci := range want.candidates {
+		byPoints[fmt.Sprint(want.candidates[ci].Points)] = ci
 	}
-	for ci := range gc {
-		if !reflect.DeepEqual(gc[ci].Points, wc[ci].Points) {
-			t.Fatalf("candidate %d points %v, want %v", ci, gc[ci].Points, wc[ci].Points)
+	live := 0
+	for ci := range got.candidates {
+		c := &got.candidates[ci]
+		if !c.Live() {
+			if c.Points != nil || c.Mask != nil || c.Frontier != nil || c.Reward != 0 ||
+				!math.IsInf(got.maxSlack[ci], -1) || got.setSize[ci] != 0 || got.fold[ci] != 0 {
+				t.Fatalf("tombstone %d is not inert: %+v, caches (%v,%d,%x)",
+					ci, *c, got.maxSlack[ci], got.setSize[ci], got.fold[ci])
+			}
+			continue
 		}
-		if !reflect.DeepEqual(gc[ci].Frontier, wc[ci].Frontier) {
-			t.Fatalf("candidate %d (%v) frontier diverged:\ngot  %+v\nwant %+v",
-				ci, gc[ci].Points, gc[ci].Frontier, wc[ci].Frontier)
+		live++
+		wi, ok := byPoints[fmt.Sprint(c.Points)]
+		if !ok {
+			t.Fatalf("candidate %d %v is not in the fresh table", ci, c.Points)
 		}
-		if gc[ci].Reward != wc[ci].Reward {
-			t.Fatalf("candidate %d reward %v, want %v", ci, gc[ci].Reward, wc[ci].Reward)
+		wc := &want.candidates[wi]
+		if !reflect.DeepEqual(c.Points, wc.Points) || !reflect.DeepEqual(c.Mask, wc.Mask) {
+			t.Fatalf("candidate %d (%v, mask %v), fresh %d (%v, mask %v)", ci, c.Points, c.Mask, wi, wc.Points, wc.Mask)
 		}
-		if got.maxSlack[ci] != want.maxSlack[ci] || got.setSize[ci] != want.setSize[ci] {
-			t.Fatalf("candidate %d caches (%v,%d), want (%v,%d)",
-				ci, got.maxSlack[ci], got.setSize[ci], want.maxSlack[ci], want.setSize[ci])
+		if !reflect.DeepEqual(c.Frontier, wc.Frontier) {
+			t.Fatalf("candidate %d (%v) frontier diverged:\ngot  %+v\nwant %+v", ci, c.Points, c.Frontier, wc.Frontier)
 		}
+		if math.Float64bits(c.Reward) != math.Float64bits(wc.Reward) {
+			t.Fatalf("candidate %d (%v) reward %v, want %v", ci, c.Points, c.Reward, wc.Reward)
+		}
+		if math.Float64bits(got.maxSlack[ci]) != math.Float64bits(want.maxSlack[wi]) ||
+			got.setSize[ci] != want.setSize[wi] || got.fold[ci] != want.fold[wi] {
+			t.Fatalf("candidate %d (%v) caches (%v,%d,%x), want (%v,%d,%x)", ci, c.Points,
+				got.maxSlack[ci], got.setSize[ci], got.fold[ci], want.maxSlack[wi], want.setSize[wi], want.fold[wi])
+		}
+	}
+	if live != len(want.candidates) || got.Stats().Candidates != live {
+		t.Fatalf("%d live candidates (Stats %d), fresh table %d", live, got.Stats().Candidates, len(want.candidates))
 	}
 	var sc1, sc2 StrategyScratch
 	for w := range want.Instance().Workers {
-		gs, ws := got.WorkerStrategies(w, &sc1), want.WorkerStrategies(w, &sc2)
-		if !reflect.DeepEqual(gs, ws) {
-			t.Fatalf("worker %d strategies diverged:\ngot  %+v\nwant %+v", w, gs, ws)
+		assertListMatches(t, fmt.Sprintf("worker %d", w), got, got.WorkerStrategies(w, &sc1), want, want.WorkerStrategies(w, &sc2))
+	}
+}
+
+// assertListMatches requires list, a strategy list over got's table, to map
+// one-to-one by point set onto wantList, the same worker's list over a fresh
+// generator want: sorted by each generator's ComparePayoff, the two agree
+// entry by entry on point set, frontier entry, sequence and payoff bits. The
+// sort compares point sets on ties, so this also pins that the tie rule
+// ranks both tables alike. Neither input is reordered.
+func assertListMatches(t *testing.T, label string, got *Generator, list []StrategyRef, want *Generator, wantList []StrategyRef) {
+	t.Helper()
+	gs, ws := slices.Clone(list), slices.Clone(wantList)
+	slices.SortFunc(gs, got.ComparePayoff)
+	slices.SortFunc(ws, want.ComparePayoff)
+	if len(gs) != len(ws) {
+		t.Fatalf("%s: %d strategies, fresh %d", label, len(gs), len(ws))
+	}
+	for i := range gs {
+		g, w := gs[i], ws[i]
+		if !slices.Equal(got.RefPoints(g), want.RefPoints(w)) || g.Entry != w.Entry ||
+			!slices.Equal(got.RefSeq(g), want.RefSeq(w)) || math.Float64bits(g.Payoff) != math.Float64bits(w.Payoff) {
+			t.Fatalf("%s entry %d: (points %v, entry %d, seq %v, payoff %v), fresh (points %v, entry %d, seq %v, payoff %v)",
+				label, i, got.RefPoints(g), g.Entry, got.RefSeq(g), g.Payoff,
+				want.RefPoints(w), w.Entry, want.RefSeq(w), w.Payoff)
 		}
 	}
 }
 
+// holdsAny reports whether the candidate's set holds one of the points.
+func holdsAny(c *Candidate, points []int) bool {
+	return slices.ContainsFunc(c.Points, func(p int) bool { return slices.Contains(points, p) })
+}
+
 // TestRepairExpiriesMatchesGenerate is the unit-level pin of incremental
 // candidate regeneration: after moving a subset of points' earliest expiries,
-// RepairExpiries must leave the generator bit-identical — candidates,
-// frontiers, caches and every worker's strategy space — to a full Generate on
-// the mutated instance, across epsilon regimes and with the grid index
-// disabled.
+// RepairExpiries must leave the generator's live table bit-identical —
+// candidates, frontiers, caches and every worker's strategy space — to a
+// full Generate on the mutated instance, matched by point set, across
+// epsilon regimes and with the grid index disabled. The tombstones must be
+// exactly the candidates that held a changed point, every retained
+// candidate must keep its index unless the repair compacted the table, and
+// every appended one must hold a changed point. Each worker's list, spliced
+// through the repair, must equal WorkerStrategies on the repaired generator
+// and map onto the fresh generator's list by point set.
 func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -114,7 +170,12 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				before := append([]Candidate(nil), g.Candidates()...)
+				before := slices.Clone(g.Candidates())
+				var sc StrategyScratch
+				lists := make([][]StrategyRef, len(in.Workers))
+				for w := range lists {
+					lists[w] = g.WorkerStrategies(w, &sc)
+				}
 
 				mutated := in.Clone()
 				rng := rand.New(rand.NewSource(seed * 31))
@@ -133,55 +194,53 @@ func TestRepairExpiriesMatchesGenerate(t *testing.T) {
 				}
 				assertGeneratorsEqual(t, g, want)
 
-				// Remap/Fresh must describe the surgery exactly: -1 in Remap
-				// marks exactly the candidates containing a changed point.
-				if len(rep.remap) != len(before) {
-					t.Fatalf("remap length %d, want %d", len(rep.remap), len(before))
-				}
-				changed := map[int]bool{}
-				for _, p := range pts {
-					changed[p] = true
-				}
 				dropped := 0
 				for ci := range before {
-					hasChanged := false
-					for _, p := range before[ci].Points {
-						if changed[p] {
-							hasChanged = true
-						}
-					}
-					ni := rep.remap[ci]
+					ni := rep.index(g, int32(ci))
 					if ni < 0 {
-						if !hasChanged {
-							t.Fatalf("candidate %d remapped to -1 but contains no changed point", ci)
+						if !holdsAny(&before[ci], pts) {
+							t.Fatalf("candidate %d %v dropped but holds no changed point", ci, before[ci].Points)
 						}
 						dropped++
 						continue
 					}
-					if hasChanged {
-						t.Fatalf("candidate %d contains a changed point but was retained", ci)
+					if holdsAny(&before[ci], pts) {
+						t.Fatalf("candidate %d %v holds a changed point but was retained", ci, before[ci].Points)
+					}
+					if rep.remap == nil && int(ni) != ci {
+						t.Fatalf("retained candidate %d moved to %d without a compaction", ci, ni)
 					}
 					if !reflect.DeepEqual(before[ci].Points, g.Candidates()[ni].Points) {
 						t.Fatalf("retained candidate %d moved to %d with different points", ci, ni)
 					}
 				}
-				fresh := map[int]bool{}
-				for _, ni := range rep.fresh {
-					fresh[ni] = true
-					hit := false
-					for _, p := range g.Candidates()[ni].Points {
-						for _, q := range pts {
-							if p == q {
-								hit = true
-							}
+				if rep.remap == nil {
+					for ci := range before {
+						if live := g.Candidates()[ci].Live(); live == holdsAny(&before[ci], pts) {
+							t.Fatalf("candidate %d %v: live %v after the repair", ci, before[ci].Points, live)
 						}
 					}
-					if !hit {
-						t.Fatalf("fresh candidate %d contains no changed point", ni)
+				}
+				if dropped != rep.dropped || rep.end != len(g.Candidates()) {
+					t.Fatalf("repair reports %d dropped and end %d; recount %d, table %d",
+						rep.dropped, rep.end, dropped, len(g.Candidates()))
+				}
+				for ni := rep.fresh; ni < rep.end; ni++ {
+					if !holdsAny(&g.Candidates()[ni], pts) {
+						t.Fatalf("appended candidate %d %v holds no changed point", ni, g.Candidates()[ni].Points)
 					}
 				}
-				if got := len(before) - dropped + len(rep.fresh); got != len(g.Candidates()) {
-					t.Fatalf("retained+fresh = %d, table has %d", got, len(g.Candidates()))
+				if got := len(before) - dropped + rep.end - rep.fresh; got != g.Stats().Candidates {
+					t.Fatalf("retained+appended = %d, %d live", got, g.Stats().Candidates)
+				}
+
+				var wsc StrategyScratch
+				for w := range lists {
+					list, _ := g.SpliceStrategies(w, lists[w], rep, &sc)
+					if ws := g.WorkerStrategies(w, &wsc); !reflect.DeepEqual(list, ws) {
+						t.Fatalf("seed %d worker %d: spliced list diverged:\ngot  %+v\nwant %+v", seed, w, list, ws)
+					}
+					assertListMatches(t, fmt.Sprintf("seed %d worker %d", seed, w), g, list, want, want.WorkerStrategies(w, &wsc))
 				}
 			}
 		})
@@ -515,17 +574,23 @@ func TestFeasibleForMatchesEnumeration(t *testing.T) {
 }
 
 // TestRepairExpiriesChainedMatchesGenerate chains expiry repairs on one
-// generator, so retained candidates come from earlier repairs and the table
-// crosses the re-slab threshold. After every step the generator must equal a
-// fresh Generate of the mutated instance bit for bit; every worker's list,
-// spliced through each step and, on steps that also re-price, repaired with
-// RepairStrategyPayoffs, must equal WorkerStrategies; the slab accounting
-// must match a recount of the table, keep the table's slabs within twice the
-// live bytes and re-slab exactly when the bytes dropped since the last
-// re-slab exceed the live ones. The chain must contain steps of both kinds,
-// and splices of every kind: a list kept whole, one that only gains
-// regenerated candidates (every fourth step loosens one point's deadlines,
-// which workers that could not reach it in time now may) and one that loses
+// generator, so retained candidates come from earlier repairs, the table
+// piles up tombstones and crosses the compaction rule. After every step the
+// live table must equal a fresh Generate of the mutated instance bit for
+// bit, matched by point set; every worker's list, spliced through each step
+// and, on steps that also re-price, repaired with RepairStrategyPayoffs,
+// must equal WorkerStrategies on the repaired generator and map onto the
+// fresh generator's list by point set. The candidates dropped must be
+// exactly those that held a changed point. The byte accounting must match a
+// recount — live candidates' bytes, and the bytes dropped since the last
+// compaction — keep table and slabs within twice the live bytes and
+// compact exactly when the dropped bytes exceed the live ones or the table
+// is full and holds at least half as many tombstones as live candidates;
+// outside a compaction a retained candidate keeps its index and its slab.
+// Each case must compact at least twice, and the chain must contain splices
+// of every kind: a list kept whole, one that only gains regenerated
+// candidates (every fourth step loosens one point's deadlines, which
+// workers that could not reach it in time now may) and one that loses
 // candidates.
 func TestRepairExpiriesChainedMatchesGenerate(t *testing.T) {
 	cases := []struct {
@@ -552,10 +617,11 @@ func TestRepairExpiriesChainedMatchesGenerate(t *testing.T) {
 				lists[w] = g.WorkerStrategies(w, &sc)
 			}
 			rng := rand.New(rand.NewSource(tc.seed))
-			stale := 0 // bytes dropped since the last re-slab, counted here
-			reslabbed, kept := 0, 0
+			stale := 0 // bytes dropped since the last compaction, counted here
+			compacted, kept := 0, 0
 			for step := 0; step < steps; step++ {
-				before := g.Candidates()
+				before := slices.Clone(g.Candidates())
+				capBefore := cap(g.Candidates())
 				mutated := in.Clone()
 				var pts []int
 				if step%4 == 3 {
@@ -589,7 +655,7 @@ func TestRepairExpiriesChainedMatchesGenerate(t *testing.T) {
 				}
 				assertGeneratorsEqual(t, g, want)
 				for w := range lists {
-					dropped := slices.ContainsFunc(lists[w], func(r StrategyRef) bool { return rep.remap[r.Cand] < 0 })
+					dropped := slices.ContainsFunc(lists[w], func(r StrategyRef) bool { return rep.index(g, r.Cand) < 0 })
 					n := len(lists[w])
 					var spliced bool
 					lists[w], spliced = g.SpliceStrategies(w, lists[w], rep, &sc)
@@ -605,52 +671,81 @@ func TestRepairExpiriesChainedMatchesGenerate(t *testing.T) {
 						t.Fatalf("step %d worker %d: splice reported %v, membership changed: %v", step, w, spliced, !spliced)
 					}
 					g.RepairStrategyPayoffs(w, lists[w], repriced)
-					if ws := want.WorkerStrategies(w, &wsc); !reflect.DeepEqual(lists[w], ws) {
+					if ws := g.WorkerStrategies(w, &wsc); !reflect.DeepEqual(lists[w], ws) {
 						t.Fatalf("step %d worker %d: spliced list diverged:\ngot  %+v\nwant %+v", step, w, lists[w], ws)
 					}
+					assertListMatches(t, fmt.Sprintf("step %d worker %d", step, w), g, lists[w], want, want.WorkerStrategies(w, &wsc))
 				}
 
 				live := 0
 				for i := range g.Candidates() {
-					live += g.Candidates()[i].slabBytes()
+					if c := &g.Candidates()[i]; c.Live() {
+						live += c.bytes()
+					}
 				}
 				dropped := false
-				for ci, ni := range rep.remap {
-					if ni < 0 {
-						stale += before[ci].slabBytes()
+				for ci := range before {
+					if !before[ci].Live() {
+						continue
+					}
+					gone := rep.index(g, int32(ci)) < 0
+					if gone != holdsAny(&before[ci], pts) {
+						t.Fatalf("step %d: candidate %d %v dropped %v, holds a changed point %v",
+							step, ci, before[ci].Points, gone, !gone)
+					}
+					if gone {
+						stale += before[ci].bytes()
 						dropped = true
 					}
 				}
-				resl := stale > live
+				appended, nlive := rep.end-rep.fresh, g.Stats().Candidates
+				full := len(before)+appended > capBefore
+				tombstones := len(before) - nlive + appended
+				resl := stale > live || full && 2*tombstones >= nlive
+				if resl != (rep.remap != nil) {
+					t.Fatalf("step %d: %d dropped bytes against %d live, full %v with %d tombstones for %d live, but compacted: %v",
+						step, stale, live, full, tombstones, nlive, rep.remap != nil)
+				}
 				switch {
 				case resl:
 					stale = 0
-					reslabbed++
+					compacted++
 				case dropped:
 					kept++
 				}
 				if g.liveBytes != live || g.staleBytes != stale {
-					t.Fatalf("step %d: slab accounting live %d stale %d, recount %d and %d",
+					t.Fatalf("step %d: byte accounting live %d stale %d, recount %d and %d",
 						step, g.liveBytes, g.staleBytes, live, stale)
 				}
 				if g.liveBytes+g.staleBytes > 2*g.liveBytes {
-					t.Fatalf("step %d: slabs pin up to %d bytes for a %d-byte table",
+					t.Fatalf("step %d: table and slabs hold up to %d bytes for %d live bytes",
 						step, g.liveBytes+g.staleBytes, g.liveBytes)
 				}
-				// A retained candidate stays in its slab unless the table was
-				// re-slabbed.
-				for ci, ni := range rep.remap {
-					if ni >= 0 && (&before[ci].Points[0] == &g.Candidates()[ni].Points[0]) == resl {
-						t.Fatalf("step %d: re-slab %v, but retained candidate %d moved slabs: %v",
+				if resl && len(g.Candidates()) != g.Stats().Candidates {
+					t.Fatalf("step %d: compacted table holds %d entries for %d live candidates",
+						step, len(g.Candidates()), g.Stats().Candidates)
+				}
+				// A retained candidate keeps its index and its slab unless
+				// the table was compacted, and then it moves slabs.
+				for ci := range before {
+					ni := rep.index(g, int32(ci))
+					if !before[ci].Live() || ni < 0 {
+						continue
+					}
+					if !resl && int(ni) != ci {
+						t.Fatalf("step %d: retained candidate %d moved to %d without a compaction", step, ci, ni)
+					}
+					if (&before[ci].Points[0] == &g.Candidates()[ni].Points[0]) == resl {
+						t.Fatalf("step %d: compaction %v, but retained candidate %d moved slabs: %v",
 							step, resl, ci, !resl)
 					}
 				}
 				in = mutated
 			}
-			if reslabbed == 0 || kept == 0 {
-				t.Fatalf("%d steps re-slabbed and %d dropped candidates without re-slabbing; want both", reslabbed, kept)
+			if compacted < 2 || kept == 0 {
+				t.Fatalf("%d steps compacted and %d dropped candidates without compacting; want at least 2 and 1", compacted, kept)
 			}
-			t.Logf("%d steps re-slabbed, %d did not", reslabbed, kept)
+			t.Logf("%d steps compacted, %d did not", compacted, kept)
 		})
 	}
 	if whole == 0 || gained == 0 || lost == 0 {

@@ -88,9 +88,13 @@ type State struct {
 // generator: they are capacity-limited windows into slabs shared by many
 // candidates, so appending to one copies it, and they must not be modified
 // in place. A slab outlives the candidates RepairExpiries drops from it
-// until the table is re-slabbed, which happens once the dropped bytes
+// until the table is compacted, which happens once the dropped bytes
 // exceed the live ones. Reward is the candidate's own (RepairRewards
 // rewrites it).
+//
+// A candidate RepairExpiries dropped stays in the table as a tombstone until
+// the next compaction: the zero Candidate, with no points, mask or frontier
+// (see Live).
 type Candidate struct {
 	// Points holds the set's delivery point indices in ascending order.
 	Points []int
@@ -107,20 +111,26 @@ type Candidate struct {
 	Reward float64
 }
 
-// The slab sizes of a point index, a mask word and a frontier state.
+// The slab sizes of a point index, a mask word and a frontier state, and the
+// size of one table entry: a Candidate plus its maxSlack, setSize and fold.
 const (
 	intBytes   = int(unsafe.Sizeof(int(0)))
 	wordBytes  = 8
 	stateBytes = int(unsafe.Sizeof(State{}))
+	entryBytes = int(unsafe.Sizeof(Candidate{})) + 8 + 4 + 8
 )
 
-// slabBytes returns the slab bytes the candidate references: its points,
-// mask words, frontier states and their sequences, each of which visits
-// every point of the set once.
-func (c *Candidate) slabBytes() int {
+// bytes returns the bytes the candidate holds: its table entry and the slab
+// bytes it references — its points, mask words, frontier states and their
+// sequences, each of which visits every point of the set once.
+func (c *Candidate) bytes() int {
 	n := len(c.Points)
-	return n*intBytes + len(c.Mask)*wordBytes + len(c.Frontier)*(stateBytes+n*intBytes)
+	return entryBytes + n*intBytes + len(c.Mask)*wordBytes + len(c.Frontier)*(stateBytes+n*intBytes)
 }
+
+// Live reports whether the candidate is live rather than a tombstone: every
+// live candidate holds at least one point.
+func (c *Candidate) Live() bool { return len(c.Points) > 0 }
 
 // MinTime returns the minimal center-origin travel time over the frontier.
 func (c *Candidate) MinTime() float64 { return c.Frontier[0].Time }
@@ -185,13 +195,19 @@ type Generator struct {
 	// WorkerStrategies' feasibility test, StrategySpaces' chain filter and
 	// list-size bounds, game's singleton test through SetSize — reject
 	// candidates without touching the candidate structs (and their
-	// pointer-chased frontiers) at all.
+	// pointer-chased frontiers) at all. fold[ci] is candidates[ci].Mask
+	// folded into one word (bitset.Set.Fold), so the point scans —
+	// RepairRewards and RepairExpiries' search for the sets to drop — load a
+	// candidate's struct and mask only when its fold meets the touched
+	// points'. A tombstone's entries are -Inf, 0 and 0, which every scan
+	// already rejects.
 	maxSlack []float64
 	setSize  []int32
-	// liveBytes is the slab bytes the candidate table references, and
+	fold     []uint64
+	// liveBytes is the bytes the live candidates hold (see bytes), and
 	// staleBytes those of the candidates RepairExpiries dropped since the
-	// table was last re-slabbed: an upper bound on what the table's slabs
-	// pin beyond the live table.
+	// table was last compacted: their tombstones' table entries and an upper
+	// bound on the slab bytes the live candidates pin for them.
 	liveBytes, staleBytes int
 	// nbrs caches each point's ascending ε-neighbourhood; see neighborhoods.
 	nbrs [][]int
@@ -204,7 +220,8 @@ type Stats struct {
 	SubsetsExplored int
 	// ExtensionsPruned counts DP extensions discarded by the ε rule.
 	ExtensionsPruned int
-	// Candidates is the number of C-VDPSs produced.
+	// Candidates is the number of C-VDPSs produced: the live candidates,
+	// tombstones left out.
 	Candidates int
 	// MaxSetSize is the size cap that was applied.
 	MaxSetSize int
@@ -248,17 +265,19 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 // finish derives the candidate count, the per-candidate feasibility arrays
 // the batch strategy scans use and the live slab bytes from the candidate
 // table. Every Generator constructor must end with it so WorkerStrategies
-// sees a complete view; RepairExpiries carries the same fields through its
-// splice instead.
+// sees a complete view; RepairExpiries keeps the same fields up to date as
+// it tombstones and appends candidates instead.
 func (g *Generator) finish() {
 	g.stats.Candidates = len(g.candidates)
 	g.maxSlack = make([]float64, len(g.candidates))
 	g.setSize = make([]int32, len(g.candidates))
+	g.fold = make([]uint64, len(g.candidates))
 	for ci := range g.candidates {
 		c := &g.candidates[ci]
 		g.maxSlack[ci] = c.MaxSlack()
 		g.setSize[ci] = int32(len(c.Points))
-		g.liveBytes += c.slabBytes()
+		g.fold[ci] = c.Mask.Fold()
+		g.liveBytes += c.bytes()
 	}
 }
 
@@ -291,19 +310,13 @@ func (g *Generator) neighborhoods() [][]int {
 	return g.nbrs
 }
 
-// candLess is the deterministic candidate-table order every constructor
-// establishes: by set size, then lexicographic point set. Exactly one
-// candidate exists per point set, so the order is total.
-func candLess(a, b *Candidate) bool {
-	if len(a.Points) != len(b.Points) {
-		return len(a.Points) < len(b.Points)
-	}
-	for k := range a.Points {
-		if a.Points[k] != b.Points[k] {
-			return a.Points[k] < b.Points[k]
-		}
-	}
-	return false
+// candCompare is the candidates' own order: by set size, then lexicographic
+// point set. Every constructor lays the table out in it; RepairExpiries
+// appends regenerated candidates after the retained ones instead, so it is
+// ComparePayoff's tie rule rather than the table index. Exactly one live
+// candidate exists per point set, so the order is total on live candidates.
+func candCompare(a, b *Candidate) int {
+	return cmp.Or(cmp.Compare(len(a.Points), len(b.Points)), slices.Compare(a.Points, b.Points))
 }
 
 // derivedMaxSize returns the largest set size any worker may accept.
@@ -345,8 +358,9 @@ func sortFrontier(f []State) {
 	slices.SortFunc(f, func(a, b State) int { return cmp.Compare(a.Time, b.Time) })
 }
 
-// Candidates returns all generated C-VDPSs. The slice is shared; callers
-// must not modify it.
+// Candidates returns the candidate table: every generated C-VDPS, and after
+// RepairExpiries the tombstones of the dropped ones, which readers skip (see
+// Candidate.Live). The slice is shared; callers must not modify it.
 func (g *Generator) Candidates() []Candidate { return g.candidates }
 
 // Stats returns generation statistics.
@@ -374,11 +388,12 @@ type WorkerVDPS struct {
 // ForWorker returns the strategies valid for worker index w: every candidate
 // whose size respects the worker's maxDP and whose frontier contains a
 // sequence the worker can complete within all deadlines. Strategies are
-// ordered by descending payoff, ascending candidate on ties — the order
-// ComparePayoff defines, written out here independently so tests can use
-// this full form as its oracle. No production path calls it: solvers and
-// the audit read the compact lists of WorkerStrategies, and
-// TestWorkerStrategiesMatchForWorker pins the two forms to each other.
+// ordered by descending payoff and, on ties, by ascending set size, then
+// lexicographic point set — the order ComparePayoff defines, written out
+// here independently so tests can use this full form as its oracle. No
+// production path calls it: solvers and the audit read the compact lists of
+// WorkerStrategies, and TestWorkerStrategiesMatchForWorker pins the two
+// forms to each other. Tombstones fit no worker: they have no frontier.
 //
 // For workers using the instance's default speed the check is exact and
 // O(frontier) via the slack trick. For workers with a speed override the
@@ -432,7 +447,11 @@ func (g *Generator) ForWorker(w int) []WorkerVDPS {
 			}
 			return 1
 		}
-		return a.Candidate - b.Candidate
+		pa, pb := g.candidates[a.Candidate].Points, g.candidates[b.Candidate].Points
+		if len(pa) != len(pb) {
+			return len(pa) - len(pb)
+		}
+		return slices.Compare(pa, pb)
 	})
 	return out
 }
@@ -472,19 +491,30 @@ func (g *Generator) RefPoints(r StrategyRef) []int {
 func (g *Generator) SetSize(ci int32) int32 { return g.setSize[ci] }
 
 // ComparePayoff is the one preference rule between a worker's strategies:
-// higher payoff first, ascending candidate index on equal payoffs. Within
-// one worker's list candidate indices are unique, so it is a strict total
-// order; its minimum over the strategies a worker can hold is the worker's
-// top strategy. Strategy lists are not stored in this order (see
-// WorkerStrategies): readers that need it compare or sort with it.
-func ComparePayoff(a, b StrategyRef) int {
+// higher payoff first and, on equal payoffs, the candidate first in the
+// candidates' own order — smaller set, then lexicographically smaller point
+// set. The tie rule reads the candidates, not their table index, so a table
+// RepairExpiries appended to ranks ties as a fresh Generate of the same
+// instance does. Within one worker's list the point sets are distinct, so
+// it is a strict total order; its minimum over the strategies a worker can
+// hold is the worker's top strategy. Strategy lists are not stored in this
+// order (see WorkerStrategies): readers that need it compare or sort with it.
+func (g *Generator) ComparePayoff(a, b StrategyRef) int {
 	switch {
 	case a.Payoff > b.Payoff:
 		return -1
 	case a.Payoff < b.Payoff:
 		return 1
 	}
-	return int(a.Cand) - int(b.Cand)
+	return g.compareCands(a, b)
+}
+
+// compareCands is ComparePayoff's tie rule, kept out of line so that the
+// payoff comparison itself inlines into the sorts and scans that call it.
+//
+//go:noinline
+func (g *Generator) compareCands(a, b StrategyRef) int {
+	return candCompare(&g.candidates[a.Cand], &g.candidates[b.Cand])
 }
 
 // StrategyScratch carries the reusable gather buffer for batch
@@ -520,12 +550,14 @@ func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 // gather appends worker r.w's strategies to keys in ascending candidate
 // order. A default-speed worker's scan rejects infeasible candidates on the
 // flat maxSlack/setSize arrays without touching the candidate structs. The
-// loops keep the per-candidate rule inline for speed.
+// loops keep the per-candidate rule inline for speed. A tombstone fails
+// both loops' feasibility tests: its maxSlack covers no approach time, not
+// even a NaN one, and its frontier is empty.
 func (g *Generator) gather(r workerRule, keys []StrategyRef) []StrategyRef {
 	approach, maxDP, factor := r.approach, r.maxDP, r.factor
 	if factor == 1 {
 		for ci, ms := range g.maxSlack {
-			if ms < approach || (maxDP > 0 && g.setSize[ci] > maxDP) {
+			if !(ms >= approach) || (maxDP > 0 && g.setSize[ci] > maxDP) {
 				continue
 			}
 			c := &g.candidates[ci]

@@ -615,7 +615,7 @@ func TestWorkerStrategiesMatchForWorker(t *testing.T) {
 						tc.name, w, i, refs[i-1].Cand, refs[i].Cand)
 				}
 			}
-			slices.SortFunc(refs, ComparePayoff)
+			slices.SortFunc(refs, g.ComparePayoff)
 			full := g.ForWorker(w)
 			if len(refs) != len(full) {
 				t.Fatalf("%s worker %d: %d compact strategies, %d full", tc.name, w, len(refs), len(full))
