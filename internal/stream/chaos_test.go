@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -171,4 +172,73 @@ func TestLadderDegradedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 13))
+}
+
+// TestFailedFallbackAfterRepairMarksDirty pins the dirty protocol that the
+// in-place repair leans on. An expiry-moving delta repairs the candidate
+// table and splices the committed strategy lists in place; arming
+// stream.resolve and platform.solve once each then fails both the warm
+// resolve and the cold fallback, so the Apply fails and consumes no
+// sequence number. The warm structures now describe the failed batch, so a
+// different batch — a re-pricing of another task, which would otherwise
+// take the warm path over them — must regenerate and match the cold solve
+// of the instance without the failed delta. Re-applying the failed delta
+// would not do: its repair heals the structures on a retry.
+func TestFailedFallbackAfterRepairMarksDirty(t *testing.T) {
+	defer fault.DisarmAll()
+	for seed := int64(14); seed <= 17; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			in := gmInstance(t, seed, 60, 10, 24)
+			opt := Options{VDPS: testVDPS}
+			opt.Game.Seed = seed
+			eng, err := New(context.Background(), in, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := expiryMovingDelta(t, eng, 1)
+
+			fault.Lookup("stream.resolve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+			fault.Lookup("platform.solve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+			if _, err := eng.Apply(context.Background(), d); err == nil {
+				t.Fatal("a failed resolve and a failed cold fallback did not fail the Apply")
+			}
+			fault.DisarmAll()
+			if seq := eng.Snapshot().Seq; seq != 0 {
+				t.Fatalf("failed Apply moved the sequence to %d", seq)
+			}
+
+			other := liveTask(t, eng)
+			if other == d.TaskID {
+				other = otherTask(t, eng, d.TaskID)
+			}
+			d2 := Delta{Seq: 1, Kind: RewardChanged, TaskID: other, Reward: 2.5}
+			res, err := eng.Apply(context.Background(), d2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resolve != ResolveRegen {
+				t.Fatalf("resolve after a failed repaired batch = %q, want %q", res.Resolve, ResolveRegen)
+			}
+			replayed := in.Clone()
+			if err := Replay(replayed, d2); err != nil {
+				t.Fatal(err)
+			}
+			assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, seed))
+		})
+	}
+}
+
+// otherTask returns the ID of a task other than id.
+func otherTask(t *testing.T, eng *Engine, id int) int {
+	t.Helper()
+	snap := eng.Snapshot()
+	for p := range snap.Instance.Points {
+		for _, tk := range snap.Instance.Points[p].Tasks {
+			if tk.ID != id {
+				return tk.ID
+			}
+		}
+	}
+	t.Fatal("no other task")
+	return 0
 }

@@ -302,6 +302,8 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 				rsp.End()
 				return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 			}
+			// The table was edited in place, and refresh splices the
+			// committed lists in place.
 			mutated = true
 		}
 		repriced := gen.RepairRewards(rewardPoints)
@@ -424,12 +426,16 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 // A staged worker inherits the committed list of the worker with its ID
 // only while the worker's location, MaxDP and speed (all the list reads
 // about it) are unchanged. The list is then carried through the expiry
-// repair by gen.SpliceStrategies — kept as it is while its membership
-// holds (renumbered in place if the repair compacted the table), spliced
-// into a new list when a candidate on it was dropped or a regenerated one
-// is feasible for the worker — and the payoffs of its re-priced entries
-// are recomputed in place. The worker counts as touched iff its list was
-// spliced or held a re-priced entry. Every other worker's list is rebuilt.
+// repair by gen.SpliceStrategies, which consumes it: the entries of dropped
+// candidates are squeezed out and the regenerated ones the worker can take
+// appended, in the committed list's own array while it has room (and
+// renumbered in place if the repair compacted the table). The payoffs of
+// its re-priced entries are then recomputed in place. The committed lists
+// are therefore stale once refresh has run on a repair that is not the
+// identity; such a repair always sets mutated in ApplyAll, so a batch that
+// fails afterwards marks the engine dirty. The worker counts as touched iff
+// its list was spliced or held a re-priced entry. Every other worker's list
+// is rebuilt.
 func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, rep vdps.ExpiryRepair, repriced []int) ([][]vdps.StrategyRef, int) {
 	committed := make(map[int]int, len(e.inst.Workers))
 	for w := range e.inst.Workers {

@@ -47,6 +47,14 @@ func FuzzStreamDeltas(f *testing.F) {
 		0, 4, 2, 32, 0, 5, 2, 32, 0, 6, 2, 32, 8, 7, 2, 32,
 		0, 8, 2, 32, 0, 9, 2, 32, 8, 10, 2, 32,
 		1, 0, 0, 0, 1, 5, 0, 0, 9, 9, 0, 0})
+	// Regens that splice the strategy lists in place and then outgrow them:
+	// a 1/2 h arrival at point 11 drops more of every list than it
+	// regenerates, so each list shrinks in its own array; expiring it
+	// appends the entries back into the room that left; expiring the task
+	// that pins point 9's earliest expiry appends more than any list holds,
+	// so each list grows; expiring both of point 3's earliest tasks then
+	// appends into that growth's spare capacity.
+	f.Add([]byte{0, 8, 11, 16, 32, 9, 30, 0, 0, 9, 25, 0, 0, 1, 8, 0, 0, 9, 7, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -188,8 +188,10 @@ type dp struct {
 	expiry  []float64
 	reward  []float64
 	// succ holds each point's ε-neighbourhood in ascending order, or nil to
-	// scan every point.
+	// scan every point, and legs[p][k] the leg from p to succ[p][k], so an
+	// indexed run reads each leg instead of calling the travel model.
 	succ [][]int
+	legs [][]leg
 
 	// changed and hops restrict the run for RepairExpiries: a node is kept
 	// only if its set holds a changed point or its last point is within the
@@ -218,14 +220,16 @@ type dp struct {
 
 // newDP prepares a DP run over the generator's instance with per-point
 // expiries and rewards, enumerating successors through the generator's
-// ε-neighbourhoods unless the index is disabled. Sorted neighbourhoods make
-// the index a pure filter of the full scan's ascending order.
+// ε-neighbourhoods, and reading their legs, unless the index is disabled.
+// Sorted neighbourhoods make the index a pure filter of the full scan's
+// ascending order, and each cached leg is the travel model's own value, so
+// the index changes no result.
 func (g *Generator) newDP(maxSize int) *dp {
 	in := g.inst
 	n := len(in.Points)
 	d := &dp{in: in, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt)}
 	if !g.opt.DisableIndex {
-		d.succ = g.neighborhoods()
+		d.succ, d.legs = g.neighborhoods()
 	}
 	d.expiry = make([]float64, n)
 	d.reward = make([]float64, n)
@@ -309,9 +313,12 @@ func (d *dp) expand(ctx context.Context, size int) error {
 		lastLoc := in.Points[last].Loc
 		lo, hi := cur.first[s], cur.first[s+1]
 		hit := d.changed != nil && bitset.Set(set).Intersects(d.changed)
-		succ, cnt := d.succ, d.n
-		if succ != nil {
-			cnt = len(succ[last])
+		var succ []int
+		var legs []leg
+		cnt := d.n
+		if d.succ != nil {
+			succ, legs = d.succ[last], d.legs[last]
+			cnt = len(succ)
 			// Extensions the index never enumerates still count as pruned,
 			// keeping the stat comparable to the full scan.
 			d.stats.ExtensionsPruned += d.n - cnt
@@ -319,20 +326,30 @@ func (d *dp) expand(ctx context.Context, size int) error {
 		for k := 0; k < cnt; k++ {
 			q := k
 			if succ != nil {
-				q = succ[last][k]
+				q = succ[k]
 			}
 			if set[q>>6]&(1<<(q&63)) != 0 {
 				continue
 			}
-			leg := in.Travel.Distance(lastLoc, in.Points[q].Loc)
-			if leg > d.eps {
+			var dist float64
+			if legs != nil {
+				dist = legs[k].dist
+			} else {
+				dist = in.Travel.Distance(lastLoc, in.Points[q].Loc)
+			}
+			if dist > d.eps {
 				d.stats.ExtensionsPruned++
 				continue
 			}
 			if d.changed != nil && !hit && d.hops[q] > budget {
 				continue
 			}
-			legTime := in.Travel.Time(lastLoc, in.Points[q].Loc)
+			var legTime float64
+			if legs != nil {
+				legTime = legs[k].time
+			} else {
+				legTime = in.Travel.Time(lastLoc, in.Points[q].Loc)
+			}
 			tgt := int32(-1)
 			for e := lo; e < hi; e++ {
 				nt := cur.ents[e].time + legTime

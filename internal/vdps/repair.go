@@ -168,8 +168,10 @@ func (g *Generator) strategy(r workerRule, ci int) (StrategyRef, bool) {
 
 // ExpiryRepair records the candidate-table surgery of one RepairExpiries
 // call, which SpliceStrategies needs to carry a strategy list built before
-// it over to the repaired table. The zero value is the identity: no
-// candidate was dropped, appended or moved.
+// it over to the repaired table. Splicing edits the list in place, so each
+// pre-repair list goes through it once. The zero value is the identity: no
+// candidate was dropped, appended or moved, and a splice through it leaves
+// the list alone.
 type ExpiryRepair struct {
 	// dropped counts the candidates the repair turned into tombstones:
 	// every live candidate containing a changed point.
@@ -200,20 +202,22 @@ func (rep *ExpiryRepair) index(g *Generator, ci int32) int32 {
 // SpliceStrategies carries worker w's strategy list, as WorkerStrategies
 // built it before the expiry repair rep, over to the repaired table: it
 // drops the entries of dropped candidates and appends the regenerated
-// candidates the worker can take, priced by WorkerStrategies' rule. The
-// list holds ascending candidate indices and the regenerated candidates
-// were appended after every retained one, so the result ascends too. A
-// compaction renumbers the retained entries through its monotonic remap,
-// which keeps their order. The result equals a fresh WorkerStrategies call
-// as long as the worker's location, MaxDP and speed did not change; a
-// retained entry keeps its payoff, so after a reward change it still needs
-// RepairStrategyPayoffs.
+// candidates the worker can take, priced by WorkerStrategies' rule and
+// gathered into sc first. The list holds ascending candidate indices and
+// the regenerated candidates were appended after every retained one, so the
+// result ascends too. A compaction renumbers the retained entries through
+// its monotonic remap, which keeps their order. The result equals a fresh
+// WorkerStrategies call as long as the worker's location, MaxDP and speed
+// did not change; a retained entry keeps its payoff, so after a reward
+// change it still needs RepairStrategyPayoffs.
 //
-// It reports whether the list's membership changed. A list that neither
-// lost nor gained an entry is returned as it is, renumbered in place if
-// the repair compacted the table; otherwise the input is left alone and a
-// new exact-size list is returned. Callers own the transactional
-// consequences of the in-place write, as with RepairStrategyPayoffs.
+// It reports whether the list's membership changed. The splice consumes
+// its input: the retained entries move down over the dropped ones and the
+// regenerated ones are appended after them, in the input's array; append
+// reallocates only when they outnumber the dropped entries plus the spare
+// capacity. A list left empty comes back nil, as WorkerStrategies returns
+// it. Callers own the transactional consequences of the in-place write, as
+// with RepairStrategyPayoffs.
 func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair, sc *StrategyScratch) ([]StrategyRef, bool) {
 	if rep.dropped == 0 && rep.fresh == rep.end {
 		return list, false
@@ -226,30 +230,17 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 		}
 	}
 	sc.keys = add
-	kept := 0
-	for i := range list {
-		if rep.index(g, list[i].Cand) >= 0 {
-			kept++
-		}
-	}
-	if kept == len(list) && len(add) == 0 {
-		if rep.remap != nil {
-			for i := range list {
-				list[i].Cand = rep.remap[list[i].Cand]
-			}
-		}
-		return list, false
-	}
-	if kept+len(add) == 0 {
-		return nil, true
-	}
-	out := make([]StrategyRef, 0, kept+len(add))
+	kept := list[:0]
 	for _, ref := range list {
 		if ref.Cand = rep.index(g, ref.Cand); ref.Cand >= 0 {
-			out = append(out, ref)
+			kept = append(kept, ref)
 		}
 	}
-	return append(out, add...), true
+	spliced := len(kept) < len(list) || len(add) > 0
+	if len(kept)+len(add) == 0 {
+		return nil, spliced
+	}
+	return append(kept, add...), spliced
 }
 
 // RepairExpiries re-runs the candidate DP restricted to the sets containing
@@ -300,7 +291,8 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	for _, p := range points {
 		d.changed = d.changed.With(p)
 	}
-	d.hops = hopDistances(in, d.changed, g.neighborhoods(), d.eps)
+	nbrs, _ := g.neighborhoods()
+	d.hops = hopDistances(in, d.changed, nbrs, d.eps)
 
 	var dropped []int
 	cf := d.changed.Fold()

@@ -278,6 +278,68 @@ func TestRepairExpiriesNoChange(t *testing.T) {
 	}
 }
 
+// TestSpliceStrategiesInPlace pins the in-place splice: when a list's
+// capacity holds its spliced result, SpliceStrategies returns the list's own
+// array, holding what WorkerStrategies returns, and for a default-speed
+// worker it allocates nothing. (A worker with a speed override is re-checked
+// through model.RouteFeasible, which allocates its arrival times.) Each list
+// gets the least capacity that fits, so a list that drops at least as many
+// entries as it appends has none to spare, and one that appends more has
+// exactly the difference. The loosened and tightened expiries make lists of
+// both kinds.
+func TestSpliceStrategiesInPlace(t *testing.T) {
+	var gained, lost, unscaled int
+	for seed := int64(1); seed <= 4; seed++ {
+		in := repairGM(t, seed, 60, 8, 24)
+		g, err := Generate(in, Options{Epsilon: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc, wsc StrategyScratch
+		lists := make([][]StrategyRef, len(in.Workers))
+		for w := range lists {
+			lists[w] = g.WorkerStrategies(w, &sc)
+		}
+		mutated := in.Clone()
+		pts := mutateExpiries(mutated, rand.New(rand.NewSource(seed*7)))
+		g.Rebind(mutated)
+		rep, err := g.RepairExpiries(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, orig := range lists {
+			want := g.WorkerStrategies(w, &wsc)
+			buf := make([]StrategyRef, len(orig), max(len(orig), len(want)))
+			var got []StrategyRef
+			allocs := testing.AllocsPerRun(10, func() {
+				copy(buf, orig)
+				got, _ = g.SpliceStrategies(w, buf, rep, &sc)
+			})
+			if mutated.SpeedFactor(w) == 1 {
+				unscaled++
+				if allocs != 0 {
+					t.Errorf("seed %d worker %d: splice into a list with room allocated %v times", seed, w, allocs)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d worker %d: spliced list diverged:\ngot  %+v\nwant %+v", seed, w, got, want)
+			}
+			if len(got) > 0 && &got[0] != &buf[0] {
+				t.Errorf("seed %d worker %d: spliced list left the input's array", seed, w)
+			}
+			if slices.ContainsFunc(orig, func(r StrategyRef) bool { return rep.index(g, r.Cand) < 0 }) {
+				lost++
+			}
+			if slices.ContainsFunc(got, func(r StrategyRef) bool { return int(r.Cand) >= rep.fresh }) {
+				gained++
+			}
+		}
+	}
+	if gained == 0 || lost == 0 || unscaled == 0 {
+		t.Fatalf("%d lists gained and %d lost entries, %d of default-speed workers; want each", gained, lost, unscaled)
+	}
+}
+
 // TestRepairExpiriesErrorLeavesTable pins the transactional contract: a
 // repair that fails (canceled context) leaves the candidate table untouched.
 func TestRepairExpiriesErrorLeavesTable(t *testing.T) {

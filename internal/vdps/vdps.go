@@ -209,9 +209,15 @@ type Generator struct {
 	// table was last compacted: their tombstones' table entries and an upper
 	// bound on the slab bytes the live candidates pin for them.
 	liveBytes, staleBytes int
-	// nbrs caches each point's ascending ε-neighbourhood; see neighborhoods.
+	// nbrs caches each point's ascending ε-neighbourhood and legs each
+	// neighbour's leg, aligned with it; see neighborhoods.
 	nbrs [][]int
+	legs [][]leg
 }
+
+// leg is the travel from a point to one of its ε-neighbours: the distance
+// the ε rule tests and the time an extension adds.
+type leg struct{ dist, time float64 }
 
 // Stats reports the work performed during generation, used by the pruning
 // ablation experiments.
@@ -289,13 +295,15 @@ func epsilon(opt Options) float64 {
 	return opt.Epsilon
 }
 
-// neighborhoods returns each point's ε-neighbourhood in ascending order, or
-// nil when ε is disabled and every point neighbours every other. They are
-// built on first use and kept: Rebind's contract fixes the delivery points
-// and the travel model for the generator's lifetime. The Euclidean-ball
-// index is a superset filter for metrics whose distance is >= Euclidean
-// (e.g. Manhattan), so its users keep checking each leg.
-func (g *Generator) neighborhoods() [][]int {
+// neighborhoods returns each point's ε-neighbourhood in ascending order, and
+// aligned with it each neighbour's leg from the point under the travel
+// model, or nils when ε is disabled and every point neighbours every other.
+// They are built on first use and kept: Rebind's contract fixes the
+// delivery points and the travel model for the generator's lifetime. The
+// legs share one backing array. The Euclidean-ball index is a superset
+// filter for metrics whose distance is >= Euclidean (e.g. Manhattan), so its
+// users keep checking each leg.
+func (g *Generator) neighborhoods() ([][]int, [][]leg) {
 	in := g.inst
 	if eps := epsilon(g.opt); g.nbrs == nil && !math.IsInf(eps, 1) && len(in.Points) > 0 {
 		locs := make([]geo.Point, len(in.Points))
@@ -303,11 +311,23 @@ func (g *Generator) neighborhoods() [][]int {
 			locs[i] = in.Points[i].Loc
 		}
 		g.nbrs = grid.New(locs, eps).Neighborhoods(eps)
+		n := 0
 		for _, nb := range g.nbrs {
 			slices.Sort(nb)
+			n += len(nb)
+		}
+		flat := make([]leg, 0, n)
+		g.legs = make([][]leg, len(g.nbrs))
+		for p, nb := range g.nbrs {
+			i := len(flat)
+			for _, q := range nb {
+				a, b := in.Points[p].Loc, in.Points[q].Loc
+				flat = append(flat, leg{dist: in.Travel.Distance(a, b), time: in.Travel.Time(a, b)})
+			}
+			g.legs[p] = flat[i:len(flat):len(flat)]
 		}
 	}
-	return g.nbrs
+	return g.nbrs, g.legs
 }
 
 // candCompare is the candidates' own order: by set size, then lexicographic
