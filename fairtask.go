@@ -735,7 +735,9 @@ type InstanceStats = model.InstanceStats
 // WriteCSV persists a problem in the library's CSV schema.
 func WriteCSV(w io.Writer, p *Problem) error { return dataset.WriteCSV(w, p) }
 
-// ReadCSV loads a problem previously written with WriteCSV.
+// ReadCSV loads a problem previously written with WriteCSV. Fields are
+// never quoted: an input holding a '"', or a line of more than 4,096 bytes
+// before its "\n", is rejected (docs/CLI.md states the rules).
 func ReadCSV(r io.Reader) (*Problem, error) { return dataset.ReadCSV(r) }
 
 // RenderOptions configure RenderSVG.

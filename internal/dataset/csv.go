@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -30,6 +31,8 @@ import (
 // Point, task and worker IDs are scoped to their center: two centers may
 // each have a point 1, and a task's point ID names a point of its own
 // center. A record must follow its center's record, and a task its point's.
+// No field is quoted; recordReader states the line rules that every decoder
+// of the package shares.
 var (
 	// ErrBadCSV reports a malformed record stream.
 	ErrBadCSV = errors.New("dataset: malformed CSV")
@@ -102,10 +105,10 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 
 	for rr.next() {
 		rec := rr.rec
-		switch rec[0] {
+		switch string(rec[0]) {
 		case "meta":
 			speed, metaLine = rr.float(1, "speed"), rr.line
-			switch rec[5] {
+			switch string(rec[5]) {
 			case "euclidean", "":
 				metric = geo.Euclidean{}
 			case "manhattan":
@@ -146,7 +149,7 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 					Loc:   geo.Pt(rr.float(3, "x"), rr.float(4, "y")),
 					MaxDP: rr.int(5, "maxDP"),
 				}
-				if rec[6] != "" {
+				if len(rec[6]) > 0 {
 					w.Speed = rr.float(6, "worker speed")
 				}
 				in := &prob.Instances[ii]
@@ -172,67 +175,100 @@ func ReadCSV(r io.Reader) (*model.Problem, error) {
 	return prob, nil
 }
 
-// recordReader is the one record loop of the package's CSV decoders. It
-// reads records of a fixed field count into one reused slice, and its
-// field parsers keep the first failure, wrapped in the decoder's sentinel
-// and naming its line and field. A decoder parses a whole record and checks
-// err once; after a failure next returns false.
+// recordReader is the one record loop of the package's CSV decoders. Every
+// schema they read holds only numbers, empty fields and fixed words, and the
+// writers never quote, so it splits each line at its commas: one record per
+// line, whose fields are sub-slices of the read buffer, valid until the next
+// call to next. Line ends follow encoding/csv: "\n" or "\r\n" ends a record,
+// a "\r" at the end of the input is dropped, and an empty line is skipped but
+// counted. A '"' and a line over maxLine bytes are rejected. Its field
+// parsers keep the first failure, wrapped in the decoder's sentinel and
+// naming its line and field. A decoder parses a whole record and checks err
+// once; after a failure next returns false.
 type recordReader struct {
-	cr       *csv.Reader
+	br       *bufio.Reader
 	sentinel error
-	// rec is the current record and line the line it starts on.
-	rec  []string
+	// rec is the current record and line the line it is on.
+	rec  [][]byte
 	line int
 	err  error
 }
 
+// maxLine is the most bytes a line may hold before its "\n", about 25 times
+// the longest record WriteCSV writes. The read buffer holds one more, so a
+// longer line is the one that fills it.
+const maxLine = 4096
+
 // newRecordReader reads records of the given field count from r and wraps
 // every failure in sentinel.
 func newRecordReader(r io.Reader, fields int, sentinel error) *recordReader {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = fields
-	cr.ReuseRecord = true
-	return &recordReader{cr: cr, sentinel: sentinel}
+	return &recordReader{br: bufio.NewReaderSize(r, maxLine+1), sentinel: sentinel, rec: make([][]byte, fields)}
 }
 
 // next reads the next record. It returns false at the end of the input and
 // once err is set.
 func (rr *recordReader) next() bool {
-	if rr.err != nil {
-		return false
-	}
-	rec, err := rr.cr.Read()
-	if err == io.EOF {
-		return false
-	}
-	if err != nil {
-		// A parse error names its line; a read error is named here. Both
-		// stay wrapped, so callers can errors.As through to transport-level
-		// causes such as *http.MaxBytesError.
-		var pe *csv.ParseError
-		if !errors.As(err, &pe) {
-			err = fmt.Errorf("line %d: %w", rr.line+1, err)
+	for rr.err == nil {
+		line, err := rr.br.ReadSlice('\n')
+		if len(line) == 0 && err == io.EOF {
+			return false
 		}
-		rr.err = fmt.Errorf("%w: %w", rr.sentinel, err)
-		return false
+		rr.line++
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			// A read error stays wrapped, so callers can errors.As through to
+			// transport-level causes such as *http.MaxBytesError.
+			rr.err = fmt.Errorf("%w: line %d: %w", rr.sentinel, rr.line, err)
+			return false
+		}
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		}
+		if len(line) > maxLine {
+			rr.err = fmt.Errorf("%w: line %d: longer than %d bytes", rr.sentinel, rr.line, maxLine)
+			return false
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		n, start := 0, 0
+		for i, c := range line {
+			switch c {
+			case ',':
+				if n < len(rr.rec) {
+					rr.rec[n] = line[start:i]
+				}
+				n, start = n+1, i+1
+			case '"':
+				rr.fail(n, `'"' not allowed: fields are never quoted`)
+				return false
+			}
+		}
+		if n < len(rr.rec) {
+			rr.rec[n] = line[start:]
+		}
+		if n++; n != len(rr.rec) {
+			rr.err = fmt.Errorf("%w: line %d: %d fields, want %d", rr.sentinel, rr.line, n, len(rr.rec))
+			return false
+		}
+		return true
 	}
-	rr.rec = rec
-	rr.line, _ = rr.cr.FieldPos(0)
-	return true
+	return false
 }
 
 // fail keeps the first failure of the current record, naming the line and
 // the 1-based number of field i.
 func (rr *recordReader) fail(i int, format string, args ...any) {
 	if rr.err == nil {
-		line, _ := rr.cr.FieldPos(i)
-		rr.err = fmt.Errorf("%w: line %d, field %d: %s", rr.sentinel, line, i+1, fmt.Sprintf(format, args...))
+		rr.err = fmt.Errorf("%w: line %d, field %d: %s", rr.sentinel, rr.line, i+1, fmt.Sprintf(format, args...))
 	}
 }
 
 // int parses field i, named what, as an integer.
 func (rr *recordReader) int(i int, what string) int {
-	v, err := strconv.Atoi(rr.rec[i])
+	v, err := strconv.Atoi(string(rr.rec[i]))
 	if err != nil {
 		rr.fail(i, "bad %s %q", what, rr.rec[i])
 	}
@@ -241,7 +277,7 @@ func (rr *recordReader) int(i int, what string) int {
 
 // float parses field i, named what, as a float64.
 func (rr *recordReader) float(i int, what string) float64 {
-	v, err := strconv.ParseFloat(rr.rec[i], 64)
+	v, err := strconv.ParseFloat(string(rr.rec[i]), 64)
 	if err != nil {
 		rr.fail(i, "bad %s %q", what, rr.rec[i])
 	}

@@ -11,7 +11,8 @@ import (
 
 // TestDecodeErrorsNameTheirLine pins that every decoder rejects a bad
 // record with its own sentinel and names the line the record is on:
-// field parse failures, unknown references, malformed CSV and read errors.
+// field parse failures, unknown references, malformed CSV (a quote, a line
+// over maxLine bytes) and read errors. A row with no sentinel must decode.
 func TestDecodeErrorsNameTheirLine(t *testing.T) {
 	errRead := errors.New("connection reset")
 	p, err := GenerateSYN(SYNConfig{Seed: 1, Centers: 1, Tasks: 10, Workers: 2, DeliveryPoints: 4})
@@ -29,6 +30,12 @@ func TestDecodeErrorsNameTheirLine(t *testing.T) {
 		header  = "center,worker,stop,point,arrival,reward,payoff\n"
 		gmTasks = "0,1,1,1,1\n1,1,1,1,1\n"
 	)
+	// meta is a meta record of n bytes before its line end, padded in its
+	// unused last field.
+	meta := func(n int) string {
+		const m = "meta,5,,,,euclidean,"
+		return m + strings.Repeat("x", n-len(m)) + "\n"
+	}
 	problem := func(body string) func() error {
 		return func() error { _, err := ReadCSV(strings.NewReader(body)); return err }
 	}
@@ -61,6 +68,10 @@ func TestDecodeErrorsNameTheirLine(t *testing.T) {
 		{"bad worker speed", problem(center + "worker,0,0,0,0,2,fast\n"), ErrBadCSV, 2},
 		{"short record", problem(center + point + "task,0,1\n"), ErrBadCSV, 3},
 		{"bare quote", problem(center + "point,0,0,1\"x,2,,\n"), ErrBadCSV, 2},
+		{"quoted problem field", problem(center + "point,0,0,\"1\",2,,\n"), ErrBadCSV, 2},
+		{"longest line", problem(meta(maxLine) + center), nil, 0},
+		{"over-long line", problem(center + meta(maxLine+1)), ErrBadCSV, 2},
+		{"crlf line ends", problem(strings.ReplaceAll(center+point+"task,0,1,0,,1,1\n", "\n", "\r\n")), nil, 0},
 		{"problem read error", func() error {
 			_, err := ReadCSV(io.MultiReader(strings.NewReader(center+point), iotest.ErrReader(errRead)))
 			return err
@@ -74,14 +85,23 @@ func TestDecodeErrorsNameTheirLine(t *testing.T) {
 		{"duplicate stop", routes(header + row(c, w, 0, pt) + row(c, w, 0, pt)), ErrAssignmentCSV, 3},
 		{"missing earlier stop", routes(header + row(c, w, 0, pt) + row(c, w, 2, pt)), ErrAssignmentCSV, 3},
 		{"short route row", routes(header + "1,2,3\n"), ErrAssignmentCSV, 2},
+		{"quoted route field", routes(header + row(c, w, 0, pt) + "\"0\",0,1,0,0,1,1\n"), ErrAssignmentCSV, 3},
 
 		{"bad task coordinate", gmission(gmTasks+"2,zz,1,1,1\n", "0,0,0,1\n"), ErrBadGMission, 3},
 		{"short task row", gmission("1,2,3\n", "0,0,0,1\n"), ErrBadGMission, 1},
 		{"bad worker maxdp", gmission(gmTasks, "0,0,0,1\n1,1,1,zz\n"), ErrBadGMission, 2},
+		{"quoted task field", gmission(gmTasks+"2,\"1\",1,1,1\n", "0,0,0,1\n"), ErrBadGMission, 3},
+		{"quoted worker field", gmission(gmTasks, "0,0,0,1\n\"1\",1,1,1\n"), ErrBadGMission, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.decode()
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("err = %v, want the input to decode", err)
+				}
+				return
+			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}

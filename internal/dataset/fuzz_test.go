@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -27,6 +29,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(kindGroupedCSV)
 	f.Add("garbage")
 	f.Add("")
+	f.Add(strings.ReplaceAll(buf.String(), "\n", "\r\n"))
 
 	f.Fuzz(func(t *testing.T, data string) {
 		prob, err := ReadCSV(strings.NewReader(data))
@@ -43,6 +46,65 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if again.TaskCount() != prob.TaskCount() || again.WorkerCount() != prob.WorkerCount() {
 			t.Fatal("round trip changed the problem")
+		}
+	})
+}
+
+// FuzzRecordReader pins the decoders' tokenizer against encoding/csv: on
+// any input with no '"' and no line over maxLine bytes before its "\n",
+// recordReader yields the records, field by field, and the line numbers
+// that a csv.Reader with the same field count yields, or both reject the
+// input at the same line.
+func FuzzRecordReader(f *testing.F) {
+	f.Add(uint8(7), "meta,5,,,,euclidean,\ncenter,0,,0,0,,\r\n\npoint,0,0,1,2,,\r")
+	f.Add(uint8(3), "1,2,3\n\n\r\n4,5,6\r\r\n7,8\n")
+	f.Add(uint8(3), "a,b,c\r\n,,\n\r")
+	f.Add(uint8(1), "\n\nx\ry\n\r\n")
+	f.Add(uint8(5), "0,1,1,1,1\n1,1,1,1,1,1\n")
+
+	f.Fuzz(func(t *testing.T, fields uint8, data string) {
+		n := 1 + int(fields%8)
+		if strings.Contains(data, `"`) {
+			return
+		}
+		for _, line := range strings.Split(data, "\n") {
+			if len(line) > maxLine {
+				return
+			}
+		}
+		rr := newRecordReader(strings.NewReader(data), n, ErrBadCSV)
+		cr := csv.NewReader(strings.NewReader(data))
+		cr.FieldsPerRecord = n
+		for {
+			ok := rr.next()
+			want, err := cr.Read()
+			if err == io.EOF {
+				if ok || rr.err != nil {
+					t.Fatalf("csv ends, recordReader reads on: ok %v, err %v", ok, rr.err)
+				}
+				return
+			}
+			if err != nil {
+				var pe *csv.ParseError
+				if !errors.As(err, &pe) {
+					t.Fatalf("csv read error %v", err)
+				}
+				if ok || rr.err == nil || rr.line != pe.Line {
+					t.Fatalf("csv rejects line %d (%v), recordReader: ok %v, line %d, err %v", pe.Line, err, ok, rr.line, rr.err)
+				}
+				return
+			}
+			if !ok {
+				t.Fatalf("csv reads %q, recordReader stops: %v", want, rr.err)
+			}
+			if line, _ := cr.FieldPos(0); rr.line != line {
+				t.Fatalf("record %q: line %d, csv says %d", want, rr.line, line)
+			}
+			for i := range want {
+				if string(rr.rec[i]) != want[i] {
+					t.Fatalf("line %d field %d: %q, csv says %q", rr.line, i+1, rr.rec[i], want[i])
+				}
+			}
 		}
 	})
 }

@@ -87,7 +87,7 @@ func ReadAssignmentCSV(r io.Reader, p *model.Problem) ([]*model.Assignment, erro
 		return nil, fmt.Errorf("%w: line 1: missing header", ErrAssignmentCSV)
 	}
 	for i, col := range []string{"center", "worker", "stop", "point", "arrival", "reward", "payoff"} {
-		if rr.rec[i] != col {
+		if string(rr.rec[i]) != col {
 			rr.fail(i, "column is %q, want %q", rr.rec[i], col)
 		}
 	}

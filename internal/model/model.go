@@ -401,11 +401,19 @@ func (in *Instance) RouteReward(r Route) float64 {
 
 // RouteFeasible reports whether worker w can complete every task on the
 // route before expiry: arrival at each point must not exceed the point's
-// earliest task expiration (Definition 6).
+// earliest task expiration (Definition 6). It walks the route as
+// RouteArrivals does, with the same arithmetic, and allocates nothing.
 func (in *Instance) RouteFeasible(w int, r Route) bool {
-	arr := in.RouteArrivals(w, r)
+	if len(r) == 0 {
+		return true
+	}
+	f := in.SpeedFactor(w)
+	t := in.ApproachTime(w) + f*in.Travel.Time(in.Center, in.Points[r[0]].Loc)
 	for i, p := range r {
-		if arr[i] > in.Points[p].EarliestExpiry() {
+		if i > 0 {
+			t += f * in.Travel.Time(in.Points[r[i-1]].Loc, in.Points[p].Loc)
+		}
+		if t > in.Points[p].EarliestExpiry() {
 			return false
 		}
 	}

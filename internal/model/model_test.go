@@ -170,6 +170,35 @@ func TestRouteFeasible(t *testing.T) {
 	}
 }
 
+// TestRouteFeasibleMatchesArrivals pins RouteFeasible to RouteArrivals for a
+// worker with a speed override, at deadlines exactly on an arrival time and
+// just below it, and holds it to no allocation.
+func TestRouteFeasibleMatchesArrivals(t *testing.T) {
+	in := testInstance()
+	in.Workers[0].Speed = 0.7
+	r := Route{0, 1, 2}
+	for stop, at := range in.RouteArrivals(0, r) {
+		for _, e := range []float64{at, math.Nextafter(at, 0)} {
+			for i := range in.Points[r[stop]].Tasks {
+				in.Points[r[stop]].Tasks[i].Expiry = e
+			}
+			want := true
+			for k, a := range in.RouteArrivals(0, r) {
+				want = want && a <= in.Points[r[k]].EarliestExpiry()
+			}
+			if got := in.RouteFeasible(0, r); got != want {
+				t.Errorf("stop %d, expiry %v: RouteFeasible = %v, arrivals say %v", stop, e, got, want)
+			}
+		}
+		for i := range in.Points[r[stop]].Tasks {
+			in.Points[r[stop]].Tasks[i].Expiry = 100
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { in.RouteFeasible(0, r) }); n != 0 {
+		t.Errorf("RouteFeasible allocates %v times per call, want 0", n)
+	}
+}
+
 func TestAssignmentValidate(t *testing.T) {
 	in := testInstance()
 	in.Workers = append(in.Workers, Worker{ID: 1, Loc: geo.Pt(0, 1), MaxDP: 1})

@@ -315,13 +315,10 @@ func (d *dp) expand(ctx context.Context, size int) error {
 		hit := d.changed != nil && bitset.Set(set).Intersects(d.changed)
 		var succ []int
 		var legs []leg
-		cnt := d.n
+		cnt, members := d.n, 0
 		if d.succ != nil {
 			succ, legs = d.succ[last], d.legs[last]
 			cnt = len(succ)
-			// Extensions the index never enumerates still count as pruned,
-			// keeping the stat comparable to the full scan.
-			d.stats.ExtensionsPruned += d.n - cnt
 		}
 		for k := 0; k < cnt; k++ {
 			q := k
@@ -329,6 +326,7 @@ func (d *dp) expand(ctx context.Context, size int) error {
 				q = succ[k]
 			}
 			if set[q>>6]&(1<<(q&63)) != 0 {
+				members++
 				continue
 			}
 			var dist float64
@@ -371,6 +369,12 @@ func (d *dp) expand(ctx context.Context, size int) error {
 				}
 				d.nodes.insert(tgt, nt, slack, e)
 			}
+		}
+		if succ != nil {
+			// The points the index never enumerates count as pruned, as the
+			// full scan counts them, except the set's own members (the set
+			// holds size-1 points), which the scan skips.
+			d.stats.ExtensionsPruned += d.n - cnt - (size - 1 - members)
 		}
 	}
 

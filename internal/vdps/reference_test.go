@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -164,7 +165,13 @@ func refExpandLevel(ctx context.Context, in *model.Instance, level []*refState, 
 		succ := all
 		if neighbors != nil {
 			succ = neighbors[ds.last]
-			pruned += n - len(succ)
+			// Every unvisited point outside the ε-ball is pruned, as the full
+			// scan counts it.
+			for q := 0; q < n; q++ {
+				if !ds.set.Has(q) && !slices.Contains(succ, q) {
+					pruned++
+				}
+			}
 		}
 		for _, q := range succ {
 			if ds.set.Has(q) {

@@ -280,15 +280,14 @@ func TestRepairExpiriesNoChange(t *testing.T) {
 
 // TestSpliceStrategiesInPlace pins the in-place splice: when a list's
 // capacity holds its spliced result, SpliceStrategies returns the list's own
-// array, holding what WorkerStrategies returns, and for a default-speed
-// worker it allocates nothing. (A worker with a speed override is re-checked
-// through model.RouteFeasible, which allocates its arrival times.) Each list
-// gets the least capacity that fits, so a list that drops at least as many
-// entries as it appends has none to spare, and one that appends more has
-// exactly the difference. The loosened and tightened expiries make lists of
-// both kinds.
+// array, holding what WorkerStrategies returns, and allocates nothing, for a
+// worker with a speed override (re-checked through model.RouteFeasible) as
+// for a default-speed one. Each list gets the least capacity that fits, so
+// a list that drops at least as many entries as it appends has none to
+// spare, and one that appends more has exactly the difference. The loosened
+// and tightened expiries make lists of both kinds.
 func TestSpliceStrategiesInPlace(t *testing.T) {
-	var gained, lost, unscaled int
+	var gained, lost, scaled int
 	for seed := int64(1); seed <= 4; seed++ {
 		in := repairGM(t, seed, 60, 8, 24)
 		g, err := Generate(in, Options{Epsilon: 1.5})
@@ -315,11 +314,11 @@ func TestSpliceStrategiesInPlace(t *testing.T) {
 				copy(buf, orig)
 				got, _ = g.SpliceStrategies(w, buf, rep, &sc)
 			})
-			if mutated.SpeedFactor(w) == 1 {
-				unscaled++
-				if allocs != 0 {
-					t.Errorf("seed %d worker %d: splice into a list with room allocated %v times", seed, w, allocs)
-				}
+			if mutated.SpeedFactor(w) != 1 {
+				scaled++
+			}
+			if allocs != 0 {
+				t.Errorf("seed %d worker %d: splice into a list with room allocated %v times", seed, w, allocs)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d worker %d: spliced list diverged:\ngot  %+v\nwant %+v", seed, w, got, want)
@@ -335,8 +334,8 @@ func TestSpliceStrategiesInPlace(t *testing.T) {
 			}
 		}
 	}
-	if gained == 0 || lost == 0 || unscaled == 0 {
-		t.Fatalf("%d lists gained and %d lost entries, %d of default-speed workers; want each", gained, lost, unscaled)
+	if gained == 0 || lost == 0 || scaled == 0 {
+		t.Fatalf("%d lists gained and %d lost entries, %d of workers with a speed override; want each", gained, lost, scaled)
 	}
 }
 

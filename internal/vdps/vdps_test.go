@@ -1,6 +1,7 @@
 package vdps
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -423,8 +424,15 @@ func TestBestFor(t *testing.T) {
 // leg: the same sets, frontier sequences and the bits of every time and
 // slack, and the same Stats. Trials alternate the Euclidean and Manhattan
 // metrics, at a speed that is not 1 so that a leg's time is not its
-// distance.
+// distance. At MaxDP 5 the DP extends sets whose members lie outside the
+// last point's ε-ball, which the index never enumerates.
 func TestIndexMatchesScan(t *testing.T) {
+	for _, maxDP := range []int{3, 5} {
+		t.Run(fmt.Sprintf("maxDP=%d", maxDP), func(t *testing.T) { testIndexMatchesScan(t, maxDP) })
+	}
+}
+
+func testIndexMatchesScan(t *testing.T, maxDP int) {
 	rng := rand.New(rand.NewSource(77))
 	metrics := []geo.Metric{geo.Euclidean{}, geo.Manhattan{}}
 	for trial := 0; trial < 40; trial++ {
@@ -442,7 +450,7 @@ func TestIndexMatchesScan(t *testing.T) {
 				}},
 			})
 		}
-		in.Workers = []model.Worker{{ID: 0, Loc: geo.Pt(5, 5), MaxDP: 3}}
+		in.Workers = []model.Worker{{ID: 0, Loc: geo.Pt(5, 5), MaxDP: maxDP}}
 		eps := 1 + rng.Float64()*4
 
 		indexed, err := Generate(in, Options{Epsilon: eps})
