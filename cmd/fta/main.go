@@ -512,15 +512,16 @@ func cmdReport(args []string) error {
 
 // cmdAudit re-verifies a persisted assignment (an "fta assign -routes"
 // export) against its dataset: route structure, deadlines, recomputed
-// payoffs, VDPS membership, and — when -alg names a game-theoretic algorithm
-// — the equilibrium certificate. It exits non-zero on any violation, so it
-// can gate a dispatch pipeline.
+// payoffs, VDPS membership, and — when -alg names a certified algorithm —
+// that algorithm's certificate at its default options. An unknown -alg is
+// an error. It exits non-zero on any violation, so it can gate a dispatch
+// pipeline.
 func cmdAudit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	var (
 		in     = fs.String("in", "", "input problem CSV")
 		routes = fs.String("routes", "", "route CSV written by \"fta assign -routes\"")
-		alg    = fs.String("alg", "", "algorithm that produced the routes; FGT or IEGT enables the equilibrium check, LEXIFAIR the leximin check")
+		alg    = fs.String("alg", "", "algorithm that produced the routes (MPTA, GTA, FGT, IEGT, MMTA or LEXIFAIR); FGT or IEGT enables the equilibrium check, LEXIFAIR the leximin check")
 		eps    = fs.Float64("eps", 0, "pruning threshold epsilon in km used for the solve (0 = no pruning)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -543,7 +544,13 @@ func cmdAudit(args []string) error {
 		return err
 	}
 
-	opt := fairtask.AuditOptions{Algorithm: *alg, Converged: *alg != ""}
+	var opt fairtask.AuditOptions
+	if *alg != "" {
+		if opt.Solver, err = fairtask.NewAssigner(fairtask.Options{Algorithm: fairtask.Algorithm(*alg)}); err != nil {
+			return err
+		}
+		opt.Converged = true
+	}
 	if *eps > 0 {
 		opt.VDPS.Epsilon = *eps
 	} else {

@@ -631,6 +631,12 @@ func TestAuditRoundTrip(t *testing.T) {
 			t.Errorf("audit output missing %q in:\n%s", want, out)
 		}
 	}
+	// An unknown algorithm has no certificate to skip: it is an error.
+	if _, err := capture(t, func() error {
+		return run([]string{"audit", "-in", csv, "-routes", routes, "-alg", "XXX"})
+	}); err == nil {
+		t.Error("audit accepted an unknown algorithm")
+	}
 
 	// Corrupt the export: point the first route row at a different delivery
 	// point, producing either an overlap, a deadline miss or a non-member

@@ -134,7 +134,7 @@ func checkReply(t *testing.T, what string, rr *httptest.ResponseRecorder, overLi
 }
 
 // queryRejected reports whether rr is the 400 a solving endpoint gives a
-// malformed seed, eps, parallel or audit parameter. Each rejection names its
+// malformed seed, eps or audit parameter. Each rejection names its
 // parameter as "bad <name>", and all are made before the body is read.
 func queryRejected(rr *httptest.ResponseRecorder) bool {
 	var e struct{ Error string }
@@ -143,5 +143,5 @@ func queryRejected(rr *httptest.ResponseRecorder) bool {
 	}
 	rest, ok := strings.CutPrefix(e.Error, "bad ")
 	param, _, _ := strings.Cut(rest, ":")
-	return ok && slices.Contains([]string{"seed", "eps", "parallel", "audit"}, param)
+	return ok && slices.Contains([]string{"seed", "eps", "audit"}, param)
 }

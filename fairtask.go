@@ -435,10 +435,12 @@ type Options struct {
 	Recorder Recorder
 	// Audit re-verifies every produced assignment with the independent
 	// auditor (route structure, deadline feasibility, payoff summary, VDPS
-	// membership, the equilibrium certificate for converged FGT/IEGT, and
-	// the leximin certificate for converged LEXIFAIR). A violation fails the solve with an error wrapping
-	// *AuditError. The solver's own candidate generator is reused, so the
-	// overhead is one verification pass, not a second generation.
+	// membership, and for a converged run the solver's certificate: the
+	// equilibrium for FGT/IEGT, the leximin optimum for LEXIFAIR, each
+	// checked with the options above). A violation fails the solve with an
+	// error wrapping *AuditError. The audit reads the strategy lists the
+	// solver played, so the overhead is one verification pass, not a second
+	// generation or state build.
 	Audit bool
 	// Retry retries each per-center solve attempt (candidate generation +
 	// solver run) under this policy — capped exponential backoff with
@@ -532,27 +534,17 @@ func platformOptions(opt Options) platform.Options {
 		Degrade:     opt.Degrade,
 	}
 	if opt.Audit {
-		aopt := auditOptions(opt)
-		popt.Audit = &aopt
+		popt.Audit = &AuditOptions{VDPS: opt.VDPS}
 	}
 	return popt
 }
 
-// auditOptions derives the audit configuration matching a solve's options.
-func auditOptions(opt Options) AuditOptions {
-	return AuditOptions{
-		VDPS:           opt.VDPS,
-		Fairness:       opt.Fairness,
-		EpsilonUtility: opt.EpsilonUtility,
-		UsePriorities:  opt.UsePriorities,
-	}
-}
-
 // Audit independently re-verifies an assignment against an instance: route
 // structure, deadline feasibility, the reported payoff summary (nil sum
-// skips the comparison), VDPS membership, and the equilibrium certificate
-// for converged FGT/IEGT results (see AuditOptions). The report lists every
-// violated invariant; Report.Err() converts it to an error.
+// skips the comparison), VDPS membership over candidates regenerated with
+// opt.VDPS, and, for a converged result (opt.Converged), the certificate of
+// opt.Solver run with that solver's options (see AuditOptions). The report
+// lists every violated invariant; Report.Err() converts it to an error.
 func Audit(in *Instance, a *Assignment, sum *Summary, opt AuditOptions) *AuditReport {
 	return audit.Run(in, a, sum, opt)
 }
@@ -620,10 +612,10 @@ func VerifyNashEquilibrium(in *Instance, a *Assignment, opt Options) error {
 	if err != nil {
 		return err
 	}
-	return game.VerifyNE(s, game.NEOptions{
-		Fairness:      opt.Fairness,
-		Tol:           opt.EpsilonUtility,
-		UsePriorities: opt.UsePriorities,
+	return game.VerifyNE(s, game.Options{
+		Fairness:       opt.Fairness,
+		EpsilonUtility: opt.EpsilonUtility,
+		UsePriorities:  opt.UsePriorities,
 	})
 }
 
@@ -635,7 +627,7 @@ func VerifyEvolutionaryEquilibrium(in *Instance, a *Assignment, opt Options) err
 	if err != nil {
 		return err
 	}
-	return evo.VerifyEquilibrium(s)
+	return evo.VerifyEquilibrium(s, evo.Options{})
 }
 
 // loadState regenerates the candidates with opt.VDPS and loads the

@@ -538,7 +538,7 @@ func TestFGTRejectsNonMonotoneIAU(t *testing.T) {
 		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
 			t.Errorf("%s: stream.New err = %v, want ErrNonMonotoneIAU", c.name, err)
 		}
-		err = game.VerifyNE(game.NewState(g), game.NEOptions{Fairness: c.fair, UsePriorities: c.usePriorities})
+		err = game.VerifyNE(game.NewState(g), gopt)
 		if !errors.Is(err, fairtask.ErrNonMonotoneIAU) {
 			t.Errorf("%s: game.VerifyNE err = %v, want ErrNonMonotoneIAU", c.name, err)
 		}

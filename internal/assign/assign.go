@@ -26,6 +26,19 @@ type Assigner interface {
 	Assign(ctx context.Context, s *game.State) (*game.Result, error)
 }
 
+// Certified is an Assigner whose converged results carry a certificate:
+// the stopping condition of the run, checked with the options the solver
+// ran. FGT certifies a pure Nash equilibrium under the IAU (game.VerifyNE),
+// IEGT the improved evolutionary stable state (evo.VerifyEquilibrium), and
+// LEXIFAIR the leximin optimum (VerifyLexifair).
+type Certified interface {
+	Assigner
+	// Verify checks the joint strategy loaded into s (see
+	// game.State.LoadAssignment) and returns nil when it holds the
+	// certificate. It does not modify s.
+	Verify(s *game.State) error
+}
+
 // GTA is the Greedy Task Assignment baseline: repeatedly give the
 // still-unassigned worker whose best available VDPS has the highest payoff
 // that VDPS, until no unassigned worker has an available strategy. GTA

@@ -693,6 +693,12 @@ func (lx Lexifair) Assign(ctx context.Context, s *game.State) (*game.Result, err
 	}, nil
 }
 
+// Verify implements Certified with VerifyLexifair at the default node
+// budget.
+func (Lexifair) Verify(s *game.State) error {
+	return VerifyLexifair(context.Background(), s, 0)
+}
+
 // VerifyLexifair is the independent leximin certificate used by the audit
 // layer: it re-solves every frozen level from the instance alone and checks
 // that the payoff vector of the assignment loaded into s (see

@@ -6,23 +6,24 @@
 // Equation 2, and — for the game-theoretic methods — that the result is an
 // equilibrium (§V–§VI). A production assignment service must never silently
 // violate these invariants, so this package re-derives every one of them
-// from the instance alone, sharing no state with the solver that produced
-// the assignment.
+// from the instance. The structure, deadline and summary checks read the
+// instance alone. Membership and the certificate read strategy lists: the
+// ones the solver played when the caller passes its state (Options.State),
+// so a served audit builds no second strategy space, or lists regenerated
+// from the instance otherwise. The certificate is the solver's own
+// (assign.Certified), run with the options that solver ran.
 //
 // The auditor is wired behind fairtask.Options.Audit, the HTTP service's
 // audit query parameter, and the fta audit CLI subcommand; see docs/AUDIT.md.
 package audit
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
 
 	"fairtask/internal/assign"
-	"fairtask/internal/evo"
-	"fairtask/internal/fairness"
 	"fairtask/internal/game"
 	"fairtask/internal/model"
 	"fairtask/internal/payoff"
@@ -87,8 +88,8 @@ type Report struct {
 	Checks []Check `json:"checks"`
 	// Skipped lists the families that could not run: checks gated behind a
 	// failed structure check, the summary comparison when no summary was
-	// reported, or the equilibrium certificate when the algorithm has none
-	// or the solver did not converge.
+	// reported, or the certificate when the solver has none or did not
+	// converge.
 	Skipped []Check `json:"skipped,omitempty"`
 	// Violations holds every broken invariant found.
 	Violations []Violation `json:"violations,omitempty"`
@@ -128,38 +129,30 @@ func (e *Error) Error() string {
 
 // Options configure an audit run.
 type Options struct {
-	// Generator supplies the VDPS candidates for the membership and
-	// equilibrium checks. Nil makes the auditor regenerate candidates from
-	// the instance with the VDPS options below — fully independent, but as
-	// expensive as the solver's own generation.
-	Generator *vdps.Generator
-	// VDPS configures candidate regeneration when Generator is nil. It must
+	// State is the game state the solver played. The auditor loads the
+	// assignment into a fresh state over its generator and strategy lists,
+	// shared as slice headers, and does not modify State. Nil makes the
+	// auditor regenerate candidates from the instance with the VDPS options
+	// below and build its own lists — fully independent, but as expensive
+	// as the solver's own generation and state build.
+	State *game.State
+	// VDPS configures candidate regeneration when State is nil. It must
 	// match the options the assignment was solved with (in particular
-	// Epsilon), or the equilibrium check may see strategies the solver never
-	// had.
+	// Epsilon), or the certificate may see strategies the solver never had.
 	VDPS vdps.Options
-	// Fairness holds the IAU weights for the FGT equilibrium certificate;
-	// the zero value means the paper's alpha = beta = 0.5.
-	Fairness fairness.Params
-	// EpsilonUtility is the utility-gain threshold below which a deviation
-	// does not refute the FGT equilibrium; it must be at least the solver's
-	// own threshold. Zero means the numerical default of 1e-9; any negative
-	// value demands a strict equilibrium (see game.NEOptions.Tol).
-	EpsilonUtility float64
-	// UsePriorities switches the FGT certificate to the priority-aware IAU,
-	// reading priorities from the instance (it must match the solve).
-	UsePriorities bool
+	// Solver is the solver that produced the assignment. A converged result
+	// of an assign.Certified solver is checked with its Verify, with the
+	// options the solver ran; any other solver, or nil, skips the
+	// certificate. LEXIFAIR's certificate reports under CheckLexifair,
+	// every other one under CheckEquilibrium.
+	Solver assign.Assigner
 	// Tolerance is the relative tolerance for the summary comparison.
 	// Zero means the numerical default of 1e-6; any negative value demands
 	// bit-exact summaries, which the zero value cannot express.
 	Tolerance float64
-	// Algorithm is the name of the solver that produced the assignment
-	// ("FGT", "IEGT", ...). Only FGT and IEGT have equilibrium
-	// certificates; for other values CheckEquilibrium is skipped.
-	Algorithm string
 	// Converged reports whether the solver reached its fixed point. The
-	// equilibrium certificate only applies to converged runs; an
-	// iteration-capped run is allowed to be off-equilibrium.
+	// certificate only applies to converged runs; an iteration-capped run
+	// is allowed to be off-equilibrium.
 	Converged bool
 }
 
@@ -175,6 +168,10 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 	} else if opt.Tolerance == 0 {
 		opt.Tolerance = 1e-6
 	}
+	certificate := CheckEquilibrium
+	if _, ok := opt.Solver.(assign.Lexifair); ok {
+		certificate = CheckLexifair
+	}
 
 	// Structure: worker count, per-route validity, disjointness, maxDP.
 	r.Checks = append(r.Checks, CheckStructure)
@@ -182,10 +179,7 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 		r.violate(CheckStructure, -1, fmt.Sprintf("%d routes for %d workers",
 			len(a.Routes), len(in.Workers)))
 		// Nothing downstream is well-defined without a per-worker route map.
-		r.Skipped = append(r.Skipped, CheckDeadlines, CheckSummary, CheckVDPS, CheckEquilibrium)
-		if opt.Algorithm == "LEXIFAIR" {
-			r.Skipped = append(r.Skipped, CheckLexifair)
-		}
+		r.Skipped = append(r.Skipped, CheckDeadlines, CheckSummary, CheckVDPS, certificate)
 		return r
 	}
 	routeOK := r.checkStructure(in, a)
@@ -204,58 +198,37 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 	}
 
 	// VDPS: frontier contract plus route membership in the strategy spaces,
-	// which are built once and then hold the loaded assignment for the
-	// certificates.
+	// which then hold the loaded assignment for the certificate.
 	r.Checks = append(r.Checks, CheckVDPS)
-	g := opt.Generator
-	if g == nil {
-		var err error
-		g, err = vdps.Generate(in, opt.VDPS)
+	var s *game.State
+	if opt.State != nil {
+		s = game.NewStateWithStrategies(opt.State.Generator(), opt.State.Strategies)
+	} else {
+		g, err := vdps.Generate(in, opt.VDPS)
 		if err != nil {
 			r.violate(CheckVDPS, -1, "candidate regeneration failed: "+err.Error())
-			r.Skipped = append(r.Skipped, CheckEquilibrium)
-			if opt.Algorithm == "LEXIFAIR" {
-				r.Skipped = append(r.Skipped, CheckLexifair)
-			}
+			r.Skipped = append(r.Skipped, certificate)
 			return r
 		}
+		s = game.NewState(g)
 	}
-	r.checkFrontiers(g)
-	s := game.NewState(g)
+	r.checkFrontiers(s.Generator())
 	membershipOK := r.checkMembership(s, a, routeOK)
 
-	// Equilibrium: only meaningful for a converged game-theoretic solve on
-	// an assignment whose routes all live in the strategy spaces.
-	equilibrium := (opt.Algorithm == "FGT" || opt.Algorithm == "IEGT") && opt.Converged && membershipOK
-	if equilibrium {
-		r.Checks = append(r.Checks, CheckEquilibrium)
-	} else {
-		r.Skipped = append(r.Skipped, CheckEquilibrium)
+	// Certificate: only meaningful for a converged run of a certified solver
+	// on an assignment whose routes all live in the strategy spaces. With
+	// every route a member, loading fails only on overlapping routes; the
+	// load error is then the certificate's violation.
+	solver, certified := opt.Solver.(assign.Certified)
+	if !certified || !opt.Converged || !membershipOK {
+		r.Skipped = append(r.Skipped, certificate)
+		return r
 	}
-
-	// Leximin: applicable to LEXIFAIR solves only, and — like the
-	// equilibrium certificates — only meaningful for a converged run whose
-	// routes all live in the strategy spaces.
-	lexifair := opt.Algorithm == "LEXIFAIR" && opt.Converged && membershipOK
-	if lexifair {
-		r.Checks = append(r.Checks, CheckLexifair)
-	} else if opt.Algorithm == "LEXIFAIR" {
-		r.Skipped = append(r.Skipped, CheckLexifair)
-	}
-
-	// Every certificate checks the same state, loaded once. With every route
-	// a member, loading fails only on overlapping routes; the load error is
-	// then the certificate's violation.
-	if equilibrium || lexifair {
-		c := CheckEquilibrium
-		if lexifair {
-			c = CheckLexifair
-		}
-		if err := s.LoadAssignment(a); err != nil {
-			r.violate(c, -1, err.Error())
-		} else if err := certify(s, opt); err != nil {
-			r.violate(c, -1, err.Error())
-		}
+	r.Checks = append(r.Checks, certificate)
+	if err := s.LoadAssignment(a); err != nil {
+		r.violate(certificate, -1, err.Error())
+	} else if err := solver.Verify(s); err != nil {
+		r.violate(certificate, -1, err.Error())
 	}
 	return r
 }
@@ -435,24 +408,4 @@ func visitsOnce(seq model.Route, set []int) bool {
 		}
 	}
 	return true
-}
-
-// certify runs the algorithm's certificate on the loaded state: the pure
-// Nash equilibrium under the IAU for FGT, the improved evolutionary stable
-// state for IEGT, and for LEXIFAIR the leximin certificate, which
-// independently re-solves each frozen payoff level and rejects any
-// assignment whose minimum could be raised without hurting a poorer worker.
-func certify(s *game.State, opt Options) error {
-	switch opt.Algorithm {
-	case "FGT":
-		return game.VerifyNE(s, game.NEOptions{
-			Fairness:      opt.Fairness,
-			Tol:           opt.EpsilonUtility,
-			UsePriorities: opt.UsePriorities,
-		})
-	case "IEGT":
-		return evo.VerifyEquilibrium(s)
-	default:
-		return assign.VerifyLexifair(context.Background(), s, 0)
-	}
 }

@@ -79,7 +79,7 @@ func TestRunCleanFGT(t *testing.T) {
 		t.Fatal("FGT did not converge on a trivial instance")
 	}
 	rep := Run(in, res.Assignment, &res.Summary, Options{
-		Generator: g, Algorithm: "FGT", Converged: true,
+		State: game.NewState(g), Solver: game.Options{}, Converged: true,
 	})
 	if !rep.OK() {
 		t.Fatalf("clean FGT result failed audit: %v", rep.Violations)
@@ -109,14 +109,14 @@ func TestRunCleanIEGT(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := Run(in, res.Assignment, &res.Summary, Options{
-		Generator: g, Algorithm: "IEGT", Converged: res.Converged,
+		State: game.NewState(g), Solver: evo.Options{}, Converged: res.Converged,
 	})
 	if !rep.OK() {
 		t.Fatalf("clean IEGT result failed audit: %v", rep.Violations)
 	}
 }
 
-// TestRunRegenerates exercises the Generator == nil path: the auditor must
+// TestRunRegenerates exercises the State == nil path: the auditor must
 // regenerate candidates itself and reach the same verdict.
 func TestRunRegenerates(t *testing.T) {
 	in := lineInstance(3, 2, 100, 2)
@@ -126,7 +126,7 @@ func TestRunRegenerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := Run(in, res.Assignment, &res.Summary, Options{
-		Algorithm: "FGT", Converged: res.Converged,
+		Solver: game.Options{}, Converged: res.Converged,
 	})
 	if !rep.OK() {
 		t.Fatalf("audit with regeneration failed: %v", rep.Violations)
@@ -177,14 +177,14 @@ func TestCertificateReportsLoadConflict(t *testing.T) {
 		opt   Options
 		check Check
 	}{
-		{Options{Algorithm: "LEXIFAIR"}, CheckLexifair},
-		{Options{Algorithm: "FGT", Fairness: fairness.Params{Alpha: 0.5, Beta: 1.5}}, CheckEquilibrium},
+		{Options{Solver: assign.Lexifair{}}, CheckLexifair},
+		{Options{Solver: game.Options{Fairness: fairness.Params{Alpha: 0.5, Beta: 1.5}}}, CheckEquilibrium},
 	}
 	for _, c := range cases {
-		c.opt.Generator, c.opt.Converged = g, true
+		c.opt.State, c.opt.Converged = game.NewState(g), true
 		rep := Run(in, a, nil, c.opt)
 		if !hasViolation(rep, CheckStructure, 1) {
-			t.Errorf("%s: missing overlap violation: %v", c.opt.Algorithm, rep.Violations)
+			t.Errorf("%s: missing overlap violation: %v", c.opt.Solver.Name(), rep.Violations)
 		}
 		var got []Violation
 		for _, v := range rep.Violations {
@@ -193,7 +193,7 @@ func TestCertificateReportsLoadConflict(t *testing.T) {
 			}
 		}
 		if len(got) != 1 || got[0].Worker != -1 || got[0].Detail != want.Error() {
-			t.Errorf("%s: %s violations %v, want the load error %q", c.opt.Algorithm, c.check, got, want)
+			t.Errorf("%s: %s violations %v, want the load error %q", c.opt.Solver.Name(), c.check, got, want)
 		}
 	}
 }
@@ -302,7 +302,7 @@ func TestVDPSNonMembership(t *testing.T) {
 	}
 	a := model.NewAssignment(1)
 	a.Routes[0] = model.Route{0, 1}
-	rep := Run(in, a, nil, Options{Generator: g, Algorithm: "FGT", Converged: true})
+	rep := Run(in, a, nil, Options{State: game.NewState(g), Solver: game.Options{}, Converged: true})
 	if !hasViolation(rep, CheckVDPS, 0) {
 		t.Fatalf("missing membership violation: %v", rep.Violations)
 	}
@@ -343,11 +343,11 @@ func TestFrontierCorruption(t *testing.T) {
 			if ci < 0 {
 				t.Fatal("no two-point candidate to corrupt")
 			}
-			if rep := Run(inst, model.NewAssignment(2), nil, Options{Generator: g}); !rep.OK() {
+			if rep := Run(inst, model.NewAssignment(2), nil, Options{State: game.NewState(g)}); !rep.OK() {
 				t.Fatalf("clean frontiers violate: %v", rep.Violations)
 			}
 			corrupt(&cands[ci])
-			rep := Run(inst, model.NewAssignment(2), nil, Options{Generator: g})
+			rep := Run(inst, model.NewAssignment(2), nil, Options{State: game.NewState(g)})
 			if !hasViolation(rep, CheckVDPS, -1) {
 				t.Fatalf("missing frontier violation: %v", rep.Violations)
 			}
@@ -376,7 +376,7 @@ func TestRepairedGeneratorAuditsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := Run(mutated, res.Assignment, &res.Summary, Options{
-		Generator: g, Algorithm: "FGT", Converged: res.Converged,
+		State: game.NewState(g), Solver: game.Options{}, Converged: res.Converged,
 	})
 	if !rep.OK() || !res.Converged {
 		t.Fatalf("FGT over a repaired generator (converged %v) failed audit: %v", res.Converged, rep.Violations)
@@ -416,7 +416,7 @@ func TestFGTEquilibriumBreak(t *testing.T) {
 	if nulled < 0 {
 		t.Fatal("no non-empty route to null")
 	}
-	rep := Run(in, mut, nil, Options{Generator: g, Algorithm: "FGT", Converged: true})
+	rep := Run(in, mut, nil, Options{State: game.NewState(g), Solver: game.Options{}, Converged: true})
 	if !hasViolation(rep, CheckEquilibrium, -1) {
 		t.Fatalf("missing FGT equilibrium violation: %v", rep.Violations)
 	}
@@ -430,7 +430,7 @@ func TestIEGTEquilibriumBreak(t *testing.T) {
 	g := mustGenerate(t, in)
 	a := model.NewAssignment(2)
 	a.Routes[0] = model.Route{0}
-	rep := Run(in, a, nil, Options{Generator: g, Algorithm: "IEGT", Converged: true})
+	rep := Run(in, a, nil, Options{State: game.NewState(g), Solver: evo.Options{}, Converged: true})
 	if !hasViolation(rep, CheckEquilibrium, -1) {
 		t.Fatalf("missing IEGT equilibrium violation: %v", rep.Violations)
 	}
@@ -441,7 +441,7 @@ func TestEquilibriumSkippedWhenNotConverged(t *testing.T) {
 	g := mustGenerate(t, in)
 	a := model.NewAssignment(2)
 	a.Routes[0] = model.Route{0}
-	rep := Run(in, a, nil, Options{Generator: g, Algorithm: "FGT", Converged: false})
+	rep := Run(in, a, nil, Options{State: game.NewState(g), Solver: game.Options{}, Converged: false})
 	if hasViolation(rep, CheckEquilibrium, -2) {
 		t.Fatalf("equilibrium checked on a non-converged run: %v", rep.Violations)
 	}
@@ -449,7 +449,7 @@ func TestEquilibriumSkippedWhenNotConverged(t *testing.T) {
 		t.Error("equilibrium not marked skipped")
 	}
 	// Baselines have no certificate either.
-	rep = Run(in, a, nil, Options{Generator: g, Algorithm: "MPTA", Converged: true})
+	rep = Run(in, a, nil, Options{State: game.NewState(g), Solver: assign.MPTA{}, Converged: true})
 	if !hasSkipped(rep, CheckEquilibrium) {
 		t.Error("equilibrium not skipped for MPTA")
 	}
@@ -490,7 +490,7 @@ func TestRunCleanLexifair(t *testing.T) {
 		t.Fatal("Lexifair did not converge on a trivial instance")
 	}
 	rep := Run(in, res.Assignment, &res.Summary, Options{
-		Generator: g, Algorithm: "LEXIFAIR", Converged: true,
+		State: game.NewState(g), Solver: assign.Lexifair{}, Converged: true,
 	})
 	if !rep.OK() {
 		t.Fatalf("clean LEXIFAIR result failed audit: %v", rep.Violations)
@@ -504,8 +504,9 @@ func TestRunCleanLexifair(t *testing.T) {
 	if !found {
 		t.Fatalf("Checks = %v, want CheckLexifair included", rep.Checks)
 	}
-	if hasSkipped(rep, CheckLexifair) {
-		t.Error("CheckLexifair skipped on a converged LEXIFAIR run")
+	// Only the leximin certificate applies to LEXIFAIR: nothing is skipped.
+	if len(rep.Skipped) != 0 {
+		t.Errorf("Skipped = %v on a converged LEXIFAIR run, want none", rep.Skipped)
 	}
 }
 
@@ -516,13 +517,13 @@ func TestLexifairCertificateBreakAndSkip(t *testing.T) {
 	g := mustGenerate(t, in)
 	empty := model.NewAssignment(len(in.Workers))
 	rep := Run(in, empty, nil, Options{
-		Generator: g, Algorithm: "LEXIFAIR", Converged: true,
+		State: game.NewState(g), Solver: assign.Lexifair{}, Converged: true,
 	})
 	if !hasViolation(rep, CheckLexifair, -2) {
 		t.Errorf("empty assignment passed the leximin certificate: %v", rep.Violations)
 	}
 	rep = Run(in, empty, nil, Options{
-		Generator: g, Algorithm: "LEXIFAIR", Converged: false,
+		State: game.NewState(g), Solver: assign.Lexifair{}, Converged: false,
 	})
 	if hasViolation(rep, CheckLexifair, -2) {
 		t.Error("unconverged run was held to the leximin certificate")

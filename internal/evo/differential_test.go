@@ -187,7 +187,7 @@ func TestRepairedTableTiesMatchGenerate(t *testing.T) {
 			t.Fatalf("step %d: no tied strategies whose table order differs from the candidate order", step)
 		}
 		verdict := func(s *game.State) string {
-			return fmt.Sprint(game.VerifyNE(s, game.NEOptions{}))
+			return fmt.Sprint(game.VerifyNE(s, game.Options{}))
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			label := fmt.Sprintf("step %d seed %d", step, seed)

@@ -344,15 +344,19 @@ func PopulationShares(s *game.State) []float64 {
 	return out
 }
 
+// Verify implements assign.Certified: VerifyEquilibrium with these options.
+func (o Options) Verify(s *game.State) error { return VerifyEquilibrium(s, o) }
+
 // VerifyEquilibrium checks the improved evolutionary stable state of
-// Algorithm 3 for a loaded assignment: either all population payoffs are
-// numerically equal (the sigma_dot = 0 stopping criterion), or no worker
-// with payoff below the population average has an available strategy with
-// strictly higher payoff. s holds the assignment, loaded with
-// game.State.LoadAssignment, and is not modified. It returns nil for a
-// stable assignment and a descriptive error otherwise.
-func VerifyEquilibrium(s *game.State) error {
-	if populationEqual(s, 1e-9) {
+// Algorithm 3 for a loaded assignment: either all population payoffs lie
+// within opt's Tolerance of each other (the sigma_dot = 0 stopping
+// criterion IEGT stops at, 1e-9 by default), or no worker with payoff below
+// the population average has an available strategy with strictly higher
+// payoff. s holds the assignment, loaded with game.State.LoadAssignment,
+// and is not modified. It returns nil for a stable assignment and a
+// descriptive error otherwise.
+func VerifyEquilibrium(s *game.State, opt Options) error {
+	if populationEqual(s, opt.withDefaults().Tolerance) {
 		return nil
 	}
 	ubar := populationAverage(s)

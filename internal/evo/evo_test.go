@@ -281,7 +281,7 @@ func TestVerifyEquilibrium(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
-	if err := VerifyEquilibrium(loaded(t, g, res.Assignment)); err != nil {
+	if err := VerifyEquilibrium(loaded(t, g, res.Assignment), Options{}); err != nil {
 		t.Errorf("IEGT output rejected by VerifyEquilibrium: %v", err)
 	}
 }

@@ -55,7 +55,7 @@ func TestIEGTConvergesWithIneligibleWorker(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("seed %d: IEGT did not converge", seed)
 		}
-		if err := VerifyEquilibrium(loaded(t, g, res.Assignment)); err != nil {
+		if err := VerifyEquilibrium(loaded(t, g, res.Assignment), Options{}); err != nil {
 			t.Errorf("seed %d: converged state rejected: %v", seed, err)
 		}
 		if n := len(res.Trace); n > 0 && res.Trace[n-1].Changes > 0 {

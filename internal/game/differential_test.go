@@ -116,7 +116,7 @@ func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("usePriorities=%v: FGT did not converge", use)
 		}
-		if err := VerifyNE(loaded(t, g, res.Assignment), NEOptions{Tol: 1e-9, UsePriorities: use}); err != nil {
+		if err := VerifyNE(loaded(t, g, res.Assignment), Options{EpsilonUtility: 1e-9, UsePriorities: use}); err != nil {
 			t.Fatalf("usePriorities=%v: %v", use, err)
 		}
 	}

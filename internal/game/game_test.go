@@ -444,7 +444,7 @@ func TestVerifyNE(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("no convergence")
 	}
-	if err := VerifyNE(loaded(t, g, res.Assignment), NEOptions{}); err != nil {
+	if err := VerifyNE(loaded(t, g, res.Assignment), Options{}); err != nil {
 		t.Errorf("FGT output rejected by VerifyNE: %v", err)
 	}
 	// A GTA assignment is generally NOT a Nash equilibrium of the IAU game;
@@ -452,7 +452,7 @@ func TestVerifyNE(t *testing.T) {
 	// one, the check is vacuous but not wrong, so only log.)
 	s := NewState(g)
 	s.RandomInit(rand.New(rand.NewSource(1)))
-	if err := VerifyNE(s, NEOptions{}); err == nil {
+	if err := VerifyNE(s, Options{}); err == nil {
 		t.Log("random initial assignment happened to be a NE")
 	}
 }
@@ -507,7 +507,7 @@ func TestWithDefaultsEpsilonSentinel(t *testing.T) {
 	sameResult(t, "noepsilon", got, want)
 }
 
-// TestVerifyNEStrictTolerance pins the NEOptions.Tol sentinel: negative
+// TestVerifyNEStrictTolerance pins the EpsilonUtility sentinel: negative
 // demands a strict equilibrium, zero keeps the numerical default. A strict
 // certificate must still accept a strict-best-response equilibrium.
 func TestVerifyNEStrictTolerance(t *testing.T) {
@@ -519,7 +519,7 @@ func TestVerifyNEStrictTolerance(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("FGT did not converge")
 	}
-	if err := VerifyNE(loaded(t, g, res.Assignment), NEOptions{Tol: -1}); err != nil {
+	if err := VerifyNE(loaded(t, g, res.Assignment), Options{EpsilonUtility: -1}); err != nil {
 		t.Fatalf("strict certificate rejected a strict equilibrium: %v", err)
 	}
 }

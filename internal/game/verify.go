@@ -47,38 +47,28 @@ func (s *State) LoadAssignment(a *model.Assignment) error {
 	return nil
 }
 
-// NEOptions configure the Nash-equilibrium certificate.
-type NEOptions struct {
-	// Fairness holds the IAU weights; the zero value is replaced by the
-	// paper's default alpha = beta = 0.5.
-	Fairness fairness.Params
-	// Tol is the utility-gain threshold below which a deviation does not
-	// refute the equilibrium. It should be at least the solver's
-	// EpsilonUtility. Zero means the numerical default of 1e-9; any
-	// negative value demands a strict equilibrium where any improving
-	// deviation refutes, which the zero value cannot express.
-	Tol float64
-	// UsePriorities switches the certificate to the priority-aware IAU
-	// extension, reading worker priorities from the instance as FGT does.
-	// It must match the solve.
-	UsePriorities bool
-}
+// Verify implements assign.Certified: VerifyNE with these options.
+func (o Options) Verify(s *State) error { return VerifyNE(s, o) }
 
 // VerifyNE checks that the joint strategy loaded into s (see
 // LoadAssignment) is a pure Nash equilibrium of the FTA game under the IAU
-// utility: no worker has an available strategy (or Null) with utility more
-// than Tol above its current one. It returns nil when the state is an
-// equilibrium and a descriptive error otherwise; weights outside the
-// monotone IAU domain fail with ErrNonMonotoneIAU. It does not modify s.
+// utility of opt — its Fairness weights, and the priority-aware IAU when
+// UsePriorities is set: no worker has an available strategy (or Null) with
+// utility more than opt.EpsilonUtility above its current one. A zero
+// EpsilonUtility certifies at the numerical default of 1e-9, above FGT's own
+// 1e-12, and NoEpsilon demands a strict equilibrium where any improving
+// deviation refutes. It returns nil when the state is an equilibrium and a
+// descriptive error otherwise; weights outside the monotone IAU domain fail
+// with ErrNonMonotoneIAU. It does not modify s.
 //
 // This is the certificate form of Algorithm 2's termination condition;
 // callers can use it to audit assignments produced elsewhere.
-func VerifyNE(s *State, opt NEOptions) error {
+func VerifyNE(s *State, opt Options) error {
 	prm := opt.Fairness
 	if prm == (fairness.Params{}) {
 		prm = fairness.DefaultParams()
 	}
-	tol := opt.Tol
+	tol := opt.EpsilonUtility
 	if tol < 0 {
 		tol = 0 // strict certificate: any improving deviation refutes
 	} else if tol == 0 {

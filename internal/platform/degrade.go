@@ -33,9 +33,9 @@ const (
 // rung's budget expires, its solve fails, or an armed failpoint fires, the
 // next rung engages; the ladder is monotone — a rung never serves a request
 // unless every better rung failed. Degraded (non-exact) results are always
-// audited for the structural guarantees (route validity, disjointness,
-// deadlines, VDPS membership) before being accepted, so a fallback can
-// never ship an invalid assignment.
+// audited before being accepted — route validity, disjointness, deadlines,
+// VDPS membership and, for a converged run, the rung solver's certificate —
+// so a fallback can never ship an invalid assignment.
 type Degrade struct {
 	// ExactBudget is the wall-clock allowance of the exact rung, covering
 	// DP candidate generation, the solve, and any retries. Zero means 10s.
@@ -176,8 +176,10 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 	}
 
 	var (
-		res      *game.Result
-		g        *vdps.Generator
+		res *game.Result
+		// s is the latest attempt's state: on success, the one the solver
+		// played, which the audit reads.
+		s        *game.State
 		attempts int
 		// elapsed is the wall time of the latest attempt's state build and
 		// solve: on success, the attempt that served the result.
@@ -193,8 +195,7 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 			return fmt.Errorf("platform: solve: %w", err)
 		}
 		start := time.Now()
-		var err error
-		g, err = rg.generate(actx, in)
+		g, err := rg.generate(actx, in)
 		if err != nil {
 			return err
 		}
@@ -211,7 +212,7 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 		}
 		start = time.Now()
 		bsp := asp.Child("state.build")
-		s := game.NewState(g)
+		s = game.NewState(g)
 		bsp.End()
 		res, err = rg.solver.Assign(actx, s)
 		elapsed = time.Since(start)
@@ -246,7 +247,7 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 	}
 
 	ausp := rsp.Child("audit")
-	rep, err := auditRung(in, rg, res, g, opt)
+	rep, err := auditRung(in, rg, res, s, opt)
 	ausp.End()
 	if err != nil {
 		return nil, nil, err
@@ -254,15 +255,12 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 	return res, rep, nil
 }
 
-// auditRung audits one rung's result. The exact rung is audited exactly when
-// Options.Audit is set, with the caller's parameters. Degraded rungs are
-// always audited — a fallback must never ship an invalid assignment — but
-// when the caller provided no audit parameters the equilibrium certificate
-// is skipped (Converged forced false): the caller's fairness weights are
-// unknown, and the rung's job is the structural guarantees (routes,
-// deadlines, disjointness, VDPS membership). A degraded rung failing its
-// audit is a rung failure, surfaced as an error so the ladder falls through.
-func auditRung(in *model.Instance, rg rung, res *game.Result, g *vdps.Generator, opt Options) (*audit.Report, error) {
+// auditRung audits one rung's result against the state its solver played,
+// with that solver's certificate. The exact rung is audited exactly when
+// Options.Audit is set. Degraded rungs are always audited — a fallback must
+// never ship an invalid assignment — and a degraded rung failing its audit
+// is a rung failure, surfaced as an error so the ladder falls through.
+func auditRung(in *model.Instance, rg rung, res *game.Result, s *game.State, opt Options) (*audit.Report, error) {
 	if opt.Audit == nil && rg.name == "" {
 		return nil, nil
 	}
@@ -270,9 +268,7 @@ func auditRung(in *model.Instance, rg rung, res *game.Result, g *vdps.Generator,
 	if opt.Audit != nil {
 		o = *opt.Audit
 	}
-	o.Generator = g
-	o.Algorithm = rg.solver.Name()
-	o.Converged = res.Converged && opt.Audit != nil
+	o.State, o.Solver, o.Converged = s, rg.solver, res.Converged
 	rep := audit.Run(in, res.Assignment, &res.Summary, o)
 	if rg.name != "" && !rep.OK() {
 		return nil, fmt.Errorf("platform: %s rung failed verification: %w", rg.name, rep.Err())

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"fairtask/internal/assign"
+	"fairtask/internal/audit"
 	"fairtask/internal/dataset"
 	"fairtask/internal/fault"
+	"fairtask/internal/game"
 	"fairtask/internal/obs"
 	"fairtask/internal/vdps"
 )
@@ -69,6 +72,29 @@ func TestDegradeFallsToSampled(t *testing.T) {
 	}
 	if err := res.Assignment.Validate(in); err != nil {
 		t.Fatalf("sampled assignment invalid: %v", err)
+	}
+}
+
+// TestDegradeSampledRungCertifies pins that a degraded rung runs its
+// solver's certificate although the caller configured no audit: the
+// certificate reads the solver's own options, so nothing about the caller's
+// weights is unknown.
+func TestDegradeSampledRungCertifies(t *testing.T) {
+	p := smallProblem(t, 1)
+	in := &p.Instances[0]
+	armPoint(t, "vdps.generate", fault.Behavior{Kind: fault.KindError, Count: 10})
+
+	res, rep, err := SolveInstance(context.Background(), in, game.Options{Seed: 1, EpsilonUtility: 0.5}, Options{
+		Degrade: &Degrade{},
+	})
+	if err != nil {
+		t.Fatalf("SolveInstance: %v", err)
+	}
+	if res.Degraded != RungSampled || !res.Converged {
+		t.Fatalf("Degraded = %q, converged %v; want a converged %q solve", res.Degraded, res.Converged, RungSampled)
+	}
+	if !rep.OK() || !slices.Contains(rep.Checks, audit.CheckEquilibrium) {
+		t.Fatalf("sampled rung audit: checks %v, violations %v", rep.Checks, rep.Violations)
 	}
 }
 

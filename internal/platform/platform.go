@@ -36,12 +36,13 @@ type Options struct {
 	// obs.AssignEvent for the whole assignment. Nil disables telemetry.
 	Recorder obs.Recorder
 	// Audit enables independent re-verification of every per-center result;
-	// the reports land in Result.Audit. The options' Generator, Algorithm
-	// and Converged fields are overwritten per center (the center's own
-	// generator is reused, so auditing adds no second candidate
-	// generation). Nil (the default) disables auditing. Violations are
-	// reported, not fatal — policy is the caller's (the library fails the
-	// solve, the HTTP service returns the report).
+	// the reports land in Result.Audit. The options' State, Solver and
+	// Converged fields are overwritten per center: the audit reads the
+	// state the center's solver played, so it adds no second candidate
+	// generation or strategy-space build, and certifies with that solver.
+	// Nil (the default) disables auditing. Violations are reported, not
+	// fatal — policy is the caller's (the library fails the solve, the HTTP
+	// service returns the report).
 	Audit *audit.Options
 	// Retry retries each per-center solve attempt (candidate generation +
 	// solver run) under this policy. Nil or MaxAttempts < 2 disables

@@ -44,7 +44,7 @@ type Factory func(algorithm string, seed int64) (assign.Assigner, error)
 //	GET  /healthz           -> 200 "ok"
 //	GET  /readyz            -> JSON queue/drain state; 503 while draining
 //	GET  /metrics           -> Prometheus text exposition of Registry
-//	POST /solve?alg=FGT&eps=2&seed=1&parallel=4&audit=1
+//	POST /solve?alg=FGT&eps=2&seed=1&audit=1
 //	     body: problem CSV  -> JSON SolveResponse (synchronous)
 //	POST /jobs?alg=...      -> 202 JSON JobResponse; 429 when the queue is full
 //	GET  /jobs/{id}         -> JSON JobResponse (Result populated when done)
@@ -259,15 +259,6 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 	if !ok {
 		return nil
 	}
-	par := 0
-	if s := q.Get("parallel"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			errorJSON(w, http.StatusBadRequest, "bad parallel")
-			return nil
-		}
-		par = v
-	}
 	var aopt *audit.Options
 	if s := q.Get("audit"); s != "" {
 		v, err := strconv.ParseBool(s)
@@ -293,12 +284,11 @@ func (h *Handler) parseSolveRequest(w http.ResponseWriter, r *http.Request) *sol
 		prob:   prob,
 		solver: solver,
 		opt: platform.Options{
-			VDPS:        vdps.Options{Epsilon: p.eps},
-			Parallelism: par,
-			Recorder:    h.Recorder,
-			Audit:       aopt,
-			Retry:       h.retryPolicy(),
-			Degrade:     h.Degrade,
+			VDPS:     vdps.Options{Epsilon: p.eps},
+			Recorder: h.Recorder,
+			Audit:    aopt,
+			Retry:    h.retryPolicy(),
+			Degrade:  h.Degrade,
 		},
 	}
 }

@@ -113,7 +113,7 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 		{"unknown alg", http.MethodPost, "/solve?alg=XXX", string(body), http.StatusBadRequest},
 		{"bad seed", http.MethodPost, "/solve?seed=abc", string(body), http.StatusBadRequest},
 		{"bad eps", http.MethodPost, "/solve?eps=-1", string(body), http.StatusBadRequest},
-		{"bad parallel", http.MethodPost, "/solve?parallel=-2", string(body), http.StatusBadRequest},
+		{"bad audit", http.MethodPost, "/solve?audit=maybe", string(body), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.url, strings.NewReader(c.body))

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"fairtask/internal/audit"
+	"fairtask/internal/evo"
 	"fairtask/internal/fault"
+	"fairtask/internal/game"
 	"fairtask/internal/obs"
 	"fairtask/internal/platform"
 )
@@ -86,6 +90,46 @@ func TestResolveFailpointColdFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 11))
+}
+
+// TestChaosColdFallbackCertifiesWithEngineOptions pins that a cold
+// fallback's audit certifies with the options the engine's dynamics ran:
+// FGT at a utility threshold of 0.5 or 0.1, IEGT at a payoff tolerance of 5
+// or 1. On each engine the armed stream.resolve failpoint refuses the first
+// re-pricing of a live task, and the exact-rung cold solve that serves it
+// must commit with a clean audit that ran the certificate. A certificate at
+// the default threshold and tolerance refutes some of these equilibria.
+func TestChaosColdFallbackCertifiesWithEngineOptions(t *testing.T) {
+	defer fault.DisarmAll()
+	engines := map[string]Options{
+		"FGT eps 0.5": {Game: game.Options{EpsilonUtility: 0.5}},
+		"FGT eps 0.1": {Game: game.Options{EpsilonUtility: 0.1}},
+		"IEGT tol 5":  {Algorithm: IEGT, Evo: evo.Options{Tolerance: 5}},
+		"IEGT tol 1":  {Algorithm: IEGT, Evo: evo.Options{Tolerance: 1}},
+	}
+	ctx := context.Background()
+	for name, opt := range engines {
+		for seed := int64(1); seed <= 12; seed++ {
+			opt := opt
+			opt.VDPS = testVDPS
+			opt.Game.Seed, opt.Evo.Seed = seed, seed
+			eng, err := New(ctx, gmInstance(t, seed, 60, 10, 24), opt)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			fault.Lookup("stream.resolve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+			res, err := eng.Apply(ctx, Delta{Seq: 1, Kind: RewardChanged, TaskID: liveTask(t, eng), Reward: 3})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if res.Resolve != ResolveCold || res.Degraded != "" {
+				t.Fatalf("%s seed %d: resolve %q on rung %q, want an exact cold fallback", name, seed, res.Resolve, res.Degraded)
+			}
+			if !res.Audit.OK() || !slices.Contains(res.Audit.Checks, audit.CheckEquilibrium) {
+				t.Errorf("%s seed %d: audit checks %v, violations %v", name, seed, res.Audit.Checks, res.Audit.Violations)
+			}
+		}
+	}
 }
 
 // TestApplyFailpointRejects arms stream.apply: ingest is refused before any

@@ -384,12 +384,9 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	solved, report, err := platform.SolveInstance(ctx, staged, e.solver, platform.Options{
 		VDPS:     e.opt.VDPS,
 		Recorder: e.opt.Recorder,
-		Audit: &audit.Options{
-			Fairness:      e.opt.Game.Fairness,
-			UsePriorities: e.opt.Game.UsePriorities,
-		},
-		Retry:   e.opt.Retry,
-		Degrade: e.opt.Degrade,
+		Audit:    &audit.Options{},
+		Retry:    e.opt.Retry,
+		Degrade:  e.opt.Degrade,
 	})
 	if err != nil {
 		if mutated {
@@ -540,16 +537,17 @@ func (e *Engine) observe(r Result, ds []Delta, resolve time.Duration) {
 // evo.Options) with the empty equilibrium for a roster without workers, so
 // an engine can drain to zero workers and refill. The engine plays it on
 // every path: on its warm structures, and as the platform ladder's solver
-// for cold fallbacks. The dynamics depend only on the lists' contents, so an
-// exact-rung fallback changes availability, not results.
-type dynamicsAssigner struct{ assign.Assigner }
+// for cold fallbacks, whose audit certifies with the dynamics' own Verify.
+// The dynamics depend only on the lists' contents, so an exact-rung
+// fallback changes availability, not results.
+type dynamicsAssigner struct{ assign.Certified }
 
 // Assign plays s with the engine's dynamics.
 func (a dynamicsAssigner) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 	if len(s.Current) == 0 {
 		return emptyResult(s.Instance()), nil
 	}
-	return a.Assigner.Assign(ctx, s)
+	return a.Certified.Assign(ctx, s)
 }
 
 // emptyResult is the equilibrium of a workerless instance.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fairtask/internal/audit"
+	"fairtask/internal/game"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
 	"fairtask/internal/vdps"
@@ -98,7 +99,7 @@ func FuzzStreamDeltas(f *testing.F) {
 				t.Fatal(err)
 			}
 			rep := audit.Run(in, snap.Assignment, &snap.Summary, audit.Options{
-				Generator: g, Algorithm: string(alg), Converged: snap.Converged,
+				State: game.NewState(g), Solver: eng.solver, Converged: snap.Converged,
 			})
 			if !rep.OK() {
 				t.Fatalf("batch %d %+v: %v", b, ds, rep.Err())
