@@ -14,6 +14,7 @@ import (
 	"fairtask/internal/game"
 	"fairtask/internal/obs"
 	"fairtask/internal/platform"
+	"fairtask/internal/vdps"
 )
 
 // liveTask returns a task on a delivery point backing the current
@@ -81,6 +82,68 @@ func TestResolveFailpointColdFallback(t *testing.T) {
 	d2 := Delta{Seq: 2, Kind: RewardChanged, TaskID: taskID, Reward: 0.5}
 	res, err = eng.Apply(context.Background(), d2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveWarm {
+		t.Fatalf("post-fallback resolve = %q, want %q", res.Resolve, ResolveWarm)
+	}
+	if err := Replay(replayed, d2); err != nil {
+		t.Fatal(err)
+	}
+	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 11))
+}
+
+// TestColdFallbackGeneratesOnce pins that an exact-rung cold fallback runs
+// the candidate DP once: the engine commits the generator and the lists the
+// rung built and played, instead of building them again. They must equal a
+// fresh build over the batch's instance, and the next delta stays warm and
+// bit-exact.
+func TestColdFallbackGeneratesOnce(t *testing.T) {
+	defer fault.DisarmAll()
+	in := gmInstance(t, 11, 60, 10, 24)
+	opt := Options{VDPS: testVDPS}
+	opt.Game.Seed = 11
+	eng, err := New(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskID := liveTask(t, eng)
+
+	fault.Lookup("stream.resolve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+	d := Delta{Seq: 1, Kind: RewardChanged, TaskID: taskID, Reward: 3}
+	tr := obs.NewTracer()
+	root := tr.Root("delta")
+	res, err := eng.Apply(obs.ContextWithSpan(context.Background(), root), d)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveCold || res.Degraded != "" {
+		t.Fatalf("resolve %q on rung %q, want an exact cold fallback", res.Resolve, res.Degraded)
+	}
+	generated := 0
+	for _, sp := range tr.Collect("delta").Spans {
+		if sp.Name == "vdps.generate" {
+			generated++
+		}
+	}
+	if generated != 1 {
+		t.Fatalf("the cold fallback ran the candidate DP %d times, want 1", generated)
+	}
+	replayed := in.Clone()
+	if err := Replay(replayed, d); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := vdps.Generate(replayed, testVDPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(eng.gen.Candidates(), gen.Candidates()) || !reflect.DeepEqual(eng.lists, game.NewState(gen).Strategies) {
+		t.Fatal("the committed generator and lists differ from a fresh build")
+	}
+
+	d2 := Delta{Seq: 2, Kind: RewardChanged, TaskID: taskID, Reward: 0.5}
+	if res, err = eng.Apply(context.Background(), d2); err != nil {
 		t.Fatal(err)
 	}
 	if res.Resolve != ResolveWarm {

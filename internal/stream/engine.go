@@ -154,7 +154,7 @@ type Engine struct {
 	// solver plays every resolve — warm, regen and cold — with the
 	// configured dynamics. FGT and IEGT never reorder a strategy list, so
 	// lists keeps the ascending candidate order SpliceStrategies needs.
-	solver assign.Assigner
+	solver dynamicsAssigner
 	// gen and lists are the warm structures, bit-identical to what a cold
 	// build over inst would produce: lists[w] is the strategy space of
 	// inst.Workers[w], exactly the committed game.State.Strategies.
@@ -371,17 +371,19 @@ func (e *Engine) Snapshot() Snapshot {
 }
 
 // recover serves the batch through an audited cold solve on the platform
-// ladder after cause broke the warm path, then rebuilds the warm structures
-// for subsequent batches. The committed result does not depend on those
-// structures — every resolve replays the dynamics from scratch — so a
-// failed rebuild only marks the engine dirty (forcing regeneration next
-// batch) instead of failing the Apply.
+// ladder after cause broke the warm path, and keeps warm structures for
+// subsequent batches: the exact rung's own generator and lists, or after a
+// degraded rung, which played sampled candidates, a rebuild. The committed
+// result does not depend on those structures — every resolve replays the
+// dynamics from scratch — so a failed rebuild only marks the engine dirty
+// (forcing regeneration next batch) instead of failing the Apply.
 func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instance, ds []Delta, res Result, start time.Time, cause error, mutated bool) (Result, error) {
 	vstart := time.Now()
 	csp := sp.Child("stream.cold")
 	csp.SetAttr("cause", cause.Error())
 	defer csp.End()
-	solved, report, err := platform.SolveInstance(ctx, staged, e.solver, platform.Options{
+	solver := &playedAssigner{dynamicsAssigner: e.solver}
+	solved, report, err := platform.SolveInstance(ctx, staged, solver, platform.Options{
 		VDPS:     e.opt.VDPS,
 		Recorder: e.opt.Recorder,
 		Audit:    &audit.Options{},
@@ -400,7 +402,12 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	res.Resolve = ResolveCold
 	res.WorkersTouched = len(staged.Workers) + e.departures(staged)
 	res.Audit = report
-	if gen, err := vdps.GenerateContext(ctx, staged, e.opt.VDPS); err == nil {
+	if solved.Degraded == "" {
+		// The exact rung built the generator and the lists for this
+		// instance with the engine's VDPS options, and its audit only read
+		// them.
+		e.commit(staged, solver.state.Generator(), solver.state.Strategies, solved, res.Seq, len(ds))
+	} else if gen, err := vdps.GenerateContext(ctx, staged, e.opt.VDPS); err == nil {
 		e.commit(staged, gen, game.NewState(gen).Strategies, solved, res.Seq, len(ds))
 	} else {
 		e.inst = staged
@@ -548,6 +555,23 @@ func (a dynamicsAssigner) Assign(ctx context.Context, s *game.State) (*game.Resu
 		return emptyResult(s.Instance()), nil
 	}
 	return a.Certified.Assign(ctx, s)
+}
+
+// playedAssigner is the engine's dynamics as a cold fallback's solver. It
+// keeps the state it was last handed: after an exact-rung fallback, the
+// state the served result was played on, whose generator and lists the
+// engine commits instead of building them a second time. It embeds
+// dynamicsAssigner, so the rung's audit still certifies with the
+// dynamics' own Verify.
+type playedAssigner struct {
+	dynamicsAssigner
+	state *game.State
+}
+
+// Assign records s and plays it with the engine's dynamics.
+func (a *playedAssigner) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
+	a.state = s
+	return a.dynamicsAssigner.Assign(ctx, s)
 }
 
 // emptyResult is the equilibrium of a workerless instance.

@@ -2,97 +2,14 @@ package vdps
 
 import (
 	"context"
-	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
+	"unsafe"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/model"
 )
-
-// wordTable is an open-addressed hash set of fixed-width word keys. Keys get
-// dense ids in insertion order, and key id lives at
-// keys[id*width : (id+1)*width], so the table doubles as the flat array of
-// the sets (or DP nodes) it indexes.
-type wordTable struct {
-	width int
-	count int
-	keys  []uint64
-	slots []int32 // id+1; 0 marks an empty slot; the length is a power of two
-}
-
-func (t *wordTable) reset(width int) {
-	t.width, t.count = width, 0
-	t.keys = t.keys[:0]
-	clear(t.slots)
-}
-
-func (t *wordTable) len() int { return t.count }
-
-func (t *wordTable) key(id int32) []uint64 {
-	i := int(id) * t.width
-	return t.keys[i : i+t.width : i+t.width]
-}
-
-// find returns the id of key k, inserting a copy of it when absent.
-func (t *wordTable) find(k []uint64) (id int32, fresh bool) {
-	if 2*(t.count+1) > len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := hashWords(k) & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
-			id = int32(t.count)
-			t.count++
-			t.keys = append(grow(t.keys, len(k)), k...)
-			t.slots[i] = id + 1
-			return id, true
-		}
-		if slices.Equal(t.key(s-1), k) {
-			return s - 1, false
-		}
-	}
-}
-
-func (t *wordTable) grow() {
-	size := 2 * len(t.slots)
-	if size < 64 {
-		size = 64
-	}
-	t.slots = make([]int32, size)
-	mask := uint64(size - 1)
-	for id := int32(0); int(id) < t.count; id++ {
-		i := hashWords(t.key(id)) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = id + 1
-	}
-}
-
-func hashWords(k []uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range k {
-		h = (h ^ w) * 0xff51afd7ed558ccd
-		h ^= h >> 32
-	}
-	return h
-}
-
-// lexCmp orders two equal-size sets by their ascending point lists: the
-// smallest point in exactly one of them decides, in favour of the set that
-// holds it.
-func lexCmp(a, b []uint64) int {
-	for i := range a {
-		if d := a[i] ^ b[i]; d != 0 {
-			if a[i]&(d&-d) != 0 {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
 
 // entry is one Pareto-frontier state of a DP node: parent indexes the
 // previous level's entries (-1 at level 1) and point is the node's last
@@ -103,90 +20,63 @@ type entry struct {
 	point       int32
 }
 
-// frontiers holds one Pareto frontier per id while a level is built: each a
-// linked list, in arrival order, of the live nodes in pool.
-type frontiers struct {
-	head []int32
-	pool []node
-}
-
-// node is a frontier state under construction; parent is the entry it
-// extends (node frontiers) or the entry it is (candidate frontiers).
-type node struct {
+// ext is a frontier state under construction. While a set's run is
+// expanded it is one feasible extension, recorded in generation order: the
+// state it reaches, the entry it extends (parent) and its target, the run's
+// x-th. While a level's candidates are merged, parent is the entry the
+// state is.
+type ext struct {
 	time, slack float64
-	parent      int32
-	next        int32
+	parent, x   int32
 }
 
-func (f *frontiers) reset() {
-	f.head = f.head[:0]
-	f.pool = f.pool[:0]
-}
-
-// add appends an empty frontier; its id is the previous frontier count.
-func (f *frontiers) add() { f.head = append(f.head, -1) }
-
-// insert adds (t, s) to frontier id unless a state no slower and no tighter
-// is already there, unlinking the states it dominates; on an exact tie the
-// earlier state stays. The live states are an antichain, so a state the new
-// one dominates and one that dominates the new one never coexist, and a
-// single pass suffices.
-func (f *frontiers) insert(id int32, t, s float64, parent int32) {
-	prev := int32(-1)
-	for i := f.head[id]; i >= 0; i = f.pool[i].next {
-		ex := &f.pool[i]
-		if ex.time <= t && ex.slack >= s {
-			return
-		}
-		if t <= ex.time && s >= ex.slack {
-			if prev < 0 {
-				f.head[id] = ex.next
-			} else {
-				f.pool[prev].next = ex.next
-			}
-			continue
-		}
-		prev = i
-	}
-	n := int32(len(f.pool))
-	f.pool = append(grow(f.pool, 1), node{time: t, slack: s, parent: parent, next: -1})
-	if prev < 0 {
-		f.head[id] = n
-	} else {
-		f.pool[prev].next = n
-	}
-}
-
-// live counts the states on all frontiers.
-func (f *frontiers) live() int {
-	n := 0
-	for _, h := range f.head {
-		for i := h; i >= 0; i = f.pool[i].next {
-			n++
+// insertState adds st to the frontier fr unless a state no slower and no
+// tighter is already there, dropping the states st dominates; on an exact
+// tie the earlier state stays. The states are an antichain, so a state st
+// dominates and one that dominates st never coexist. Survivors keep their
+// arrival order.
+func insertState(fr []ext, st ext) []ext {
+	for _, ex := range fr {
+		if ex.time <= st.time && ex.slack >= st.slack {
+			return fr
 		}
 	}
-	return n
+	kept := fr[:0]
+	for _, ex := range fr {
+		if !(st.time <= ex.time && st.slack >= ex.slack) {
+			kept = append(kept, ex)
+		}
+	}
+	return append(kept, st)
 }
 
-// level is one DP level. Node i's key is tab.key(i): the set's words, then
-// its last point. Its frontier is ents[first[i]:first[i+1]].
+// level is one DP level. Its nodes are numbered in creation order: node i's
+// frontier is ents[lo[i]:hi[i]] of the level's entries, its last point is
+// those entries' point, and tup[i*size:(i+1)*size] holds its set's points in
+// ascending order. emit fills byset with the node ids sorted by set,
+// lexicographically, in creation order within a set, and runs with the
+// bounds of each set's run in byset.
 type level struct {
-	tab   wordTable
-	first []int32
-	ents  []entry
+	lo, hi []int32
+	tup    []int32
+	byset  []int32
+	runs   []int32
 }
 
-// dp is one run of the flat-arena C-VDPS dynamic program. It enumerates in a
-// fixed order — nodes in creation order, successors in ascending order,
-// frontier entries in list order — so on an exact (Time, Slack) tie the
+// tuple returns node i's points, for a level of size-point sets.
+func (l *level) tuple(i int32, size int) []int32 {
+	return l.tup[int(i)*size : int(i+1)*size : int(i+1)*size]
+}
+
+// dp is one run of the C-VDPS dynamic program. It enumerates in a fixed
+// order — nodes in creation order, successors in ascending order, frontier
+// entries in list order — so on an exact (Time, Slack) tie the
 // first-generated sequence survives, whatever the index settings.
 type dp struct {
 	in      *model.Instance
 	n, nw   int
 	maxSize int
 	eps     float64
-	expiry  []float64
-	reward  []float64
 	// succ holds each point's ε-neighbourhood in ascending order, or nil to
 	// scan every point, and legs[p][k] the leg from p to succ[p][k], so an
 	// indexed run reads each leg instead of calling the travel model.
@@ -204,38 +94,143 @@ type dp struct {
 	hops    []int
 
 	stats Stats
-	// ents[k] holds the frontier entries of the size-(k+1) level.
-	ents     [][]entry
-	cur, nxt level
-	key      []uint64
-	nodes    frontiers // the level being built, by node id
-
-	// Per-level candidate scratch.
-	ctab  wordTable
-	cands frontiers // by candidate id
-	order []int32
-	fr    []int32
+	sc    *scratch
 	out   []Candidate
 }
 
-// newDP prepares a DP run over the generator's instance with per-point
-// expiries and rewards, enumerating successors through the generator's
-// ε-neighbourhoods, and reading their legs, unless the index is disabled.
-// Sorted neighbourhoods make the index a pure filter of the full scan's
-// ascending order, and each cached leg is the travel model's own value, so
-// the index changes no result.
+// scratch holds the working buffers of a DP run. No output lives in it: the
+// candidates are written to fresh slabs. Runs keep it between them (see
+// kept), so every buffer is overwritten before it is read.
+type scratch struct {
+	expiry, reward []float64
+	// ents[k] holds the frontier entries of the size-(k+1) level.
+	ents     [][]entry
+	cur, nxt level
+
+	// The targets expand finds, in discovery order: target t ends at point
+	// tq[t] and its frontier is ents[tfirst[t]:tfirst[t+1]] of the new
+	// level; source node s found targets start[s] to start[s]+found[s]-1
+	// first. While a set's run is expanded, slot[q] is the run's target
+	// ending at q, or -1, and exts holds the run's extensions, which a
+	// counting sort on their target copies into sorted.
+	tq, tfirst   []int32
+	start, found []int32
+	slot         []int32
+	exts, sorted []ext
+
+	cnt, perm []int32  // counting-sort buckets; emit's second order
+	words     []uint64 // one set's bitset words
+	fr        []ext    // the frontier being merged
+	// One level's candidates: cands[c] is a node of candidate c's set, and
+	// its frontier is cfr[cfirst[c]:cfirst[c+1]].
+	cands, cfirst []int32
+	cfr           []ext
+}
+
+// scratchCap is the most bytes of buffers a kept scratch may hold. Measured:
+// a W200 run (GM 1000/200/150, ε 0.6) uses 3.0 MB, GM 200/40/60 unpruned
+// 9.2 MB, the cold generation of the stream benchmark's instance (GM
+// 360/8/120, ε 1.5) 10.8 MB, and that stream's restricted re-runs 0.45–1.4
+// MB. So a W200 solve's scratch is kept, while the stream's cold
+// generation, which a state build and the dynamics follow, does not hold on
+// to its buffers through them.
+const scratchCap = 8 << 20
+
+// kept is the free list of DP scratch, at most GOMAXPROCS of them, each under
+// scratchCap bytes. It is package state, shared by every run in the
+// process, but it cannot carry anything from one run to the next: every
+// buffer of a scratch is overwritten before it is read, so reuse changes no
+// result and tests cannot interfere through it. A sync.Pool would not do: a
+// W200 request runs GCs between two generations, and they empty a pool.
+var kept struct {
+	sync.Mutex
+	list []*scratch
+}
+
+// takeScratch returns a kept scratch, or a new one when none is kept.
+func takeScratch() *scratch {
+	kept.Lock()
+	defer kept.Unlock()
+	n := len(kept.list)
+	if n == 0 {
+		return new(scratch)
+	}
+	sc := kept.list[n-1]
+	kept.list[n-1] = nil
+	kept.list = kept.list[:n-1]
+	return sc
+}
+
+// keepScratch puts sc back on the free list, unless the list is full or sc
+// holds more than scratchCap bytes.
+func keepScratch(sc *scratch) {
+	if sc.bytes() > scratchCap {
+		return
+	}
+	kept.Lock()
+	defer kept.Unlock()
+	if len(kept.list) < runtime.GOMAXPROCS(0) {
+		kept.list = append(kept.list, sc)
+	}
+}
+
+// bytes returns the capacity of sc's buffers in bytes.
+func (sc *scratch) bytes() int {
+	n := capBytes(sc.expiry) + capBytes(sc.reward) + capBytes(sc.ents)
+	for _, e := range sc.ents {
+		n += capBytes(e)
+	}
+	for _, l := range []*level{&sc.cur, &sc.nxt} {
+		n += capBytes(l.lo) + capBytes(l.hi) + capBytes(l.tup) + capBytes(l.byset) + capBytes(l.runs)
+	}
+	n += capBytes(sc.tq) + capBytes(sc.tfirst) + capBytes(sc.start) + capBytes(sc.found) +
+		capBytes(sc.slot) + capBytes(sc.exts) + capBytes(sc.sorted)
+	return n + capBytes(sc.cnt) + capBytes(sc.perm) + capBytes(sc.words) + capBytes(sc.fr) +
+		capBytes(sc.cands) + capBytes(sc.cfirst) + capBytes(sc.cfr)
+}
+
+func capBytes[S ~[]E, E any](s S) int {
+	var e E
+	return cap(s) * int(unsafe.Sizeof(e))
+}
+
+// resize returns a slice of length n, s itself when its capacity allows. The
+// contents are not kept.
+func resize[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make(S, n)
+}
+
+// room returns s emptied, with capacity for at least n elements. Sizing a
+// buffer to its bound once, instead of growing it by appends, keeps a run on
+// fresh scratch to a few allocations.
+func room[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		return s[:0]
+	}
+	return make(S, 0, n)
+}
+
+// level returns the emptied entry buffer of the size-(k+1) level.
+func (sc *scratch) level(k int) []entry {
+	for len(sc.ents) <= k {
+		sc.ents = append(sc.ents, nil)
+	}
+	return sc.ents[k][:0]
+}
+
+// newDP prepares a DP run over the generator's instance, enumerating
+// successors through the generator's ε-neighbourhoods, and reading their
+// legs, unless the index is disabled. Sorted neighbourhoods make the index a
+// pure filter of the full scan's ascending order, and each cached leg is the
+// travel model's own value, so the index changes no result.
 func (g *Generator) newDP(maxSize int) *dp {
-	in := g.inst
-	n := len(in.Points)
-	d := &dp{in: in, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt)}
+	n := len(g.inst.Points)
+	d := &dp{in: g.inst, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt)}
 	if !g.opt.DisableIndex {
 		d.succ, d.legs = g.neighborhoods()
-	}
-	d.expiry = make([]float64, n)
-	d.reward = make([]float64, n)
-	for i := range in.Points {
-		d.expiry[i] = in.Points[i].EarliestExpiry()
-		d.reward[i] = in.Points[i].TotalReward()
 	}
 	return d
 }
@@ -244,39 +239,46 @@ func (g *Generator) newDP(maxSize int) *dp {
 // points) order. maxSets > 0 makes a level that takes base plus the
 // candidates so far past maxSets fail with ErrTooManySets; the singleton
 // level is exempt. Cancellation is polled at level boundaries and every 64
-// nodes, and returns ctx.Err() with no partial result.
+// nodes, and returns ctx.Err() with no partial result. The run works in a
+// kept scratch and gives it back when it returns.
 func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 	if d.n == 0 {
 		return nil, nil
 	}
-	nw := d.nw
-	d.key = make([]uint64, nw+1)
-	d.cur.tab.reset(nw + 1)
-	d.cur.first = d.cur.first[:0]
-	ents := make([]entry, 0, d.n)
-	in := d.in
+	d.sc = takeScratch()
+	defer func() {
+		keepScratch(d.sc)
+		d.sc = nil
+	}()
+	in, sc := d.in, d.sc
+	sc.expiry = resize(sc.expiry, d.n)
+	sc.reward = resize(sc.reward, d.n)
+	for i := range in.Points {
+		sc.expiry[i] = in.Points[i].EarliestExpiry()
+		sc.reward[i] = in.Points[i].TotalReward()
+	}
+	// The singletons, created in ascending point order.
+	cur := &sc.cur
+	ents := room(sc.level(0), d.n)
+	cur.lo, cur.hi, cur.tup = room(cur.lo, d.n), room(cur.hi, d.n), room(cur.tup, d.n)
 	for j := 0; j < d.n; j++ {
 		t := in.Travel.Time(in.Center, in.Points[j].Loc)
-		if t > d.expiry[j] {
+		if t > sc.expiry[j] {
 			continue
 		}
 		if d.changed != nil && d.hops[j] > d.maxSize-1 {
 			continue
 		}
-		clear(d.key)
-		d.key[j>>6] = 1 << (j & 63)
-		d.key[nw] = uint64(j)
-		d.cur.tab.find(d.key)
-		d.cur.first = append(d.cur.first, int32(len(ents)))
-		ents = append(ents, entry{time: t, slack: d.expiry[j] - t, parent: -1, point: int32(j)})
+		cur.lo = append(cur.lo, int32(len(ents)))
+		ents = append(ents, entry{time: t, slack: sc.expiry[j] - t, parent: -1, point: int32(j)})
+		cur.hi = append(cur.hi, int32(len(ents)))
+		cur.tup = append(cur.tup, int32(j))
 	}
-	d.cur.first = append(d.cur.first, int32(len(ents)))
-	d.cur.ents = ents
-	d.ents = append(d.ents, ents)
-	d.stats.SubsetsExplored += d.cur.tab.len()
+	sc.ents[0] = ents
+	d.stats.SubsetsExplored += len(cur.lo)
 	d.emit(1)
 
-	for size := 2; size <= d.maxSize && d.cur.tab.len() > 0; size++ {
+	for size := 2; size <= d.maxSize && len(sc.cur.lo) > 0; size++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -286,8 +288,8 @@ func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		d.cur, d.nxt = d.nxt, d.cur
-		d.stats.SubsetsExplored += d.cur.tab.len()
+		sc.cur, sc.nxt = sc.nxt, sc.cur
+		d.stats.SubsetsExplored += len(sc.cur.lo)
 		if k := d.emit(size); k > 0 && maxSets > 0 && base+len(d.out) > maxSets {
 			return nil, ErrTooManySets
 		}
@@ -295,154 +297,267 @@ func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 	return d.out, nil
 }
 
-// expand builds the size-level nodes into d.nxt by extending every frontier
-// entry of every d.cur node with every unvisited point within ε of its last
-// point, applying Pareto dominance as each extension arrives.
+// expand builds the size-level nodes into the scratch's nxt level by
+// extending every frontier entry of every cur node with every unvisited
+// point within ε of its last point, and applies Pareto dominance to each
+// target node's extensions in generation order.
+//
+// A target node is (the source node's set plus q, q), so the sources of one
+// target share a set, and expand walks cur's nodes one set's run at a time,
+// each run in creation order. Within a run, slot[q] finds the target ending
+// at q in O(1), and the extensions are recorded in generation order. A
+// stable counting sort on their target then groups them, and each target's
+// frontier merges its extensions in generation order. A target is created
+// by the first node to reach it, and one node creates its targets in
+// ascending q; so listing each source node's new targets in creation order
+// of the source numbers the targets in the order the nodes-in-creation-order
+// enumeration creates them.
 func (d *dp) expand(ctx context.Context, size int) error {
-	in, nw := d.in, d.nw
-	cur, nxt := &d.cur, &d.nxt
-	nxt.tab.reset(nw + 1)
-	d.nodes.reset()
+	in, nw, sc := d.in, d.nw, d.sc
+	cur, nxt := &sc.cur, &sc.nxt
+	// A level usually holds more nodes and entries than the one it extends,
+	// so its buffers start at that one's size.
+	from := sc.ents[size-2]
+	ents := room(sc.level(size-1), len(from))
+	nsrc := len(cur.lo)
 	budget := d.maxSize - size
-	for s := int32(0); int(s) < cur.tab.len(); s++ {
-		if s&0x3f == 0 && ctx.Err() != nil {
-			return ctx.Err()
+	slot := resize(sc.slot, d.n)
+	for i := range slot {
+		slot[i] = -1
+	}
+	words := resize(sc.words, nw)
+	start, found := resize(sc.start, nsrc), resize(sc.found, nsrc)
+	tq, tfirst := room(sc.tq, nsrc), room(sc.tfirst, nsrc+1)
+	exts, sorted, cnt, fr := sc.exts, sc.sorted, sc.cnt, sc.fr
+	polls := 0
+	for r := 0; r+1 < len(cur.runs); r++ {
+		run := cur.byset[cur.runs[r]:cur.runs[r+1]]
+		clear(words)
+		for _, p := range cur.tuple(run[0], size-1) {
+			words[p>>6] |= 1 << (p & 63)
 		}
-		sk := cur.tab.key(s)
-		set, last := sk[:nw], int(sk[nw])
-		lastLoc := in.Points[last].Loc
-		lo, hi := cur.first[s], cur.first[s+1]
-		hit := d.changed != nil && bitset.Set(set).Intersects(d.changed)
-		var succ []int
-		var legs []leg
-		cnt, members := d.n, 0
-		if d.succ != nil {
-			succ, legs = d.succ[last], d.legs[last]
-			cnt = len(succ)
-		}
-		for k := 0; k < cnt; k++ {
-			q := k
-			if succ != nil {
-				q = succ[k]
+		hit := d.changed != nil && bitset.Set(words).Intersects(d.changed)
+		first := len(tq)
+		exts = exts[:0]
+		for _, s := range run {
+			if polls&0x3f == 0 && ctx.Err() != nil {
+				return ctx.Err()
 			}
-			if set[q>>6]&(1<<(q&63)) != 0 {
-				members++
-				continue
+			polls++
+			lo, hi := cur.lo[s], cur.hi[s]
+			last := int(from[lo].point)
+			lastLoc := in.Points[last].Loc
+			start[s] = int32(len(tq))
+			var succ []int
+			var legs []leg
+			nsucc, members := d.n, 0
+			if d.succ != nil {
+				succ, legs = d.succ[last], d.legs[last]
+				nsucc = len(succ)
 			}
-			var dist float64
-			if legs != nil {
-				dist = legs[k].dist
-			} else {
-				dist = in.Travel.Distance(lastLoc, in.Points[q].Loc)
-			}
-			if dist > d.eps {
-				d.stats.ExtensionsPruned++
-				continue
-			}
-			if d.changed != nil && !hit && d.hops[q] > budget {
-				continue
-			}
-			var legTime float64
-			if legs != nil {
-				legTime = legs[k].time
-			} else {
-				legTime = in.Travel.Time(lastLoc, in.Points[q].Loc)
-			}
-			tgt := int32(-1)
-			for e := lo; e < hi; e++ {
-				nt := cur.ents[e].time + legTime
-				if nt > d.expiry[q] {
+			for k := 0; k < nsucc; k++ {
+				q := k
+				if succ != nil {
+					q = succ[k]
+				}
+				if words[q>>6]&(1<<(q&63)) != 0 {
+					members++
 					continue
 				}
-				slack := cur.ents[e].slack
-				if r := d.expiry[q] - nt; r < slack {
-					slack = r
+				var dist float64
+				if legs != nil {
+					dist = legs[k].dist
+				} else {
+					dist = in.Travel.Distance(lastLoc, in.Points[q].Loc)
 				}
-				if tgt < 0 {
-					copy(d.key, set)
-					d.key[q>>6] |= 1 << (q & 63)
-					d.key[nw] = uint64(q)
-					var fresh bool
-					if tgt, fresh = nxt.tab.find(d.key); fresh {
-						d.nodes.add()
+				if dist > d.eps {
+					d.stats.ExtensionsPruned++
+					continue
+				}
+				if d.changed != nil && !hit && d.hops[q] > budget {
+					continue
+				}
+				var legTime float64
+				if legs != nil {
+					legTime = legs[k].time
+				} else {
+					legTime = in.Travel.Time(lastLoc, in.Points[q].Loc)
+				}
+				for e := lo; e < hi; e++ {
+					nt := from[e].time + legTime
+					if nt > sc.expiry[q] {
+						continue
 					}
+					slack := from[e].slack
+					if rem := sc.expiry[q] - nt; rem < slack {
+						slack = rem
+					}
+					x := slot[q]
+					if x < 0 {
+						x = int32(len(tq) - first)
+						slot[q] = x
+						tq = append(grow(tq, 1), int32(q))
+					}
+					exts = append(grow(exts, 1), ext{time: nt, slack: slack, parent: e, x: x})
 				}
-				d.nodes.insert(tgt, nt, slack, e)
+			}
+			found[s] = int32(len(tq)) - start[s]
+			if succ != nil {
+				// The points the index never enumerates count as pruned, as the
+				// full scan counts them, except the set's own members (the set
+				// holds size-1 points), which the scan skips.
+				d.stats.ExtensionsPruned += d.n - nsucc - (size - 1 - members)
 			}
 		}
-		if succ != nil {
-			// The points the index never enumerates count as pruned, as the
-			// full scan counts them, except the set's own members (the set
-			// holds size-1 points), which the scan skips.
-			d.stats.ExtensionsPruned += d.n - cnt - (size - 1 - members)
+		// The run's targets are complete. Group their extensions, keeping
+		// generation order within a target, and merge each frontier.
+		cnt = resize(cnt, len(tq)-first+1)
+		clear(cnt)
+		for i := range exts {
+			cnt[exts[i].x+1]++
+		}
+		for x := 1; x < len(cnt); x++ {
+			cnt[x] += cnt[x-1]
+		}
+		if cap(sorted) < len(exts) {
+			sorted = make([]ext, cap(exts))
+		}
+		sorted = sorted[:len(exts)]
+		for i := range exts {
+			sorted[cnt[exts[i].x]] = exts[i]
+			cnt[exts[i].x]++
+		}
+		i := 0
+		for x, q := range tq[first:] {
+			fr = fr[:0]
+			for ; i < len(sorted) && int(sorted[i].x) == x; i++ {
+				fr = insertState(fr, sorted[i])
+			}
+			tfirst = append(grow(tfirst, 1), int32(len(ents)))
+			ents = grow(ents, len(fr))
+			for _, st := range fr {
+				ents = append(ents, entry{time: st.time, slack: st.slack, parent: st.parent, point: q})
+			}
+			slot[q] = -1
 		}
 	}
+	tfirst = append(tfirst, int32(len(ents)))
+	sc.ents[size-1] = ents
+	sc.slot, sc.words, sc.start, sc.found = slot, words, start, found
+	sc.tq, sc.tfirst, sc.exts, sc.sorted, sc.cnt, sc.fr = tq, tfirst, exts, sorted, cnt, fr
 
-	// Compact the live entries, node by node in creation order.
-	ents := make([]entry, 0, d.nodes.live())
-	nxt.first = nxt.first[:0]
-	for id, h := range d.nodes.head {
-		nxt.first = append(nxt.first, int32(len(ents)))
-		last := int32(nxt.tab.key(int32(id))[nw])
-		for i := h; i >= 0; i = d.nodes.pool[i].next {
-			p := &d.nodes.pool[i]
-			ents = append(ents, entry{time: p.time, slack: p.slack, parent: p.parent, point: last})
+	// Number the targets in creation order: each source node's, in creation
+	// order of the sources.
+	nt := len(tq)
+	nxt.lo, nxt.hi, nxt.tup = resize(nxt.lo, nt), resize(nxt.hi, nt), resize(nxt.tup, nt*size)
+	id := int32(0)
+	for s := int32(0); int(s) < nsrc; s++ {
+		src := cur.tuple(s, size-1)
+		for t := start[s]; t < start[s]+found[s]; t++ {
+			nxt.lo[id], nxt.hi[id] = tfirst[t], tfirst[t+1]
+			q, dst := tq[t], nxt.tuple(id, size)
+			i := 0
+			for ; i < len(src) && src[i] < q; i++ {
+				dst[i] = src[i]
+			}
+			dst[i] = q
+			copy(dst[i+1:], src[i:])
+			id++
 		}
 	}
-	nxt.first = append(nxt.first, int32(len(ents)))
-	nxt.ents = ents
-	d.ents = append(d.ents, ents)
 	return nil
 }
 
-// emit merges the d.cur level's nodes into one candidate per set, applying
-// dominance across the set's nodes in creation order, orders the candidates
-// lexicographically and appends them to d.out, backed by fresh slabs. It
+// emit groups the cur level's nodes by set, merges each set's nodes into one
+// candidate, applying dominance across them in creation order, and appends
+// the candidates to d.out in lexicographic order, backed by fresh slabs. It
 // returns the number of candidates the level produced.
+//
+// The grouping is a stable LSD counting sort of the nodes on their ascending
+// point tuples, one pass per position and one bucket per point. It leaves
+// equal sets adjacent, in creation order, and orders the sets
+// lexicographically by tuple, which is the candidates' order: the smallest
+// point in exactly one of two sets decides. A restricted run groups every
+// node, since expand walks the runs, but only the sets holding a changed
+// point become candidates.
 func (d *dp) emit(size int) int {
-	cur, nw := &d.cur, d.nw
-	ct := &d.ctab
-	ct.reset(nw)
-	d.cands.reset()
-	for s := int32(0); int(s) < cur.tab.len(); s++ {
-		set := cur.tab.key(s)[:nw]
-		if d.changed != nil && !bitset.Set(set).Intersects(d.changed) {
-			continue
-		}
-		c, fresh := ct.find(set)
-		if fresh {
-			d.cands.add()
-		}
-		for e := cur.first[s]; e < cur.first[s+1]; e++ {
-			d.cands.insert(c, cur.ents[e].time, cur.ents[e].slack, e)
-		}
+	sc, nw := d.sc, d.nw
+	cur := &sc.cur
+	ents := sc.ents[size-1]
+	nn := len(cur.lo)
+	by, tmp := resize(cur.byset, nn), resize(sc.perm, nn)
+	for i := range by {
+		by[i] = int32(i)
 	}
-	k := ct.len()
+	cnt := resize(sc.cnt, d.n+1)
+	for pos := size - 1; pos >= 0; pos-- {
+		clear(cnt)
+		for _, v := range by {
+			cnt[cur.tup[int(v)*size+pos]+1]++
+		}
+		for p := 1; p < len(cnt); p++ {
+			cnt[p] += cnt[p-1]
+		}
+		for _, v := range by {
+			p := cur.tup[int(v)*size+pos]
+			tmp[cnt[p]] = v
+			cnt[p]++
+		}
+		by, tmp = tmp, by
+	}
+	cur.byset, sc.perm, sc.cnt = by, tmp, cnt
+
+	runs := room(cur.runs, nn+1)
+	cands, cfirst, cfr := room(sc.cands, nn), append(room(sc.cfirst, nn+1), 0), room(sc.cfr, len(ents))
+	for i := 0; i < nn; {
+		t := cur.tuple(by[i], size)
+		j := i + 1
+		for j < nn && slices.Equal(cur.tuple(by[j], size), t) {
+			j++
+		}
+		runs = append(runs, int32(i))
+		if d.changed == nil || d.holdsChanged(t) {
+			fr := sc.fr[:0]
+			for _, v := range by[i:j] {
+				for e := cur.lo[v]; e < cur.hi[v]; e++ {
+					fr = insertState(fr, ext{time: ents[e].time, slack: ents[e].slack, parent: e})
+				}
+			}
+			// By ascending time: a handful of states with distinct times, so
+			// an insertion sort.
+			for a := 1; a < len(fr); a++ {
+				for b := a; b > 0 && fr[b].time < fr[b-1].time; b-- {
+					fr[b], fr[b-1] = fr[b-1], fr[b]
+				}
+			}
+			sc.fr = fr
+			cfr = append(cfr, fr...)
+			cands = append(cands, by[i])
+			cfirst = append(cfirst, int32(len(cfr)))
+		}
+		i = j
+	}
+	cur.runs = append(runs, int32(nn))
+	sc.cands, sc.cfirst, sc.cfr = cands, cfirst, cfr
+
+	k := len(cands)
 	if k == 0 {
 		return 0
 	}
-	d.order = d.order[:0]
-	for c := int32(0); int(c) < k; c++ {
-		d.order = append(d.order, c)
-	}
-	slices.SortFunc(d.order, func(a, b int32) int { return lexCmp(ct.key(a), ct.key(b)) })
-
-	nf := d.cands.live()
 	pts := make([]int, 0, k*size)
 	masks := make(bitset.Set, 0, k*nw)
-	front := make([]State, 0, nf)
-	seqs := make([]int, 0, nf*size)
+	front := make([]State, 0, len(cfr))
+	seqs := make([]int, 0, len(cfr)*size)
 	d.out = grow(d.out, k)
-	for _, c := range d.order {
-		words := ct.key(c)
+	words := resize(sc.words, nw)
+	for c, v := range cands {
 		var cand Candidate
 		i := len(pts)
-		for wi, w := range words {
-			for ; w != 0; w &= w - 1 {
-				p := wi*64 + bits.TrailingZeros64(w)
-				pts = append(pts, p)
-				cand.Reward += d.reward[p]
-			}
+		clear(words)
+		for _, p := range cur.tuple(v, size) {
+			pts = append(pts, int(p))
+			cand.Reward += sc.reward[p]
+			words[p>>6] |= 1 << (p & 63)
 		}
 		cand.Points = pts[i:len(pts):len(pts)]
 		// Trim the mask to its last non-empty word, as bitset.Of builds it.
@@ -451,25 +566,13 @@ func (d *dp) emit(size int) int {
 			tl--
 		}
 		cand.Mask, masks = appendClip(masks, bitset.Set(words[:tl]))
-
-		// The frontier by ascending time: a handful of states with distinct
-		// times, so an insertion sort.
-		fr := d.fr[:0]
-		for n := d.cands.head[c]; n >= 0; n = d.cands.pool[n].next {
-			fr = append(fr, n)
-			for j := len(fr) - 1; j > 0 && d.cands.pool[fr[j]].time < d.cands.pool[fr[j-1]].time; j-- {
-				fr[j], fr[j-1] = fr[j-1], fr[j]
-			}
-		}
-		d.fr = fr
 		i = len(front)
-		for _, n := range fr {
-			st := &d.cands.pool[n]
+		for _, st := range cfr[cfirst[c]:cfirst[c+1]] {
 			j := len(seqs)
 			seqs = seqs[:j+size]
 			seq := seqs[j : j+size : j+size]
 			for lv, x := size-1, st.parent; lv >= 0; lv-- {
-				en := &d.ents[lv][x]
+				en := &sc.ents[lv][x]
 				seq[lv] = int(en.point)
 				x = en.parent
 			}
@@ -478,7 +581,19 @@ func (d *dp) emit(size int) int {
 		cand.Frontier = front[i:len(front):len(front)]
 		d.out = append(d.out, cand)
 	}
+	sc.words = words
 	return k
+}
+
+// holdsChanged reports whether the set with ascending points t holds a
+// changed point.
+func (d *dp) holdsChanged(t []int32) bool {
+	for _, p := range t {
+		if d.changed.Has(int(p)) {
+			return true
+		}
+	}
+	return false
 }
 
 // grow returns s with room for n more elements, at least doubling its

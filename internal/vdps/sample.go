@@ -190,3 +190,88 @@ func tableCandidates(in *model.Instance, tab *wordTable, fronts [][]State) []Can
 	}
 	return cands
 }
+
+// wordTable is an open-addressed hash set of fixed-width word keys, the
+// sampler's table of the sets it has recorded. Keys get dense ids in
+// insertion order, and key id lives at keys[id*width : (id+1)*width], so the
+// table doubles as the flat array of the sets it indexes.
+type wordTable struct {
+	width int
+	count int
+	keys  []uint64
+	slots []int32 // id+1; 0 marks an empty slot; the length is a power of two
+}
+
+func (t *wordTable) reset(width int) {
+	t.width, t.count = width, 0
+	t.keys = t.keys[:0]
+	clear(t.slots)
+}
+
+func (t *wordTable) len() int { return t.count }
+
+func (t *wordTable) key(id int32) []uint64 {
+	i := int(id) * t.width
+	return t.keys[i : i+t.width : i+t.width]
+}
+
+// find returns the id of key k, inserting a copy of it when absent.
+func (t *wordTable) find(k []uint64) (id int32, fresh bool) {
+	if 2*(t.count+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := hashWords(k) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			id = int32(t.count)
+			t.count++
+			t.keys = append(grow(t.keys, len(k)), k...)
+			t.slots[i] = id + 1
+			return id, true
+		}
+		if slices.Equal(t.key(s-1), k) {
+			return s - 1, false
+		}
+	}
+}
+
+func (t *wordTable) grow() {
+	size := 2 * len(t.slots)
+	if size < 64 {
+		size = 64
+	}
+	t.slots = make([]int32, size)
+	mask := uint64(size - 1)
+	for id := int32(0); int(id) < t.count; id++ {
+		i := hashWords(t.key(id)) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = id + 1
+	}
+}
+
+func hashWords(k []uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, w := range k {
+		h = (h ^ w) * 0xff51afd7ed558ccd
+		h ^= h >> 32
+	}
+	return h
+}
+
+// lexCmp orders two equal-size sets by their ascending point lists: the
+// smallest point in exactly one of them decides, in favour of the set that
+// holds it.
+func lexCmp(a, b []uint64) int {
+	for i := range a {
+		if d := a[i] ^ b[i]; d != 0 {
+			if a[i]&(d&-d) != 0 {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}

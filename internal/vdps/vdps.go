@@ -21,15 +21,18 @@
 // extensions whose leg between consecutive delivery points exceeds ε,
 // exactly as in §IV.
 //
-// The DP runs on flat per-level arrays: each level's (set, last) nodes sit in
-// an open-addressed table keyed on the set's bitset words, each frontier
-// entry links to its parent entry one level down, and a sequence is built
-// only for the entries that survive into a candidate's frontier. Generation
-// order is fixed — nodes in creation order, successors in ascending point
-// order, frontier entries in list order — which gives the tie rule: when two
-// sequences of one set have exactly the same (Time, Slack), the first one
-// generated survives. The choice is the same on every call, and the grid
-// index, which only filters the ascending scan, cannot change it.
+// The DP runs on flat per-level arrays. Each level's (set, last) nodes are
+// grouped by set with a stable counting sort on their ascending point
+// tuples, which also lays the candidates out in lexicographic order. Each
+// frontier entry links to its parent entry one level down, and a sequence is
+// built only for the entries that survive into a candidate's frontier. The
+// working arrays are kept between runs, within a size bound, so a run
+// allocates little beyond its candidates. Generation order is fixed — nodes
+// in creation order, successors in ascending point order, frontier entries
+// in list order — which gives the tie rule: when two sequences of one set
+// have exactly the same (Time, Slack), the first one generated survives. The
+// choice is the same on every call, and the grid index, which only filters
+// the ascending scan, cannot change it.
 package vdps
 
 import (
