@@ -28,7 +28,7 @@ func ReferenceIEGT(ctx context.Context, g *vdps.Generator, opt Options) (*game.R
 		return nil, game.ErrNoWorkers
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	s.RandomInit(rng)
+	game.ReferenceRandomInit(s, rng)
 
 	res := &game.Result{}
 	for iter := 1; iter <= opt.MaxIterations; iter++ {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -179,6 +180,152 @@ func TestRandomInitSingletonsAndDisjoint(t *testing.T) {
 	}
 }
 
+// TestRandomInitMatchesListScan pins RandomInit, which draws from the
+// candidate table, to the list scan of ReferenceRandomInit, run on the
+// lists as built: at the same seed every worker must hold the same
+// sequence at the same payoff bits, the owner tables must match, and the
+// RNG must be left at the same next draw, whatever order RandomInit's lists
+// hold — as built, shuffled, reversed or sorted by payoff. The instances
+// cover what the table draw reads besides the lists: speed overrides on
+// every third worker with MaxDP 1-3, the lattice's exact payoff ties,
+// workers and a point at the center (a singleton the approach-0 workers
+// cannot take), a repaired table whose regenerated singletons sit after
+// longer sets, before and after a compaction, and W200. A list that lacks
+// the drawn candidate panics.
+func TestRandomInitMatchesListScan(t *testing.T) {
+	layouts := []struct {
+		name string
+		set  func(s *State, rng *rand.Rand)
+	}{
+		{"built", func(*State, *rand.Rand) {}},
+		{"shuffled", func(s *State, rng *rand.Rand) {
+			for _, list := range s.Strategies {
+				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+			}
+		}},
+		{"reversed", func(s *State, _ *rand.Rand) {
+			for _, list := range s.Strategies {
+				slices.Reverse(list)
+			}
+		}},
+		{"sorted", func(s *State, _ *rand.Rand) { s.SortByPayoff() }},
+	}
+	overridden := 0 // speed-override workers the start assigned
+	check := func(label string, g *vdps.Generator, seeds int64) {
+		t.Helper()
+		assigned := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			want := NewState(g)
+			wrng := rand.New(rand.NewSource(seed))
+			ReferenceRandomInit(want, wrng)
+			next := wrng.Int63()
+			for _, lay := range layouts {
+				got := NewState(g)
+				lay.set(got, rand.New(rand.NewSource(-seed)))
+				grng := rand.New(rand.NewSource(seed))
+				got.RandomInit(grng)
+				l := fmt.Sprintf("%s seed %d, %s lists", label, seed, lay.name)
+				for w, wi := range want.Current {
+					gi := got.Current[w]
+					if (gi == Null) != (wi == Null) {
+						t.Fatalf("%s: worker %d strategy %d, list scan %d", l, w, gi, wi)
+					}
+					if wi == Null {
+						continue
+					}
+					if gs, ws := got.StrategySeq(w, gi), want.StrategySeq(w, wi); !slices.Equal(gs, ws) ||
+						math.Float64bits(got.Payoffs[w]) != math.Float64bits(want.Payoffs[w]) {
+						t.Fatalf("%s: worker %d holds %v at %v, list scan %v at %v", l, w, gs, got.Payoffs[w], ws, want.Payoffs[w])
+					}
+					if assigned++; g.Instance().SpeedFactor(w) != 1 {
+						overridden++
+					}
+				}
+				if !slices.Equal(got.owner, want.owner) {
+					t.Fatalf("%s: owner table %v, list scan %v", l, got.owner, want.owner)
+				}
+				if n := grng.Int63(); n != next {
+					t.Fatalf("%s: next draw %d, list scan %d", l, n, next)
+				}
+			}
+		}
+		if assigned == 0 {
+			t.Fatalf("%s: the start assigned no worker", label)
+		}
+	}
+
+	gm := withWorkers(gmInstance(t, 2, 200, 40, 40), func(w int, wk *model.Worker) {
+		wk.MaxDP = 1 + w%3
+		if w%3 == 0 {
+			wk.Speed = []float64{3.5, 7}[w/3%2]
+		}
+	})
+	gmGen, err := vdps.Generate(gm, vdps.Options{Epsilon: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("gm-mixed-speed", gmGen, 8)
+	if overridden == 0 {
+		t.Fatal("no speed-override worker was assigned a singleton")
+	}
+	check("lattice", mustGen(t, latticeInstance()), 8)
+	check("center", mustGen(t, centerInstance()), 8)
+
+	in := latticeInstance()
+	g := mustGen(t, in)
+	compacted, tombstoned := 0, 0
+	for step := 0; step < 6; step++ {
+		mutated := in.Clone()
+		pts := []int{step, step + 6}
+		for _, p := range pts {
+			mutated.Points[p].Tasks[0].Expiry -= float64(1 + step)
+		}
+		g.Rebind(mutated)
+		if _, err := g.RepairExpiries(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Candidates()) == g.Stats().Candidates {
+			compacted++
+		} else {
+			tombstoned++
+		}
+		moved, longer := 0, false // singletons after a longer set
+		for _, c := range g.Candidates() {
+			longer = longer || len(c.Points) > 1
+			if longer && len(c.Points) == 1 {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("repaired step %d: no regenerated singleton after a longer set", step)
+		}
+		check(fmt.Sprintf("repaired step %d", step), g, 4)
+		in = mutated
+	}
+	if compacted == 0 || tombstoned == 0 {
+		t.Fatalf("%d repairs compacted, %d left tombstones; want both", compacted, tombstoned)
+	}
+
+	w200, err := vdps.Generate(gmInstance(t, 1, 1000, 200, 150), vdps.Options{Epsilon: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("w200", w200, 2)
+
+	s := NewState(mustGen(t, latticeInstance()))
+	s.Strategies[0] = slices.DeleteFunc(s.Strategies[0], func(r vdps.StrategyRef) bool {
+		return s.Generator().SetSize(r.Cand) == 1
+	})
+	msg := func() (msg any) {
+		defer func() { msg = recover() }()
+		s.RandomInit(rand.New(rand.NewSource(1)))
+		return nil
+	}()
+	if m, _ := msg.(string); !strings.Contains(m, "lists must be what vdps.Generator.WorkerStrategies returns") {
+		t.Fatalf("a list without its singletons: panic %v, want the list contract", msg)
+	}
+}
+
 // naiveTop is the rule TopAvailable implements, written as a plain scan:
 // the minimum under Generator.ComparePayoff over the incumbent and every entry
 // Available accepts, or Null.
@@ -196,11 +343,58 @@ func naiveTop(s *State, w int) int {
 	return top
 }
 
+// TestNthBestMatchesSort pins RandomInit's quickselect to a sort by
+// ComparePayoff: on sets of 1 to 40 distinct lattice candidates with
+// payoffs drawn from three values, so most comparisons are ties decided by
+// the candidates' own order, nthBest returns the entry a sort places at k,
+// for every k.
+func TestNthBestMatchesSort(t *testing.T) {
+	g := mustGen(t, latticeInstance())
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%40
+		refs := make([]vdps.StrategyRef, n)
+		for i, ci := range rng.Perm(len(g.Candidates()))[:n] {
+			refs[i] = vdps.StrategyRef{Payoff: float64(1 + rng.Intn(3)), Cand: int32(ci)}
+		}
+		sorted := slices.Clone(refs)
+		slices.SortFunc(sorted, g.ComparePayoff)
+		for k := range refs {
+			if got := nthBest(g, slices.Clone(refs), k); got != sorted[k] {
+				t.Fatalf("trial %d, %d refs, k %d: %+v, sort %+v", trial, n, k, got, sorted[k])
+			}
+		}
+	}
+}
+
+// repairedLattice returns the lattice's generator after one expiry repair
+// that left tombstones in the table.
+func repairedLattice(t *testing.T) *vdps.Generator {
+	t.Helper()
+	in := latticeInstance()
+	g := mustGen(t, in)
+	mutated := in.Clone()
+	for _, p := range []int{3, 9} {
+		mutated.Points[p].Tasks[0].Expiry -= 2
+	}
+	g.Rebind(mutated)
+	if _, err := g.RepairExpiries(context.Background(), []int{3, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Candidates()) == g.Stats().Candidates {
+		t.Fatal("the repair left no tombstone")
+	}
+	return g
+}
+
 // TestTopAvailableMatchesComparePayoff pins TopAvailable's inline skip test
-// to the rule it writes out: on shuffled lists of a contended GM instance
-// and of the tie-heavy lattice, after RandomInit and after every switch of
-// one FGT round, every worker's TopAvailable equals naiveTop. A hand-built
-// list of equal payoffs in descending candidate order pins the tie-break.
+// and its lowest-point test to the rule they write out: on shuffled lists
+// of a contended GM instance, of the tie-heavy lattice and of the lattice
+// after a repair that left tombstones, after RandomInit and after every
+// switch of one FGT round, every worker's TopAvailable equals naiveTop. A
+// worker that holds the lowest point of its best entry must still reach it.
+// A hand-built list of equal payoffs in descending candidate order pins the
+// tie-break.
 func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	gm, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 400, Workers: 60, DeliveryPoints: 50})
 	if err != nil {
@@ -221,7 +415,7 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	gens := []struct {
 		name string
 		g    *vdps.Generator
-	}{{"gm", gmGen}, {"lattice", mustGen(t, latticeInstance())}}
+	}{{"gm", gmGen}, {"lattice", mustGen(t, latticeInstance())}, {"repaired", repairedLattice(t)}}
 	total := 0 // switches checked; the GM starts at an equilibrium, the lattice does not
 	for _, gc := range gens {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -254,9 +448,29 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 		t.Fatal("no FGT round made a switch")
 	}
 
+	// The worker's own points do not block: holding the singleton of its
+	// best entry's lowest point, it still reaches that entry.
+	g := gens[1].g
+	own := NewState(g)
+	best := own.TopAvailable(0)
+	low := own.points(0, best)[0]
+	if len(own.points(0, best)) < 2 {
+		t.Fatalf("worker 0's best entry %v is a singleton", own.points(0, best))
+	}
+	held := slices.IndexFunc(own.Strategies[0], func(r vdps.StrategyRef) bool {
+		return slices.Equal(g.RefPoints(r), []int{low})
+	})
+	if held < 0 {
+		t.Fatalf("worker 0 has no singleton on point %d", low)
+	}
+	own.Switch(0, held)
+	if got := own.TopAvailable(0); got != best {
+		t.Fatalf("holding point %d: TopAvailable %d, want %d", low, got, best)
+	}
+	check("own lowest point", own)
+
 	// Equal payoffs in descending candidate order: the last entry, the
 	// lowest candidate, is the top until another worker takes its point.
-	g := gens[1].g
 	var singles []int32
 	for ci, c := range g.Candidates() {
 		if len(c.Points) == 1 && len(singles) < 4 {

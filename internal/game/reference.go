@@ -27,7 +27,7 @@ func ReferenceFGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result,
 		return nil, ErrNoWorkers
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	s.RandomInit(rng)
+	ReferenceRandomInit(s, rng)
 
 	priorities := workerPriorities(s.Instance(), opt.UsePriorities)
 
@@ -112,4 +112,27 @@ func referenceBestResponse(s *State, w int, opt Options, priorities []float64, s
 		}
 	}
 	return best, true
+}
+
+// ReferenceRandomInit is the initial assignment of Algorithms 2 and 3
+// written as a scan of the strategy lists: for each worker in a random
+// order it gathers every available singleton entry of its list and draws
+// among them with NthBest. The reference solvers start from it, and
+// State.RandomInit, which draws from the candidate table instead, must
+// leave the same state and RNG stream.
+func ReferenceRandomInit(s *State, rng *rand.Rand) {
+	order := rng.Perm(len(s.Current))
+	for _, w := range order {
+		var singles []int
+		for si, r := range s.Strategies[w] {
+			if s.gen.SetSize(r.Cand) == 1 && s.Available(w, si) {
+				singles = append(singles, si)
+			}
+		}
+		if len(singles) == 0 {
+			s.Switch(w, Null)
+			continue
+		}
+		s.Switch(w, s.NthBest(w, singles, rng.Intn(len(singles))))
+	}
 }

@@ -135,8 +135,15 @@ func (s *State) Available(w, si int) bool {
 // p < tp test comes first and alone, so the common case compiles to one
 // compare and branch. TestTopAvailableMatchesComparePayoff pins the two
 // against each other.
+//
+// An entry that beats the top is first tested on its candidate's lowest
+// point (Generator.LowestPoints): when another worker holds it, the entry
+// is not available, and Available is not called. That rejects most entries
+// of a contended round on two flat loads, without loading the candidate.
+// The test stays out of Available, which must stay cheap enough to inline.
 func (s *State) TopAvailable(w int) int {
 	list := s.Strategies[w]
+	low, owner := s.gen.LowestPoints(), s.owner
 	top := s.Current[w]
 	var tp float64
 	if top != Null {
@@ -152,6 +159,9 @@ func (s *State) TopAvailable(w int) int {
 				continue
 			}
 		}
+		if o := owner[low[list[si].Cand]]; o != -1 && o != w {
+			continue
+		}
 		if s.Available(w, si) {
 			top, tp = si, list[si].Payoff
 		}
@@ -161,9 +171,9 @@ func (s *State) TopAvailable(w int) int {
 
 // NthBest sorts idx, a set of indices into worker w's strategy list, by
 // Generator.ComparePayoff and returns idx[k]: the k-th best of those
-// strategies, whatever order the list holds them in. The random draws of
-// RandomInit and IEGT pick through it, so the strategy a draw selects
-// depends only on the rule, not on the layout.
+// strategies, whatever order the list holds them in. IEGT's random draws
+// pick through it, so the strategy a draw selects depends only on the rule,
+// not on the layout.
 func (s *State) NthBest(w int, idx []int, k int) int {
 	list := s.Strategies[w]
 	slices.SortFunc(idx, func(a, b int) int { return s.gen.ComparePayoff(list[a], list[b]) })
@@ -211,25 +221,83 @@ func (s *State) Switch(w, si int) {
 // receives a random *singleton* VDPS (a set with one delivery point) among
 // those still available; workers without any available singleton get Null.
 //
-// A sequence visits exactly its candidate's point set, so a singleton route
-// is a size-1 set: the test reads vdps.Generator.SetSize, a flat array,
-// without loading the candidate. The draw ranks the gathered singletons
-// with NthBest, so it does not depend on the order the list holds them in.
+// It reads the candidate table, not the strategy lists. It gathers the
+// table's live singletons once (vdps.Generator.Singletons); for each worker
+// in the drawn order it prices the singletons whose point is free or its own
+// by WorkerStrategies' rule (vdps.SingletonRule) and takes the k-th best
+// under Generator.ComparePayoff (nthBest). Only the drawn candidate is
+// then looked up in the worker's list, which may hold its entries in any
+// order, each candidate once. So the draw depends on the rule alone, not
+// on any list's order, and it consumes rng.Perm and then one rng.Intn per
+// worker with an available singleton, as the list scan of
+// ReferenceRandomInit does.
+//
+// It panics if a worker's list lacks the drawn candidate: such a list is not
+// what Generator.WorkerStrategies returns, which NewStateWithStrategies
+// requires.
 func (s *State) RandomInit(rng *rand.Rand) {
 	order := rng.Perm(len(s.Current))
+	singles := s.gen.Singletons(make([]vdps.Singleton, 0, len(s.owner)))
+	draw := make([]vdps.StrategyRef, 0, len(singles))
 	for _, w := range order {
-		var singles []int
-		for si, r := range s.Strategies[w] {
-			if s.gen.SetSize(r.Cand) == 1 && s.Available(w, si) {
-				singles = append(singles, si)
+		rule := s.gen.SingletonRule(w)
+		draw = draw[:0]
+		for _, sg := range singles {
+			if o := s.owner[sg.Point]; o != -1 && o != w {
+				continue
+			}
+			if ref, ok := rule.Strategy(sg); ok {
+				draw = append(draw, ref)
 			}
 		}
-		if len(singles) == 0 {
+		if len(draw) == 0 {
 			s.Switch(w, Null)
 			continue
 		}
-		s.Switch(w, s.NthBest(w, singles, rng.Intn(len(singles))))
+		ci := nthBest(s.gen, draw, rng.Intn(len(draw))).Cand
+		si := slices.IndexFunc(s.Strategies[w], func(r vdps.StrategyRef) bool { return r.Cand == ci })
+		if si < 0 {
+			panic("game: RandomInit: a strategy list lacks a singleton its worker can take; lists must be what vdps.Generator.WorkerStrategies returns")
+		}
+		s.Switch(w, si)
 	}
+}
+
+// nthBest returns the k-th best of refs under g.ComparePayoff, counting
+// from 0, as sorting refs by it would place at index k. It selects instead
+// of sorting (Hoare's quickselect around the middle element), so it costs
+// linear time on average, and it reorders refs. The refs must be distinct
+// under ComparePayoff, as a worker's strategies on distinct candidates are;
+// the pivot is recognized by its candidate, so comparing it with itself
+// never reaches ComparePayoff's tie rule, which loads both candidates.
+func nthBest(g *vdps.Generator, refs []vdps.StrategyRef, k int) vdps.StrategyRef {
+	lo, hi := 0, len(refs)-1
+	for lo < hi {
+		p := refs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for refs[i].Cand != p.Cand && g.ComparePayoff(refs[i], p) < 0 {
+				i++
+			}
+			for refs[j].Cand != p.Cand && g.ComparePayoff(refs[j], p) > 0 {
+				j--
+			}
+			if i <= j {
+				refs[i], refs[j] = refs[j], refs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return refs[k]
+		}
+	}
+	return refs[k]
 }
 
 // Assignment materializes the current joint strategy as a model.Assignment.

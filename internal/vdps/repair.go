@@ -314,6 +314,7 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		g.maxSlack[ci] = math.Inf(-1)
 		g.setSize[ci] = 0
 		g.fold[ci] = 0
+		g.low[ci] = 0
 	}
 	for i := range fresh {
 		g.liveBytes += fresh[i].bytes()
@@ -336,10 +337,12 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	g.maxSlack = reserve(g.maxSlack, len(fresh), 2*live)
 	g.setSize = reserve(g.setSize, len(fresh), 2*live)
 	g.fold = reserve(g.fold, len(fresh), 2*live)
+	g.low = reserve(g.low, len(fresh), 2*live)
 	for i := range fresh {
 		g.maxSlack = append(g.maxSlack, fresh[i].MaxSlack())
 		g.setSize = append(g.setSize, int32(len(fresh[i].Points)))
 		g.fold = append(g.fold, fresh[i].Mask.Fold())
+		g.low = append(g.low, int32(fresh[i].Points[0]))
 	}
 	rep.end = len(g.candidates)
 	return rep, nil
@@ -359,11 +362,11 @@ func (g *Generator) compact() []int32 {
 			continue
 		}
 		remap[ci] = int32(k)
-		g.candidates[k], g.maxSlack[k], g.setSize[k], g.fold[k] = g.candidates[ci], g.maxSlack[ci], n, g.fold[ci]
+		g.candidates[k], g.maxSlack[k], g.setSize[k], g.fold[k], g.low[k] = g.candidates[ci], g.maxSlack[ci], n, g.fold[ci], g.low[ci]
 		k++
 	}
 	clear(g.candidates[k:])
-	g.candidates, g.maxSlack, g.setSize, g.fold = g.candidates[:k], g.maxSlack[:k], g.setSize[:k], g.fold[:k]
+	g.candidates, g.maxSlack, g.setSize, g.fold, g.low = g.candidates[:k], g.maxSlack[:k], g.setSize[:k], g.fold[:k], g.low[:k]
 	reslab(g.candidates)
 	g.staleBytes = 0
 	return remap

@@ -54,10 +54,10 @@ func mutateExpiries(in *model.Instance, rng *rand.Rand) []int {
 // assertGeneratorsEqual compares every field the solvers read with a fresh
 // generator's. Each live candidate is matched to want's candidate with the
 // same point set and compared bit for bit: points, mask, frontier
-// (sequences included), reward, and the flat maxSlack, setSize and fold
-// entries. Every tombstone must be inert — no points, mask or frontier, a
-// zero reward, maxSlack -Inf, setSize 0 and fold 0 — and the live count must equal
-// want's table and got's Stats. Every worker's enumerated strategy space
+// (sequences included), reward, and the flat maxSlack, setSize, fold and
+// low entries. Every tombstone must be inert — no points, mask or frontier, a
+// zero reward, maxSlack -Inf, setSize 0, fold 0 and low 0 — and the live
+// count must equal want's table and got's Stats. Every worker's enumerated strategy space
 // must then match want's (see assertListMatches).
 func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 	t.Helper()
@@ -70,9 +70,9 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 		c := &got.candidates[ci]
 		if !c.Live() {
 			if c.Points != nil || c.Mask != nil || c.Frontier != nil || c.Reward != 0 ||
-				!math.IsInf(got.maxSlack[ci], -1) || got.setSize[ci] != 0 || got.fold[ci] != 0 {
-				t.Fatalf("tombstone %d is not inert: %+v, caches (%v,%d,%x)",
-					ci, *c, got.maxSlack[ci], got.setSize[ci], got.fold[ci])
+				!math.IsInf(got.maxSlack[ci], -1) || got.setSize[ci] != 0 || got.fold[ci] != 0 || got.low[ci] != 0 {
+				t.Fatalf("tombstone %d is not inert: %+v, caches (%v,%d,%x,%d)",
+					ci, *c, got.maxSlack[ci], got.setSize[ci], got.fold[ci], got.low[ci])
 			}
 			continue
 		}
@@ -92,9 +92,11 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 			t.Fatalf("candidate %d (%v) reward %v, want %v", ci, c.Points, c.Reward, wc.Reward)
 		}
 		if math.Float64bits(got.maxSlack[ci]) != math.Float64bits(want.maxSlack[wi]) ||
-			got.setSize[ci] != want.setSize[wi] || got.fold[ci] != want.fold[wi] {
-			t.Fatalf("candidate %d (%v) caches (%v,%d,%x), want (%v,%d,%x)", ci, c.Points,
-				got.maxSlack[ci], got.setSize[ci], got.fold[ci], want.maxSlack[wi], want.setSize[wi], want.fold[wi])
+			got.setSize[ci] != want.setSize[wi] || got.fold[ci] != want.fold[wi] ||
+			got.low[ci] != want.low[wi] || got.low[ci] != int32(c.Points[0]) {
+			t.Fatalf("candidate %d (%v) caches (%v,%d,%x,%d), want (%v,%d,%x,%d)", ci, c.Points,
+				got.maxSlack[ci], got.setSize[ci], got.fold[ci], got.low[ci],
+				want.maxSlack[wi], want.setSize[wi], want.fold[wi], want.low[wi])
 		}
 	}
 	if live != len(want.candidates) || got.Stats().Candidates != live {

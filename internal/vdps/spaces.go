@@ -208,3 +208,55 @@ func (g *Generator) chain(prev []StrategyRef, r workerRule, size int) []Strategy
 	}
 	return out
 }
+
+// Singleton is a live one-point candidate with what WorkerStrategies' rule
+// reads of it. A one-point set has one sequence, so its frontier is one
+// state: Slack is the candidate's maxSlack and Time that state's time.
+type Singleton struct {
+	Cand, Point         int32
+	Slack, Time, Reward float64
+}
+
+// Singletons appends the table's live one-point candidates to dst, in table
+// order, and returns it: at most one per delivery point. It finds them on
+// the flat setSize array and loads only their structs.
+func (g *Generator) Singletons(dst []Singleton) []Singleton {
+	for ci, n := range g.setSize {
+		if n != 1 {
+			continue
+		}
+		c := &g.candidates[ci]
+		dst = append(dst, Singleton{Cand: int32(ci), Point: g.low[ci], Slack: g.maxSlack[ci], Time: c.Frontier[0].Time, Reward: c.Reward})
+	}
+	return dst
+}
+
+// SingletonRule is WorkerStrategies' rule for one worker over singletons;
+// build it with Generator.SingletonRule.
+type SingletonRule struct {
+	g *Generator
+	r workerRule
+}
+
+// SingletonRule returns worker w's rule over singletons.
+func (g *Generator) SingletonRule(w int) SingletonRule {
+	return SingletonRule{g: g, r: g.ruleFor(w)}
+}
+
+// Strategy returns the entry WorkerStrategies includes for the worker on
+// sg, or false when it includes none. A one-point set passes every MaxDP.
+// A default-speed worker is priced from sg alone with gather's expression:
+// the state's slack must cover the approach time, and the entry is the
+// frontier's first. A worker with a speed override goes through strategy,
+// which checks the sequence against the model at the worker's speed.
+func (sr SingletonRule) Strategy(sg Singleton) (StrategyRef, bool) {
+	r := sr.r
+	if r.factor != 1 {
+		return sr.g.strategy(r, int(sg.Cand))
+	}
+	total := r.approach + sg.Time
+	if !(sg.Slack >= r.approach) || total <= 0 {
+		return StrategyRef{}, false
+	}
+	return StrategyRef{Payoff: sg.Reward / total, Cand: sg.Cand}, true
+}

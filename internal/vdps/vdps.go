@@ -21,6 +21,13 @@
 // extensions whose leg between consecutive delivery points exceeds ε,
 // exactly as in §IV.
 //
+// Beside the candidate table the generator keeps flat per-candidate arrays
+// — maxSlack, setSize, fold and low (the set's lowest point) — so the scans
+// over many candidates or strategies test a candidate without loading its
+// struct: the strategy-list builds, the repair scans, the singleton gather
+// game's random start draws from, and game's best-response scan, which
+// skips an entry whose lowest point another worker holds.
+//
 // The DP runs on flat per-level arrays. Each level's (set, last) nodes are
 // grouped by set with a stable counting sort on their ascending point
 // tuples, which also lays the candidates out in lexicographic order. Each
@@ -115,12 +122,13 @@ type Candidate struct {
 }
 
 // The slab sizes of a point index, a mask word and a frontier state, and the
-// size of one table entry: a Candidate plus its maxSlack, setSize and fold.
+// size of one table entry: a Candidate plus its maxSlack, setSize, fold and
+// low.
 const (
 	intBytes   = int(unsafe.Sizeof(int(0)))
 	wordBytes  = 8
 	stateBytes = int(unsafe.Sizeof(State{}))
-	entryBytes = int(unsafe.Sizeof(Candidate{})) + 8 + 4 + 8
+	entryBytes = int(unsafe.Sizeof(Candidate{})) + 8 + 4 + 8 + 4
 )
 
 // bytes returns the bytes the candidate holds: its table entry and the slab
@@ -196,17 +204,21 @@ type Generator struct {
 	// maxSlack[ci] and setSize[ci] mirror candidates[ci].MaxSlack() and
 	// len(candidates[ci].Points): flat arrays let the per-worker scans —
 	// WorkerStrategies' feasibility test, StrategySpaces' chain filter and
-	// list-size bounds, game's singleton test through SetSize — reject
-	// candidates without touching the candidate structs (and their
-	// pointer-chased frontiers) at all. fold[ci] is candidates[ci].Mask
-	// folded into one word (bitset.Set.Fold), so the point scans —
-	// RepairRewards and RepairExpiries' search for the sets to drop — load a
-	// candidate's struct and mask only when its fold meets the touched
-	// points'. A tombstone's entries are -Inf, 0 and 0, which every scan
-	// already rejects.
+	// list-size bounds, Singletons' gather — reject candidates without
+	// touching the candidate structs (and their pointer-chased frontiers) at
+	// all. fold[ci] is candidates[ci].Mask folded into one word
+	// (bitset.Set.Fold), so the point scans — RepairRewards and
+	// RepairExpiries' search for the sets to drop — load a candidate's struct
+	// and mask only when its fold meets the touched points'. low[ci] is
+	// candidates[ci].Points[0], the set's lowest point, which game's
+	// best-response scan tests against the owner table before it loads the
+	// candidate (see LowestPoints). A tombstone's entries are -Inf, 0, 0 and
+	// 0: every scan already rejects the first three, and no strategy list
+	// holds a tombstone whose low could be read.
 	maxSlack []float64
 	setSize  []int32
 	fold     []uint64
+	low      []int32
 	// liveBytes is the bytes the live candidates hold (see bytes), and
 	// staleBytes those of the candidates RepairExpiries dropped since the
 	// table was last compacted: their tombstones' table entries and an upper
@@ -281,11 +293,13 @@ func (g *Generator) finish() {
 	g.maxSlack = make([]float64, len(g.candidates))
 	g.setSize = make([]int32, len(g.candidates))
 	g.fold = make([]uint64, len(g.candidates))
+	g.low = make([]int32, len(g.candidates))
 	for ci := range g.candidates {
 		c := &g.candidates[ci]
 		g.maxSlack[ci] = c.MaxSlack()
 		g.setSize[ci] = int32(len(c.Points))
 		g.fold[ci] = c.Mask.Fold()
+		g.low[ci] = int32(c.Points[0])
 		g.liveBytes += c.bytes()
 	}
 }
@@ -512,6 +526,13 @@ func (g *Generator) RefPoints(r StrategyRef) []int {
 // a flat array, so a scan over many strategies can test set sizes without
 // loading the candidate structs.
 func (g *Generator) SetSize(ci int32) int32 { return g.setSize[ci] }
+
+// LowestPoints returns each candidate's lowest delivery point, indexed by
+// candidate: Points[0], read from a flat array, so a scan over many
+// strategies can test one point of each set without loading the candidate
+// structs. A tombstone's entry is 0. The slice is shared and RepairExpiries
+// replaces it; callers must not modify or keep it.
+func (g *Generator) LowestPoints() []int32 { return g.low }
 
 // ComparePayoff is the one preference rule between a worker's strategies:
 // higher payoff first and, on equal payoffs, the candidate first in the
