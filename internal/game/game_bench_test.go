@@ -2,6 +2,7 @@ package game
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"fairtask/internal/dataset"
@@ -56,6 +57,42 @@ func BenchmarkBestResponseRound(b *testing.B) {
 	u, err := newIAUScratch(opt.Fairness, nil, len(s.Current))
 	if err != nil {
 		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := range s.Current {
+			bestResponse(s, u, w, opt.EpsilonUtility)
+		}
+	}
+}
+
+// BenchmarkBestResponseRoundW200 is one FGT round of W200's first best
+// responses: bestResponse for each of the 200 workers after RandomInit at
+// seed 1, where 149 of the 150 points are held, so TopAvailable walks the
+// free point and the worker's own instead of scanning the list. The state is
+// built, started and its walk index warmed outside the timer. It must report
+// 0 allocs/op.
+func BenchmarkBestResponseRoundW200(b *testing.B) {
+	in, err := dataset.GenerateGM(dataset.GMConfig{
+		Seed: 1, Tasks: 1000, Workers: 200, DeliveryPoints: 150,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := vdps.Generate(in, vdps.Options{Epsilon: 0.6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewState(g)
+	s.RandomInit(rand.New(rand.NewSource(1)))
+	opt := Options{}.withDefaults()
+	u, err := newIAUScratch(opt.Fairness, nil, len(s.Current))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for w := range s.Current {
+		bestResponse(s, u, w, opt.EpsilonUtility)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

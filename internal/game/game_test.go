@@ -496,6 +496,159 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	check("tied list, lowest taken", s)
 }
 
+// TestTopAvailableSidesAgree pins both ways TopAvailable reaches its argmax
+// to the rule they implement: for every worker of a fresh state, after
+// RandomInit and after each switch of an FGT run to its equilibrium, the
+// list scan and the point walk both equal naiveTop, on lists as built,
+// shuffled and sorted by payoff. The instances are W200, where the start
+// leaves nearly every point held; a GM instance with a speed override on
+// every third worker and MaxDP 1-3; the tie-heavy lattice; and the lattice
+// after a repair that left tombstones and appended candidates. The walk's
+// index must hold exactly the live candidates, each under its lowest point,
+// the free-point count must match the owner table, and the choice must take
+// each way at least once.
+func TestTopAvailableSidesAgree(t *testing.T) {
+	layouts := []struct {
+		name string
+		set  func(s *State, rng *rand.Rand)
+	}{
+		{"built", func(*State, *rand.Rand) {}},
+		{"shuffled", func(s *State, rng *rand.Rand) {
+			for _, list := range s.Strategies {
+				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+			}
+		}},
+		{"sorted", func(s *State, _ *rand.Rand) { s.SortByPayoff() }},
+	}
+	w200, err := vdps.Generate(gmInstance(t, 1, 1000, 200, 150), vdps.Options{Epsilon: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := withWorkers(gmInstance(t, 2, 200, 40, 40), func(w int, wk *model.Worker) {
+		wk.MaxDP = 1 + w%3
+		if w%3 == 0 {
+			wk.Speed = []float64{3.5, 7}[w/3%2]
+		}
+	})
+	mixedGen, err := vdps.Generate(mixed, vdps.Options{Epsilon: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := []struct {
+		name string
+		g    *vdps.Generator
+	}{{"w200", w200}, {"gm-mixed-speed", mixedGen}, {"lattice", mustGen(t, latticeInstance())}, {"repaired", repairedLattice(t)}}
+
+	ways := map[bool]int{} // calls by the choice: true for the walk
+	heldOwn := 0           // states where a worker holds a point of its top
+	check := func(label string, s *State) {
+		t.Helper()
+		free := 0
+		for _, o := range s.owner {
+			if o == -1 {
+				free++
+			}
+		}
+		if s.free != free {
+			t.Fatalf("%s: free-point count %d, owner table %d", label, s.free, free)
+		}
+		for w := range s.Current {
+			want := naiveTop(s, w)
+			if got := s.scanTop(w); got != want {
+				t.Fatalf("%s worker %d: list scan %d, ComparePayoff scan %d", label, w, got, want)
+			}
+			if got := s.walkTop(w); got != want {
+				t.Fatalf("%s worker %d: point walk %d, ComparePayoff scan %d", label, w, got, want)
+			}
+			ways[s.walks(w)]++
+		}
+	}
+	for _, gc := range gens {
+		for seed, lay := range layouts {
+			s := NewState(gc.g)
+			rng := rand.New(rand.NewSource(int64(seed + 1)))
+			lay.set(s, rng)
+			label := fmt.Sprintf("%s, %s lists", gc.name, lay.name)
+			check(label+", fresh", s)
+			checkLowIndex(t, label, s)
+			heldOwn += checkOwnPoints(label, s, check)
+			s.RandomInit(rng)
+			check(label+", init", s)
+			opt := Options{}.withDefaults()
+			u, err := newIAUScratch(opt.Fairness, nil, len(s.Current))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round, switches := 1, 1; switches > 0; round++ {
+				switches = 0
+				for w := range s.Current {
+					if best := bestResponse(s, u, w, opt.EpsilonUtility); best != s.Current[w] {
+						s.Switch(w, best)
+						switches++
+						check(fmt.Sprintf("%s, round %d switch %d", label, round, switches), s)
+					}
+				}
+			}
+		}
+	}
+	if ways[true] == 0 || ways[false] == 0 {
+		t.Fatalf("the choice walked %d calls and scanned %d; want both ways taken", ways[true], ways[false])
+	}
+	if heldOwn == 0 {
+		t.Fatal("no worker held a point of its top strategy")
+	}
+}
+
+// checkOwnPoints runs check on states over the fresh state s's lists where
+// the first worker whose top strategy has several points holds the
+// singleton on one of them, for each such point in turn: the worker's own
+// points do not block, so its top stays the same. It returns the number of
+// states checked.
+func checkOwnPoints(label string, s *State, check func(string, *State)) int {
+	g := s.Generator()
+	for w := range s.Current {
+		top := naiveTop(s, w)
+		if top == Null || len(s.points(w, top)) < 2 {
+			continue
+		}
+		n := 0
+		for _, p := range s.points(w, top) {
+			held := slices.IndexFunc(s.Strategies[w], func(r vdps.StrategyRef) bool {
+				return slices.Equal(g.RefPoints(r), []int{p})
+			})
+			if held < 0 {
+				continue
+			}
+			own := NewStateWithStrategies(g, s.Strategies)
+			own.Switch(w, held)
+			check(fmt.Sprintf("%s, worker %d holding point %d", label, w, p), own)
+			n++
+		}
+		return n
+	}
+	return 0
+}
+
+// checkLowIndex requires the walk's index of s to hold exactly the live
+// candidates, each once, in table order, under its lowest point.
+func checkLowIndex(t *testing.T, label string, s *State) {
+	t.Helper()
+	g := s.Generator()
+	if len(s.lowStart) != len(s.owner)+1 || len(s.byLow) != g.Stats().Candidates {
+		t.Fatalf("%s: index of %d groups over %d candidates, want %d groups over the %d live",
+			label, len(s.lowStart)-1, len(s.byLow), len(s.owner), g.Stats().Candidates)
+	}
+	for p := range s.owner {
+		group := s.byLow[s.lowStart[p]:s.lowStart[p+1]]
+		for i, ci := range group {
+			c := g.Candidates()[ci]
+			if !c.Live() || c.Points[0] != p || (i > 0 && ci <= group[i-1]) {
+				t.Fatalf("%s: group %d holds candidate %d (%v) at %d", label, p, ci, c.Points, i)
+			}
+		}
+	}
+}
+
 func TestFGTProducesValidAssignment(t *testing.T) {
 	in := gridInstance(8, 4, 3, 100)
 	res, err := FGT(context.Background(), NewState(mustGen(t, in)), Options{Seed: 7})

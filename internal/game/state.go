@@ -38,6 +38,12 @@ type State struct {
 	Payoffs []float64
 	// owner[p] is the worker currently holding delivery point p, or -1.
 	owner []int
+	// free counts the points no worker holds; Switch keeps it.
+	free int
+	// byLow groups the generator's live candidates by lowest point: group p
+	// is byLow[lowStart[p]:lowStart[p+1]], in table order. walkTop builds
+	// both on its first call.
+	byLow, lowStart []int32
 }
 
 // NewState builds a game state with empty strategy choices from the
@@ -57,13 +63,17 @@ func newState(g *vdps.Generator, par int) *State {
 // NewStateWithStrategies builds a game state over prebuilt per-worker
 // strategy spaces instead of deriving them from the generator. strategies
 // must have one entry per instance worker, each holding exactly what
-// Generator.WorkerStrategies would return for that worker against g — the
-// streaming engine caches those lists across deltas and rebuilds only the
-// workers whose feasible VDPS sets changed, so state construction becomes a
-// slice-header copy instead of a strategy-space build. The strategy slices are
-// shared, not copied: a solver that sorts them (SortByPayoff) sorts the
-// caller's lists, and FGT and IEGT never do. It panics on a worker-count
-// mismatch, which is always a caller bug.
+// Generator.WorkerStrategies would return for that worker against g, in any
+// order: each candidate the worker's vdps.Rule admits once, priced by that
+// rule bit for bit. RandomInit and TopAvailable rely on it: both may find a
+// strategy from the candidate table and the rule, and only then look its
+// candidate up in the list. The streaming engine caches those lists across
+// deltas and rebuilds only the workers whose feasible VDPS sets changed, so
+// state construction becomes a slice-header copy instead of a
+// strategy-space build. The strategy slices are shared, not copied: a
+// solver that sorts them (SortByPayoff) sorts the caller's lists, and FGT
+// and IEGT never do. It panics on a worker-count mismatch, which is always
+// a caller bug.
 func NewStateWithStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef) *State {
 	in := g.Instance()
 	if len(strategies) != len(in.Workers) {
@@ -76,6 +86,7 @@ func NewStateWithStrategies(g *vdps.Generator, strategies [][]vdps.StrategyRef) 
 		Current:    make([]int, n),
 		Payoffs:    make([]float64, n),
 		owner:      make([]int, len(in.Points)),
+		free:       len(in.Points),
 	}
 	for w := 0; w < n; w++ {
 		s.Current[w] = Null
@@ -107,24 +118,47 @@ func (s *State) StrategySeq(w, si int) model.Route {
 // overlapping another worker's current delivery points. The worker's own
 // current points do not block the switch. si == Null is always available.
 func (s *State) Available(w, si int) bool {
-	if si == Null {
-		return true
-	}
-	for _, p := range s.points(w, si) {
-		if o := s.owner[p]; o != -1 && o != w {
-			return false
-		}
-	}
-	return true
+	return si == Null || s.reachable(w, s.points(w, si))
 }
 
 // TopAvailable returns the best strategy under Generator.ComparePayoff —
 // highest payoff, the candidate first in the candidates' own order on ties
 // — among those w could hold now, or Null when none is. The incumbent
-// counts as available, so the running top starts at it, and availability is
-// checked only for an entry that beats the best found so far: at an
-// equilibrium that is exactly the entries better than the incumbent,
-// wherever the list holds it.
+// counts as available.
+//
+// It reaches that argmax one of two ways and takes the one expected to read
+// less. scanTop reads worker w's whole list; walkTop reads only the live
+// candidates whose lowest point is free or w's own, which are the only ones
+// w could hold. The reachable points start about reach/points of the live
+// candidates, so walkTop is chosen when that share is below the list's
+// length: in a crowded game, where nearly every point is held, it reads a
+// few hundred candidates instead of thousands of entries. The choice reads
+// four counts the state holds — the free points, the incumbent's set size,
+// the live candidates and the list's length — and nothing that is built on
+// demand, so a state whose calls all scan never builds walkTop's index.
+// Both ways return the same index: ComparePayoff is a strict total order on
+// a worker's strategies, and walkTop prices each candidate with the rule
+// that priced its list entry (see NewStateWithStrategies).
+func (s *State) TopAvailable(w int) int {
+	if s.walks(w) {
+		return s.walkTop(w)
+	}
+	return s.scanTop(w)
+}
+
+// walks reports whether TopAvailable takes walkTop for worker w.
+func (s *State) walks(w int) bool {
+	reach := s.free
+	if cur := s.Current[w]; cur != Null {
+		reach += int(s.gen.SetSize(s.Strategies[w][cur].Cand))
+	}
+	return reach*s.gen.Stats().Candidates < len(s.Strategies[w])*len(s.owner)
+}
+
+// scanTop is TopAvailable over worker w's list, in list order. The running
+// top starts at the incumbent, and availability is checked only for an
+// entry that beats the best found so far: at an equilibrium that is exactly
+// the entries better than the incumbent, wherever the list holds it.
 //
 // The running top's payoff stays in a local, and the skip test is
 // ComparePayoff written out: an entry is skipped iff
@@ -141,7 +175,7 @@ func (s *State) Available(w, si int) bool {
 // is not available, and Available is not called. That rejects most entries
 // of a contended round on two flat loads, without loading the candidate.
 // The test stays out of Available, which must stay cheap enough to inline.
-func (s *State) TopAvailable(w int) int {
+func (s *State) scanTop(w int) int {
 	list := s.Strategies[w]
 	low, owner := s.gen.LowestPoints(), s.owner
 	top := s.Current[w]
@@ -167,6 +201,89 @@ func (s *State) TopAvailable(w int) int {
 		}
 	}
 	return top
+}
+
+// walkTop is TopAvailable over the candidate table. For each point that is
+// free or w's own it reads the live candidates whose lowest point it is,
+// keeps those whose every point is free or w's own, prices each with w's
+// vdps.Rule and ranks it from the incumbent by ComparePayoff. Only a winner
+// that is not the incumbent is looked up in w's list, which may hold its
+// entries in any order.
+//
+// It panics if w's list lacks the winner: such a list is not what
+// Generator.WorkerStrategies returns, which NewStateWithStrategies requires.
+func (s *State) walkTop(w int) int {
+	if s.lowStart == nil {
+		s.groupByLow()
+	}
+	list, cur := s.Strategies[w], s.Current[w]
+	var top vdps.StrategyRef
+	found := cur != Null
+	if found {
+		top = list[cur]
+	}
+	rule := s.gen.Rule(w)
+	cands := s.gen.Candidates()
+	for p, o := range s.owner {
+		if o != -1 && o != w {
+			continue
+		}
+		for _, ci := range s.byLow[s.lowStart[p]:s.lowStart[p+1]] {
+			if !s.reachable(w, cands[ci].Points) {
+				continue
+			}
+			if ref, ok := rule.Strategy(int(ci)); ok && (!found || s.gen.ComparePayoff(ref, top) < 0) {
+				top, found = ref, true
+			}
+		}
+	}
+	switch {
+	case !found:
+		return Null
+	case cur != Null && top.Cand == list[cur].Cand:
+		return cur
+	}
+	si := slices.IndexFunc(list, func(r vdps.StrategyRef) bool { return r.Cand == top.Cand })
+	if si < 0 {
+		panic("game: TopAvailable: a strategy list lacks a candidate its worker can take; lists must be what vdps.Generator.WorkerStrategies returns")
+	}
+	return si
+}
+
+// reachable reports whether every point of pts is free or worker w's: the
+// availability test of Available and of walkTop's candidates.
+func (s *State) reachable(w int, pts []int) bool {
+	for _, p := range pts {
+		if o := s.owner[p]; o != -1 && o != w {
+			return false
+		}
+	}
+	return true
+}
+
+// groupByLow builds walkTop's index: a counting sort of the live
+// candidates by Generator.LowestPoints, tombstones left out.
+func (s *State) groupByLow() {
+	low := s.gen.LowestPoints()
+	start := make([]int32, len(s.owner)+1)
+	for ci, p := range low {
+		if s.gen.SetSize(int32(ci)) > 0 {
+			start[p+1]++
+		}
+	}
+	for p := range s.owner {
+		start[p+1] += start[p]
+	}
+	byLow := make([]int32, start[len(s.owner)])
+	for ci, p := range low {
+		if s.gen.SetSize(int32(ci)) > 0 {
+			byLow[start[p]] = int32(ci)
+			start[p]++
+		}
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	s.byLow, s.lowStart = byLow, start
 }
 
 // NthBest sorts idx, a set of indices into worker w's strategy list, by
@@ -197,21 +314,25 @@ func (s *State) SortByPayoff() {
 // strategy is not available; callers must check Available first.
 func (s *State) Switch(w, si int) {
 	if cur := s.Current[w]; cur != Null {
-		for _, p := range s.points(w, cur) {
+		pts := s.points(w, cur)
+		for _, p := range pts {
 			s.owner[p] = -1
 		}
+		s.free += len(pts)
 	}
 	if si == Null {
 		s.Current[w] = Null
 		s.Payoffs[w] = 0
 		return
 	}
-	for _, p := range s.points(w, si) {
+	pts := s.points(w, si)
+	for _, p := range pts {
 		if o := s.owner[p]; o != -1 && o != w {
 			panic("game: Switch to unavailable strategy")
 		}
 		s.owner[p] = w
 	}
+	s.free -= len(pts)
 	s.Current[w] = si
 	s.Payoffs[w] = s.Strategies[w][si].Payoff
 }
@@ -224,7 +345,7 @@ func (s *State) Switch(w, si int) {
 // It reads the candidate table, not the strategy lists. It gathers the
 // table's live singletons once (vdps.Generator.Singletons); for each worker
 // in the drawn order it prices the singletons whose point is free or its own
-// by WorkerStrategies' rule (vdps.SingletonRule) and takes the k-th best
+// by WorkerStrategies' rule (vdps.Rule.Singleton) and takes the k-th best
 // under Generator.ComparePayoff (nthBest). Only the drawn candidate is
 // then looked up in the worker's list, which may hold its entries in any
 // order, each candidate once. So the draw depends on the rule alone, not
@@ -240,13 +361,13 @@ func (s *State) RandomInit(rng *rand.Rand) {
 	singles := s.gen.Singletons(make([]vdps.Singleton, 0, len(s.owner)))
 	draw := make([]vdps.StrategyRef, 0, len(singles))
 	for _, w := range order {
-		rule := s.gen.SingletonRule(w)
+		rule := s.gen.Rule(w)
 		draw = draw[:0]
 		for _, sg := range singles {
 			if o := s.owner[sg.Point]; o != -1 && o != w {
 				continue
 			}
-			if ref, ok := rule.Strategy(sg); ok {
+			if ref, ok := rule.Singleton(sg); ok {
 				draw = append(draw, ref)
 			}
 		}

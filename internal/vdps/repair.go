@@ -134,15 +134,16 @@ func (g *Generator) ruleFor(w int) workerRule {
 	}
 }
 
-// strategy is WorkerStrategies' rule for one candidate: the StrategyRef it
-// includes for worker r.w and candidate ci, or false when it includes none.
-// The set must respect the worker's MaxDP; a default-speed worker needs
-// maxSlack to cover its approach time and takes the fastest state that
-// does, any other worker the fastest sequence it can execute at its own
-// speed; and the total travel time must be positive. The payoff expression
-// is WorkerStrategies' (at factor 1 the product is exact).
-// TestFeasibleForMatchesEnumeration pins the two against each other.
-func (g *Generator) strategy(r workerRule, ci int) (StrategyRef, bool) {
+// Strategy returns the StrategyRef WorkerStrategies includes for the
+// worker and candidate ci, or false when it includes none. The set must
+// respect the worker's MaxDP; a default-speed worker needs maxSlack to cover
+// its approach time and takes the fastest state that does, any other worker
+// the fastest sequence it can execute at its own speed; and the total
+// travel time must be positive. The payoff expression is WorkerStrategies'
+// (at factor 1 the product is exact), so the entry equals the list's bit
+// for bit. A tombstone fits no worker.
+func (rl Rule) Strategy(ci int) (StrategyRef, bool) {
+	g, r := rl.g, rl.r
 	if r.maxDP > 0 && g.setSize[ci] > r.maxDP {
 		return StrategyRef{}, false
 	}
@@ -222,10 +223,10 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 	if rep.dropped == 0 && rep.fresh == rep.end {
 		return list, false
 	}
-	r := g.ruleFor(w)
+	rule := g.Rule(w)
 	add := sc.keys[:0]
 	for ci := rep.fresh; ci < rep.end; ci++ {
-		if ref, ok := g.strategy(r, ci); ok {
+		if ref, ok := rule.Strategy(ci); ok {
 			add = append(add, ref)
 		}
 	}

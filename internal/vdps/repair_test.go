@@ -607,10 +607,12 @@ func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
 }
 
 // TestFeasibleForMatchesEnumeration pins the per-candidate rule against the
-// ground truth: for every worker and candidate, strategy returns exactly the
-// StrategyRef WorkerStrategies includes for that candidate — payoff bits and
-// frontier entry — and false when it includes none. repairGM's mixed speeds
-// cover both the slack test and the scaled-speed re-check.
+// ground truth: for every worker and candidate, Rule.Strategy returns
+// exactly the StrategyRef WorkerStrategies includes for that candidate —
+// payoff bits and frontier entry — and false when it includes none, and
+// Rule.Singleton returns the same for every singleton Singletons gathers.
+// repairGM's mixed speeds cover both the slack test and the scaled-speed
+// re-check.
 func TestFeasibleForMatchesEnumeration(t *testing.T) {
 	in := repairGM(t, 5, 60, 8, 24)
 	g, err := Generate(in, Options{Epsilon: 1.5})
@@ -618,19 +620,31 @@ func TestFeasibleForMatchesEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sc StrategyScratch
+	singles := g.Singletons(nil)
+	if len(singles) == 0 {
+		t.Fatal("no singleton candidates")
+	}
 	for w := range in.Workers {
 		included := map[int32]StrategyRef{}
 		for _, s := range g.WorkerStrategies(w, &sc) {
 			included[s.Cand] = s
 		}
-		r := g.ruleFor(w)
+		rule := g.Rule(w)
 		for ci := range g.Candidates() {
-			got, ok := g.strategy(r, ci)
+			got, ok := rule.Strategy(ci)
 			want, inc := included[int32(ci)]
 			if ok != inc || got.Cand != want.Cand || got.Entry != want.Entry ||
 				math.Float64bits(got.Payoff) != math.Float64bits(want.Payoff) {
 				t.Fatalf("worker %d candidate %d: rule %+v (%v), enumeration %+v (%v)",
 					w, ci, got, ok, want, inc)
+			}
+		}
+		for _, sg := range singles {
+			got, ok := rule.Singleton(sg)
+			want, inc := included[sg.Cand]
+			if ok != inc || got != want {
+				t.Fatalf("worker %d singleton %d: rule %+v (%v), enumeration %+v (%v)",
+					w, sg.Cand, got, ok, want, inc)
 			}
 		}
 	}

@@ -231,28 +231,32 @@ func (g *Generator) Singletons(dst []Singleton) []Singleton {
 	return dst
 }
 
-// SingletonRule is WorkerStrategies' rule for one worker over singletons;
-// build it with Generator.SingletonRule.
-type SingletonRule struct {
+// Rule is WorkerStrategies' rule for one worker, applied to one candidate
+// at a time; build it with Generator.Rule. Strategy prices any candidate,
+// as SpliceStrategies and game's best-response walk need; Singleton is the
+// fast path for a singleton Singletons gathered, which game's random start
+// draws from. TestFeasibleForMatchesEnumeration pins both to
+// WorkerStrategies.
+type Rule struct {
 	g *Generator
 	r workerRule
 }
 
-// SingletonRule returns worker w's rule over singletons.
-func (g *Generator) SingletonRule(w int) SingletonRule {
-	return SingletonRule{g: g, r: g.ruleFor(w)}
+// Rule returns worker w's rule.
+func (g *Generator) Rule(w int) Rule {
+	return Rule{g: g, r: g.ruleFor(w)}
 }
 
-// Strategy returns the entry WorkerStrategies includes for the worker on
-// sg, or false when it includes none. A one-point set passes every MaxDP.
-// A default-speed worker is priced from sg alone with gather's expression:
-// the state's slack must cover the approach time, and the entry is the
-// frontier's first. A worker with a speed override goes through strategy,
-// which checks the sequence against the model at the worker's speed.
-func (sr SingletonRule) Strategy(sg Singleton) (StrategyRef, bool) {
-	r := sr.r
+// Singleton is Strategy for sg.Cand, read from sg. A one-point set passes
+// every MaxDP. A default-speed worker is priced from sg alone with gather's
+// expression: the state's slack must cover the approach time, and the
+// entry is the frontier's first. A worker with a speed override goes
+// through Strategy, which checks the sequence against the model at the
+// worker's speed.
+func (rl Rule) Singleton(sg Singleton) (StrategyRef, bool) {
+	r := rl.r
 	if r.factor != 1 {
-		return sr.g.strategy(r, int(sg.Cand))
+		return rl.Strategy(int(sg.Cand))
 	}
 	total := r.approach + sg.Time
 	if !(sg.Slack >= r.approach) || total <= 0 {

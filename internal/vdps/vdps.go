@@ -25,8 +25,9 @@
 // — maxSlack, setSize, fold and low (the set's lowest point) — so the scans
 // over many candidates or strategies test a candidate without loading its
 // struct: the strategy-list builds, the repair scans, the singleton gather
-// game's random start draws from, and game's best-response scan, which
-// skips an entry whose lowest point another worker holds.
+// game's random start draws from, and game's best response, whose list
+// scan skips an entry whose lowest point another worker holds and whose
+// walk groups the live candidates by lowest point.
 //
 // The DP runs on flat per-level arrays. Each level's (set, last) nodes are
 // grouped by set with a stable counting sort on their ascending point
@@ -212,9 +213,11 @@ type Generator struct {
 	// and mask only when its fold meets the touched points'. low[ci] is
 	// candidates[ci].Points[0], the set's lowest point, which game's
 	// best-response scan tests against the owner table before it loads the
-	// candidate (see LowestPoints). A tombstone's entries are -Inf, 0, 0 and
-	// 0: every scan already rejects the first three, and no strategy list
-	// holds a tombstone whose low could be read.
+	// candidate, and by which game's best-response walk groups the live
+	// candidates (see LowestPoints). A tombstone's entries are -Inf, 0, 0
+	// and 0: every scan already rejects the first three, no strategy list
+	// holds a tombstone whose low could be read, and the walk's grouping
+	// skips a setSize of 0.
 	maxSlack []float64
 	setSize  []int32
 	fold     []uint64
@@ -530,7 +533,8 @@ func (g *Generator) SetSize(ci int32) int32 { return g.setSize[ci] }
 // LowestPoints returns each candidate's lowest delivery point, indexed by
 // candidate: Points[0], read from a flat array, so a scan over many
 // strategies can test one point of each set without loading the candidate
-// structs. A tombstone's entry is 0. The slice is shared and RepairExpiries
+// structs. A tombstone's entry is 0, so a reader that groups candidates by
+// it skips tombstones on SetSize. The slice is shared and RepairExpiries
 // replaces it; callers must not modify or keep it.
 func (g *Generator) LowestPoints() []int32 { return g.low }
 
@@ -579,8 +583,8 @@ type StrategyScratch struct {
 // Compared with building WorkerVDPS structs this moves ~4.5x fewer bytes
 // through the allocator's zeroing and the GC (see docs/PERFORMANCE.md). It
 // is the one-worker rule: StrategySpaces builds a whole state's lists to
-// match it, and strategy, which SpliceStrategies uses, is the same rule for
-// one candidate.
+// match it, and Rule, which SpliceStrategies and game's best-response walk
+// use, is the same rule for one candidate.
 func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	sc.keys = g.gather(g.ruleFor(w), sc.keys[:0])
 	if len(sc.keys) == 0 {
