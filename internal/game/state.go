@@ -210,8 +210,7 @@ func (s *State) scanTop(w int) int {
 // that is not the incumbent is looked up in w's list, which may hold its
 // entries in any order.
 //
-// It panics if w's list lacks the winner: such a list is not what
-// Generator.WorkerStrategies returns, which NewStateWithStrategies requires.
+// It panics if w's list lacks the winner (see listIndex).
 func (s *State) walkTop(w int) int {
 	if s.lowStart == nil {
 		s.groupByLow()
@@ -243,9 +242,20 @@ func (s *State) walkTop(w int) int {
 	case cur != Null && top.Cand == list[cur].Cand:
 		return cur
 	}
-	si := slices.IndexFunc(list, func(r vdps.StrategyRef) bool { return r.Cand == top.Cand })
+	return s.listIndex(w, top.Cand)
+}
+
+// listIndex returns the index of candidate ci in worker w's list, which
+// may hold its entries in any order, each candidate once: the lookup of a
+// strategy that walkTop or RandomInit found on the candidate table. It
+// panics if the list lacks ci, since the worker's vdps.Rule admits every
+// candidate they find: such a list is not what
+// Generator.WorkerStrategies returns, which NewStateWithStrategies
+// requires.
+func (s *State) listIndex(w int, ci int32) int {
+	si := slices.IndexFunc(s.Strategies[w], func(r vdps.StrategyRef) bool { return r.Cand == ci })
 	if si < 0 {
-		panic("game: TopAvailable: a strategy list lacks a candidate its worker can take; lists must be what vdps.Generator.WorkerStrategies returns")
+		panic("game: a strategy list lacks a candidate its worker can take; lists must be what vdps.Generator.WorkerStrategies returns")
 	}
 	return si
 }
@@ -343,31 +353,29 @@ func (s *State) Switch(w, si int) {
 // those still available; workers without any available singleton get Null.
 //
 // It reads the candidate table, not the strategy lists. It gathers the
-// table's live singletons once (vdps.Generator.Singletons); for each worker
-// in the drawn order it prices the singletons whose point is free or its own
-// by WorkerStrategies' rule (vdps.Rule.Singleton) and takes the k-th best
+// indices of the table's live singletons once (vdps.Generator.Singletons);
+// for each worker in the drawn order it prices the singletons whose point
+// is free or its own with the worker's vdps.Rule and takes the k-th best
 // under Generator.ComparePayoff (nthBest). Only the drawn candidate is
-// then looked up in the worker's list, which may hold its entries in any
-// order, each candidate once. So the draw depends on the rule alone, not
-// on any list's order, and it consumes rng.Perm and then one rng.Intn per
-// worker with an available singleton, as the list scan of
-// ReferenceRandomInit does.
+// then looked up in the worker's list (listIndex). So the draw depends on
+// the rule alone, not on any list's order, and it consumes rng.Perm and
+// then one rng.Intn per worker with an available singleton, as the list
+// scan of ReferenceRandomInit does.
 //
-// It panics if a worker's list lacks the drawn candidate: such a list is not
-// what Generator.WorkerStrategies returns, which NewStateWithStrategies
-// requires.
+// It panics if a worker's list lacks the drawn candidate (see listIndex).
 func (s *State) RandomInit(rng *rand.Rand) {
 	order := rng.Perm(len(s.Current))
-	singles := s.gen.Singletons(make([]vdps.Singleton, 0, len(s.owner)))
+	singles := s.gen.Singletons(make([]int32, 0, len(s.owner)))
+	low := s.gen.LowestPoints()
 	draw := make([]vdps.StrategyRef, 0, len(singles))
 	for _, w := range order {
 		rule := s.gen.Rule(w)
 		draw = draw[:0]
-		for _, sg := range singles {
-			if o := s.owner[sg.Point]; o != -1 && o != w {
+		for _, ci := range singles {
+			if o := s.owner[low[ci]]; o != -1 && o != w {
 				continue
 			}
-			if ref, ok := rule.Singleton(sg); ok {
+			if ref, ok := rule.Strategy(int(ci)); ok {
 				draw = append(draw, ref)
 			}
 		}
@@ -375,12 +383,7 @@ func (s *State) RandomInit(rng *rand.Rand) {
 			s.Switch(w, Null)
 			continue
 		}
-		ci := nthBest(s.gen, draw, rng.Intn(len(draw))).Cand
-		si := slices.IndexFunc(s.Strategies[w], func(r vdps.StrategyRef) bool { return r.Cand == ci })
-		if si < 0 {
-			panic("game: RandomInit: a strategy list lacks a singleton its worker can take; lists must be what vdps.Generator.WorkerStrategies returns")
-		}
-		s.Switch(w, si)
+		s.Switch(w, s.listIndex(w, nthBest(s.gen, draw, rng.Intn(len(draw))).Cand))
 	}
 }
 

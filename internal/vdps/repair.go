@@ -97,14 +97,13 @@ func (g *Generator) RepairRewards(points []int) []int {
 // which candidates are feasible for a worker or which frontier entry is
 // fastest (both depend only on expiries and geometry), so the list's
 // (candidate, entry) membership and its ascending candidate order stay
-// exact too. Each recomputed payoff uses WorkerStrategies' expression (its
-// factor-1 branch omits the product, which is exact at factor 1), so the
+// exact too. Each recomputed payoff is the new reward over the entry's total
+// travel time under the worker's Rule, as Rule.Strategy prices it, so the
 // repaired list is bit-identical to a fresh WorkerStrategies call. Callers
 // own the transactional consequences of the in-place write (the streaming
 // engine's dirty-flag protocol).
 func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, repriced []bool) bool {
-	approach := g.inst.ApproachTime(w)
-	factor := g.inst.SpeedFactor(w)
+	rule := g.Rule(w)
 	marked := false
 	for i := range refs {
 		if !repriced[refs[i].Cand] {
@@ -112,59 +111,9 @@ func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, repriced []
 		}
 		marked = true
 		c := &g.candidates[refs[i].Cand]
-		refs[i].Payoff = c.Reward / (approach + factor*c.Frontier[refs[i].Entry].Time)
+		refs[i].Payoff = c.Reward / rule.totalTime(c.Frontier[refs[i].Entry].Time)
 	}
 	return marked
-}
-
-// workerRule holds what WorkerStrategies reads about one worker.
-type workerRule struct {
-	w                int
-	approach, factor float64
-	maxDP            int32
-}
-
-// ruleFor reads worker w's rule inputs from the generator's instance.
-func (g *Generator) ruleFor(w int) workerRule {
-	return workerRule{
-		w:        w,
-		approach: g.inst.ApproachTime(w),
-		factor:   g.inst.SpeedFactor(w),
-		maxDP:    int32(g.inst.Workers[w].MaxDP),
-	}
-}
-
-// Strategy returns the StrategyRef WorkerStrategies includes for the
-// worker and candidate ci, or false when it includes none. The set must
-// respect the worker's MaxDP; a default-speed worker needs maxSlack to cover
-// its approach time and takes the fastest state that does, any other worker
-// the fastest sequence it can execute at its own speed; and the total
-// travel time must be positive. The payoff expression is WorkerStrategies'
-// (at factor 1 the product is exact), so the entry equals the list's bit
-// for bit. A tombstone fits no worker.
-func (rl Rule) Strategy(ci int) (StrategyRef, bool) {
-	g, r := rl.g, rl.r
-	if r.maxDP > 0 && g.setSize[ci] > r.maxDP {
-		return StrategyRef{}, false
-	}
-	c := &g.candidates[ci]
-	var fi int
-	if r.factor == 1 {
-		if !(g.maxSlack[ci] >= r.approach) {
-			return StrategyRef{}, false
-		}
-		fi, _ = c.bestForIndex(r.approach)
-	} else {
-		var ok bool
-		if fi, ok = c.bestForScaledIndex(g.inst, r.w); !ok {
-			return StrategyRef{}, false
-		}
-	}
-	total := r.approach + r.factor*c.Frontier[fi].Time
-	if total <= 0 {
-		return StrategyRef{}, false
-	}
-	return StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)}, true
 }
 
 // ExpiryRepair records the candidate-table surgery of one RepairExpiries
@@ -203,7 +152,7 @@ func (rep *ExpiryRepair) index(g *Generator, ci int32) int32 {
 // SpliceStrategies carries worker w's strategy list, as WorkerStrategies
 // built it before the expiry repair rep, over to the repaired table: it
 // drops the entries of dropped candidates and appends the regenerated
-// candidates the worker can take, priced by WorkerStrategies' rule and
+// candidates the worker can take, priced by the worker's Rule and
 // gathered into sc first. The list holds ascending candidate indices and
 // the regenerated candidates were appended after every retained one, so the
 // result ascends too. A compaction renumbers the retained entries through
@@ -224,12 +173,7 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 		return list, false
 	}
 	rule := g.Rule(w)
-	add := sc.keys[:0]
-	for ci := rep.fresh; ci < rep.end; ci++ {
-		if ref, ok := rule.Strategy(ci); ok {
-			add = append(add, ref)
-		}
-	}
+	add := rule.gather(sc.keys[:0], rep.fresh, rep.end)
 	sc.keys = add
 	kept := list[:0]
 	for _, ref := range list {

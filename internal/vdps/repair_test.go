@@ -608,45 +608,49 @@ func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
 
 // TestFeasibleForMatchesEnumeration pins the per-candidate rule against the
 // ground truth: for every worker and candidate, Rule.Strategy returns
-// exactly the StrategyRef WorkerStrategies includes for that candidate —
-// payoff bits and frontier entry — and false when it includes none, and
-// Rule.Singleton returns the same for every singleton Singletons gathers.
-// repairGM's mixed speeds cover both the slack test and the scaled-speed
-// re-check.
+// exactly the strategy ForWorker enumerates for that candidate — payoff
+// bits and sequence — and false when it enumerates none. game's random
+// start and best-response walk price single candidates with Strategy, so
+// this holds the rule to the oracle one candidate at a time, singletons
+// included. repairGM's mixed speeds cover both the slack test and the
+// scaled-speed re-check.
 func TestFeasibleForMatchesEnumeration(t *testing.T) {
 	in := repairGM(t, 5, 60, 8, 24)
 	g, err := Generate(in, Options{Epsilon: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc StrategyScratch
-	singles := g.Singletons(nil)
-	if len(singles) == 0 {
+	if len(g.Singletons(nil)) == 0 {
 		t.Fatal("no singleton candidates")
 	}
+	scaled := 0
 	for w := range in.Workers {
-		included := map[int32]StrategyRef{}
-		for _, s := range g.WorkerStrategies(w, &sc) {
-			included[s.Cand] = s
+		enumerated := map[int]WorkerVDPS{}
+		for _, s := range g.ForWorker(w) {
+			enumerated[s.Candidate] = s
 		}
 		rule := g.Rule(w)
 		for ci := range g.Candidates() {
 			got, ok := rule.Strategy(ci)
-			want, inc := included[int32(ci)]
-			if ok != inc || got.Cand != want.Cand || got.Entry != want.Entry ||
-				math.Float64bits(got.Payoff) != math.Float64bits(want.Payoff) {
-				t.Fatalf("worker %d candidate %d: rule %+v (%v), enumeration %+v (%v)",
-					w, ci, got, ok, want, inc)
+			want, inc := enumerated[ci]
+			if ok != inc {
+				t.Fatalf("worker %d candidate %d: rule says %v, enumeration %v", w, ci, ok, inc)
+			}
+			if !ok {
+				continue
+			}
+			if int(got.Cand) != ci || math.Float64bits(got.Payoff) != math.Float64bits(want.Payoff) ||
+				!reflect.DeepEqual(g.RefSeq(got), want.Seq) {
+				t.Fatalf("worker %d candidate %d: rule (cand %d, payoff %v, seq %v), enumeration (payoff %v, seq %v)",
+					w, ci, got.Cand, got.Payoff, g.RefSeq(got), want.Payoff, want.Seq)
+			}
+			if in.SpeedFactor(w) != 1 {
+				scaled++
 			}
 		}
-		for _, sg := range singles {
-			got, ok := rule.Singleton(sg)
-			want, inc := included[sg.Cand]
-			if ok != inc || got != want {
-				t.Fatalf("worker %d singleton %d: rule %+v (%v), enumeration %+v (%v)",
-					w, sg.Cand, got, ok, want, inc)
-			}
-		}
+	}
+	if scaled == 0 {
+		t.Fatal("no strategy of a speed-override worker; the scaled re-check goes untested")
 	}
 }
 

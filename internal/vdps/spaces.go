@@ -47,27 +47,27 @@ func (g *Generator) StrategySpaces(par int) [][]StrategyRef {
 
 // chainable reports whether the worker's list is a threshold in its
 // approach time: a default speed and an approach time that compares.
-func (r workerRule) chainable() bool {
+func (r *Rule) chainable() bool {
 	return r.factor == 1 && !math.IsNaN(r.approach)
 }
 
-// buildOrder returns every worker's rule in build order, with each worker's
+// buildOrder returns every worker's Rule in build order, with each worker's
 // list-size bound: chainable workers first, by (MaxDP, approach time,
 // index), then the rest by index. A chainable worker's bound is the number
 // of candidates within its MaxDP whose maxSlack covers its approach time;
 // any other worker's is the table size.
-func (g *Generator) buildOrder() ([]workerRule, []int) {
+func (g *Generator) buildOrder() ([]Rule, []int) {
 	n := len(g.inst.Workers)
-	order := make([]workerRule, 0, n)
-	var rest []workerRule
+	order := make([]Rule, 0, n)
+	var rest []Rule
 	for w := 0; w < n; w++ {
-		if r := g.ruleFor(w); r.chainable() {
+		if r := g.Rule(w); r.chainable() {
 			order = append(order, r)
 		} else {
 			rest = append(rest, r)
 		}
 	}
-	slices.SortFunc(order, func(a, b workerRule) int {
+	slices.SortFunc(order, func(a, b Rule) int {
 		return cmp.Or(cmp.Compare(a.maxDP, b.maxDP), cmp.Compare(a.approach, b.approach), a.w-b.w)
 	})
 	chained := len(order)
@@ -92,7 +92,7 @@ func (g *Generator) buildOrder() ([]workerRule, []int) {
 // MaxDP and ascends in approach time, so each candidate covers a prefix of
 // it: one binary search per candidate finds the prefix's last worker, and a
 // suffix sum turns those counts into bounds.
-func (g *Generator) countCovering(run []workerRule, bound []int) {
+func (g *Generator) countCovering(run []Rule, bound []int) {
 	maxDP := run[0].maxDP
 	for ci, ms := range g.maxSlack {
 		if maxDP > 0 && g.setSize[ci] > maxDP {
@@ -141,10 +141,10 @@ func shardStarts(bound []int, par int) []int {
 // buildRun builds the lists of one run of the build order. A worker chains
 // from its predecessor when both are chainable, share a MaxDP and the
 // predecessor's approach time is positive (see chain). Otherwise a
-// chainable worker with a positive approach time scans the table straight
-// into a list of its bound, which is then its exact size, and any other
-// worker takes WorkerStrategies' gather and copy.
-func (g *Generator) buildRun(lists [][]StrategyRef, run []workerRule, bound []int) {
+// chainable worker with a positive approach time gathers the table
+// straight into a list of its bound, which is then its exact size, and any
+// other worker takes WorkerStrategies' gather and copy.
+func (g *Generator) buildRun(lists [][]StrategyRef, run []Rule, bound []int) {
 	var sc StrategyScratch
 	for k, r := range run {
 		var list []StrategyRef
@@ -152,7 +152,7 @@ func (g *Generator) buildRun(lists [][]StrategyRef, run []workerRule, bound []in
 		case k > 0 && chains(run[k-1], r):
 			list = g.chain(lists[run[k-1].w], r, bound[k])
 		case r.chainable() && r.approach > 0:
-			list = g.gather(r, make([]StrategyRef, 0, bound[k]))
+			list = r.gather(make([]StrategyRef, 0, bound[k]), 0, len(g.candidates))
 		default:
 			list = g.WorkerStrategies(r.w, &sc)
 		}
@@ -165,7 +165,7 @@ func (g *Generator) buildRun(lists [][]StrategyRef, run []workerRule, bound []in
 
 // chains reports whether worker r's list can be derived from that of p,
 // its predecessor in build order (see chain).
-func chains(p, r workerRule) bool {
+func chains(p, r Rule) bool {
 	return p.chainable() && r.chainable() && p.maxDP == r.maxDP && p.approach > 0
 }
 
@@ -187,11 +187,12 @@ func chains(p, r workerRule) bool {
 //     whose approach is not positive. With a_p > 0 no candidate was left out
 //     of prev for its total, and every total of r is positive.
 //
-// Each kept entry is re-priced with WorkerStrategies' expression, so the
-// list is bit-identical to WorkerStrategies(r.w); prev's order carries over,
-// so it ascends in candidate index too. With a positive a, size — r's
-// bound — is the list's exact length.
-func (g *Generator) chain(prev []StrategyRef, r workerRule, size int) []StrategyRef {
+// Each kept entry is re-priced with Rule.Strategy's expression, written out
+// inline (at the default speed the product with the factor is exact), so
+// the list is bit-identical to WorkerStrategies(r.w); prev's order carries
+// over, so it ascends in candidate index too. With a positive a, size —
+// r's bound — is the list's exact length.
+func (g *Generator) chain(prev []StrategyRef, r Rule, size int) []StrategyRef {
 	a := r.approach
 	out := make([]StrategyRef, 0, size)
 	for _, ref := range prev {
@@ -209,58 +210,14 @@ func (g *Generator) chain(prev []StrategyRef, r workerRule, size int) []Strategy
 	return out
 }
 
-// Singleton is a live one-point candidate with what WorkerStrategies' rule
-// reads of it. A one-point set has one sequence, so its frontier is one
-// state: Slack is the candidate's maxSlack and Time that state's time.
-type Singleton struct {
-	Cand, Point         int32
-	Slack, Time, Reward float64
-}
-
-// Singletons appends the table's live one-point candidates to dst, in table
-// order, and returns it: at most one per delivery point. It finds them on
-// the flat setSize array and loads only their structs.
-func (g *Generator) Singletons(dst []Singleton) []Singleton {
+// Singletons appends the indices of the table's live one-point candidates
+// to dst, in table order, and returns it: at most one per delivery point.
+// It reads only the flat setSize array.
+func (g *Generator) Singletons(dst []int32) []int32 {
 	for ci, n := range g.setSize {
-		if n != 1 {
-			continue
+		if n == 1 {
+			dst = append(dst, int32(ci))
 		}
-		c := &g.candidates[ci]
-		dst = append(dst, Singleton{Cand: int32(ci), Point: g.low[ci], Slack: g.maxSlack[ci], Time: c.Frontier[0].Time, Reward: c.Reward})
 	}
 	return dst
-}
-
-// Rule is WorkerStrategies' rule for one worker, applied to one candidate
-// at a time; build it with Generator.Rule. Strategy prices any candidate,
-// as SpliceStrategies and game's best-response walk need; Singleton is the
-// fast path for a singleton Singletons gathered, which game's random start
-// draws from. TestFeasibleForMatchesEnumeration pins both to
-// WorkerStrategies.
-type Rule struct {
-	g *Generator
-	r workerRule
-}
-
-// Rule returns worker w's rule.
-func (g *Generator) Rule(w int) Rule {
-	return Rule{g: g, r: g.ruleFor(w)}
-}
-
-// Singleton is Strategy for sg.Cand, read from sg. A one-point set passes
-// every MaxDP. A default-speed worker is priced from sg alone with gather's
-// expression: the state's slack must cover the approach time, and the
-// entry is the frontier's first. A worker with a speed override goes
-// through Strategy, which checks the sequence against the model at the
-// worker's speed.
-func (rl Rule) Singleton(sg Singleton) (StrategyRef, bool) {
-	r := rl.r
-	if r.factor != 1 {
-		return rl.Strategy(int(sg.Cand))
-	}
-	total := r.approach + sg.Time
-	if !(sg.Slack >= r.approach) || total <= 0 {
-		return StrategyRef{}, false
-	}
-	return StrategyRef{Payoff: sg.Reward / total, Cand: sg.Cand}, true
 }

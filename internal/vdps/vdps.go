@@ -21,13 +21,23 @@
 // extensions whose leg between consecutive delivery points exceeds ε,
 // exactly as in §IV.
 //
+// Whether a worker can take a candidate, and what the candidate pays it,
+// is one rule, Rule.Strategy: the set respects the worker's MaxDP, a
+// frontier state's slack covers the worker's approach time (for a worker
+// with its own speed, the model accepts the sequence at that speed), and
+// the payoff is the set's reward over approach plus travel time
+// (Definition 7). Every strategy list is built, spliced and re-priced
+// through it, and game prices the candidates it reads from the table with
+// it. StrategySpaces' chain repeats its expression inline, and ForWorker
+// states the rule independently, as the tests' oracle.
+//
 // Beside the candidate table the generator keeps flat per-candidate arrays
 // — maxSlack, setSize, fold and low (the set's lowest point) — so the scans
 // over many candidates or strategies test a candidate without loading its
-// struct: the strategy-list builds, the repair scans, the singleton gather
-// game's random start draws from, and game's best response, whose list
-// scan skips an entry whose lowest point another worker holds and whose
-// walk groups the live candidates by lowest point.
+// struct: the rule itself, the strategy-list builds, the repair scans, the
+// singleton gather game's random start draws from, and game's best
+// response, whose list scan skips an entry whose lowest point another
+// worker holds and whose walk groups the live candidates by lowest point.
 //
 // The DP runs on flat per-level arrays. Each level's (set, last) nodes are
 // grouped by set with a stable counting sort on their ascending point
@@ -153,16 +163,9 @@ func (c *Candidate) MaxSlack() float64 {
 	return c.Frontier[len(c.Frontier)-1].Slack
 }
 
-// BestFor returns the minimal-time state usable by a worker with the given
-// approach time, or ok == false when no state fits.
-func (c *Candidate) BestFor(approach float64) (State, bool) {
-	if fi, ok := c.bestForIndex(approach); ok {
-		return c.Frontier[fi], true
-	}
-	return State{}, false
-}
-
-// bestForIndex returns the frontier index BestFor would select.
+// bestForIndex returns the frontier index of the minimal-time state usable
+// by a worker with the given approach time, or ok == false when no state
+// fits.
 func (c *Candidate) bestForIndex(approach float64) (int, bool) {
 	// Frontier is sorted by ascending time (and, by Pareto dominance,
 	// ascending slack); scanning in time order makes the first state with
@@ -175,17 +178,10 @@ func (c *Candidate) bestForIndex(approach float64) (int, bool) {
 	return 0, false
 }
 
-// bestForScaled returns the candidate's minimal-time sequence that worker w
-// can execute within all deadlines at the worker's own speed, checked
-// exactly via the model (used when the worker overrides the default speed).
-func (c *Candidate) bestForScaled(in *model.Instance, w int) (State, bool) {
-	if fi, ok := c.bestForScaledIndex(in, w); ok {
-		return c.Frontier[fi], true
-	}
-	return State{}, false
-}
-
-// bestForScaledIndex returns the frontier index bestForScaled would select.
+// bestForScaledIndex returns the frontier index of the candidate's
+// minimal-time sequence that worker w can execute within all deadlines at
+// the worker's own speed, checked exactly via the model (used when the
+// worker overrides the default speed), or ok == false when none can.
 func (c *Candidate) bestForScaledIndex(in *model.Instance, w int) (int, bool) {
 	for fi := range c.Frontier { // sorted by ascending center-origin time
 		if in.RouteFeasible(w, c.Frontier[fi].Seq) {
@@ -204,7 +200,7 @@ type Generator struct {
 	stats      Stats
 	// maxSlack[ci] and setSize[ci] mirror candidates[ci].MaxSlack() and
 	// len(candidates[ci].Points): flat arrays let the per-worker scans —
-	// WorkerStrategies' feasibility test, StrategySpaces' chain filter and
+	// Rule.Strategy's feasibility test, StrategySpaces' chain filter and
 	// list-size bounds, Singletons' gather — reject candidates without
 	// touching the candidate structs (and their pointer-chased frontiers) at
 	// all. fold[ci] is candidates[ci].Mask folded into one word
@@ -452,19 +448,20 @@ func (g *Generator) ForWorker(w int) []WorkerVDPS {
 		if maxDP > 0 && len(c.Points) > maxDP {
 			continue
 		}
-		var st State
+		var fi int
 		var ok bool
 		if factor == 1 {
-			st, ok = c.BestFor(approach)
+			fi, ok = c.bestForIndex(approach)
 		} else {
 			// Heterogeneous speed: the slack shortcut does not apply (every
 			// center-origin leg scales by the worker's speed factor), so
 			// re-check each frontier sequence exactly. Frontiers are tiny.
-			st, ok = c.bestForScaled(g.inst, w)
+			fi, ok = c.bestForScaledIndex(g.inst, w)
 		}
 		if !ok {
 			continue
 		}
+		st := &c.Frontier[fi]
 		total := approach + factor*st.Time
 		if total <= 0 {
 			// A worker standing at the center with a zero-length route
@@ -577,16 +574,15 @@ type StrategyScratch struct {
 // payoff order (sort with ComparePayoff where an order is needed) —
 // allocated exactly at their final size.
 //
-// It gathers a (payoff, candidate, frontier-entry) reference per feasible
-// candidate into the reused scratch, then copies them once into an
+// It gathers the reference Rule.Strategy gives for each candidate the
+// worker can take into the reused scratch, then copies them once into an
 // exact-size, pointer-free result the garbage collector never scans.
 // Compared with building WorkerVDPS structs this moves ~4.5x fewer bytes
-// through the allocator's zeroing and the GC (see docs/PERFORMANCE.md). It
-// is the one-worker rule: StrategySpaces builds a whole state's lists to
-// match it, and Rule, which SpliceStrategies and game's best-response walk
-// use, is the same rule for one candidate.
+// through the allocator's zeroing and the GC (see docs/PERFORMANCE.md).
+// StrategySpaces builds a whole state's lists to match it.
 func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
-	sc.keys = g.gather(g.ruleFor(w), sc.keys[:0])
+	rule := g.Rule(w)
+	sc.keys = rule.gather(sc.keys[:0], 0, len(g.candidates))
 	if len(sc.keys) == 0 {
 		return nil
 	}
@@ -595,45 +591,86 @@ func (g *Generator) WorkerStrategies(w int, sc *StrategyScratch) []StrategyRef {
 	return out
 }
 
-// gather appends worker r.w's strategies to keys in ascending candidate
-// order. A default-speed worker's scan rejects infeasible candidates on the
-// flat maxSlack/setSize arrays without touching the candidate structs. The
-// loops keep the per-candidate rule inline for speed. A tombstone fails
-// both loops' feasibility tests: its maxSlack covers no approach time, not
-// even a NaN one, and its frontier is empty.
-func (g *Generator) gather(r workerRule, keys []StrategyRef) []StrategyRef {
-	approach, maxDP, factor := r.approach, r.maxDP, r.factor
-	if factor == 1 {
-		for ci, ms := range g.maxSlack {
-			if !(ms >= approach) || (maxDP > 0 && g.setSize[ci] > maxDP) {
-				continue
-			}
-			c := &g.candidates[ci]
-			fi, _ := c.bestForIndex(approach) // maxSlack >= approach guarantees ok
-			total := approach + c.Frontier[fi].Time
-			if total <= 0 {
-				continue
-			}
-			keys = append(keys, StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)})
-		}
-		return keys
+// Rule is one worker's strategy rule: Strategy says whether the worker can
+// take a candidate and what the candidate pays it (Algorithm 1's slack test
+// and Definition 7's payoff). It is the rule's one statement. Every
+// strategy list is built, spliced and re-priced through it, and game's
+// random start and best-response walk price the candidates they read from
+// the table with it, so what they find equals the list entry bit for bit.
+// StrategySpaces' chain repeats its expression inline, in the build's
+// hottest loop, and ForWorker states the rule independently as the tests'
+// oracle. Build a Rule with Generator.Rule.
+type Rule struct {
+	g                *Generator
+	w                int
+	approach, factor float64
+	maxDP            int32
+}
+
+// Rule returns worker w's rule, read from the generator's instance.
+func (g *Generator) Rule(w int) Rule {
+	return Rule{
+		g:        g,
+		w:        w,
+		approach: g.inst.ApproachTime(w),
+		factor:   g.inst.SpeedFactor(w),
+		maxDP:    int32(g.inst.Workers[w].MaxDP),
 	}
-	// Heterogeneous speed: the slack shortcut does not apply, so every
-	// size-eligible candidate's frontier is re-checked via the model.
-	for ci := range g.candidates {
-		if maxDP > 0 && g.setSize[ci] > maxDP {
-			continue
+}
+
+// Strategy returns the StrategyRef the worker's list holds for candidate
+// ci, or false when the worker cannot take it. The set must respect the
+// worker's MaxDP; a default-speed worker needs maxSlack to cover its
+// approach time and takes the fastest state that does, any other worker
+// the fastest sequence it can execute at its own speed; and the total
+// travel time must be positive. The payoff is the reward over that total.
+// A default-speed worker's test reads the flat setSize and maxSlack arrays
+// before it touches the candidate's frontier. A tombstone fits no worker:
+// its maxSlack covers no approach time, not even a NaN one, and its
+// frontier is empty.
+//
+// Rule's methods take a pointer: a scan calls Strategy once per candidate,
+// and passing the rule's five fields by value cost a full-table gather
+// about a quarter more.
+func (rl *Rule) Strategy(ci int) (StrategyRef, bool) {
+	g := rl.g
+	if rl.maxDP > 0 && g.setSize[ci] > rl.maxDP {
+		return StrategyRef{}, false
+	}
+	c := &g.candidates[ci]
+	var fi int
+	if rl.factor == 1 {
+		if !(g.maxSlack[ci] >= rl.approach) {
+			return StrategyRef{}, false
 		}
-		c := &g.candidates[ci]
-		fi, ok := c.bestForScaledIndex(g.inst, r.w)
-		if !ok {
-			continue
+		fi, _ = c.bestForIndex(rl.approach)
+	} else {
+		var ok bool
+		if fi, ok = c.bestForScaledIndex(g.inst, rl.w); !ok {
+			return StrategyRef{}, false
 		}
-		total := approach + factor*c.Frontier[fi].Time
-		if total <= 0 {
-			continue
+	}
+	total := rl.totalTime(c.Frontier[fi].Time)
+	if total <= 0 {
+		return StrategyRef{}, false
+	}
+	return StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)}, true
+}
+
+// totalTime returns the worker's total travel time on a frontier state of
+// center-origin time t: its approach time plus t at its own speed. At the
+// default speed the product is exact, so the sum equals approach + t.
+func (rl *Rule) totalTime(t float64) float64 {
+	return rl.approach + rl.factor*t
+}
+
+// gather appends the strategies of candidates lo to hi-1 that the worker
+// can take to keys, in ascending candidate order.
+func (rl *Rule) gather(keys []StrategyRef, lo, hi int) []StrategyRef {
+	for ci := lo; ci < hi; ci++ {
+		if ref, ok := rl.Strategy(ci); ok {
+			keys = append(keys, ref)
 		}
-		keys = append(keys, StrategyRef{Payoff: c.Reward / total, Cand: int32(ci), Entry: int32(fi)})
 	}
 	return keys
 }

@@ -1,11 +1,13 @@
 package vdps
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"fairtask/internal/geo"
@@ -407,14 +409,17 @@ func TestBestFor(t *testing.T) {
 		{Time: 1, Slack: 0.5},
 		{Time: 2, Slack: 2},
 	}}
-	if st, ok := c.BestFor(0.3); !ok || st.Time != 1 {
-		t.Errorf("BestFor(0.3) = %+v, %v", st, ok)
+	if fi, ok := c.bestForIndex(0.3); !ok || fi != 0 {
+		t.Errorf("bestForIndex(0.3) = %d, %v", fi, ok)
 	}
-	if st, ok := c.BestFor(1); !ok || st.Time != 2 {
-		t.Errorf("BestFor(1) = %+v, %v", st, ok)
+	if fi, ok := c.bestForIndex(1); !ok || fi != 1 {
+		t.Errorf("bestForIndex(1) = %d, %v", fi, ok)
 	}
-	if _, ok := c.BestFor(3); ok {
-		t.Error("BestFor(3) should fail")
+	if _, ok := c.bestForIndex(3); ok {
+		t.Error("bestForIndex(3) should fail")
+	}
+	if _, ok := (&Candidate{}).bestForIndex(math.Inf(-1)); ok {
+		t.Error("an empty frontier should fit no approach time")
 	}
 }
 
@@ -598,30 +603,58 @@ func TestForWorkerHeterogeneousSpeed(t *testing.T) {
 	}
 }
 
-// TestWorkerStrategiesMatchForWorker pins the compact strategy list against
-// the full form: WorkerStrategies gathers in strictly ascending candidate
-// order, and sorting it with ComparePayoff gives ForWorker's list entry by
-// entry — candidate, payoff bits and sequence. ForWorker sorts with its own
-// comparator, so this is the oracle for ComparePayoff. The GM instance mixes
-// worker speeds; the lattice holds exact payoff ties, where only the
-// candidate tie-break decides the order.
+// TestWorkerStrategiesMatchForWorker pins the strategy rule to its oracle:
+// WorkerStrategies, which gathers Rule.Strategy over the whole table,
+// returns strictly ascending candidates, and sorting them with
+// ComparePayoff gives ForWorker's list entry by entry — candidate, payoff
+// bits and sequence. ForWorker states the rule and sorts with its own
+// comparator, so this is the oracle for both Rule.Strategy and
+// ComparePayoff (TestFeasibleForMatchesEnumeration checks Strategy against
+// it one candidate at a time). The GM instances mix default-speed workers
+// with speed overrides, which Strategy re-checks against the model; the
+// lattice holds exact payoff ties, where only the candidate tie-break
+// decides the order; and the repaired table holds tombstones, which fit no
+// worker, and regenerated candidates appended after longer sets.
 func TestWorkerStrategiesMatchForWorker(t *testing.T) {
-	cases := []struct {
-		name string
-		in   *model.Instance
-		opt  Options
-	}{
-		{"gm", repairGM(t, 3, 60, 8, 24), Options{Epsilon: 1.5}},
-		{"lattice", latticeInstance(), Options{}},
-	}
-	for _, tc := range cases {
-		g, err := Generate(tc.in, tc.opt)
+	gen := func(in *model.Instance, opt Options) *Generator {
+		g, err := Generate(in, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return g
+	}
+	// Halving one point's deadlines drops the candidates holding it and
+	// regenerates those still feasible, too few to compact the table.
+	in := repairGM(t, 3, 60, 8, 24)
+	repaired := gen(in, Options{Epsilon: 1.5})
+	mutated := in.Clone()
+	p := slices.IndexFunc(mutated.Points, func(dp model.DeliveryPoint) bool { return len(dp.Tasks) > 0 })
+	for i := range mutated.Points[p].Tasks {
+		mutated.Points[p].Tasks[i].Expiry *= 0.5
+	}
+	repaired.Rebind(mutated)
+	rep, err := repaired.RepairExpiries(context.Background(), []int{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.remap != nil || rep.dropped == 0 || rep.fresh == rep.end {
+		t.Fatalf("repair compacted %v, dropped %d, appended %d; want tombstones and appended candidates",
+			rep.remap != nil, rep.dropped, rep.end-rep.fresh)
+	}
+
+	cases := []struct {
+		name string
+		g    *Generator
+	}{
+		{"gm", gen(repairGM(t, 3, 60, 8, 24), Options{Epsilon: 1.5})},
+		{"lattice", gen(latticeInstance(), Options{})},
+		{"repaired", repaired},
+	}
+	for _, tc := range cases {
+		g := tc.g
 		var sc StrategyScratch
-		ties := 0
-		for w := range tc.in.Workers {
+		ties, scaled := 0, 0
+		for w := range g.Instance().Workers {
 			refs := g.WorkerStrategies(w, &sc)
 			for i := 1; i < len(refs); i++ {
 				if refs[i-1].Cand >= refs[i].Cand {
@@ -645,9 +678,15 @@ func TestWorkerStrategiesMatchForWorker(t *testing.T) {
 					ties++
 				}
 			}
+			if g.Instance().SpeedFactor(w) != 1 {
+				scaled += len(refs)
+			}
 		}
 		if tc.name == "lattice" && ties == 0 {
 			t.Fatal("lattice: no tied payoffs; the tie-break goes untested")
+		}
+		if strings.HasPrefix(tc.name, "gm") && scaled == 0 {
+			t.Fatalf("%s: no strategy of a speed-override worker; the scaled re-check goes untested", tc.name)
 		}
 	}
 }
