@@ -120,7 +120,11 @@ type (
 	OnlineReport = online.Report
 	// TravelModel converts distances to travel times.
 	TravelModel = travel.Model
-	// Metric is a distance metric over points.
+	// Metric is a distance metric over points. Besides being symmetric,
+	// non-negative, zero on identical points and obeying the triangle
+	// inequality, it must never read below the Euclidean distance when ε
+	// pruning is on: candidate generation looks up ε-neighbours in a
+	// Euclidean grid.
 	Metric = geo.Metric
 	// Euclidean is the straight-line metric used by the paper.
 	Euclidean = geo.Euclidean
@@ -347,7 +351,8 @@ func NewOnlineMatcher(in *Instance, policy OnlinePolicy) (*OnlineMatcher, error)
 func Pt(x, y float64) Point { return geo.Pt(x, y) }
 
 // NewTravelModel returns a travel model with the given metric (nil for
-// Euclidean) and constant speed in km/h.
+// Euclidean) and constant speed in km/h. With ε pruning on, the metric must
+// never read below the Euclidean distance (see Metric).
 func NewTravelModel(m Metric, speed float64) (TravelModel, error) {
 	return travel.NewModel(m, speed)
 }

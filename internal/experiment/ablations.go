@@ -24,12 +24,13 @@ func init() {
 	registry["ablation-mutation"] = ablationMutation
 }
 
-// ablationIndex measures VDPS generation time with the grid index against
-// the full scan at growing |DP| (GM geometry, default ε).
+// ablationIndex measures VDPS generation time with the grid index's ε-ball
+// successor lists against every-point successor lists (DisableIndex; the
+// "scan" variant) at growing |DP| (GM geometry, default ε).
 func ablationIndex(cfg Config) (*Series, error) {
 	s := &Series{
 		Figure: "ablation-index",
-		Title:  "VDPS generation: grid index vs full scan",
+		Title:  "VDPS generation: grid index vs every-point successors",
 		XLabel: "|DP| (scaled)",
 	}
 	for _, dp := range []int{20, 40, 60, 80, 100} {

@@ -45,7 +45,11 @@ func (p Point) IsFinite() bool {
 // Metric computes the travel distance between two locations.
 // Implementations must be symmetric, non-negative, and zero on identical
 // points; the library's pruning logic additionally assumes the triangle
-// inequality holds.
+// inequality holds. With a finite pruning threshold ε, candidate generation
+// finds each point's ε-neighbours in a Euclidean grid, so a metric must also
+// never read below the Euclidean distance (Euclidean and Manhattan qualify):
+// a point nearer than ε under a shorter metric but farther in a straight
+// line is never offered as a successor.
 type Metric interface {
 	Distance(a, b Point) float64
 	// Name identifies the metric in logs and experiment output.

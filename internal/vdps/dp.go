@@ -77,11 +77,9 @@ type dp struct {
 	n, nw   int
 	maxSize int
 	eps     float64
-	// succ holds each point's ε-neighbourhood in ascending order, or nil to
-	// scan every point, and legs[p][k] the leg from p to succ[p][k], so an
-	// indexed run reads each leg instead of calling the travel model.
-	succ [][]int
-	legs [][]leg
+	// nb gives each point's successors in ascending order and their legs,
+	// as Generator.neighborhoods lists them.
+	nb successors
 
 	// changed and hops restrict the run for RepairExpiries: a node is kept
 	// only if its set holds a changed point or its last point is within the
@@ -222,17 +220,13 @@ func (sc *scratch) level(k int) []entry {
 }
 
 // newDP prepares a DP run over the generator's instance, enumerating
-// successors through the generator's ε-neighbourhoods, and reading their
-// legs, unless the index is disabled. Sorted neighbourhoods make the index a
-// pure filter of the full scan's ascending order, and each cached leg is the
-// travel model's own value, so the index changes no result.
+// successors and reading their legs from the generator's neighborhoods. The
+// ε-ball lists are sorted, so they are a pure filter of the every-point
+// lists' ascending order, and each leg is the travel model's own value, so
+// which lists a run reads changes no result.
 func (g *Generator) newDP(maxSize int) *dp {
 	n := len(g.inst.Points)
-	d := &dp{in: g.inst, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt)}
-	if !g.opt.DisableIndex {
-		d.succ, d.legs = g.neighborhoods()
-	}
-	return d
+	return &dp{in: g.inst, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt), nb: g.neighborhoods()}
 }
 
 // run executes the DP and returns the candidates in (size, lexicographic
@@ -299,7 +293,7 @@ func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 
 // expand builds the size-level nodes into the scratch's nxt level by
 // extending every frontier entry of every cur node with every unvisited
-// point within ε of its last point, and applies Pareto dominance to each
+// successor within ε of its last point, and applies Pareto dominance to each
 // target node's extensions in generation order.
 //
 // A target node is (the source node's set plus q, q), so the sources of one
@@ -313,7 +307,7 @@ func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 // of the source numbers the targets in the order the nodes-in-creation-order
 // enumeration creates them.
 func (d *dp) expand(ctx context.Context, size int) error {
-	in, nw, sc := d.in, d.nw, d.sc
+	nw, sc := d.nw, d.sc
 	cur, nxt := &sc.cur, &sc.nxt
 	// A level usually holds more nodes and entries than the one it extends,
 	// so its buffers start at that one's size.
@@ -345,44 +339,23 @@ func (d *dp) expand(ctx context.Context, size int) error {
 			}
 			polls++
 			lo, hi := cur.lo[s], cur.hi[s]
-			last := int(from[lo].point)
-			lastLoc := in.Points[last].Loc
+			last := from[lo].point
 			start[s] = int32(len(tq))
-			var succ []int
-			var legs []leg
-			nsucc, members := d.n, 0
-			if d.succ != nil {
-				succ, legs = d.succ[last], d.legs[last]
-				nsucc = len(succ)
-			}
-			for k := 0; k < nsucc; k++ {
-				q := k
-				if succ != nil {
-					q = succ[k]
-				}
+			succ, legs := d.nb.at(int(last))
+			members := 0
+			for k, q := range succ {
 				if words[q>>6]&(1<<(q&63)) != 0 {
 					members++
 					continue
 				}
-				var dist float64
-				if legs != nil {
-					dist = legs[k].dist
-				} else {
-					dist = in.Travel.Distance(lastLoc, in.Points[q].Loc)
-				}
-				if dist > d.eps {
+				if legs[k].dist > d.eps {
 					d.stats.ExtensionsPruned++
 					continue
 				}
 				if d.changed != nil && !hit && d.hops[q] > budget {
 					continue
 				}
-				var legTime float64
-				if legs != nil {
-					legTime = legs[k].time
-				} else {
-					legTime = in.Travel.Time(lastLoc, in.Points[q].Loc)
-				}
+				legTime := legs[k].time
 				for e := lo; e < hi; e++ {
 					nt := from[e].time + legTime
 					if nt > sc.expiry[q] {
@@ -402,12 +375,10 @@ func (d *dp) expand(ctx context.Context, size int) error {
 				}
 			}
 			found[s] = int32(len(tq)) - start[s]
-			if succ != nil {
-				// The points the index never enumerates count as pruned, as the
-				// full scan counts them, except the set's own members (the set
-				// holds size-1 points), which the scan skips.
-				d.stats.ExtensionsPruned += d.n - nsucc - (size - 1 - members)
-			}
+			// The points outside the successor list count as pruned, as a
+			// scan of every point counts them, except the set's own members
+			// (the set holds size-1 points), which the scan skips.
+			d.stats.ExtensionsPruned += d.n - len(succ) - (size - 1 - members)
 		}
 		// The run's targets are complete. Group their extensions, keeping
 		// generation order within a target, and merge each frontier.

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"fairtask/internal/dataset"
+	"fairtask/internal/geo"
 	"fairtask/internal/model"
+	"fairtask/internal/travel"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/generate.golden")
@@ -23,7 +25,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/generate.golden"
 // covers tie-free inputs only, and the tie test only run-to-run determinism,
 // so this is the pin that a kernel keeping the last tied sequence instead of
 // the first would fail: the lattice cases are full of exact (Time, Slack)
-// ties.
+// ties. The sampled cases pin GenerateSampled, which no oracle covers, with
+// its masks: the sampler's are full-width, the DP's trimmed.
 func TestGenerateGolden(t *testing.T) {
 	gm := func(seed int64, tasks, workers, points int) *model.Instance {
 		in, err := dataset.GenerateGM(dataset.GMConfig{
@@ -35,25 +38,50 @@ func TestGenerateGolden(t *testing.T) {
 		return in
 	}
 	lattice := latticeInstance()
+	w200, stream, small := gm(1, 1000, 200, 150), gm(7, 360, 8, 120), gm(1, 200, 40, 60)
+	// Workers that accept routes of any length, the sampler's use case.
+	long := gm(3, 300, 20, 80)
+	for w := range long.Workers {
+		long.Workers[w].MaxDP = 0
+	}
+	// Manhattan at a speed other than 1, so a leg's distance, its time and
+	// its Euclidean length all differ.
+	manhattan := gm(5, 300, 20, 60)
+	manhattan.Travel = travel.MustModel(geo.Manhattan{}, 1.7)
 	cases := []struct {
-		name string
-		in   *model.Instance
-		opt  Options
+		name   string
+		in     *model.Instance
+		opt    Options
+		sample *SampleOptions // GenerateSampled's options, nil for Generate
 	}{
-		{"w200", gm(1, 1000, 200, 150), Options{Epsilon: 0.6}},
-		{"stream", gm(7, 360, 8, 120), Options{Epsilon: 1.5}},
-		{"unpruned", gm(1, 200, 40, 60), Options{}},
-		{"lattice", lattice, Options{}},
-		{"lattice-eps2", lattice, Options{Epsilon: 2}},
-		{"lattice-maxsize4", lattice, Options{MaxSize: 4}},
+		{"w200", w200, Options{Epsilon: 0.6}, nil},
+		{"stream", stream, Options{Epsilon: 1.5}, nil},
+		{"unpruned", small, Options{}, nil},
+		{"lattice", lattice, Options{}, nil},
+		{"lattice-eps2", lattice, Options{Epsilon: 2}, nil},
+		{"lattice-maxsize4", lattice, Options{MaxSize: 4}, nil},
+		{"stream-noindex", stream, Options{Epsilon: 1.5, DisableIndex: true}, nil},
+		{"manhattan-noindex", manhattan, Options{Epsilon: 1, DisableIndex: true}, nil},
+		{"sampled-w200", w200, Options{}, &SampleOptions{Epsilon: 0.6, MaxSize: 3, Seed: 1}},
+		{"sampled-stream", stream, Options{}, &SampleOptions{Epsilon: 1.5, Seed: 2}},
+		{"sampled-unpruned", small, Options{}, &SampleOptions{MaxSize: 4, Seed: 3}},
+		{"sampled-long-eps2", long, Options{}, &SampleOptions{Epsilon: 2, Seed: 4}},
+		{"sampled-long", long, Options{}, &SampleOptions{Seed: 5}},
+		{"sampled-manhattan", manhattan, Options{}, &SampleOptions{Epsilon: 1, Seed: 6}},
 	}
 	var buf bytes.Buffer
 	for _, tc := range cases {
-		g, err := Generate(tc.in, tc.opt)
+		var g *Generator
+		var err error
+		if tc.sample != nil {
+			g, err = GenerateSampled(tc.in, *tc.sample)
+		} else {
+			g, err = Generate(tc.in, tc.opt)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		fmt.Fprintf(&buf, "%s %016x %+v\n", tc.name, candidateDigest(g.Candidates()), g.Stats())
+		fmt.Fprintf(&buf, "%s %016x %+v\n", tc.name, candidateDigest(g.Candidates(), tc.sample != nil), g.Stats())
 	}
 	golden := filepath.Join("testdata", "generate.golden")
 	if *updateGolden {
@@ -72,8 +100,8 @@ func TestGenerateGolden(t *testing.T) {
 
 // candidateDigest is an FNV-64a digest of a candidate table: every
 // candidate's points, reward bits and frontier, each state's Time and Slack
-// bits and its sequence.
-func candidateDigest(cands []Candidate) uint64 {
+// bits and its sequence, and with masks set its mask words too.
+func candidateDigest(cands []Candidate, masks bool) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
@@ -84,6 +112,12 @@ func candidateDigest(cands []Candidate) uint64 {
 		put(uint64(len(c.Points)))
 		for _, p := range c.Points {
 			put(uint64(p))
+		}
+		if masks {
+			put(uint64(len(c.Mask)))
+			for _, w := range c.Mask {
+				put(w)
+			}
 		}
 		put(math.Float64bits(c.Reward))
 		put(uint64(len(c.Frontier)))

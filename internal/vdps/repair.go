@@ -236,8 +236,7 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	for _, p := range points {
 		d.changed = d.changed.With(p)
 	}
-	nbrs, _ := g.neighborhoods()
-	d.hops = hopDistances(in, d.changed, nbrs, d.eps)
+	d.hops = hopDistances(d.changed, d.nb.nbrs)
 
 	var dropped []int
 	cf := d.changed.Fold()
@@ -318,13 +317,16 @@ func (g *Generator) compact() []int32 {
 }
 
 // hopDistances returns each point's BFS hop distance to the nearest changed
-// point over the ε-adjacency graph (0 for changed points). The adjacency
-// used is the generator's Euclidean-ball neighbourhoods, a superset that can
-// only under-estimate distances for metrics whose travel distance exceeds
-// the Euclidean one — an under-estimate weakens the pruning but never loses
-// a reachable candidate. With ε disabled every pair is adjacent.
-func hopDistances(in *model.Instance, changed bitset.Set, neighbors [][]int, eps float64) []int {
-	n := len(in.Points)
+// point over the successor lists succ, the generator's neighborhoods (0 for
+// changed points). Their ε-ball lists are a superset of the ε-adjacency
+// that can only under-estimate distances for metrics whose travel distance
+// exceeds the Euclidean one, and the every-point lists put every point one
+// hop from a changed one: an under-estimate weakens the pruning but never
+// loses a reachable candidate. A point's hop is final when first set, so
+// the search stops once every point has one: over the every-point lists,
+// after one list.
+func hopDistances(changed bitset.Set, succ [][]int) []int {
+	n := len(succ)
 	const far = 1 << 30
 	hops := make([]int, n)
 	queue := make([]int, 0, n)
@@ -336,17 +338,9 @@ func hopDistances(in *model.Instance, changed bitset.Set, neighbors [][]int, eps
 			hops[p] = far
 		}
 	}
-	if math.IsInf(eps, 1) {
-		for p := range hops {
-			if hops[p] != 0 {
-				hops[p] = 1
-			}
-		}
-		return hops
-	}
-	for qi := 0; qi < len(queue); qi++ {
+	for qi := 0; qi < len(queue) && len(queue) < n; qi++ {
 		p := queue[qi]
-		for _, q := range neighbors[p] {
+		for _, q := range succ[p] {
 			if hops[q] > hops[p]+1 {
 				hops[q] = hops[p] + 1
 				queue = append(queue, q)

@@ -1,12 +1,12 @@
 package vdps
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/model"
@@ -58,10 +58,6 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 	if err := fpSample.Hit(ctx); err != nil {
 		return nil, fmt.Errorf("vdps: sample: %w", err)
 	}
-	eps := opt.Epsilon
-	if eps <= 0 {
-		eps = math.Inf(1)
-	}
 	maxSize := opt.MaxSize
 	if maxSize <= 0 || maxSize > len(in.Points) {
 		maxSize = len(in.Points)
@@ -84,23 +80,35 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 
 	g := &Generator{inst: in, opt: Options{Epsilon: opt.Epsilon, MaxSize: maxSize}}
 	g.stats.MaxSetSize = maxSize
-	// Candidates are keyed on their set's words; fronts[id] is the frontier
-	// of the set with table id.
-	var tab wordTable
-	tab.reset((n + 63) / 64)
-	var fronts [][]State
+	eps := epsilon(g.opt)
+	nb := g.neighborhoods()
+	// Each recorded set is keyed on its words' bytes; cands[ids[key]] is its
+	// candidate, whose frontier grows as sequences of the set are recorded.
+	ids := map[string]int{}
+	var key []byte
+	var cands []Candidate
 	record := func(set bitset.Set, seq model.Route, time, slack float64) {
-		id, fresh := tab.find(set)
-		if fresh {
-			fronts = append(fronts, nil)
+		key = key[:0]
+		for _, w := range set {
+			key = binary.LittleEndian.AppendUint64(key, w)
 		}
-		fronts[id] = mergeFrontier(fronts[id], State{Seq: seq.Clone(), Time: time, Slack: slack})
+		id, ok := ids[string(key)]
+		if !ok {
+			id = len(cands)
+			ids[string(key)] = id
+			cands = append(grow(cands, 1), Candidate{Mask: set.Clone()})
+		}
+		c := &cands[id]
+		c.Frontier = mergeFrontier(c.Frontier, State{Seq: seq.Clone(), Time: time, Slack: slack})
 	}
 
+	// A growth step's feasible successors: the index into the last point's
+	// successor list and the leg's distance.
 	type step struct {
-		point int
-		dist  float64
+		k    int
+		dist float64
 	}
+	var feasible []step
 	for start := 0; start < n; start++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -117,34 +125,21 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 			record(visited, seq, time, slack)
 			for len(seq) < maxSize {
 				last := seq[len(seq)-1]
-				lastLoc := in.Points[last].Loc
-				var feasible []step
-				for q := 0; q < n; q++ {
-					if visited.Has(q) {
+				succ, lg := nb.at(last)
+				feasible = feasible[:0]
+				for k, q := range succ {
+					if visited.Has(q) || lg[k].dist > eps || time+lg[k].time > expiry[q] {
 						continue
 					}
-					d := in.Travel.Distance(lastLoc, in.Points[q].Loc)
-					if d > eps {
-						continue
-					}
-					if time+in.Travel.Time(lastLoc, in.Points[q].Loc) > expiry[q] {
-						continue
-					}
-					feasible = append(feasible, step{q, d})
+					feasible = append(feasible, step{k, lg[k].dist})
 				}
 				if len(feasible) == 0 {
 					break
 				}
-				sort.Slice(feasible, func(i, j int) bool {
-					return feasible[i].dist < feasible[j].dist
-				})
-				k := branch
-				if k > len(feasible) {
-					k = len(feasible)
-				}
-				next := feasible[rng.Intn(k)].point
-				legTime := in.Travel.Time(lastLoc, in.Points[next].Loc)
-				time += legTime
+				slices.SortFunc(feasible, func(a, b step) int { return cmp.Compare(a.dist, b.dist) })
+				k := feasible[rng.Intn(min(branch, len(feasible)))].k
+				next := succ[k]
+				time += lg[k].time
 				if room := expiry[next] - time; room < slack {
 					slack = room
 				}
@@ -156,122 +151,16 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 		}
 	}
 
-	g.candidates = tableCandidates(in, &tab, fronts)
+	for i := range cands {
+		c := &cands[i]
+		c.Points = c.Mask.Values()
+		for _, p := range c.Points {
+			c.Reward += in.Points[p].TotalReward()
+		}
+		sortFrontier(c.Frontier)
+	}
+	slices.SortFunc(cands, func(a, b Candidate) int { return candCompare(&a, &b) })
+	g.candidates = cands
 	g.finish()
 	return g, nil
-}
-
-// tableCandidates builds the candidate table from a word-keyed set table and
-// its frontiers, in the (size, lexicographic points) order. Masks are backed
-// by the table's key array.
-func tableCandidates(in *model.Instance, tab *wordTable, fronts [][]State) []Candidate {
-	ids := make([]int32, tab.len())
-	size := make([]int, tab.len())
-	for i := range ids {
-		ids[i] = int32(i)
-		size[i] = bitset.Set(tab.key(int32(i))).Count()
-	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		if size[a] != size[b] {
-			return size[a] - size[b]
-		}
-		return lexCmp(tab.key(a), tab.key(b))
-	})
-	cands := make([]Candidate, len(ids))
-	for i, id := range ids {
-		mask := bitset.Set(tab.key(id))
-		pts := mask.Values()
-		var reward float64
-		for _, p := range pts {
-			reward += in.Points[p].TotalReward()
-		}
-		sortFrontier(fronts[id])
-		cands[i] = Candidate{Points: pts, Mask: mask, Frontier: fronts[id], Reward: reward}
-	}
-	return cands
-}
-
-// wordTable is an open-addressed hash set of fixed-width word keys, the
-// sampler's table of the sets it has recorded. Keys get dense ids in
-// insertion order, and key id lives at keys[id*width : (id+1)*width], so the
-// table doubles as the flat array of the sets it indexes.
-type wordTable struct {
-	width int
-	count int
-	keys  []uint64
-	slots []int32 // id+1; 0 marks an empty slot; the length is a power of two
-}
-
-func (t *wordTable) reset(width int) {
-	t.width, t.count = width, 0
-	t.keys = t.keys[:0]
-	clear(t.slots)
-}
-
-func (t *wordTable) len() int { return t.count }
-
-func (t *wordTable) key(id int32) []uint64 {
-	i := int(id) * t.width
-	return t.keys[i : i+t.width : i+t.width]
-}
-
-// find returns the id of key k, inserting a copy of it when absent.
-func (t *wordTable) find(k []uint64) (id int32, fresh bool) {
-	if 2*(t.count+1) > len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := hashWords(k) & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
-			id = int32(t.count)
-			t.count++
-			t.keys = append(grow(t.keys, len(k)), k...)
-			t.slots[i] = id + 1
-			return id, true
-		}
-		if slices.Equal(t.key(s-1), k) {
-			return s - 1, false
-		}
-	}
-}
-
-func (t *wordTable) grow() {
-	size := 2 * len(t.slots)
-	if size < 64 {
-		size = 64
-	}
-	t.slots = make([]int32, size)
-	mask := uint64(size - 1)
-	for id := int32(0); int(id) < t.count; id++ {
-		i := hashWords(t.key(id)) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = id + 1
-	}
-}
-
-func hashWords(k []uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range k {
-		h = (h ^ w) * 0xff51afd7ed558ccd
-		h ^= h >> 32
-	}
-	return h
-}
-
-// lexCmp orders two equal-size sets by their ascending point lists: the
-// smallest point in exactly one of them decides, in favour of the set that
-// holds it.
-func lexCmp(a, b []uint64) int {
-	for i := range a {
-		if d := a[i] ^ b[i]; d != 0 {
-			if a[i]&(d&-d) != 0 {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }

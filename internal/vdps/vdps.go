@@ -19,7 +19,10 @@
 //
 // The distance-constrained pruning strategy (threshold ε) discards DP
 // extensions whose leg between consecutive delivery points exceeds ε,
-// exactly as in §IV.
+// exactly as in §IV. Which points can follow a point, and at what distance
+// and time, is one successor table, built from the travel model (see
+// neighborhoods): the DP, its restricted re-runs and the sampler all read
+// it.
 //
 // Whether a worker can take a candidate, and what the candidate pays it,
 // is one rule, Rule.Strategy: the set respects the worker's MaxDP, a
@@ -49,8 +52,8 @@
 // in creation order, successors in ascending point order, frontier entries
 // in list order — which gives the tie rule: when two sequences of one set
 // have exactly the same (Time, Slack), the first one generated survives. The
-// choice is the same on every call, and the grid index, which only filters
-// the ascending scan, cannot change it.
+// choice is the same on every call, and the grid index, whose sorted ε-ball
+// lists only filter the every-point order, cannot change it.
 package vdps
 
 import (
@@ -82,9 +85,10 @@ type Options struct {
 	// produced, protecting against exponential blow-ups on dense instances.
 	// Zero means no limit.
 	MaxSets int
-	// DisableIndex turns off the spatial grid index used to enumerate
-	// ε-neighbors during DP extensions, falling back to a full scan per
-	// state. Only useful for the indexing ablation benchmark.
+	// DisableIndex turns off the spatial grid index that lists each point's
+	// ε-neighbours as its successors: every point then succeeds every
+	// point, and the ε rule tests each leg. Only useful for the indexing
+	// ablation benchmark.
 	DisableIndex bool
 }
 
@@ -223,15 +227,54 @@ type Generator struct {
 	// table was last compacted: their tombstones' table entries and an upper
 	// bound on the slab bytes the live candidates pin for them.
 	liveBytes, staleBytes int
-	// nbrs caches each point's ascending ε-neighbourhood and legs each
-	// neighbour's leg, aligned with it; see neighborhoods.
+	// nbrs caches each point's ascending successors and legs the ε-ball
+	// lists' legs, aligned with them; see neighborhoods.
 	nbrs [][]int
 	legs [][]leg
 }
 
-// leg is the travel from a point to one of its ε-neighbours: the distance
-// the ε rule tests and the time an extension adds.
+// leg is the travel from a point to one of its successors: the distance the
+// ε rule tests and the time an extension adds. A leg the ε rule drops is
+// never taken, so its time is left zero.
 type leg struct{ dist, time float64 }
+
+// appendLegs appends to dst the legs from p to each point of succ under the
+// travel model. It is the package's only computation of a leg between two
+// delivery points.
+func appendLegs(dst []leg, in *model.Instance, eps float64, p int, succ []int) []leg {
+	a := in.Points[p].Loc
+	dst = slices.Grow(dst, len(succ))
+	for _, q := range succ {
+		b := in.Points[q].Loc
+		l := leg{dist: in.Travel.Distance(a, b)}
+		if !(l.dist > eps) { // a leg the ε rule keeps
+			l.time = in.Travel.Time(a, b)
+		}
+		dst = append(dst, l)
+	}
+	return dst
+}
+
+// successors is one reader's handle on the successor table: nbrs[p] lists
+// p's successors in ascending order, and at gives their legs.
+type successors struct {
+	in   *model.Instance
+	eps  float64
+	nbrs [][]int
+	legs [][]leg // the ε-ball lists' cached legs; nil for every-point lists
+	row  []leg   // the every-point row at last computed
+}
+
+// at returns p's successors and, aligned with them, their legs. An
+// every-point row's legs are computed into s.row on each call, so they
+// hold until the next call.
+func (s *successors) at(p int) ([]int, []leg) {
+	if s.legs != nil {
+		return s.nbrs[p], s.legs[p]
+	}
+	s.row = appendLegs(s.row[:0], s.in, s.eps, p, s.nbrs[p])
+	return s.nbrs[p], s.row
+}
 
 // Stats reports the work performed during generation, used by the pruning
 // ablation experiments.
@@ -311,39 +354,55 @@ func epsilon(opt Options) float64 {
 	return opt.Epsilon
 }
 
-// neighborhoods returns each point's ε-neighbourhood in ascending order, and
-// aligned with it each neighbour's leg from the point under the travel
-// model, or nils when ε is disabled and every point neighbours every other.
-// They are built on first use and kept: Rebind's contract fixes the
-// delivery points and the travel model for the generator's lifetime. The
-// legs share one backing array. The Euclidean-ball index is a superset
-// filter for metrics whose distance is >= Euclidean (e.g. Manhattan), so its
-// users keep checking each leg.
-func (g *Generator) neighborhoods() ([][]int, [][]leg) {
+// neighborhoods returns the successor relation every reader of the
+// generator uses — the DP, its restricted re-runs, their hop bound and the
+// sampler — as a handle whose at method gives a point's successors in
+// ascending order and each successor's leg from it under the travel model.
+// With ε enabled the successors are the point's Euclidean ε-ball from the
+// grid index, and their legs are cached. That ball is a superset filter for
+// metrics whose distance is >= Euclidean (e.g. Manhattan), so its users
+// keep checking each leg against ε. With ε disabled, or DisableIndex set,
+// every point succeeds every point (one shared index slice), and a point's
+// legs are computed each time a reader asks for them: cached, they would
+// hold 16·n² bytes for the generator's lifetime, and a center of 10,000
+// points would pin 1.6 GB. The lists are built on first use and kept:
+// Rebind's contract fixes the delivery points and the travel model for the
+// generator's lifetime. The cached legs share one backing array.
+func (g *Generator) neighborhoods() successors {
 	in := g.inst
-	if eps := epsilon(g.opt); g.nbrs == nil && !math.IsInf(eps, 1) && len(in.Points) > 0 {
-		locs := make([]geo.Point, len(in.Points))
-		for i := range in.Points {
-			locs[i] = in.Points[i].Loc
-		}
-		g.nbrs = grid.New(locs, eps).Neighborhoods(eps)
-		n := 0
-		for _, nb := range g.nbrs {
-			slices.Sort(nb)
-			n += len(nb)
-		}
-		flat := make([]leg, 0, n)
-		g.legs = make([][]leg, len(g.nbrs))
-		for p, nb := range g.nbrs {
-			i := len(flat)
-			for _, q := range nb {
-				a, b := in.Points[p].Loc, in.Points[q].Loc
-				flat = append(flat, leg{dist: in.Travel.Distance(a, b), time: in.Travel.Time(a, b)})
+	n := len(in.Points)
+	eps := epsilon(g.opt)
+	if g.nbrs == nil && n > 0 {
+		if math.IsInf(eps, 1) || g.opt.DisableIndex {
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
 			}
-			g.legs[p] = flat[i:len(flat):len(flat)]
+			g.nbrs = make([][]int, n)
+			for p := range g.nbrs {
+				g.nbrs[p] = all
+			}
+		} else {
+			locs := make([]geo.Point, n)
+			for i := range in.Points {
+				locs[i] = in.Points[i].Loc
+			}
+			g.nbrs = grid.New(locs, eps).Neighborhoods(eps)
+			total := 0
+			for _, nb := range g.nbrs {
+				slices.Sort(nb)
+				total += len(nb)
+			}
+			flat := make([]leg, 0, total)
+			g.legs = make([][]leg, n)
+			for p, nb := range g.nbrs {
+				i := len(flat)
+				flat = appendLegs(flat, in, eps, p, nb)
+				g.legs[p] = flat[i:len(flat):len(flat)]
+			}
 		}
 	}
-	return g.nbrs, g.legs
+	return successors{in: in, eps: eps, nbrs: g.nbrs, legs: g.legs}
 }
 
 // candCompare is the candidates' own order: by set size, then lexicographic

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -423,13 +424,17 @@ func TestBestFor(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesScan verifies that the spatial-index extension path, which
-// reads each ε-neighbour's leg from the generator's table, produces exactly
-// the candidates of the full scan, which asks the travel model for every
-// leg: the same sets, frontier sequences and the bits of every time and
-// slack, and the same Stats. Trials alternate the Euclidean and Manhattan
-// metrics, at a speed that is not 1 so that a leg's time is not its
-// distance. At MaxDP 5 the DP extends sets whose members lie outside the
+// TestIndexMatchesScan verifies that the DP's successor lists change no
+// result: the grid index's ε-ball lists and, with DisableIndex, the
+// every-point lists produce exactly the same candidates — the same sets,
+// frontier sequences and the bits of every time and slack — and the same
+// Stats. Both take their legs from appendLegs, cached for the ε-ball lists
+// and computed per row for the every-point lists, so each trial also
+// compares them with referenceGenerate under DisableIndex, which asks the
+// travel model for every leg: the same sets, times, slacks and Stats pin
+// each leg to the model's value. Trials alternate the Euclidean and
+// Manhattan metrics, at a speed that is not 1 so that a leg's time is not
+// its distance. At MaxDP 5 the DP extends sets whose members lie outside the
 // last point's ε-ball, which the index never enumerates.
 func TestIndexMatchesScan(t *testing.T) {
 	for _, maxDP := range []int{3, 5} {
@@ -466,27 +471,89 @@ func testIndexMatchesScan(t *testing.T, maxDP int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, cs := indexed.Candidates(), scanned.Candidates()
-		if len(ci) != len(cs) {
-			t.Fatalf("trial %d: %d candidates with index, %d without", trial, len(ci), len(cs))
+		ref, err := referenceGenerate(context.Background(), in, Options{Epsilon: eps, DisableIndex: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range ci {
-			if setKeyOf(ci[k].Points) != setKeyOf(cs[k].Points) {
-				t.Fatalf("trial %d: candidate %d set mismatch", trial, k)
+		// Under Manhattan two orders of one set can tie exactly (points on
+		// one monotone staircase), and the reference keeps either, so its
+		// sequences are left out; every time and slack bit still is not.
+		for _, side := range []struct {
+			name string
+			g    *Generator
+			seqs bool
+		}{{"every-point lists", scanned, true}, {"reference", ref, false}} {
+			ci, cs := indexed.Candidates(), side.g.Candidates()
+			if len(ci) != len(cs) {
+				t.Fatalf("trial %d: %d candidates with index, %d from %s", trial, len(ci), len(cs), side.name)
 			}
-			if len(ci[k].Frontier) != len(cs[k].Frontier) {
-				t.Fatalf("trial %d: candidate %d frontier size mismatch", trial, k)
-			}
-			for f := range ci[k].Frontier {
-				a, b := ci[k].Frontier[f], cs[k].Frontier[f]
-				if math.Float64bits(a.Time) != math.Float64bits(b.Time) ||
-					math.Float64bits(a.Slack) != math.Float64bits(b.Slack) || !slices.Equal(a.Seq, b.Seq) {
-					t.Fatalf("trial %d: frontier state mismatch: %+v vs %+v", trial, a, b)
+			for k := range ci {
+				if setKeyOf(ci[k].Points) != setKeyOf(cs[k].Points) {
+					t.Fatalf("trial %d: candidate %d set mismatch with %s", trial, k, side.name)
+				}
+				if len(ci[k].Frontier) != len(cs[k].Frontier) {
+					t.Fatalf("trial %d: candidate %d frontier size mismatch with %s", trial, k, side.name)
+				}
+				for f := range ci[k].Frontier {
+					a, b := ci[k].Frontier[f], cs[k].Frontier[f]
+					if math.Float64bits(a.Time) != math.Float64bits(b.Time) ||
+						math.Float64bits(a.Slack) != math.Float64bits(b.Slack) || side.seqs && !slices.Equal(a.Seq, b.Seq) {
+						t.Fatalf("trial %d: frontier state mismatch with %s: %+v vs %+v", trial, side.name, a, b)
+					}
 				}
 			}
+			if indexed.Stats() != side.g.Stats() {
+				t.Errorf("trial %d: stats differ from %s: %+v vs %+v", trial, side.name, indexed.Stats(), side.g.Stats())
+			}
 		}
-		if indexed.Stats() != scanned.Stats() {
-			t.Errorf("trial %d: stats differ: %+v vs %+v", trial, indexed.Stats(), scanned.Stats())
+	}
+}
+
+// TestEveryPointLegsNotKept pins the every-point lists' memory: with ε
+// disabled, or DisableIndex set, a point's legs are computed into one row
+// each time a reader extends from the point, so a run over n points
+// allocates O(n) leg bytes, where a table of every leg would take 16·n²
+// (64 MB here). The n points lie on a circle around the center, each due
+// the moment it is reached, so every singleton is feasible and every
+// MaxSize-2 run asks for every point's row without keeping a pair. The
+// budget, 2 KiB per point, holds the n candidates: 500–570 bytes each
+// from the DP, and 1.4 KiB from the sampler, whose full-width masks and set
+// keys take n/8 bytes each.
+func TestEveryPointLegsNotKept(t *testing.T) {
+	const n = 2000
+	in := &model.Instance{Center: geo.Pt(0, 0), Travel: travel.MustModel(geo.Euclidean{}, 1.7)}
+	for i := 0; i < n; i++ {
+		a := 2 * math.Pi * float64(i) / n
+		loc := geo.Pt(math.Cos(a), math.Sin(a))
+		in.Points = append(in.Points, model.DeliveryPoint{
+			ID:    i,
+			Loc:   loc,
+			Tasks: []model.Task{{ID: i, Point: i, Expiry: in.Travel.Time(in.Center, loc), Reward: 1}},
+		})
+	}
+	in.Workers = []model.Worker{{ID: 0, Loc: in.Center, MaxDP: 2}}
+	const budget = 2 << 10 * n // bytes
+	for _, c := range []struct {
+		name string
+		gen  func() (*Generator, error)
+	}{
+		{"MaxSize 1", func() (*Generator, error) { return Generate(in, Options{MaxSize: 1}) }},
+		{"MaxSize 2", func() (*Generator, error) { return Generate(in, Options{MaxSize: 2}) }},
+		{"DisableIndex", func() (*Generator, error) { return Generate(in, Options{Epsilon: 0.5, MaxSize: 2, DisableIndex: true}) }},
+		{"sampled", func() (*Generator, error) { return GenerateSampled(in, SampleOptions{MaxSize: 2, Samples: 1}) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := c.gen()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := len(g.Candidates()); got != n {
+			t.Fatalf("%s: %d candidates, want the %d singletons", c.name, got, n)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("%s: allocated %d bytes, want at most %d (2 KiB per point)", c.name, got, budget)
 		}
 	}
 }
@@ -524,8 +591,9 @@ func latticeInstance() *model.Instance {
 
 // TestGenerateDeterministicOnTies pins the tie rule: on exact (Time, Slack)
 // ties the first-generated sequence survives, so repeated generations are
-// identical, sequences included, and the grid index — a pure filter of the
-// full scan's order — cannot change which tied sequence wins.
+// identical, sequences included, and the grid index's ε-ball lists — a pure
+// filter of the every-point lists' ascending order — cannot change which
+// tied sequence wins.
 func TestGenerateDeterministicOnTies(t *testing.T) {
 	in := latticeInstance()
 	gen := func(opt Options) []Candidate {
