@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"fairtask/internal/game"
+	"fairtask/internal/vdps"
 )
 
 // Assigner computes a task assignment by playing a game state.
@@ -16,8 +17,9 @@ type Assigner interface {
 	// Name identifies the algorithm in experiment output ("GTA", "FGT", ...).
 	Name() string
 	// Assign solves the instance of s. s is fresh and unplayed, from
-	// game.NewState or game.NewStateWithStrategies, and belongs to the
-	// solver for this one call: it may reorder a worker's strategy list
+	// game.NewState, game.NewStateOnDemand or game.NewStateWithStrategies,
+	// and belongs to the solver for this one call: it may build the lists
+	// (game.State.Lists) or reorder a worker's list
 	// (game.State.SortByPayoff), but it never changes a list's members or
 	// their payoffs. Implementations observe ctx at iteration boundaries
 	// and return ctx.Err() when it is done, so a canceled request or an
@@ -149,8 +151,8 @@ func (m MPTA) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 		}
 		// Apply the component's best joint strategy.
 		for i, w := range comp {
-			if si := b.best[i]; si != game.Null && s.Available(w, si) {
-				s.Switch(w, si)
+			if r := b.best[i]; r.Cand != game.Null && s.Available(w, r) {
+				s.Switch(w, r)
 			}
 		}
 	}
@@ -188,13 +190,9 @@ func components(s *game.State, topK int) [][]int {
 	}
 
 	pointToWorker := map[int]int{}
-	for w := range s.Current {
-		limit := len(s.Strategies[w])
-		if limit > topK {
-			limit = topK
-		}
-		for si := 0; si < limit; si++ {
-			for _, p := range s.StrategySeq(w, si) {
+	for w, list := range s.Lists() {
+		for _, r := range list[:min(len(list), topK)] {
+			for _, p := range s.StrategySeq(r) {
 				if prev, ok := pointToWorker[p]; ok {
 					union(prev, w)
 				} else {
@@ -232,8 +230,8 @@ type bnb struct {
 	budget  int
 	workers []int
 
-	choice    []int // current partial joint strategy, per position
-	best      []int
+	choice    []vdps.StrategyRef // current partial joint strategy, per position
+	best      []vdps.StrategyRef
 	bestValue float64
 	nodes     int
 	exhausted bool
@@ -246,11 +244,11 @@ type bnb struct {
 
 func (b *bnb) run() {
 	n := len(b.workers)
-	b.choice = make([]int, n)
-	b.best = make([]int, n)
+	b.choice = make([]vdps.StrategyRef, n)
+	b.best = make([]vdps.StrategyRef, n)
 	for i := range b.best {
-		b.choice[i] = game.Null
-		b.best[i] = game.Null
+		b.choice[i] = game.Idle
+		b.best[i] = game.Idle
 	}
 
 	// Warm start: seed the incumbent with the greedy solution restricted to
@@ -261,23 +259,22 @@ func (b *bnb) run() {
 		b.best[i] = b.s.Current[w]
 	}
 	for _, w := range b.workers {
-		b.s.Switch(w, game.Null)
+		b.s.Switch(w, game.Idle)
 	}
 
 	b.suffixMax = make([]float64, n+1)
 	for i := n - 1; i >= 0; i-- {
-		w := b.workers[i]
 		top := 0.0
-		if len(b.s.Strategies[w]) > 0 {
-			top = b.s.Strategies[w][0].Payoff // sorted by SortByPayoff
+		if list := b.s.List(b.workers[i]); len(list) > 0 {
+			top = list[0].Payoff // sorted by SortByPayoff
 		}
 		b.suffixMax[i] = b.suffixMax[i+1] + top
 	}
 	b.exhausted = b.dfs(0, 0)
 	// Leave the component's workers unassigned; the caller applies b.best.
 	for _, w := range b.workers {
-		if b.s.Current[w] != game.Null {
-			b.s.Switch(w, game.Null)
+		if b.s.Current[w].Cand != game.Null {
+			b.s.Switch(w, game.Idle)
 		}
 	}
 }
@@ -311,21 +308,18 @@ func (b *bnb) dfs(i int, value float64) bool {
 	w := b.workers[i]
 	complete := true
 	// Try the worker's top-K strategies (highest payoff first), then Null.
-	limit := len(b.s.Strategies[w])
-	if limit > b.topK {
-		limit = b.topK
-	}
-	for si := 0; si < limit; si++ {
-		if !b.s.Available(w, si) {
+	list := b.s.List(w)
+	for _, r := range list[:min(len(list), b.topK)] {
+		if !b.s.Available(w, r) {
 			continue
 		}
-		b.s.Switch(w, si)
-		b.choice[i] = si
-		if !b.dfs(i+1, value+b.s.Strategies[w][si].Payoff) {
+		b.s.Switch(w, r)
+		b.choice[i] = r
+		if !b.dfs(i+1, value+r.Payoff) {
 			complete = false
 		}
-		b.s.Switch(w, game.Null)
-		b.choice[i] = game.Null
+		b.s.Switch(w, game.Idle)
+		b.choice[i] = game.Idle
 		if b.nodes > b.budget {
 			return false
 		}
@@ -344,28 +338,26 @@ func (b *bnb) dfs(i int, value float64) bool {
 // the last assignment made it unavailable: greedy only ever claims points,
 // so a top that is still available is still the best available strategy.
 func greedySubset(s *game.State, workers []int) float64 {
-	tops := make([]int, len(workers))
+	tops := make([]vdps.StrategyRef, len(workers))
 	for i, w := range workers {
 		tops[i] = s.TopAvailable(w)
 	}
 	var total float64
 	for {
 		best, bestPayoff := -1, 0.0
-		for i, w := range workers {
-			if si := tops[i]; si != game.Null {
-				if p := s.Strategies[w][si].Payoff; p > bestPayoff {
-					best, bestPayoff = i, p
-				}
+		for i := range workers {
+			if r := tops[i]; r.Cand != game.Null && r.Payoff > bestPayoff {
+				best, bestPayoff = i, r.Payoff
 			}
 		}
 		if best == -1 {
 			break
 		}
 		s.Switch(workers[best], tops[best])
-		tops[best] = game.Null // assigned
+		tops[best] = game.Idle // assigned
 		total += bestPayoff
 		for i, w := range workers {
-			if si := tops[i]; si != game.Null && !s.Available(w, si) {
+			if r := tops[i]; r.Cand != game.Null && !s.Available(w, r) {
 				tops[i] = s.TopAvailable(w)
 			}
 		}
@@ -382,7 +374,7 @@ func localSearch(s *game.State) {
 	for improved := true; improved; {
 		improved = false
 		for w := range s.Current {
-			if top := s.TopAvailable(w); top != game.Null && s.Strategies[w][top].Payoff > s.Payoffs[w]+1e-12 {
+			if top := s.TopAvailable(w); top.Cand != game.Null && top.Payoff > s.Payoffs[w]+1e-12 {
 				s.Switch(w, top)
 				improved = true
 			}

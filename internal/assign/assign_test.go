@@ -164,13 +164,13 @@ func bruteBestTotal(g *vdps.Generator) float64 {
 			return
 		}
 		rec(w+1, total) // null
-		for si := range s.Strategies[w] {
-			if !s.Available(w, si) {
+		for _, r := range s.Strategies[w] {
+			if !s.Available(w, r) {
 				continue
 			}
-			s.Switch(w, si)
-			rec(w+1, total+s.Strategies[w][si].Payoff)
-			s.Switch(w, game.Null)
+			s.Switch(w, r)
+			rec(w+1, total+r.Payoff)
+			s.Switch(w, game.Idle)
 		}
 	}
 	rec(0, 0)

@@ -6,6 +6,7 @@ import (
 
 	"fairtask/internal/game"
 	"fairtask/internal/payoff"
+	"fairtask/internal/vdps"
 )
 
 // Exact is a reference solver for the FTA objective. The paper states FTA
@@ -66,8 +67,8 @@ func (e Exact) Assign(ctx context.Context, s *game.State) (*game.Result, error) 
 		limit = 5e6
 	}
 	space := 1.0
-	for w := range s.Current {
-		space *= float64(len(s.Strategies[w]) + 1)
+	for _, list := range s.Lists() {
+		space *= float64(len(list) + 1)
 		if space > limit {
 			return nil, ErrSearchTooLarge
 		}
@@ -75,11 +76,11 @@ func (e Exact) Assign(ctx context.Context, s *game.State) (*game.Result, error) 
 
 	n := len(s.Current)
 	payoffs := make([]float64, n)
-	best := make([]int, n)
-	cur := make([]int, n)
+	best := make([]vdps.StrategyRef, n)
+	cur := make([]vdps.StrategyRef, n)
 	for i := range best {
-		best[i] = game.Null
-		cur[i] = game.Null
+		best[i] = game.Idle
+		cur[i] = game.Idle
 	}
 	bestScore := Score(payoffs, lambda) // all-null baseline
 
@@ -106,16 +107,16 @@ func (e Exact) Assign(ctx context.Context, s *game.State) (*game.Result, error) 
 		// Null choice.
 		payoffs[w] = 0
 		rec(w + 1)
-		for si := range s.Strategies[w] {
-			if !s.Available(w, si) {
+		for _, r := range s.List(w) {
+			if !s.Available(w, r) {
 				continue
 			}
-			s.Switch(w, si)
-			cur[w] = si
-			payoffs[w] = s.Strategies[w][si].Payoff
+			s.Switch(w, r)
+			cur[w] = r
+			payoffs[w] = r.Payoff
 			rec(w + 1)
-			s.Switch(w, game.Null)
-			cur[w] = game.Null
+			s.Switch(w, game.Idle)
+			cur[w] = game.Idle
 			payoffs[w] = 0
 		}
 	}
@@ -124,9 +125,9 @@ func (e Exact) Assign(ctx context.Context, s *game.State) (*game.Result, error) 
 		return nil, ctx.Err()
 	}
 
-	for w, si := range best {
-		if si != game.Null {
-			s.Switch(w, si)
+	for w, r := range best {
+		if r.Cand != game.Null {
+			s.Switch(w, r)
 		}
 	}
 	return &game.Result{

@@ -85,14 +85,14 @@ func bruteBestScore(g *vdps.Generator, lambda float64) float64 {
 		}
 		payoffs[w] = 0
 		rec(w + 1)
-		for si := range s.Strategies[w] {
-			if !s.Available(w, si) {
+		for _, r := range s.Strategies[w] {
+			if !s.Available(w, r) {
 				continue
 			}
-			s.Switch(w, si)
-			payoffs[w] = s.Strategies[w][si].Payoff
+			s.Switch(w, r)
+			payoffs[w] = r.Payoff
 			rec(w + 1)
-			s.Switch(w, game.Null)
+			s.Switch(w, game.Idle)
 			payoffs[w] = 0
 		}
 	}

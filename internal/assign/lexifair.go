@@ -644,7 +644,7 @@ func (lx Lexifair) Assign(ctx context.Context, s *game.State) (*game.Result, err
 	}
 	sp := obs.SpanFromContext(ctx)
 	msp := sp.Child("lexifair.matrix")
-	m, err := newLexMatrix(g, s.Strategies)
+	m, err := newLexMatrix(g, s.Lists())
 	msp.End()
 	if err != nil {
 		return nil, err
@@ -712,10 +712,10 @@ func (Lexifair) Verify(s *game.State) error {
 // and does not modify s. nodeBudget caps the verifier's own search (0 =
 // the solver default); a nil error certifies the assignment.
 func VerifyLexifair(ctx context.Context, s *game.State, nodeBudget int) error {
-	// The matrix sorts its lists, and s.Current indexes s.Strategies: sort
-	// copies.
-	lists := make([][]vdps.StrategyRef, len(s.Strategies))
-	for w, list := range s.Strategies {
+	// The matrix sorts its lists, and s's lists may be shared with a caller
+	// that keeps their order (game.NewStateWithStrategies): sort copies.
+	lists := make([][]vdps.StrategyRef, len(s.Current))
+	for w, list := range s.Lists() {
 		lists[w] = slices.Clone(list)
 	}
 	m, err := newLexMatrix(s.Generator(), lists)

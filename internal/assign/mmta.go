@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fairtask/internal/game"
+	"fairtask/internal/vdps"
 )
 
 // MMTA is a Max-Min fair Task Assignment extension: it heuristically
@@ -37,21 +38,21 @@ func (MMTA) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 		}
 		// Pick the worst-off worker that has an available strictly better
 		// strategy.
-		w, si := -1, game.Null
+		w, r := -1, game.Idle
 		worst := math.Inf(1)
 		for cand := range s.Current {
 			cur := s.Payoffs[cand]
 			if cur >= worst {
 				continue
 			}
-			if better := bestAvailableAbove(s, cand, cur); better != game.Null {
-				w, si, worst = cand, better, cur
+			if better := bestAvailableAbove(s, cand, cur); better.Cand != game.Null {
+				w, r, worst = cand, better, cur
 			}
 		}
 		if w == -1 {
 			break
 		}
-		s.Switch(w, si)
+		s.Switch(w, r)
 	}
 	return &game.Result{
 		Assignment: s.Assignment(),
@@ -62,11 +63,11 @@ func (MMTA) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
 }
 
 // bestAvailableAbove returns the worker's top available strategy when its
-// payoff is strictly above the threshold, or game.Null. Callers pass the
+// payoff is strictly above the threshold, or game.Idle. Callers pass the
 // worker's own payoff, so a strategy above it is never the incumbent.
-func bestAvailableAbove(s *game.State, w int, threshold float64) int {
-	if top := s.TopAvailable(w); top != game.Null && s.Strategies[w][top].Payoff > threshold {
+func bestAvailableAbove(s *game.State, w int, threshold float64) vdps.StrategyRef {
+	if top := s.TopAvailable(w); top.Cand != game.Null && top.Payoff > threshold {
 		return top
 	}
-	return game.Null
+	return game.Idle
 }

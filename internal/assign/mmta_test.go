@@ -61,8 +61,8 @@ func TestMMTALocalMaxMinOptimum(t *testing.T) {
 		if len(r) == 0 {
 			continue
 		}
-		for si := range s.Strategies[w] {
-			seq := s.StrategySeq(w, si)
+		for _, si := range s.Strategies[w] {
+			seq := s.StrategySeq(si)
 			if len(seq) == len(r) && routeEq(seq, r) {
 				s.Switch(w, si)
 				break
@@ -70,7 +70,7 @@ func TestMMTALocalMaxMinOptimum(t *testing.T) {
 		}
 	}
 	for w := range s.Current {
-		if si := bestAvailableAbove(s, w, s.Payoffs[w]); si != game.Null {
+		if si := bestAvailableAbove(s, w, s.Payoffs[w]); si.Cand != game.Null {
 			t.Errorf("worker %d (payoff %g) still has a better available strategy",
 				w, s.Payoffs[w])
 		}

@@ -81,8 +81,8 @@ func oracleEnumerate(ctx context.Context, g *vdps.Generator, maxJoint float64, v
 		limit = 5e6
 	}
 	space := 1.0
-	for w := range s.Current {
-		space *= float64(len(s.Strategies[w]) + 1)
+	for _, list := range s.Lists() {
+		space *= float64(len(list) + 1)
 		if space > limit {
 			return nil, ErrSearchTooLarge
 		}
@@ -110,14 +110,14 @@ func oracleEnumerate(ctx context.Context, g *vdps.Generator, maxJoint float64, v
 		// Null choice.
 		payoffs[w] = 0
 		rec(w + 1)
-		for si := range s.Strategies[w] {
-			if !s.Available(w, si) {
+		for _, r := range s.List(w) {
+			if !s.Available(w, r) {
 				continue
 			}
-			s.Switch(w, si)
-			payoffs[w] = s.Strategies[w][si].Payoff
+			s.Switch(w, r)
+			payoffs[w] = r.Payoff
 			rec(w + 1)
-			s.Switch(w, game.Null)
+			s.Switch(w, game.Idle)
 			payoffs[w] = 0
 		}
 	}

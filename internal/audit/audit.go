@@ -7,11 +7,14 @@
 // equilibrium (§V–§VI). A production assignment service must never silently
 // violate these invariants, so this package re-derives every one of them
 // from the instance. The structure, deadline and summary checks read the
-// instance alone. Membership and the certificate read strategy lists: the
-// ones the solver played when the caller passes its state (Options.State),
-// so a served audit builds no second strategy space, or lists regenerated
-// from the instance otherwise. The certificate is the solver's own
-// (assign.Certified), run with the options that solver ran.
+// instance alone. Membership and the certificate read the strategy space:
+// the one the solver played when the caller passes its state
+// (Options.State), so a served audit builds no second strategy space, or
+// one regenerated from the instance otherwise. On a played state a route's
+// membership is checked by its witness, the strategy the solver held, and
+// only a route without a matching witness is looked up in the lists. The
+// certificate is the solver's own (assign.Certified), run with the options
+// that solver ran.
 //
 // The auditor is wired behind fairtask.Options.Audit, the HTTP service's
 // audit query parameter, and the fta audit CLI subcommand; see docs/AUDIT.md.
@@ -130,11 +133,14 @@ func (e *Error) Error() string {
 // Options configure an audit run.
 type Options struct {
 	// State is the game state the solver played. The auditor loads the
-	// assignment into a fresh state over its generator and strategy lists,
-	// shared as slice headers, and does not modify State. Nil makes the
-	// auditor regenerate candidates from the instance with the VDPS options
-	// below and build its own lists — fully independent, but as expensive
-	// as the solver's own generation and state build.
+	// assignment into a fresh state over its generator that shares what
+	// State built (game.State.Fresh), and does not modify State. Each
+	// route the solver's strategy for its worker witnesses needs no list;
+	// any other route is looked up in the lists, built then if State has
+	// none. Nil makes the auditor regenerate candidates from the instance
+	// with the VDPS options below and build its own lists — fully
+	// independent, but as expensive as the solver's own generation and
+	// state build.
 	State *game.State
 	// VDPS configures candidate regeneration when State is nil. It must
 	// match the options the assignment was solved with (in particular
@@ -200,9 +206,13 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 	// VDPS: frontier contract plus route membership in the strategy spaces,
 	// which then hold the loaded assignment for the certificate.
 	r.Checks = append(r.Checks, CheckVDPS)
-	var s *game.State
+	var (
+		s *game.State
+		// held is the played joint strategy: each route's witness.
+		held []vdps.StrategyRef
+	)
 	if opt.State != nil {
-		s = game.NewStateWithStrategies(opt.State.Generator(), opt.State.Strategies)
+		s, held = opt.State.Fresh(), opt.State.Current
 	} else {
 		g, err := vdps.Generate(in, opt.VDPS)
 		if err != nil {
@@ -213,19 +223,20 @@ func Run(in *model.Instance, a *model.Assignment, sum *payoff.Summary, opt Optio
 		s = game.NewState(g)
 	}
 	r.checkFrontiers(s.Generator())
-	membershipOK := r.checkMembership(s, a, routeOK)
+	refs, membershipOK := r.checkMembership(s, held, a, routeOK)
 
 	// Certificate: only meaningful for a converged run of a certified solver
 	// on an assignment whose routes all live in the strategy spaces. With
-	// every route a member, loading fails only on overlapping routes; the
-	// load error is then the certificate's violation.
+	// every route a member, loading its strategies fails only on
+	// overlapping routes; the load error is then the certificate's
+	// violation.
 	solver, certified := opt.Solver.(assign.Certified)
 	if !certified || !opt.Converged || !membershipOK {
 		r.Skipped = append(r.Skipped, certificate)
 		return r
 	}
 	r.Checks = append(r.Checks, certificate)
-	if err := s.LoadAssignment(a); err != nil {
+	if err := s.LoadStrategies(refs); err != nil {
 		r.violate(certificate, -1, err.Error())
 	} else if err := solver.Verify(s); err != nil {
 		r.violate(certificate, -1, err.Error())
@@ -341,23 +352,61 @@ func closeTo(a, b, tol float64) bool {
 }
 
 // checkMembership verifies that every valid non-empty route appears
-// verbatim in its worker's strategy space (game.State.Lookup). It returns
-// whether every audited route is a member, which gates the certificates:
-// they load the assignment into s.
-func (r *Report) checkMembership(s *game.State, a *model.Assignment, routeOK []bool) bool {
+// verbatim in its worker's strategy space: by its witness in held, the
+// played joint strategy (nil when there is none), or else by
+// game.State.Lookup. It returns each worker's strategy (game.Idle for an
+// empty or failed route) and whether every audited route is a member,
+// which gates the certificates: they load those strategies into s.
+func (r *Report) checkMembership(s *game.State, held []vdps.StrategyRef, a *model.Assignment, routeOK []bool) ([]vdps.StrategyRef, bool) {
+	refs := make([]vdps.StrategyRef, len(a.Routes))
 	ok := true
 	for w, route := range a.Routes {
+		refs[w] = game.Idle
 		if !routeOK[w] {
 			ok = false
 			continue
 		}
-		if len(route) > 0 && s.Lookup(w, route) == game.Null {
+		if len(route) == 0 {
+			continue
+		}
+		ref, member := witnessed(s.Generator(), held, w, route)
+		if !member {
+			ref = s.Lookup(w, route)
+			member = ref.Cand != game.Null
+		}
+		if !member {
 			r.violate(CheckVDPS, w, fmt.Sprintf(
 				"route %v is not a valid delivery point sequence for this worker", route))
 			ok = false
+			continue
 		}
+		refs[w] = ref
 	}
-	return ok
+	return refs, ok
+}
+
+// witnessed returns held[w], the strategy the solver played for worker w,
+// and whether it witnesses route's membership: w's vdps.Rule gives its
+// candidate exactly that strategy, payoff bits included, and the route is
+// its sequence. The rule is what every strategy list is gathered with, so
+// w's list holds the witness, and Lookup would return it. A route that is
+// not its worker's witness, or a witness that does not match, is left to
+// Lookup.
+func witnessed(g *vdps.Generator, held []vdps.StrategyRef, w int, route model.Route) (vdps.StrategyRef, bool) {
+	if w >= len(held) {
+		return game.Idle, false
+	}
+	ref := held[w]
+	if ref.Cand < 0 || int(ref.Cand) >= len(g.Candidates()) {
+		return game.Idle, false
+	}
+	rule := g.Rule(w)
+	got, ok := rule.Strategy(int(ref.Cand))
+	if !ok || got.Entry != ref.Entry || math.Float64bits(got.Payoff) != math.Float64bits(ref.Payoff) ||
+		!slices.Equal(g.RefSeq(got), route) {
+		return game.Idle, false
+	}
+	return got, true
 }
 
 // checkFrontiers asserts the live candidates' Pareto-frontier contract:

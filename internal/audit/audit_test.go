@@ -2,10 +2,13 @@ package audit
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"fairtask/internal/assign"
+	"fairtask/internal/dataset"
 	"fairtask/internal/evo"
 	"fairtask/internal/fairness"
 	"fairtask/internal/game"
@@ -530,5 +533,66 @@ func TestLexifairCertificateBreakAndSkip(t *testing.T) {
 	}
 	if !hasSkipped(rep, CheckLexifair) {
 		t.Error("unconverged LEXIFAIR run did not record the skip")
+	}
+}
+
+// TestCorruptedWitnessFallsBackToLookup pins membership by witness. Every
+// route of a played FGT state is witnessed by the strategy the state holds,
+// so the audit needs no list for it. A held strategy whose frontier entry,
+// payoff bits or candidate is corrupted witnesses nothing: its route goes
+// through Lookup, and the report is the one the intact witness gives.
+func TestCorruptedWitnessFallsBackToLookup(t *testing.T) {
+	in, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 200, Workers: 20, DeliveryPoints: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := vdps.Generate(in, vdps.Options{Epsilon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := game.Options{Seed: 1}
+	played := game.NewStateOnDemand(g)
+	res, err := solver.Assign(context.Background(), played)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{State: played, Solver: solver, Converged: res.Converged}
+	want := Run(in, res.Assignment, &res.Summary, opt)
+	if !want.OK() || !slices.Contains(want.Checks, CheckEquilibrium) {
+		t.Fatalf("played FGT state: checks %v, violations %v", want.Checks, want.Violations)
+	}
+	corrupted := 0
+	for w, route := range res.Assignment.Routes {
+		if len(route) == 0 {
+			continue
+		}
+		held := played.Current[w]
+		if ref, ok := witnessed(g, played.Current, w, route); !ok || ref.Cand != held.Cand || ref.Entry != held.Entry ||
+			math.Float64bits(ref.Payoff) != math.Float64bits(held.Payoff) {
+			t.Fatalf("worker %d: the held strategy %+v does not witness its route %v", w, held, route)
+		}
+		frontier := len(g.Candidates()[held.Cand].Frontier)
+		bad := []vdps.StrategyRef{
+			{Payoff: math.Nextafter(held.Payoff, math.Inf(1)), Cand: held.Cand, Entry: held.Entry},
+			{Payoff: held.Payoff, Cand: held.Cand, Entry: int32(frontier)},
+			{Payoff: held.Payoff, Cand: (held.Cand + 1) % int32(len(g.Candidates())), Entry: held.Entry},
+		}
+		if frontier > 1 {
+			bad = append(bad, vdps.StrategyRef{Payoff: held.Payoff, Cand: held.Cand, Entry: (held.Entry + 1) % int32(frontier)})
+		}
+		for _, ref := range bad {
+			played.Current[w] = ref
+			if _, ok := witnessed(g, played.Current, w, route); ok {
+				t.Fatalf("worker %d: corrupted strategy %+v witnesses route %v", w, ref, route)
+			}
+			if got := Run(in, res.Assignment, &res.Summary, opt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("worker %d holding %+v: report %+v, intact witness %+v", w, ref, got, want)
+			}
+			corrupted++
+		}
+		played.Current[w] = held
+	}
+	if corrupted == 0 {
+		t.Fatal("no route was assigned")
 	}
 }

@@ -3,6 +3,7 @@ package evo
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -77,6 +78,49 @@ func TestIEGTMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, iname+"/"+vname, got, want)
+			}
+		}
+	}
+}
+
+// TestIEGTOnDemandMatchesNewState pins IEGT on a state whose lists are
+// built on demand to IEGT on game.NewState's: on W200 (GM 1000/200/150, ε
+// 0.6) at three seeds, with and without mutation, the results are
+// bit-identical — routes, summary, payoff bits, rounds, switches, trace and
+// Φ — and the run asks for the lists, so the state holds them afterwards.
+func TestIEGTOnDemandMatchesNewState(t *testing.T) {
+	in, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 1000, Workers: 200, DeliveryPoints: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := vdps.Generate(in, vdps.Options{Epsilon: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, mutation := range []float64{0, 0.3} {
+			label := fmt.Sprintf("W200 seed %d mutation %v", seed, mutation)
+			opt := Options{Seed: seed, MutationRate: mutation, Trace: true}
+			want, err := IEGT(context.Background(), game.NewState(g), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := game.NewStateOnDemand(g)
+			got, err := IEGT(context.Background(), s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, label, got, want)
+			for w := range want.Summary.Payoffs {
+				if math.Float64bits(got.Summary.Payoffs[w]) != math.Float64bits(want.Summary.Payoffs[w]) {
+					t.Fatalf("%s: worker %d payoff %v, NewState %v", label, w, got.Summary.Payoffs[w], want.Summary.Payoffs[w])
+				}
+			}
+			if math.Float64bits(got.Potential) != math.Float64bits(want.Potential) {
+				t.Fatalf("%s: Φ %v, NewState %v", label, got.Potential, want.Potential)
+			}
+			if s.Strategies == nil {
+				t.Fatalf("%s: IEGT left the on-demand state without lists", label)
 			}
 		}
 	}

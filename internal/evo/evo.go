@@ -23,6 +23,7 @@ import (
 	"fairtask/internal/fairness"
 	"fairtask/internal/game"
 	"fairtask/internal/obs"
+	"fairtask/internal/vdps"
 )
 
 // Options configure an IEGT run.
@@ -78,11 +79,14 @@ func (o Options) Assign(ctx context.Context, s *game.State) (*game.Result, error
 // utility of a worker in the evolutionary game is its raw payoff (paper
 // §VI-B), not the IAU.
 //
-// s must be fresh and unplayed (from game.NewState or
-// game.NewStateWithStrategies); the run uses it up. IEGT never reorders a
-// strategy list, so lists shared through game.NewStateWithStrategies keep
-// their order. Its state.build span covers the initial profile; the caller
-// that built s accounts for the strategy spaces.
+// s must be fresh and unplayed (from game.NewState, game.NewStateOnDemand
+// or game.NewStateWithStrategies); the run uses it up. IEGT never reorders
+// a strategy list, so lists shared through game.NewStateWithStrategies keep
+// their order. Its draws and its population read every worker's list from
+// the first round, so its state.build span asks for the lists
+// (game.State.Lists) and covers building them on a state that has none,
+// with the initial profile; the caller that built s accounts for the
+// strategy spaces it holds.
 //
 // ctx is observed at every evolution round boundary: when it is done the
 // run stops and ctx.Err() is returned.
@@ -94,6 +98,7 @@ func IEGT(ctx context.Context, s *game.State, opt Options) (*game.Result, error)
 		bsp.End()
 		return nil, game.ErrNoWorkers
 	}
+	s.Lists()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	s.RandomInit(rng)
 
@@ -109,7 +114,7 @@ func IEGT(ctx context.Context, s *game.State, opt Options) (*game.Result, error)
 	// checks fold into allocation-free scans over s.Payoffs that visit the
 	// same workers in the same order as the populationPayoffs slice the
 	// reference builds — the accumulated values are bit-identical.
-	var cand []int // scratch for random strategy selection
+	var cand []vdps.StrategyRef // scratch for random strategy selection
 	// Dirty-set gating for the selection sweep, mirroring the FGT loop:
 	// version counts switches, cleanAt[w] = version+1 records that w's last
 	// evaluation at that version found no strictly better available strategy
@@ -142,15 +147,16 @@ func IEGT(ctx context.Context, s *game.State, opt Options) (*game.Result, error)
 			if cleanAt[w] == version+1 {
 				continue
 			}
-			si, ok := -1, false
+			var r vdps.StrategyRef
+			ok := false
 			if opt.MutationRate > 0 && rng.Float64() < opt.MutationRate {
-				si, ok = randomAvailableStrategy(s, w, rng, &cand)
+				r, ok = randomAvailableStrategy(s, w, rng, &cand)
 			}
 			if !ok {
-				si, ok = randomBetterStrategy(s, w, rng, &cand)
+				r, ok = randomBetterStrategy(s, w, rng, &cand)
 			}
 			if ok {
-				s.Switch(w, si)
+				s.Switch(w, r)
 				if tracker != nil {
 					tracker.Update(w)
 				}
@@ -197,8 +203,8 @@ func IEGT(ctx context.Context, s *game.State, opt Options) (*game.Result, error)
 func populationEqual(s *game.State, tol float64) bool {
 	min, max := math.Inf(1), math.Inf(-1)
 	n := 0
-	for w := range s.Current {
-		if len(s.Strategies[w]) == 0 {
+	for w, list := range s.Lists() {
+		if len(list) == 0 {
 			continue
 		}
 		v := s.Payoffs[w]
@@ -222,8 +228,8 @@ func populationEqual(s *game.State, tol float64) bool {
 // test.
 func populationPayoffs(s *game.State) []float64 {
 	out := make([]float64, 0, len(s.Current))
-	for w := range s.Current {
-		if len(s.Strategies[w]) == 0 {
+	for w, list := range s.Lists() {
+		if len(list) == 0 {
 			continue
 		}
 		out = append(out, s.Payoffs[w])
@@ -241,8 +247,8 @@ func populationPayoffs(s *game.State) []float64 {
 func populationAverage(s *game.State) float64 {
 	var sum float64
 	n := 0
-	for w := range s.Current {
-		if len(s.Strategies[w]) == 0 {
+	for w, list := range s.Lists() {
+		if len(list) == 0 {
 			continue
 		}
 		sum += s.Payoffs[w]
@@ -257,44 +263,47 @@ func populationAverage(s *game.State) float64 {
 // randomBetterStrategy picks uniformly at random among worker w's available
 // strategies with payoff strictly above the current one (Algorithm 3,
 // lines 23-25). The candidates are gathered into *buf, reused across calls,
-// and the draw ranks them with NthBest, so the same rng state selects the
-// same strategy as the reference's draw over a payoff-sorted list.
-func randomBetterStrategy(s *game.State, w int, rng *rand.Rand, buf *[]int) (int, bool) {
-	cur := 0.0
-	if s.Current[w] != game.Null {
-		cur = s.Payoffs[w]
+// and the draw takes the k-th best of them (vdps.Generator.NthBest), so the
+// same rng state selects the same strategy as the reference's draw over a
+// payoff-sorted list.
+func randomBetterStrategy(s *game.State, w int, rng *rand.Rand, buf *[]vdps.StrategyRef) (vdps.StrategyRef, bool) {
+	cur := s.Current[w]
+	p := 0.0
+	if cur.Cand != game.Null {
+		p = s.Payoffs[w]
 	}
 	better := (*buf)[:0]
-	for si := range s.Strategies[w] {
-		if si == s.Current[w] {
+	for _, r := range s.List(w) {
+		if r.Cand == cur.Cand {
 			continue
 		}
-		if s.Strategies[w][si].Payoff > cur && s.Available(w, si) {
-			better = append(better, si)
+		if r.Payoff > p && s.Available(w, r) {
+			better = append(better, r)
 		}
 	}
 	*buf = better
 	if len(better) == 0 {
-		return game.Null, false
+		return game.Idle, false
 	}
-	return s.NthBest(w, better, rng.Intn(len(better))), true
+	return s.Generator().NthBest(better, rng.Intn(len(better))), true
 }
 
 // randomAvailableStrategy picks uniformly among all of worker w's available
 // strategies other than the current one (the mutation operator). *buf is the
 // shared candidate scratch, as in randomBetterStrategy.
-func randomAvailableStrategy(s *game.State, w int, rng *rand.Rand, buf *[]int) (int, bool) {
+func randomAvailableStrategy(s *game.State, w int, rng *rand.Rand, buf *[]vdps.StrategyRef) (vdps.StrategyRef, bool) {
+	cur := s.Current[w].Cand
 	avail := (*buf)[:0]
-	for si := range s.Strategies[w] {
-		if si != s.Current[w] && s.Available(w, si) {
-			avail = append(avail, si)
+	for _, r := range s.List(w) {
+		if r.Cand != cur && s.Available(w, r) {
+			avail = append(avail, r)
 		}
 	}
 	*buf = avail
 	if len(avail) == 0 {
-		return game.Null, false
+		return game.Idle, false
 	}
-	return s.NthBest(w, avail, rng.Intn(len(avail))), true
+	return s.Generator().NthBest(avail, rng.Intn(len(avail))), true
 }
 
 // payoffsEqual reports whether all payoffs lie within tol of each other.
@@ -327,8 +336,8 @@ func Replicator(sigma, u, ubar float64) float64 {
 // (Equations 12-13). Exposed for the convergence experiment.
 func PopulationShares(s *game.State) []float64 {
 	var n int
-	for w := range s.Current {
-		if s.Current[w] != game.Null {
+	for _, r := range s.Current {
+		if r.Cand != game.Null {
 			n++
 		}
 	}
@@ -336,8 +345,8 @@ func PopulationShares(s *game.State) []float64 {
 	if n == 0 {
 		return out
 	}
-	for w := range s.Current {
-		if s.Current[w] != game.Null {
+	for w, r := range s.Current {
+		if r.Cand != game.Null {
 			out[w] = 1 / float64(n)
 		}
 	}
@@ -365,10 +374,10 @@ func VerifyEquilibrium(s *game.State, opt Options) error {
 		if cur >= ubar {
 			continue
 		}
-		if top := s.TopAvailable(w); top != s.Current[w] && s.Strategies[w][top].Payoff > cur {
+		if top := s.TopAvailable(w); top.Cand != s.Current[w].Cand && top.Payoff > cur {
 			return fmt.Errorf(
 				"evo: worker %d (payoff %g, below average %g) can still improve via %v",
-				w, cur, ubar, s.StrategySeq(w, top))
+				w, cur, ubar, s.StrategySeq(top))
 		}
 	}
 	return nil

@@ -130,7 +130,7 @@ func TestIEGTEquilibriumCondition(t *testing.T) {
 		if s.Payoffs[w] >= ubar || len(s.Strategies[w]) == 0 {
 			continue
 		}
-		var buf []int
+		var buf []vdps.StrategyRef
 		if _, ok := randomBetterStrategy(s, w, rand.New(rand.NewSource(0)), &buf); ok {
 			t.Errorf("worker %d is below average (%g < %g) yet has a better available strategy",
 				w, s.Payoffs[w], ubar)
@@ -209,7 +209,7 @@ func TestPopulationShares(t *testing.T) {
 	shares := PopulationShares(s)
 	var sum float64
 	for w, sh := range shares {
-		if (s.Current[w] == game.Null) != (sh == 0) {
+		if (s.Current[w].Cand == game.Null) != (sh == 0) {
 			t.Errorf("worker %d: share %g inconsistent with strategy", w, sh)
 		}
 		sum += sh

@@ -91,37 +91,37 @@ func referenceAverage(p []float64) float64 {
 
 // referenceRandomBetter is randomBetterStrategy with the original
 // allocate-per-call candidate list.
-func referenceRandomBetter(s *game.State, w int, rng *rand.Rand) (int, bool) {
+func referenceRandomBetter(s *game.State, w int, rng *rand.Rand) (vdps.StrategyRef, bool) {
 	cur := 0.0
-	if s.Current[w] != game.Null {
+	if s.Current[w].Cand != game.Null {
 		cur = s.Payoffs[w]
 	}
-	var better []int
-	for si := range s.Strategies[w] {
-		if si == s.Current[w] {
+	var better []vdps.StrategyRef
+	for _, r := range s.List(w) {
+		if r.Cand == s.Current[w].Cand {
 			continue
 		}
-		if s.Strategies[w][si].Payoff > cur && s.Available(w, si) {
-			better = append(better, si)
+		if r.Payoff > cur && s.Available(w, r) {
+			better = append(better, r)
 		}
 	}
 	if len(better) == 0 {
-		return game.Null, false
+		return game.Idle, false
 	}
 	return better[rng.Intn(len(better))], true
 }
 
 // referenceRandomAvailable is randomAvailableStrategy with the original
 // allocate-per-call candidate list.
-func referenceRandomAvailable(s *game.State, w int, rng *rand.Rand) (int, bool) {
-	var avail []int
-	for si := range s.Strategies[w] {
-		if si != s.Current[w] && s.Available(w, si) {
-			avail = append(avail, si)
+func referenceRandomAvailable(s *game.State, w int, rng *rand.Rand) (vdps.StrategyRef, bool) {
+	var avail []vdps.StrategyRef
+	for _, r := range s.List(w) {
+		if r.Cand != s.Current[w].Cand && s.Available(w, r) {
+			avail = append(avail, r)
 		}
 	}
 	if len(avail) == 0 {
-		return game.Null, false
+		return game.Idle, false
 	}
 	return avail[rng.Intn(len(avail))], true
 }

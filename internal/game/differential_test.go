@@ -134,24 +134,7 @@ func TestVerifyNEAcceptsFGTResult(t *testing.T) {
 // lacks a strategy its successors' lists hold. Run with -race this also
 // exercises the shard boundaries.
 func TestNewStateParallelMatchesSequential(t *testing.T) {
-	cases := []struct {
-		name string
-		in   *model.Instance
-		opt  vdps.Options
-	}{
-		{"grid", gridInstance(16, 13, 2, 100), vdps.Options{}},
-		{"tight", gridInstance(14, 12, 3, 6), vdps.Options{}},
-		{"gm-mixed-speed", withWorkers(gmInstance(t, 2, 200, 40, 40), func(w int, wk *model.Worker) {
-			wk.Speed = []float64{4, 5, 6}[w%3]
-		}), vdps.Options{Epsilon: 0.8}},
-		{"gm-maxdp-cycle", withWorkers(gmInstance(t, 3, 120, 24, 24), func(w int, wk *model.Worker) {
-			wk.MaxDP = w % 4
-		}), vdps.Options{Epsilon: 1, MaxSize: 4}},
-		{"lattice", latticeInstance(), vdps.Options{}},
-		{"equal-approach", equalApproachInstance(), vdps.Options{}},
-		{"center", centerInstance(), vdps.Options{}},
-	}
-	for _, tc := range cases {
+	for _, tc := range spaceCases(t) {
 		g, err := vdps.Generate(tc.in, tc.opt)
 		if err != nil {
 			t.Fatal(err)
@@ -173,6 +156,126 @@ func TestNewStateParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: capacity %d for %d strategies", label, cap(got[w]), len(got[w]))
 				}
 			}
+		}
+	}
+}
+
+// spaceCase is an instance whose strategy spaces a test builds.
+type spaceCase struct {
+	name string
+	in   *model.Instance
+	opt  vdps.Options
+}
+
+// spaceCases returns the instances the strategy-space build is pinned on:
+// workers with a speed override among default-speed ones, MaxDP cycling
+// 0-3 (0 is unlimited), the tie-heavy lattice, equal approach times, and
+// the center edge, where workers stand at the center and a point lies there
+// too.
+func spaceCases(t *testing.T) []spaceCase {
+	return []spaceCase{
+		{"grid", gridInstance(16, 13, 2, 100), vdps.Options{}},
+		{"tight", gridInstance(14, 12, 3, 6), vdps.Options{}},
+		{"gm-mixed-speed", withWorkers(gmInstance(t, 2, 200, 40, 40), func(w int, wk *model.Worker) {
+			wk.Speed = []float64{4, 5, 6}[w%3]
+		}), vdps.Options{Epsilon: 0.8}},
+		{"gm-maxdp-cycle", withWorkers(gmInstance(t, 3, 120, 24, 24), func(w int, wk *model.Worker) {
+			wk.MaxDP = w % 4
+		}), vdps.Options{Epsilon: 1, MaxSize: 4}},
+		{"lattice", latticeInstance(), vdps.Options{}},
+		{"equal-approach", equalApproachInstance(), vdps.Options{}},
+		{"center", centerInstance(), vdps.Options{}},
+	}
+}
+
+// TestStrategyCountsMatchLists pins the list lengths an on-demand state
+// counts instead of building its lists: on the strategy-space instances,
+// vdps.Generator.StrategyCounts — what NewStateOnDemand holds and
+// TopAvailable's choice reads — equals len(WorkerStrategies(w)) for every
+// worker. The center instance's approach-0 workers hold one strategy fewer
+// than the candidates whose slack covers their approach time, the bound a
+// positive approach time makes exact.
+func TestStrategyCountsMatchLists(t *testing.T) {
+	for _, tc := range spaceCases(t) {
+		g, err := vdps.Generate(tc.in, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := NewStateOnDemand(g).counts
+		if len(counts) != len(tc.in.Workers) {
+			t.Fatalf("%s: %d counts for %d workers", tc.name, len(counts), len(tc.in.Workers))
+		}
+		var sc vdps.StrategyScratch
+		for w := range tc.in.Workers {
+			if want := len(g.WorkerStrategies(w, &sc)); counts[w] != want {
+				t.Fatalf("%s worker %d: counted %d strategies, WorkerStrategies %d", tc.name, w, counts[w], want)
+			}
+		}
+	}
+}
+
+// TestOnDemandSolveMatchesNewState pins the on-demand state to the one
+// whose lists are built up front: a solve on NewStateOnDemand returns what
+// the same solve on NewState returns, bit for bit — routes, summary,
+// payoff bits, rounds, switches and Φ — and leaves the state holding the
+// same joint strategy at the same payoff bits. FGT runs on W200-shaped GM
+// instances, where every best response walks and no list is built; on W100
+// and the stream instance, whose runs build the lists mid-run; and IEGT on
+// W200, which asks for them up front.
+func TestOnDemandSolveMatchesNewState(t *testing.T) {
+	type solve struct {
+		seed                   int64
+		tasks, workers, points int
+		eps                    float64
+		lists                  bool // whether the on-demand FGT builds the lists
+	}
+	shapes := []solve{
+		{1, 1000, 200, 150, 0.6, false},
+		{5, 1000, 200, 150, 0.6, false},
+		{11, 1000, 200, 150, 0.6, false},
+		{2, 600, 150, 100, 0.6, false},
+		{1, 1000, 100, 150, 0.6, true},
+		{7, 360, 8, 120, 1.5, true},
+	}
+	ctx := context.Background()
+	check := func(label string, g *vdps.Generator, play func(*State) (*Result, error), lists bool) {
+		t.Helper()
+		want, ws := NewState(g), NewStateOnDemand(g)
+		wres, err := play(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gres, err := play(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label, gres, wres)
+		for w := range wres.Summary.Payoffs {
+			if math.Float64bits(gres.Summary.Payoffs[w]) != math.Float64bits(wres.Summary.Payoffs[w]) {
+				t.Fatalf("%s: worker %d payoff %v, NewState %v", label, w, gres.Summary.Payoffs[w], wres.Summary.Payoffs[w])
+			}
+		}
+		if math.Float64bits(gres.Potential) != math.Float64bits(wres.Potential) {
+			t.Fatalf("%s: Φ %v, NewState %v", label, gres.Potential, wres.Potential)
+		}
+		for w, r := range want.Current {
+			got := ws.Current[w]
+			if got.Cand != r.Cand || got.Entry != r.Entry || math.Float64bits(ws.Payoffs[w]) != math.Float64bits(want.Payoffs[w]) {
+				t.Fatalf("%s: worker %d holds %+v, NewState %+v", label, w, got, r)
+			}
+		}
+		if built := ws.Strategies != nil; built != lists {
+			t.Fatalf("%s: the on-demand state built its lists: %v, want %v", label, built, lists)
+		}
+	}
+	for _, sh := range shapes {
+		g, err := vdps.Generate(gmInstance(t, sh.seed, sh.tasks, sh.workers, sh.points), vdps.Options{Epsilon: sh.eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			label := fmt.Sprintf("FGT GM %d/%d/%d seed %d/%d", sh.tasks, sh.workers, sh.points, sh.seed, seed)
+			check(label, g, func(s *State) (*Result, error) { return FGT(ctx, s, Options{Seed: seed, Trace: true}) }, sh.lists)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fairtask/internal/model"
 	"fairtask/internal/obs"
 	"fairtask/internal/payoff"
+	"fairtask/internal/vdps"
 )
 
 // Options configure the FGT best-response run.
@@ -136,11 +137,13 @@ func (o Options) Assign(ctx context.Context, s *State) (*Result, error) {
 // until a pure Nash equilibrium (no worker switches) is reached. Weights
 // outside the monotone IAU domain fail with ErrNonMonotoneIAU.
 //
-// s must be fresh and unplayed (from NewState or NewStateWithStrategies);
-// the run uses it up. FGT never reorders a strategy list, so lists shared
-// through NewStateWithStrategies keep their order. Its state.build span
-// covers the initial profile; the caller that built s accounts for the
-// strategy spaces.
+// s must be fresh and unplayed (from NewState, NewStateOnDemand or
+// NewStateWithStrategies); the run uses it up. FGT never reorders a
+// strategy list, so lists shared through NewStateWithStrategies keep their
+// order. It reads a list only where a best response scans one: on a state
+// from NewStateOnDemand whose every best response walks, it builds none.
+// Its state.build span covers the initial profile; the caller that built s
+// accounts for the strategy spaces it holds.
 //
 // ctx is observed at every best-response round boundary: when it is done
 // the run stops and ctx.Err() is returned, so canceled requests and expired
@@ -204,7 +207,7 @@ func FGT(ctx context.Context, s *State, opt Options) (*Result, error) {
 			if cleanAt[w] == version+1 {
 				continue
 			}
-			if best := bestResponse(s, u, w, opt.EpsilonUtility); best != s.Current[w] {
+			if best := bestResponse(s, u, w, opt.EpsilonUtility); best.Cand != s.Current[w].Cand {
 				s.Switch(w, best)
 				if tracker != nil {
 					tracker.Update(w)
@@ -299,14 +302,14 @@ func (u *iauScratch) at(w int, p float64) float64 {
 // IAU exceeds the incumbent's by more than eps. Both IAUs are computed as
 // referenceBestResponse computes them; the rule makes the same choice as
 // its full scan.
-func bestResponse(s *State, u *iauScratch, w int, eps float64) int {
+func bestResponse(s *State, u *iauScratch, w int, eps float64) vdps.StrategyRef {
 	cur := s.Current[w]
 	top := s.TopAvailable(w)
-	if top == cur {
+	if top.Cand == cur.Cand {
 		return cur
 	}
 	u.load(s.Payoffs)
-	if u.at(w, s.Strategies[w][top].Payoff) > u.at(w, s.Payoffs[w])+eps {
+	if u.at(w, top.Payoff) > u.at(w, s.Payoffs[w])+eps {
 		return top
 	}
 	return cur

@@ -104,32 +104,32 @@ func TestStateSwitchAndAvailability(t *testing.T) {
 	}
 	// Give worker 0 its first strategy; any strategy of worker 1 sharing a
 	// point must become unavailable.
-	s.Switch(0, 0)
+	s.Switch(0, s.Strategies[0][0])
 	taken := map[int]bool{}
-	for _, p := range s.points(0, 0) {
+	for _, p := range s.points(s.Strategies[0][0]) {
 		taken[p] = true
 	}
-	for si := range s.Strategies[1] {
+	for si, r := range s.Strategies[1] {
 		overlaps := false
-		for _, p := range s.points(1, si) {
+		for _, p := range s.points(r) {
 			if taken[p] {
 				overlaps = true
 			}
 		}
-		if overlaps == s.Available(1, si) {
-			t.Errorf("strategy %d: overlap=%v but Available=%v", si, overlaps, s.Available(1, si))
+		if overlaps == s.Available(1, r) {
+			t.Errorf("strategy %d: overlap=%v but Available=%v", si, overlaps, s.Available(1, r))
 		}
 	}
 	// Null is always available; switching to it releases points.
-	if !s.Available(0, Null) {
+	if !s.Available(0, Idle) {
 		t.Error("Null should be available")
 	}
-	s.Switch(0, Null)
-	if s.Payoffs[0] != 0 || s.Current[0] != Null {
+	s.Switch(0, Idle)
+	if s.Payoffs[0] != 0 || s.Current[0].Cand != Null {
 		t.Error("Null switch did not clear state")
 	}
-	for si := range s.Strategies[1] {
-		if !s.Available(1, si) {
+	for si, r := range s.Strategies[1] {
+		if !s.Available(1, r) {
 			t.Errorf("strategy %d should be available after release", si)
 		}
 	}
@@ -138,15 +138,15 @@ func TestStateSwitchAndAvailability(t *testing.T) {
 func TestSwitchPanicsOnConflict(t *testing.T) {
 	in := gridInstance(3, 2, 1, 100)
 	s := NewState(mustGen(t, in))
-	s.Switch(0, 0)
-	conflict := -1
-	for si := range s.Strategies[1] {
-		if !s.Available(1, si) {
-			conflict = si
+	s.Switch(0, s.Strategies[0][0])
+	conflict := Idle
+	for _, r := range s.Strategies[1] {
+		if !s.Available(1, r) {
+			conflict = r
 			break
 		}
 	}
-	if conflict == -1 {
+	if conflict.Cand == Null {
 		t.Skip("no conflicting strategy in this topology")
 	}
 	defer func() {
@@ -162,11 +162,11 @@ func TestRandomInitSingletonsAndDisjoint(t *testing.T) {
 	s := NewState(mustGen(t, in))
 	s.RandomInit(rand.New(rand.NewSource(1)))
 	seen := map[int]bool{}
-	for w, si := range s.Current {
-		if si == Null {
+	for w, r := range s.Current {
+		if r.Cand == Null {
 			continue
 		}
-		seq := s.StrategySeq(w, si)
+		seq := s.StrategySeq(r)
 		if len(seq) != 1 {
 			t.Errorf("worker %d initialized with non-singleton %v", w, seq)
 		}
@@ -227,13 +227,13 @@ func TestRandomInitMatchesListScan(t *testing.T) {
 				l := fmt.Sprintf("%s seed %d, %s lists", label, seed, lay.name)
 				for w, wi := range want.Current {
 					gi := got.Current[w]
-					if (gi == Null) != (wi == Null) {
-						t.Fatalf("%s: worker %d strategy %d, list scan %d", l, w, gi, wi)
+					if (gi.Cand == Null) != (wi.Cand == Null) {
+						t.Fatalf("%s: worker %d strategy %v, list scan %v", l, w, gi, wi)
 					}
-					if wi == Null {
+					if wi.Cand == Null {
 						continue
 					}
-					if gs, ws := got.StrategySeq(w, gi), want.StrategySeq(w, wi); !slices.Equal(gs, ws) ||
+					if gs, ws := got.StrategySeq(gi), want.StrategySeq(wi); !slices.Equal(gs, ws) ||
 						math.Float64bits(got.Payoffs[w]) != math.Float64bits(want.Payoffs[w]) {
 						t.Fatalf("%s: worker %d holds %v at %v, list scan %v at %v", l, w, gs, got.Payoffs[w], ws, want.Payoffs[w])
 					}
@@ -329,15 +329,14 @@ func TestRandomInitMatchesListScan(t *testing.T) {
 // naiveTop is the rule TopAvailable implements, written as a plain scan:
 // the minimum under Generator.ComparePayoff over the incumbent and every entry
 // Available accepts, or Null.
-func naiveTop(s *State, w int) int {
-	list := s.Strategies[w]
-	top := Null
-	for si := range list {
-		if si != s.Current[w] && !s.Available(w, si) {
+func naiveTop(s *State, w int) vdps.StrategyRef {
+	top := Idle
+	for _, r := range s.List(w) {
+		if r.Cand != s.Current[w].Cand && !s.Available(w, r) {
 			continue
 		}
-		if top == Null || s.Generator().ComparePayoff(list[si], list[top]) < 0 {
-			top = si
+		if top.Cand == Null || s.Generator().ComparePayoff(r, top) < 0 {
+			top = r
 		}
 	}
 	return top
@@ -360,7 +359,7 @@ func TestNthBestMatchesSort(t *testing.T) {
 		sorted := slices.Clone(refs)
 		slices.SortFunc(sorted, g.ComparePayoff)
 		for k := range refs {
-			if got := nthBest(g, slices.Clone(refs), k); got != sorted[k] {
+			if got := g.NthBest(slices.Clone(refs), k); got != sorted[k] {
 				t.Fatalf("trial %d, %d refs, k %d: %+v, sort %+v", trial, n, k, got, sorted[k])
 			}
 		}
@@ -391,10 +390,11 @@ func repairedLattice(t *testing.T) *vdps.Generator {
 // and its lowest-point test to the rule they write out: on shuffled lists
 // of a contended GM instance, of the tie-heavy lattice and of the lattice
 // after a repair that left tombstones, after RandomInit and after every
-// switch of one FGT round, every worker's TopAvailable equals naiveTop. A
-// worker that holds the lowest point of its best entry must still reach it.
-// A hand-built list of equal payoffs in descending candidate order pins the
-// tie-break.
+// switch of one FGT round, every worker's TopAvailable equals naiveTop. The
+// same runs on states whose lists are built on demand compare against a
+// twin that holds the lists. A worker that holds the lowest point of its
+// best entry must still reach it. A hand-built list of equal payoffs in
+// descending candidate order pins the tie-break.
 func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	gm, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 400, Workers: 60, DeliveryPoints: 50})
 	if err != nil {
@@ -407,8 +407,9 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	check := func(label string, s *State) {
 		t.Helper()
 		for w := range s.Current {
-			if got, want := s.TopAvailable(w), naiveTop(s, w); got != want {
-				t.Fatalf("%s worker %d: TopAvailable %d, ComparePayoff scan %d", label, w, got, want)
+			want := naiveTop(listedTwin(t, s), w)
+			if got := s.TopAvailable(w); got.Cand != want.Cand {
+				t.Fatalf("%s worker %d: TopAvailable %v, ComparePayoff scan %v", label, w, got, want)
 			}
 		}
 	}
@@ -418,13 +419,17 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	}{{"gm", gmGen}, {"lattice", mustGen(t, latticeInstance())}, {"repaired", repairedLattice(t)}}
 	total := 0 // switches checked; the GM starts at an equilibrium, the lattice does not
 	for _, gc := range gens {
-		for seed := int64(1); seed <= 5; seed++ {
+		for seed := int64(1); seed <= 10; seed++ {
 			s := NewState(gc.g)
 			rng := rand.New(rand.NewSource(seed))
+			label := fmt.Sprintf("%s seed %d", gc.name, seed)
+			if seed > 5 {
+				s = NewStateOnDemand(gc.g)
+				label += " on demand"
+			}
 			for _, list := range s.Strategies {
 				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 			}
-			label := fmt.Sprintf("%s seed %d", gc.name, seed)
 			check(label+" fresh", s)
 			s.RandomInit(rng)
 			check(label+" init", s)
@@ -435,7 +440,7 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 			}
 			switches := 0
 			for w := range s.Current {
-				if best := bestResponse(s, u, w, opt.EpsilonUtility); best != s.Current[w] {
+				if best := bestResponse(s, u, w, opt.EpsilonUtility); best.Cand != s.Current[w].Cand {
 					s.Switch(w, best)
 					switches++
 					check(fmt.Sprintf("%s switch %d", label, switches), s)
@@ -453,9 +458,9 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	g := gens[1].g
 	own := NewState(g)
 	best := own.TopAvailable(0)
-	low := own.points(0, best)[0]
-	if len(own.points(0, best)) < 2 {
-		t.Fatalf("worker 0's best entry %v is a singleton", own.points(0, best))
+	low := own.points(best)[0]
+	if len(own.points(best)) < 2 {
+		t.Fatalf("worker 0's best entry %v is a singleton", own.points(best))
 	}
 	held := slices.IndexFunc(own.Strategies[0], func(r vdps.StrategyRef) bool {
 		return slices.Equal(g.RefPoints(r), []int{low})
@@ -463,9 +468,9 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	if held < 0 {
 		t.Fatalf("worker 0 has no singleton on point %d", low)
 	}
-	own.Switch(0, held)
-	if got := own.TopAvailable(0); got != best {
-		t.Fatalf("holding point %d: TopAvailable %d, want %d", low, got, best)
+	own.Switch(0, own.Strategies[0][held])
+	if got := own.TopAvailable(0); got.Cand != best.Cand {
+		t.Fatalf("holding point %d: TopAvailable %v, want %v", low, got, best)
 	}
 	check("own lowest point", own)
 
@@ -485,13 +490,13 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 	strategies[0] = list
 	strategies[1] = []vdps.StrategyRef{{Payoff: 1, Cand: singles[0]}}
 	s := NewStateWithStrategies(g, strategies)
-	if got := s.TopAvailable(0); got != len(list)-1 {
-		t.Fatalf("tied list: TopAvailable %d, want %d (lowest candidate)", got, len(list)-1)
+	if got := s.TopAvailable(0); got.Cand != list[len(list)-1].Cand {
+		t.Fatalf("tied list: TopAvailable %v, want %v (lowest candidate)", got, list[len(list)-1])
 	}
 	check("tied list", s)
-	s.Switch(1, 0)
-	if got := s.TopAvailable(0); got != len(list)-2 {
-		t.Fatalf("tied list, lowest taken: TopAvailable %d, want %d", got, len(list)-2)
+	s.Switch(1, strategies[1][0])
+	if got := s.TopAvailable(0); got.Cand != list[len(list)-2].Cand {
+		t.Fatalf("tied list, lowest taken: TopAvailable %v, want %v", got, list[len(list)-2])
 	}
 	check("tied list, lowest taken", s)
 }
@@ -500,13 +505,17 @@ func TestTopAvailableMatchesComparePayoff(t *testing.T) {
 // to the rule they implement: for every worker of a fresh state, after
 // RandomInit and after each switch of an FGT run to its equilibrium, the
 // list scan and the point walk both equal naiveTop, on lists as built,
-// shuffled and sorted by payoff. The instances are W200, where the start
-// leaves nearly every point held; a GM instance with a speed override on
-// every third worker and MaxDP 1-3; the tie-heavy lattice; and the lattice
-// after a repair that left tombstones and appended candidates. The walk's
-// index must hold exactly the live candidates, each under its lowest point,
-// the free-point count must match the owner table, and the choice must take
-// each way at least once.
+// shuffled and sorted by payoff, and on a state whose lists are built on
+// demand. The instances are W200, where the start leaves nearly every point
+// held; a GM instance with a speed override on every third worker and MaxDP
+// 1-3; the tie-heavy lattice; and the lattice after a repair that left
+// tombstones and appended candidates. The walk's index must hold exactly
+// the live candidates, each under its lowest point, the free-point count
+// must match the owner table, and the choice must take each way at least
+// once. A state without lists is ranked against a twin that holds them,
+// its counted choice must equal the twin's, and only its walk is called
+// directly; its best responses build the lists when one scans, and both a
+// run that stays without lists and one that builds them must occur.
 func TestTopAvailableSidesAgree(t *testing.T) {
 	layouts := []struct {
 		name string
@@ -519,6 +528,7 @@ func TestTopAvailableSidesAgree(t *testing.T) {
 			}
 		}},
 		{"sorted", func(s *State, _ *rand.Rand) { s.SortByPayoff() }},
+		{"on-demand", nil}, // NewStateOnDemand
 	}
 	w200, err := vdps.Generate(gmInstance(t, 1, 1000, 200, 150), vdps.Options{Epsilon: 0.6})
 	if err != nil {
@@ -539,8 +549,9 @@ func TestTopAvailableSidesAgree(t *testing.T) {
 		g    *vdps.Generator
 	}{{"w200", w200}, {"gm-mixed-speed", mixedGen}, {"lattice", mustGen(t, latticeInstance())}, {"repaired", repairedLattice(t)}}
 
-	ways := map[bool]int{} // calls by the choice: true for the walk
-	heldOwn := 0           // states where a worker holds a point of its top
+	ways := map[bool]int{}     // calls by the choice: true for the walk
+	heldOwn := 0               // states where a worker holds a point of its top
+	onDemand := map[bool]int{} // on-demand runs by whether they built the lists
 	check := func(label string, s *State) {
 		t.Helper()
 		free := 0
@@ -552,13 +563,19 @@ func TestTopAvailableSidesAgree(t *testing.T) {
 		if s.free != free {
 			t.Fatalf("%s: free-point count %d, owner table %d", label, s.free, free)
 		}
+		twin := listedTwin(t, s)
 		for w := range s.Current {
-			want := naiveTop(s, w)
-			if got := s.scanTop(w); got != want {
-				t.Fatalf("%s worker %d: list scan %d, ComparePayoff scan %d", label, w, got, want)
+			want := naiveTop(twin, w)
+			if s.walks(w) != twin.walks(w) {
+				t.Fatalf("%s worker %d: the counted choice walks %v, the listed one %v", label, w, s.walks(w), twin.walks(w))
 			}
-			if got := s.walkTop(w); got != want {
-				t.Fatalf("%s worker %d: point walk %d, ComparePayoff scan %d", label, w, got, want)
+			if s.Strategies != nil {
+				if got := s.scanTop(w); got.Cand != want.Cand {
+					t.Fatalf("%s worker %d: list scan %v, ComparePayoff scan %v", label, w, got, want)
+				}
+			}
+			if got := s.walkTop(w); got.Cand != want.Cand {
+				t.Fatalf("%s worker %d: point walk %v, ComparePayoff scan %v", label, w, got, want)
 			}
 			ways[s.walks(w)]++
 		}
@@ -567,11 +584,15 @@ func TestTopAvailableSidesAgree(t *testing.T) {
 		for seed, lay := range layouts {
 			s := NewState(gc.g)
 			rng := rand.New(rand.NewSource(int64(seed + 1)))
-			lay.set(s, rng)
+			if lay.set == nil {
+				s = NewStateOnDemand(gc.g)
+			} else {
+				lay.set(s, rng)
+			}
 			label := fmt.Sprintf("%s, %s lists", gc.name, lay.name)
 			check(label+", fresh", s)
 			checkLowIndex(t, label, s)
-			heldOwn += checkOwnPoints(label, s, check)
+			heldOwn += checkOwnPoints(t, label, s, check)
 			s.RandomInit(rng)
 			check(label+", init", s)
 			opt := Options{}.withDefaults()
@@ -582,17 +603,23 @@ func TestTopAvailableSidesAgree(t *testing.T) {
 			for round, switches := 1, 1; switches > 0; round++ {
 				switches = 0
 				for w := range s.Current {
-					if best := bestResponse(s, u, w, opt.EpsilonUtility); best != s.Current[w] {
+					if best := bestResponse(s, u, w, opt.EpsilonUtility); best.Cand != s.Current[w].Cand {
 						s.Switch(w, best)
 						switches++
 						check(fmt.Sprintf("%s, round %d switch %d", label, round, switches), s)
 					}
 				}
 			}
+			if lay.set == nil {
+				onDemand[s.Strategies != nil]++
+			}
 		}
 	}
 	if ways[true] == 0 || ways[false] == 0 {
 		t.Fatalf("the choice walked %d calls and scanned %d; want both ways taken", ways[true], ways[false])
+	}
+	if onDemand[true] == 0 || onDemand[false] == 0 {
+		t.Fatalf("%d on-demand runs built their lists and %d did not; want both", onDemand[true], onDemand[false])
 	}
 	if heldOwn == 0 {
 		t.Fatal("no worker held a point of its top strategy")
@@ -604,29 +631,45 @@ func TestTopAvailableSidesAgree(t *testing.T) {
 // singleton on one of them, for each such point in turn: the worker's own
 // points do not block, so its top stays the same. It returns the number of
 // states checked.
-func checkOwnPoints(label string, s *State, check func(string, *State)) int {
+func checkOwnPoints(t *testing.T, label string, s *State, check func(string, *State)) int {
 	g := s.Generator()
+	twin := listedTwin(t, s)
 	for w := range s.Current {
-		top := naiveTop(s, w)
-		if top == Null || len(s.points(w, top)) < 2 {
+		top := naiveTop(twin, w)
+		if top.Cand == Null || len(s.points(top)) < 2 {
 			continue
 		}
 		n := 0
-		for _, p := range s.points(w, top) {
-			held := slices.IndexFunc(s.Strategies[w], func(r vdps.StrategyRef) bool {
+		for _, p := range s.points(top) {
+			held := slices.IndexFunc(twin.Strategies[w], func(r vdps.StrategyRef) bool {
 				return slices.Equal(g.RefPoints(r), []int{p})
 			})
 			if held < 0 {
 				continue
 			}
-			own := NewStateWithStrategies(g, s.Strategies)
-			own.Switch(w, held)
+			own := s.Fresh()
+			own.Switch(w, twin.Strategies[w][held])
 			check(fmt.Sprintf("%s, worker %d holding point %d", label, w, p), own)
 			n++
 		}
 		return n
 	}
 	return 0
+}
+
+// listedTwin returns s when it holds its lists, and otherwise a state over
+// s's generator that holds them and s's joint strategy, so that a check can
+// read lists without building s's own.
+func listedTwin(t *testing.T, s *State) *State {
+	t.Helper()
+	if s.Strategies != nil {
+		return s
+	}
+	twin := NewStateWithStrategies(s.gen, s.gen.StrategySpaces(1))
+	if err := twin.LoadStrategies(s.Current); err != nil {
+		t.Fatal(err)
+	}
+	return twin
 }
 
 // checkLowIndex requires the walk's index of s to hold exactly the live
@@ -689,14 +732,14 @@ func TestFGTNashEquilibrium(t *testing.T) {
 			tmp[w] = p
 			return fairness.IAU(prm, tmp, w)
 		}
-		if u := try(0); s.Current[w] != Null && u > cur+1e-9 {
+		if u := try(0); s.Current[w].Cand != Null && u > cur+1e-9 {
 			t.Errorf("worker %d: Null improves IAU %g -> %g", w, cur, u)
 		}
-		for si := range s.Strategies[w] {
-			if si == s.Current[w] || !s.Available(w, si) {
+		for si, r := range s.Strategies[w] {
+			if r.Cand == s.Current[w].Cand || !s.Available(w, r) {
 				continue
 			}
-			if u := try(s.Strategies[w][si].Payoff); u > cur+1e-9 {
+			if u := try(r.Payoff); u > cur+1e-9 {
 				t.Errorf("worker %d: strategy %d improves IAU %g -> %g (not a NE)",
 					w, si, cur, u)
 			}
@@ -944,19 +987,19 @@ func TestLookupMatchesForWorker(t *testing.T) {
 			if member[w][fmt.Sprint(r)] {
 				return 0
 			}
-			if si := s.Lookup(w, r); si != Null {
-				t.Fatalf("%s worker %d: %s %v found at strategy %d", tc.name, w, kind, r, si)
+			if si := s.Lookup(w, r); si.Cand != Null {
+				t.Fatalf("%s worker %d: %s %v found at strategy %v", tc.name, w, kind, r, si)
 			}
 			return 1
 		}
 		var reversed, otherEntry, otherWorker int
 		for w := range full {
 			for _, f := range full[w] {
-				si := s.Lookup(w, f.Seq)
-				if si == Null {
+				r := s.Lookup(w, f.Seq)
+				if r.Cand == Null {
 					t.Fatalf("%s worker %d: member %v not found", tc.name, w, f.Seq)
 				}
-				if r := s.Strategies[w][si]; int(r.Cand) != f.Candidate ||
+				if int(r.Cand) != f.Candidate ||
 					math.Float64bits(r.Payoff) != math.Float64bits(f.Payoff) {
 					t.Fatalf("%s worker %d: %v found as (cand %d, payoff %v), ForWorker (cand %d, payoff %v)",
 						tc.name, w, f.Seq, r.Cand, r.Payoff, f.Candidate, f.Payoff)

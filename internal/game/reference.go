@@ -9,6 +9,7 @@ package game
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"fairtask/internal/fairness"
 	"fairtask/internal/vdps"
@@ -46,7 +47,7 @@ func ReferenceFGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result,
 		}
 		changes := 0
 		for _, w := range order {
-			if best, ok := referenceBestResponse(s, w, opt, priorities, scratch); ok && best != s.Current[w] {
+			if best, ok := referenceBestResponse(s, w, opt, priorities, scratch); ok && best.Cand != s.Current[w].Cand {
 				s.Switch(w, best)
 				changes++
 			}
@@ -78,9 +79,9 @@ func ReferenceFGT(ctx context.Context, g *vdps.Generator, opt Options) (*Result,
 // scratch payoff vector, exactly like the pre-index solver. The once
 // duplicated utility(0) evaluation for a Null incumbent is folded into one
 // call; the selected strategy is unaffected.
-func referenceBestResponse(s *State, w int, opt Options, priorities []float64, scratch []float64) (int, bool) {
-	if len(s.Strategies[w]) == 0 {
-		return Null, false
+func referenceBestResponse(s *State, w int, opt Options, priorities []float64, scratch []float64) (vdps.StrategyRef, bool) {
+	if len(s.List(w)) == 0 {
+		return Idle, false
 	}
 	copy(scratch, s.Payoffs)
 
@@ -94,21 +95,21 @@ func referenceBestResponse(s *State, w int, opt Options, priorities []float64, s
 
 	best := s.Current[w]
 	var bestU float64
-	if best == Null {
+	if best.Cand == Null {
 		bestU = utility(0)
 	} else {
 		bestU = utility(s.Payoffs[w])
 		// The null strategy is always available.
 		if u := utility(0); u > bestU+opt.EpsilonUtility {
-			best, bestU = Null, u
+			best, bestU = Idle, u
 		}
 	}
-	for si := range s.Strategies[w] {
-		if si == s.Current[w] || !s.Available(w, si) {
+	for _, r := range s.List(w) {
+		if r.Cand == s.Current[w].Cand || !s.Available(w, r) {
 			continue
 		}
-		if u := utility(s.Strategies[w][si].Payoff); u > bestU+opt.EpsilonUtility {
-			best, bestU = si, u
+		if u := utility(r.Payoff); u > bestU+opt.EpsilonUtility {
+			best, bestU = r, u
 		}
 	}
 	return best, true
@@ -116,23 +117,24 @@ func referenceBestResponse(s *State, w int, opt Options, priorities []float64, s
 
 // ReferenceRandomInit is the initial assignment of Algorithms 2 and 3
 // written as a scan of the strategy lists: for each worker in a random
-// order it gathers every available singleton entry of its list and draws
-// among them with NthBest. The reference solvers start from it, and
-// State.RandomInit, which draws from the candidate table instead, must
-// leave the same state and RNG stream.
+// order it gathers every available singleton entry of its list, sorts them
+// by Generator.ComparePayoff and draws one. The reference solvers start
+// from it, and State.RandomInit, which draws from the candidate table
+// instead, must leave the same state and RNG stream.
 func ReferenceRandomInit(s *State, rng *rand.Rand) {
 	order := rng.Perm(len(s.Current))
 	for _, w := range order {
-		var singles []int
-		for si, r := range s.Strategies[w] {
-			if s.gen.SetSize(r.Cand) == 1 && s.Available(w, si) {
-				singles = append(singles, si)
+		var singles []vdps.StrategyRef
+		for _, r := range s.List(w) {
+			if s.gen.SetSize(r.Cand) == 1 && s.Available(w, r) {
+				singles = append(singles, r)
 			}
 		}
 		if len(singles) == 0 {
-			s.Switch(w, Null)
+			s.Switch(w, Idle)
 			continue
 		}
-		s.Switch(w, s.NthBest(w, singles, rng.Intn(len(singles))))
+		slices.SortFunc(singles, s.gen.ComparePayoff)
+		s.Switch(w, singles[rng.Intn(len(singles))])
 	}
 }

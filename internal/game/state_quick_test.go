@@ -2,6 +2,7 @@ package game
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,14 +28,14 @@ func TestStateOwnershipInvariant(t *testing.T) {
 			if len(s.Strategies[w]) == 0 {
 				continue
 			}
-			si := int(op/7) % (len(s.Strategies[w]) + 1)
-			if si == len(s.Strategies[w]) {
-				si = Null
+			r := Idle
+			if si := int(op/7) % (len(s.Strategies[w]) + 1); si < len(s.Strategies[w]) {
+				r = s.Strategies[w][si]
 			}
-			if !s.Available(w, si) {
+			if !s.Available(w, r) {
 				continue
 			}
-			s.Switch(w, si)
+			s.Switch(w, r)
 
 			// Invariant: the assignment derived from Current validates
 			// (disjointness + feasibility + maxDP).
@@ -45,8 +46,10 @@ func TestStateOwnershipInvariant(t *testing.T) {
 			// Invariant: payoffs match the chosen strategies.
 			for w2, cur := range s.Current {
 				want := 0.0
-				if cur != Null {
-					want = s.Strategies[w2][cur].Payoff
+				if cur.Cand != Null {
+					want = s.Strategies[w2][slices.IndexFunc(s.Strategies[w2], func(r vdps.StrategyRef) bool {
+						return r.Cand == cur.Cand
+					})].Payoff
 				}
 				if s.Payoffs[w2] != want {
 					t.Logf("payoff cache inconsistent for worker %d", w2)
@@ -75,17 +78,17 @@ func TestAvailabilityMatchesValidation(t *testing.T) {
 		if len(s.Strategies[w]) == 0 {
 			continue
 		}
-		si := rng.Intn(len(s.Strategies[w]))
-		if !s.Available(w, si) {
+		r := s.Strategies[w][rng.Intn(len(s.Strategies[w]))]
+		if !s.Available(w, r) {
 			continue
 		}
 		before := s.Current[w]
-		s.Switch(w, si)
+		s.Switch(w, r)
 		if err := s.Assignment().Validate(in); err != nil {
 			t.Fatalf("Available=true but switch produced invalid assignment: %v", err)
 		}
 		// Restore to keep exploring diverse states.
-		if before == Null || s.Available(w, before) {
+		if before.Cand == Null || s.Available(w, before) {
 			s.Switch(w, before)
 		}
 	}

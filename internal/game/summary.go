@@ -43,12 +43,12 @@ func NewSummaryTracker(s *State) *SummaryTracker {
 // Update refreshes worker w's tracked payoff; call it after every
 // State.Switch of w.
 func (t *SummaryTracker) Update(w int) {
-	si := t.s.Current[w]
-	if si == Null {
+	r := t.s.Current[w]
+	if r.Cand == Null {
 		t.pay[w] = 0
 		return
 	}
-	t.pay[w] = payoff.Worker(t.s.Instance(), w, t.s.StrategySeq(w, si))
+	t.pay[w] = payoff.Worker(t.s.Instance(), w, t.s.StrategySeq(r))
 }
 
 // DiffAvg returns the payoff difference P_dif (Equation 2) and the mean

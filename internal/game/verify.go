@@ -6,19 +6,21 @@ import (
 
 	"fairtask/internal/fairness"
 	"fairtask/internal/model"
+	"fairtask/internal/vdps"
 )
 
-// Lookup returns the index of worker w's strategy whose visiting sequence
-// is r, or Null when r is not in w's strategy space. It is the one
-// membership rule: LoadAssignment resolves routes through it, and the audit
-// checks membership with it.
-func (s *State) Lookup(w int, r model.Route) int {
-	for si := range s.Strategies[w] {
-		if slices.Equal(s.StrategySeq(w, si), r) {
-			return si
+// Lookup returns worker w's strategy whose visiting sequence is r — the
+// entry of w's list — or Idle when r is not in w's strategy space. It is
+// the one membership rule: LoadAssignment resolves routes through it, and
+// the audit checks membership with it where a route has no witness. It
+// builds the lists on a state that has none.
+func (s *State) Lookup(w int, r model.Route) vdps.StrategyRef {
+	for _, ref := range s.List(w) {
+		if slices.Equal(s.StrategySeq(ref), r) {
+			return ref
 		}
 	}
-	return Null
+	return Idle
 }
 
 // LoadAssignment sets the state's joint strategy to match an existing
@@ -35,15 +37,43 @@ func (s *State) LoadAssignment(a *model.Assignment) error {
 		if len(r) == 0 {
 			continue
 		}
-		si := s.Lookup(w, r)
-		if si == Null {
+		ref := s.Lookup(w, r)
+		if ref.Cand == Null {
 			return fmt.Errorf("game: route %v not in worker %d's strategy space", r, w)
 		}
-		if !s.Available(w, si) {
-			return fmt.Errorf("game: route %v for worker %d conflicts with another worker", r, w)
+		if err := s.hold(w, ref); err != nil {
+			return err
 		}
-		s.Switch(w, si)
 	}
+	return nil
+}
+
+// LoadStrategies sets the state's joint strategy to refs, one per worker:
+// each Idle or a strategy of its worker, as Lookup or vdps.Rule.Strategy
+// returns it. It is LoadAssignment for routes already resolved, and fails
+// as it does on a strategy that overlaps one loaded before it.
+func (s *State) LoadStrategies(refs []vdps.StrategyRef) error {
+	if len(refs) != len(s.Current) {
+		return fmt.Errorf("game: %d strategies for %d workers", len(refs), len(s.Current))
+	}
+	for w, ref := range refs {
+		if ref.Cand == Null {
+			continue
+		}
+		if err := s.hold(w, ref); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hold switches worker w to its strategy ref after checking that ref does
+// not overlap another worker's points.
+func (s *State) hold(w int, ref vdps.StrategyRef) error {
+	if !s.Available(w, ref) {
+		return fmt.Errorf("game: route %v for worker %d conflicts with another worker", s.StrategySeq(ref), w)
+	}
+	s.Switch(w, ref)
 	return nil
 }
 
@@ -84,15 +114,15 @@ func VerifyNE(s *State, opt Options) error {
 	for w := range s.Current {
 		u.load(s.Payoffs)
 		cur := u.at(w, s.Payoffs[w])
-		if s.Current[w] != Null {
+		if s.Current[w].Cand != Null {
 			if v := u.at(w, 0); v > cur+tol {
 				return fmt.Errorf("game: worker %d improves IAU %g -> %g by going idle", w, cur, v)
 			}
 		}
-		if top := s.TopAvailable(w); top != s.Current[w] {
-			if v := u.at(w, s.Strategies[w][top].Payoff); v > cur+tol {
+		if top := s.TopAvailable(w); top.Cand != s.Current[w].Cand {
+			if v := u.at(w, top.Payoff); v > cur+tol {
 				return fmt.Errorf("game: worker %d improves IAU %g -> %g via strategy %v (not a Nash equilibrium)",
-					w, cur, v, s.StrategySeq(w, top))
+					w, cur, v, s.StrategySeq(top))
 			}
 		}
 	}

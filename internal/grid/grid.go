@@ -78,11 +78,23 @@ func (ix *Index) Within(q geo.Point, r float64, dst []int) []int {
 
 // Neighborhoods returns, for every indexed point, the indices of all points
 // within r of it (including itself). It is the bulk form of Within used to
-// precompute the ε-neighbor lists for VDPS generation.
+// precompute the ε-neighbor lists for VDPS generation. It sizes the lists
+// first, in one reused buffer, then writes them all into one backing array
+// of that size, each list a capacity-limited subslice of it: a caller that
+// appends to one list copies it instead of overwriting the next.
 func (ix *Index) Neighborhoods(r float64) [][]int {
+	var buf []int
+	total := 0
+	for _, p := range ix.pts {
+		buf = ix.Within(p, r, buf[:0])
+		total += len(buf)
+	}
+	flat := make([]int, 0, total)
 	out := make([][]int, len(ix.pts))
 	for i, p := range ix.pts {
-		out[i] = ix.Within(p, r, nil)
+		lo := len(flat)
+		flat = ix.Within(p, r, flat)
+		out[i] = flat[lo:len(flat):len(flat)]
 	}
 	return out
 }

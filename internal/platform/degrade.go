@@ -212,7 +212,7 @@ func solveRung(ctx context.Context, in *model.Instance, rg rung, opt Options) (*
 		}
 		start = time.Now()
 		bsp := asp.Child("state.build")
-		s = game.NewState(g)
+		s = game.NewStateOnDemand(g)
 		bsp.End()
 		res, err = rg.solver.Assign(actx, s)
 		elapsed = time.Since(start)

@@ -332,3 +332,47 @@ func TestDegradeWorseRungOrdering(t *testing.T) {
 		}
 	}
 }
+
+// playedFGT is FGT at its options, keeping the state it was last handed.
+// It embeds game.Options, so the rung's audit certifies with VerifyNE.
+type playedFGT struct {
+	game.Options
+	played *game.State
+}
+
+// Assign records s and plays FGT on it.
+func (p *playedFGT) Assign(ctx context.Context, s *game.State) (*game.Result, error) {
+	p.played = s
+	return p.Options.Assign(ctx, s)
+}
+
+// TestW200SolveBuildsNoLists pins the served W200 FGT solve to a state
+// whose lists are built on demand: on GM 1000/200/150 at ε 0.6 every best
+// response walks, so the state the solver played holds no strategy list,
+// audited or not, and the audit that certified it is clean.
+func TestW200SolveBuildsNoLists(t *testing.T) {
+	in, err := dataset.GenerateGM(dataset.GMConfig{Seed: 1, Tasks: 1000, Workers: 200, DeliveryPoints: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, audited := range []bool{false, true} {
+		sp := &playedFGT{Options: game.Options{Seed: 1}}
+		opt := Options{VDPS: vdps.Options{Epsilon: 0.6}}
+		if audited {
+			opt.Audit = &audit.Options{}
+		}
+		res, rep, err := SolveInstance(context.Background(), in, sp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("audited %v: FGT did not converge", audited)
+		}
+		if sp.played.Strategies != nil {
+			t.Fatalf("audited %v: the W200 solve built its strategy lists", audited)
+		}
+		if audited && (!rep.OK() || !slices.Contains(rep.Checks, audit.CheckEquilibrium)) {
+			t.Fatalf("audit checks %v, violations %v; want a clean certificate", rep.Checks, rep.Violations)
+		}
+	}
+}

@@ -155,6 +155,67 @@ func TestColdFallbackGeneratesOnce(t *testing.T) {
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 11))
 }
 
+// TestColdFallbackCachesListsOfListFreeSolve pins the hand-off of a cold
+// fallback whose solve built no strategy list. On a crowded instance (60
+// workers, 30 points) every best response of the fallback's FGT walks, so
+// the state it played holds no list; the engine commits the lists that
+// state builds after the solve, which must equal a fresh build over the
+// batch's instance, and the next delta stays warm and bit-exact against a
+// cold solve.
+func TestColdFallbackCachesListsOfListFreeSolve(t *testing.T) {
+	defer fault.DisarmAll()
+	ctx := context.Background()
+	in := gmInstance(t, 11, 200, 60, 30)
+	opt := Options{VDPS: testVDPS}
+	opt.Game.Seed = 11
+	eng, err := New(ctx, in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskID := liveTask(t, eng)
+
+	fault.Lookup("stream.resolve").Arm(fault.Behavior{Kind: fault.KindError, Count: 1})
+	d := Delta{Seq: 1, Kind: RewardChanged, TaskID: taskID, Reward: 3}
+	res, err := eng.Apply(ctx, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveCold || res.Degraded != "" {
+		t.Fatalf("resolve %q on rung %q, want an exact cold fallback", res.Resolve, res.Degraded)
+	}
+	replayed := in.Clone()
+	if err := Replay(replayed, d); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := vdps.Generate(replayed, testVDPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	played := game.NewStateOnDemand(gen)
+	if _, err := game.FGT(ctx, played, opt.Game); err != nil {
+		t.Fatal(err)
+	}
+	if played.Strategies != nil {
+		t.Fatal("the fallback's FGT built lists on this instance; the test needs one where it builds none")
+	}
+	if !reflect.DeepEqual(eng.lists, game.NewState(gen).Strategies) {
+		t.Fatal("the committed lists differ from a fresh build")
+	}
+	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 11))
+
+	d2 := Delta{Seq: 2, Kind: RewardChanged, TaskID: taskID, Reward: 0.5}
+	if res, err = eng.Apply(ctx, d2); err != nil {
+		t.Fatal(err)
+	}
+	if res.Resolve != ResolveWarm {
+		t.Fatalf("post-fallback resolve = %q, want %q", res.Resolve, ResolveWarm)
+	}
+	if err := Replay(replayed, d2); err != nil {
+		t.Fatal(err)
+	}
+	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 11))
+}
+
 // TestChaosColdFallbackCertifiesWithEngineOptions pins that a cold
 // fallback's audit certifies with the options the engine's dynamics ran:
 // FGT at a utility threshold of 0.5 or 0.1, IEGT at a payoff tolerance of 5

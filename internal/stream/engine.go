@@ -157,7 +157,8 @@ type Engine struct {
 	solver dynamicsAssigner
 	// gen and lists are the warm structures, bit-identical to what a cold
 	// build over inst would produce: lists[w] is the strategy space of
-	// inst.Workers[w], exactly the committed game.State.Strategies.
+	// inst.Workers[w], exactly the lists (game.State.Lists) of the state
+	// the committed result was played on.
 	gen   *vdps.Generator
 	lists [][]vdps.StrategyRef
 	// maxSize is the effective candidate size cap gen was generated with;
@@ -197,7 +198,7 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 		return nil, err
 	}
 	e.gen = gen
-	e.lists = state.Strategies
+	e.lists = state.Lists()
 	e.res = res
 	e.maxSize = vdps.EffectiveMaxSize(e.inst, opt.VDPS)
 	if m := opt.Metrics; m != nil {
@@ -344,7 +345,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 		}
 		return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 	}
-	e.commit(staged, gen, state.Strategies, solved, last, len(ds))
+	e.commit(staged, gen, state.Lists(), solved, last, len(ds))
 	res = e.result(res, start)
 	e.observe(res, ds, time.Since(vstart))
 	return res, nil
@@ -372,8 +373,9 @@ func (e *Engine) Snapshot() Snapshot {
 
 // recover serves the batch through an audited cold solve on the platform
 // ladder after cause broke the warm path, and keeps warm structures for
-// subsequent batches: the exact rung's own generator and lists, or after a
-// degraded rung, which played sampled candidates, a rebuild. The committed
+// subsequent batches: the exact rung's own generator and the lists of the
+// state it played (built after the solve when its dynamics built none), or
+// after a degraded rung, which played sampled candidates, a rebuild. The committed
 // result does not depend on those structures — every resolve replays the
 // dynamics from scratch — so a failed rebuild only marks the engine dirty
 // (forcing regeneration next batch) instead of failing the Apply.
@@ -403,12 +405,12 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 	res.WorkersTouched = len(staged.Workers) + e.departures(staged)
 	res.Audit = report
 	if solved.Degraded == "" {
-		// The exact rung built the generator and the lists for this
-		// instance with the engine's VDPS options, and its audit only read
-		// them.
-		e.commit(staged, solver.state.Generator(), solver.state.Strategies, solved, res.Seq, len(ds))
+		// The exact rung built the generator for this instance with the
+		// engine's VDPS options, and its audit only read it. Its state
+		// builds the lists here if its dynamics never scanned one.
+		e.commit(staged, solver.state.Generator(), solver.state.Lists(), solved, res.Seq, len(ds))
 	} else if gen, err := vdps.GenerateContext(ctx, staged, e.opt.VDPS); err == nil {
-		e.commit(staged, gen, game.NewState(gen).Strategies, solved, res.Seq, len(ds))
+		e.commit(staged, gen, game.NewState(gen).Lists(), solved, res.Seq, len(ds))
 	} else {
 		e.inst = staged
 		e.res = solved

@@ -45,6 +45,29 @@ func (g *Generator) StrategySpaces(par int) [][]StrategyRef {
 	return lists
 }
 
+// StrategyCounts returns the length of every worker's strategy list,
+// indexed by worker — len(WorkerStrategies(w)) for each w — without
+// building a list. A chainable worker with a positive approach time holds
+// exactly its build-order bound (see buildOrder and buildRun); any other
+// worker is counted with its Rule over the table.
+func (g *Generator) StrategyCounts() []int {
+	order, bound := g.buildOrder()
+	counts := make([]int, len(order))
+	for k := range order {
+		r := &order[k]
+		if r.chainable() && r.approach > 0 {
+			counts[r.w] = bound[k]
+			continue
+		}
+		for ci := range g.candidates {
+			if _, ok := r.Strategy(ci); ok {
+				counts[r.w]++
+			}
+		}
+	}
+	return counts
+}
+
 // chainable reports whether the worker's list is a threshold in its
 // approach time: a default speed and an approach time that compares.
 func (r *Rule) chainable() bool {

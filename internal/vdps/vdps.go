@@ -613,6 +613,45 @@ func (g *Generator) ComparePayoff(a, b StrategyRef) int {
 	return g.compareCands(a, b)
 }
 
+// NthBest returns the k-th best of refs under ComparePayoff, counting from
+// 0, as sorting refs by it would place at index k. It selects instead of
+// sorting (Hoare's quickselect around the middle element), so it costs
+// linear time on average, and it reorders refs. The refs must be distinct
+// under ComparePayoff, as a worker's strategies on distinct candidates are;
+// the pivot is recognized by its candidate, so comparing it with itself
+// never reaches ComparePayoff's tie rule, which loads both candidates.
+// The game's random draws select through it, so the strategy a draw takes
+// depends only on the rule, not on the order the refs were gathered in.
+func (g *Generator) NthBest(refs []StrategyRef, k int) StrategyRef {
+	lo, hi := 0, len(refs)-1
+	for lo < hi {
+		p := refs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for refs[i].Cand != p.Cand && g.ComparePayoff(refs[i], p) < 0 {
+				i++
+			}
+			for refs[j].Cand != p.Cand && g.ComparePayoff(refs[j], p) > 0 {
+				j--
+			}
+			if i <= j {
+				refs[i], refs[j] = refs[j], refs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return refs[k]
+		}
+	}
+	return refs[k]
+}
+
 // compareCands is ComparePayoff's tie rule, kept out of line so that the
 // payoff comparison itself inlines into the sorts and scans that call it.
 //
