@@ -190,9 +190,9 @@ func spaceCases(t *testing.T) []spaceCase {
 
 // TestStrategyCountsMatchLists pins the list lengths an on-demand state
 // counts instead of building its lists: on the strategy-space instances,
-// vdps.Generator.StrategyCounts — what NewStateOnDemand holds and
-// TopAvailable's choice reads — equals len(WorkerStrategies(w)) for every
-// worker. The center instance's approach-0 workers hold one strategy fewer
+// vdps.Generator.StrategyCounts — what an on-demand state counts at its
+// first best response and TopAvailable's choice reads — equals
+// len(WorkerStrategies(w)) for every worker. The center instance's approach-0 workers hold one strategy fewer
 // than the candidates whose slack covers their approach time, the bound a
 // positive approach time makes exact.
 func TestStrategyCountsMatchLists(t *testing.T) {
@@ -201,7 +201,7 @@ func TestStrategyCountsMatchLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := NewStateOnDemand(g).counts
+		counts := NewStateOnDemand(g).strategyCounts()
 		if len(counts) != len(tc.in.Workers) {
 			t.Fatalf("%s: %d counts for %d workers", tc.name, len(counts), len(tc.in.Workers))
 		}

@@ -53,7 +53,9 @@ type State struct {
 	// free counts the points no worker holds; Switch keeps it.
 	free int
 	// counts[w] is the length worker w's list has once built: what walks
-	// reads while Strategies is nil. NewStateOnDemand sets it.
+	// reads while Strategies is nil. The first walks of a state without
+	// lists counts them all (strategyCounts); a state whose lists are built
+	// first never does.
 	counts []int
 	// byLow groups the generator's live candidates by lowest point: group p
 	// is byLow[lowStart[p]:lowStart[p+1]], in table order. walkTop builds
@@ -73,15 +75,15 @@ func newState(g *vdps.Generator, par int) *State {
 }
 
 // NewStateOnDemand builds a game state with empty strategy choices and no
-// strategy list yet. It counts each worker's list length instead
-// (vdps.Generator.StrategyCounts), which TopAvailable's choice reads. The
-// random start and a walking best response never read a list, so a solve
-// whose every best response walks builds none; the first reader that needs
-// one builds them all (Lists), each exactly what NewState would hold.
+// strategy list yet. The random start and a walking best response never
+// read a list, so a solve whose every best response walks builds none; the
+// first reader that needs one builds them all (Lists), each exactly what
+// NewState would hold. TopAvailable's choice reads each list's length
+// instead, counted (vdps.Generator.StrategyCounts) at its first call on a
+// state still without lists, so a solver that builds the lists before its
+// first best response, as IEGT and the assigners do, never counts.
 func NewStateOnDemand(g *vdps.Generator) *State {
-	s := emptyState(g)
-	s.counts = g.StrategyCounts()
-	return s
+	return emptyState(g)
 }
 
 // NewStateWithStrategies builds a game state over prebuilt per-worker
@@ -129,10 +131,10 @@ func emptyState(g *vdps.Generator) *State {
 
 // Fresh returns an unplayed state over s's generator that shares what s
 // has built: its strategy lists when it holds them, otherwise their
-// counted lengths, and walkTop's index. It is how a certificate replays a
-// played state's spaces without building them again. The lists are shared
-// as NewStateWithStrategies shares them; lists the fresh state builds
-// later stay its own.
+// lengths if it has counted them, and walkTop's index. It is how a
+// certificate replays a played state's spaces without building them again.
+// The lists are shared as NewStateWithStrategies shares them; lists the
+// fresh state builds later stay its own.
 func (s *State) Fresh() *State {
 	f := emptyState(s.gen)
 	f.Strategies, f.counts = s.Strategies, s.counts
@@ -222,8 +224,21 @@ func (s *State) listLen(w int) int {
 	if s.Strategies != nil {
 		return len(s.Strategies[w])
 	}
-	return s.counts[w]
+	return s.strategyCounts()[w]
 }
+
+// strategyCounts returns every worker's list length, counting them on the
+// first call.
+func (s *State) strategyCounts() []int {
+	if s.counts == nil {
+		s.counts = countStrategies(s.gen)
+	}
+	return s.counts
+}
+
+// countStrategies is vdps.Generator.StrategyCounts, held in a variable so
+// that a test can see whether a solve counts.
+var countStrategies = (*vdps.Generator).StrategyCounts
 
 // scanTop is TopAvailable over worker w's list, in list order. The running
 // top starts at the incumbent, and availability is checked only for an

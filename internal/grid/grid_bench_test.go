@@ -16,38 +16,13 @@ func benchPoints(n int) []geo.Point {
 	return pts
 }
 
-func BenchmarkNew(b *testing.B) {
+// BenchmarkNeighborhoods builds the ε-balls of 5,000 points spread uniformly
+// over a 100 × 100 square at radius 2, about six points a ball.
+func BenchmarkNeighborhoods(b *testing.B) {
 	pts := benchPoints(5000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(pts, 2)
+		Neighborhoods(pts, 2)
 	}
-}
-
-func BenchmarkWithin(b *testing.B) {
-	pts := benchPoints(5000)
-	ix := New(pts, 2)
-	dst := make([]int, 0, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = ix.Within(pts[i%len(pts)], 2, dst[:0])
-	}
-}
-
-// BenchmarkWithinScan is the brute-force baseline Within replaces.
-func BenchmarkWithinScan(b *testing.B) {
-	pts := benchPoints(5000)
-	e := geo.Euclidean{}
-	var hits int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := pts[i%len(pts)]
-		hits = 0
-		for _, p := range pts {
-			if e.Distance(q, p) <= 2 {
-				hits++
-			}
-		}
-	}
-	_ = hits
 }

@@ -211,13 +211,17 @@ func (in *Instance) Validate() error {
 		}
 	}
 
-	// IDs are unique per kind: sort one scratch slice of each kind's IDs
-	// and compare neighbours.
+	// IDs are unique per kind: one scratch slice holds each kind's IDs in
+	// turn, and repeatedID checks it, with a bitmap it keeps in seen. The
+	// bitmap starts on the stack, room for a span of 4,096 IDs.
 	ids := make([]int, 0, max(len(in.Points), in.TaskCount(), len(in.Workers)))
+	var buf [64]uint64
+	seen := buf[:0]
 	for i := range in.Points {
 		ids = append(ids, in.Points[i].ID)
 	}
-	if id, ok := repeatedID(ids); ok {
+	id, ok, seen := repeatedID(ids, seen)
+	if ok {
 		return fmt.Errorf("%w: delivery point %d", ErrDuplicateID, id)
 	}
 	ids = ids[:0]
@@ -226,14 +230,14 @@ func (in *Instance) Validate() error {
 			ids = append(ids, t.ID)
 		}
 	}
-	if id, ok := repeatedID(ids); ok {
+	if id, ok, seen = repeatedID(ids, seen); ok {
 		return fmt.Errorf("%w: task %d", ErrDuplicateID, id)
 	}
 	ids = ids[:0]
 	for i := range in.Workers {
 		ids = append(ids, in.Workers[i].ID)
 	}
-	if id, ok := repeatedID(ids); ok {
+	if id, ok, _ := repeatedID(ids, seen); ok {
 		return fmt.Errorf("%w: worker %d", ErrDuplicateID, id)
 	}
 	return nil
@@ -251,16 +255,55 @@ func (in *Instance) ValidateTotalReward() error {
 	return nil
 }
 
-// repeatedID sorts ids in place and reports a value that occurs more than
-// once.
-func repeatedID(ids []int) (int, bool) {
+// repeatedID reports the smallest value that occurs more than once in ids,
+// the one a scan of the sorted slice finds first. It sorts only when it
+// must. A strictly ascending slice repeats nothing, which the pass that
+// finds the smallest and largest values shows. A slice whose values span at
+// most 64 per ID is marked off in a bitmap of the span: seen's array when
+// it is large enough, else a new one sized for any slice of ids' capacity,
+// returned for the next call. Any other slice is sorted in place and
+// scanned.
+func repeatedID(ids []int, seen []uint64) (int, bool, []uint64) {
+	if len(ids) < 2 {
+		return 0, false, seen
+	}
+	lo, hi, ascending := ids[0], ids[0], true
+	for i := 1; i < len(ids); i++ {
+		v := ids[i]
+		ascending = ascending && v > ids[i-1]
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if ascending {
+		return 0, false, seen
+	}
+	if span := uint64(hi) - uint64(lo); span <= 64*uint64(len(ids)) {
+		words := int(span>>6) + 1
+		bits := seen
+		if cap(bits) < words {
+			bits = make([]uint64, words, max(words, cap(ids)+1))
+		} else {
+			bits = bits[:words]
+			clear(bits)
+		}
+		dup, found := 0, false
+		for _, v := range ids {
+			o := uint64(v) - uint64(lo)
+			w, b := o>>6, uint64(1)<<(o&63)
+			if bits[w]&b == 0 {
+				bits[w] |= b
+			} else if !found || v < dup {
+				dup, found = v, true
+			}
+		}
+		return dup, found, bits
+	}
 	slices.Sort(ids)
 	for i := 1; i < len(ids); i++ {
 		if ids[i] == ids[i-1] {
-			return ids[i], true
+			return ids[i], true, seen
 		}
 	}
-	return 0, false
+	return 0, false, seen
 }
 
 // Clone returns a deep copy of the instance: points (with their task

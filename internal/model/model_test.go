@@ -2,7 +2,11 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"fairtask/internal/geo"
@@ -84,6 +88,107 @@ func TestValidateAllocs(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("Validate allocates %v times per call, want at most 1", n)
+	}
+}
+
+// sortedRepeat is the sorted scan repeatedID must agree with: the first
+// repeated value of the sorted IDs, which is the smallest.
+func sortedRepeat(ids []int) (int, bool) {
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return s[i], true
+		}
+	}
+	return 0, false
+}
+
+// TestRepeatedID pins repeatedID to the sorted scan on each of its paths:
+// the strictly ascending pass, the bitmap (on the stack and past it) and the
+// sort it falls back to for a wide span. It reports the same verdict and
+// the same ID, the smallest repeated value.
+func TestRepeatedID(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	perm := func(lo, n int) []int {
+		ids := make([]int, n)
+		for i, p := range rng.Perm(n) {
+			ids[i] = lo + p
+		}
+		return ids
+	}
+	withRepeat := func(ids []int, at, of int) []int {
+		ids = slices.Clone(ids)
+		ids[at] = ids[of]
+		return ids
+	}
+	contiguous := perm(0, 100)
+	large := perm(-5000, 10000)
+	imin, imax := slices.Index(contiguous, 0), slices.Index(contiguous, 99)
+	cases := []struct {
+		name string
+		ids  []int
+	}{
+		{"empty", nil},
+		{"one", []int{7}},
+		{"ascending", []int{-3, 0, 4, 90}},
+		{"ascending with a repeat", []int{1, 2, 2, 3}},
+		{"descending", []int{9, 5, 2, -1}},
+		{"permuted contiguous", contiguous},
+		{"permuted contiguous, repeat at the minimum", withRepeat(contiguous, (imin+1)%100, imin)},
+		{"permuted contiguous, repeat at the maximum", withRepeat(contiguous, (imax+1)%100, imax)},
+		{"two repeats", []int{8, 2, 8, 2, 5}},
+		{"negative", []int{-5, -1, -3, -2, -4}},
+		{"negative, repeat at the minimum", []int{-4, -1, -4, -2, -3}},
+		{"negative, repeat at the maximum", []int{-1, -5, -3, -1, -2}},
+		{"span past the stack bitmap", large},
+		{"span past the stack bitmap, repeat", withRepeat(large, 17, 9000)},
+		{"wide span", []int{0, 1 << 40, 5, -(1 << 40)}},
+		{"wide span, repeat at the maximum", []int{1 << 40, 3, 1 << 40, 5}},
+		{"wide span, repeat at the minimum", []int{-(1 << 40), 9, 1 << 40, -(1 << 40)}},
+		{"full int range", []int{math.MaxInt, math.MinInt, 0, math.MinInt, math.MaxInt}},
+	}
+	for i := 0; i < 300; i++ {
+		n, span := 2+rng.Intn(40), 1+rng.Intn(200)
+		if i%3 == 0 {
+			span = 1 << 20 // past 64 per ID: the sort
+		}
+		ids := make([]int, n)
+		for j := range ids {
+			ids[j] = rng.Intn(span) - span/2
+		}
+		cases = append(cases, struct {
+			name string
+			ids  []int
+		}{fmt.Sprintf("random %d", i), ids})
+	}
+	var buf [64]uint64
+	seen := buf[:0]
+	for _, tc := range cases {
+		wantID, want := sortedRepeat(tc.ids)
+		var id int
+		var ok bool
+		id, ok, seen = repeatedID(slices.Clone(tc.ids), seen)
+		if ok != want || ok && id != wantID {
+			t.Errorf("%s: repeatedID = %d, %v; the sorted scan finds %d, %v", tc.name, id, ok, wantID, want)
+		}
+	}
+}
+
+// TestValidateReportsSmallestRepeatedID checks the ID a duplicate-ID error
+// names when the IDs are not in order: the smallest repeated one, for each
+// kind.
+func TestValidateReportsSmallestRepeatedID(t *testing.T) {
+	in := testInstance()
+	in.Points[0].ID, in.Points[1].ID, in.Points[2].ID = 4, 4, 4
+	in.Points[0].Tasks[0].ID, in.Points[2].Tasks[1].ID = 2, 2
+	if err := in.Validate(); err == nil || !strings.HasSuffix(err.Error(), "delivery point 4") {
+		t.Errorf("Validate = %v, want the repeated point ID 4", err)
+	}
+	in.Points[0].ID, in.Points[1].ID, in.Points[2].ID = 9, 3, 6
+	in.Points[1].Tasks[0].ID, in.Points[0].Tasks[1].ID = 12, 12 // 2 and 12 repeat
+	if err := in.Validate(); err == nil || !strings.HasSuffix(err.Error(), "task 2") {
+		t.Errorf("Validate = %v, want the smallest repeated task ID 2", err)
 	}
 }
 

@@ -93,12 +93,28 @@ type dp struct {
 
 	stats Stats
 	sc    *scratch
-	out   []Candidate
+	// made counts what the candidates emit recorded so far hold.
+	made tally
 }
 
-// scratch holds the working buffers of a DP run. No output lives in it: the
-// candidates are written to fresh slabs. Runs keep it between them (see
-// kept), so every buffer is overwritten before it is read.
+// tally counts what a run's candidates hold: how many there are, their
+// points, their trimmed mask words, their frontier states and the points of
+// those states' sequences. That is what the table pass allocates, and its
+// bytes are the candidates' (see Candidate.bytes).
+type tally struct {
+	cands, points, words, states, seqPoints int
+}
+
+// bytes returns the bytes the counted candidates hold: each one's table
+// entry and its slab bytes, as Candidate.bytes counts them.
+func (t tally) bytes() int {
+	return t.cands*entryBytes + (t.points+t.seqPoints)*intBytes + t.words*wordBytes + t.states*stateBytes
+}
+
+// scratch holds the working buffers of a DP run, and the candidates the run
+// records level by level until the table pass copies them out to
+// exact-size slabs. Runs keep it between them (see kept), so every buffer
+// is overwritten before it is read.
 type scratch struct {
 	expiry, reward []float64
 	// ents[k] holds the frontier entries of the size-(k+1) level.
@@ -119,17 +135,21 @@ type scratch struct {
 	cnt, perm []int32  // counting-sort buckets; emit's second order
 	words     []uint64 // one set's bitset words
 	fr        []ext    // the frontier being merged
-	// One level's candidates: cands[c] is a node of candidate c's set, and
-	// its frontier is cfr[cfirst[c]:cfirst[c+1]].
-	cands, cfirst []int32
-	cfr           []ext
+	// The run's candidates, in the order emit records them: level by level,
+	// lexicographically within a level. Candidate c's frontier states are
+	// the entries cfr[cfirst[c]:cfirst[c+1]] of its level, in ascending
+	// time, and the size-k candidates' point tuples follow one another in
+	// ctup after those of the smaller sizes. upTo[k] is the number of
+	// candidates of size at most k.
+	ctup, cfirst, cfr []int32
+	upTo              []int32
 }
 
-// scratchCap is the most bytes of buffers a kept scratch may hold. Measured:
-// a W200 run (GM 1000/200/150, ε 0.6) uses 3.0 MB, GM 200/40/60 unpruned
-// 9.2 MB, the cold generation of the stream benchmark's instance (GM
-// 360/8/120, ε 1.5) 10.8 MB, and that stream's restricted re-runs 0.45–1.4
-// MB. So a W200 solve's scratch is kept, while the stream's cold
+// scratchCap is the most bytes of buffers a kept scratch may hold. Measured
+// on fresh scratch, the run's recorded candidates included: a W200 run (GM
+// 1000/200/150, ε 0.6) uses 2.6 MB, GM 200/40/60 unpruned 8.1 MB, and the
+// cold generation of the stream benchmark's instance (GM 360/8/120, ε 1.5)
+// 9.4 MB. So a W200 solve's scratch is kept, while the stream's cold
 // generation, which a state build and the dynamics follow, does not hold on
 // to its buffers through them.
 const scratchCap = 8 << 20
@@ -184,7 +204,7 @@ func (sc *scratch) bytes() int {
 	n += capBytes(sc.tq) + capBytes(sc.tfirst) + capBytes(sc.start) + capBytes(sc.found) +
 		capBytes(sc.slot) + capBytes(sc.exts) + capBytes(sc.sorted)
 	return n + capBytes(sc.cnt) + capBytes(sc.perm) + capBytes(sc.words) + capBytes(sc.fr) +
-		capBytes(sc.cands) + capBytes(sc.cfirst) + capBytes(sc.cfr)
+		capBytes(sc.ctup) + capBytes(sc.cfirst) + capBytes(sc.cfr) + capBytes(sc.upTo)
 }
 
 func capBytes[S ~[]E, E any](s S) int {
@@ -229,21 +249,18 @@ func (g *Generator) newDP(maxSize int) *dp {
 	return &dp{in: g.inst, n: n, nw: (n + 63) / 64, maxSize: maxSize, eps: epsilon(g.opt), nb: g.neighborhoods()}
 }
 
-// run executes the DP and returns the candidates in (size, lexicographic
-// points) order. maxSets > 0 makes a level that takes base plus the
-// candidates so far past maxSets fail with ErrTooManySets; the singleton
-// level is exempt. Cancellation is polled at level boundaries and every 64
-// nodes, and returns ctx.Err() with no partial result. The run works in a
-// kept scratch and gives it back when it returns.
-func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
+// run executes the DP and records the candidates in the scratch, in
+// (size, lexicographic points) order, for the table pass (appendTable) to
+// copy out; d.made counts them. maxSets > 0 makes a level that takes base
+// plus the candidates so far past maxSets fail with ErrTooManySets; the
+// singleton level is exempt. Cancellation is polled at level boundaries and
+// every 64 nodes, and returns ctx.Err() with nothing to copy out. The run
+// works in a kept scratch, which it holds until release.
+func (d *dp) run(ctx context.Context, maxSets, base int) error {
 	if d.n == 0 {
-		return nil, nil
+		return nil
 	}
 	d.sc = takeScratch()
-	defer func() {
-		keepScratch(d.sc)
-		d.sc = nil
-	}()
 	in, sc := d.in, d.sc
 	sc.expiry = resize(sc.expiry, d.n)
 	sc.reward = resize(sc.reward, d.n)
@@ -251,6 +268,8 @@ func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 		sc.expiry[i] = in.Points[i].EarliestExpiry()
 		sc.reward[i] = in.Points[i].TotalReward()
 	}
+	sc.ctup, sc.cfirst, sc.cfr = sc.ctup[:0], append(sc.cfirst[:0], 0), sc.cfr[:0]
+	sc.upTo = append(sc.upTo[:0], 0)
 	// The singletons, created in ascending point order.
 	cur := &sc.cur
 	ents := room(sc.level(0), d.n)
@@ -274,21 +293,30 @@ func (d *dp) run(ctx context.Context, maxSets, base int) ([]Candidate, error) {
 
 	for size := 2; size <= d.maxSize && len(sc.cur.lo) > 0; size++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := d.expand(ctx, size); err != nil {
-			return nil, err
+			return err
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		sc.cur, sc.nxt = sc.nxt, sc.cur
 		d.stats.SubsetsExplored += len(sc.cur.lo)
-		if k := d.emit(size); k > 0 && maxSets > 0 && base+len(d.out) > maxSets {
-			return nil, ErrTooManySets
+		if k := d.emit(size); k > 0 && maxSets > 0 && base+d.made.cands > maxSets {
+			return ErrTooManySets
 		}
 	}
-	return d.out, nil
+	return nil
+}
+
+// release gives the run's scratch back to the kept list. The recorded
+// candidates are gone after it.
+func (d *dp) release() {
+	if d.sc != nil {
+		keepScratch(d.sc)
+		d.sc = nil
+	}
 }
 
 // expand builds the size-level nodes into the scratch's nxt level by
@@ -440,9 +468,9 @@ func (d *dp) expand(ctx context.Context, size int) error {
 }
 
 // emit groups the cur level's nodes by set, merges each set's nodes into one
-// candidate, applying dominance across them in creation order, and appends
-// the candidates to d.out in lexicographic order, backed by fresh slabs. It
-// returns the number of candidates the level produced.
+// candidate, applying dominance across them in creation order, and records
+// the candidates in the scratch, in lexicographic order, counting them in
+// d.made. It returns the number of candidates the level produced.
 //
 // The grouping is a stable LSD counting sort of the nodes on their ascending
 // point tuples, one pass per position and one bucket per point. It leaves
@@ -452,7 +480,7 @@ func (d *dp) expand(ctx context.Context, size int) error {
 // node, since expand walks the runs, but only the sets holding a changed
 // point become candidates.
 func (d *dp) emit(size int) int {
-	sc, nw := d.sc, d.nw
+	sc := d.sc
 	cur := &sc.cur
 	ents := sc.ents[size-1]
 	nn := len(cur.lo)
@@ -479,7 +507,8 @@ func (d *dp) emit(size int) int {
 	cur.byset, sc.perm, sc.cnt = by, tmp, cnt
 
 	runs := room(cur.runs, nn+1)
-	cands, cfirst, cfr := room(sc.cands, nn), append(room(sc.cfirst, nn+1), 0), room(sc.cfr, len(ents))
+	ctup, cfirst, cfr := sc.ctup, sc.cfirst, sc.cfr
+	k := 0
 	for i := 0; i < nn; {
 		t := cur.tuple(by[i], size)
 		j := i + 1
@@ -502,58 +531,81 @@ func (d *dp) emit(size int) int {
 				}
 			}
 			sc.fr = fr
-			cfr = append(cfr, fr...)
-			cands = append(cands, by[i])
-			cfirst = append(cfirst, int32(len(cfr)))
+			cfr = grow(cfr, len(fr))
+			for _, st := range fr {
+				cfr = append(cfr, st.parent)
+			}
+			cfirst = append(grow(cfirst, 1), int32(len(cfr)))
+			ctup = append(grow(ctup, size), t...)
+			k++
+			d.made.words += int(t[size-1])>>6 + 1
+			d.made.states += len(fr)
+			d.made.seqPoints += len(fr) * size
 		}
 		i = j
 	}
 	cur.runs = append(runs, int32(nn))
-	sc.cands, sc.cfirst, sc.cfr = cands, cfirst, cfr
-
-	k := len(cands)
-	if k == 0 {
-		return 0
-	}
-	pts := make([]int, 0, k*size)
-	masks := make(bitset.Set, 0, k*nw)
-	front := make([]State, 0, len(cfr))
-	seqs := make([]int, 0, len(cfr)*size)
-	d.out = grow(d.out, k)
-	words := resize(sc.words, nw)
-	for c, v := range cands {
-		var cand Candidate
-		i := len(pts)
-		clear(words)
-		for _, p := range cur.tuple(v, size) {
-			pts = append(pts, int(p))
-			cand.Reward += sc.reward[p]
-			words[p>>6] |= 1 << (p & 63)
-		}
-		cand.Points = pts[i:len(pts):len(pts)]
-		// Trim the mask to its last non-empty word, as bitset.Of builds it.
-		tl := nw
-		for tl > 1 && words[tl-1] == 0 {
-			tl--
-		}
-		cand.Mask, masks = appendClip(masks, bitset.Set(words[:tl]))
-		i = len(front)
-		for _, st := range cfr[cfirst[c]:cfirst[c+1]] {
-			j := len(seqs)
-			seqs = seqs[:j+size]
-			seq := seqs[j : j+size : j+size]
-			for lv, x := size-1, st.parent; lv >= 0; lv-- {
-				en := &sc.ents[lv][x]
-				seq[lv] = int(en.point)
-				x = en.parent
-			}
-			front = append(front, State{Seq: seq, Time: st.time, Slack: st.slack})
-		}
-		cand.Frontier = front[i:len(front):len(front)]
-		d.out = append(d.out, cand)
-	}
-	sc.words = words
+	sc.ctup, sc.cfirst, sc.cfr = ctup, cfirst, cfr
+	sc.upTo = append(sc.upTo, sc.upTo[len(sc.upTo)-1]+int32(k))
+	d.made.cands += k
+	d.made.points += k * size
 	return k
+}
+
+// appendTable is the table pass: it appends the run's recorded candidates
+// to g's table, in the order recorded, and their flat entries (see
+// appendFlat), which must have room for them. Their points, masks, frontier
+// states and sequences go to four slabs allocated at their exact sizes,
+// each candidate's a capacity-limited window into them. A mask is trimmed
+// to its last non-empty word, as bitset.Of builds it, and the reward sums
+// the points' rewards in ascending point order.
+func (d *dp) appendTable(g *Generator) {
+	t := d.made
+	if t.cands == 0 {
+		return
+	}
+	sc := d.sc
+	pts := make([]int, 0, t.points)
+	masks := make(bitset.Set, 0, t.words)
+	front := make([]State, 0, t.states)
+	seqs := make([]int, 0, t.seqPoints)
+	c, off := 0, 0
+	for size := 1; size < len(sc.upTo); size++ {
+		for ; c < int(sc.upTo[size]); c++ {
+			tup := sc.ctup[off : off+size]
+			off += size
+			var cand Candidate
+			i := len(pts)
+			for _, p := range tup {
+				pts = append(pts, int(p))
+				cand.Reward += sc.reward[p]
+			}
+			cand.Points = pts[i:len(pts):len(pts)]
+			i = len(masks)
+			masks = masks[:i+int(tup[size-1])>>6+1]
+			clear(masks[i:])
+			for _, p := range tup {
+				masks[i+int(p)>>6] |= 1 << (p & 63)
+			}
+			cand.Mask = masks[i:len(masks):len(masks)]
+			i = len(front)
+			for _, e := range sc.cfr[sc.cfirst[c]:sc.cfirst[c+1]] {
+				j := len(seqs)
+				seqs = seqs[:j+size]
+				seq := seqs[j : j+size : j+size]
+				for lv, x := size-1, e; lv >= 0; lv-- {
+					en := &sc.ents[lv][x]
+					seq[lv] = int(en.point)
+					x = en.parent
+				}
+				st := &sc.ents[size-1][e]
+				front = append(front, State{Seq: seq, Time: st.time, Slack: st.slack})
+			}
+			cand.Frontier = front[i:len(front):len(front)]
+			g.candidates = append(g.candidates, cand)
+			g.appendFlat(&g.candidates[len(g.candidates)-1])
+		}
+	}
 }
 
 // holdsChanged reports whether the set with ascending points t holds a

@@ -14,7 +14,6 @@ import (
 	"fairtask/internal/bitset"
 	"fairtask/internal/dataset"
 	"fairtask/internal/geo"
-	"fairtask/internal/grid"
 	"fairtask/internal/model"
 )
 
@@ -43,13 +42,18 @@ func referenceGenerate(ctx context.Context, in *model.Instance, opt Options) (*G
 	for i := range in.Points {
 		expiry[i] = in.Points[i].EarliestExpiry()
 	}
+	// Each point's ε-ball by a scan of every point, independent of the
+	// generator's cell index.
 	var neighbors [][]int
 	if !math.IsInf(eps, 1) && !opt.DisableIndex && n > 0 {
-		locs := make([]geo.Point, n)
+		neighbors = make([][]int, n)
 		for i := range in.Points {
-			locs[i] = in.Points[i].Loc
+			for j := range in.Points {
+				if (geo.Euclidean{}).Distance(in.Points[i].Loc, in.Points[j].Loc) <= eps {
+					neighbors[i] = append(neighbors[i], j)
+				}
+			}
 		}
-		neighbors = grid.New(locs, eps).Neighborhoods(eps)
 	}
 
 	level := make([]*refState, 0, n)

@@ -232,6 +232,7 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	}
 	in := g.inst
 	d := g.newDP(g.stats.MaxSetSize)
+	defer d.release()
 	d.changed = bitset.New(len(in.Points))
 	for _, p := range points {
 		d.changed = d.changed.With(p)
@@ -245,10 +246,10 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 			dropped = append(dropped, ci)
 		}
 	}
-	fresh, err := d.run(ctx, g.opt.MaxSets, g.stats.Candidates-len(dropped))
-	if err != nil {
+	if err := d.run(ctx, g.opt.MaxSets, g.stats.Candidates-len(dropped)); err != nil {
 		return ExpiryRepair{}, err
 	}
+	fresh := d.made.cands
 
 	for _, ci := range dropped {
 		b := g.candidates[ci].bytes()
@@ -260,34 +261,23 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		g.fold[ci] = 0
 		g.low[ci] = 0
 	}
-	for i := range fresh {
-		g.liveBytes += fresh[i].bytes()
-	}
-	g.stats.Candidates += len(fresh) - len(dropped)
+	g.liveBytes += d.made.bytes()
+	g.stats.Candidates += fresh - len(dropped)
 	live := g.stats.Candidates
 	// A compaction cycle gathers about as many tombstones as there are live
 	// candidates, so a table that must grow gets room for twice the live
 	// count. A full table that already holds half that many tombstones
 	// compacts instead of growing: a table-sized allocation just before the
 	// compaction would set the memory peak.
-	tombstones := len(g.candidates) - (live - len(fresh))
-	full := len(g.candidates)+len(fresh) > cap(g.candidates)
+	tombstones := len(g.candidates) - (live - fresh)
+	full := len(g.candidates)+fresh > cap(g.candidates)
 	rep := ExpiryRepair{dropped: len(dropped)}
 	if g.staleBytes > g.liveBytes || full && 2*tombstones >= live {
 		rep.remap = g.compact()
 	}
 	rep.fresh = len(g.candidates)
-	g.candidates = append(reserve(g.candidates, len(fresh), 2*live), fresh...)
-	g.maxSlack = reserve(g.maxSlack, len(fresh), 2*live)
-	g.setSize = reserve(g.setSize, len(fresh), 2*live)
-	g.fold = reserve(g.fold, len(fresh), 2*live)
-	g.low = reserve(g.low, len(fresh), 2*live)
-	for i := range fresh {
-		g.maxSlack = append(g.maxSlack, fresh[i].MaxSlack())
-		g.setSize = append(g.setSize, int32(len(fresh[i].Points)))
-		g.fold = append(g.fold, fresh[i].Mask.Fold())
-		g.low = append(g.low, int32(fresh[i].Points[0]))
-	}
+	g.reserveTable(fresh, 2*live)
+	d.appendTable(g)
 	rep.end = len(g.candidates)
 	return rep, nil
 }

@@ -117,3 +117,42 @@ func TestGenerateScratchParallel(t *testing.T) {
 	wg.Wait()
 	checkKept()
 }
+
+// TestGenerateAllocsFixed bounds what one small center's generation
+// allocates: center 0 of the 32-center SYN problem the served
+// multicenter-audit solve runs (30 points, ε 2). With its scratch kept, a
+// run allocates the generator, its ε-balls and their legs, the validation's
+// ID list and the candidate table, each once, so the count is the same
+// whether the DP runs one level or three.
+func TestGenerateAllocsFixed(t *testing.T) {
+	p, err := dataset.GenerateSYN(dataset.SYNConfig{
+		Seed: 1, Centers: 32, Tasks: 3200, Workers: 320, DeliveryPoints: 640,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &p.Instances[0]
+	const bound = 24
+	var first float64
+	for _, maxSize := range []int{1, 2, 3} {
+		opt := Options{Epsilon: 2, MaxSize: maxSize}
+		g, err := Generate(in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := Generate(in, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("MaxSize %d: %d candidates, %v allocations", maxSize, g.Stats().Candidates, n)
+		if n > bound {
+			t.Errorf("MaxSize %d: %v allocations per Generate, want at most %d", maxSize, n, bound)
+		}
+		if maxSize == 1 {
+			first = n
+		} else if n != first {
+			t.Errorf("MaxSize %d: %v allocations, %v at MaxSize 1: the count grows with the levels", maxSize, n, first)
+		}
+	}
+}

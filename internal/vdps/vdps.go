@@ -45,15 +45,18 @@
 // The DP runs on flat per-level arrays. Each level's (set, last) nodes are
 // grouped by set with a stable counting sort on their ascending point
 // tuples, which also lays the candidates out in lexicographic order. Each
-// frontier entry links to its parent entry one level down, and a sequence is
-// built only for the entries that survive into a candidate's frontier. The
-// working arrays are kept between runs, within a size bound, so a run
-// allocates little beyond its candidates. Generation order is fixed — nodes
-// in creation order, successors in ascending point order, frontier entries
-// in list order — which gives the tie rule: when two sequences of one set
-// have exactly the same (Time, Slack), the first one generated survives. The
-// choice is the same on every call, and the grid index, whose sorted ε-ball
-// lists only filter the every-point order, cannot change it.
+// frontier entry links to its parent entry one level down. A run records
+// each level's candidates in its working arrays and copies them out once,
+// at its end, to slabs of their exact size, building a sequence only for
+// the entries that survive into a candidate's frontier. The working arrays
+// are kept between runs, within a size bound, so a run allocates little
+// beyond its candidates. Generation order is fixed — nodes in creation
+// order, successors in ascending point order, frontier entries in list
+// order — which gives the tie rule: when two sequences of one set have
+// exactly the same (Time, Slack), the first one generated survives. The
+// choice is the same on every call, and the ε-ball lists cannot change it:
+// they hold a point's successors in the ascending order of the every-point
+// lists, whose points outside the ball the ε rule would drop anyway.
 package vdps
 
 import (
@@ -312,38 +315,58 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 	maxSize := EffectiveMaxSize(in, opt)
 	g := &Generator{inst: in, opt: opt}
 	d := g.newDP(maxSize)
-	cands, err := d.run(ctx, opt.MaxSets, 0)
+	defer d.release()
+	err := d.run(ctx, opt.MaxSets, 0)
 	if errors.Is(err, ErrTooManySets) {
 		return nil, fmt.Errorf("%w: more than %d", ErrTooManySets, opt.MaxSets)
 	}
 	if err != nil {
 		return nil, err
 	}
-	g.candidates, g.stats = cands, d.stats
+	g.stats = d.stats
 	g.stats.MaxSetSize = maxSize
-	g.finish()
+	g.stats.Candidates = d.made.cands
+	g.reserveTable(d.made.cands, d.made.cands)
+	d.appendTable(g)
+	g.liveBytes = d.made.bytes()
 	return g, nil
 }
 
 // finish derives the candidate count, the per-candidate feasibility arrays
-// the batch strategy scans use and the live slab bytes from the candidate
-// table. Every Generator constructor must end with it so WorkerStrategies
-// sees a complete view; RepairExpiries keeps the same fields up to date as
-// it tombstones and appends candidates instead.
+// the batch strategy scans use and the live slab bytes from a candidate
+// table built outside the DP (the sampler's). A constructor must end with
+// it, or fill the same fields as the DP's table pass does, so that
+// WorkerStrategies sees a complete view; RepairExpiries keeps them up to
+// date as it tombstones and appends candidates.
 func (g *Generator) finish() {
-	g.stats.Candidates = len(g.candidates)
-	g.maxSlack = make([]float64, len(g.candidates))
-	g.setSize = make([]int32, len(g.candidates))
-	g.fold = make([]uint64, len(g.candidates))
-	g.low = make([]int32, len(g.candidates))
+	n := len(g.candidates)
+	g.stats.Candidates = n
+	g.maxSlack, g.setSize = make([]float64, 0, n), make([]int32, 0, n)
+	g.fold, g.low = make([]uint64, 0, n), make([]int32, 0, n)
 	for ci := range g.candidates {
-		c := &g.candidates[ci]
-		g.maxSlack[ci] = c.MaxSlack()
-		g.setSize[ci] = int32(len(c.Points))
-		g.fold[ci] = c.Mask.Fold()
-		g.low[ci] = int32(c.Points[0])
-		g.liveBytes += c.bytes()
+		g.appendFlat(&g.candidates[ci])
+		g.liveBytes += g.candidates[ci].bytes()
 	}
+}
+
+// reserveTable makes room in the candidate table and its flat arrays for k
+// more candidates, reallocating each that must grow to a capacity of
+// max(its length + k, c).
+func (g *Generator) reserveTable(k, c int) {
+	g.candidates = reserve(g.candidates, k, c)
+	g.maxSlack = reserve(g.maxSlack, k, c)
+	g.setSize = reserve(g.setSize, k, c)
+	g.fold = reserve(g.fold, k, c)
+	g.low = reserve(g.low, k, c)
+}
+
+// appendFlat appends the flat entries of candidate c, the table's next:
+// its maxSlack, setSize, fold and low.
+func (g *Generator) appendFlat(c *Candidate) {
+	g.maxSlack = append(g.maxSlack, c.MaxSlack())
+	g.setSize = append(g.setSize, int32(len(c.Points)))
+	g.fold = append(g.fold, c.Mask.Fold())
+	g.low = append(g.low, int32(c.Points[0]))
 }
 
 // epsilon returns the options' pruning threshold, +Inf when disabled.
@@ -358,8 +381,8 @@ func epsilon(opt Options) float64 {
 // generator uses — the DP, its restricted re-runs, their hop bound and the
 // sampler — as a handle whose at method gives a point's successors in
 // ascending order and each successor's leg from it under the travel model.
-// With ε enabled the successors are the point's Euclidean ε-ball from the
-// grid index, and their legs are cached. That ball is a superset filter for
+// With ε enabled the successors are the point's Euclidean ε-ball
+// (grid.Neighborhoods), and their legs are cached. That ball is a superset filter for
 // metrics whose distance is >= Euclidean (e.g. Manhattan), so its users
 // keep checking each leg against ε. With ε disabled, or DisableIndex set,
 // every point succeeds every point (one shared index slice), and a point's
@@ -387,10 +410,9 @@ func (g *Generator) neighborhoods() successors {
 			for i := range in.Points {
 				locs[i] = in.Points[i].Loc
 			}
-			g.nbrs = grid.New(locs, eps).Neighborhoods(eps)
+			g.nbrs = grid.Neighborhoods(locs, eps)
 			total := 0
 			for _, nb := range g.nbrs {
-				slices.Sort(nb)
 				total += len(nb)
 			}
 			flat := make([]leg, 0, total)

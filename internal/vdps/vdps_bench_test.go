@@ -58,6 +58,30 @@ func BenchmarkGenerateW200(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateSYNCenters is the candidate-generation layer of the
+// served multicenter-audit solve (servebench's solve-multicenter-audit and
+// the fta package's BenchmarkServeSolveAudit): Generate at ε 2 on each of
+// the 32 centers of the SYN problem of seed 1 (3200 tasks, 320 workers,
+// 640 points; 12 to 30 points a center), one after another. Each center's
+// DP is small, so what a run costs beyond its candidates shows here.
+func BenchmarkGenerateSYNCenters(b *testing.B) {
+	p, err := dataset.GenerateSYN(dataset.SYNConfig{
+		Seed: 1, Centers: 32, Tasks: 3200, Workers: 320, DeliveryPoints: 640,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for ci := range p.Instances {
+			if _, err := Generate(&p.Instances[ci], Options{Epsilon: 2}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkGenerateUnpruned(b *testing.B) {
 	in := benchInstance(60)
 	b.ResetTimer()
