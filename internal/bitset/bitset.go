@@ -46,17 +46,6 @@ func (s Set) Has(i int) bool {
 	return w < len(s) && s[w]&(1<<uint(i%64)) != 0
 }
 
-// Fold returns the set's words OR-ed into one word: bit i%64 is set for
-// every member i. Two sets whose folds share no bit are disjoint, so a
-// stored fold is a one-word filter in front of Intersects.
-func (s Set) Fold() uint64 {
-	var f uint64
-	for _, w := range s {
-		f |= w
-	}
-	return f
-}
-
 // Intersects reports whether s and t share any bit.
 func (s Set) Intersects(t Set) bool {
 	n := len(s)

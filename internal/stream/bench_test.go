@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"maps"
 	"sort"
 	"testing"
 	"time"
@@ -116,6 +117,77 @@ func benchPhases(b *testing.B) {
 	}
 }
 
+// servedSetup builds servebench's stream-reprice-expiry workload in
+// process: the GM instance of seed 7 (360 tasks, 8 workers, 120 points) at
+// ε 1.5 with FGT at seed 7, and its delta sequence, GenerateStream at seed 7
+// over 1.8 h with 40 arrivals/h of 0.4 h lifetime and 30 re-pricings/h.
+func servedSetup(b *testing.B) (*Engine, []Delta) {
+	b.Helper()
+	in := gmInstance(b, 7, 360, 8, 120)
+	ds, err := GenerateStream(in, StreamConfig{Seed: 7, Rate: 40, Duration: 1.8, Lifetime: 0.4, RepriceRate: 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{VDPS: benchVDPS()}
+	opt.Game.Seed = 7
+	eng, err := New(context.Background(), in, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng, ds
+}
+
+// BenchmarkStreamServed replays the served stream mix (see servedSetup),
+// one delta per Apply as /stream/events serves them, on a fresh engine per
+// iteration, built with the timer stopped. It reports the nearest-rank
+// percentiles of the per-delta latency over all iterations:
+//
+//	p50-ns/delta, p90-ns/delta   every delta
+//	warm-p50-ns, regen-p50-ns    the warm and the regen deltas
+//
+// Every replay must resolve as the served one does: 131 warm, 53 regen, 3
+// noop and no cold delta.
+func BenchmarkStreamServed(b *testing.B) {
+	var all, warm, regen []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, ds := servedSetup(b)
+		b.StartTimer()
+		counts := map[string]int{}
+		for _, d := range ds {
+			start := time.Now()
+			res, err := eng.Apply(context.Background(), d)
+			ns := float64(time.Since(start).Nanoseconds())
+			if err != nil {
+				b.Fatal(err)
+			}
+			all = append(all, ns)
+			switch res.Resolve {
+			case ResolveWarm:
+				warm = append(warm, ns)
+			case ResolveRegen:
+				regen = append(regen, ns)
+			}
+			counts[res.Resolve]++
+		}
+		if want := map[string]int{ResolveWarm: 131, ResolveRegen: 53, ResolveNoop: 3}; !maps.Equal(counts, want) {
+			b.Fatalf("resolves %v, want %v", counts, want)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(nearestRank(all, 50), "p50-ns/delta")
+	b.ReportMetric(nearestRank(all, 90), "p90-ns/delta")
+	b.ReportMetric(nearestRank(warm, 50), "warm-p50-ns")
+	b.ReportMetric(nearestRank(regen, 50), "regen-p50-ns")
+}
+
+// nearestRank sorts xs and returns its nearest-rank q-th percentile.
+func nearestRank(xs []float64, q int) float64 {
+	sort.Float64s(xs)
+	return xs[max(0, (len(xs)*q+99)/100-1)]
+}
+
 // BenchmarkStreamStrategyRepair isolates the warm path's strategy-space
 // maintenance on the reprice-heavy regime: a repair that recomputes
 // re-priced entries in place (vdps.RepairStrategyPayoffs) versus
@@ -154,7 +226,7 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 		}
 		for w := range in.Workers {
 			start := time.Now()
-			gen.RepairStrategyPayoffs(w, cached[w], repriced)
+			gen.RepairStrategyPayoffs(w, cached[w], changed)
 			repairNS += float64(time.Since(start).Nanoseconds())
 			n++
 		}

@@ -192,6 +192,8 @@ func New(ctx context.Context, in *model.Instance, opt Options) (*Engine, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Every delta repairs gen: the first one need not build its index.
+	gen.IndexPoints()
 	state := game.NewState(gen)
 	res, err := e.solver.Assign(ctx, state)
 	if err != nil {
@@ -279,6 +281,7 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			rsp.End()
 			return e.recover(ctx, sp, staged, ds, res, start, err, mutated)
 		}
+		rsp.SetAttrInt("candidates_regenerated", gen.Stats().Candidates)
 		state = game.NewState(gen)
 	} else {
 		// Incremental repair: rebind the generator to the staged instance.
@@ -306,11 +309,14 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			// The table was edited in place, and refresh splices the
 			// committed lists in place.
 			mutated = true
+			rsp.SetAttrInt("candidates_dropped", rep.Dropped())
+			rsp.SetAttrInt("candidates_regenerated", rep.Regenerated())
 		}
 		repriced := gen.RepairRewards(rewardPoints)
 		if len(repriced) > 0 {
 			mutated = true
 		}
+		rsp.SetAttrInt("candidates_repriced", len(repriced))
 		if !mutated && !plan.workersChanged {
 			// Nothing the game reads changed (e.g. a zero-reward arrival
 			// above the point's earliest expiry): commit the instance and
@@ -322,8 +328,10 @@ func (e *Engine) ApplyAll(ctx context.Context, ds []Delta) (Result, error) {
 			e.observe(res, ds, 0)
 			return res, nil
 		}
-		var lists [][]vdps.StrategyRef
-		lists, res.WorkersTouched = e.refresh(gen, staged, rep, repriced)
+		lists, rc := e.refresh(gen, staged, rep, repriced)
+		res.WorkersTouched = rc.touched
+		rsp.SetAttrInt("lists_spliced", rc.spliced)
+		rsp.SetAttrInt("lists_repriced", rc.repriced)
 		state = game.NewStateWithStrategies(gen, lists)
 	}
 	rsp.End()
@@ -424,10 +432,9 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 }
 
 // refresh returns the staged roster's strategy lists for the incremental
-// path, together with the number of workers whose lists were rebuilt,
-// spliced, repaired in place or dropped. gen is already repaired: rep is
+// path, together with what it did to them. gen is already repaired: rep is
 // its expiry repair (the zero value when no expiry moved), and repriced
-// lists the post-repair candidates whose reward changed.
+// lists the post-repair candidates whose reward changed, ascending.
 //
 // A staged worker inherits the committed list of the worker with its ID
 // only while the worker's location, MaxDP and speed (all the list reads
@@ -442,20 +449,14 @@ func (e *Engine) recover(ctx context.Context, sp *obs.Span, staged *model.Instan
 // fails afterwards marks the engine dirty. The worker counts as touched iff
 // its list was spliced or held a re-priced entry. Every other worker's list
 // is rebuilt.
-func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, rep vdps.ExpiryRepair, repriced []int) ([][]vdps.StrategyRef, int) {
+func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, rep vdps.ExpiryRepair, repriced []int) ([][]vdps.StrategyRef, refreshed) {
 	committed := make(map[int]int, len(e.inst.Workers))
 	for w := range e.inst.Workers {
 		committed[e.inst.Workers[w].ID] = w
 	}
-	var hit []bool
-	if len(repriced) > 0 {
-		hit = make([]bool, len(gen.Candidates()))
-		for _, ci := range repriced {
-			hit[ci] = true
-		}
-	}
 	lists := make([][]vdps.StrategyRef, len(staged.Workers))
-	touched, present := 0, 0
+	var rc refreshed
+	present := 0
 	var sc vdps.StrategyScratch
 	for w := range staged.Workers {
 		sw := &staged.Workers[w]
@@ -467,17 +468,31 @@ func (e *Engine) refresh(gen *vdps.Generator, staged *model.Instance, rep vdps.E
 		}
 		if !reuse {
 			lists[w] = gen.WorkerStrategies(w, &sc)
-			touched++
+			rc.touched++
 			continue
 		}
 		list, spliced := gen.SpliceStrategies(w, e.lists[cw], rep, &sc)
-		repaired := hit != nil && gen.RepairStrategyPayoffs(w, list, hit)
+		repaired := gen.RepairStrategyPayoffs(w, list, repriced)
+		if spliced {
+			rc.spliced++
+		}
+		if repaired {
+			rc.repriced++
+		}
 		if spliced || repaired {
-			touched++
+			rc.touched++
 		}
 		lists[w] = list
 	}
-	return lists, touched + len(e.inst.Workers) - present
+	rc.touched += len(e.inst.Workers) - present
+	return lists, rc
+}
+
+// refreshed counts what refresh did to the lists: the workers it touched
+// (rebuilt, spliced, re-priced or departed; see Result.WorkersTouched), and
+// the inherited lists it spliced and those it re-priced.
+type refreshed struct {
+	touched, spliced, repriced int
 }
 
 // departures counts committed workers whose IDs are absent from the staged

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"fairtask/internal/fault"
@@ -293,4 +294,77 @@ func TestWorkersTouchedRepairCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitExact(t, eng.Snapshot(), coldReference(t, replayed, FGT, 15))
+}
+
+// TestRepairSpanAttributes pins what the stream.repair span reports. Each
+// traced warm or regen delta of a stream of re-pricings, arrivals and
+// expiries carries the re-priced candidates and the spliced and re-priced
+// lists; a regen also carries the dropped and regenerated candidates, and
+// the live table then holds exactly the candidates it held before, less
+// the dropped, plus the regenerated. A spliced list only happens on a
+// regen, and the touched workers are those whose list was spliced or
+// re-priced, so their count lies between the larger of the two list counts
+// and their sum.
+func TestRepairSpanAttributes(t *testing.T) {
+	in := gmInstance(t, 7, 120, 8, 40)
+	ds, err := GenerateStream(in, StreamConfig{Seed: 3, Rate: 30, Duration: 1, Lifetime: 0.4, RepriceRate: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{VDPS: testVDPS}
+	opt.Game.Seed = 7
+	eng, err := New(context.Background(), in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, d := range ds {
+		live := eng.gen.Stats().Candidates
+		tr := obs.NewTracer()
+		root := tr.Root("delta")
+		res, err := eng.Apply(obs.ContextWithSpan(context.Background(), root), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		if res.Resolve != ResolveWarm && res.Resolve != ResolveRegen {
+			continue
+		}
+		seen[res.Resolve]++
+		attrs := map[string]int{}
+		for _, sp := range tr.Collect("delta").Spans {
+			if sp.Name != "stream.repair" {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if attrs[a.Key], err = strconv.Atoi(a.Value); err != nil {
+					t.Fatalf("seq %d: attribute %s=%q is not an integer", d.Seq, a.Key, a.Value)
+				}
+			}
+		}
+		want := []string{"candidates_repriced", "lists_spliced", "lists_repriced"}
+		if res.Resolve == ResolveRegen {
+			want = append(want, "candidates_dropped", "candidates_regenerated")
+		}
+		for _, k := range want {
+			if _, ok := attrs[k]; !ok {
+				t.Fatalf("seq %d (%s): stream.repair lacks %s: %v", d.Seq, res.Resolve, k, attrs)
+			}
+		}
+		if res.Resolve == ResolveRegen {
+			if got := live - attrs["candidates_dropped"] + attrs["candidates_regenerated"]; got != eng.gen.Stats().Candidates {
+				t.Fatalf("seq %d: %d live - %d dropped + %d regenerated = %d, table holds %d",
+					d.Seq, live, attrs["candidates_dropped"], attrs["candidates_regenerated"], got, eng.gen.Stats().Candidates)
+			}
+		} else if attrs["lists_spliced"] != 0 {
+			t.Fatalf("seq %d: a warm delta spliced %d lists", d.Seq, attrs["lists_spliced"])
+		}
+		sp, rp := attrs["lists_spliced"], attrs["lists_repriced"]
+		if res.WorkersTouched < max(sp, rp) || res.WorkersTouched > sp+rp {
+			t.Fatalf("seq %d: %d workers touched, %d lists spliced and %d re-priced", d.Seq, res.WorkersTouched, sp, rp)
+		}
+	}
+	if seen[ResolveWarm] == 0 || seen[ResolveRegen] == 0 {
+		t.Fatalf("resolves %v: want warm and regen deltas", seen)
+	}
 }

@@ -87,10 +87,14 @@ type dp struct {
 	// a changed point become candidates. Every ancestor of a kept node is
 	// kept (the hop bound relaxes by exactly one per step back), so kept
 	// nodes get the full run's frontiers, in the full run's order. changed
-	// is nil for a full run.
+	// is nil for a full run. view is nb filtered to the level's hop budget
+	// (see restrict), which the sets holding no changed point extend along.
 	changed bitset.Set
 	hops    []int
+	view    successors
 
+	// stats counts a full run's work. A restricted run's are not kept, and
+	// its view leaves out successors a full run counts as pruned.
 	stats Stats
 	sc    *scratch
 	// made counts what the candidates emit recorded so far hold.
@@ -143,6 +147,13 @@ type scratch struct {
 	// candidates of size at most k.
 	ctup, cfirst, cfr []int32
 	upTo              []int32
+
+	// A restricted run's view (see restrict): each point's row and, for the
+	// ε-ball lists, its legs, backed by vq and vleg.
+	vrows [][]int
+	vlegs [][]leg
+	vq    []int
+	vleg  []leg
 }
 
 // scratchCap is the most bytes of buffers a kept scratch may hold. Measured
@@ -203,6 +214,7 @@ func (sc *scratch) bytes() int {
 	}
 	n += capBytes(sc.tq) + capBytes(sc.tfirst) + capBytes(sc.start) + capBytes(sc.found) +
 		capBytes(sc.slot) + capBytes(sc.exts) + capBytes(sc.sorted)
+	n += capBytes(sc.vrows) + capBytes(sc.vlegs) + capBytes(sc.vq) + capBytes(sc.vleg)
 	return n + capBytes(sc.cnt) + capBytes(sc.perm) + capBytes(sc.words) + capBytes(sc.fr) +
 		capBytes(sc.ctup) + capBytes(sc.cfirst) + capBytes(sc.cfr) + capBytes(sc.upTo)
 }
@@ -322,7 +334,10 @@ func (d *dp) release() {
 // expand builds the size-level nodes into the scratch's nxt level by
 // extending every frontier entry of every cur node with every unvisited
 // successor within ε of its last point, and applies Pareto dominance to each
-// target node's extensions in generation order.
+// target node's extensions in generation order. In a restricted run a set
+// that holds no changed point extends along the level's hop view instead
+// (see restrict); it holds the successors in the same order, less only
+// those the hop bound rejects, so the extensions come in the same order.
 //
 // A target node is (the source node's set plus q, q), so the sources of one
 // target share a set, and expand walks cur's nodes one set's run at a time,
@@ -343,6 +358,9 @@ func (d *dp) expand(ctx context.Context, size int) error {
 	ents := room(sc.level(size-1), len(from))
 	nsrc := len(cur.lo)
 	budget := d.maxSize - size
+	if d.changed != nil {
+		d.restrict(budget)
+	}
 	slot := resize(sc.slot, d.n)
 	for i := range slot {
 		slot[i] = -1
@@ -358,7 +376,10 @@ func (d *dp) expand(ctx context.Context, size int) error {
 		for _, p := range cur.tuple(run[0], size-1) {
 			words[p>>6] |= 1 << (p & 63)
 		}
-		hit := d.changed != nil && bitset.Set(words).Intersects(d.changed)
+		nb := &d.nb
+		if d.changed != nil && !bitset.Set(words).Intersects(d.changed) {
+			nb = &d.view
+		}
 		first := len(tq)
 		exts = exts[:0]
 		for _, s := range run {
@@ -369,7 +390,7 @@ func (d *dp) expand(ctx context.Context, size int) error {
 			lo, hi := cur.lo[s], cur.hi[s]
 			last := from[lo].point
 			start[s] = int32(len(tq))
-			succ, legs := d.nb.at(int(last))
+			succ, legs := nb.at(int(last))
 			members := 0
 			for k, q := range succ {
 				if words[q>>6]&(1<<(q&63)) != 0 {
@@ -378,9 +399,6 @@ func (d *dp) expand(ctx context.Context, size int) error {
 				}
 				if legs[k].dist > d.eps {
 					d.stats.ExtensionsPruned++
-					continue
-				}
-				if d.changed != nil && !hit && d.hops[q] > budget {
 					continue
 				}
 				legTime := legs[k].time
@@ -465,6 +483,57 @@ func (d *dp) expand(ctx context.Context, size int) error {
 		}
 	}
 	return nil
+}
+
+// restrict sets d.view, for a restricted run's level of budget b, to the
+// successor table filtered by the hop bound: each point's successors q with
+// hops[q] <= b, in ascending order, with their legs. A set that holds no
+// changed point is kept only while a changed point is within its remaining
+// size budget, so it extends to such q alone, and at the last level, where
+// b is 0, to the changed points alone. Only a point within b+1 hops can end
+// such a set, so only those points' ε-ball rows are filled. The every-point
+// lists' row is the same for every point, so one filtered row is shared, and
+// its legs are computed when a point's row is read, for the successors it
+// keeps only.
+func (d *dp) restrict(b int) {
+	sc := d.sc
+	rows := resize(sc.vrows, d.n)
+	if d.nb.legs == nil {
+		keep := room(sc.vq, d.n)
+		for q := 0; q < d.n; q++ {
+			if d.hops[q] <= b {
+				keep = append(keep, q)
+			}
+		}
+		for p := range rows {
+			rows[p] = keep
+		}
+		sc.vrows, sc.vq = rows, keep
+		d.view = successors{in: d.in, eps: d.eps, nbrs: rows, row: d.view.row}
+		return
+	}
+	total := 0
+	for p, succ := range d.nb.nbrs {
+		if d.hops[p] <= b+1 {
+			total += len(succ)
+		}
+	}
+	legs := resize(sc.vlegs, d.n)
+	q, lg := room(sc.vq, total), room(sc.vleg, total)
+	for p, succ := range d.nb.nbrs {
+		i := len(q)
+		if d.hops[p] <= b+1 {
+			for k, x := range succ {
+				if d.hops[x] <= b {
+					q = append(q, x)
+					lg = append(lg, d.nb.legs[p][k])
+				}
+			}
+		}
+		rows[p], legs[p] = q[i:len(q):len(q)], lg[i:len(lg):len(lg)]
+	}
+	sc.vrows, sc.vlegs, sc.vq, sc.vleg = rows, legs, q, lg
+	d.view = successors{in: d.in, eps: d.eps, nbrs: rows, legs: legs}
 }
 
 // emit groups the cur level's nodes by set, merges each set's nodes into one

@@ -3,6 +3,7 @@ package vdps
 import (
 	"context"
 	"math"
+	"slices"
 
 	"fairtask/internal/bitset"
 	"fairtask/internal/model"
@@ -46,11 +47,8 @@ func EffectiveMaxSize(in *model.Instance, opt Options) int {
 // or reward changes confined to those points. It returns the indices of
 // candidates whose reward actually changed (bitwise), in ascending order.
 //
-// The touched points form one bit set, and a candidate is affected iff its
-// Mask intersects it, a word-wise AND, tested only when the candidate's fold
-// meets the touched set's: the scan reads the flat fold array and loads few
-// candidate structs, and a tombstone's zero fold meets nothing. Each
-// affected reward is
+// It reads only the candidates that hold a given point, through the
+// generator's index by point (see pointIndex). Each affected reward is
 // recomputed from scratch by summing the point rewards in ascending point
 // order — exactly the accumulation order a cold Generate uses — so a
 // repaired generator is bit-identical to a freshly generated one on every
@@ -61,59 +59,81 @@ func (g *Generator) RepairRewards(points []int) []int {
 	if len(points) == 0 {
 		return nil
 	}
-	touched := bitset.New(len(g.inst.Points))
-	for _, p := range points {
-		touched = touched.With(p)
-	}
-	tf := touched.Fold()
-	var changed []int
-	for ci, f := range g.fold {
-		if f&tf == 0 {
-			continue
-		}
+	held := g.holding(points)
+	changed := make([]int, 0, len(held))
+	for _, ci := range held {
 		c := &g.candidates[ci]
-		if !c.Mask.Intersects(touched) {
-			continue
-		}
 		var reward float64
 		for _, p := range c.Points {
 			reward += g.inst.Points[p].TotalReward()
 		}
 		if reward != c.Reward {
 			c.Reward = reward
-			changed = append(changed, ci)
+			changed = append(changed, int(ci))
 		}
 	}
 	return changed
 }
 
 // RepairStrategyPayoffs recomputes, in place, the payoff of every entry of
-// worker w's cached strategy list whose candidate is marked in repriced (a
-// mask over the candidate table, typically built from RepairRewards'
-// return), and reports whether any entry was marked. Every other entry is
-// left alone: its payoff is already exact as long as its candidate's reward
-// and frontier did not change and neither did the worker's location, MaxDP
-// and speed, which is the caller's contract. Reward changes cannot alter
-// which candidates are feasible for a worker or which frontier entry is
-// fastest (both depend only on expiries and geometry), so the list's
-// (candidate, entry) membership and its ascending candidate order stay
-// exact too. Each recomputed payoff is the new reward over the entry's total
-// travel time under the worker's Rule, as Rule.Strategy prices it, so the
-// repaired list is bit-identical to a fresh WorkerStrategies call. Callers
-// own the transactional consequences of the in-place write (the streaming
-// engine's dirty-flag protocol).
-func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, repriced []bool) bool {
+// worker w's cached strategy list whose candidate is in repriced (ascending
+// candidate indices, as RepairRewards returns them), and reports whether
+// any entry was. It gallops through the ascending list from one re-priced
+// candidate to the next, so it reads about as many entries as there are
+// re-priced candidates, not the whole list. Every other entry is left
+// alone: its payoff is already exact as long as its candidate's reward and
+// frontier did not change and neither did the worker's location, MaxDP and
+// speed, which is the caller's contract. Reward changes cannot alter which
+// candidates are feasible for a worker or which frontier entry is fastest
+// (both depend only on expiries and geometry), so the list's (candidate,
+// entry) membership and its ascending candidate order stay exact too. Each
+// recomputed payoff is the new reward over the entry's total travel time
+// under the worker's Rule, as Rule.Strategy prices it, so the repaired list
+// is bit-identical to a fresh WorkerStrategies call. Callers own the
+// transactional consequences of the in-place write (the streaming engine's
+// dirty-flag protocol).
+func (g *Generator) RepairStrategyPayoffs(w int, refs []StrategyRef, repriced []int) bool {
 	rule := g.Rule(w)
 	marked := false
-	for i := range refs {
-		if !repriced[refs[i].Cand] {
+	i := 0
+	for _, ci := range repriced {
+		if i = seekCand(refs, i, int32(ci)); i == len(refs) {
+			break
+		}
+		if refs[i].Cand != int32(ci) {
 			continue
 		}
 		marked = true
-		c := &g.candidates[refs[i].Cand]
+		c := &g.candidates[ci]
 		refs[i].Payoff = c.Reward / rule.totalTime(c.Frontier[refs[i].Entry].Time)
+		i++
 	}
 	return marked
+}
+
+// seekCand returns the position of the first entry at or after i of the
+// ascending list refs whose candidate is not below ci, or len(refs). It
+// gallops forward from i, then bisects the last step, so an entry d places
+// ahead costs O(log d) probes.
+func seekCand(refs []StrategyRef, i int, ci int32) int {
+	if i >= len(refs) || refs[i].Cand >= ci {
+		return i
+	}
+	lo, step := i, 1 // refs[lo] is below ci
+	for lo+step < len(refs) && refs[lo+step].Cand < ci {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(refs))
+	for lo+1 < hi {
+		m := int(uint(lo+hi) >> 1)
+		if refs[m].Cand < ci {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
 }
 
 // ExpiryRepair records the candidate-table surgery of one RepairExpiries
@@ -126,6 +146,9 @@ type ExpiryRepair struct {
 	// dropped counts the candidates the repair turned into tombstones:
 	// every live candidate containing a changed point.
 	dropped int
+	// gone lists them, ascending, when the repair did not compact the table;
+	// they kept their indices as tombstones.
+	gone []int32
 	// fresh and end bound the indices of the regenerated candidates — every
 	// candidate containing at least one changed point that is feasible
 	// under the new expiries — which the repair appended to the table.
@@ -136,18 +159,11 @@ type ExpiryRepair struct {
 	remap []int32
 }
 
-// index returns the post-repair index of pre-repair candidate ci, or -1 when
-// the repair dropped it. Outside a compaction a candidate keeps its index,
-// and one the repair dropped is now a tombstone.
-func (rep *ExpiryRepair) index(g *Generator, ci int32) int32 {
-	if rep.remap != nil {
-		return rep.remap[ci]
-	}
-	if g.setSize[ci] == 0 {
-		return -1
-	}
-	return ci
-}
+// Dropped returns the number of candidates the repair dropped.
+func (rep ExpiryRepair) Dropped() int { return rep.dropped }
+
+// Regenerated returns the number of candidates the repair appended.
+func (rep ExpiryRepair) Regenerated() int { return rep.end - rep.fresh }
 
 // SpliceStrategies carries worker w's strategy list, as WorkerStrategies
 // built it before the expiry repair rep, over to the repaired table: it
@@ -155,8 +171,11 @@ func (rep *ExpiryRepair) index(g *Generator, ci int32) int32 {
 // candidates the worker can take, priced by the worker's Rule and
 // gathered into sc first. The list holds ascending candidate indices and
 // the regenerated candidates were appended after every retained one, so the
-// result ascends too. A compaction renumbers the retained entries through
-// its monotonic remap, which keeps their order. The result equals a fresh
+// result ascends too. Outside a compaction it gallops through the list to
+// each dropped candidate and moves each run of retained entries between
+// two of them down with one copy, so it reads about as many entries as the
+// repair dropped. A compaction renumbers every retained entry through its
+// monotonic remap, which keeps their order. The result equals a fresh
 // WorkerStrategies call as long as the worker's location, MaxDP and speed
 // did not change; a retained entry keeps its payoff, so after a reward
 // change it still needs RepairStrategyPayoffs.
@@ -175,11 +194,35 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 	rule := g.Rule(w)
 	add := rule.gather(sc.keys[:0], rep.fresh, rep.end)
 	sc.keys = add
-	kept := list[:0]
-	for _, ref := range list {
-		if ref.Cand = rep.index(g, ref.Cand); ref.Cand >= 0 {
-			kept = append(kept, ref)
+	var kept []StrategyRef
+	if rep.remap != nil {
+		kept = list[:0]
+		for _, ref := range list {
+			if ref.Cand = rep.remap[ref.Cand]; ref.Cand >= 0 {
+				kept = append(kept, ref)
+			}
 		}
+	} else {
+		// list[run:at] is the retained run not yet moved down to list[n:].
+		n, run, at := 0, 0, 0
+		for _, ci := range rep.gone {
+			if at = seekCand(list, at, ci); at == len(list) {
+				break
+			}
+			if list[at].Cand != ci {
+				continue
+			}
+			if n < run {
+				copy(list[n:], list[run:at])
+			}
+			n += at - run
+			at++
+			run = at
+		}
+		if n < run {
+			copy(list[n:], list[run:])
+		}
+		kept = list[:n+len(list)-run]
 	}
 	spliced := len(kept) < len(list) || len(add) > 0
 	if len(kept)+len(add) == 0 {
@@ -210,16 +253,16 @@ func (g *Generator) SpliceStrategies(w int, list []StrategyRef, rep ExpiryRepair
 // instances it touches a small neighborhood of the changed points.
 //
 // Retained candidates keep pointing into the slabs they were built in, so a
-// repair copies no candidate data, and its only work proportional to the
-// table is the scan for the dropped candidates, which tests the flat fold
-// array before it loads a struct. Once the bytes dropped since the last
+// repair copies no candidate data, and it finds the candidates to drop
+// through the generator's index by point (see pointIndex), which it extends
+// with the appended candidates. Once the bytes dropped since the last
 // compaction — tombstone entries and slab bytes — exceed the bytes the
 // live candidates hold, or the table is full and holds at least half as
 // many tombstones as live candidates, the repair compacts the table: it
 // moves the live candidates down over the tombstones, in order, and copies
-// them into fresh slabs. That is the only time a candidate's index moves.
-// Table and slab memory stay within twice the live bytes, and the copy is
-// amortized over many repairs.
+// them into fresh slabs, and the index is rebuilt at its next read. That is
+// the only time a candidate's index moves. Table and slab memory stay
+// within twice the live bytes, and the copy is amortized over many repairs.
 //
 // The generator must already be rebound to the mutated instance. On error
 // (cancellation, ErrTooManySets) the candidate table is left untouched.
@@ -239,13 +282,7 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	}
 	d.hops = hopDistances(d.changed, d.nb.nbrs)
 
-	var dropped []int
-	cf := d.changed.Fold()
-	for ci, f := range g.fold {
-		if f&cf != 0 && g.candidates[ci].Mask.Intersects(d.changed) {
-			dropped = append(dropped, ci)
-		}
-	}
+	dropped := g.holding(points)
 	if err := d.run(ctx, g.opt.MaxSets, g.stats.Candidates-len(dropped)); err != nil {
 		return ExpiryRepair{}, err
 	}
@@ -258,7 +295,6 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 		g.candidates[ci] = Candidate{}
 		g.maxSlack[ci] = math.Inf(-1)
 		g.setSize[ci] = 0
-		g.fold[ci] = 0
 		g.low[ci] = 0
 	}
 	g.liveBytes += d.made.bytes()
@@ -271,14 +307,18 @@ func (g *Generator) RepairExpiries(ctx context.Context, points []int) (ExpiryRep
 	// compaction would set the memory peak.
 	tombstones := len(g.candidates) - (live - fresh)
 	full := len(g.candidates)+fresh > cap(g.candidates)
-	rep := ExpiryRepair{dropped: len(dropped)}
+	rep := ExpiryRepair{dropped: len(dropped), gone: dropped}
 	if g.staleBytes > g.liveBytes || full && 2*tombstones >= live {
-		rep.remap = g.compact()
+		rep.remap, rep.gone = g.compact(), nil
+		g.byPoint = nil
 	}
 	rep.fresh = len(g.candidates)
 	g.reserveTable(fresh, 2*live)
 	d.appendTable(g)
 	rep.end = len(g.candidates)
+	if g.byPoint != nil {
+		g.byPoint = g.byPoint.push(g, rep.fresh)
+	}
 	return rep, nil
 }
 
@@ -296,11 +336,11 @@ func (g *Generator) compact() []int32 {
 			continue
 		}
 		remap[ci] = int32(k)
-		g.candidates[k], g.maxSlack[k], g.setSize[k], g.fold[k], g.low[k] = g.candidates[ci], g.maxSlack[ci], n, g.fold[ci], g.low[ci]
+		g.candidates[k], g.maxSlack[k], g.setSize[k], g.low[k] = g.candidates[ci], g.maxSlack[ci], n, g.low[ci]
 		k++
 	}
 	clear(g.candidates[k:])
-	g.candidates, g.maxSlack, g.setSize, g.fold, g.low = g.candidates[:k], g.maxSlack[:k], g.setSize[:k], g.fold[:k], g.low[:k]
+	g.candidates, g.maxSlack, g.setSize, g.low = g.candidates[:k], g.maxSlack[:k], g.setSize[:k], g.low[:k]
 	reslab(g.candidates)
 	g.staleBytes = 0
 	return remap
@@ -338,4 +378,107 @@ func hopDistances(changed bitset.Set, succ [][]int) []int {
 		}
 	}
 	return hops
+}
+
+// pointIndex lists, for each delivery point, the table's candidates that
+// hold it, in ascending index order, so that a repair reads the candidates
+// its delta touched and no others. It is a stack of runs over consecutive
+// ranges of the table, the oldest range first. Each run is an exact-size
+// compressed table: point p's candidates in it are cands[start[p]:start[p+1]].
+// It is built as one run over the whole table when a repair first reads
+// it, extended by one run over the candidates each RepairExpiries appends,
+// and dropped at a compaction, which renumbers the candidates, to be built
+// again at its next read. A candidate that became a tombstone keeps its
+// entries until its run is rebuilt; holding skips them. Whenever the run
+// below the newest holds fewer than twice the newest's entries, the two are
+// rebuilt as one, so each run holds at least twice the entries of the run
+// above it, and a table of m entries is covered by O(log m) runs.
+type pointIndex []pointRun
+
+// pointRun is one run of a pointIndex, over the candidates from lo up to the
+// next run's lo, or the end of the table.
+type pointRun struct {
+	lo    int
+	start []int32
+	cands []int32
+}
+
+// pointRun indexes the live candidates from lo to the end of the table.
+func (g *Generator) pointRun(lo int) pointRun {
+	n := len(g.inst.Points)
+	start := make([]int32, n+1)
+	for ci := lo; ci < len(g.candidates); ci++ {
+		for _, p := range g.candidates[ci].Points {
+			start[p+1]++
+		}
+	}
+	for p := 0; p < n; p++ {
+		start[p+1] += start[p]
+	}
+	// Fill each point's entries from its start, which then points at the
+	// next point's start; shift the starts back up after.
+	cands := make([]int32, start[n])
+	for ci := lo; ci < len(g.candidates); ci++ {
+		for _, p := range g.candidates[ci].Points {
+			cands[start[p]] = int32(ci)
+			start[p]++
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return pointRun{lo: lo, start: start, cands: cands}
+}
+
+// push extends the index with a run over the candidates from lo to the end
+// of the table, and merges the newest runs while the one below the newest
+// holds fewer than twice its entries.
+func (ix pointIndex) push(g *Generator, lo int) pointIndex {
+	if lo == len(g.candidates) {
+		return ix
+	}
+	ix = append(ix, g.pointRun(lo))
+	for k := len(ix); k >= 2 && len(ix[k-2].cands) < 2*len(ix[k-1].cands); k-- {
+		ix[k-2] = g.pointRun(ix[k-2].lo)
+		ix = ix[:k-1]
+	}
+	return ix
+}
+
+// IndexPoints builds the generator's index by point, which every repair
+// reads, unless it is built already. A repair builds it when it first
+// needs it, so a caller that will repair the generator may call IndexPoints
+// first, to pay for the build up front instead of in the first repair.
+func (g *Generator) IndexPoints() {
+	if g.byPoint == nil {
+		g.byPoint = pointIndex{g.pointRun(0)}
+	}
+}
+
+// holding returns the live candidates that hold at least one of points, in
+// ascending order, read from the index by point. The result is allocated
+// once, at the size of the points' entries.
+func (g *Generator) holding(points []int) []int32 {
+	g.IndexPoints()
+	n := 0
+	for _, p := range points {
+		for _, r := range g.byPoint {
+			n += int(r.start[p+1] - r.start[p])
+		}
+	}
+	out := make([]int32, 0, n)
+	for _, p := range points {
+		for _, r := range g.byPoint {
+			for _, ci := range r.cands[r.start[p]:r.start[p+1]] {
+				if g.setSize[ci] != 0 {
+					out = append(out, ci)
+				}
+			}
+		}
+	}
+	if len(points) > 1 {
+		// A candidate holding several of the points was listed under each.
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	return out
 }

@@ -54,11 +54,12 @@ func mutateExpiries(in *model.Instance, rng *rand.Rand) []int {
 // assertGeneratorsEqual compares every field the solvers read with a fresh
 // generator's. Each live candidate is matched to want's candidate with the
 // same point set and compared bit for bit: points, mask, frontier
-// (sequences included), reward, and the flat maxSlack, setSize, fold and
-// low entries. Every tombstone must be inert — no points, mask or frontier, a
-// zero reward, maxSlack -Inf, setSize 0, fold 0 and low 0 — and the live
-// count must equal want's table and got's Stats. Every worker's enumerated strategy space
-// must then match want's (see assertListMatches).
+// (sequences included), reward, and the flat maxSlack, setSize and low
+// entries. Every tombstone must be inert — no points, mask or frontier, a
+// zero reward, maxSlack -Inf, setSize 0 and low 0 — and the live count must
+// equal want's table and got's Stats. got's index by point must list what a
+// scan of its table finds (see assertPointIndex). Every worker's enumerated
+// strategy space must then match want's (see assertListMatches).
 func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 	t.Helper()
 	byPoints := make(map[string]int, len(want.candidates))
@@ -70,9 +71,9 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 		c := &got.candidates[ci]
 		if !c.Live() {
 			if c.Points != nil || c.Mask != nil || c.Frontier != nil || c.Reward != 0 ||
-				!math.IsInf(got.maxSlack[ci], -1) || got.setSize[ci] != 0 || got.fold[ci] != 0 || got.low[ci] != 0 {
-				t.Fatalf("tombstone %d is not inert: %+v, caches (%v,%d,%x,%d)",
-					ci, *c, got.maxSlack[ci], got.setSize[ci], got.fold[ci], got.low[ci])
+				!math.IsInf(got.maxSlack[ci], -1) || got.setSize[ci] != 0 || got.low[ci] != 0 {
+				t.Fatalf("tombstone %d is not inert: %+v, caches (%v,%d,%d)",
+					ci, *c, got.maxSlack[ci], got.setSize[ci], got.low[ci])
 			}
 			continue
 		}
@@ -92,16 +93,17 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 			t.Fatalf("candidate %d (%v) reward %v, want %v", ci, c.Points, c.Reward, wc.Reward)
 		}
 		if math.Float64bits(got.maxSlack[ci]) != math.Float64bits(want.maxSlack[wi]) ||
-			got.setSize[ci] != want.setSize[wi] || got.fold[ci] != want.fold[wi] ||
+			got.setSize[ci] != want.setSize[wi] ||
 			got.low[ci] != want.low[wi] || got.low[ci] != int32(c.Points[0]) {
-			t.Fatalf("candidate %d (%v) caches (%v,%d,%x,%d), want (%v,%d,%x,%d)", ci, c.Points,
-				got.maxSlack[ci], got.setSize[ci], got.fold[ci], got.low[ci],
-				want.maxSlack[wi], want.setSize[wi], want.fold[wi], want.low[wi])
+			t.Fatalf("candidate %d (%v) caches (%v,%d,%d), want (%v,%d,%d)", ci, c.Points,
+				got.maxSlack[ci], got.setSize[ci], got.low[ci],
+				want.maxSlack[wi], want.setSize[wi], want.low[wi])
 		}
 	}
 	if live != len(want.candidates) || got.Stats().Candidates != live {
 		t.Fatalf("%d live candidates (Stats %d), fresh table %d", live, got.Stats().Candidates, len(want.candidates))
 	}
+	assertPointIndex(t, got)
 	var sc1, sc2 StrategyScratch
 	for w := range want.Instance().Workers {
 		assertListMatches(t, fmt.Sprintf("worker %d", w), got, got.WorkerStrategies(w, &sc1), want, want.WorkerStrategies(w, &sc2))
@@ -130,6 +132,184 @@ func assertListMatches(t *testing.T, label string, got *Generator, list []Strate
 				label, i, got.RefPoints(g), g.Entry, got.RefSeq(g), g.Payoff,
 				want.RefPoints(w), w.Entry, want.RefSeq(w), w.Payoff)
 		}
+	}
+}
+
+// assertPointIndex requires g's index by point, as the repairs read it, to
+// yield for every point, and for every pair of points p and n-1-p, exactly
+// the live candidates whose Mask holds one of them, ascending: what a scan
+// of the table yields. A generator no repair has read gets its index built
+// here.
+func assertPointIndex(t *testing.T, g *Generator) {
+	t.Helper()
+	n := len(g.inst.Points)
+	for p := 0; p < n; p++ {
+		for _, pts := range [][]int{{p}, {p, n - 1 - p}} {
+			var want []int32
+			for ci := range g.candidates {
+				c := &g.candidates[ci]
+				if c.Live() && slices.ContainsFunc(pts, c.Mask.Has) {
+					want = append(want, int32(ci))
+				}
+			}
+			if got := g.holding(pts); !slices.Equal(got, want) {
+				t.Fatalf("points %v: index yields %v, a scan %v", pts, got, want)
+			}
+		}
+	}
+}
+
+// index returns the post-repair index of pre-repair candidate ci, or -1 when
+// the repair rep dropped it. Outside a compaction a candidate keeps its
+// index, and one the repair dropped is now a tombstone.
+func (rep *ExpiryRepair) index(g *Generator, ci int32) int32 {
+	if rep.remap != nil {
+		return rep.remap[ci]
+	}
+	if g.setSize[ci] == 0 {
+		return -1
+	}
+	return ci
+}
+
+// spliceOracle is SpliceStrategies as a per-entry loop, the tests' oracle:
+// it asks rep.index about every entry of the list.
+func spliceOracle(g *Generator, w int, list []StrategyRef, rep ExpiryRepair) ([]StrategyRef, bool) {
+	if rep.dropped == 0 && rep.fresh == rep.end {
+		return list, false
+	}
+	rule := g.Rule(w)
+	add := rule.gather(nil, rep.fresh, rep.end)
+	kept := list[:0]
+	for _, ref := range list {
+		if ref.Cand = rep.index(g, ref.Cand); ref.Cand >= 0 {
+			kept = append(kept, ref)
+		}
+	}
+	spliced := len(kept) < len(list) || len(add) > 0
+	if len(kept)+len(add) == 0 {
+		return nil, spliced
+	}
+	return append(kept, add...), spliced
+}
+
+// repriceOracle is RepairStrategyPayoffs as a per-entry loop, the tests'
+// oracle: it tests every entry of the list against a mask of the re-priced
+// candidates.
+func repriceOracle(g *Generator, w int, refs []StrategyRef, repriced []int) bool {
+	mask := make([]bool, len(g.candidates))
+	for _, ci := range repriced {
+		mask[ci] = true
+	}
+	rule := g.Rule(w)
+	marked := false
+	for i := range refs {
+		if !mask[refs[i].Cand] {
+			continue
+		}
+		marked = true
+		c := &g.candidates[refs[i].Cand]
+		refs[i].Payoff = c.Reward / rule.totalTime(c.Frontier[refs[i].Entry].Time)
+	}
+	return marked
+}
+
+// sublist returns a random ascending sublist of list, each entry kept with
+// probability keep, in a fresh array with room for spare more entries.
+func sublist(rng *rand.Rand, list []StrategyRef, keep float64, spare int) []StrategyRef {
+	out := make([]StrategyRef, 0, len(list)+spare)
+	for _, r := range list {
+		if rng.Float64() < keep {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestRunWiseRepairsMatchPerEntry pins the galloping repairs to their
+// per-entry oracles on random ascending lists. Along a chain of expiry
+// repairs, some of which compact the table, random sublists of each
+// worker's pre-repair list, dense and sparse, spliced through the repair
+// with SpliceStrategies must equal spliceOracle's result entry for entry,
+// and report the same. Then random sublists of each worker's repaired list,
+// their payoffs scrambled, re-priced by RepairStrategyPayoffs under a
+// random ascending subset of the live candidates, RepairRewards' return
+// added, must equal repriceOracle's, payoff bits included.
+func TestRunWiseRepairsMatchPerEntry(t *testing.T) {
+	in := repairGM(t, 3, 60, 8, 24)
+	opt := Options{Epsilon: 1.5}
+	g, err := Generate(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	var sc, wsc StrategyScratch
+	compacted, kept := 0, 0
+	for step := 0; step < 24; step++ {
+		lists := make([][]StrategyRef, len(in.Workers))
+		for w := range lists {
+			lists[w] = g.WorkerStrategies(w, &wsc)
+		}
+		mutated := in.Clone()
+		pts := mutateExpiries(mutated, rng)
+		rewardPts := rewardMutations[0].apply(mutated, rng)
+		g.Rebind(mutated)
+		rep, err := g.RepairExpiries(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.remap != nil {
+			compacted++
+		} else if rep.dropped > 0 {
+			kept++
+		}
+		for w, list := range lists {
+			for _, keep := range []float64{1, 0.9, 0.5, 0.1} {
+				a := sublist(rng, list, keep, rng.Intn(8))
+				b := append(make([]StrategyRef, 0, cap(a)), a...)
+				got, gs := g.SpliceStrategies(w, a, rep, &sc)
+				want, ws := spliceOracle(g, w, b, rep)
+				if gs != ws || !slices.Equal(got, want) {
+					t.Fatalf("step %d worker %d keep %v: splice %v %+v, per entry %v %+v", step, w, keep, gs, got, ws, want)
+				}
+			}
+		}
+		repriced := g.RepairRewards(rewardPts)
+		var live []int
+		for ci, n := range g.setSize {
+			if n != 0 {
+				live = append(live, ci)
+			}
+		}
+		for w := range mutated.Workers {
+			list := g.WorkerStrategies(w, &wsc)
+			for _, keep := range []float64{1, 0.5, 0.05} {
+				var set []int
+				for _, ci := range live {
+					if rng.Float64() < keep/4 || slices.Contains(repriced, ci) {
+						set = append(set, ci)
+					}
+				}
+				a := sublist(rng, list, keep, 0)
+				for i := range a {
+					a[i].Payoff = rng.Float64()
+				}
+				b := slices.Clone(a)
+				gh, wh := g.RepairStrategyPayoffs(w, a, set), repriceOracle(g, w, b, set)
+				for i := range a {
+					if a[i] != b[i] || math.Float64bits(a[i].Payoff) != math.Float64bits(b[i].Payoff) {
+						t.Fatalf("step %d worker %d keep %v entry %d: re-priced %+v, per entry %+v", step, w, keep, i, a[i], b[i])
+					}
+				}
+				if gh != wh {
+					t.Fatalf("step %d worker %d keep %v: re-pricing reported %v, per entry %v", step, w, keep, gh, wh)
+				}
+			}
+		}
+		in = mutated
+	}
+	if compacted == 0 || kept == 0 {
+		t.Fatalf("%d repairs compacted and %d dropped candidates without compacting; want each", compacted, kept)
 	}
 }
 
@@ -579,7 +759,7 @@ func TestRepairStrategyPayoffsMatchesWorkerStrategies(t *testing.T) {
 			for w := range mutated.Workers {
 				pre := slices.Clone(cached[w])
 				marked := slices.ContainsFunc(pre, func(r StrategyRef) bool { return repriced[r.Cand] })
-				hit := g.RepairStrategyPayoffs(w, cached[w], repriced)
+				hit := g.RepairStrategyPayoffs(w, cached[w], changed)
 				if hit != marked {
 					t.Fatalf("seed %d round %d worker %d: repair reported %v, list holds a re-priced candidate: %v",
 						seed, round, w, hit, marked)
@@ -726,10 +906,7 @@ func TestRepairExpiriesChainedMatchesGenerate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				repriced := make([]bool, len(g.Candidates()))
-				for _, ci := range g.RepairRewards(rewardPts) {
-					repriced[ci] = true
-				}
+				repriced := g.RepairRewards(rewardPts)
 				want, err := Generate(mutated, tc.opt)
 				if err != nil {
 					t.Fatal(err)

@@ -35,12 +35,14 @@
 // states the rule independently, as the tests' oracle.
 //
 // Beside the candidate table the generator keeps flat per-candidate arrays
-// — maxSlack, setSize, fold and low (the set's lowest point) — so the scans
-// over many candidates or strategies test a candidate without loading its
-// struct: the rule itself, the strategy-list builds, the repair scans, the
-// singleton gather game's random start draws from, and game's best
-// response, whose list scan skips an entry whose lowest point another
-// worker holds and whose walk groups the live candidates by lowest point.
+// — maxSlack, setSize and low (the set's lowest point) — so the scans over
+// many candidates or strategies test a candidate without loading its
+// struct: the rule itself, the strategy-list builds, the singleton gather
+// game's random start draws from, and game's best response, whose list scan
+// skips an entry whose lowest point another worker holds and whose walk
+// groups the live candidates by lowest point. The repairs reach the
+// candidates a delta touched through an index of the table by point, built
+// by IndexPoints or at a generator's first repair (see pointIndex).
 //
 // The DP runs on flat per-level arrays. Each level's (set, last) nodes are
 // grouped by set with a stable counting sort on their ascending point
@@ -140,13 +142,12 @@ type Candidate struct {
 }
 
 // The slab sizes of a point index, a mask word and a frontier state, and the
-// size of one table entry: a Candidate plus its maxSlack, setSize, fold and
-// low.
+// size of one table entry: a Candidate plus its maxSlack, setSize and low.
 const (
 	intBytes   = int(unsafe.Sizeof(int(0)))
 	wordBytes  = 8
 	stateBytes = int(unsafe.Sizeof(State{}))
-	entryBytes = int(unsafe.Sizeof(Candidate{})) + 8 + 4 + 8 + 4
+	entryBytes = int(unsafe.Sizeof(Candidate{})) + 8 + 4 + 4
 )
 
 // bytes returns the bytes the candidate holds: its table entry and the slab
@@ -210,21 +211,19 @@ type Generator struct {
 	// Rule.Strategy's feasibility test, StrategySpaces' chain filter and
 	// list-size bounds, Singletons' gather — reject candidates without
 	// touching the candidate structs (and their pointer-chased frontiers) at
-	// all. fold[ci] is candidates[ci].Mask folded into one word
-	// (bitset.Set.Fold), so the point scans — RepairRewards and
-	// RepairExpiries' search for the sets to drop — load a candidate's struct
-	// and mask only when its fold meets the touched points'. low[ci] is
-	// candidates[ci].Points[0], the set's lowest point, which game's
-	// best-response scan tests against the owner table before it loads the
-	// candidate, and by which game's best-response walk groups the live
-	// candidates (see LowestPoints). A tombstone's entries are -Inf, 0, 0
-	// and 0: every scan already rejects the first three, no strategy list
-	// holds a tombstone whose low could be read, and the walk's grouping
-	// skips a setSize of 0.
+	// all. low[ci] is candidates[ci].Points[0], the set's lowest point, which
+	// game's best-response scan tests against the owner table before it
+	// loads the candidate, and by which game's best-response walk groups the
+	// live candidates (see LowestPoints). A tombstone's entries are -Inf, 0
+	// and 0: every scan already rejects the first two, no strategy list holds
+	// a tombstone whose low could be read, and the walk's grouping skips a
+	// setSize of 0.
 	maxSlack []float64
 	setSize  []int32
-	fold     []uint64
 	low      []int32
+	// byPoint indexes the table by point for the repairs; nil until the
+	// first repair reads it, and again after a compaction (see pointIndex).
+	byPoint pointIndex
 	// liveBytes is the bytes the live candidates hold (see bytes), and
 	// staleBytes those of the candidates RepairExpiries dropped since the
 	// table was last compacted: their tombstones' table entries and an upper
@@ -243,15 +242,17 @@ type leg struct{ dist, time float64 }
 
 // appendLegs appends to dst the legs from p to each point of succ under the
 // travel model. It is the package's only computation of a leg between two
-// delivery points.
+// delivery points. Each leg's distance is evaluated once, and a kept leg's
+// time is that distance over the model's speed, which is how
+// travel.Model.Time defines it.
 func appendLegs(dst []leg, in *model.Instance, eps float64, p int, succ []int) []leg {
 	a := in.Points[p].Loc
+	speed := in.Travel.Speed()
 	dst = slices.Grow(dst, len(succ))
 	for _, q := range succ {
-		b := in.Points[q].Loc
-		l := leg{dist: in.Travel.Distance(a, b)}
+		l := leg{dist: in.Travel.Distance(a, in.Points[q].Loc)}
 		if !(l.dist > eps) { // a leg the ε rule keeps
-			l.time = in.Travel.Time(a, b)
+			l.time = l.dist / speed
 		}
 		dst = append(dst, l)
 	}
@@ -341,8 +342,7 @@ func GenerateContext(ctx context.Context, in *model.Instance, opt Options) (*Gen
 func (g *Generator) finish() {
 	n := len(g.candidates)
 	g.stats.Candidates = n
-	g.maxSlack, g.setSize = make([]float64, 0, n), make([]int32, 0, n)
-	g.fold, g.low = make([]uint64, 0, n), make([]int32, 0, n)
+	g.maxSlack, g.setSize, g.low = make([]float64, 0, n), make([]int32, 0, n), make([]int32, 0, n)
 	for ci := range g.candidates {
 		g.appendFlat(&g.candidates[ci])
 		g.liveBytes += g.candidates[ci].bytes()
@@ -356,16 +356,14 @@ func (g *Generator) reserveTable(k, c int) {
 	g.candidates = reserve(g.candidates, k, c)
 	g.maxSlack = reserve(g.maxSlack, k, c)
 	g.setSize = reserve(g.setSize, k, c)
-	g.fold = reserve(g.fold, k, c)
 	g.low = reserve(g.low, k, c)
 }
 
 // appendFlat appends the flat entries of candidate c, the table's next:
-// its maxSlack, setSize, fold and low.
+// its maxSlack, setSize and low.
 func (g *Generator) appendFlat(c *Candidate) {
 	g.maxSlack = append(g.maxSlack, c.MaxSlack())
 	g.setSize = append(g.setSize, int32(len(c.Points)))
-	g.fold = append(g.fold, c.Mask.Fold())
 	g.low = append(g.low, int32(c.Points[0]))
 }
 
@@ -382,9 +380,9 @@ func epsilon(opt Options) float64 {
 // sampler — as a handle whose at method gives a point's successors in
 // ascending order and each successor's leg from it under the travel model.
 // With ε enabled the successors are the point's Euclidean ε-ball
-// (grid.Neighborhoods), and their legs are cached. That ball is a superset filter for
-// metrics whose distance is >= Euclidean (e.g. Manhattan), so its users
-// keep checking each leg against ε. With ε disabled, or DisableIndex set,
+// (grid.Neighborhoods), and their legs are cached. That ball is a superset
+// filter for metrics whose distance is >= Euclidean (e.g. Manhattan), so its
+// users keep checking each leg against ε. With ε disabled, or DisableIndex set,
 // every point succeeds every point (one shared index slice), and a point's
 // legs are computed each time a reader asks for them: cached, they would
 // hold 16·n² bytes for the generator's lifetime, and a center of 10,000

@@ -103,6 +103,20 @@ func BenchmarkGenerateSampled(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateSampledEpsilon is BenchmarkGenerateSampled with ε 2, so
+// the sampler grows its routes along grid.Neighborhoods' ε-balls and their
+// cached legs instead of the every-point lists.
+func BenchmarkGenerateSampledEpsilon(b *testing.B) {
+	in := benchInstance(100)
+	in.Workers[0].MaxDP = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateSampled(in, SampleOptions{Epsilon: 2, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkForWorker(b *testing.B) {
 	in := benchInstance(100)
 	g, err := Generate(in, Options{Epsilon: 2})
