@@ -22,12 +22,13 @@
 // 0.15 = +15%) in ns/op, B/op or allocs/op is fatal, and a B/op or
 // allocs/op baseline of 0 must stay 0 (an allocation-free path). An ns/op
 // of 0, and a figure left out of a row (one that depends on the runner's
-// core count, say), is not gated. So is a baselined benchmark with
-// fewer than three result lines in the inputs (run it with -count 3), and
-// -update refuses such inputs. A benchmark or figure present in the
-// baseline but absent from the inputs is only a warning (CI shards benches
-// across artifacts); new benchmarks are reported so the baseline can be
-// refreshed with -update.
+// core count, say), is not gated. A baselined benchmark with fewer than
+// three result lines in the inputs fails (run it with -count 3), and
+// -update refuses such inputs. A B/op or allocs/op figure more than
+// -tolerance below its baseline passes with a note to re-take the row. A
+// benchmark or figure present in the baseline but absent from the inputs
+// is only a warning (CI shards benches across artifacts); new benchmarks
+// are reported so the baseline can be refreshed with -update.
 package main
 
 import (
@@ -188,6 +189,9 @@ func check(baseline, current map[string]figures, samples map[string]int, toleran
 			case v/base-1 > tolerance:
 				bad = append(bad, fmt.Sprintf("%s regressed %.1f%%: %.0f %s (baseline %.0f, tolerance %.0f%%)",
 					name, (v/base-1)*100, v, unit, base, tolerance*100))
+			case unit != "ns/op" && 1-v/base > tolerance:
+				info = append(info, fmt.Sprintf("note: %s reads %.1f%% below its baseline: %.0f %s (baseline %.0f); re-take it",
+					name, (1-v/base)*100, v, unit, base))
 			}
 		}
 	}

@@ -88,6 +88,7 @@ func TestCheck(t *testing.T) {
 		"BenchmarkBytes":      {"ns/op": 100, "B/op": 1e6, "allocs/op": 1000},
 		"BenchmarkBytesFlat":  {"ns/op": 100, "B/op": 1e6},
 		"BenchmarkNoMem":      {"ns/op": 100, "allocs/op": 1000},
+		"BenchmarkStale":      {"ns/op": 100, "B/op": 1e6, "allocs/op": 1000},
 	}
 	current := map[string]figures{
 		"BenchmarkA": ns(110), "BenchmarkB": ns(120), "BenchmarkNew": ns(7),
@@ -96,6 +97,7 @@ func TestCheck(t *testing.T) {
 		"BenchmarkBytes":      {"ns/op": 100, "B/op": 1.2e6, "allocs/op": 1000},
 		"BenchmarkBytesFlat":  {"ns/op": 100, "B/op": 1.1e6, "allocs/op": 5000},
 		"BenchmarkNoMem":      ns(100),
+		"BenchmarkStale":      {"ns/op": 50, "B/op": 0.8e6, "allocs/op": 900},
 	}
 	samples := map[string]int{}
 	for name := range current {
@@ -123,6 +125,15 @@ func TestCheck(t *testing.T) {
 	}
 	if !strings.Contains(joined, "BenchmarkNoMem allocs/op in baseline but not in inputs") {
 		t.Errorf("info lines missing the unreported allocs/op of BenchmarkNoMem:\n%s", joined)
+	}
+	// A B/op figure more than the tolerance below its baseline passes with
+	// a note to re-take the row; one within it (allocs/op -10%), and any
+	// ns/op drop, gets none.
+	if !strings.Contains(joined, "note: BenchmarkStale reads 20.0% below its baseline: 800000 B/op (baseline 1000000); re-take it") {
+		t.Errorf("info lines missing the stale B/op of BenchmarkStale:\n%s", joined)
+	}
+	if strings.Contains(joined, "BenchmarkStale reads 10.0%") || strings.Contains(joined, "BenchmarkStale reads 50.0%") {
+		t.Errorf("info lines note a figure within the tolerance or an ns/op drop:\n%s", joined)
 	}
 }
 

@@ -64,8 +64,8 @@ const lexNull = int32(game.Null)
 // feed the Hungarian tie-break.
 type lexMatrix struct {
 	refs [][]vdps.StrategyRef
-	// colMask[c] and colReward[c] cache candidate c's point mask and total
-	// reward (shared with the generator, read-only).
+	// colMask[c] is candidate c's points as a bit set over the instance's
+	// points, built once per matrix, and colReward[c] its total reward.
 	colMask   []bitset.Set
 	colReward []float64
 	points    int
@@ -85,9 +85,14 @@ func newLexMatrix(g *vdps.Generator, lists [][]vdps.StrategyRef) (*lexMatrix, er
 		colReward: make([]float64, len(cands)),
 		points:    len(g.Instance().Points),
 	}
+	nw := (m.points + 63) / 64
+	slab := make(bitset.Set, len(cands)*nw)
 	for ci := range cands {
-		m.colMask[ci] = cands[ci].Mask
-		m.colReward[ci] = cands[ci].Reward
+		mask := slab[ci*nw : (ci+1)*nw : (ci+1)*nw]
+		for _, p := range cands[ci].Points {
+			mask = mask.With(p)
+		}
+		m.colMask[ci], m.colReward[ci] = mask, cands[ci].Reward
 	}
 	for w, refs := range lists {
 		for i, r := range refs {

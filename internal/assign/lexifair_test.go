@@ -64,51 +64,59 @@ var lexSweepConfigs = []struct {
 
 // TestLexifairMatchesOracleExhaustive is the tentpole differential test:
 // on every exhaustively-enumerable small instance, Lexifair's sorted payoff
-// vector must be bit-identical to the brute-force leximin oracle's.
+// vector must be bit-identical to the brute-force leximin oracle's. Each
+// instance is solved over two candidate tables, the exact DP's and the
+// sampler's (vdps.GenerateSampled): Lexifair builds its column masks from
+// either table's points.
 func TestLexifairMatchesOracleExhaustive(t *testing.T) {
 	ctx := context.Background()
-	tested := 0
+	var tested [2]int // exact, sampled
 	for ci, cfg := range lexSweepConfigs {
 		for seed := int64(0); seed < 15; seed++ {
 			in := gridInstance(cfg.points, cfg.workers, cfg.maxDP, cfg.expiry, 1000*int64(ci)+seed)
-			g := mustGen(t, in)
-			tooWide := false
-			for w := range in.Workers {
-				if len(g.ForWorker(w)) > 8 {
-					tooWide = true
-					break
-				}
-			}
-			if tooWide {
-				continue
-			}
-			oracle, err := OracleLexifair(ctx, g, 0)
-			if errors.Is(err, ErrSearchTooLarge) {
-				continue
-			}
+			sampled, err := vdps.GenerateSampled(in, vdps.SampleOptions{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := (Lexifair{}).Assign(ctx, game.NewState(g))
-			if err != nil {
-				t.Fatalf("config %d seed %d: %v", ci, seed, err)
+			for gi, g := range []*vdps.Generator{mustGen(t, in), sampled} {
+				tooWide := false
+				for w := range in.Workers {
+					if len(g.ForWorker(w)) > 8 {
+						tooWide = true
+						break
+					}
+				}
+				if tooWide {
+					continue
+				}
+				oracle, err := OracleLexifair(ctx, g, 0)
+				if errors.Is(err, ErrSearchTooLarge) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := (Lexifair{}).Assign(ctx, game.NewState(g))
+				if err != nil {
+					t.Fatalf("config %d seed %d table %d: %v", ci, seed, gi, err)
+				}
+				if !res.Converged {
+					t.Fatalf("config %d seed %d table %d: exhaustive-size instance did not converge", ci, seed, gi)
+				}
+				if err := res.Assignment.Validate(in); err != nil {
+					t.Fatalf("config %d seed %d table %d: invalid assignment: %v", ci, seed, gi, err)
+				}
+				got := lexVector(t, g, res.Assignment)
+				if !sameVector(got, oracle.Sorted) {
+					t.Fatalf("config %d seed %d table %d: lexifair vector %v != oracle vector %v",
+						ci, seed, gi, got, oracle.Sorted)
+				}
+				tested[gi]++
 			}
-			if !res.Converged {
-				t.Fatalf("config %d seed %d: exhaustive-size instance did not converge", ci, seed)
-			}
-			if err := res.Assignment.Validate(in); err != nil {
-				t.Fatalf("config %d seed %d: invalid assignment: %v", ci, seed, err)
-			}
-			got := lexVector(t, g, res.Assignment)
-			if !sameVector(got, oracle.Sorted) {
-				t.Fatalf("config %d seed %d: lexifair vector %v != oracle vector %v",
-					ci, seed, got, oracle.Sorted)
-			}
-			tested++
 		}
 	}
-	if tested < 60 {
-		t.Fatalf("differential sweep exercised only %d instances; want >= 60", tested)
+	if tested[0] < 60 || tested[1] < 60 {
+		t.Fatalf("differential sweep exercised only %d exact and %d sampled instances; want >= 60 each", tested[0], tested[1])
 	}
 }
 
@@ -253,27 +261,36 @@ func TestLexifairThresholdMonotonicity(t *testing.T) {
 }
 
 func TestLexifairValidDeterministicOnMediumInstance(t *testing.T) {
-	in := gridInstance(10, 5, 2, 100, 42)
-	g := mustGen(t, in)
-	a, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
-	if err != nil {
-		t.Fatal(err)
+	// The wide instance's richest points lie past index 63, so keeping its
+	// routes disjoint takes the column masks' second word.
+	wide := gridInstance(70, 5, 2, 100, 42)
+	for p := 64; p < 70; p++ {
+		for k := range wide.Points[p].Tasks {
+			wide.Points[p].Tasks[k].Reward = 50
+		}
 	}
-	if err := a.Assignment.Validate(in); err != nil {
-		t.Fatalf("lexifair assignment invalid: %v", err)
-	}
-	if !a.Converged {
-		t.Error("medium instance should converge within the default budget")
-	}
-	if a.Summary.Assigned == 0 {
-		t.Error("lexifair assigned nothing")
-	}
-	b, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameVector(lexVector(t, g, a.Assignment), lexVector(t, g, b.Assignment)) {
-		t.Error("lexifair not deterministic")
+	for _, in := range []*model.Instance{gridInstance(10, 5, 2, 100, 42), wide} {
+		g := mustGen(t, in)
+		a, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Assignment.Validate(in); err != nil {
+			t.Fatalf("%d points: lexifair assignment invalid: %v", len(in.Points), err)
+		}
+		if !a.Converged {
+			t.Errorf("%d points: medium instance should converge within the default budget", len(in.Points))
+		}
+		if a.Summary.Assigned == 0 {
+			t.Errorf("%d points: lexifair assigned nothing", len(in.Points))
+		}
+		b, err := (Lexifair{}).Assign(context.Background(), game.NewState(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameVector(lexVector(t, g, a.Assignment), lexVector(t, g, b.Assignment)) {
+			t.Errorf("%d points: lexifair not deterministic", len(in.Points))
+		}
 	}
 }
 

@@ -205,9 +205,6 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 	for w := range in.Workers {
 		cached[w] = append([]vdps.StrategyRef(nil), gen.WorkerStrategies(w, &sc)...)
 	}
-	// One re-priced mask serves every round: marked from RepairRewards'
-	// return, cleared after the round.
-	repriced := make([]bool, len(gen.Candidates()))
 	var repairNS, enumNS float64
 	var n int
 	b.ResetTimer()
@@ -220,9 +217,6 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 		changed := gen.RepairRewards([]int{p})
 		if len(changed) == 0 {
 			continue
-		}
-		for _, ci := range changed {
-			repriced[ci] = true
 		}
 		for w := range in.Workers {
 			start := time.Now()
@@ -240,9 +234,6 @@ func BenchmarkStreamStrategyRepair(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		for _, ci := range changed {
-			repriced[ci] = false
-		}
 	}
 	b.StopTimer()
 	if n == 0 {

@@ -102,17 +102,17 @@ type dp struct {
 }
 
 // tally counts what a run's candidates hold: how many there are, their
-// points, their trimmed mask words, their frontier states and the points of
-// those states' sequences. That is what the table pass allocates, and its
-// bytes are the candidates' (see Candidate.bytes).
+// points, their frontier states and the points of those states' sequences.
+// That is what the table pass allocates, and its bytes are the candidates'
+// (see Candidate.bytes).
 type tally struct {
-	cands, points, words, states, seqPoints int
+	cands, points, states, seqPoints int
 }
 
 // bytes returns the bytes the counted candidates hold: each one's table
 // entry and its slab bytes, as Candidate.bytes counts them.
 func (t tally) bytes() int {
-	return t.cands*entryBytes + (t.points+t.seqPoints)*intBytes + t.words*wordBytes + t.states*stateBytes
+	return t.cands*entryBytes + (t.points+t.seqPoints)*intBytes + t.states*stateBytes
 }
 
 // scratch holds the working buffers of a DP run, and the candidates the run
@@ -607,7 +607,6 @@ func (d *dp) emit(size int) int {
 			cfirst = append(grow(cfirst, 1), int32(len(cfr)))
 			ctup = append(grow(ctup, size), t...)
 			k++
-			d.made.words += int(t[size-1])>>6 + 1
 			d.made.states += len(fr)
 			d.made.seqPoints += len(fr) * size
 		}
@@ -623,11 +622,10 @@ func (d *dp) emit(size int) int {
 
 // appendTable is the table pass: it appends the run's recorded candidates
 // to g's table, in the order recorded, and their flat entries (see
-// appendFlat), which must have room for them. Their points, masks, frontier
-// states and sequences go to four slabs allocated at their exact sizes,
-// each candidate's a capacity-limited window into them. A mask is trimmed
-// to its last non-empty word, as bitset.Of builds it, and the reward sums
-// the points' rewards in ascending point order.
+// appendFlat), which must have room for them. Their points, frontier states
+// and sequences go to three slabs allocated at their exact sizes, each
+// candidate's a capacity-limited window into them. The reward sums the
+// points' rewards in ascending point order.
 func (d *dp) appendTable(g *Generator) {
 	t := d.made
 	if t.cands == 0 {
@@ -635,7 +633,6 @@ func (d *dp) appendTable(g *Generator) {
 	}
 	sc := d.sc
 	pts := make([]int, 0, t.points)
-	masks := make(bitset.Set, 0, t.words)
 	front := make([]State, 0, t.states)
 	seqs := make([]int, 0, t.seqPoints)
 	c, off := 0, 0
@@ -650,13 +647,6 @@ func (d *dp) appendTable(g *Generator) {
 				cand.Reward += sc.reward[p]
 			}
 			cand.Points = pts[i:len(pts):len(pts)]
-			i = len(masks)
-			masks = masks[:i+int(tup[size-1])>>6+1]
-			clear(masks[i:])
-			for _, p := range tup {
-				masks[i+int(p)>>6] |= 1 << (p & 63)
-			}
-			cand.Mask = masks[i:len(masks):len(masks)]
 			i = len(front)
 			for _, e := range sc.cfr[sc.cfirst[c]:sc.cfirst[c+1]] {
 				j := len(seqs)
@@ -719,28 +709,25 @@ func appendClip[S ~[]E, E any](slab, src S) (S, S) {
 	return slab[i:len(slab):len(slab)], slab
 }
 
-// reslab copies every candidate's Points, Mask, Frontier and sequences into
-// one fresh set of slabs, so the table stops pinning the slabs of the DP runs
+// reslab copies every candidate's Points, Frontier and sequences into one
+// fresh set of slabs, so the table stops pinning the slabs of the DP runs
 // that produced its candidates.
 func reslab(cands []Candidate) {
-	var np, nm, nf, ns int
+	var np, nf, ns int
 	for i := range cands {
 		c := &cands[i]
 		np += len(c.Points)
-		nm += len(c.Mask)
 		nf += len(c.Frontier)
 		for _, st := range c.Frontier {
 			ns += len(st.Seq)
 		}
 	}
 	pts := make([]int, 0, np)
-	masks := make(bitset.Set, 0, nm)
 	front := make([]State, 0, nf)
 	seqs := make(model.Route, 0, ns)
 	for i := range cands {
 		c := &cands[i]
 		c.Points, pts = appendClip(pts, c.Points)
-		c.Mask, masks = appendClip(masks, c.Mask)
 		j := len(front)
 		for _, st := range c.Frontier {
 			st.Seq, seqs = appendClip(seqs, st.Seq)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fairtask/internal/bitset"
 	"fairtask/internal/dataset"
 	"fairtask/internal/geo"
 	"fairtask/internal/model"
@@ -26,7 +27,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/generate.golden"
 // so this is the pin that a kernel keeping the last tied sequence instead of
 // the first would fail: the lattice cases are full of exact (Time, Slack)
 // ties. The sampled cases pin GenerateSampled, which no oracle covers, with
-// its masks: the sampler's are full-width, the DP's trimmed.
+// each set's full-width mask words, which the digest derives from its points
+// as the sampler once stored them.
 func TestGenerateGolden(t *testing.T) {
 	gm := func(seed int64, tasks, workers, points int) *model.Instance {
 		in, err := dataset.GenerateGM(dataset.GMConfig{
@@ -81,7 +83,11 @@ func TestGenerateGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		fmt.Fprintf(&buf, "%s %016x %+v\n", tc.name, candidateDigest(g.Candidates(), tc.sample != nil), g.Stats())
+		maskWords := 0
+		if tc.sample != nil {
+			maskWords = (len(tc.in.Points) + 63) / 64
+		}
+		fmt.Fprintf(&buf, "%s %016x %+v\n", tc.name, candidateDigest(g.Candidates(), maskWords), g.Stats())
 	}
 	golden := filepath.Join("testdata", "generate.golden")
 	if *updateGolden {
@@ -100,8 +106,9 @@ func TestGenerateGolden(t *testing.T) {
 
 // candidateDigest is an FNV-64a digest of a candidate table: every
 // candidate's points, reward bits and frontier, each state's Time and Slack
-// bits and its sequence, and with masks set its mask words too.
-func candidateDigest(cands []Candidate, masks bool) uint64 {
+// bits and its sequence, and for maskWords > 0 the set as that many bit-set
+// words too.
+func candidateDigest(cands []Candidate, maskWords int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
@@ -113,9 +120,13 @@ func candidateDigest(cands []Candidate, masks bool) uint64 {
 		for _, p := range c.Points {
 			put(uint64(p))
 		}
-		if masks {
-			put(uint64(len(c.Mask)))
-			for _, w := range c.Mask {
+		if maskWords > 0 {
+			mask := bitset.New(64 * maskWords)
+			for _, p := range c.Points {
+				mask = mask.With(p)
+			}
+			put(uint64(maskWords))
+			for _, w := range mask {
 				put(w)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -148,7 +147,7 @@ func refAddCandidate(in *model.Instance, byCand map[string]*Candidate, ds *refSt
 		for _, p := range pts {
 			reward += in.Points[p].TotalReward()
 		}
-		c = &Candidate{Points: pts, Mask: ds.set.Clone(), Reward: reward}
+		c = &Candidate{Points: pts, Reward: reward}
 		byCand[key] = c
 	}
 	for _, st := range ds.frontier {
@@ -264,11 +263,6 @@ func TestGenerateMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertGeneratorsEqual(t, got, want)
-			for ci, c := range got.Candidates() {
-				if !reflect.DeepEqual(c.Mask, want.Candidates()[ci].Mask) {
-					t.Fatalf("candidate %d mask %v, want %v", ci, c.Mask, want.Candidates()[ci].Mask)
-				}
-			}
 			if got.Stats() != want.Stats() {
 				t.Fatalf("stats %+v, want %+v", got.Stats(), want.Stats())
 			}

@@ -53,11 +53,11 @@ func mutateExpiries(in *model.Instance, rng *rand.Rand) []int {
 
 // assertGeneratorsEqual compares every field the solvers read with a fresh
 // generator's. Each live candidate is matched to want's candidate with the
-// same point set and compared bit for bit: points, mask, frontier
-// (sequences included), reward, and the flat maxSlack, setSize and low
-// entries. Every tombstone must be inert — no points, mask or frontier, a
-// zero reward, maxSlack -Inf, setSize 0 and low 0 — and the live count must
-// equal want's table and got's Stats. got's index by point must list what a
+// same point set and compared bit for bit: points, frontier (sequences
+// included), reward, and the flat maxSlack, setSize and low entries. Every
+// tombstone must be inert — no points or frontier, a zero reward, maxSlack
+// -Inf, setSize 0 and low 0 — and the live count must equal want's table
+// and got's Stats. got's index by point must list what a
 // scan of its table finds (see assertPointIndex). Every worker's enumerated
 // strategy space must then match want's (see assertListMatches).
 func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
@@ -70,7 +70,7 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 	for ci := range got.candidates {
 		c := &got.candidates[ci]
 		if !c.Live() {
-			if c.Points != nil || c.Mask != nil || c.Frontier != nil || c.Reward != 0 ||
+			if c.Points != nil || c.Frontier != nil || c.Reward != 0 ||
 				!math.IsInf(got.maxSlack[ci], -1) || got.setSize[ci] != 0 || got.low[ci] != 0 {
 				t.Fatalf("tombstone %d is not inert: %+v, caches (%v,%d,%d)",
 					ci, *c, got.maxSlack[ci], got.setSize[ci], got.low[ci])
@@ -83,8 +83,8 @@ func assertGeneratorsEqual(t *testing.T, got, want *Generator) {
 			t.Fatalf("candidate %d %v is not in the fresh table", ci, c.Points)
 		}
 		wc := &want.candidates[wi]
-		if !reflect.DeepEqual(c.Points, wc.Points) || !reflect.DeepEqual(c.Mask, wc.Mask) {
-			t.Fatalf("candidate %d (%v, mask %v), fresh %d (%v, mask %v)", ci, c.Points, c.Mask, wi, wc.Points, wc.Mask)
+		if !reflect.DeepEqual(c.Points, wc.Points) {
+			t.Fatalf("candidate %d %v, fresh %d %v", ci, c.Points, wi, wc.Points)
 		}
 		if !reflect.DeepEqual(c.Frontier, wc.Frontier) {
 			t.Fatalf("candidate %d (%v) frontier diverged:\ngot  %+v\nwant %+v", ci, c.Points, c.Frontier, wc.Frontier)
@@ -137,7 +137,7 @@ func assertListMatches(t *testing.T, label string, got *Generator, list []Strate
 
 // assertPointIndex requires g's index by point, as the repairs read it, to
 // yield for every point, and for every pair of points p and n-1-p, exactly
-// the live candidates whose Mask holds one of them, ascending: what a scan
+// the live candidates whose Points hold one of them, ascending: what a scan
 // of the table yields. A generator no repair has read gets its index built
 // here.
 func assertPointIndex(t *testing.T, g *Generator) {
@@ -148,7 +148,7 @@ func assertPointIndex(t *testing.T, g *Generator) {
 			var want []int32
 			for ci := range g.candidates {
 				c := &g.candidates[ci]
-				if c.Live() && slices.ContainsFunc(pts, c.Mask.Has) {
+				if c.Live() && slices.ContainsFunc(c.Points, func(q int) bool { return slices.Contains(pts, q) }) {
 					want = append(want, int32(ci))
 				}
 			}
@@ -686,11 +686,11 @@ func TestRepairRewardsMatchesGenerate(t *testing.T) {
 				}
 				assertGeneratorsEqual(t, g, want)
 
-				// A touched point at 64 or above makes the touched set two
-				// words long; a re-summed candidate with a one-word mask met it.
+				// A re-summed candidate whose points all lie below 64 met a
+				// touched point at 64 or above.
 				if slices.Max(pts) >= 64 {
 					for _, ci := range got {
-						if len(g.Candidates()[ci].Mask) == 1 {
+						if slices.Max(g.Candidates()[ci].Points) < 64 {
 							wideMet = true
 						}
 					}
@@ -699,7 +699,7 @@ func TestRepairRewardsMatchesGenerate(t *testing.T) {
 		}
 	}
 	if !wideMet {
-		t.Fatal("no one-word mask met a two-word touched set")
+		t.Fatal("no re-summed candidate below point 64 met a touched point at 64 or above")
 	}
 }
 

@@ -82,21 +82,25 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 	g.stats.MaxSetSize = maxSize
 	eps := epsilon(g.opt)
 	nb := g.neighborhoods()
-	// Each recorded set is keyed on its words' bytes; cands[ids[key]] is its
-	// candidate, whose frontier grows as sequences of the set are recorded.
+	// Each recorded set is keyed on its non-zero words, each after its word
+	// index; cands[ids[key]] is its candidate, which keeps the set's points
+	// from its first record and gains a state per sequence recorded.
 	ids := map[string]int{}
 	var key []byte
 	var cands []Candidate
 	record := func(set bitset.Set, seq model.Route, time, slack float64) {
 		key = key[:0]
-		for _, w := range set {
-			key = binary.LittleEndian.AppendUint64(key, w)
+		for wi, w := range set {
+			if w != 0 {
+				key = binary.AppendUvarint(key, uint64(wi))
+				key = binary.LittleEndian.AppendUint64(key, w)
+			}
 		}
 		id, ok := ids[string(key)]
 		if !ok {
 			id = len(cands)
 			ids[string(key)] = id
-			cands = append(grow(cands, 1), Candidate{Mask: set.Clone()})
+			cands = append(grow(cands, 1), Candidate{Points: seq.Clone()})
 		}
 		c := &cands[id]
 		c.Frontier = mergeFrontier(c.Frontier, State{Seq: seq.Clone(), Time: time, Slack: slack})
@@ -153,7 +157,7 @@ func GenerateSampledContext(ctx context.Context, in *model.Instance, opt SampleO
 
 	for i := range cands {
 		c := &cands[i]
-		c.Points = c.Mask.Values()
+		slices.Sort(c.Points)
 		for _, p := range c.Points {
 			c.Reward += in.Points[p].TotalReward()
 		}

@@ -70,7 +70,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"fairtask/internal/bitset"
 	"fairtask/internal/geo"
 	"fairtask/internal/grid"
 	"fairtask/internal/model"
@@ -111,10 +110,11 @@ type State struct {
 	Slack float64
 }
 
-// Candidate is one C-VDPS: a set of delivery points with its Pareto frontier
-// of feasible sequences and cached aggregate reward.
+// Candidate is one C-VDPS: a set of delivery points, stored once as its
+// points, with its Pareto frontier of feasible sequences and cached
+// aggregate reward.
 //
-// Points, Mask, Frontier and each frontier state's Seq are owned by the
+// Points, Frontier and each frontier state's Seq are owned by the
 // generator: they are capacity-limited windows into slabs shared by many
 // candidates, so appending to one copies it, and they must not be modified
 // in place. A slab outlives the candidates RepairExpiries drops from it
@@ -123,13 +123,11 @@ type State struct {
 // rewrites it).
 //
 // A candidate RepairExpiries dropped stays in the table as a tombstone until
-// the next compaction: the zero Candidate, with no points, mask or frontier
-// (see Live).
+// the next compaction: the zero Candidate, with no points or frontier (see
+// Live).
 type Candidate struct {
 	// Points holds the set's delivery point indices in ascending order.
 	Points []int
-	// Mask is the same set as a bit set, for O(1) disjointness tests.
-	Mask bitset.Set
 	// Frontier holds the non-dominated (Time, Slack) states, sorted by
 	// ascending Time. Dominance prunes every state that is no slower and no
 	// slacker than another, so a slower state survives only with strictly
@@ -141,21 +139,20 @@ type Candidate struct {
 	Reward float64
 }
 
-// The slab sizes of a point index, a mask word and a frontier state, and the
-// size of one table entry: a Candidate plus its maxSlack, setSize and low.
+// The slab sizes of a point index and a frontier state, and the size of one
+// table entry: a Candidate plus its maxSlack, setSize and low.
 const (
 	intBytes   = int(unsafe.Sizeof(int(0)))
-	wordBytes  = 8
 	stateBytes = int(unsafe.Sizeof(State{}))
 	entryBytes = int(unsafe.Sizeof(Candidate{})) + 8 + 4 + 4
 )
 
 // bytes returns the bytes the candidate holds: its table entry and the slab
-// bytes it references — its points, mask words, frontier states and their
-// sequences, each of which visits every point of the set once.
+// bytes it references — its points, frontier states and their sequences,
+// each of which visits every point of the set once.
 func (c *Candidate) bytes() int {
 	n := len(c.Points)
-	return entryBytes + n*intBytes + len(c.Mask)*wordBytes + len(c.Frontier)*(stateBytes+n*intBytes)
+	return entryBytes + n*intBytes + len(c.Frontier)*(stateBytes+n*intBytes)
 }
 
 // Live reports whether the candidate is live rather than a tombstone: every
